@@ -1,10 +1,14 @@
 """Benchmarks of the SAT/SMT-lite substrate itself.
 
 These measure the components the synthesis pipeline spends its time in:
-CNF encoding of a DGX-1 instance, CDCL solving of structured SAT/UNSAT
-formulas, and end-to-end synthesis of the cheap Table 4 rows (which double
-as a regression guard on solver performance).
+CNF encoding of a DGX-1 instance, loading that CNF into the solver, CDCL
+solving of structured SAT/UNSAT formulas (reported as propagations per
+second next to the conflict count, which must not move when only the cost
+per step changes), and end-to-end synthesis of the cheap Table 4 rows (which
+double as a regression guard on solver performance).
 """
+
+import time
 
 import pytest
 
@@ -42,14 +46,46 @@ def test_encode_dgx1_allgather(benchmark):
     )
 
 
+def test_load_dgx1_allgather(benchmark):
+    cnf = ScclEncoding(make_instance("Allgather", dgx1(), 3, 4, 4)).encode().cnf
+    seconds = []
+
+    def run():
+        solver = SATSolver()
+        start = time.perf_counter()
+        loaded = solver.add_cnf(cnf)
+        seconds.append(time.perf_counter() - start)
+        return loaded
+
+    # A fixed, small number of rounds: this file is collected by the tier-1 run.
+    assert benchmark.pedantic(run, rounds=9, iterations=1)
+    report(
+        "CNF load throughput (DGX-1 Allgather C=3 S=4)",
+        f"{len(cnf.clauses)} clauses, {cnf.num_vars} vars: "
+        f"{len(cnf.clauses) / min(seconds):,.0f} clauses/s (best of {len(seconds)})",
+    )
+
+
+def _report_search(title, solver):
+    stats = solver.stats
+    report(
+        title,
+        f"{stats.conflicts} conflicts, {stats.decisions} decisions, "
+        f"{stats.propagations} propagations: "
+        f"{stats.propagations / stats.solve_time:,.0f} props/s (last run)",
+    )
+
+
 @pytest.mark.parametrize("holes", [5, 6])
 def test_cdcl_unsat_pigeonhole(benchmark, holes):
     def run():
         solver = SATSolver()
         solver.add_cnf(pigeonhole(holes))
-        return solver.solve()
+        return solver, solver.solve()
 
-    assert benchmark(run) is SolveResult.UNSAT
+    solver, result = benchmark(run)
+    assert result is SolveResult.UNSAT
+    _report_search(f"CDCL refutation (pigeonhole, {holes} holes)", solver)
 
 
 def test_cdcl_structured_sat(benchmark):
@@ -60,9 +96,11 @@ def test_cdcl_structured_sat(benchmark):
     def run():
         solver = SATSolver()
         solver.add_cnf(ctx.cnf)
-        return solver.solve()
+        return solver, solver.solve()
 
-    assert benchmark(run) is SolveResult.SAT
+    solver, result = benchmark(run)
+    assert result is SolveResult.SAT
+    _report_search("CDCL model finding (ring:6 Allgather C=2 S=5 R=5)", solver)
 
 
 @pytest.mark.parametrize(

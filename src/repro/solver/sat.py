@@ -17,6 +17,32 @@ The implementation follows the standard modern architecture:
 
 The solver supports incremental solving under assumptions, which the
 synthesis layer uses when probing neighbouring (S, R, C) instances.
+
+Data layout
+-----------
+* A clause is a plain ``list[int]``: its watched literals are ``clause[0]``
+  and ``clause[1]``, and a clause that implied a literal holds it at
+  ``clause[0]``.  A clause is learnt iff ``id(clause)`` is a key of the
+  activity side table ``_cla_activity``.
+* ``_val`` and ``_watches`` are indexed *by literal*: ``2n + 1`` slots laid
+  out ``[unused, 1 .. n, -n .. -1]``, so a negative literal is a negative
+  list index and growing the variable space inserts slots in the middle.
+  Assigning a literal writes ``_val[lit]`` and ``_val[-lit]``.  A literal
+  outside ``-n .. n`` would alias another slot, so literals are
+  range-checked where they enter.
+* Watch invariant: ``_watches[lit]`` holds the clauses watching ``-lit``,
+  the ones to visit when ``lit`` becomes true.
+* ``_level``, ``_reason``, ``_activity``, ``_phase``, ``_seen`` and
+  ``_heap_copies`` are indexed by variable (slot 0 unused).
+* Heap invariant: the search is defined by a lazy heap of possibly stale
+  ``(-activity, var)`` entries that gets one entry per activity bump and one
+  per unassignment.  That multiset is ``_order_heap`` plus, for each
+  variable, ``max(0, _heap_copies[var] - 1)`` more copies of its current
+  entry ``(-_activity[var], var)``; a count ``>= 1`` implies the current
+  entry is in ``_order_heap``, so unassigning such a variable only counts.
+  The counted copies are pushed when the entry stops being current (a bump,
+  a rescale of all activities): entries from before a rescale outrank all
+  later ones, and each copy of them can yield one more decision.
 """
 
 from __future__ import annotations
@@ -26,7 +52,7 @@ import time
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from .cnf import CNF, lit_var
+from .cnf import CNF
 
 
 class SolveResult(Enum):
@@ -87,17 +113,6 @@ def luby(i: int) -> int:
     return 1 << exponent
 
 
-class _Clause:
-    """Internal clause representation with an activity score."""
-
-    __slots__ = ("lits", "learnt", "activity")
-
-    def __init__(self, lits: List[int], learnt: bool = False) -> None:
-        self.lits = lits
-        self.learnt = learnt
-        self.activity = 0.0
-
-
 UNASSIGNED = 0
 TRUE = 1
 FALSE = -1
@@ -114,17 +129,19 @@ class SATSolver:
 
     def __init__(self) -> None:
         self.num_vars = 0
+        # Indexed by literal: [unused, 1..n, -n..-1] (see the module docstring).
+        self._val: List[int] = [UNASSIGNED]
+        self._watches: List[List[List[int]]] = [[]]
         # Indexed by variable (1-based; index 0 unused).
-        self._value: List[int] = [UNASSIGNED]
         self._level: List[int] = [0]
-        self._reason: List[Optional[_Clause]] = [None]
+        self._reason: List[Optional[List[int]]] = [None]
         self._activity: List[float] = [0.0]
         self._phase: List[bool] = [False]
         self._seen: List[bool] = [False]
-        # Watch lists indexed by literal key (2*v for positive, 2*v+1 for negative).
-        self._watches: List[List[_Clause]] = [[], []]
-        self._clauses: List[_Clause] = []
-        self._learnts: List[_Clause] = []
+        self._heap_copies: List[int] = [0]
+        self._clauses: List[List[int]] = []
+        self._learnts: List[List[int]] = []
+        self._cla_activity: Dict[int, float] = {}  # id(learnt clause) -> activity
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
         self._propagate_head = 0
@@ -133,8 +150,7 @@ class SATSolver:
         self._cla_inc = 1.0
         self._cla_decay = 0.999
         self._ok = True
-        # Lazy max-heap over variable activity: entries are (-activity, var)
-        # and may be stale; staleness is resolved at pop time.
+        # Lazy heap of (-activity, var); see the heap invariant above.
         self._order_heap: List[tuple[float, int]] = []
         self.stats = SolverStats()
         self._model: Dict[int, bool] = {}
@@ -144,54 +160,51 @@ class SATSolver:
     # ------------------------------------------------------------------
     def new_var(self) -> int:
         """Allocate a fresh variable and return its (positive) index."""
-        self.num_vars += 1
-        self._value.append(UNASSIGNED)
-        self._level.append(0)
-        self._reason.append(None)
-        self._activity.append(0.0)
-        self._phase.append(False)
-        self._seen.append(False)
-        self._watches.append([])
-        self._watches.append([])
-        heapq.heappush(self._order_heap, (0.0, self.num_vars))
+        self.ensure_vars(self.num_vars + 1)
         return self.num_vars
 
     def ensure_vars(self, max_var: int) -> None:
         """Grow the variable space so that ``max_var`` is valid."""
-        while self.num_vars < max_var:
-            self.new_var()
-
-    @staticmethod
-    def _lit_key(lit: int) -> int:
-        return (lit << 1) if lit > 0 else ((-lit << 1) | 1)
-
-    def _lit_value(self, lit: int) -> int:
-        v = self._value[abs(lit)]
-        if v == UNASSIGNED:
-            return UNASSIGNED
-        return v if lit > 0 else -v
+        old = self.num_vars
+        extra = max_var - old
+        if extra <= 0:
+            return
+        self._val[old + 1:old + 1] = [UNASSIGNED] * (2 * extra)
+        self._watches[old + 1:old + 1] = [[] for _ in range(2 * extra)]
+        self._level.extend([0] * extra)
+        self._reason.extend([None] * extra)
+        self._activity.extend([0.0] * extra)
+        self._phase.extend([False] * extra)
+        self._seen.extend([False] * extra)
+        self._heap_copies.extend([1] * extra)
+        # No entry in the heap is greater than (0.0, new variable), so
+        # appending is what a heappush per variable would do.
+        self._order_heap.extend((0.0, var) for var in range(old + 1, max_var + 1))
+        self.num_vars = max_var
 
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause.  Returns ``False`` if the formula became trivially UNSAT."""
         if not self._ok:
             return False
+        # solve() always returns at decision level 0, so every literal that
+        # has a value here is fixed for good.
+        val = self._val
         seen = set()
         clause: List[int] = []
         for lit in lits:
             if lit == 0:
                 raise ValueError("literal 0 not allowed")
-            self.ensure_vars(abs(lit))
+            if not -self.num_vars <= lit <= self.num_vars:
+                self.ensure_vars(abs(lit))
             if -lit in seen:
                 return True  # tautology
             if lit in seen:
                 continue
-            # Skip literals already falsified at level 0, drop clause if satisfied.
-            if self._level[abs(lit)] == 0 and self._value[abs(lit)] != UNASSIGNED:
-                val = self._lit_value(lit)
-                if val == TRUE:
-                    return True
-                if val == FALSE:
-                    continue
+            # Skip literals already falsified, drop the clause if satisfied.
+            if val[lit] == TRUE:
+                return True
+            if val[lit] == FALSE:
+                continue
             seen.add(lit)
             clause.append(lit)
 
@@ -199,30 +212,57 @@ class SATSolver:
             self._ok = False
             return False
         if len(clause) == 1:
-            if not self._enqueue(clause[0], None):
-                self._ok = False
-                return False
-            conflict = self._propagate()
-            if conflict is not None:
+            self._assign(clause[0], None)
+            if self._propagate() is not None:
                 self._ok = False
                 return False
             return True
-        c = _Clause(clause, learnt=False)
-        self._clauses.append(c)
-        self._attach(c)
+        self._clauses.append(clause)
+        self._attach(clause)
         return True
 
     def add_cnf(self, cnf: CNF) -> bool:
-        """Load every clause of a :class:`~repro.solver.cnf.CNF` object."""
+        """Load every clause of a :class:`~repro.solver.cnf.CNF` object.
+
+        The variable space grows once.  A clause over distinct, known
+        variables only needs simplifying against the fixed literals, done
+        here; any other takes the checked path.  Either way it is stored,
+        watched and propagated exactly as by :meth:`add_clause`.
+        """
         self.ensure_vars(cnf.num_vars)
-        for clause in cnf.clauses:
-            if not self.add_clause(clause):
+        if not self._ok:
+            return False
+        val, watches, clauses = self._val, self._watches, self._clauses
+        num_vars = self.num_vars  # a stale bound only sends more clauses down the checked path
+        for lits in cnf.clauses:
+            if len(lits) == 2:
+                a, b = lits
+                plain = a != b and a != -b and 0 < abs(a) <= num_vars and 0 < abs(b) <= num_vars
+            else:
+                used = set(map(abs, lits))
+                plain = len(used) == len(lits) > 0 and 0 not in used and max(used) <= num_vars
+            if plain:
+                clause = []
+                for lit in lits:
+                    value = val[lit]
+                    if value == TRUE:
+                        break  # satisfied for good: dropped
+                    if value == UNASSIGNED:
+                        clause.append(lit)
+                else:
+                    if len(clause) > 1:
+                        clauses.append(clause)
+                        watches[-clause[0]].append(clause)
+                        watches[-clause[1]].append(clause)
+                    elif not self.add_clause(clause):  # unit or empty
+                        return False
+            elif not self.add_clause(lits):
                 return False
         return True
 
-    def _attach(self, clause: _Clause) -> None:
-        self._watches[self._lit_key(-clause.lits[0])].append(clause)
-        self._watches[self._lit_key(-clause.lits[1])].append(clause)
+    def _attach(self, clause: List[int]) -> None:
+        self._watches[-clause[0]].append(clause)
+        self._watches[-clause[1]].append(clause)
 
     # ------------------------------------------------------------------
     # Assignment & propagation
@@ -231,145 +271,159 @@ class SATSolver:
     def decision_level(self) -> int:
         return len(self._trail_lim)
 
-    def _enqueue(self, lit: int, reason: Optional[_Clause]) -> bool:
-        val = self._lit_value(lit)
-        if val == FALSE:
-            return False
-        if val == TRUE:
-            return True
+    def _assign(self, lit: int, reason: Optional[List[int]]) -> None:
+        """Make the unassigned literal ``lit`` true at the current level."""
+        self._val[lit] = TRUE
+        self._val[-lit] = FALSE
         var = abs(lit)
-        self._value[var] = TRUE if lit > 0 else FALSE
-        self._level[var] = self.decision_level
+        self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
-        self._phase[var] = lit > 0
         self._trail.append(lit)
-        return True
 
-    def _propagate(self) -> Optional[_Clause]:
+    def _propagate(self) -> Optional[List[int]]:
         """Unit propagation; returns a conflicting clause or ``None``."""
-        while self._propagate_head < len(self._trail):
-            lit = self._trail[self._propagate_head]
-            self._propagate_head += 1
-            self.stats.propagations += 1
-            watch_key = self._lit_key(lit)
-            watchers = self._watches[watch_key]
-            new_watchers: List[_Clause] = []
-            i = 0
-            n = len(watchers)
-            conflict: Optional[_Clause] = None
-            while i < n:
-                clause = watchers[i]
-                i += 1
-                lits = clause.lits
-                # Normalize so that the false literal is lits[1].
-                if lits[0] == -lit:
-                    lits[0], lits[1] = lits[1], lits[0]
-                first = lits[0]
-                first_val = self._lit_value(first)
-                if first_val == TRUE:
-                    new_watchers.append(clause)
+        val, watches, trail = self._val, self._watches, self._trail
+        level, reason = self._level, self._reason
+        current_level = len(self._trail_lim)
+        start = head = self._propagate_head
+        conflict: Optional[List[int]] = None
+        while conflict is None and head < len(trail):
+            lit = trail[head]
+            head += 1
+            false_lit = -lit
+            watchers = watches[lit]
+            # The list is compacted in place while it is read: [0, kept) holds
+            # the clauses that go on watching false_lit.
+            kept = 0
+            unvisited = iter(watchers)
+            for clause in unvisited:
+                # Normalize so that the false literal is clause[1].
+                first = clause[0]
+                if first == false_lit:
+                    first = clause[0] = clause[1]
+                    clause[1] = false_lit
+                if val[first] == TRUE:
+                    watchers[kept] = clause
+                    kept += 1
                     continue
                 # Look for a new literal to watch.
-                found = False
-                for k in range(2, len(lits)):
-                    lk = lits[k]
-                    if self._lit_value(lk) != FALSE:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watches[self._lit_key(-lits[1])].append(clause)
-                        found = True
+                for k in range(2, len(clause)):
+                    other = clause[k]
+                    if val[other] != FALSE:
+                        clause[1] = other
+                        clause[k] = false_lit
+                        watches[-other].append(clause)
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                new_watchers.append(clause)
-                if first_val == FALSE:
-                    # Conflict: copy the remaining watchers back and bail out.
-                    new_watchers.extend(watchers[i:])
-                    conflict = clause
-                    break
-                self._enqueue(first, clause)
-            self._watches[watch_key] = new_watchers
-            if conflict is not None:
-                return conflict
-        return None
+                else:
+                    # Clause is unit or conflicting.
+                    watchers[kept] = clause
+                    kept += 1
+                    if val[first] == FALSE:
+                        conflict = clause
+                        watchers[kept:] = list(unvisited)  # the rest keeps watching
+                        break
+                    val[first] = TRUE
+                    val[-first] = FALSE
+                    var = first if first > 0 else -first
+                    level[var] = current_level
+                    reason[var] = clause
+                    trail.append(first)
+            else:
+                del watchers[kept:]
+        self._propagate_head = head
+        self.stats.propagations += head - start
+        return conflict
 
     # ------------------------------------------------------------------
     # Conflict analysis
     # ------------------------------------------------------------------
-    def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(1, self.num_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-        heapq.heappush(self._order_heap, (-self._activity[var], var))
+    def _rescale_var_activity(self) -> float:
+        """Scale every activity by 1e-100 and return the new increment; no
+        heap entry is current afterwards, so counted copies are pushed first."""
+        activity, copies, heap = self._activity, self._heap_copies, self._order_heap
+        for var in range(1, self.num_vars + 1):
+            for _ in range(copies[var] - 1):
+                heapq.heappush(heap, (-activity[var], var))
+            copies[var] = 0
+            activity[var] *= 1e-100
+        self._var_inc *= 1e-100
+        return self._var_inc
 
-    def _bump_clause(self, clause: _Clause) -> None:
-        clause.activity += self._cla_inc
-        if clause.activity > 1e20:
-            for c in self._learnts:
-                c.activity *= 1e-20
+    def _bump_clause(self, key: int) -> None:
+        activity = self._cla_activity
+        activity[key] += self._cla_inc
+        if activity[key] > 1e20:
+            for other in activity:
+                activity[other] *= 1e-20
             self._cla_inc *= 1e-20
 
-    def _analyze(self, conflict: _Clause) -> tuple[List[int], int]:
+    def _analyze(self, conflict: List[int]) -> tuple[List[int], int]:
         """First-UIP conflict analysis.
 
         Returns the learnt clause (with the asserting literal first) and the
         backtrack level.
         """
+        seen, level, reason, trail = self._seen, self._level, self._reason, self._trail
+        activity, copies, heap = self._activity, self._heap_copies, self._order_heap
+        cla_activity = self._cla_activity
+        heappush = heapq.heappush
+        var_inc = self._var_inc
+        current_level = len(self._trail_lim)
         learnt: List[int] = [0]  # placeholder for the asserting literal
-        seen = self._seen
-        counter = 0
-        lit = None
-        index = len(self._trail) - 1
-        clause: Optional[_Clause] = conflict
-        current_level = self.decision_level
         path_vars: List[int] = []
+        counter = 0
+        index = len(trail) - 1
+        lits = conflict
 
         while True:
-            assert clause is not None
-            if clause.learnt:
-                self._bump_clause(clause)
-            start = 0 if lit is None else 1
-            for l in clause.lits[start:]:
-                var = abs(l)
-                if not seen[var] and self._level[var] > 0:
+            if id(lits) in cla_activity:
+                self._bump_clause(id(lits))
+            # A reason clause holds the literal it implied at position 0.
+            for l in lits if lits is conflict else lits[1:]:
+                var = l if l > 0 else -l
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
                     path_vars.append(var)
-                    self._bump_var(var)
-                    if self._level[var] >= current_level:
+                    # Bump the variable: its heap entry stops being current.
+                    for _ in range(copies[var] - 1):
+                        heappush(heap, (-activity[var], var))
+                    act = activity[var] = activity[var] + var_inc
+                    if act > 1e100:
+                        copies[var] = 0
+                        var_inc = self._rescale_var_activity()
+                        act = activity[var]
+                    copies[var] = 1
+                    heappush(heap, (-act, var))
+                    if level[var] >= current_level:
                         counter += 1
                     else:
                         learnt.append(l)
             # Select next literal from the trail to resolve on.
-            while not seen[abs(self._trail[index])]:
+            while not seen[abs(trail[index])]:
                 index -= 1
-            lit = self._trail[index]
+            lit = trail[index]
             index -= 1
             var = abs(lit)
             seen[var] = False
             counter -= 1
-            clause = self._reason[var]
             if counter == 0:
                 break
+            lits = reason[var]
         learnt[0] = -lit
 
         # Learnt clause minimization (simple self-subsumption check).
         minimized = [learnt[0]]
         for l in learnt[1:]:
             var = abs(l)
-            reason = self._reason[var]
-            if reason is None:
+            lits = reason[var]
+            if lits is None:
                 minimized.append(l)
                 continue
-            redundant = True
-            for rl in reason.lits:
+            for rl in lits:
                 rv = abs(rl)
-                if rv != var and not seen[rv] and self._level[rv] > 0:
-                    redundant = False
+                if rv != var and not seen[rv] and level[rv] > 0:
+                    minimized.append(l)  # not redundant
                     break
-            if not redundant:
-                minimized.append(l)
         learnt = minimized
 
         for var in path_vars:
@@ -380,9 +434,9 @@ class SATSolver:
         else:
             # Find the literal with the second-highest level and place it second.
             max_i = 1
-            max_level = self._level[abs(learnt[1])]
+            max_level = level[abs(learnt[1])]
             for i in range(2, len(learnt)):
-                lvl = self._level[abs(learnt[i])]
+                lvl = level[abs(learnt[i])]
                 if lvl > max_level:
                     max_level = lvl
                     max_i = i
@@ -391,60 +445,73 @@ class SATSolver:
         return learnt, backtrack_level
 
     def _backtrack(self, level: int) -> None:
-        if self.decision_level <= level:
+        if len(self._trail_lim) <= level:
             return
+        val, reason, phase, trail = self._val, self._reason, self._phase, self._trail
+        activity, copies, heap = self._activity, self._heap_copies, self._order_heap
         limit = self._trail_lim[level]
-        for lit in reversed(self._trail[limit:]):
-            var = abs(lit)
-            self._phase[var] = self._value[var] == TRUE
-            self._value[var] = UNASSIGNED
-            self._reason[var] = None
-            heapq.heappush(self._order_heap, (-self._activity[var], var))
-        del self._trail[limit:]
+        for lit in trail[limit:]:
+            val[lit] = val[-lit] = UNASSIGNED
+            var = lit if lit > 0 else -lit
+            phase[var] = lit > 0
+            reason[var] = None
+            # One more heap entry for var; counted if its entry is present.
+            if copies[var]:
+                copies[var] += 1
+            else:
+                copies[var] = 1
+                heapq.heappush(heap, (-activity[var], var))
+        del trail[limit:]
         del self._trail_lim[level:]
-        self._propagate_head = min(self._propagate_head, len(self._trail))
+        self._propagate_head = min(self._propagate_head, limit)
 
     # ------------------------------------------------------------------
     # Decisions
     # ------------------------------------------------------------------
     def _pick_branch_var(self) -> Optional[int]:
-        value = self._value
-        heap = self._order_heap
+        val = self._val
+        activity, copies, heap = self._activity, self._heap_copies, self._order_heap
         while heap:
-            _, var = heapq.heappop(heap)
-            if value[var] == UNASSIGNED:
+            neg_activity, var = heap[0]
+            current = neg_activity == -activity[var]
+            if val[var] == UNASSIGNED and current and copies[var] > 1:
+                copies[var] -= 1  # a counted copy is used up, the entry stays
+                return var
+            heapq.heappop(heap)
+            if current:
+                copies[var] = 0  # an assigned variable drops all equal entries
+            if val[var] == UNASSIGNED:
                 return var
         # The heap can run dry while unassigned variables remain only if an
         # entry was consumed earlier without being re-pushed; fall back to a
         # scan to preserve completeness.
         for var in range(1, self.num_vars + 1):
-            if value[var] == UNASSIGNED:
+            if val[var] == UNASSIGNED:
                 return var
         return None
 
     def _reduce_db(self) -> None:
         """Remove half of the learnt clauses with the lowest activity."""
-        if len(self._learnts) < 100:
+        learnts = self._learnts
+        if len(learnts) < 100:
             return
-        self._learnts.sort(key=lambda c: c.activity)
-        keep_from = len(self._learnts) // 2
-        locked = set()
-        for var in range(1, self.num_vars + 1):
-            reason = self._reason[var]
-            if reason is not None:
-                locked.add(id(reason))
-        removed: List[_Clause] = []
-        kept: List[_Clause] = []
-        for i, clause in enumerate(self._learnts):
-            if i < keep_from and id(clause) not in locked and len(clause.lits) > 2:
-                removed.append(clause)
+        activity = self._cla_activity
+        learnts.sort(key=lambda c: activity[id(c)])
+        keep_from = len(learnts) // 2
+        locked = {id(reason) for reason in self._reason if reason is not None}
+        removed = set()
+        kept: List[List[int]] = []
+        for i, clause in enumerate(learnts):
+            if i < keep_from and id(clause) not in locked and len(clause) > 2:
+                removed.add(id(clause))
             else:
                 kept.append(clause)
         if not removed:
             return
-        removed_ids = {id(c) for c in removed}
-        for key in range(len(self._watches)):
-            self._watches[key] = [c for c in self._watches[key] if id(c) not in removed_ids]
+        for watchers in self._watches:
+            watchers[:] = [c for c in watchers if id(c) not in removed]
+        for key in removed:
+            del activity[key]
         self._learnts = kept
         self.stats.deleted_clauses += len(removed)
 
@@ -468,17 +535,33 @@ class SATSolver:
             Abort with :data:`SolveResult.UNKNOWN` after this many conflicts.
         time_limit:
             Abort with :data:`SolveResult.UNKNOWN` after this many seconds.
+
+        Whatever the answer, the solver is back at decision level 0 when
+        this returns, so clauses can be added between calls.
         """
         start_time = time.monotonic()
         self._model = {}
+        try:
+            return self._search(assumptions, conflict_limit, time_limit, start_time)
+        finally:
+            self._backtrack(0)
+            self.stats.solve_time += time.monotonic() - start_time
+
+    def _search(
+        self, assumptions: Sequence[int], conflict_limit: Optional[int],
+        time_limit: Optional[float], start_time: float,
+    ) -> SolveResult:
+        for lit in assumptions:
+            if not 0 < abs(lit) <= self.num_vars:
+                raise ValueError(f"assumption {lit} is not a literal of this solver")
         if not self._ok:
             return SolveResult.UNSAT
-        self._backtrack(0)
-        conflict = self._propagate()
-        if conflict is not None:
+        if self._propagate() is not None:
             self._ok = False
             return SolveResult.UNSAT
 
+        stats = self.stats
+        val = self._val
         restart_count = 0
         conflicts_since_restart = 0
         restart_limit = 64 * luby(1)
@@ -488,43 +571,39 @@ class SATSolver:
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                self.stats.conflicts += 1
+                stats.conflicts += 1
                 total_conflicts_this_call += 1
                 conflicts_since_restart += 1
-                if self.decision_level == 0:
+                if not self._trail_lim:
                     self._ok = False
-                    self.stats.solve_time += time.monotonic() - start_time
                     return SolveResult.UNSAT
                 learnt, backtrack_level = self._analyze(conflict)
                 self._backtrack(backtrack_level)
                 if len(learnt) == 1:
-                    self._enqueue(learnt[0], None)
+                    self._assign(learnt[0], None)
                 else:
-                    clause = _Clause(learnt, learnt=True)
-                    self._learnts.append(clause)
-                    self.stats.learned_clauses += 1
-                    self._attach(clause)
-                    self._bump_clause(clause)
-                    self._enqueue(learnt[0], clause)
+                    self._learnts.append(learnt)
+                    stats.learned_clauses += 1
+                    self._attach(learnt)
+                    self._cla_activity[id(learnt)] = 0.0
+                    self._bump_clause(id(learnt))
+                    self._assign(learnt[0], learnt)
                 self._var_inc /= self._var_decay
                 self._cla_inc /= self._cla_decay
                 if conflict_limit is not None and total_conflicts_this_call >= conflict_limit:
-                    self.stats.solve_time += time.monotonic() - start_time
                     return SolveResult.UNKNOWN
-                if time_limit is not None and (self.stats.conflicts & 63) == 0:
+                if time_limit is not None and (stats.conflicts & 63) == 0:
                     if time.monotonic() - start_time > time_limit:
-                        self.stats.solve_time += time.monotonic() - start_time
                         return SolveResult.UNKNOWN
                 continue
 
             # No conflict.
             if time_limit is not None and time.monotonic() - start_time > time_limit:
-                self.stats.solve_time += time.monotonic() - start_time
                 return SolveResult.UNKNOWN
 
             if conflicts_since_restart >= restart_limit:
                 restart_count += 1
-                self.stats.restarts += 1
+                stats.restarts += 1
                 conflicts_since_restart = 0
                 restart_limit = 64 * luby(restart_count + 1)
                 self._backtrack(0)
@@ -537,11 +616,9 @@ class SATSolver:
             # Apply assumptions first, then decide.
             next_lit = None
             for assumption in assumptions:
-                val = self._lit_value(assumption)
-                if val == TRUE:
+                if val[assumption] == TRUE:
                     continue
-                if val == FALSE:
-                    self.stats.solve_time += time.monotonic() - start_time
+                if val[assumption] == FALSE:
                     return SolveResult.UNSAT
                 next_lit = assumption
                 break
@@ -549,20 +626,15 @@ class SATSolver:
                 var = self._pick_branch_var()
                 if var is None:
                     # All variables assigned: a model.
-                    self._model = {
-                        v: self._value[v] == TRUE for v in range(1, self.num_vars + 1)
-                    }
-                    self._backtrack(0)
-                    self.stats.solve_time += time.monotonic() - start_time
+                    self._model = {v: val[v] == TRUE for v in range(1, self.num_vars + 1)}
                     return SolveResult.SAT
                 next_lit = var if self._phase[var] else -var
-                self.stats.decisions += 1
+                stats.decisions += 1
 
             self._trail_lim.append(len(self._trail))
-            self.stats.max_decision_level = max(
-                self.stats.max_decision_level, self.decision_level
-            )
-            self._enqueue(next_lit, None)
+            if len(self._trail_lim) > stats.max_decision_level:
+                stats.max_decision_level = len(self._trail_lim)
+            self._assign(next_lit, None)
 
     # ------------------------------------------------------------------
     # Model access

@@ -125,16 +125,19 @@ def test_graph_coloring_unsat():
     assert result is SolveResult.UNSAT
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_random_3sat_agrees_with_brute_force(seed):
-    rng = random.Random(seed)
-    n_vars = 8
-    n_clauses = rng.randint(20, 40)
+def random_3sat_cnf(rng, n_vars, n_clauses):
     cnf = CNF()
     cnf.new_vars(n_vars)
     for _ in range(n_clauses):
         clause_vars = rng.sample(range(1, n_vars + 1), 3)
         cnf.add_clause([v if rng.random() < 0.5 else -v for v in clause_vars])
+    return cnf
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_3sat_agrees_with_brute_force(seed):
+    rng = random.Random(seed)
+    cnf = random_3sat_cnf(rng, 8, rng.randint(20, 40))
     expected = brute_force_sat(cnf)
     result, model = solve_cnf(cnf)
     assert (result is SolveResult.SAT) == expected
@@ -190,3 +193,68 @@ def test_duplicate_and_tautological_clauses():
     assert solver.add_clause([a, a, b])
     assert solver.add_clause([a, -a])  # tautology dropped
     assert solver.solve() is SolveResult.SAT
+
+
+def test_clause_added_after_failed_assumptions_is_sound():
+    """solve() is back at level 0 after UNSAT-under-assumptions: the unit below
+    must not meet a leftover assumption -a and make the solver UNSAT for good."""
+    solver = SATSolver()
+    a, b, c = (solver.new_var() for _ in range(3))
+    solver.add_clause([a, b, c])
+    assert solver.solve([-a, -b, -c]) is SolveResult.UNSAT
+    assert solver.decision_level == 0
+    assert solver.add_clause([a])
+    assert solver.solve() is SolveResult.SAT
+    assert solver.model_value(a) is True
+
+
+def test_unit_added_after_exhausted_budget_is_kept():
+    """After UNKNOWN the solver is back at level 0: a unit added then is a
+    fact of the formula, not an assignment the next solve() undoes."""
+    solver = SATSolver()
+    solver.add_cnf(random_3sat_cnf(random.Random(3), 175, 745))  # SAT after 726 conflicts
+    assert solver.solve(conflict_limit=1) is SolveResult.UNKNOWN
+    assert solver.decision_level == 0
+    fresh = solver.new_var()
+    assert solver.add_clause([fresh])
+    assert solver.solve() is SolveResult.SAT
+    assert solver.model_value(fresh) is True
+
+
+def test_solve_time_grows_on_every_exit(monkeypatch):
+    class Clock:
+        now = 0.0
+
+        def monotonic(self):
+            self.now += 1.0
+            return self.now
+
+    monkeypatch.setattr("repro.solver.sat.time", Clock())
+
+    def timed(solver, *args, **limits):
+        before = solver.stats.solve_time
+        result = solver.solve(*args, **limits)
+        assert solver.stats.solve_time > before
+        return result
+
+    solver = SATSolver()
+    a, b = solver.new_var(), solver.new_var()
+    solver.add_clause([a, b])
+    assert timed(solver) is SolveResult.SAT
+    assert timed(solver, [-a, -b]) is SolveResult.UNSAT  # failed assumptions
+    solver.add_clause([-a])
+    assert not solver.add_clause([-b])  # trivially UNSAT from here on
+    assert timed(solver) is SolveResult.UNSAT  # the exit before the search
+    hard = SATSolver()
+    hard.add_cnf(pigeonhole_cnf(7))
+    assert timed(hard, conflict_limit=2) is SolveResult.UNKNOWN
+    assert timed(hard, time_limit=0.0) is SolveResult.UNKNOWN
+
+
+def test_assumption_outside_the_variable_space_is_rejected():
+    solver = SATSolver()
+    solver.new_var()
+    with pytest.raises(ValueError):
+        solver.solve([2])
+    with pytest.raises(ValueError):
+        solver.solve([0])
