@@ -23,7 +23,9 @@ runs its candidate sweeps through a pluggable dispatch strategy
 from .algorithm import Algorithm, AlgorithmError, Send, Step
 from .bounds import (
     BoundsError,
+    Cut,
     bandwidth_lower_bound,
+    iter_cuts,
     latency_lower_bound,
     lower_bounds,
 )
@@ -76,6 +78,7 @@ __all__ = [
     "CombiningError",
     "CostError",
     "CostPoint",
+    "Cut",
     "EncodingError",
     "EncodingStats",
     "InstanceError",
@@ -99,6 +102,7 @@ __all__ = [
     "crossover_size",
     "invert_algorithm",
     "is_pareto_optimal",
+    "iter_cuts",
     "latency_lower_bound",
     "lower_bounds",
     "make_instance",

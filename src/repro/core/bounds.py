@@ -11,15 +11,18 @@ The paper computes two lower bounds before enumerating instances:
   bandwidth.  We compute it as the tightest cut bound: for any node set
   ``W``, all chunks that are needed inside ``W`` but only available outside
   must cross into ``W`` through its incoming capacity.  Evaluated over
-  single nodes and (for small P) all balanced bipartitions, this recovers
-  the paper's 7/6 for DGX-1 Allgather and 1/3 for 24-chunk Alltoall.
+  single nodes, their complements (what only one node holds must leave
+  it: Scatter's root) and (for small P) all balanced bipartitions, this
+  recovers the paper's 7/6 for DGX-1 Allgather and 1/3 for 24-chunk
+  Alltoall.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..collectives import CollectiveSpec, Placement, get_collective
 from ..topology import Topology, shortest_path_lengths
@@ -56,13 +59,64 @@ def latency_lower_bound(
     return max(worst, 1)
 
 
-def _chunks_needed_inside(
-    part: Set[int], precondition: Placement, postcondition: Placement
-) -> int:
-    """Chunks that some node in ``part`` needs but no node in ``part`` holds initially."""
-    have = {c for (c, n) in precondition if n in part}
-    needed = {c for (c, n) in postcondition if n in part}
-    return len(needed - have)
+@dataclass(frozen=True)
+class Cut:
+    """One directed cut: ``chunks`` must enter ``part`` over ``capacity`` per round."""
+
+    part: FrozenSet[int]
+    #: Chunks some node of ``part`` needs and no node of ``part`` holds initially.
+    chunks: int
+    #: Chunks per round over the links from outside ``part`` into it.
+    capacity: int
+
+    def refutes(self, rounds: int) -> bool:
+        """No schedule of ``rounds`` rounds moves ``chunks`` across this cut."""
+        return self.chunks > self.capacity * rounds
+
+    def describe(self, rounds: int) -> str:
+        return (
+            f"{self.chunks} chunks must enter nodes {sorted(self.part)}, whose links "
+            f"carry {self.capacity} per round x {rounds} rounds = {self.capacity * rounds}"
+        )
+
+    def to_dict(self) -> dict:
+        return {"part": sorted(self.part), "chunks": self.chunks, "capacity": self.capacity}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Cut":
+        return cls(frozenset(data["part"]), int(data["chunks"]), int(data["capacity"]))
+
+
+def iter_cuts(
+    topology: Topology,
+    precondition: Placement,
+    postcondition: Placement,
+    bipartition_limit: int = 0,
+) -> Iterator[Cut]:
+    """Every considered cut that at least one chunk must cross.
+
+    Always each single node's in-cut (``{n}``) and out-cut (everything but
+    ``n``: what only ``n`` holds must leave it); with ``P <=
+    bipartition_limit`` also both sides of every balanced bipartition.
+    The synthesis encoder refutes instances with the single-node cuts
+    before emitting a formula; :func:`bandwidth_lower_bound` takes the
+    tightest ratio over all of them.
+    """
+    nodes = list(topology.nodes())
+    everyone = frozenset(nodes)
+    parts: List[FrozenSet[int]] = [frozenset({n}) for n in nodes]
+    parts += [everyone - part for part in parts]
+    if 2 <= len(nodes) <= bipartition_limit:
+        for subset in combinations(nodes, len(nodes) // 2):
+            parts += [frozenset(subset), everyone - frozenset(subset)]
+    holders: Dict[int, Set[int]] = {}
+    for (chunk, node) in precondition:
+        holders.setdefault(chunk, set()).add(node)
+    for part in parts:
+        needed = {c for (c, n) in postcondition if n in part}
+        chunks = sum(1 for c in needed if part.isdisjoint(holders.get(c, ())))
+        if chunks:
+            yield Cut(part, chunks, cut_capacity(topology, part))
 
 
 def bandwidth_lower_bound(
@@ -82,26 +136,13 @@ def bandwidth_lower_bound(
     """
     if chunks_per_node <= 0:
         raise BoundsError("chunks_per_node must be positive")
-    nodes = list(topology.nodes())
-    candidates: List[Set[int]] = [{n} for n in nodes]
-    if len(nodes) <= exact_bipartition_limit and len(nodes) >= 2:
-        half = len(nodes) // 2
-        for subset in combinations(nodes, half):
-            candidates.append(set(subset))
-            candidates.append(set(nodes) - set(subset))
     best = Fraction(0)
-    for part in candidates:
-        needed = _chunks_needed_inside(part, precondition, postcondition)
-        if needed == 0:
-            continue
-        capacity = cut_capacity(topology, part)
-        if capacity == 0:
+    for cut in iter_cuts(topology, precondition, postcondition, exact_bipartition_limit):
+        if cut.capacity == 0:
             raise BoundsError(
-                f"nodes {sorted(part)} need {needed} chunks but have no incoming links"
+                f"nodes {sorted(cut.part)} need {cut.chunks} chunks but have no incoming links"
             )
-        bound = Fraction(needed, capacity * chunks_per_node)
-        if bound > best:
-            best = bound
+        best = max(best, Fraction(cut.chunks, cut.capacity * chunks_per_node))
     return best
 
 

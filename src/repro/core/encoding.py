@@ -7,13 +7,22 @@ Two encodings are provided:
   Booleans, exactly as described in Section 3.4:
 
   - ``time[c, n]`` — an order-encoded integer giving the earliest step at
-    which chunk ``c`` is available on node ``n`` (domain ``0 .. S+1`` where
-    ``S+1`` means "never within this algorithm"),
+    which chunk ``c`` is available on node ``n``.  ``S+1`` means "never
+    within this algorithm"; the domain is only what the instance leaves
+    open — the constant 0 on a precondition node, otherwise from the
+    chunk's graph distance up to ``S`` where an unconditional
+    postcondition owes the chunk and ``S+1`` elsewhere,
   - ``snd[n, c, n']`` — a Boolean saying node ``n`` sends chunk ``c`` to
     ``n'`` at some step,
   - ``r[s]`` — the number of rounds performed in step ``s``.
 
-  Constraints C1–C6 from the paper are asserted over these variables.  The
+  Constraints C1–C6 from the paper are asserted over these variables;
+  comparisons the domains already decide never become clauses.  Two
+  redundant parts prune the search: an instance a single node's in- or
+  out-cut refutes (more chunks must cross than ``capacity × R``) is
+  answered with the empty clause and a :class:`~repro.core.bounds.Cut`
+  witness, and interchangeable chunks (same pre- and post-condition
+  nodes) arrive in id order at one node that owes them.  The
   role Z3's theory of linear integer arithmetic plays in the paper is
   played here by the order encoding plus cardinality/totalizer encoders
   (:mod:`repro.solver.encoders`), which is an exact finite-domain
@@ -21,7 +30,9 @@ Two encodings are provided:
 
 * :class:`NaiveEncoding` — the "Boolean variable for every tuple
   ``(c, n, n', s)``" encoding the paper reports as not scaling
-  (Section 5.4.3).  It is retained for the encoding ablation benchmark.
+  (Section 5.4.3).  It is retained for the encoding ablation benchmark and,
+  having none of the pruning above, as the oracle the tests compare
+  :class:`ScclEncoding`'s verdicts against.
 
 Both encodings expose ``encode()`` producing an :class:`SmtLite` context
 and ``decode(model)`` mapping a satisfying assignment back to an
@@ -37,6 +48,7 @@ from ..collectives import get_collective
 from ..solver import IntVar, SmtLite
 from ..topology import shortest_path_lengths
 from .algorithm import Algorithm, Send, Step
+from .bounds import Cut, iter_cuts
 from .instance import SynCollInstance
 
 
@@ -63,6 +75,10 @@ class PrefixAnalysis:
         self.distances = shortest_path_lengths(topology)
         self.chunk_dist: Dict[Tuple[int, int], Optional[int]] = {}
         self.need_dist: Dict[Tuple[int, int], Optional[int]] = {}
+        #: Per chunk, the sorted nodes that hold it initially / must end up
+        #: with it.  Chunks with equal pairs are interchangeable.
+        self.sources: Dict[int, Tuple[int, ...]] = {}
+        self.needers: Dict[int, Tuple[int, ...]] = {}
         self._chunks_covered = 0
 
     def ensure(self, instance: SynCollInstance) -> "PrefixAnalysis":
@@ -92,6 +108,8 @@ class PrefixAnalysis:
                 needers[chunk].append(node)
         nodes = list(self.topology.nodes())
         for chunk in range(lo, hi):
+            self.sources[chunk] = tuple(sorted(sources[chunk]))
+            self.needers[chunk] = tuple(sorted(needers[chunk]))
             for node in nodes:
                 best: Optional[int] = None
                 for src in sources[chunk]:
@@ -107,52 +125,6 @@ class PrefixAnalysis:
                 self.need_dist[(chunk, node)] = best
         self._chunks_covered = hi
         return self
-
-
-def _chunk_sources(instance: SynCollInstance) -> Dict[int, List[int]]:
-    sources: Dict[int, List[int]] = {c: [] for c in range(instance.num_chunks)}
-    for (chunk, node) in instance.precondition:
-        sources[chunk].append(node)
-    return sources
-
-
-def _chunk_distances(instance: SynCollInstance) -> Dict[Tuple[int, int], Optional[int]]:
-    """dist[c, n]: minimum steps for chunk c to reach node n (None if unreachable)."""
-    distances = shortest_path_lengths(instance.topology)
-    sources = _chunk_sources(instance)
-    result: Dict[Tuple[int, int], Optional[int]] = {}
-    for chunk in range(instance.num_chunks):
-        for node in instance.topology.nodes():
-            best: Optional[int] = None
-            for src in sources[chunk]:
-                d = distances.get(src, {}).get(node)
-                if d is not None and (best is None or d < best):
-                    best = d
-            result[(chunk, node)] = best
-    return result
-
-
-def _destination_distances(instance: SynCollInstance) -> Dict[Tuple[int, int], Optional[int]]:
-    """need_dist[c, n]: minimum steps from node n to any node that needs chunk c.
-
-    Used to prune send variables: holding chunk ``c`` at node ``n`` is only
-    useful if some node that still needs ``c`` is reachable from ``n``
-    within the remaining steps (or ``n`` itself needs it, distance 0).
-    """
-    distances = shortest_path_lengths(instance.topology)
-    needers: Dict[int, List[int]] = {c: [] for c in range(instance.num_chunks)}
-    for (chunk, node) in instance.postcondition:
-        needers[chunk].append(node)
-    result: Dict[Tuple[int, int], Optional[int]] = {}
-    for chunk in range(instance.num_chunks):
-        for node in instance.topology.nodes():
-            best: Optional[int] = None
-            for dst in needers[chunk]:
-                d = distances.get(node, {}).get(dst)
-                if d is not None and (best is None or d < best):
-                    best = d
-            result[(chunk, node)] = best
-    return result
 
 
 @dataclass
@@ -223,8 +195,11 @@ class ScclEncoding:
         self.prune = prune
         self.rounds_budget = rounds_budget
         self.chunk_selector = chunk_selector
-        self.analysis = analysis
+        self.analysis = analysis if analysis is not None else PrefixAnalysis(instance.topology)
         self.ctx = SmtLite(name=f"sccl_{instance.collective}")
+        #: Set by :meth:`encode` when a single node's in- or out-cut refutes
+        #: the instance; the formula is then just the empty clause.
+        self.cut_witness: Optional[Cut] = None
         # Variable maps populated by encode().
         self.time_vars: Dict[Tuple[int, int], IntVar] = {}
         self.send_vars: Dict[Tuple[int, int, int], int] = {}   # (chunk, src, dst) -> lit
@@ -248,6 +223,9 @@ class ScclEncoding:
         self._need_dist: Dict[Tuple[int, int], Optional[int]] = {}
         self._links: List[Tuple[int, int]] = []
         self._in_links: Dict[int, List[int]] = {}
+        # Symmetry breaking: the highest chunk id seen so far of each class
+        # of interchangeable chunks, keyed by (pre nodes, post nodes).
+        self._class_tail: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
 
     # ------------------------------------------------------------------
     # Encoding
@@ -263,13 +241,21 @@ class ScclEncoding:
         topology = instance.topology
         self._links = sorted(topology.links())
         self._in_links = {n: topology.in_neighbors(n) for n in topology.nodes()}
-        if self.analysis is not None:
-            self.analysis.ensure(instance)
-            self._chunk_dist = self.analysis.chunk_dist
-            self._need_dist = self.analysis.need_dist
-        else:
-            self._chunk_dist = _chunk_distances(instance)
-            self._need_dist = _destination_distances(instance)
+        self.analysis.ensure(instance)
+        self._chunk_dist = self.analysis.chunk_dist
+        self._need_dist = self.analysis.need_dist
+
+        # --- cut arithmetic: refute before emitting anything ------------------------
+        # Only the plain form: a budgeted or chunk-selector formula serves
+        # many (C, R) frames and one frame's cut says nothing about the rest.
+        if self.rounds_budget is None and not self.chunk_selector:
+            for cut in iter_cuts(topology, instance.precondition, instance.postcondition):
+                if cut.refutes(R):
+                    self.cut_witness = cut
+                    ctx.add_clause_fast([])
+                    self._refresh_stats()
+                    self._encoded = True
+                    return ctx
 
         if self.chunk_selector:
             self._ensure_levels(instance.chunks_per_node)
@@ -305,57 +291,83 @@ class ScclEncoding:
         self._encoded = True
         return ctx
 
+    def _emit(self, lits: Sequence[int]) -> None:
+        """Add a clause, simplified against the constant literals.
+
+        Comparisons a time variable's domain decides come back as the
+        context's constant true/false literal; a clause holding a true one
+        is dropped and false ones are left out, so nothing the domains
+        already settle reaches the solver.
+        """
+        true = self.ctx.true_lit
+        clause = []
+        for lit in lits:
+            if lit == true:
+                return
+            if lit != -true:
+                clause.append(lit)
+        self.ctx.add_clause_fast(clause)
+
     def _encode_placement_vars(self, lo: int, hi: int) -> None:
         """Time and send variables (plus selector guards) for chunks [lo, hi)."""
         ctx = self.ctx
-        S = self.instance.steps
-        nodes = list(self.instance.topology.nodes())
-        # Domain 0..S+1; S+1 encodes "not present within the algorithm".
+        instance = self.instance
+        S = instance.steps
+        nodes = list(instance.topology.nodes())
+        sends = [
+            (chunk, src, dst)
+            for chunk in range(lo, hi)
+            for (src, dst) in self._links
+            if not self.prune or self._send_useful(chunk, src, dst)
+        ]
+        reachable = {(chunk, dst) for (chunk, _, dst) in sends}
         for chunk in range(lo, hi):
             for node in nodes:
-                iv = ctx.new_int(0, S + 1, name=f"time_c{chunk}_n{node}")
-                self.time_vars[(chunk, node)] = iv
-                lower = self._chunk_dist[(chunk, node)]
-                if self.prune:
-                    if lower is None:
-                        # The chunk can never reach this node.
-                        iv.fix(S + 1)
-                    elif lower > 0:
-                        # A chunk cannot arrive earlier than its graph distance.
-                        iv.require_ge(min(lower, S + 1))
-        for chunk in range(lo, hi):
-            for (src, dst) in self._links:
-                if self.prune and not self._send_useful(chunk, src, dst):
-                    continue
-                lit = ctx.new_bool(name=f"snd_c{chunk}_{src}_{dst}")
-                self.send_vars[(chunk, src, dst)] = lit
-                if self.chunk_selector:
-                    # A send of a disabled chunk level is forbidden, so a
-                    # frame assumption cleanly zeroes the level out.
-                    ctx.add_clause_fast([-lit, self._level_lits[self._chunk_level[chunk]]])
+                if (chunk, node) in instance.precondition:
+                    first = last = 0  # C1
+                elif (chunk, node) not in reachable:
+                    # No send can deliver it: S+1, "not present within the
+                    # algorithm".  If the node is owed the chunk, C2 refutes.
+                    first = last = S + 1
+                else:
+                    # A chunk cannot arrive earlier than its graph distance.
+                    first = self._chunk_dist[(chunk, node)] if self.prune else 0
+                    # An unconditional postcondition ends the domain at S.
+                    owed = not self.chunk_selector and (chunk, node) in instance.postcondition
+                    last = S if owed else S + 1
+                self.time_vars[(chunk, node)] = ctx.new_int(
+                    first, last, name=f"time_c{chunk}_n{node}"
+                )
+        for (chunk, src, dst) in sends:
+            lit = ctx.new_bool(name=f"snd_c{chunk}_{src}_{dst}")
+            self.send_vars[(chunk, src, dst)] = lit
+            if self.chunk_selector:
+                # A send of a disabled chunk level is forbidden, so a
+                # frame assumption cleanly zeroes the level out.
+                ctx.add_clause_fast([-lit, self._level_lits[self._chunk_level[chunk]]])
 
     def _encode_chunk_constraints(self, lo: int, hi: int) -> None:
-        """Constraints C1-C4 restricted to the chunk range [lo, hi)."""
+        """Constraints C2-C4 and the symmetry order, for the chunk range [lo, hi).
+
+        C1 is the constant-0 domain of the precondition nodes' time
+        variables (:meth:`_encode_placement_vars`).
+        """
         ctx = self.ctx
         instance = self.instance
         S = instance.steps
+        true = ctx.true_lit
+        add = ctx.add_clause_fast
 
-        # --- C1/C2: pre- and post-conditions ----------------------------------------
-        for (chunk, node) in instance.precondition:
-            if not lo <= chunk < hi:
-                continue
-            self.time_vars[(chunk, node)].fix(0)
+        # --- C2: postconditions -----------------------------------------------------
         for (chunk, node) in instance.postcondition:
             if not lo <= chunk < hi:
                 continue
+            held = self.time_vars[(chunk, node)].le_lit(S)
             if self.chunk_selector:
                 # The postcondition only binds while the chunk's level is on.
-                ctx.add_clause_fast([
-                    -self._level_lits[self._chunk_level[chunk]],
-                    self.time_vars[(chunk, node)].le_lit(S),
-                ])
+                self._emit([-self._level_lits[self._chunk_level[chunk]], held])
             else:
-                self.time_vars[(chunk, node)].require_le(S)
+                self._emit([held])
 
         # --- C3: unique reception ----------------------------------------------------
         for chunk in range(lo, hi):
@@ -368,17 +380,14 @@ class ScclEncoding:
                     for src in self._in_links[node]
                     if (chunk, src, node) in self.send_vars
                 ]
-                if not incoming:
-                    # The chunk can never arrive; forbid the post-condition from
-                    # requiring it (if it does, the instance is UNSAT).
-                    ctx.add_unit(-present)
-                    continue
-                # present -> exactly one incoming send
-                ctx.add_clause_fast([-present] + incoming)
+                # present -> exactly one incoming send (with none the chunk
+                # never arrives; owing it anyway makes the instance UNSAT)
+                self._emit([-present] + incoming)
                 ctx.at_most_one(incoming)
                 # any incoming send -> present within S steps
-                for lit in incoming:
-                    ctx.add_clause_fast([-lit, present])
+                if present != true:
+                    for lit in incoming:
+                        add([-lit, present])
 
         # --- C4: causality ------------------------------------------------------------
         for (chunk, src, dst), snd in self.send_vars.items():
@@ -386,11 +395,36 @@ class ScclEncoding:
                 continue
             time_src = self.time_vars[(chunk, src)]
             time_dst = self.time_vars[(chunk, dst)]
-            # Sending requires the chunk to reach the destination within S steps.
-            ctx.add_clause_fast([-snd, time_dst.le_lit(S)])
-            for s in range(0, S + 1):
-                # snd ∧ time_dst <= s  ->  time_src <= s - 1
-                ctx.add_clause_fast([-snd, -time_dst.le_lit(s), time_src.le_lit(s - 1)])
+            # snd ∧ time_dst <= s  ->  time_src <= s - 1.  Below time_dst's
+            # domain the premise is false; from time_src's upper end on the
+            # conclusion is true (every s >= 1 for a precondition source).
+            for s in range(time_dst.lo, min(S, time_src.hi) + 1):
+                clause = [-snd]
+                arrived = time_dst.le_lit(s)
+                if arrived != true:
+                    clause.append(-arrived)
+                earlier = time_src.le_lit(s - 1)
+                if earlier != -true:
+                    clause.append(earlier)
+                add(clause)
+
+        # --- symmetry: interchangeable chunks arrive in id order ---------------------
+        sources, needers = self.analysis.sources, self.analysis.needers
+        for chunk in range(lo, hi):
+            key = (sources[chunk], needers[chunk])
+            previous = self._class_tail.get(key)
+            self._class_tail[key] = chunk
+            owing = set(needers[chunk]) - set(sources[chunk])
+            if previous is None or not owing:
+                continue
+            # One node suffices to order the class; which one is a search
+            # heuristic (the highest-numbered measured best on probe_rows).
+            node = max(owing)
+            time_a = self.time_vars[(previous, node)]
+            time_b = self.time_vars[(chunk, node)]
+            for s in range(S + 1):
+                # time_b <= s  ->  time_a <= s
+                self._emit([-time_b.le_lit(s), time_a.le_lit(s)])
 
     def _activation_lit(self, chunk: int, src: int, dst: int, s: int) -> Optional[int]:
         """Auxiliary activation literal a[c, (src,dst), s]: (snd ∧ time_dst == s) -> a.
@@ -406,15 +440,14 @@ class ScclEncoding:
         if snd is None:
             return None
         time_dst = self.time_vars[(chunk, dst)]
-        # If arrival at step s is impossible, no activation needed.
-        lower = self._chunk_dist[(chunk, dst)]
-        if self.prune and lower is not None and s < lower:
-            return None
-        arrives_at_s = time_dst.eq_lits(s)
-        if any(lit == ctx.false_lit for lit in arrives_at_s):
-            return None
+        if not time_dst.lo <= s <= time_dst.hi:
+            return None  # arrival at step s is impossible
+        if time_dst.lo == time_dst.hi:
+            # The only possible arrival step: the send is its own activation.
+            self._activation[key] = snd
+            return snd
         a = ctx.new_bool(name=f"act_c{chunk}_{src}_{dst}_s{s}")
-        ctx.add_clause_fast([-snd] + [-lit for lit in arrives_at_s] + [a])
+        ctx.add_clause_fast([-snd] + [-lit for lit in time_dst.eq_lits(s)] + [a])
         self._activation[key] = a
         self.stats.aux_vars += 1
         return a
@@ -459,9 +492,8 @@ class ScclEncoding:
                         ctx.add_clause_fast([-outputs[threshold - 1], r_s.ge_lit(j + 1)])
 
     def _refresh_stats(self) -> None:
-        cnf_stats = self.ctx.stats()
-        self.stats.variables = cnf_stats["variables"]
-        self.stats.clauses = cnf_stats["clauses"]
+        self.stats.variables = self.ctx.cnf.num_vars
+        self.stats.clauses = self.ctx.cnf.num_clauses
         self.stats.send_vars = len(self.send_vars)
         self.stats.time_vars = len(self.time_vars)
 
@@ -527,11 +559,7 @@ class ScclEncoding:
                 f"chunk count; cannot extend the encoding in place"
             )
         lo, hi = old.num_chunks, instance.num_chunks
-        if self.analysis is not None:
-            self.analysis.ensure(instance)
-        else:
-            self._chunk_dist = _chunk_distances(instance)
-            self._need_dist = _destination_distances(instance)
+        self.analysis.ensure(instance)
         self.instance = instance
         self._ensure_levels(instance.chunks_per_node)
         self._encode_placement_vars(lo, hi)
@@ -630,10 +658,11 @@ class ScclEncoding:
         # After arriving at dst (taking at least reach_src + 1 steps), the
         # chunk must still be able to serve some node that needs it.
         useful_at = self._need_dist[(chunk, dst)]
-        if useful_at is None:
+        reach_dst = self._chunk_dist[(chunk, dst)]
+        if useful_at is None or reach_dst == 0:  # dead end, or dst holds it already
             return False
-        earliest_arrival = max(self._chunk_dist[(chunk, dst)] or 0, reach_src + 1)
-        return earliest_arrival + useful_at <= S + 0 if useful_at > 0 else earliest_arrival <= S
+        earliest_arrival = max(reach_dst, reach_src + 1)
+        return earliest_arrival + useful_at <= S
 
     # ------------------------------------------------------------------
     # Decoding

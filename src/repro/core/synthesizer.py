@@ -24,6 +24,7 @@ from typing import Dict, Optional
 from ..solver import SolveResult
 from ..telemetry import get_metrics, get_tracer
 from .algorithm import Algorithm
+from .bounds import Cut
 from .encoding import NaiveEncoding, ScclEncoding
 from .instance import SynCollInstance
 
@@ -47,10 +48,15 @@ class SynthesisResult:
     encoding: str = "sccl"
     backend: str = "cdcl"
     cache_hit: bool = False
-    #: How this verdict was obtained: ``"solved"`` (a solver ran) or
-    #: ``"cut"`` (synthesized from a monotone UNSAT bound, no solver call).
-    #: Cache replays keep the provenance of the entry they replay.
+    #: How this verdict was obtained: ``"solved"`` (a solver ran),
+    #: ``"bound"`` (the encoder refuted the instance by cut arithmetic, see
+    #: ``witness``) or ``"cut"`` (synthesized from a monotone UNSAT bound);
+    #: no solver ran for the last two.  Cache replays keep the provenance
+    #: of the entry they replay.
     provenance: str = "solved"
+    #: The cut behind a ``"bound"`` verdict: more chunks must enter
+    #: ``witness.part`` than its links carry in ``instance.rounds`` rounds.
+    witness: Optional[Cut] = None
     #: Telemetry spans recorded while producing this result in a pool
     #: worker process (``Tracer.export()`` dicts).  The dispatching parent
     #: re-parents them under its sweep span and drops the field; it is
@@ -83,12 +89,15 @@ class SynthesisResult:
             provenance = f"[cached, backend={self.backend}]"
         else:
             provenance = f"[backend={self.backend}]"
-        return (
+        line = (
             f"{self.instance.collective} [{sig}] -> {self.status.value} "
             f"in {self.total_time:.2f}s "
             f"(encode {self.encode_time:.2f}s, solve {self.solve_time:.2f}s) "
             f"{provenance}"
         )
+        if self.witness is not None:
+            line += f"\n  no solver ran: {self.witness.describe(self.instance.rounds)}"
+        return line
 
 
 def synthesize(
@@ -169,10 +178,13 @@ def synthesize(
             ctx = encoder.encode()
             encode_time = time.monotonic() - start
 
+        # A cut witness means the encoder refuted the instance by arithmetic
+        # (the formula is the empty clause): no backend sees it.
+        witness = getattr(encoder, "cut_witness", None)
         handle = solver_backend.create()
         with tracer.span("solve", backend=solver_backend.name):
             start = time.monotonic()
-            loaded = handle.load(ctx.cnf)
+            loaded = witness is None and handle.load(ctx.cnf)
             if not loaded:
                 status = SolveResult.UNSAT
             else:
@@ -197,6 +209,8 @@ def synthesize(
             solver_stats=handle.stats() if loaded else {},
             encoding=encoding,
             backend=solver_backend.name,
+            provenance="solved" if witness is None else "bound",
+            witness=witness,
         )
         probe_span.set(verdict=status.value, cache_hit=False)
         if status is SolveResult.SAT:

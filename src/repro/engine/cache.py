@@ -35,6 +35,7 @@ except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None
 
 from ..core.algorithm import Algorithm
+from ..core.bounds import Cut
 from ..core.instance import SynCollInstance
 from ..solver import SolveResult
 from ..telemetry import get_metrics
@@ -141,13 +142,17 @@ class CacheEntry:
     solve_time: float = 0.0
     created_at: float = 0.0
     instance: Optional[dict] = None   # descriptive metadata (not part of the key)
-    #: How the verdict was obtained: ``"solved"`` (a solver proved it) or
-    #: ``"cut"`` (derived from a monotone UNSAT bound without a solver
-    #: call).  Entries written before this field existed report "solved".
+    #: How the verdict was obtained: ``"solved"`` (a solver proved it),
+    #: ``"bound"`` (the encoder's cut arithmetic, see ``witness``) or
+    #: ``"cut"`` (derived from a monotone UNSAT bound); no solver ran for
+    #: the last two.  Entries written before this field existed report
+    #: "solved".
     provenance: str = "solved"
+    #: ``Cut.to_dict()`` of a ``"bound"`` verdict's refuting cut.
+    witness: Optional[dict] = None
 
     def to_json(self) -> dict:
-        return {
+        data = {
             "version": CACHE_FORMAT_VERSION,
             "key": self.key,
             "status": self.status,
@@ -158,6 +163,9 @@ class CacheEntry:
             "instance": self.instance,
             "provenance": self.provenance,
         }
+        if self.witness is not None:
+            data["witness"] = self.witness
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "CacheEntry":
@@ -174,6 +182,7 @@ class CacheEntry:
             created_at=float(data.get("created_at", 0.0)),
             instance=data.get("instance"),
             provenance=str(data.get("provenance", "solved")),
+            witness=data.get("witness"),
         )
 
     def describe_instance(self) -> str:
@@ -530,6 +539,7 @@ def lookup_result(
         backend=entry.backend,
         cache_hit=True,
         provenance=entry.provenance,
+        witness=None if entry.witness is None else Cut.from_dict(entry.witness),
     )
 
 
@@ -554,6 +564,7 @@ def store_result(
         return False
     key = instance_fingerprint(result.instance, encoding=encoding, prune=prune)
     instance = result.instance
+    witness = getattr(result, "witness", None)
     entry = CacheEntry(
         key=key,
         status=status_name,
@@ -562,6 +573,7 @@ def store_result(
         solve_time=result.solve_time,
         created_at=time.time(),
         provenance=getattr(result, "provenance", "solved"),
+        witness=None if witness is None else witness.to_dict(),
         instance={
             "collective": instance.collective,
             "topology": instance.topology.name,

@@ -86,6 +86,17 @@ class TestInProcess:
         )
         assert code == 1
 
+    def test_synthesize_prints_the_cut_behind_an_arithmetic_unsat(self, tmp_path, capsys):
+        args = [
+            "synthesize", "Gather", "-t", "dgx1", "-C", "3", "-S", "3", "-R", "3",
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+        for cached in (False, True):
+            assert main(args) == 1
+            out = capsys.readouterr().out
+            assert ("[cached" in out) == cached
+            assert "no solver ran: 21 chunks must enter nodes [0]" in out
+
     def test_import_roundtrip_and_store(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         xml = tmp_path / "ag.xml"

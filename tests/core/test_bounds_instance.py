@@ -8,6 +8,7 @@ from repro.collectives import get_collective
 from repro.core import (
     InstanceError,
     bandwidth_lower_bound,
+    iter_cuts,
     latency_lower_bound,
     lower_bounds,
     make_instance,
@@ -37,6 +38,26 @@ class TestLowerBounds:
 
     def test_gather_bound_equals_allgather_on_dgx1(self):
         assert lower_bounds("Gather", dgx1())[1] == Fraction(7, 6)
+
+    @pytest.mark.parametrize("topology", [dgx1(), amd_z52(), ring(6)], ids=lambda t: t.name)
+    def test_scatter_bound_equals_gather_on_symmetric_fabrics(self, topology):
+        # Scatter is Gather with every send reversed; what the root alone
+        # holds must leave it through its out-links (the complement cut).
+        assert topology.is_symmetric()
+        assert lower_bounds("Scatter", topology) == lower_bounds("Gather", topology)
+        assert lower_bounds("Scatter", topology)[1] == lower_bounds("Allgather", topology)[1]
+
+    def test_iter_cuts_covers_in_and_out_cut_of_every_node(self):
+        topology = ring(4)
+        spec = get_collective("Scatter")
+        cuts = list(iter_cuts(topology, spec.precondition(4, 1), spec.postcondition(4, 1)))
+        # Each non-root node needs its chunk (in-cut); everything but the
+        # root needs the three chunks only the root holds (the root's
+        # out-cut).  A part holding the root owes nothing: no cut.
+        assert [(sorted(c.part), c.chunks, c.capacity) for c in cuts] == [
+            ([1], 1, 2), ([2], 1, 2), ([3], 1, 2), ([1, 2, 3], 3, 2),
+        ]
+        assert [c.refutes(1) for c in cuts] == [False, False, False, True]
 
     def test_combining_collective_rejected(self):
         with pytest.raises(Exception):

@@ -1,0 +1,112 @@
+"""Differential oracle for the pruning encoder.
+
+``ScclEncoding`` refutes instances by cut arithmetic, orders interchangeable
+chunks and builds time variables over tightened domains; ``NaiveEncoding``
+does none of that.  On random small fabrics the two must agree on every
+verdict, every model must verify, every cut witness must be confirmed by
+the naive formula, assumption frames of a grown ``SessionFamily`` must
+equal cold encodes, and feasibility must be monotone in ``R`` and ``S`` —
+the invariant ``BoundsLedger`` assumes.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core import NaiveEncoding, ScclEncoding, make_instance, synthesize
+from repro.engine import SessionFamily
+from repro.solver import SolveResult
+from repro.topology import Topology
+
+COLLECTIVES = ("Allgather", "Broadcast", "Gather", "Scatter", "Alltoall")
+
+
+@st.composite
+def topologies(draw):
+    """3-5 nodes, a random directed link set with bandwidths 1-2.
+
+    Not necessarily connected: unreachable postconditions are part of what
+    both encodings must agree on.  Some fabrics add a constraint shared by
+    two links, the shape of a switch port.
+    """
+    num_nodes = draw(st.integers(3, 5))
+    pairs = [(a, b) for a in range(num_nodes) for b in range(num_nodes) if a != b]
+    links = draw(st.lists(st.sampled_from(pairs), min_size=num_nodes, unique=True))
+    topology = Topology(name="random", num_nodes=num_nodes)
+    for link in links:
+        topology.add_link(*link, bandwidth=draw(st.integers(1, 2)))
+    if len(links) >= 2 and draw(st.booleans()):
+        topology.add_shared_constraint(links[:2], 1, name="shared")
+    return topology
+
+
+@st.composite
+def instances(draw):
+    topology = draw(topologies())
+    collective = draw(st.sampled_from(COLLECTIVES))
+    chunks = draw(st.integers(1, 2 if collective != "Broadcast" else 4))
+    steps = draw(st.integers(1, 3))
+    rounds = steps + draw(st.integers(0, 2))
+    return make_instance(collective, topology, chunks, steps, rounds)
+
+
+def naive_verdict(instance):
+    """Verdict of the unpruned reference formula, straight from the solver."""
+    return NaiveEncoding(instance).encode().check().result
+
+
+@settings(max_examples=120, deadline=None)
+@given(instances())
+def test_pruned_encoding_agrees_with_naive(instance):
+    result = synthesize(instance)  # verify=True: every SAT model is re-checked
+    assert result.status is naive_verdict(instance)
+    if result.is_sat:
+        result.algorithm.verify()
+        assert result.algorithm.total_rounds == instance.rounds
+    assert (result.provenance == "bound") == (result.witness is not None)
+
+
+@settings(max_examples=120, deadline=None)
+@given(instances())
+def test_cut_witness_is_a_real_refutation(instance):
+    encoder = ScclEncoding(instance)
+    formula = encoder.encode()
+    cut = encoder.cut_witness
+    if cut is None:
+        return
+    assert formula.cnf.clauses[-1] == [] and encoder.stats.clauses == 2
+    # The witness is what it says it is ...
+    have = {c for (c, n) in instance.precondition if n in cut.part}
+    need = {c for (c, n) in instance.postcondition if n in cut.part}
+    assert cut.chunks == len(need - have) > cut.capacity * instance.rounds
+    assert cut.capacity == sum(
+        capacity for (src, dst), capacity in instance.topology.link_capacity().items()
+        if dst in cut.part and src not in cut.part
+    )
+    # ... and the formula without any arithmetic agrees.
+    assert naive_verdict(instance) is SolveResult.UNSAT
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), st.integers(0, 1), st.integers(0, 1))
+def test_feasibility_is_monotone_in_rounds_and_steps(instance, more_steps, more_rounds):
+    relaxed = make_instance(
+        instance.collective, instance.topology, instance.chunks_per_node,
+        instance.steps + more_steps,
+        instance.rounds + more_steps + more_rounds,  # R >= S stays true
+    )
+    if synthesize(instance).is_sat:
+        assert synthesize(relaxed).is_sat
+
+
+@settings(max_examples=25, deadline=None)
+@given(topologies(), st.integers(1, 3), st.integers(0, 2))
+def test_family_frames_equal_cold_encodes_across_an_extension(topology, steps, slack):
+    """Broadcast C 1 -> 4: the symmetry chain must survive ``extend_chunks``
+    and hold under frames that disable the upper chunk levels."""
+    family = SessionFamily("Broadcast", topology)
+    max_rounds = steps + slack
+    for chunks in (1, 4, 2, 3):  # grows the budget once, then frames below it
+        for rounds in range(steps, max_rounds + 1):
+            framed = family.solve(steps, chunks, rounds, max_rounds=max_rounds)
+            cold = synthesize(make_instance("Broadcast", topology, chunks, steps, rounds))
+            assert framed.status is cold.status, (chunks, steps, rounds)
+    assert family.extensions == 1

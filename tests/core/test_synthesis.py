@@ -150,6 +150,43 @@ class TestEncodingMechanics:
         assert result.status in (SolveResult.SAT, SolveResult.UNSAT, SolveResult.UNKNOWN)
 
 
+class TestArithmeticVerdicts:
+    """Instances a single node's cut refutes are answered without a solver."""
+
+    def test_in_cut_witness_and_summary(self):
+        # The root receives 7 * 3 = 21 chunks over 6 lanes: R >= 4.
+        result = synthesize(make_instance("Gather", dgx1(), 3, 3, 3))
+        assert result.is_unsat and result.provenance == "bound"
+        assert result.solver_stats == {}
+        witness = result.witness
+        assert (sorted(witness.part), witness.chunks, witness.capacity) == ([0], 21, 6)
+        assert "21 chunks must enter nodes [0]" in result.summary()
+        assert "6 per round x 3 rounds = 18" in result.summary()
+
+    def test_out_cut_witness(self):
+        # The root sends 7 * 2 = 14 chunks over 6 lanes: R >= 3.
+        result = synthesize(make_instance("Scatter", dgx1(), 2, 2, 2))
+        assert result.provenance == "bound"
+        assert sorted(result.witness.part) == [1, 2, 3, 4, 5, 6, 7]
+        assert (result.witness.chunks, result.witness.capacity) == (14, 6)
+
+    def test_feasible_rounds_leave_the_solver_in_charge(self):
+        result = synthesize(make_instance("Gather", dgx1(), 3, 3, 4))
+        assert result.is_sat and result.provenance == "solved" and result.witness is None
+
+    def test_budgeted_and_selector_forms_do_not_check_cuts(self):
+        # One such formula serves many (C, R) frames; a cut refutes one.
+        instance = make_instance("Gather", dgx1(), 3, 3, 3)
+        for kwargs in ({"rounds_budget": 4}, {"chunk_selector": True}):
+            encoder = ScclEncoding(instance, **kwargs)
+            encoder.encode()
+            assert encoder.cut_witness is None and encoder.stats.clauses > 2
+
+    def test_naive_encoding_has_no_arithmetic(self):
+        result = synthesize(make_instance("Scatter", dgx1(), 2, 2, 2), encoding="naive")
+        assert result.is_unsat and result.provenance == "solved" and result.witness is None
+
+
 class TestNaiveEncodingAblation:
     """The Section 5.4.3 ablation encoding must agree with the main encoding."""
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import pareto_synthesize
+from repro.core import pareto_synthesize, synthesize
 from repro.core.instance import make_instance
 from repro.core.synthesizer import SynthesisResult
 from repro.engine import AlgorithmCache, SweepRequest, lookup_result, store_result
@@ -314,6 +314,20 @@ class TestDispatchersConsultLedger:
         assert replayed.is_unsat
         assert replayed.cache_hit
         assert replayed.provenance == "cut"
+
+    def test_bound_results_persist_their_witness_and_feed_the_ledger(self, tmp_path):
+        cache = AlgorithmCache(tmp_path)
+        instance = make_instance("Allgather", ring(4), 2, 2, 2)  # 6 chunks at 2 per round
+        fresh = synthesize(instance, cache=cache)
+        assert fresh.provenance == "bound" and not fresh.cache_hit
+        replayed = synthesize(instance, cache=cache)
+        assert replayed.cache_hit and replayed.provenance == "bound"
+        assert replayed.witness == fresh.witness
+        assert replayed.summary().splitlines()[1] == fresh.summary().splitlines()[1]
+        # An arithmetic UNSAT is knowledge like any other UNSAT.
+        ledger = BoundsLedger("Allgather", ring(4))
+        ledger.observe(replayed)
+        assert ledger.known_infeasible(2, 2, 3) == (2, 2, 2)
 
     def test_solved_results_persist_solved_provenance(self, tmp_path):
         cache = AlgorithmCache(tmp_path)
