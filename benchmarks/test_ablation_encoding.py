@@ -27,6 +27,7 @@ from conftest import (
     synthesis_budget,
 )
 from repro.core import NaiveEncoding, ScclEncoding, make_instance, synthesize
+from repro.engine import STRATEGIES
 from repro.topology import dgx1, ring
 
 SMALL_INSTANCE = make_instance("Allgather", ring(6), 1, 3, 3)
@@ -89,7 +90,7 @@ def test_medium_instance_synthesis(benchmark, encoding):
 #: paper's slow Table 4/5 rows), so cross-candidate and cross-S overlap is
 #: what decides wall clock rather than raw solver speed.
 SWEEP_SMOKE = dict(k=4, max_steps=3, max_chunks=6, time_limit=1.2)
-SWEEP_STRATEGIES = ("serial", "incremental", "parallel", "speculative")
+SWEEP_STRATEGIES = STRATEGIES
 
 
 def _metrics_snapshot(metrics) -> dict:
@@ -156,8 +157,8 @@ def test_sweep_strategy_ablation():
       loop's one-per-candidate, and its encode-time split is reported
       separately in the JSON;
     * **wall-clock** (asserted only where the host has real parallelism,
-      ``cpu_count >= 2``): the speculative pipeline is no slower than the
-      per-step parallel dispatcher and beats the serial loop, because the
+      ``cpu_count >= 2``): the pool executor with lookahead is no slower
+      than without and beats the inline executor, because the
       timeout-bound head candidates burn their budgets concurrently
       instead of back to back.  On a single-core host the pool can only
       time-slice, so there the numbers are recorded but not asserted.
@@ -213,31 +214,26 @@ def test_sweep_strategy_ablation():
 
     # Telemetry cross-checks (the /v1/metrics acceptance criterion): the
     # metric registry must agree with the engine's own committed counters.
-    # Bounds series are published from the committed SweepStats, so they
-    # match exactly on every dispatcher; solver-call metrics additionally
-    # count speculative losers (honest work whose stats the commit
-    # discards), so on pool dispatchers the metric is a >= bound.
+    # The loop publishes both from what it awaited — a speculative loser is
+    # never accounted — so they match exactly under every strategy.
     for name, row in rows.items():
         stats = row["engine_stats"]
         assert row["metrics"]["bounds_probed"] == stats["candidates_probed"], name
-        if name in ("serial", "incremental"):
-            assert row["metrics"]["solver_calls"] == stats["solver_calls"], name
-        else:
-            assert row["metrics"]["solver_calls"] >= stats["solver_calls"], name
+        assert row["metrics"]["solver_calls"] == stats["solver_calls"], name
     # Perfetto acceptance: the archived speculative trace's per-candidate
     # probe spans cover >=95% of the measured sweep wall clock.
     assert rows["speculative"]["probe_coverage"] >= 0.95, rows["speculative"]
     assert (bench_dir() / rows["speculative"]["trace_artifact"]).exists()
 
     if asserted:
-        # The structural margins on this smoke are ~1.5x (vs serial, whose
-        # timeout-bound head candidates burn back to back) and ~1.1x (vs
-        # parallel, which pays one pool per step count); the tolerances
-        # leave headroom for shared-runner noise without letting a real
+        # The structural margin on this smoke is ~1.5x vs serial, whose
+        # timeout-bound head candidates burn back to back; parallel shares
+        # the pool and only lacks the lookahead.  The tolerances leave
+        # headroom for shared-runner noise without letting a real
         # regression through.
         spec = rows["speculative"]["wall_s"]
         assert spec <= rows["parallel"]["wall_s"] * 1.25, (
-            "speculative sweep slower than the per-step parallel dispatcher"
+            "speculative sweep slower than the pool without lookahead"
         )
         assert spec <= rows["serial"]["wall_s"] * 1.10, (
             "speculative sweep slower than the serial loop"

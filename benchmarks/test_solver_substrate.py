@@ -14,7 +14,7 @@ import pytest
 
 from conftest import report
 from repro.core import ScclEncoding, make_instance, synthesize
-from repro.engine import IncrementalDispatcher, SerialDispatcher, SweepRequest
+from repro.engine import SweepRequest, make_dispatcher
 from repro.solver import CNF, SATSolver, SolveResult
 from repro.topology import dgx1, ring
 
@@ -133,14 +133,15 @@ ABLATION_SWEEP = SweepRequest(
 def test_incremental_vs_cold_sweep(benchmark):
     """Ablation: assumption-based incremental probing vs. cold re-encoding.
 
-    The serial baseline encodes once per candidate; the incremental
-    dispatcher encodes once per distinct chunk count and probes rounds
-    budgets through selector assumptions on a persistent solver.
+    The same sweep loop runs both: the inline executor encodes once per
+    candidate, the family executor once per step count and probes (C, R)
+    frames through selector assumptions on a persistent solver.
     """
-    cold = SerialDispatcher().sweep(ABLATION_SWEEP)
+    cold = make_dispatcher("serial").sweep(ABLATION_SWEEP)
 
     incremental = benchmark.pedantic(
-        lambda: IncrementalDispatcher().sweep(ABLATION_SWEEP), rounds=1, iterations=1
+        lambda: make_dispatcher("incremental").sweep(ABLATION_SWEEP),
+        rounds=1, iterations=1,
     )
 
     assert [r.status for r in incremental.results] == [r.status for r in cold.results]

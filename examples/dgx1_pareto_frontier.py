@@ -12,10 +12,11 @@ Section 5.5).
 The enumeration runs on the synthesis engine: ``--strategy incremental``
 (the default) encodes one shared-prefix family per step count and probes
 every (C, R) candidate through assumption literals, ``--strategy parallel
---jobs N`` fans one step count's candidates across N worker processes,
-``--strategy speculative`` additionally starts the next step count while
-the current one is still solving (both commit in cost order, so results
-are identical to the serial loop), and solved frontiers persist in the
+--jobs N`` solves one step count's candidates ahead of the sweep loop in N
+worker processes, ``--strategy speculative`` additionally starts the next
+step count while the current one is still solving (the loop awaits results
+in cost order either way, so results are identical to the serial loop;
+the pool only pays off on multi-second probes), and solved frontiers persist in the
 algorithm cache so re-running the script is instant.
 
 The full enumeration down to the 7-step bandwidth-optimal algorithm takes a
@@ -30,7 +31,7 @@ Run:  python examples/dgx1_pareto_frontier.py [--max-steps N] [--k K]
 import argparse
 
 from repro.core import pareto_synthesize
-from repro.engine import available_backends, default_cache
+from repro.engine import STRATEGIES, available_backends, default_cache
 from repro.evaluation import format_table
 from repro.topology import dgx1
 
@@ -43,7 +44,7 @@ def main() -> None:
     parser.add_argument("--time-limit", type=float, default=120.0,
                         help="per-instance solver budget in seconds")
     parser.add_argument("--strategy", default="incremental",
-                        choices=("serial", "incremental", "parallel", "speculative"),
+                        choices=STRATEGIES,
                         help="candidate-sweep strategy")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for --strategy parallel/speculative")

@@ -8,8 +8,7 @@ Subcommands
     the algorithm as MSCCL-style XML or a plan bundle.
 ``repro pareto``
     Run Pareto-Synthesize (Algorithm 1) with any engine strategy
-    (serial / incremental / parallel / speculative, the latter with
-    optional ``--portfolio`` backend racing) and backend, print the
+    (serial / incremental / parallel / speculative) and backend, print the
     Table 4/5-style rows and optionally export every frontier algorithm.
 ``repro export``
     Emit a cached (or plan-bundled) algorithm as XML or a plan.
@@ -42,12 +41,11 @@ Subcommands
     or ``pareto --trace`` (span counts, totals, slowest probes); ``--top N``
     lists the slowest individual spans and ``--diff OTHER.json`` compares
     two traces phase by phase.
-``repro perf history|compare|regressions|calibrate``
+``repro perf history|compare|regressions``
     Query the persistent performance archive (``$REPRO_PERF_DIR`` or
-    ``~/.cache/repro/perf``): list run history, diff two archived runs,
+    ``~/.cache/repro/perf``): list run history, diff two archived runs and
     gate fresh ``BENCH_*.json`` files against the archived trajectory (the
-    CI regression sentinel), and inspect the probe-time model behind the
-    measured ``strategy="auto"`` pick.
+    CI regression sentinel).
 
 Every subcommand exits 0 on success and 1 on failure, printing errors to
 stderr; ``repro synthesize`` additionally exits 1 when the candidate is
@@ -219,11 +217,6 @@ def _cmd_pareto(args) -> int:
 
     topology = _topology(args)
     cache = _resolve_cache(args)
-    portfolio = None
-    if args.portfolio:
-        portfolio = [name.strip() for name in args.portfolio.split(",") if name.strip()]
-        if not portfolio:
-            raise CliError("--portfolio needs at least one backend name")
     try:
         frontier = pareto_synthesize(
             args.collective,
@@ -237,7 +230,6 @@ def _cmd_pareto(args) -> int:
             strategy=args.strategy,
             max_workers=args.max_workers,
             backend=args.backend,
-            portfolio=portfolio,
             cache=cache,
             bounds="off" if args.no_bounds else "baseline",
             trace=args.trace,
@@ -965,55 +957,12 @@ def _cmd_perf_regressions(args) -> int:
     return 0
 
 
-def _cmd_perf_calibrate(args) -> int:
-    from ..perf import ProbeTimeModel, ambient_model
-    from ..telemetry import host_fingerprint
-
-    archive = _perf_archive(args)
-    if getattr(args, "archive_dir", None):
-        model = ProbeTimeModel(
-            archive.iter_records(kind="pareto", host=host_fingerprint()),
-            host=host_fingerprint(),
-        )
-    else:
-        model = ambient_model(archive)
-    rows = model.report()
-    print(
-        f"probe-time model over {archive.root}: {len(model)} pareto run(s) "
-        f"ingested for host {host_fingerprint()}"
-    )
-    if not rows:
-        print(
-            "no calibration data yet — strategy=\"auto\" uses the static "
-            "size thresholds (cold start); run `repro pareto` a few times "
-            "with different --strategy values to record history"
-        )
-        return 0
-    print(f"{'features':<24} {'strategy':<12} {'runs':>5} {'median_s':>10} "
-          f"{'mean_s':>10}  pick")
-    for row in rows:
-        print(
-            f"{row['features']:<24} {row['strategy']:<12} {row['count']:>5} "
-            f"{row['median_s']:>10.4f} {row['mean_s']:>10.4f}"
-            + ("  <-- measured pick" if row["picked"] else "")
-        )
-    if args.check:
-        from ..core.pareto import resolve_strategy
-
-        topology = parse_topology(args.check)
-        pick = resolve_strategy(topology, k=args.synchrony, model=model)
-        print(
-            f"\nresolve_strategy({args.check}, k={args.synchrony}) "
-            f"-> {pick!r}"
-        )
-    return 0
-
-
 # ----------------------------------------------------------------------
 # Parser assembly
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     from ..engine.backends import available_backends
+    from ..engine.dispatch import STRATEGIES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1058,7 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
     pareto.add_argument("--max-chunks", type=int, default=None)
     pareto.add_argument(
         "--strategy",
-        choices=("serial", "incremental", "parallel", "speculative", "auto"),
+        choices=(*STRATEGIES, "auto"),
         default="incremental",
         help="candidate-sweep strategy (default incremental; auto picks from "
         "the host's core count and the instance size)",
@@ -1070,11 +1019,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pareto.add_argument("--max-workers", type=int, default=None,
                         help="worker processes for --strategy parallel/speculative")
-    pareto.add_argument(
-        "--portfolio", default=None, metavar="BACKENDS",
-        help="comma-separated solver backends raced per candidate "
-        "(requires --strategy speculative); first SAT/UNSAT verdict wins",
-    )
     pareto.add_argument("--export-dir", default=None,
                         help="write every frontier algorithm into this directory")
     pareto.add_argument("--export-format", choices=("xml", "plan", "both"), default="xml")
@@ -1316,18 +1260,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(an empty archive is warn-only by itself)")
     _add_archive_option(regressions)
     regressions.set_defaults(func=_cmd_perf_regressions)
-
-    calibrate = perf_sub.add_parser(
-        "calibrate",
-        help="show the probe-time model strategy=\"auto\" would consult",
-    )
-    calibrate.add_argument("--check", default=None, metavar="TOPOLOGY",
-                           help="also print the resolved strategy for this "
-                           f"topology ({TOPOLOGY_HELP})")
-    calibrate.add_argument("-k", "--synchrony", type=int, default=0,
-                           help="synchrony budget for --check (default 0)")
-    _add_archive_option(calibrate)
-    calibrate.set_defaults(func=_cmd_perf_calibrate)
 
     # backends ---------------------------------------------------------
     backends = subparsers.add_parser("backends", help="list registered solver backends")

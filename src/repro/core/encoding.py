@@ -157,7 +157,7 @@ class ScclEncoding:
     variables' order-encoding Booleans, and :meth:`rounds_assumptions`
     returns assumption literals pinning the total to any ``R`` in
     ``S .. R_max``.  One encoding (and one solver, via
-    :class:`repro.engine.session.IncrementalSession`) then serves every
+    :class:`repro.engine.session.SessionFamily`) then serves every
     rounds candidate of a fixed-``S`` sweep.
 
     With ``chunk_selector=True`` the encoding additionally becomes

@@ -21,7 +21,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..collectives import get_collective
 from ..solver import SolveResult
@@ -207,70 +207,35 @@ def resolve_strategy(
     max_chunks: Optional[int] = None,
     max_workers: Optional[int] = None,
     cpu_count: Optional[int] = None,
-    model: Union[str, None, "object"] = "ambient",
 ) -> str:
     """Pick a concrete sweep strategy for ``strategy="auto"``.
 
     Single-core hosts (or an explicit one-worker budget) get the serial
-    loop: the pool strategies only add process overhead there, and the
+    loop: the pool executor only adds process overhead there, and the
     shared-prefix family's exact-formula UNKNOWN retries can make the
-    incremental path pay for probes twice.  That guard is structural and
-    always wins.
+    incremental path pay for probes twice.
 
-    On multi-core hosts the pick is *measured* where history allows:
-    ``model="ambient"`` (the default) consults this host's
-    :class:`~repro.perf.model.ProbeTimeModel` over the performance archive
-    — per-(instance-feature, strategy) timing distributions from previous
-    ``pareto`` runs — and returns the strategy with the lowest recorded
-    median wall clock for this instance shape.  A cold archive (or
-    ``model="off"``/``None``, or an unreadable archive — calibration may
-    never break synthesis) falls back to the static size thresholds:
-    large instances — many nodes, deep chunk subdivision or a loose
-    synchrony budget, all of which multiply the candidate count and
-    formula size — get the speculative cross-``S`` pipeline, small ones
-    the incremental dispatcher.  A :class:`~repro.perf.model.ProbeTimeModel`
-    instance is consulted as-is (tests).
+    On multi-core hosts the pick is by size: large instances — many nodes,
+    deep chunk subdivision or a loose synchrony budget, all of which
+    multiply the candidate count and formula size — get the pool with one
+    step count of lookahead, small ones the in-process family executor.
 
-    The pick only selects *which dispatcher runs*; every dispatcher
-    commits frontiers byte-identically, so calibration cannot change
-    frontier bytes.  ``cpu_count`` overrides :func:`os.cpu_count` so the
-    policy itself is unit-testable.
+    The pick only selects *which executor answers the probes*; the sweep
+    loop commits frontiers identically under all of them.  ``cpu_count``
+    overrides :func:`os.cpu_count` so the policy itself is unit-testable.
     """
+    from ..engine.dispatch import STRATEGIES
+
+    serial, incremental, _parallel, speculative = STRATEGIES
     cores = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
     if cores < 2 or (max_workers is not None and max_workers < 2):
-        return "serial"
-    measured = _measured_pick(topology, k=k, max_chunks=max_chunks, model=model)
-    if measured is not None:
-        return measured
+        return serial
     large = (
         topology.num_nodes >= 6
         or (max_chunks is not None and max_chunks >= 4)
         or k >= 2
     )
-    return "speculative" if large else "incremental"
-
-
-def _measured_pick(
-    topology: Topology,
-    *,
-    k: int,
-    max_chunks: Optional[int],
-    model: Union[str, None, "object"],
-) -> Optional[str]:
-    """The probe-time model's recommendation, or None (cold start / off)."""
-    if model in (None, "off", "static"):
-        return None
-    try:
-        from ..perf import KNOWN_STRATEGIES, ambient_model, strategy_features
-
-        if model == "ambient":
-            model = ambient_model()
-        pick = model.predict(
-            strategy_features(topology, k=k, max_chunks=max_chunks)
-        )
-    except Exception:
-        return None
-    return pick if pick in KNOWN_STRATEGIES else None
+    return speculative if large else incremental
 
 
 def pareto_synthesize(
@@ -288,7 +253,6 @@ def pareto_synthesize(
     strategy: str = "incremental",
     max_workers: Optional[int] = None,
     backend: Optional[str] = None,
-    portfolio: Optional[Sequence[str]] = None,
     cache=None,
     bounds: Union[str, None, "object"] = "baseline",
     trace: Union[str, "os.PathLike", Tracer, None] = None,
@@ -310,23 +274,22 @@ def pareto_synthesize(
         Resource limits per SMT query; exceeded limits yield UNKNOWN
         candidates, which are skipped but recorded (``proved=False``).
     strategy:
-        Candidate-sweep execution strategy: ``"incremental"`` (default; one
-        shared-prefix encoding per step count probed via per-candidate
-        assumption frames), ``"serial"`` (cold encode+solve per candidate,
-        the paper's loop), ``"parallel"`` (process-pool fan-out within one
-        step count, serial-replay semantics), ``"speculative"``
-        (cross-step pipeline: candidates for S+1 start while S is still in
-        flight, committed in cost order so the frontier stays byte-identical
-        to the serial loop) or ``"auto"`` (pick one of the above from the
-        host's core count and the instance size — see
-        :func:`resolve_strategy`; the frontier records the resolved name).
+        Which executor answers the sweep loop's probes (the loop itself —
+        :class:`~repro.engine.dispatch.Dispatcher` — is the same for all):
+        ``"incremental"`` (default; one shared-prefix encoding per step
+        count probed via per-candidate assumption frames), ``"serial"``
+        (cold encode+solve per candidate, the paper's loop), ``"parallel"``
+        (the exact formulas solved ahead of the loop in a process pool, one
+        step count at a time), ``"speculative"`` (the same pool also
+        started on the next step count while this one is in flight) or
+        ``"auto"`` (pick one of the above from the host's core count and
+        the instance size — see :func:`resolve_strategy`; the frontier
+        records the resolved name).  Results are consumed strictly in
+        candidate order, so the frontier does not depend on the choice.
     max_workers:
         Worker-process count for the parallel/speculative strategies.
     backend:
         Registered solver-backend name (default ``"cdcl"``).
-    portfolio:
-        Solver-backend names to race per candidate (speculative strategy
-        only); the first SAT/UNSAT verdict wins.
     cache:
         An :class:`~repro.engine.cache.AlgorithmCache`; hits replay persisted
         SAT/UNSAT probes without touching the solver.
@@ -355,29 +318,27 @@ def pareto_synthesize(
     if k < 0:
         raise ParetoError("k must be non-negative")
 
+    options = dict(
+        root=root,
+        max_steps=max_steps,
+        max_chunks=max_chunks,
+        time_limit_per_instance=time_limit_per_instance,
+        conflict_limit=conflict_limit,
+        stop_at_bandwidth_optimal=stop_at_bandwidth_optimal,
+        on_result=on_result,
+        strategy=strategy,
+        max_workers=max_workers,
+        backend=backend,
+        cache=cache,
+        bounds=bounds,
+    )
     if trace is not None:
-        rerun = dict(
-            root=root,
-            max_steps=max_steps,
-            max_chunks=max_chunks,
-            time_limit_per_instance=time_limit_per_instance,
-            conflict_limit=conflict_limit,
-            stop_at_bandwidth_optimal=stop_at_bandwidth_optimal,
-            on_result=on_result,
-            strategy=strategy,
-            max_workers=max_workers,
-            backend=backend,
-            portfolio=portfolio,
-            cache=cache,
-            bounds=bounds,
-            trace=None,
-        )
         if isinstance(trace, Tracer):
             with tracing(trace):
-                return pareto_synthesize(collective, topology, k, **rerun)
+                return pareto_synthesize(collective, topology, k, **options)
         tracer = Tracer()
         with tracing(tracer):
-            frontier = pareto_synthesize(collective, topology, k, **rerun)
+            frontier = pareto_synthesize(collective, topology, k, **options)
         tracer.write_chrome_trace(trace)
         return frontier
 
@@ -385,24 +346,7 @@ def pareto_synthesize(
 
     # --- combining collectives: delegate to the non-combining counterpart ----
     if spec.combining:
-        return _pareto_synthesize_combining(
-            spec.name,
-            topology,
-            k,
-            root=root,
-            max_steps=max_steps,
-            max_chunks=max_chunks,
-            time_limit_per_instance=time_limit_per_instance,
-            conflict_limit=conflict_limit,
-            stop_at_bandwidth_optimal=stop_at_bandwidth_optimal,
-            on_result=on_result,
-            strategy=strategy,
-            max_workers=max_workers,
-            backend=backend,
-            portfolio=portfolio,
-            cache=cache,
-            bounds=bounds,
-        )
+        return _pareto_synthesize_combining(spec.name, topology, k, **options)
 
     if strategy == "auto":
         strategy = resolve_strategy(
@@ -432,7 +376,7 @@ def pareto_synthesize(
         raise ParetoError(f"unknown bounds mode {bounds!r}")
 
     start_time = time.monotonic()
-    dispatcher = make_dispatcher(strategy, max_workers=max_workers, portfolio=portfolio)
+    dispatcher = make_dispatcher(strategy, max_workers=max_workers)
     sweep_stats = SweepStats()
     a_l, b_l = lower_bounds(spec.name, topology, root=root)
     if max_steps is None:
@@ -468,13 +412,12 @@ def pareto_synthesize(
         )
 
     # Phase splits and raw solve samples across the whole run: what the
-    # performance archive's "pareto" record carries, and what the probe-time
-    # model later calibrates strategy="auto" on.
+    # performance archive's "pareto" record carries.
     phase_acc = {"encode_s": 0.0, "solve_s": 0.0, "verify_s": 0.0}
     solve_samples: List[float] = []
     cache_replays = 0
 
-    def ingest_sweep(steps: int, outcome) -> bool:
+    def ingest_sweep(outcome) -> bool:
         """Fold one sweep outcome into the frontier; True at bandwidth-optimal."""
         nonlocal cache_replays
         sweep_stats.merge(outcome.stats)
@@ -498,6 +441,7 @@ def pareto_synthesize(
                 unsat_probes += 1
                 continue
             chunks = result.instance.chunks_per_node
+            steps = result.instance.steps
             rounds = result.instance.rounds
             point = ParetoPoint(
                 collective=spec.name,
@@ -521,68 +465,25 @@ def pareto_synthesize(
 
     step_counts = list(range(a_l, max_steps + 1))
     with pareto_ctx as pareto_span:
-        if hasattr(dispatcher, "sweep_many"):
-            # Cross-S pipeline: hand the dispatcher the whole sweep sequence so
-            # it can speculate past the step count currently being decided.  The
-            # stop predicate mirrors Algorithm 1's termination test; committed
-            # outcomes are folded in enumeration order, so the frontier (and
-            # the exhausted_steps flag) matches the serial loop exactly.
-            def stop_predicate(outcome) -> bool:
-                if not stop_at_bandwidth_optimal:
-                    return False
-                first_sat = outcome.first_sat
-                return first_sat is not None and (
-                    Fraction(
-                        first_sat.instance.rounds, first_sat.instance.chunks_per_node
-                    )
-                    == b_l
-                )
-
-            outcomes = dispatcher.sweep_many(
-                [build_request(steps) for steps in step_counts],
-                cache=cache,
-                stop=stop_predicate,
-            )
-            stopped_at: Optional[int] = None
-            for index, outcome in enumerate(outcomes):
-                if outcome is None:
-                    break  # cancelled speculative sweeps past the stop point
-                reached = ingest_sweep(step_counts[index], outcome)
-                if reached and stop_at_bandwidth_optimal:
-                    stopped_at = index
-                    break
-            # The serial loop only skips its for-else when it breaks at the top
-            # of a *later* iteration, so stopping on the final step count still
-            # reports the budget as exhausted.
-            frontier.exhausted_steps = stopped_at is None or (
-                stopped_at == len(step_counts) - 1
-            )
-        else:
-            reached_bandwidth_optimal = False
-            for steps in step_counts:
-                if reached_bandwidth_optimal and stop_at_bandwidth_optimal:
-                    break
-                outcome = dispatcher.sweep(build_request(steps), cache=cache)
-                if ingest_sweep(steps, outcome):
-                    reached_bandwidth_optimal = True
-            else:
-                frontier.exhausted_steps = True
+        # Outcomes are folded in as the loop produces them; the loop stops
+        # after the first one that reaches the bandwidth bound.  Stopping on
+        # the final step count still reports the budget as exhausted.
+        outcomes = dispatcher.run(
+            [build_request(steps) for steps in step_counts],
+            cache=cache,
+            stop=lambda outcome: ingest_sweep(outcome) and stop_at_bandwidth_optimal,
+        )
+        frontier.exhausted_steps = len(outcomes) == len(step_counts)
 
         _mark_pareto_optimal(frontier)
         frontier.total_time = time.monotonic() - start_time
         frontier.engine_stats = sweep_stats.as_dict()
         pareto_span.set(points=len(frontier.points))
 
-    try:
-        from ..perf import strategy_features
-
-        features = strategy_features(topology, k=k, max_chunks=max_chunks)
-    except Exception:  # pragma: no cover - calibration must not break runs
-        features = {}
     record_run(
         "pareto",
         name=f"{spec.name}/{topology.name}",
-        features=features,
+        features={"nodes": topology.num_nodes, "k": k, "chunks": max_chunks or 0},
         strategy=strategy,
         backend=frontier.backend,
         verdict="sat" if frontier.points else "exhausted",
@@ -610,47 +511,14 @@ def _mark_pareto_optimal(frontier: ParetoFrontier) -> None:
 
 
 def _pareto_synthesize_combining(
-    collective: str,
-    topology: Topology,
-    k: int,
-    *,
-    root: int,
-    max_steps: Optional[int],
-    max_chunks: Optional[int],
-    time_limit_per_instance: Optional[float],
-    conflict_limit: Optional[int],
-    stop_at_bandwidth_optimal: bool,
-    on_result: Optional[Callable[[SynthesisResult], None]],
-    strategy: str = "incremental",
-    max_workers: Optional[int] = None,
-    backend: Optional[str] = None,
-    portfolio: Optional[Sequence[str]] = None,
-    cache=None,
-    bounds: Union[str, None, "object"] = "baseline",
+    collective: str, topology: Topology, k: int, **options
 ) -> ParetoFrontier:
     """Reduce Reducescatter / Reduce / Allreduce synthesis to the non-combining base."""
     base_collective = {"Reducescatter": "Allgather", "Reduce": "Broadcast", "Allreduce": "Allgather"}[
         collective
     ]
     base_topology = topology if collective == "Allreduce" else topology.reversed()
-    base = pareto_synthesize(
-        base_collective,
-        base_topology,
-        k,
-        root=root,
-        max_steps=max_steps,
-        max_chunks=max_chunks,
-        time_limit_per_instance=time_limit_per_instance,
-        conflict_limit=conflict_limit,
-        stop_at_bandwidth_optimal=stop_at_bandwidth_optimal,
-        on_result=on_result,
-        strategy=strategy,
-        max_workers=max_workers,
-        backend=backend,
-        portfolio=portfolio,
-        cache=cache,
-        bounds=bounds,
-    )
+    base = pareto_synthesize(base_collective, base_topology, k, **options)
     frontier = ParetoFrontier(
         collective=collective,
         topology_name=topology.name,

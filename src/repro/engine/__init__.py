@@ -1,14 +1,19 @@
-"""The synthesis engine: solver backends, incremental sessions, parallel
-candidate dispatch and the persistent algorithm cache.
+"""The synthesis engine: solver backends, the candidate-sweep loop with its
+executors, shared-prefix sessions and the persistent algorithm cache.
 
 This layer sits between the CNF/SAT substrate (:mod:`repro.solver`) and the
 synthesis logic (:mod:`repro.core`): the encoders stay where they are, but
-every *solve* now flows through a named :class:`SolverBackend`, fixed-``S``
-candidate sweeps reuse one encoding via :class:`IncrementalSession`, whole
-sweeps can fan out over a process pool via :class:`ParallelDispatcher`, and
-verified outcomes persist in a content-addressed :class:`AlgorithmCache`
-shared by the examples, the benchmarks, the evaluation harness and the
-runtime.
+every *solve* flows through a named :class:`SolverBackend`, and Algorithm
+1's candidate sweep is one ordered loop (:class:`Dispatcher`) that owns
+every pruning, caching and commit decision and asks one of three executors
+for the result of each ``(S, R, C)`` probe — a cold in-process solve
+(:class:`InlineExecutor`), an assumption frame over one shared-prefix
+encoding per step count (:class:`FamilyExecutor` over
+:class:`SessionFamily`, the default), or a process pool fed a prefetch
+hint (:class:`PoolExecutor`; it wins on limit-bound or multi-second
+probes and loses on sub-second frontiers).  Verified outcomes persist in a
+content-addressed :class:`AlgorithmCache` shared by the examples, the
+benchmarks, the evaluation harness and the runtime.
 """
 
 from .backends import (
@@ -57,17 +62,19 @@ from .cache import (
 )
 from .dispatch import (
     DispatchError,
-    IncrementalDispatcher,
-    ParallelDispatcher,
-    SerialDispatcher,
-    SpeculativeDispatcher,
+    Dispatcher,
+    Executor,
+    FamilyExecutor,
+    InlineExecutor,
+    PoolExecutor,
+    Probe,
     STRATEGIES,
     SweepOutcome,
     SweepRequest,
     SweepStats,
     make_dispatcher,
 )
-from .session import IncrementalSession, SessionError, SessionFamily
+from .session import SessionError, SessionFamily
 
 __all__ = [
     "AlgorithmCache",
@@ -89,17 +96,18 @@ __all__ = [
     "DIMACS_SOLVER_CANDIDATES",
     "DimacsSolverBackend",
     "DispatchError",
-    "IncrementalDispatcher",
-    "IncrementalSession",
-    "ParallelDispatcher",
+    "Dispatcher",
+    "Executor",
+    "FamilyExecutor",
+    "InlineExecutor",
+    "PoolExecutor",
+    "Probe",
     "PySatBackend",
     "QUARANTINE",
     "STRATEGIES",
-    "SerialDispatcher",
     "SessionError",
     "SessionFamily",
     "SolverBackend",
-    "SpeculativeDispatcher",
     "SolverHandle",
     "SweepOutcome",
     "SweepRequest",

@@ -42,9 +42,9 @@ class BackendQuarantine:
 
     A *crash* here means a solve call that failed completely — every retry
     exhausted without producing a verdict.  After ``threshold`` consecutive
-    crashes a backend is quarantined: the portfolio dispatcher stops
-    submitting work to it, so one flaky binary cannot slow every sweep to
-    its retry ceiling.  A successful verdict resets the counter; an
+    crashes a backend is marked quarantined — crash accounting that
+    ``/v1/stats`` reports, so an operator can see a flaky binary dragging
+    every solve to its retry ceiling.  A successful verdict resets the counter; an
     optional ``cooldown_s`` lets a quarantined backend back in after a
     quiet period (``None`` quarantines until an explicit :meth:`release`).
     """
@@ -123,7 +123,7 @@ class BackendQuarantine:
             self._total_crashes.clear()
 
 
-#: Process-wide quarantine shared by every dispatcher and DIMACS handle.
+#: Process-wide quarantine shared by the sweep loop and every DIMACS handle.
 QUARANTINE = BackendQuarantine()
 
 

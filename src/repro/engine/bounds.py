@@ -5,7 +5,7 @@ algorithms whose ``(steps, rounds, chunks)`` costs are free upper bounds on
 the Pareto sweep — the same trick superoptimizers use when a cheap greedy
 solution seeds the solver search.  A :class:`BoundsLedger` holds that
 knowledge plus everything a running sweep learns, and turns it into a
-per-step :class:`ProbePlan` that the dispatchers consult before issuing any
+per-step :class:`ProbePlan` that the sweep loop consults before issuing any
 solver work.
 
 The lattice algebra rests on one monotonicity fact about SynColl
@@ -15,6 +15,18 @@ and ``C <= C0`` (steps can be split, idle rounds padded, and surplus chunk
 levels dropped).  Its contrapositive is the monotone UNSAT cut: UNSAT at
 ``(S, R, C)`` kills every ``(S', R', C')`` with ``S' <= S``, ``R' <= R``
 and ``C' >= C`` on the same structure.
+
+Moving ``S`` at fixed ``R`` assumes a multi-round step can always be split
+into single-round steps.  That holds when the multi-link bandwidth
+constraints are disjoint (every built-in fabric), and fails when they
+overlap: three links out of one node with each *pair* under a shared
+bandwidth-1 constraint carry three chunks in one 2-round step but only
+two in two 1-round steps (Scatter ``(C, S, R) = (1, 1, 2)`` is SAT and
+``(1, 2, 2)`` UNSAT there).  On a fabric where some link sits in two
+multi-link constraints the ledger therefore uses only the *padded*
+relations, which add or remove an idle one-round step: feasibility
+carries to ``(S + d, R + d)`` (and on to any larger ``R``), UNSAT to
+``(S - d, R - d)``.
 
 Three pruning rules follow:
 
@@ -73,6 +85,10 @@ class FeasiblePoint:
     def bandwidth(self) -> Fraction:
         return Fraction(self.rounds, self.chunks)
 
+    @property
+    def lattice(self) -> Tuple[int, int, int]:
+        return (self.steps, self.rounds, self.chunks)
+
 
 @dataclass(frozen=True)
 class ProbePlan:
@@ -96,24 +112,27 @@ class ProbePlan:
         return sum(1 for a in self.actions if a == PRUNE)
 
 
-def _in_feasible_cone(point: FeasiblePoint, steps: int, rounds: int, chunks: int) -> bool:
-    """Does ``point`` witness feasibility of ``(steps, rounds, chunks)``?"""
-    return point.steps <= steps and point.rounds <= rounds and point.chunks >= chunks
+def steps_splittable(topology: Topology) -> bool:
+    """Can every multi-round step be split into single-round steps?
 
-
-def _in_infeasible_shadow(
-    witness: Tuple[int, int, int], steps: int, rounds: int, chunks: int
-) -> bool:
-    """Does UNSAT ``witness`` kill ``(steps, rounds, chunks)``?"""
-    w_steps, w_rounds, w_chunks = witness
-    return steps <= w_steps and rounds <= w_rounds and chunks >= w_chunks
+    True unless some link sits in two multi-link bandwidth constraints
+    (see the module docstring); nested constraints are flagged too, which
+    only costs pruning power.
+    """
+    shared: set = set()
+    for constraint in topology.constraints:
+        if len(constraint.links) > 1:
+            if shared & constraint.links:
+                return False
+            shared |= constraint.links
+    return True
 
 
 class BoundsLedger:
     """Feasible/infeasible knowledge about one ``(collective, topology, root)``.
 
     The ledger is seeded from the baseline suite (:func:`seed_ledger`) and
-    fed every committed sweep result via :meth:`observe`.  Dispatchers ask
+    fed every sweep result via :meth:`observe`.  The sweep loop asks
     it for a :meth:`plan` per step count; baseline-derived and sweep-derived
     feasible points are tracked separately because they prune differently
     (strict vs non-strict bandwidth comparison — see the module docstring).
@@ -123,9 +142,26 @@ class BoundsLedger:
         self.collective = collective
         self.topology = topology
         self.root = root
+        self._splittable = steps_splittable(topology)
         self._baselines: List[FeasiblePoint] = []
         self._sweep_sats: List[FeasiblePoint] = []
         self._infeasible: List[Tuple[int, int, int]] = []
+
+    def _reaches(
+        self, low: Tuple[int, int, int], high: Tuple[int, int, int]
+    ) -> bool:
+        """Is ``high`` in the feasible cone of ``low`` (both ``(S, R, C)``)?
+
+        Equivalently: is ``low`` in the UNSAT shadow of ``high``.  Each
+        extra step costs an extra round unless steps can be split.
+        """
+        extra_steps = high[0] - low[0]
+        extra_rounds = high[1] - low[1]
+        return (
+            extra_steps >= 0
+            and extra_rounds >= (0 if self._splittable else extra_steps)
+            and high[2] <= low[2]
+        )
 
     # ------------------------------------------------------------------
     # Recording
@@ -153,11 +189,9 @@ class BoundsLedger:
         store = self._baselines if source.startswith("baseline") else self._sweep_sats
         # Keep only cone-maximal knowledge: drop the new point if an existing
         # one already witnesses it, and existing points the new one subsumes.
-        if any(_in_feasible_cone(p, steps, rounds, chunks) for p in store):
+        if any(self._reaches(p.lattice, point.lattice) for p in store):
             return
-        store[:] = [
-            p for p in store if not _in_feasible_cone(point, p.steps, p.rounds, p.chunks)
-        ]
+        store[:] = [p for p in store if not self._reaches(point.lattice, p.lattice)]
         store.append(point)
 
     def add_infeasible(self, steps: int, rounds: int, chunks: int) -> None:
@@ -176,7 +210,7 @@ class BoundsLedger:
         if self.known_infeasible(steps, rounds, chunks) is not None:
             return
         self._infeasible = [
-            w for w in self._infeasible if not _in_infeasible_shadow(witness, *w)
+            w for w in self._infeasible if not self._reaches(w, witness)
         ]
         self._infeasible.append(witness)
 
@@ -205,7 +239,7 @@ class BoundsLedger:
     def known_feasible(self, steps: int, rounds: int, chunks: int) -> Optional[str]:
         """The source witnessing feasibility of a point, or ``None``."""
         for point in self._baselines + self._sweep_sats:
-            if _in_feasible_cone(point, steps, rounds, chunks):
+            if self._reaches(point.lattice, (steps, rounds, chunks)):
                 return point.source
         return None
 
@@ -214,7 +248,7 @@ class BoundsLedger:
     ) -> Optional[Tuple[int, int, int]]:
         """The recorded UNSAT whose shadow covers a point, or ``None``."""
         for witness in self._infeasible:
-            if _in_infeasible_shadow(witness, steps, rounds, chunks):
+            if self._reaches((steps, rounds, chunks), witness):
                 return witness
         return None
 

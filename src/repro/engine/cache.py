@@ -200,8 +200,8 @@ class AlgorithmCache:
     """Directory-backed algorithm store with per-run hit/miss counters.
 
     Entries live under ``<root>/<key[:2]>/<key>.json`` and are written
-    atomically (temp file + rename), so concurrent writers — the parallel
-    dispatcher's worker processes and the planning service's threads — can
+    atomically (temp file + rename), so concurrent writers — several
+    processes sweeping at once and the planning service's threads — can
     share one cache directory.  Whole-index mutations (``evict``,
     ``clear``) additionally serialize on an ``fcntl`` lock file, so two
     concurrent evictions cannot race each other below their limits and an
@@ -502,7 +502,7 @@ def default_cache() -> AlgorithmCache:
 
 
 # ----------------------------------------------------------------------
-# SynthesisResult bridging (used by the synthesizer and the dispatchers)
+# SynthesisResult bridging (used by the synthesizer and the sweep loop)
 # ----------------------------------------------------------------------
 def lookup_result(
     cache: AlgorithmCache,

@@ -1,53 +1,66 @@
-"""Candidate-sweep dispatchers for Pareto-Synthesize.
+"""The candidate-sweep loop of Pareto-Synthesize and its three executors.
 
-Algorithm 1 probes, for each step count ``S``, an ordered list of ``(R, C)``
-candidates and keeps the first satisfiable one.  The dispatchers here are
-interchangeable strategies for executing that probe list:
+Algorithm 1 is one loop: for each step count ``S``, probe the ``(R, C)``
+candidates in cost order, keep the first satisfiable one, stop once the
+bandwidth bound is met.  :class:`Dispatcher` is that loop, written once.
+It owns every decision — the bounds ledger's plan when a step count
+becomes current, dominance prunes, monotone cuts, cache replays, the
+first-SAT truncation, the exact-formula retry of an UNKNOWN, cache
+writes, ledger feedback and telemetry — and asks an *executor* for one
+thing only: the result of ``(S, R, C)``.
 
-* :class:`SerialDispatcher` — the paper's loop: one cold encode+solve per
-  candidate, in cost order, stopping at the first SAT.
-* :class:`IncrementalDispatcher` — drives each fixed-``S`` sweep through a
-  :class:`~repro.engine.session.SessionFamily`: one shared-prefix encoding
-  per step count serves *every* ``(R, C)`` candidate via per-candidate
-  assumption frames, so a sweep pays one encoding total (previously one
-  per distinct ``C``), and the reachability analysis is shared across step
-  counts.
-* :class:`ParallelDispatcher` — fans candidates across a process pool and
-  then *replays* the serial decision rule over the results in candidate
-  order, so the reported outcome (and hence the Pareto frontier) is
-  byte-identical to the serial path; the parallelism is opportunistic, in
-  the PopPy sense — extra completed probes past the first SAT are discarded.
-* :class:`SpeculativeDispatcher` — the cross-``S`` pipeline: given the whole
-  sweep sequence (:meth:`~SpeculativeDispatcher.sweep_many`), it keeps the
-  pool fed with candidates from the next ``lookahead`` step counts while
-  the current one is still in flight, cancels losers the moment a cheaper
-  SAT lands, and commits results strictly in cost order — so its frontier
-  is byte-identical to the serial dispatcher's even though completion order
-  is arbitrary.  An optional backend *portfolio* races several solver
-  backends on each candidate and takes the first SAT/UNSAT verdict.
+Three executors answer that question, and the four strategy names select
+among them (``make_dispatcher``):
 
-All dispatchers consult and populate the algorithm cache when one is
-supplied, and report uniform :class:`SweepStats` so callers can account
-encodes, solver calls and cache hits.  The process-pool dispatchers ship
-the shared sweep context (topology, limits, backend objects) once per
-worker via the pool initializer; per-candidate task payloads are just the
-``(S, R, C, backend)`` tuple.
+* :class:`InlineExecutor` (``serial``) — a cold encode+solve of the exact
+  standalone formula, in this process.
+* :class:`FamilyExecutor` (``incremental``, the default) — one
+  :class:`~repro.engine.session.SessionFamily` per run: one shared-prefix
+  encoding per step count answers every ``(R, C)`` candidate under an
+  assumption frame.
+* :class:`PoolExecutor` (``parallel`` and ``speculative``) — the exact
+  formulas again, solved ahead of the loop in one process pool per run.
+  The loop hands it a *prefetch hint* — the probes it is about to ask
+  for: the current step count's plus ``lookahead`` later ones (0 for
+  ``parallel``, 1 for ``speculative``) — and the pool works through the
+  hint while the loop awaits results strictly in candidate order.  Work
+  past a SAT or a satisfied ``stop`` is cancelled and never awaited.
+
+Sequential semantics are the single source of truth; parallelism is an
+opportunistic property of the executor (PopPy's position).  Because the
+loop consumes results in order, the three exact-formula strategies report
+byte-identical frontiers and the family strategy the same verdicts.
+
+When the pool pays off: it overlaps probes, so it wins when probes are
+long or burn a wall-clock limit (DGX-1 Allgather smoke under
+``time_limit=1.2`` on a 2-core host: speculative 2.16 s, parallel 2.90 s,
+serial 3.46 s, incremental 6.98 s with its retries).  It loses on
+sub-second frontiers, where spawning workers and pickling results costs
+more than the solves (``bench/`` ``frontier_cold``, two DGX-1 rows:
+serial 0.14 s, incremental 0.18 s, parallel 0.38 s, speculative 0.42 s).
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from concurrent.futures import Future, ProcessPoolExecutor
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
-from ..core.instance import make_instance
-from ..telemetry import Span, get_metrics, get_tracer
+from ..core.instance import SynCollInstance, make_instance
+from ..telemetry import exact_quantiles, get_metrics, get_tracer, record_run
 from ..topology import Topology
-from .backends import QUARANTINE, BackendQuarantine, get_backend
+from .backends import QUARANTINE, get_backend, register_backend
 from .bounds import CUT, PROBE, PRUNE, BoundsLedger, ProbePlan, cut_result
 from .cache import AlgorithmCache, lookup_result, store_result
 from .session import SessionFamily
+
+#: The sweep strategy names — the only list of them; the CLI choices and
+#: ``resolve_strategy`` derive theirs from it.
+STRATEGIES = ("serial", "incremental", "parallel", "speculative")
+
+#: Later step counts a pool strategy includes in each prefetch hint.
+_POOL_LOOKAHEAD = {"parallel": 0, "speculative": 1}
 
 
 class DispatchError(Exception):
@@ -69,19 +82,12 @@ class SweepRequest:
     time_limit: Optional[float] = None
     conflict_limit: Optional[int] = None
     stop_at_first_sat: bool = True
-    #: The deterministic UNKNOWN policy: when a probe through a derived
-    #: formula (a shared-prefix family frame) comes back UNKNOWN, retry the
-    #: *exact* standalone formula with the same per-probe budget before
-    #: conceding the lattice point.  Strategies that already solve exact
-    #: formulas (serial/parallel/speculative) are unaffected, so frontiers
-    #: agree across strategies under resource limits.
-    unknown_retry: bool = True
     #: Bound-seeded pruning: a shared :class:`~repro.engine.bounds.BoundsLedger`
     #: consulted before any solver work.  Candidates it classifies as
     #: dominance-pruned are skipped outright, candidates inside a recorded
     #: UNSAT's monotone shadow are answered with a synthetic cut result, and
-    #: every committed verdict is fed back via ``observe`` so later sweeps
-    #: prune harder.  ``None`` disables seeding (the pre-bounds behaviour).
+    #: every verdict is fed back via ``observe`` so later sweeps prune
+    #: harder.  ``None`` disables seeding.
     bounds: Optional[BoundsLedger] = None
 
 
@@ -100,29 +106,16 @@ class SweepStats:
     probes_cut: int = 0
 
     def merge(self, other: "SweepStats") -> None:
-        self.encode_calls += other.encode_calls
-        self.solver_calls += other.solver_calls
-        self.cache_hits += other.cache_hits
-        self.candidates_probed += other.candidates_probed
-        self.unknown_retries += other.unknown_retries
-        self.probes_pruned += other.probes_pruned
-        self.probes_cut += other.probes_cut
+        for item in fields(self):
+            setattr(self, item.name, getattr(self, item.name) + getattr(other, item.name))
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "encode_calls": self.encode_calls,
-            "solver_calls": self.solver_calls,
-            "cache_hits": self.cache_hits,
-            "candidates_probed": self.candidates_probed,
-            "unknown_retries": self.unknown_retries,
-            "probes_pruned": self.probes_pruned,
-            "probes_cut": self.probes_cut,
-        }
+        return asdict(self)
 
 
 @dataclass
 class SweepOutcome:
-    """Per-candidate results in probe order, truncated by the serial rule."""
+    """Per-candidate results in probe order, truncated at the first SAT."""
 
     results: List = field(default_factory=list)  # List[SynthesisResult]
     stats: SweepStats = field(default_factory=SweepStats)
@@ -135,55 +128,333 @@ class SweepOutcome:
         return None
 
 
-def _account(stats: SweepStats, result) -> None:
-    stats.candidates_probed += 1
-    if result.cache_hit:
-        stats.cache_hits += 1
-    else:
-        stats.encode_calls += 1
-        stats.solver_calls += 1
+class Probe(NamedTuple):
+    """One lattice point the loop wants a result for."""
+
+    request: SweepRequest
+    rounds: int
+    chunks: int
+
+    @property
+    def key(self) -> Tuple[int, int, int]:
+        return (self.request.steps, self.rounds, self.chunks)
+
+    def instance(self) -> SynCollInstance:
+        request = self.request
+        return make_instance(
+            request.collective, request.topology, self.chunks,
+            request.steps, self.rounds, root=request.root,
+        )
 
 
-def _publish_bounds_metrics(stats: SweepStats) -> None:
-    """Mirror one sweep's bounds accounting into the metrics registry.
+# ----------------------------------------------------------------------
+# Executors: "the result of (S, R, C)"
+# ----------------------------------------------------------------------
+class Executor(Protocol):
+    """What the loop needs from whatever solves its probes.
 
-    Published once per *committed* sweep, straight from the stats the
-    caller reports, so the ``repro_bounds_candidates_total`` series equals
-    the SweepStats totals by construction — in particular, speculative
-    ``_try_commit`` replays (which build and discard partial outcomes)
-    never double-count.
+    The loop never asks for a pruned, cut or cached candidate, awaits
+    results strictly in candidate order, and stops asking at the first SAT
+    of a step count and once ``stop`` accepts an outcome.
     """
-    metrics = get_metrics()
-    if stats.candidates_probed:
-        metrics.inc(
-            "repro_bounds_candidates_total",
-            value=float(stats.candidates_probed), action="probed",
+
+    #: True when results come from the exact standalone formula.  A derived
+    #: formula can exhaust a budget the exact one would not, so the loop
+    #: retries its UNKNOWNs exactly.
+    exact: bool
+    #: Later step counts included in each prefetch hint.
+    lookahead: int
+    #: Encodings built so far for the results handed out.
+    encode_calls: int
+
+    def prefetch(self, probes: Sequence[Probe]) -> None:
+        """The probes the loop is about to ask for, in order; a superset of
+        what it will.  Replaces the previous hint."""
+
+    def result(self, probe: Probe):
+        """The :class:`~repro.core.synthesizer.SynthesisResult` for ``probe``."""
+
+    def close(self) -> None:
+        """The run is over: drop whatever was never asked for."""
+
+
+def _solve_exact(probe: Probe):
+    """Cold encode+solve of the standalone formula.
+
+    The inline executor, the pool's workers and the UNKNOWN retry all
+    answer with this, so they agree bit for bit.
+    """
+    from ..core.synthesizer import synthesize
+
+    request = probe.request
+    return synthesize(
+        probe.instance(),
+        encoding=request.encoding,
+        prune=request.prune,
+        time_limit=request.time_limit,
+        conflict_limit=request.conflict_limit,
+        backend=request.backend,
+    )
+
+
+class InlineExecutor:
+    """The paper's loop body: one cold solve per probe, in this process."""
+
+    exact = True
+    lookahead = 0
+
+    def __init__(self) -> None:
+        self.encode_calls = 0
+
+    def prefetch(self, probes: Sequence[Probe]) -> None:
+        pass
+
+    def result(self, probe: Probe):
+        self.encode_calls += 1
+        return _solve_exact(probe)
+
+    def close(self) -> None:
+        pass
+
+
+class FamilyExecutor:
+    """Assumption frames over one shared-prefix encoding per step count.
+
+    A whole run pays one encoding per step count — every ``(R, C)``
+    candidate is an assumption frame over it — and the reachability
+    analysis behind variable pruning is computed once.  The frames are
+    *derived* formulas (``exact`` is False).
+    """
+
+    exact = False
+    lookahead = 0
+
+    def __init__(self, request: SweepRequest) -> None:
+        self._family = SessionFamily(
+            request.collective, request.topology,
+            root=request.root, prune=request.prune, backend=request.backend,
         )
-    if stats.probes_pruned:
-        metrics.inc(
-            "repro_bounds_candidates_total",
-            value=float(stats.probes_pruned), action="pruned",
+        self._rounds_budget: Dict[int, int] = {}
+
+    @property
+    def encode_calls(self) -> int:
+        return self._family.encode_calls
+
+    def prefetch(self, probes: Sequence[Probe]) -> None:
+        # Size-adaptive budgets: the chunk selector starts at the first
+        # probe's C and grows in place on demand, so a sweep whose large-C
+        # candidates were all pruned never pays for their variables.  Round
+        # domains cannot grow, so the rounds budget is sized up front — over
+        # the probes that will actually be asked for.
+        self._rounds_budget = {}
+        for probe in probes:
+            steps = probe.request.steps
+            self._rounds_budget[steps] = max(
+                probe.rounds, self._rounds_budget.get(steps, 0)
+            )
+
+    def result(self, probe: Probe):
+        request = probe.request
+        return self._family.solve(
+            request.steps, probe.chunks, probe.rounds,
+            max_rounds=self._rounds_budget.get(request.steps),
+            time_limit=request.time_limit,
+            conflict_limit=request.conflict_limit,
         )
-    if stats.probes_cut:
-        metrics.inc(
-            "repro_bounds_candidates_total",
-            value=float(stats.probes_cut), action="cut",
+
+    def close(self) -> None:
+        pass
+
+
+#: Per-worker run context installed by the pool initializer, so the request
+#: (topology object, limits) and the backend object are pickled once per
+#: worker instead of once per probe.
+_WORKER_SHARED: Optional[Tuple[SweepRequest, bool]] = None
+
+
+def _init_pool_worker(request: SweepRequest, backend_obj, trace: bool) -> None:
+    """Pool initializer: install the run context in this worker.
+
+    A worker process starts with a fresh registry (only the default and
+    any import-time backends), so a runtime-registered backend travels as
+    a pickled object once per worker and is re-registered here.
+    """
+    global _WORKER_SHARED
+    register_backend(backend_obj, replace=True)
+    _WORKER_SHARED = (request, trace)
+
+
+def _solve_in_worker(key: Tuple[int, int, int]):
+    """Solve one ``(steps, rounds, chunks)`` probe of the installed run."""
+    if _WORKER_SHARED is None:  # pragma: no cover - initializer contract
+        raise DispatchError("worker used before _init_pool_worker ran")
+    request, trace = _WORKER_SHARED
+    steps, rounds, chunks = key
+    probe = Probe(replace(request, steps=steps), rounds, chunks)
+    if not trace:
+        return _solve_exact(probe)
+    # The parent is tracing: record this probe with a private worker tracer
+    # and ship the span forest back in the pickled result.  The loop
+    # re-parents it under its sweep span, keeping this process's pid/tid.
+    from ..telemetry import Tracer, tracing
+
+    tracer = Tracer()
+    with tracing(tracer):
+        result = _solve_exact(probe)
+    result.trace = tracer.export()
+    return result
+
+
+class PoolExecutor:
+    """Exact formulas solved ahead of the loop in one process pool per run.
+
+    ``prefetch`` submits the hinted probes it has not seen (FIFO, so the
+    current step count runs first) and cancels the ones no longer hinted;
+    ``result`` waits for one.  The pool starts with the first hint that
+    holds two probes — with nothing to overlap, ``result`` solves inline.
+    Only awaited results are accounted, stored or observed.  A loser that
+    was already running cannot be cancelled; it finishes in its worker and
+    only its spans are kept, under a ``pool`` span, so a trace shows what
+    kept the workers busy.
+    """
+
+    exact = True
+
+    def __init__(
+        self, request: SweepRequest, max_workers: Optional[int], lookahead: int
+    ) -> None:
+        self.lookahead = lookahead
+        self.encode_calls = 0
+        self._workers = max_workers or os.cpu_count() or 1
+        self._initargs = (
+            replace(request, candidates=(), bounds=None),
+            get_backend(request.backend),
+            get_tracer().enabled,
         )
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._futures: Dict[Tuple[int, int, int], Future] = {}
+        self._losers: List[Future] = []
+
+    def prefetch(self, probes: Sequence[Probe]) -> None:
+        wanted = [probe.key for probe in probes]
+        for key in set(self._futures).difference(wanted):
+            future = self._futures.pop(key)
+            if not future.cancel():
+                self._losers.append(future)
+        if self._pool is None:
+            if len(wanted) < 2:
+                return
+            self._span = get_tracer().open("pool", workers=self._workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self._workers,
+                initializer=_init_pool_worker,
+                initargs=self._initargs,
+            )
+        for key in wanted:
+            if key not in self._futures:
+                self._futures[key] = self._pool.submit(_solve_in_worker, key)
+
+    def result(self, probe: Probe):
+        self.encode_calls += 1
+        future = self._futures.pop(probe.key, None)
+        if future is None:
+            return _solve_exact(probe)
+        result = future.result()  # worker errors propagate
+        # Workers run with their own (discarded) metrics registry and
+        # quarantine, so the parent replays the per-result counters here.
+        metrics = get_metrics()
+        metrics.inc("repro_solver_calls_total", backend=result.backend)
+        metrics.observe("repro_solve_seconds", result.solve_time, backend=result.backend)
+        metrics.observe("repro_encode_seconds", result.encode_time)
+        exhausted = int((result.solver_stats or {}).get("exhausted_calls", 0) or 0)
+        for _ in range(exhausted):
+            QUARANTINE.record_crash(result.backend)
+        if not exhausted and not result.is_unknown:
+            QUARANTINE.record_success(result.backend)
+        return result
+
+    def close(self) -> None:
+        self.prefetch(())  # an empty hint cancels everything outstanding
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
+            for future in self._losers:
+                if future.done() and not future.cancelled() and future.exception() is None:
+                    self._span.adopt(future.result().trace)
+            get_tracer().close(self._span)
+
+
+# ----------------------------------------------------------------------
+# The loop
+# ----------------------------------------------------------------------
+def _check_uniform(requests: Sequence[SweepRequest]) -> None:
+    """One run shares one executor, so its requests differ only in S."""
+
+    def context(request: SweepRequest) -> tuple:
+        return (
+            request.collective, id(request.topology), request.root,
+            request.encoding, request.prune, request.backend,
+            request.time_limit, request.conflict_limit,
+            request.stop_at_first_sat, id(request.bounds),
+        )
+
+    first = context(requests[0])
+    if any(context(request) != first for request in requests[1:]):
+        raise DispatchError("the requests of one run must differ only in steps/candidates")
+
+
+def _plan_probes(request: SweepRequest) -> Optional[ProbePlan]:
+    """The bounds ledger's verdict on this sweep's candidates (None unseeded).
+
+    Planned *before* any cache lookup, so warm replays make the same
+    probe/cut/prune decisions as the cold run that filled the cache.
+    """
+    if request.bounds is None:
+        return None
+    return request.bounds.plan(request.steps, request.candidates)
+
+
+def _cached_result(probe: Probe, cache: Optional[AlgorithmCache]):
+    """Resolve one probe against the cache (None on a miss or no cache)."""
+    if cache is None:
+        return None
+    request = probe.request
+    return lookup_result(
+        cache, probe.instance(), encoding=request.encoding, prune=request.prune
+    )
+
+
+def _cut_for(request: SweepRequest, plan: ProbePlan, index: int, cache):
+    """Materialize the synthetic UNSAT for a cut candidate (and persist it)."""
+    rounds, chunks = request.candidates[index]
+    result = cut_result(
+        request.collective, request.topology, request.steps, rounds, chunks,
+        root=request.root, witness=plan.witnesses.get(index),
+    )
+    if cache is not None:
+        store_result(cache, result, encoding=request.encoding, prune=request.prune)
+    return result
 
 
 def _commit_sweep_telemetry(
     strategy: str, request: SweepRequest, outcome: SweepOutcome
 ) -> None:
-    """Publish one committed sweep: metrics registry + performance archive.
+    """Publish one finished sweep: metrics registry + performance archive.
 
-    Called exactly once per committed sweep by every dispatcher (the
-    speculative path calls it from ``_try_commit``, whose discarded partial
-    replays never reach here), so the archive's ``sweep`` records and the
-    ``repro_bounds_candidates_total`` series agree by construction.
+    Called once per sweep, from the stats the caller reports, so the
+    archive's ``sweep`` records and the ``repro_bounds_candidates_total``
+    series equal the :class:`SweepStats` totals by construction.
     """
-    from ..telemetry import exact_quantiles, record_run
-
-    _publish_bounds_metrics(outcome.stats)
+    stats = outcome.stats
+    for action, count in (
+        ("probed", stats.candidates_probed),
+        ("pruned", stats.probes_pruned),
+        ("cut", stats.probes_cut),
+    ):
+        if count:
+            get_metrics().inc(
+                "repro_bounds_candidates_total", value=float(count), action=action
+            )
     solved = [r for r in outcome.results if not r.cache_hit]
     first_sat = outcome.first_sat
     record_run(
@@ -212,952 +483,167 @@ def _commit_sweep_telemetry(
                 [r.solve_time for r in solved]
             ).items()
         },
-        extra=outcome.stats.as_dict(),
+        extra=stats.as_dict(),
     )
 
 
-def _cached_result(request: SweepRequest, rounds: int, chunks: int, cache):
-    """Resolve one candidate against the cache (None on a miss or no cache)."""
-    if cache is None:
-        return None
-    instance = make_instance(
-        request.collective, request.topology, chunks,
-        request.steps, rounds, root=request.root,
-    )
-    return lookup_result(
-        cache, instance, encoding=request.encoding, prune=request.prune
-    )
-
-
-def _plan_probes(request: SweepRequest) -> Optional[ProbePlan]:
-    """The bounds ledger's verdict on this sweep's candidates (None unseeded).
-
-    Planned *before* any cache lookup, so warm replays make the same
-    probe/cut/prune decisions as the cold run that filled the cache.
-    """
-    if request.bounds is None:
-        return None
-    return request.bounds.plan(request.steps, request.candidates)
-
-
-def _plan_action(plan: Optional[ProbePlan], index: int) -> str:
-    return PROBE if plan is None else plan.actions[index]
-
-
-def _cut_for(request: SweepRequest, plan: ProbePlan, index: int, cache):
-    """Materialize the synthetic UNSAT for a cut candidate (and persist it)."""
-    rounds, chunks = request.candidates[index]
-    result = cut_result(
-        request.collective, request.topology, request.steps, rounds, chunks,
-        root=request.root, witness=plan.witnesses.get(index),
-    )
-    if cache is not None:
-        store_result(cache, result, encoding=request.encoding, prune=request.prune)
-    return result
-
-
-class SerialDispatcher:
-    """Cold encode+solve per candidate — the seed behaviour, cache-aware."""
-
-    name = "serial"
-
-    def sweep(self, request: SweepRequest, cache: Optional[AlgorithmCache] = None) -> SweepOutcome:
-        from ..core.synthesizer import synthesize
-
-        outcome = SweepOutcome()
-        plan = _plan_probes(request)
-        with get_tracer().span(
-            "sweep", strategy=self.name, S=request.steps,
-            collective=request.collective,
-        ):
-            for index, (rounds, chunks) in enumerate(request.candidates):
-                action = _plan_action(plan, index)
-                if action == PRUNE:
-                    outcome.stats.probes_pruned += 1
-                    continue
-                if action == CUT:
-                    outcome.stats.probes_cut += 1
-                    outcome.results.append(_cut_for(request, plan, index, cache))
-                    continue
-                instance = make_instance(
-                    request.collective, request.topology, chunks,
-                    request.steps, rounds, root=request.root,
-                )
-                result = synthesize(
-                    instance,
-                    encoding=request.encoding,
-                    prune=request.prune,
-                    time_limit=request.time_limit,
-                    conflict_limit=request.conflict_limit,
-                    backend=request.backend,
-                    cache=cache,
-                )
-                _account(outcome.stats, result)
-                if request.bounds is not None:
-                    request.bounds.observe(result)
-                outcome.results.append(result)
-                if result.is_sat and request.stop_at_first_sat:
-                    break
-        _commit_sweep_telemetry(self.name, request, outcome)
-        return outcome
-
-
-class IncrementalDispatcher:
-    """Assumption-based probing over shared-prefix family encodings.
-
-    Each sweep is served by a :class:`SessionFamily` held across ``sweep``
-    calls, so a whole Pareto run pays one encoding per step count — every
-    ``(R, C)`` candidate is an assumption frame over it — and the
-    reachability analysis behind variable pruning is computed once per
-    (collective, topology).  Falls back to the serial dispatcher for the
-    naive ablation encoding, which has no selector layers.
-    """
-
-    name = "incremental"
-
-    def __init__(self) -> None:
-        self._families: Dict[tuple, SessionFamily] = {}
-
-    def _family(self, request: SweepRequest) -> SessionFamily:
-        key = (
-            request.collective, id(request.topology), request.root,
-            request.prune, request.backend or "",
-        )
-        family = self._families.get(key)
-        if family is None:
-            family = SessionFamily(
-                request.collective,
-                request.topology,
-                root=request.root,
-                prune=request.prune,
-                backend=request.backend,
-            )
-            self._families[key] = family
-        return family
-
-    def sweep(self, request: SweepRequest, cache: Optional[AlgorithmCache] = None) -> SweepOutcome:
-        if request.encoding != "sccl":
-            return SerialDispatcher().sweep(request, cache)
-
-        outcome = SweepOutcome()
-        family = self._family(request)
-        plan = _plan_probes(request)
-        # Size-adaptive family budget: the chunk selector starts at the first
-        # probed candidate's C and grows on demand (SessionFamily extends the
-        # chunk layer in place), so a sweep whose large-C candidates were all
-        # pruned never pays for their selector variables.  Rounds overflow
-        # forces a rebuild, so the rounds budget is still sized up front —
-        # but only over the candidates that will actually be probed.
-        max_rounds = max(
-            (
-                r
-                for index, (r, _) in enumerate(request.candidates)
-                if _plan_action(plan, index) == PROBE
-            ),
-            default=request.steps,
-        )
-        tracer = get_tracer()
-        with tracer.span(
-            "sweep", strategy=self.name, S=request.steps,
-            collective=request.collective,
-        ):
-            for index, (rounds, chunks) in enumerate(request.candidates):
-                action = _plan_action(plan, index)
-                if action == PRUNE:
-                    outcome.stats.probes_pruned += 1
-                    continue
-                if action == CUT:
-                    outcome.stats.probes_cut += 1
-                    outcome.results.append(_cut_for(request, plan, index, cache))
-                    continue
-                cached = _cached_result(request, rounds, chunks, cache)
-                if cached is not None:
-                    result = cached
-                    outcome.stats.cache_hits += 1
-                    outcome.stats.candidates_probed += 1
-                    # family.solve was never entered, so emit the replayed
-                    # candidate's probe event here (zero duration).
-                    tracer.instant(
-                        "probe",
-                        collective=request.collective, C=chunks,
-                        S=request.steps, R=rounds,
-                        verdict=result.status.value, cache_hit=True,
-                        backend=result.backend,
-                    )
-                else:
-                    before = family.encode_calls
-                    result = family.solve(
-                        request.steps,
-                        chunks,
-                        rounds,
-                        max_rounds=max_rounds,
-                        time_limit=request.time_limit,
-                        conflict_limit=request.conflict_limit,
-                    )
-                    outcome.stats.encode_calls += family.encode_calls - before
-                    outcome.stats.solver_calls += 1
-                    outcome.stats.candidates_probed += 1
-                    if result.is_unknown and request.unknown_retry:
-                        result = self._retry_exact(request, rounds, chunks, result, outcome)
-                    if cache is not None:
-                        store_result(
-                            cache, result, encoding=request.encoding, prune=request.prune
-                        )
-                if request.bounds is not None:
-                    request.bounds.observe(result)
-                outcome.results.append(result)
-                if result.is_sat and request.stop_at_first_sat:
-                    break
-        _commit_sweep_telemetry(self.name, request, outcome)
-        return outcome
-
-    @staticmethod
-    def _retry_exact(
-        request: SweepRequest, rounds: int, chunks: int, family_result, outcome: SweepOutcome
-    ):
-        """The deterministic UNKNOWN policy (see :class:`SweepRequest`).
-
-        A family frame solves a *larger* shared formula under assumptions,
-        so it can exhaust a budget where the standalone formula would not —
-        and the serial strategy, which always solves standalone formulas,
-        would then disagree with this one on the frontier.  Retrying the
-        exact formula with the same per-probe budget restores agreement;
-        the family's SAT/UNSAT verdicts are sound and are never retried.
-        """
-        from ..core.synthesizer import synthesize
-
-        instance = make_instance(
-            request.collective, request.topology, chunks,
-            request.steps, rounds, root=request.root,
-        )
-        retry = synthesize(
-            instance,
-            encoding=request.encoding,
-            prune=request.prune,
-            time_limit=request.time_limit,
-            conflict_limit=request.conflict_limit,
-            backend=request.backend,
-        )
-        outcome.stats.unknown_retries += 1
-        outcome.stats.encode_calls += 1
-        outcome.stats.solver_calls += 1
-        return retry if not retry.is_unknown else family_result
-
-
-# ----------------------------------------------------------------------
-# Process-pool workers
-# ----------------------------------------------------------------------
-#: Per-worker sweep context installed by the pool initializer, so the
-#: request payload (topology object, limits, backend objects) is pickled
-#: once per worker instead of once per candidate task.
-_WORKER_SHARED: Optional[dict] = None
-
-
-def _init_candidate_worker(shared: dict) -> None:
-    """Pool initializer: install the shared sweep context in this worker.
-
-    A worker process starts with a fresh registry (only the default and
-    any import-time backends), so runtime-registered backends travel as
-    pickled objects once per worker and are re-registered here.
-    """
-    global _WORKER_SHARED
-    from .backends import register_backend
-
-    for backend_obj in shared.get("backend_objs", ()):
-        register_backend(backend_obj, replace=True)
-    _WORKER_SHARED = shared
-
-
-def _solve_candidate_worker(task: Tuple[int, int, int, Optional[str], bool]):
-    """Solve one interned ``(steps, rounds, chunks, backend, store)`` task."""
-    from ..core.synthesizer import synthesize
-
-    shared = _WORKER_SHARED
-    if shared is None:  # pragma: no cover - initializer contract
-        raise DispatchError("worker used before _init_candidate_worker ran")
-    steps, rounds, chunks, backend, store_cache = task
-    cache = (
-        AlgorithmCache(shared["cache_dir"])
-        if shared["cache_dir"] and store_cache
-        else None
-    )
-    instance = make_instance(
-        shared["collective"], shared["topology"], chunks, steps, rounds,
-        root=shared["root"],
-    )
-    kwargs = dict(
-        encoding=shared["encoding"],
-        prune=shared["prune"],
-        time_limit=shared["time_limit"],
-        conflict_limit=shared["conflict_limit"],
-        backend=backend,
-        cache=cache,
-    )
-    if not shared.get("trace"):
-        return synthesize(instance, **kwargs)
-    # The parent is tracing: record this probe with a private worker tracer
-    # and ship the span forest back in the pickled result.  The parent
-    # re-parents it under its sweep span, keeping this process's pid/tid.
-    from ..telemetry import Tracer, tracing
-
-    tracer = Tracer()
-    with tracing(tracer):
-        result = synthesize(instance, **kwargs)
-    result.trace = tracer.export()
-    return result
-
-
-def _shared_payload(
-    request: SweepRequest,
-    cache: Optional[AlgorithmCache],
-    backend_objs: Sequence[object],
-) -> dict:
-    return {
-        "collective": request.collective,
-        "topology": request.topology,
-        "root": request.root,
-        "encoding": request.encoding,
-        "prune": request.prune,
-        "time_limit": request.time_limit,
-        "conflict_limit": request.conflict_limit,
-        "cache_dir": str(cache.root) if cache is not None else None,
-        "backend_objs": list(backend_objs),
-        "trace": get_tracer().enabled,
-    }
-
-
-def _ingest_worker_result(result, span) -> None:
-    """Fold one pool-worker result into the parent's telemetry.
-
-    Worker processes run with their own (discarded) metrics registry, so
-    the parent replays the per-result counters here — for *every* worker
-    completion it consumes, including speculative losers: the solver time
-    was honestly spent even when the replay rule later discards the
-    result.  Worker-recorded spans are grafted under ``span`` with their
-    original pid/tid so Perfetto renders one track per worker.
-    """
-    metrics = get_metrics()
-    if result.cache_hit:
-        metrics.inc("repro_cache_lookups_total", outcome="hit")
-    else:
-        metrics.inc("repro_solver_calls_total", backend=result.backend)
-        metrics.observe(
-            "repro_solve_seconds", result.solve_time, backend=result.backend
-        )
-        metrics.observe("repro_encode_seconds", result.encode_time)
-    if result.trace:
-        if isinstance(span, Span):
-            span.adopt(result.trace)
-        result.trace = None
-
-
-class ParallelDispatcher:
-    """Process-pool fan-out with deterministic serial-replay semantics."""
-
-    name = "parallel"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise DispatchError("max_workers must be at least 1")
-        self.max_workers = max_workers
-
-    def sweep(self, request: SweepRequest, cache: Optional[AlgorithmCache] = None) -> SweepOutcome:
-        # Fail fast on unknown backend names before spawning any workers.
-        backend_obj = get_backend(request.backend)
-        candidates = list(request.candidates)
-        if len(candidates) <= 1 or self.max_workers == 1:
-            return SerialDispatcher().sweep(request, cache)
-
-        outcome = SweepOutcome()
-        plan = _plan_probes(request)
-        tracer = get_tracer()
-        with tracer.span(
-            "sweep", strategy=self.name, S=request.steps,
-            collective=request.collective,
-        ) as sweep_span:
-            # Fast path: resolve cuts and cache hits in-process before
-            # spawning workers; pruned candidates never reach the pool (or
-            # the cache).
-            results: List = [None] * len(candidates)
-            pending: List[int] = []
-            parent_hits: Set[int] = set()
-            for index, (rounds, chunks) in enumerate(candidates):
-                action = _plan_action(plan, index)
-                if action == PRUNE:
-                    continue  # accounted during the ordered replay below
-                if action == CUT:
-                    results[index] = _cut_for(request, plan, index, cache)
-                    continue
-                cached = _cached_result(request, rounds, chunks, cache)
-                if cached is not None:
-                    results[index] = cached
-                    parent_hits.add(index)
-                else:
-                    pending.append(index)
-
-            if request.stop_at_first_sat:
-                # A SAT cache hit already decides the sweep at its position;
-                # candidates after it would be discarded by the replay.
-                for index, cached in enumerate(results):
-                    if cached is not None and cached.is_sat:
-                        pending = [i for i in pending if i < index]
-                        break
-
-            if pending:
-                shared = _shared_payload(request, cache, [backend_obj])
-                workers = min(self.max_workers or os.cpu_count() or 1, len(pending))
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_init_candidate_worker,
-                    initargs=(shared,),
-                ) as pool:
-                    try:
-                        futures = {
-                            index: pool.submit(
-                                _solve_candidate_worker,
-                                (
-                                    request.steps,
-                                    candidates[index][0],
-                                    candidates[index][1],
-                                    request.backend,
-                                    True,
-                                ),
-                            )
-                            for index in pending
-                        }
-                        # Consume in candidate order; once the decisive ordered
-                        # prefix is resolved (first SAT under stop_at_first_sat),
-                        # cancel the rest — their results would be discarded by
-                        # the replay anyway.
-                        for index in pending:
-                            results[index] = futures[index].result()
-                            _ingest_worker_result(results[index], sweep_span)
-                            if results[index].is_sat and request.stop_at_first_sat:
-                                break
-                    finally:
-                        pool.shutdown(wait=False, cancel_futures=True)
-
-            # Replay the serial decision rule over the ordered results so the
-            # observable outcome is identical to SerialDispatcher's.
-            for index, result in enumerate(results):
-                action = _plan_action(plan, index)
-                if action == PRUNE:
-                    outcome.stats.probes_pruned += 1
-                    continue
-                if result is None:
-                    break  # probes past the first SAT that were cancelled
-                if action == CUT:
-                    outcome.stats.probes_cut += 1
-                    outcome.results.append(result)
-                    continue
-                if index in parent_hits:
-                    # Resolved from the parent's cache before the pool ran:
-                    # no worker span exists, so emit the probe event here.
-                    tracer.instant(
-                        "probe",
-                        collective=request.collective,
-                        C=candidates[index][1], S=request.steps,
-                        R=candidates[index][0],
-                        verdict=result.status.value, cache_hit=True,
-                        backend=result.backend,
-                    )
-                _account(outcome.stats, result)
-                if request.bounds is not None:
-                    request.bounds.observe(result)
-                outcome.results.append(result)
-                if result.is_sat and request.stop_at_first_sat:
-                    break
-        _commit_sweep_telemetry(self.name, request, outcome)
-        return outcome
-
-
-# ----------------------------------------------------------------------
-# Speculative cross-S pipeline
-# ----------------------------------------------------------------------
-@dataclass
-class _SweepState:
-    """In-flight bookkeeping for one request of a speculative batch."""
-
-    request: SweepRequest
-    candidates: List[Tuple[int, int]]
-    results: List  # Optional[SynthesisResult] per candidate index
-    inflight: Set[int] = field(default_factory=set)  # indices awaiting a verdict
-    sat_bound: Optional[int] = None  # smallest index known SAT
-    verdicts: Dict[int, List] = field(default_factory=dict)  # portfolio returns
-    #: Free-floating "sweep" span for this step count (``tracer.open``) —
-    #: several stay open at once while the pipeline speculates; closed with
-    #: ``committed=True/False`` at commit / batch teardown.  ``NULL_SPAN``
-    #: (not a :class:`Span`) when tracing is disabled.
-    span: object = None
-    #: Indices resolved from the parent's cache at prepare time; their
-    #: probe events are synthesized at commit (workers never saw them).
-    cached: Set[int] = field(default_factory=set)
-
-    def note_sat(self, index: int) -> None:
-        if self.sat_bound is None or index < self.sat_bound:
-            self.sat_bound = index
-
-
-class SpeculativeDispatcher:
-    """Cross-``S`` speculative fan-out with deterministic cost-order commits.
-
-    :meth:`sweep_many` receives the whole sweep sequence (one request per
-    step count, in enumeration order) plus an optional ``stop`` predicate
-    (Algorithm 1's bandwidth-optimality test).  Candidates are fanned over
-    one process pool: the current step count's probes are submitted first
-    and the next ``lookahead`` step counts are kept in flight behind them,
-    so the pool never drains while a slow UNSAT proof blocks the frontier
-    decision.  Completion order is arbitrary, but results are *committed*
-    strictly in (step count, cost) order and each sweep is truncated by the
-    serial first-SAT rule, so the observable outcome — and therefore the
-    Pareto frontier — is byte-identical to running the serial dispatcher
-    over the same sequence.  Losers are cancelled as soon as a cheaper SAT
-    or a satisfied ``stop`` predicate makes them irrelevant; a cancelled
-    sweep simply never produces an outcome (its slot stays ``None``).
-
-    ``portfolio`` names several registered solver backends to race on every
-    candidate: the first SAT/UNSAT verdict wins and the sibling runs are
-    cancelled; UNKNOWN only wins when every backend returns it.  Racing
-    keeps the *frontier signatures* deterministic (satisfiability does not
-    depend on the winner) but the decoded schedules may vary run to run
-    with which backend answers first, so the byte-identity contract holds
-    only for the default single-backend configuration.  With a portfolio
-    the dispatcher writes only committed winners back to the cache, so a
-    warm replay serves exactly the schedules this run reported.
-    """
-
-    name = "speculative"
+class Dispatcher:
+    """The one ordered sweep loop, parameterized by an executor factory."""
 
     def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        *,
-        lookahead: int = 1,
-        portfolio: Optional[Sequence[str]] = None,
-        quarantine: Optional[BackendQuarantine] = None,
+        self, name: str, make_executor: Callable[[SweepRequest], Executor]
     ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise DispatchError("max_workers must be at least 1")
-        if lookahead < 0:
-            raise DispatchError("lookahead must be non-negative")
-        self.max_workers = max_workers
-        self.lookahead = lookahead
-        self.portfolio: Optional[Tuple[str, ...]] = (
-            tuple(portfolio) if portfolio else None
-        )
-        if self.portfolio is not None and len(set(self.portfolio)) != len(self.portfolio):
-            raise DispatchError("portfolio backends must be distinct")
-        self.quarantine = quarantine if quarantine is not None else QUARANTINE
+        self.name = name
+        self._make_executor = make_executor
 
-    # ------------------------------------------------------------------
-    def sweep(self, request: SweepRequest, cache: Optional[AlgorithmCache] = None) -> SweepOutcome:
-        if self.portfolio is None and (
-            len(request.candidates) <= 1 or self.max_workers == 1
-        ):
-            # Nothing to speculate over; skip the pool like the parallel path.
-            get_backend(request.backend)
-            return SerialDispatcher().sweep(request, cache)
-        outcome = self.sweep_many([request], cache=cache)[0]
-        assert outcome is not None  # a single request is never skipped
-        return outcome
+    def sweep(
+        self, request: SweepRequest, cache: Optional[AlgorithmCache] = None
+    ) -> SweepOutcome:
+        """Run one request on its own."""
+        return self.run([request], cache=cache)[0]
 
-    # ------------------------------------------------------------------
-    def sweep_many(
+    def run(
         self,
         requests: Sequence[SweepRequest],
         cache: Optional[AlgorithmCache] = None,
         stop: Optional[Callable[[SweepOutcome], bool]] = None,
-    ) -> List[Optional[SweepOutcome]]:
-        """Execute the sweep sequence, speculating past undecided step counts.
+    ) -> List[SweepOutcome]:
+        """Sweep the requests in order until ``stop`` accepts an outcome.
 
-        Returns one entry per request, in order: a :class:`SweepOutcome`
-        for every sweep that was committed, then ``None`` for sweeps that
-        were cancelled because ``stop`` accepted an earlier outcome.  The
-        committed prefix is exactly the sequence of outcomes a serial loop
-        calling ``sweep`` per request (and breaking when ``stop`` fires)
-        would have produced.
+        Returns the outcomes of the sweeps that ran — all of them, or the
+        prefix ending with the one ``stop`` accepted (Algorithm 1's
+        bandwidth-optimality test).  ``stop`` is called once per outcome,
+        in order, before the next sweep starts.
         """
         requests = list(requests)
         if not requests:
             return []
-        self._check_uniform(requests)
-        backends = (
-            list(self.portfolio)
-            if self.portfolio is not None
-            else [requests[0].backend]
-        )
-        # Fail fast on unknown backend names before spawning any workers.
-        backend_objs = [get_backend(name) for name in backends]
-
+        _check_uniform(requests)
+        # Fail fast on an unknown backend name, before any executor work.
+        get_backend(requests[0].backend)
+        executor = self._make_executor(requests[0])
         tracer = get_tracer()
-        batch_ctx = tracer.span(
-            "sweep_batch", strategy=self.name, sweeps=len(requests),
-            collective=requests[0].collective,
-        )
-        with batch_ctx:
-            return self._sweep_many_traced(requests, cache, stop, backends, backend_objs)
+        replays: Dict[Tuple[int, int, int], object] = {}
 
-    def _sweep_many_traced(
-        self,
-        requests: List[SweepRequest],
-        cache: Optional[AlgorithmCache],
-        stop: Optional[Callable[[SweepOutcome], bool]],
-        backends: List[Optional[str]],
-        backend_objs: List[object],
-    ) -> List[Optional[SweepOutcome]]:
-        states = [self._prepare_state(request, cache) for request in requests]
-        outcomes: List[Optional[SweepOutcome]] = [None] * len(requests)
+        def lookup(probe: Probe):
+            """The cache's answer for ``probe``, asked at most once per run."""
+            if probe.key not in replays:
+                replays[probe.key] = _cached_result(probe, cache)
+            return replays[probe.key]
 
-        total_tasks = sum(len(state.inflight) for state in states)
-        if total_tasks == 0:
-            # Every candidate was cut, pruned or cached; commit poollessly.
-            for index, state in enumerate(states):
-                outcomes[index] = self._try_commit(state)
-                self._persist_cuts(outcomes[index], requests[index], cache)
-                if stop is not None and stop(outcomes[index]):
-                    break
-            for index, state in enumerate(states):
-                self._close_sweep_span(state, committed=outcomes[index] is not None)
-            return outcomes
+        def misses(request: SweepRequest, plan: Optional[ProbePlan]) -> Iterator[Probe]:
+            """The probes of ``request`` an executor may be asked for."""
+            for index, (rounds, chunks) in enumerate(request.candidates):
+                if plan is not None and plan.actions[index] != PROBE:
+                    continue
+                probe = Probe(request, rounds, chunks)
+                cached = lookup(probe)
+                if cached is None:
+                    yield probe
+                elif cached.is_sat and request.stop_at_first_sat:
+                    return
 
-        shared = _shared_payload(requests[0], cache, backend_objs)
-        workers = min(
-            self.max_workers or os.cpu_count() or 1,
-            max(1, total_tasks * len(backends)),
-        )
-        futures: Dict[object, Tuple[int, int, str]] = {}
-        candidate_futures: Dict[Tuple[int, int], List[object]] = {}
-        decided = 0
-        submitted = 0
-
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_candidate_worker,
-            initargs=(shared,),
-        )
+        outcomes: List[SweepOutcome] = []
         try:
-            def active_backends() -> List[Optional[str]]:
-                """The portfolio minus quarantined members (never empty).
-
-                Quarantine filtering happens at submit time, so a backend
-                benched mid-batch stops receiving new candidates while its
-                in-flight ones drain normally.  If *every* portfolio member
-                is benched the full portfolio runs anyway — refusing to
-                solve would be worse than racing flaky solvers.
-                """
-                if self.portfolio is None:
-                    return list(backends)
-                healthy = [
-                    name for name in backends
-                    if not self.quarantine.is_quarantined(name)
-                ]
-                return healthy or list(backends)
-
-            def submit_request(index: int) -> None:
-                state = states[index]
-                if state.request.bounds is not None:
-                    # Re-plan with everything committed so far: candidates
-                    # that became dominance-pruned since prepare time are
-                    # dropped before they ever reach the pool.  Pruning is
-                    # monotone (the frontier cap only tightens), so a
-                    # trimmed candidate stays pruned at commit time.
-                    replanned = _plan_probes(state.request)
-                    for cand in list(state.inflight):
-                        if replanned.actions[cand] != PROBE:
-                            state.inflight.discard(cand)
-                store = self.portfolio is None
-                racers = active_backends()
-                for cand in sorted(state.inflight):
-                    rounds, chunks = state.candidates[cand]
-                    group = candidate_futures.setdefault((index, cand), [])
-                    for backend in racers:
-                        future = pool.submit(
-                            _solve_candidate_worker,
-                            (state.request.steps, rounds, chunks, backend, store),
-                        )
-                        futures[future] = (index, cand, backend)
-                        group.append(future)
-
-            def cancel_candidate(index: int, cand: int) -> None:
-                state = states[index]
-                for future in candidate_futures.get((index, cand), ()):
-                    future.cancel()
-                if state.results[cand] is None:
-                    state.inflight.discard(cand)
-
-            # Keep the current sweep plus `lookahead` speculative ones in
-            # flight; FIFO pool order makes earlier step counts run first.
-            while submitted < len(requests) and submitted <= decided + self.lookahead:
-                submit_request(submitted)
-                submitted += 1
-
-            while decided < len(requests):
-                outcome = self._try_commit(states[decided])
-                if outcome is not None:
-                    if cache is not None and self.portfolio is not None:
-                        # Only committed winners are persisted under a
-                        # portfolio, so warm replays match this run.  Cut
-                        # results are handled below for both configurations.
-                        for result in outcome.results:
-                            if not result.cache_hit and result.provenance != "cut":
+            for position, request in enumerate(requests):
+                # This step count is now current: plan it against everything
+                # the ledger has learned, and plan the lookahead the same way
+                # (a hint only — each is planned again when its turn comes,
+                # and pruning is monotone, so a hint never misses a probe).
+                window = requests[position:position + 1 + executor.lookahead]
+                plans = [_plan_probes(ahead) for ahead in window]
+                executor.prefetch([
+                    probe
+                    for ahead, ahead_plan in zip(window, plans)
+                    for probe in misses(ahead, ahead_plan)
+                ])
+                plan = plans[0]
+                outcome = SweepOutcome()
+                stats = outcome.stats
+                with tracer.span(
+                    "sweep", strategy=self.name, S=request.steps,
+                    collective=request.collective,
+                ) as sweep_span:
+                    for index, (rounds, chunks) in enumerate(request.candidates):
+                        action = PROBE if plan is None else plan.actions[index]
+                        if action == PRUNE:
+                            stats.probes_pruned += 1
+                            continue
+                        if action == CUT:
+                            stats.probes_cut += 1
+                            outcome.results.append(_cut_for(request, plan, index, cache))
+                            continue
+                        probe = Probe(request, rounds, chunks)
+                        stats.candidates_probed += 1
+                        result = lookup(probe)
+                        if result is not None:
+                            stats.cache_hits += 1
+                            # No executor ran, so the replayed candidate's
+                            # probe event is emitted here (zero duration).
+                            tracer.instant(
+                                "probe",
+                                collective=request.collective, C=chunks,
+                                S=request.steps, R=rounds,
+                                verdict=result.status.value, cache_hit=True,
+                                backend=result.backend,
+                            )
+                        else:
+                            before = executor.encode_calls
+                            result = executor.result(probe)
+                            stats.encode_calls += executor.encode_calls - before
+                            stats.solver_calls += 1
+                            if result.is_unknown and not executor.exact:
+                                # The deterministic UNKNOWN policy: a derived
+                                # formula is larger than the exact one, so it
+                                # can exhaust a budget where the exact formula
+                                # would not — and the exact-formula strategies
+                                # would then disagree on the frontier.  SAT
+                                # and UNSAT answers are sound, never retried.
+                                retry = _solve_exact(probe)
+                                stats.unknown_retries += 1
+                                stats.encode_calls += 1
+                                stats.solver_calls += 1
+                                if not retry.is_unknown:
+                                    result = retry
+                            if result.trace:
+                                sweep_span.adopt(result.trace)
+                                result.trace = None
+                            if cache is not None:
                                 store_result(
                                     cache, result,
-                                    encoding=requests[0].encoding,
-                                    prune=requests[0].prune,
+                                    encoding=request.encoding, prune=request.prune,
                                 )
-                    self._persist_cuts(outcome, requests[0], cache)
-                    outcomes[decided] = outcome
-                    self._close_sweep_span(states[decided], committed=True)
-                    decided += 1
-                    if stop is not None and stop(outcome):
-                        break  # later step counts are speculative losers
-                    while (
-                        submitted < len(requests)
-                        and submitted <= decided + self.lookahead
-                    ):
-                        submit_request(submitted)
-                        submitted += 1
-                    continue
-                if not futures:  # pragma: no cover - commit/wait invariant
-                    raise DispatchError("speculative sweep stalled with no futures")
-                done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-                for future in done:
-                    index, cand, backend = futures.pop(future)
-                    state = states[index]
-                    if future.cancelled():
-                        if state.results[cand] is None:
-                            state.inflight.discard(cand)
-                        continue
-                    result = future.result()  # worker errors propagate
-                    # Crash counters travel back from the worker process in
-                    # the result's solver stats; fold them into the parent's
-                    # quarantine so submit-time filtering sees them.
-                    self._note_backend_health(result)
-                    _ingest_worker_result(result, state.span)
-                    expected = len(candidate_futures.get((index, cand), ()))
-                    self._record(state, cand, backend, result, expected)
-                    if state.results[cand] is None:
-                        continue  # portfolio race still undecided
-                    # The race is decided: stop the losing sibling backends
-                    # (queued ones are cancelled; running ones finish and
-                    # are dropped by _record).
-                    for sibling in candidate_futures.get((index, cand), ()):
-                        if sibling is not future:
-                            sibling.cancel()
-                    if state.results[cand].is_sat and state.request.stop_at_first_sat:
-                        state.note_sat(cand)
-                        for later in list(state.inflight):
-                            if later > cand:
-                                cancel_candidate(index, later)
+                        if request.bounds is not None:
+                            request.bounds.observe(result)
+                        outcome.results.append(result)
+                        if result.is_sat and request.stop_at_first_sat:
+                            break
+                _commit_sweep_telemetry(self.name, request, outcome)
+                outcomes.append(outcome)
+                if stop is not None and stop(outcome):
+                    break
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-            # Close cancelled/abandoned sweep spans; committed ones already
-            # closed (close is idempotent, so this is a no-op for them).
-            for state in states:
-                self._close_sweep_span(state, committed=False)
+            executor.close()
         return outcomes
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _close_sweep_span(state: _SweepState, *, committed: bool) -> None:
-        """Finish one step count's free-floating sweep span (idempotent)."""
-        if isinstance(state.span, Span):
-            get_tracer().close(state.span, committed=committed)
-
-    @staticmethod
-    def _persist_cuts(
-        outcome: Optional[SweepOutcome], request: SweepRequest, cache
-    ) -> None:
-        """Persist commit-time cut results so warm replays see provenance."""
-        if cache is None or outcome is None:
-            return
-        for result in outcome.results:
-            if result.provenance == "cut" and not result.cache_hit:
-                store_result(
-                    cache, result, encoding=request.encoding, prune=request.prune
-                )
-
-    @staticmethod
-    def _check_uniform(requests: Sequence[SweepRequest]) -> None:
-        def context(request: SweepRequest) -> tuple:
-            return (
-                request.collective, id(request.topology), request.root,
-                request.encoding, request.prune, request.backend,
-                request.time_limit, request.conflict_limit,
-                request.stop_at_first_sat, id(request.bounds),
-            )
-
-        first = context(requests[0])
-        for request in requests[1:]:
-            if context(request) != first:
-                raise DispatchError(
-                    "sweep_many requests must differ only in steps/candidates"
-                )
-
-    def _prepare_state(
-        self, request: SweepRequest, cache: Optional[AlgorithmCache]
-    ) -> _SweepState:
-        candidates = list(request.candidates)
-        state = _SweepState(
-            request=request, candidates=candidates, results=[None] * len(candidates)
-        )
-        state.span = get_tracer().open(
-            "sweep", strategy=self.name, S=request.steps,
-            collective=request.collective,
-        )
-        plan = _plan_probes(request)
-        pending: List[int] = []
-        for index, (rounds, chunks) in enumerate(candidates):
-            if _plan_action(plan, index) != PROBE:
-                # Cut or pruned by the ledger: resolved at commit time with
-                # no solver work and no cache traffic.
-                continue
-            cached = _cached_result(request, rounds, chunks, cache)
-            if cached is not None:
-                state.results[index] = cached
-                state.cached.add(index)
-                if cached.is_sat and request.stop_at_first_sat:
-                    state.note_sat(index)
-            else:
-                pending.append(index)
-        if state.sat_bound is not None:
-            pending = [i for i in pending if i < state.sat_bound]
-        state.inflight = set(pending)
-        return state
-
-    def _note_backend_health(self, result) -> None:
-        """Feed a worker result's crash accounting into the quarantine."""
-        stats = getattr(result, "solver_stats", None) or {}
-        exhausted = int(stats.get("exhausted_calls", 0) or 0)
-        if exhausted:
-            for _ in range(exhausted):
-                self.quarantine.record_crash(result.backend)
-        elif not result.is_unknown and not result.cache_hit:
-            self.quarantine.record_success(result.backend)
-
-    def _record(
-        self, state: _SweepState, cand: int, backend: str, result, expected: int
-    ) -> None:
-        """Fold one worker return into the candidate's verdict.
-
-        ``expected`` is how many racers were submitted for this candidate
-        (quarantine filtering makes it per-candidate, not the portfolio
-        size).
-        """
-        if state.results[cand] is not None:
-            return  # a sibling already decided this candidate
-        if self.portfolio is None:
-            state.results[cand] = result
-            state.inflight.discard(cand)
-            return
-        if not result.is_unknown:
-            # First definite verdict wins the race.
-            state.results[cand] = result
-            state.inflight.discard(cand)
-            return
-        returned = state.verdicts.setdefault(cand, [])
-        returned.append(result)
-        if len(returned) >= expected:
-            # Every racer gave up within its limits: UNKNOWN it is.
-            state.results[cand] = returned[0]
-            state.inflight.discard(cand)
-
-    @staticmethod
-    def _try_commit(state: _SweepState) -> Optional[SweepOutcome]:
-        """Replay the serial decision rule once the ordered prefix is known.
-
-        With a bounds ledger the plan is recomputed *at commit time*:
-        commits happen strictly in step-count order and verdicts are fed to
-        the ledger only on successful commits, so the ledger state here is
-        exactly what a serial run would have seen when it planned this
-        sweep — speculative over-submission never changes the outcome.
-        """
-        request = state.request
-        plan = _plan_probes(request)
-        outcome = SweepOutcome()
-        observed: List = []
-        committed_cached: List[int] = []
-        for index in range(len(state.candidates)):
-            action = _plan_action(plan, index)
-            if action == PRUNE:
-                outcome.stats.probes_pruned += 1
-                continue
-            if action == CUT:
-                outcome.stats.probes_cut += 1
-                outcome.results.append(_cut_for(request, plan, index, None))
-                continue
-            result = state.results[index]
-            if result is None:
-                if index in state.inflight:
-                    return None  # the decision still depends on this probe
-                break  # cancelled loser past the first SAT
-            _account(outcome.stats, result)
-            outcome.results.append(result)
-            observed.append(result)
-            if index in state.cached:
-                committed_cached.append(index)
-            if result.is_sat and state.request.stop_at_first_sat:
-                break
-        if request.bounds is not None:
-            for result in observed:
-                request.bounds.observe(result)
-        # The commit succeeded (earlier attempts bail out above without
-        # side effects): publish telemetry exactly once per sweep.
-        if isinstance(state.span, Span):
-            # Candidates replayed from the parent's cache never reached a
-            # worker, so no span was recorded for them; synthesize their
-            # zero-duration probe events under this sweep's span.
-            for index in committed_cached:
-                result = state.results[index]
-                note = Span(
-                    "probe",
-                    {
-                        "collective": request.collective,
-                        "C": state.candidates[index][1],
-                        "S": request.steps,
-                        "R": state.candidates[index][0],
-                        "verdict": result.status.value,
-                        "cache_hit": True,
-                        "backend": result.backend,
-                    },
-                )
-                note._open = False
-                state.span.children.append(note)
-        _commit_sweep_telemetry("speculative", request, outcome)
-        return outcome
-
-
-STRATEGIES = {
-    "serial": SerialDispatcher,
-    "incremental": IncrementalDispatcher,
-    "parallel": ParallelDispatcher,
-    "speculative": SpeculativeDispatcher,
-}
 
 
 def make_dispatcher(
-    strategy: str = "incremental",
-    *,
-    max_workers: Optional[int] = None,
-    portfolio: Optional[Sequence[str]] = None,
-    lookahead: int = 1,
-):
-    """Build a dispatcher by strategy name."""
-    if strategy == "parallel":
-        if portfolio:
-            raise DispatchError(
-                "portfolio racing requires strategy='speculative'"
-            )
-        return ParallelDispatcher(max_workers=max_workers)
-    if strategy == "speculative":
-        return SpeculativeDispatcher(
-            max_workers=max_workers, lookahead=lookahead, portfolio=portfolio
-        )
-    if portfolio:
-        raise DispatchError("portfolio racing requires strategy='speculative'")
-    cls = STRATEGIES.get(strategy)
-    if cls is None:
+    strategy: str = "incremental", *, max_workers: Optional[int] = None
+) -> Dispatcher:
+    """The sweep loop with the executor ``strategy`` names."""
+    if strategy not in STRATEGIES:
         raise DispatchError(
-            f"unknown sweep strategy {strategy!r}; available: {sorted(STRATEGIES)}"
+            f"unknown sweep strategy {strategy!r}; available: {list(STRATEGIES)}"
         )
-    return cls()
+    if max_workers is not None and max_workers < 1:
+        raise DispatchError("max_workers must be at least 1")
+
+    def make_executor(request: SweepRequest) -> Executor:
+        if strategy in _POOL_LOOKAHEAD and max_workers != 1:
+            return PoolExecutor(request, max_workers, _POOL_LOOKAHEAD[strategy])
+        # The naive ablation encoding has no selector layers to frame.
+        if strategy == "incremental" and request.encoding == "sccl":
+            return FamilyExecutor(request)
+        return InlineExecutor()
+
+    return Dispatcher(strategy, make_executor)

@@ -1,22 +1,14 @@
-"""Incremental synthesis sessions: encode once, probe many candidates.
+"""Shared-prefix synthesis sessions: encode once per step count, probe many.
 
-A :class:`IncrementalSession` fixes everything about a SynColl candidate
-except the total round count ``R``: the collective, topology, per-node
-chunk count ``C`` and step count ``S``.  It builds a single
-:class:`~repro.core.encoding.ScclEncoding` with a rounds budget of
-``max_rounds``, loads the CNF into one persistent solver handle, and
-answers each ``solve(R)`` probe with assumption literals over the
-rounds-budget selector layer — reusing the solver's learned clauses across
-probes instead of re-encoding and re-solving from a cold start, exactly the
-assumption interface :meth:`repro.solver.sat.SATSolver.solve` already
-exposed but nothing above it used.
-
-A :class:`SessionFamily` generalizes this across the whole ``(S, C)``
-lattice: per step count ``S`` it owns one *shared-prefix* encoding
-(``chunk_selector=True``) built at that sweep's chunk and rounds budgets,
-so every ``(C, R)`` candidate of a fixed-``S`` sweep is a per-candidate
-assumption frame over one encoding and one persistent solver — one encode
-per ``S`` instead of one per distinct ``C``.  The ``S``-independent
+A :class:`SessionFamily` serves the whole ``(S, C, R)`` lattice of one
+collective on one topology — it is what the sweep loop's family executor
+(:class:`~repro.engine.dispatch.FamilyExecutor`, the default
+``incremental`` strategy) asks for results.  Per step count ``S`` it owns
+one *shared-prefix* encoding (``chunk_selector=True`` with a rounds
+budget) loaded into one persistent solver handle, so every ``(C, R)``
+candidate of a fixed-``S`` sweep is a per-candidate assumption frame over
+one encoding — one encode per ``S`` instead of one per candidate — and the
+solver's learned clauses carry over between probes.  The ``S``-independent
 reachability analysis is computed once per family and shared by every
 per-``S`` encoding, and a candidate beyond the current chunk budget grows
 the encoding in place (:meth:`ScclEncoding.extend_chunks`) instead of
@@ -26,14 +18,17 @@ Satisfiability is identical to a cold encode at the probed candidate:
 widening the per-step round domains is inert once the total is pinned
 (every other step performs at least one round, so no step can exceed
 ``R - (S - 1)``), the selector assumptions force the total exactly, and
-disabled chunk levels can neither send nor owe postconditions.
+disabled chunk levels can neither send nor owe postconditions.  A frame is
+still a *larger* formula than the cold one, so it can exhaust a conflict
+or time budget the cold formula would not; the sweep loop retries such
+UNKNOWNs on the exact formula.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..core.encoding import PrefixAnalysis, ScclEncoding
 from ..core.instance import SynCollInstance, make_instance
@@ -45,191 +40,6 @@ from .backends import SolverBackend, SolverHandle, get_backend
 
 class SessionError(Exception):
     """Raised for invalid incremental-session requests."""
-
-
-class IncrementalSession:
-    """One encoding + one solver serving a fixed-``(S, C)`` rounds sweep."""
-
-    def __init__(
-        self,
-        collective: str,
-        topology: Topology,
-        chunks_per_node: int,
-        steps: int,
-        max_rounds: int,
-        *,
-        root: int = 0,
-        prune: bool = True,
-        backend: Optional[str] = None,
-    ) -> None:
-        if max_rounds < steps:
-            raise SessionError(
-                f"max_rounds ({max_rounds}) must be at least steps ({steps})"
-            )
-        self.collective = collective
-        self.topology = topology
-        self.chunks_per_node = chunks_per_node
-        self.steps = steps
-        self.max_rounds = max_rounds
-        self.root = root
-        self.prune = prune
-        self.backend_name = (backend or get_backend().name)
-        self._backend: SolverBackend = get_backend(backend)
-        # The encoding is built against the *budget* instance; individual
-        # probes rebuild the instance at their own R for reporting.
-        self._budget_instance = make_instance(
-            collective, topology, chunks_per_node, steps, max_rounds, root=root
-        )
-        self._encoder: Optional[ScclEncoding] = None
-        self._handle: Optional[SolverHandle] = None
-        self._trivially_unsat = False
-        self.encode_calls = 0
-        self.solver_calls = 0
-        self.encode_time = 0.0
-        self._prev_stats: Dict[str, float] = {}
-
-    # ------------------------------------------------------------------
-    # Lazy setup
-    # ------------------------------------------------------------------
-    def _ensure_encoded(self) -> None:
-        if self._encoder is not None:
-            return
-        with get_tracer().span(
-            "encode", S=self.steps, C=self.chunks_per_node, R=self.max_rounds
-        ):
-            start = time.monotonic()
-            encoder = ScclEncoding(
-                self._budget_instance, prune=self.prune, rounds_budget=self.max_rounds
-            )
-            ctx = encoder.encode()
-            self.encode_time = time.monotonic() - start
-        self.encode_calls += 1
-        get_metrics().observe("repro_encode_seconds", self.encode_time)
-        handle = self._backend.create()
-        if not handle.load(ctx.cnf):
-            self._trivially_unsat = True
-        self._encoder = encoder
-        self._handle = handle
-
-    # ------------------------------------------------------------------
-    # Probing
-    # ------------------------------------------------------------------
-    def solve(
-        self,
-        rounds: int,
-        *,
-        time_limit: Optional[float] = None,
-        conflict_limit: Optional[int] = None,
-        verify: bool = True,
-        name: Optional[str] = None,
-    ):
-        """Probe the candidate ``(C, S, rounds)``; returns a SynthesisResult."""
-        from ..core.synthesizer import SynthesisError, SynthesisResult
-
-        if not self.steps <= rounds <= self.max_rounds:
-            raise SessionError(
-                f"rounds {rounds} outside the session budget "
-                f"[{self.steps}, {self.max_rounds}]"
-            )
-        instance = make_instance(
-            self.collective, self.topology, self.chunks_per_node,
-            self.steps, rounds, root=self.root,
-        )
-        tracer = get_tracer()
-        with tracer.span(
-            "probe",
-            collective=self.collective,
-            C=self.chunks_per_node,
-            S=self.steps,
-            R=rounds,
-            encoding="sccl",
-            backend=self.backend_name,
-        ) as probe_span:
-            first_solve = self._encoder is None
-            self._ensure_encoded()
-            assert self._encoder is not None and self._handle is not None
-            # Mirror the serial path's accounting: the one-time encoding cost
-            # is attributed to the probe that paid it.
-            encode_time = self.encode_time if first_solve else 0.0
-
-            if self._trivially_unsat:
-                status = SolveResult.UNSAT
-                solve_time = 0.0
-                solver_stats: Dict[str, float] = {}
-            else:
-                assumptions = self._encoder.rounds_assumptions(rounds)
-                with tracer.span("solve", backend=self.backend_name):
-                    start = time.monotonic()
-                    status = self._handle.solve(
-                        assumptions, conflict_limit=conflict_limit,
-                        time_limit=time_limit,
-                    )
-                    solve_time = time.monotonic() - start
-                solver_stats = self._delta_stats(self._handle.stats())
-            self.solver_calls += 1
-            metrics = get_metrics()
-            metrics.inc("repro_solver_calls_total", backend=self.backend_name)
-            metrics.observe(
-                "repro_solve_seconds", solve_time, backend=self.backend_name
-            )
-            probe_span.set(verdict=status.value, cache_hit=False)
-
-            result = SynthesisResult(
-                instance=instance,
-                status=status,
-                encode_time=encode_time,
-                solve_time=solve_time,
-                encoding_stats=self._encoder.stats.as_dict(),
-                solver_stats=solver_stats,
-                encoding="sccl",
-                backend=self.backend_name,
-            )
-            if status is SolveResult.SAT:
-                algorithm = self._encoder.decode(self._handle.model(), name=name)
-                if verify:
-                    with tracer.span("verify"):
-                        start = time.monotonic()
-                        try:
-                            algorithm.verify()
-                        except Exception as exc:  # pragma: no cover - encoder bug guard
-                            raise SynthesisError(
-                                f"decoded algorithm fails verification: {exc}"
-                            ) from exc
-                        result.verify_time = time.monotonic() - start
-                if algorithm.total_rounds != rounds:  # pragma: no cover - selector guard
-                    raise SynthesisError(
-                        f"rounds selector leak: asked for {rounds} rounds, decoded "
-                        f"{algorithm.total_rounds}"
-                    )
-                result.algorithm = algorithm
-            return result
-
-    def _delta_stats(self, raw: Dict[str, float]) -> Dict[str, float]:
-        """Per-probe solver statistics.
-
-        The handle's counters are cumulative across the session's probes;
-        reporting the per-call difference keeps each SynthesisResult's
-        accounting comparable to a cold solve.  High-water marks (which are
-        not additive) are passed through unchanged.
-        """
-        watermarks = {"max_decision_level"}
-        delta = {
-            key: value if key in watermarks else value - self._prev_stats.get(key, 0)
-            for key, value in raw.items()
-        }
-        self._prev_stats = dict(raw)
-        return delta
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def describe(self) -> str:
-        return (
-            f"IncrementalSession({self.collective} on {self.topology.name}: "
-            f"C={self.chunks_per_node}, S={self.steps}, R<={self.max_rounds}, "
-            f"backend={self.backend_name}, encodes={self.encode_calls}, "
-            f"solves={self.solver_calls})"
-        )
 
 
 @dataclass

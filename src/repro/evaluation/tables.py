@@ -80,7 +80,6 @@ class SynthesisTableConfig:
     strategy: str = "incremental"        # candidate-sweep strategy (engine dispatch)
     max_workers: Optional[int] = None    # worker processes (parallel/speculative)
     backend: Optional[str] = None        # solver backend name
-    portfolio: Optional[Sequence[str]] = None  # backends raced per candidate (speculative)
     bounds: str = "baseline"             # bound-seeded pruning ("baseline" or "off")
     cache_dir: Optional[str] = None      # algorithm-cache directory (None disables)
     export_dir: Optional[str] = None     # write each point's algorithm here (None disables)
@@ -189,7 +188,6 @@ def synthesis_table(
             strategy=config.strategy,
             max_workers=config.max_workers,
             backend=config.backend,
-            portfolio=config.portfolio,
             cache=cache,
             bounds=config.bounds,
         )

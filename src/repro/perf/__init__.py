@@ -1,26 +1,11 @@
-"""Performance history: measured calibration and the CI regression sentinel.
+"""Performance history: the CI regression sentinel.
 
 Built on the persistent run archive (:mod:`repro.telemetry.archive`):
-
-* :class:`~repro.perf.model.ProbeTimeModel` — per-(instance-feature,
-  strategy) timing distributions that make ``strategy="auto"`` a
-  *measured* pick (:func:`repro.core.pareto.resolve_strategy` consults
-  :func:`~repro.perf.model.ambient_model`, static thresholds remain the
-  cold-start fallback);
-* :mod:`~repro.perf.regressions` — the tolerance-band sentinel comparing
-  fresh ``BENCH_*.json`` numbers against the archived same-host trajectory
-  (``repro perf regressions`` in CI).
+:mod:`~repro.perf.regressions` is the tolerance-band sentinel comparing
+fresh ``BENCH_*.json`` numbers against the archived same-host trajectory
+(``repro perf regressions`` in CI).
 """
 
-from .model import (
-    KNOWN_STRATEGIES,
-    ProbeTimeModel,
-    TimingDistribution,
-    ambient_model,
-    feature_key,
-    set_ambient_model,
-    strategy_features,
-)
 from .regressions import (
     Finding,
     RegressionReport,
@@ -34,18 +19,11 @@ from .regressions import (
 
 __all__ = [
     "Finding",
-    "KNOWN_STRATEGIES",
-    "ProbeTimeModel",
     "RegressionReport",
-    "TimingDistribution",
     "ToleranceBand",
-    "ambient_model",
     "baseline_records",
     "classify_metric",
     "compare_records",
     "detect_regressions",
-    "feature_key",
     "flatten_bench_metrics",
-    "set_ambient_model",
-    "strategy_features",
 ]

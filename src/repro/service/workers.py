@@ -8,11 +8,11 @@ them through :class:`SynthesisResolver`, whose fallback ladder is fixed:
    persisted routing table; a hit is answered without any solver work.
 2. **synthesis** — pinned requests run one engine solve
    (:func:`repro.core.synthesizer.synthesize`); routed requests run a
-   Pareto sweep through the engine's *auto*-selected dispatcher (cold
-   frontier builds pick serial, incremental or speculative from the host's
-   core count and the instance size, seeded with baseline upper bounds so
-   dominated candidates are pruned before any solver work; see
-   ``sweep_strategy`` to pin a specific dispatcher), then score the
+   Pareto sweep through the engine's one sweep loop with an *auto*-selected
+   executor (cold frontier builds pick serial, incremental or speculative
+   from the host's core count and the instance size, seeded with baseline
+   upper bounds so dominated candidates are pruned before any solver work;
+   see ``sweep_strategy`` to pin one), then score the
    frontier with the alpha-beta simulator into a fresh routing table.
    The most patient waiter's remaining deadline is forwarded to the
    engine as the solve time limit.
@@ -137,13 +137,14 @@ class SynthesisResolver:
     ) -> None:
         # sweep_strategy="auto" lets the engine pick per build: serial on
         # single-core hosts, speculative for large instances, incremental
-        # otherwise.  The pool strategies fork worker processes from a
-        # worker thread for cold routed builds.  That is safe here because
-        # pool children never touch the parent's broker/registry locks
-        # (they re-import repro and solve standalone instances), but
-        # deployments that embed the resolver next to fork-hostile
-        # libraries can inject sweep_strategy="incremental" to stay
-        # in-process.
+        # otherwise.  The pool executor pays off when probes are long or
+        # limit-bound (a cold DGX-1 build under a deadline) and costs more
+        # than it saves on sub-second frontiers.  It forks worker processes
+        # from a worker thread for cold routed builds.  That is safe here
+        # because pool children never touch the parent's broker/registry
+        # locks (they solve standalone instances), but deployments that
+        # embed the resolver next to fork-hostile libraries can inject
+        # sweep_strategy="incremental" to stay in-process.
         self.registry = registry
         self.max_steps_margin = max_steps_margin
         self.sweep_strategy = sweep_strategy
@@ -317,8 +318,8 @@ class SynthesisResolver:
                 route=_route_payload(entry, table),
             )
 
-        # Miss: synthesize the frontier (incremental dispatcher), score it
-        # with the simulator, persist the table, then route.  Builds of the
+        # Miss: synthesize the frontier, score it with the simulator,
+        # persist the table, then route.  Builds of the
         # same table (routed requests differing only in size) serialize on
         # a per-table lock; whoever waited re-checks the registry first.
         with self._build_lock(request, topology):

@@ -13,8 +13,7 @@ Three pieces, all stdlib-only:
 * :mod:`~repro.telemetry.archive` — the *persistent* layer: append-only
   JSONL run history under ``~/.cache/repro/perf`` (``$REPRO_PERF_DIR``)
   that probes, sweeps, Pareto runs, service requests and benchmarks record
-  into; the substrate for ``repro perf`` and measured strategy calibration
-  (:mod:`repro.perf`).
+  into; the substrate for ``repro perf`` (:mod:`repro.perf`).
 """
 
 from .archive import (

@@ -8,12 +8,9 @@ request and benchmark row can append one :class:`RunRecord` to a
 each run overwrites, the archive keeps the whole trajectory, so
 
 * ``repro perf history`` can show trends and ``repro perf compare`` can
-  diff two runs phase by phase,
+  diff two runs phase by phase, and
 * ``repro perf regressions`` can flag a fresh benchmark that fell outside
-  a tolerance band around the archived trajectory (the CI sentinel), and
-* :class:`~repro.perf.model.ProbeTimeModel` can calibrate
-  ``strategy="auto"`` picks on *measured* probe times instead of static
-  size thresholds.
+  a tolerance band around the archived trajectory (the CI sentinel).
 
 Write discipline mirrors :mod:`repro.engine.cache`: appends serialize on
 an advisory ``fcntl`` lock file so concurrent processes (pool workers,
@@ -26,8 +23,7 @@ that tried to record into it.
 
 Records carry host context (hostname, cpu count, python version) because
 timings from different hosts must never be compared against each other:
-both the regression sentinel and the probe-time model partition on
-:func:`host_fingerprint`.
+the regression sentinel partitions on :func:`host_fingerprint`.
 """
 
 from __future__ import annotations
@@ -423,7 +419,7 @@ def set_archive(archive: Optional[PerfArchive]) -> Optional[PerfArchive]:
 def record_run(kind: str, **fields) -> Optional[RunRecord]:
     """Build and append one record to the ambient archive; None when disabled.
 
-    The one-call producer hook used by the synthesizer, the dispatchers,
+    The one-call producer hook used by the synthesizer, the sweep loop,
     the Pareto loop, the service resolver and the benchmark harness.
     Never raises: recording is an observation, not a dependency.
     """

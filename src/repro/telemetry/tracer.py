@@ -184,8 +184,8 @@ class Tracer:
         """Start a free-floating span (no stack nesting); finish with :meth:`close`.
 
         For overlapping regions a thread cannot express as nested ``with``
-        blocks — e.g. the speculative dispatcher keeps several step counts'
-        sweep spans open at once on one thread.  ``attrs['_mono0']`` holds
+        blocks — e.g. the sweep loop's pool executor keeps a ``pool`` span
+        open across every sweep of a run.  ``attrs['_mono0']`` holds
         the monotonic start internally and is stripped at close time.
         """
         span = Span(name, attrs)

@@ -148,13 +148,12 @@ class TestInProcess:
         assert any(n.endswith(".xml") for n in names)
         assert any(n.endswith(".json") for n in names)
 
-    def test_pareto_speculative_with_portfolio(self, tmp_path, capsys):
+    def test_pareto_speculative(self, tmp_path, capsys):
         code = main(
             [
                 "pareto", "Allgather", "-t", "ring:4",
                 "--max-steps", "4",
                 "--strategy", "speculative", "--max-workers", "2",
-                "--portfolio", "cdcl",
                 "--cache-dir", str(tmp_path / "cache"),
             ]
         )
@@ -162,17 +161,6 @@ class TestInProcess:
         out = capsys.readouterr().out
         assert "strategy=speculative" in out
         assert "Bandwidth" in out
-
-    def test_portfolio_requires_speculative(self, tmp_path, capsys):
-        code = main(
-            [
-                "pareto", "Allgather", "-t", "ring:4",
-                "--max-steps", "3",
-                "--strategy", "serial", "--portfolio", "cdcl",
-                "--cache-dir", str(tmp_path / "cache"),
-            ]
-        )
-        assert code == 1
 
     def test_cache_evict_prunes_to_n_entries(self, tmp_path, capsys):
         cache = tmp_path / "cache"

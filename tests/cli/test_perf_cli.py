@@ -138,24 +138,6 @@ def test_perf_regressions_requires_bench_files(tmp_path, archive_dir, capsys):
 
 
 # ----------------------------------------------------------------------
-# repro perf calibrate
-# ----------------------------------------------------------------------
-def test_perf_calibrate_reports_measured_pick(archive_dir, archive, capsys):
-    _seed_pareto_history(archive)
-    assert main(["perf", "calibrate", "--archive-dir", str(archive_dir),
-                 "--check", "ring:4"]) == 0
-    out = capsys.readouterr().out
-    assert "6 pareto run(s) ingested" in out
-    assert "<-- measured pick" in out
-    assert "-> 'serial'" in out  # the measured pick overrides the static one
-
-
-def test_perf_calibrate_cold_start(archive_dir, capsys):
-    assert main(["perf", "calibrate", "--archive-dir", str(archive_dir)]) == 0
-    assert "no calibration data yet" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
 # repro trace --top / --diff
 # ----------------------------------------------------------------------
 def _trace(events):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import ParetoError, candidate_set, pareto_synthesize
+from repro.core import ParetoError, candidate_set, pareto_synthesize, resolve_strategy
 from repro.solver import SolveResult
 from repro.topology import fully_connected, line, ring, star
 
@@ -130,3 +130,25 @@ class TestResourceLimits:
         for point in frontier.points:
             assert point.status is SolveResult.SAT
             point.algorithm.verify()
+
+
+class TestResolveStrategy:
+    """``strategy="auto"``: a static rule over core count and instance size."""
+
+    def test_static_thresholds(self):
+        assert resolve_strategy(ring(4), cpu_count=8) == "incremental"
+        # Many nodes, deep chunk subdivision or a loose synchrony budget
+        # each escalate to the pool with lookahead.
+        assert resolve_strategy(ring(8), cpu_count=8) == "speculative"
+        assert resolve_strategy(ring(4), max_chunks=4, cpu_count=8) == "speculative"
+        assert resolve_strategy(ring(4), k=2, cpu_count=8) == "speculative"
+
+    def test_serial_guard_on_one_core_or_one_worker(self):
+        assert resolve_strategy(ring(8), cpu_count=1) == "serial"
+        assert resolve_strategy(ring(8), cpu_count=8, max_workers=1) == "serial"
+
+    def test_auto_records_the_resolved_name(self):
+        from repro.engine import STRATEGIES
+
+        frontier = pareto_synthesize("Allgather", ring(4), k=0, max_steps=3, strategy="auto")
+        assert frontier.strategy in STRATEGIES

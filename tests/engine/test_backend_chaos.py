@@ -192,70 +192,30 @@ class TestSweepSurvival:
             unregister_backend("crashy")
 
     def test_worker_crashes_feed_the_parent_quarantine(self, tmp_path):
-        """Crash counters travel back from pool workers: a portfolio
-        member that dies in child processes gets benched in the parent."""
-        from repro.engine import SpeculativeDispatcher, SweepRequest
+        """Crash counters travel back from pool workers: a backend that
+        dies in child processes shows up in the parent's process-wide
+        quarantine (what ``/v1/stats`` reports)."""
+        from repro.engine import SweepRequest, get_quarantine, make_dispatcher
 
-        quarantine = BackendQuarantine(threshold=2)
         backend, counter = crashy_backend(
-            tmp_path, [9], max_retries=0, retry_backoff_s=0.0, quarantine=quarantine,
+            tmp_path, [9], max_retries=0, retry_backoff_s=0.0,
+            quarantine=BackendQuarantine(threshold=100),
         )
         register_backend(backend, replace=True)
+        parent = get_quarantine()
+        parent.reset()
         try:
-            dispatcher = SpeculativeDispatcher(
-                max_workers=2, portfolio=["crashy"], quarantine=quarantine
-            )
             request = SweepRequest(
                 collective="Allgather", topology=ring(4), steps=3,
-                candidates=((3, 1), (4, 1)),
+                candidates=((3, 1), (4, 1), (5, 1)), backend="crashy",
             )
-            outcome = dispatcher.sweep(request)
+            outcome = make_dispatcher("speculative", max_workers=2).sweep(request)
             # A dying solver degrades every probe to UNKNOWN, never raises.
-            assert outcome.results
+            assert len(outcome.results) == 3
             assert all(r.is_unknown for r in outcome.results)
-            assert int(counter.read_text()) >= 2
-            assert quarantine.is_quarantined("crashy")
+            assert int(counter.read_text()) >= 3
+            assert parent.stats()["total_crashes"]["crashy"] == 3
+            assert parent.is_quarantined("crashy")
         finally:
+            parent.reset()
             unregister_backend("crashy")
-
-    def test_quarantined_backend_is_not_raced(self, tmp_path):
-        """Submit-time filtering: a benched portfolio member receives no
-        work, and the sweep completes on the healthy backends alone."""
-        from repro.engine import SpeculativeDispatcher, SweepRequest
-
-        quarantine = BackendQuarantine(threshold=1)
-        quarantine.record_crash("crashy")  # benched before the sweep
-        backend, counter = crashy_backend(
-            tmp_path, [9], max_retries=0, retry_backoff_s=0.0, quarantine=quarantine,
-        )
-        register_backend(backend, replace=True)
-        try:
-            dispatcher = SpeculativeDispatcher(
-                max_workers=2, portfolio=["cdcl", "crashy"], quarantine=quarantine
-            )
-            request = SweepRequest(
-                collective="Allgather", topology=ring(4), steps=3,
-                candidates=((3, 1), (4, 1)),
-            )
-            outcome = dispatcher.sweep(request)
-            assert any(r.is_sat for r in outcome.results)
-            assert not counter.exists()  # crashy was never invoked
-        finally:
-            unregister_backend("crashy")
-
-    def test_fully_quarantined_portfolio_still_solves(self, tmp_path):
-        """When every member is benched the full portfolio races anyway —
-        refusing to solve would be worse than racing flaky solvers."""
-        from repro.engine import SpeculativeDispatcher, SweepRequest
-
-        quarantine = BackendQuarantine(threshold=1)
-        quarantine.record_crash("cdcl")
-        dispatcher = SpeculativeDispatcher(
-            max_workers=2, portfolio=["cdcl"], quarantine=quarantine
-        )
-        request = SweepRequest(
-            collective="Allgather", topology=ring(4), steps=3,
-            candidates=((3, 1), (4, 1)),
-        )
-        outcome = dispatcher.sweep(request)
-        assert any(r.is_sat for r in outcome.results)

@@ -15,7 +15,14 @@ import pytest
 from repro.core import pareto_synthesize, synthesize
 from repro.core.instance import make_instance
 from repro.core.synthesizer import SynthesisResult
-from repro.engine import AlgorithmCache, SweepRequest, lookup_result, store_result
+from repro.engine import (
+    AlgorithmCache,
+    SweepRequest,
+    STRATEGIES,
+    lookup_result,
+    make_dispatcher,
+    store_result,
+)
 from repro.engine.bounds import (
     CUT,
     PROBE,
@@ -25,15 +32,10 @@ from repro.engine.bounds import (
     FeasiblePoint,
     cut_result,
     seed_ledger,
-)
-from repro.engine.dispatch import (
-    IncrementalDispatcher,
-    ParallelDispatcher,
-    SerialDispatcher,
-    SpeculativeDispatcher,
+    steps_splittable,
 )
 from repro.solver import SolveResult
-from repro.topology import dgx1, line, ring
+from repro.topology import Topology, dgx1, line, ring
 
 
 def _sat_result(collective, topology, steps, rounds, chunks):
@@ -196,6 +198,64 @@ class TestLedgerAlgebra:
         assert FeasiblePoint(3, 3, 2, "sweep").bandwidth == Fraction(3, 2)
 
 
+def pairwise_fabric():
+    """Links 0->1, 0->2, 0->3; every *pair* of them shares one chunk per
+    round.  A 2-round step carries three chunks (each pair sees two), two
+    1-round steps carry only two — so a step cannot always be split."""
+    topology = Topology(name="pairwise-3", num_nodes=4, constraints=[])
+    links = [(0, 1), (0, 2), (0, 3)]
+    for link in links:
+        topology.add_link(*link)
+    for i, first in enumerate(links):
+        for second in links[i + 1:]:
+            topology.add_shared_constraint([first, second], 1)
+    return topology
+
+
+class TestOverlappingConstraints:
+    """Moving S at fixed R is only sound when steps can be split."""
+
+    def test_overlap_is_detected(self):
+        assert not steps_splittable(pairwise_fabric())
+        assert steps_splittable(dgx1())
+        assert steps_splittable(ring(4))
+
+    def test_the_two_true_facts(self):
+        fabric = pairwise_fabric()
+        assert synthesize(make_instance("Scatter", fabric, 1, 1, 2)).is_sat
+        assert synthesize(make_instance("Scatter", fabric, 1, 2, 2)).is_unsat
+
+    def test_ledger_accepts_both_facts(self):
+        ledger = BoundsLedger("Scatter", pairwise_fabric())
+        ledger.add_feasible(1, 2, 1)
+        ledger.add_infeasible(2, 2, 1)  # raised BoundsError before
+        # Only the padded relations hold: an idle step costs a round.
+        assert ledger.known_feasible(2, 3, 1) == "sweep"
+        assert ledger.known_feasible(1, 3, 1) == "sweep"
+        assert ledger.known_feasible(2, 2, 1) is None
+        assert ledger.known_infeasible(1, 1, 1) == (2, 2, 1)
+        assert ledger.known_infeasible(1, 2, 1) is None
+        # A real contradiction still fails loudly.
+        with pytest.raises(BoundsError):
+            ledger.add_infeasible(2, 3, 1)
+
+    def test_splittable_fabrics_keep_the_full_cone(self):
+        ledger = BoundsLedger("Allgather", ring(4))
+        ledger.add_feasible(1, 2, 1)
+        assert ledger.known_feasible(2, 2, 1) == "sweep"
+        with pytest.raises(BoundsError):
+            ledger.add_infeasible(2, 2, 1)
+
+    @pytest.mark.parametrize("strategy", ["serial", "incremental"])
+    def test_pareto_points_agree_bounds_on_off(self, strategy):
+        fabric = pairwise_fabric()
+        on = pareto_synthesize("Scatter", fabric, k=1, max_steps=3,
+                               strategy=strategy, bounds="baseline")
+        off = pareto_synthesize("Scatter", fabric, k=1, max_steps=3,
+                                strategy=strategy, bounds="off")
+        assert pareto_subset(on) == pareto_subset(off) != []
+
+
 class TestSeedLedger:
     def test_dgx1_allgather_seed(self):
         ledger = seed_ledger("Allgather", dgx1())
@@ -241,13 +301,8 @@ class TestDispatchersConsultLedger:
 
     @pytest.mark.parametrize(
         "dispatcher",
-        [
-            SerialDispatcher(),
-            IncrementalDispatcher(),
-            ParallelDispatcher(max_workers=2),
-            SpeculativeDispatcher(max_workers=2),
-        ],
-        ids=["serial", "incremental", "parallel", "speculative"],
+        [make_dispatcher(name, max_workers=2) for name in STRATEGIES],
+        ids=STRATEGIES,
     )
     def test_cuts_answer_without_solver(self, dispatcher):
         # Both candidates sit inside the injected UNSAT shadow, so the whole
@@ -264,13 +319,8 @@ class TestDispatchersConsultLedger:
 
     @pytest.mark.parametrize(
         "dispatcher",
-        [
-            SerialDispatcher(),
-            IncrementalDispatcher(),
-            ParallelDispatcher(max_workers=2),
-            SpeculativeDispatcher(max_workers=2),
-        ],
-        ids=["serial", "incremental", "parallel", "speculative"],
+        [make_dispatcher(name, max_workers=2) for name in STRATEGIES],
+        ids=STRATEGIES,
     )
     def test_prunes_skip_candidates_entirely(self, dispatcher):
         request = _request(self._prune_ledger(), [(2, 2), (2, 1)])
@@ -281,7 +331,7 @@ class TestDispatchersConsultLedger:
 
     def test_unseeded_request_unchanged(self):
         request = _request(None, [(3, 2)])
-        outcome = SerialDispatcher().sweep(request)
+        outcome = make_dispatcher("serial").sweep(request)
         assert outcome.stats.probes_pruned == 0
         assert outcome.stats.probes_cut == 0
         assert outcome.stats.candidates_probed == 1
@@ -289,7 +339,7 @@ class TestDispatchersConsultLedger:
     def test_serial_observes_verdicts(self):
         ledger = BoundsLedger("Allgather", ring(4))
         request = _request(ledger, [(2, 3), (2, 2), (3, 2)])
-        outcome = SerialDispatcher().sweep(request)
+        outcome = make_dispatcher("serial").sweep(request)
         # Every solved verdict must land in the ledger: UNSATs as witnesses,
         # the first SAT as a feasible point.
         sat = outcome.first_sat
@@ -306,7 +356,7 @@ class TestDispatchersConsultLedger:
     def test_cut_results_persist_provenance(self, tmp_path):
         cache = AlgorithmCache(tmp_path)
         request = _request(self._cut_ledger(), [(2, 2)])
-        outcome = SerialDispatcher().sweep(request, cache=cache)
+        outcome = make_dispatcher("serial").sweep(request, cache=cache)
         assert outcome.stats.probes_cut == 1
         instance = make_instance("Allgather", ring(4), 2, 2, 2)
         replayed = lookup_result(cache, instance)
@@ -340,8 +390,6 @@ class TestDispatchersConsultLedger:
 # ----------------------------------------------------------------------
 # Property tests: bounds on/off leave the Pareto-optimal frontier intact
 # ----------------------------------------------------------------------
-STRATEGIES = ["serial", "incremental", "parallel", "speculative"]
-
 #: (collective, topology factory, k, max_steps, max_chunks) — Gather has no
 #: baselines (empty ledger), Broadcast's enumeration needs a step cap.
 PROPERTY_INSTANCES = [

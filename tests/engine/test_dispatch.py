@@ -1,6 +1,8 @@
-"""Tests for the candidate-sweep dispatchers, including the determinism
-acceptance criterion: the parallel dispatcher returns byte-identical Pareto
-frontiers to the serial path on the small test topologies.
+"""Tests for the candidate-sweep loop under each strategy name, including
+the determinism acceptance criterion: the pool executor returns
+byte-identical Pareto frontiers to the inline one on the small test
+topologies.  (``test_sweep_loop.py`` holds the executor contract and the
+full strategy x cache x bounds x limit property grid.)
 """
 
 import json
@@ -9,10 +11,9 @@ import pytest
 
 from repro.core import pareto_synthesize
 from repro.engine import (
+    STRATEGIES,
     DispatchError,
-    IncrementalDispatcher,
-    ParallelDispatcher,
-    SerialDispatcher,
+    Dispatcher,
     SweepRequest,
     make_dispatcher,
 )
@@ -25,9 +26,11 @@ def frontier_bytes(frontier) -> bytes:
 
 class TestMakeDispatcher:
     def test_strategies(self):
-        assert isinstance(make_dispatcher("serial"), SerialDispatcher)
-        assert isinstance(make_dispatcher("incremental"), IncrementalDispatcher)
-        assert isinstance(make_dispatcher("parallel"), ParallelDispatcher)
+        # One loop class; the name only selects the executor behind it.
+        for strategy in STRATEGIES:
+            dispatcher = make_dispatcher(strategy)
+            assert isinstance(dispatcher, Dispatcher)
+            assert dispatcher.name == strategy
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(DispatchError):
@@ -35,7 +38,7 @@ class TestMakeDispatcher:
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(DispatchError):
-            ParallelDispatcher(max_workers=0)
+            make_dispatcher("parallel", max_workers=0)
 
 
 class TestParallelDeterminism:
@@ -70,8 +73,8 @@ class TestParallelDeterminism:
             steps=3,
             candidates=((3, 1), (4, 1), (5, 1)),
         )
-        serial = SerialDispatcher().sweep(request)
-        parallel = ParallelDispatcher(max_workers=2).sweep(request)
+        serial = make_dispatcher("serial").sweep(request)
+        parallel = make_dispatcher("parallel", max_workers=2).sweep(request)
         assert [r.status for r in parallel.results] == [r.status for r in serial.results]
         assert len(parallel.results) == len(serial.results)
 
@@ -83,13 +86,13 @@ class TestParallelDeterminism:
             steps=2,
             candidates=((2, 1),),
         )
-        outcome = ParallelDispatcher(max_workers=4).sweep(request)
+        outcome = make_dispatcher("parallel", max_workers=4).sweep(request)
         assert outcome.first_sat is not None
 
 
 class TestParallelWithCustomBackend:
     def test_runtime_registered_backend_reaches_the_workers(self):
-        # Worker processes start with a fresh registry; the dispatcher ships
+        # Worker processes start with a fresh registry; the pool executor ships
         # the backend object along so runtime registrations still compose
         # with strategy="parallel".
         from repro.engine import register_backend, unregister_backend
@@ -133,7 +136,7 @@ class TestIncrementalEquivalence:
             candidates=((2, 1), (3, 1)),
             encoding="naive",
         )
-        outcome = IncrementalDispatcher().sweep(request)
+        outcome = make_dispatcher("incremental").sweep(request)
         assert outcome.first_sat is not None
         assert outcome.stats.encode_calls >= 1
 

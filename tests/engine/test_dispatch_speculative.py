@@ -1,7 +1,7 @@
-"""Frontier determinism across every sweep strategy, and the speculative
-dispatcher's cross-S pipeline semantics.
+"""Frontier determinism across every sweep strategy, and the pool
+executor's cross-S lookahead semantics.
 
-The acceptance criterion for the speculative pipeline is that speculation
+The acceptance criterion for the speculative strategy is that speculation
 is *observable only in wall-clock*: the committed frontier — statuses,
 signatures, decoded schedules, provenance — is byte-identical to the
 serial loop's, on every topology, including when the stop predicate
@@ -16,13 +16,7 @@ import json
 import pytest
 
 from repro.core import pareto_synthesize
-from repro.engine import (
-    DispatchError,
-    SerialDispatcher,
-    SpeculativeDispatcher,
-    SweepRequest,
-    make_dispatcher,
-)
+from repro.engine import DispatchError, SweepRequest, make_dispatcher
 from repro.topology import fully_connected, line, ring, star
 
 
@@ -155,14 +149,12 @@ class TestSweepManyPipeline:
             first_sat = outcome.first_sat
             return first_sat is not None and first_sat.instance.steps >= 3
 
-        spec = SpeculativeDispatcher(max_workers=2, lookahead=2)
-        outcomes = spec.sweep_many(requests, stop=stop)
-        assert len(outcomes) == len(requests)
-        committed = [o for o in outcomes if o is not None]
-        assert outcomes[0] is not None and outcomes[1] is not None
-        assert outcomes[2] is None and outcomes[3] is None
-        serial = SerialDispatcher()
-        for request, outcome in zip(requests, committed):
+        spec = make_dispatcher("speculative", max_workers=2)
+        outcomes = spec.run(requests, stop=stop)
+        # Only the committed prefix comes back; the tail never ran.
+        assert len(outcomes) == 2
+        serial = make_dispatcher("serial")
+        for request, outcome in zip(requests, outcomes):
             assert outcome_fingerprint(outcome) == outcome_fingerprint(
                 serial.sweep(request)
             )
@@ -172,10 +164,11 @@ class TestSweepManyPipeline:
         requests = self._requests(
             topology, (2, 3), lambda steps: [(steps, 1), (steps + 1, 1)]
         )
-        outcomes = SpeculativeDispatcher(max_workers=2, lookahead=0).sweep_many(requests)
-        serial = SerialDispatcher()
+        # The parallel strategy is the same pool with no lookahead.
+        outcomes = make_dispatcher("parallel", max_workers=2).run(requests)
+        serial = make_dispatcher("serial")
+        assert len(outcomes) == len(requests)
         for request, outcome in zip(requests, outcomes):
-            assert outcome is not None
             assert outcome_fingerprint(outcome) == outcome_fingerprint(
                 serial.sweep(request)
             )
@@ -184,101 +177,24 @@ class TestSweepManyPipeline:
         a = SweepRequest("Allgather", ring(4), steps=2, candidates=((2, 1),))
         b = SweepRequest("Allgather", ring(5), steps=3, candidates=((3, 1),))
         with pytest.raises(DispatchError):
-            SpeculativeDispatcher().sweep_many([a, b])
+            make_dispatcher("speculative").run([a, b])
 
     def test_empty_batch(self):
-        assert SpeculativeDispatcher().sweep_many([]) == []
+        assert make_dispatcher("speculative").run([]) == []
 
     def test_single_candidate_runs_inline(self):
         request = SweepRequest(
             collective="Allgather", topology=ring(4), steps=2, candidates=((2, 1),),
         )
-        outcome = SpeculativeDispatcher(max_workers=4).sweep(request)
-        serial = SerialDispatcher().sweep(request)
+        outcome = make_dispatcher("speculative", max_workers=4).sweep(request)
+        serial = make_dispatcher("serial").sweep(request)
         assert outcome_fingerprint(outcome) == outcome_fingerprint(serial)
-
-
-class TestPortfolioRacing:
-    def test_singleton_portfolio_is_byte_identical(self):
-        serial = pareto_synthesize("Allgather", ring(4), k=0, max_steps=4, strategy="serial")
-        raced = pareto_synthesize(
-            "Allgather", ring(4), k=0, max_steps=4,
-            strategy="speculative", max_workers=2, portfolio=["cdcl"],
-        )
-        assert frontier_bytes(raced) == frontier_bytes(serial)
-
-    def test_two_backend_race_agrees_on_verdicts(self):
-        from engine_backend_helper import PickleableCountingBackend
-        from repro.engine import register_backend, unregister_backend
-
-        register_backend(PickleableCountingBackend(), replace=True)
-        try:
-            serial = pareto_synthesize(
-                "Allgather", ring(4), k=0, max_steps=3, strategy="serial"
-            )
-            raced = pareto_synthesize(
-                "Allgather", ring(4), k=0, max_steps=3,
-                strategy="speculative", max_workers=2,
-                portfolio=["cdcl", "pickle-counting"],
-            )
-            # Statuses and signatures are verdict-determined; the winning
-            # backend (and so the concrete schedule) is whichever answered
-            # first.
-            assert [p.signature for p in raced.points] == [
-                p.signature for p in serial.points
-            ]
-            assert [p.status for p in raced.points] == [
-                p.status for p in serial.points
-            ]
-            for point in raced.points:
-                assert point.backend in ("cdcl", "pickle-counting")
-                point.algorithm.verify()
-        finally:
-            unregister_backend("pickle-counting")
-
-    def test_portfolio_winner_is_what_warm_replay_serves(self, tmp_path):
-        """Under a portfolio only committed winners reach the cache, so a
-        warm run replays exactly the schedules the cold run reported."""
-        from repro.engine import AlgorithmCache
-
-        cache = AlgorithmCache(tmp_path / "algorithms")
-        cold = pareto_synthesize(
-            "Allgather", ring(4), k=0, max_steps=4,
-            strategy="speculative", max_workers=2, portfolio=["cdcl"], cache=cache,
-        )
-        warm = pareto_synthesize(
-            "Allgather", ring(4), k=0, max_steps=4,
-            strategy="speculative", max_workers=2, portfolio=["cdcl"], cache=cache,
-        )
-        assert frontier_bytes(cold) == frontier_bytes(warm)
-        assert all(p.cache_hit for p in warm.points)
-
-    def test_portfolio_requires_speculative_strategy(self):
-        for strategy in ("serial", "incremental", "parallel"):
-            with pytest.raises(DispatchError):
-                make_dispatcher(strategy, portfolio=["cdcl"])
-
-    def test_unknown_portfolio_backend_fails_fast(self):
-        request = SweepRequest(
-            collective="Allgather", topology=ring(4), steps=2,
-            candidates=((2, 1), (3, 1)),
-        )
-        with pytest.raises(Exception):
-            SpeculativeDispatcher(portfolio=["no-such-solver"]).sweep(request)
-
-    def test_duplicate_portfolio_rejected(self):
-        with pytest.raises(DispatchError):
-            SpeculativeDispatcher(portfolio=["cdcl", "cdcl"])
 
 
 class TestMakeDispatcherSpeculative:
     def test_strategy_registered(self):
-        assert isinstance(make_dispatcher("speculative"), SpeculativeDispatcher)
-
-    def test_invalid_lookahead_rejected(self):
-        with pytest.raises(DispatchError):
-            SpeculativeDispatcher(lookahead=-1)
+        assert make_dispatcher("speculative").name == "speculative"
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(DispatchError):
-            SpeculativeDispatcher(max_workers=0)
+            make_dispatcher("speculative", max_workers=0)

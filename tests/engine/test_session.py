@@ -1,15 +1,11 @@
-"""Tests for incremental sessions and the rounds-budget selector layer."""
+"""Tests for the rounds-budget selector layer, driven through
+:class:`SessionFamily` frames and :class:`ScclEncoding` directly."""
 
 import pytest
 
 from repro.core import ScclEncoding, make_instance, synthesize
-from repro.engine import (
-    IncrementalDispatcher,
-    IncrementalSession,
-    SerialDispatcher,
-    SessionError,
-    SweepRequest,
-)
+from repro.core.encoding import EncodingError
+from repro.engine import SessionError, SessionFamily, SweepRequest, make_dispatcher
 from repro.topology import dgx1, line, ring
 
 
@@ -17,9 +13,9 @@ class TestRoundsSelectorLayer:
     def test_budget_encoding_agrees_with_cold_encoding(self):
         # Every R in the budget must give the same SAT/UNSAT answer as a
         # dedicated cold encoding at that R.
-        session = IncrementalSession("Allgather", ring(6), 1, 3, 6)
+        family = SessionFamily("Allgather", ring(6))
         for rounds in range(3, 7):
-            incremental = session.solve(rounds)
+            incremental = family.solve(3, 1, rounds, max_rounds=6)
             cold = synthesize(make_instance("Allgather", ring(6), 1, 3, rounds))
             assert incremental.status is cold.status, f"R={rounds}"
             if incremental.is_sat:
@@ -28,20 +24,27 @@ class TestRoundsSelectorLayer:
 
     def test_budget_encoding_agrees_on_unsat_family(self):
         # Allgather on a 6-ring with C=2 needs 5 rounds; 4 is UNSAT.
-        session = IncrementalSession("Allgather", ring(6), 2, 4, 5)
-        assert session.solve(4).is_unsat
-        assert session.solve(5).is_sat
+        family = SessionFamily("Allgather", ring(6))
+        assert family.solve(4, 2, 4, max_rounds=5).is_unsat
+        assert family.solve(4, 2, 5, max_rounds=5).is_sat
 
     def test_out_of_budget_rounds_rejected(self):
-        session = IncrementalSession("Allgather", ring(4), 1, 2, 3)
+        # The selector only pins totals inside [S, budget]; a family widens
+        # the budget by rebuilding instead of asking for such a frame.
+        encoder = ScclEncoding(
+            make_instance("Allgather", ring(4), 1, 2, 3), rounds_budget=3
+        )
+        encoder.encode()
+        with pytest.raises(EncodingError):
+            encoder.rounds_assumptions(4)
+        with pytest.raises(EncodingError):
+            encoder.rounds_assumptions(1)
         with pytest.raises(SessionError):
-            session.solve(4)
-        with pytest.raises(SessionError):
-            session.solve(1)
+            SessionFamily("Allgather", ring(4)).solve(2, 1, 1)
 
     def test_budget_below_steps_rejected(self):
-        with pytest.raises(SessionError):
-            IncrementalSession("Allgather", ring(4), 1, 3, 2)
+        with pytest.raises(EncodingError):
+            ScclEncoding(make_instance("Allgather", ring(4), 1, 3, 3), rounds_budget=2)
 
     def test_rounds_assumptions_requires_budget(self):
         encoder = ScclEncoding(make_instance("Allgather", ring(4), 1, 2, 2))
@@ -50,11 +53,11 @@ class TestRoundsSelectorLayer:
             encoder.rounds_assumptions(2)
 
     def test_single_encode_across_probes(self):
-        session = IncrementalSession("Broadcast", line(4), 1, 3, 5)
+        family = SessionFamily("Broadcast", line(4))
         for rounds in (3, 4, 5):
-            session.solve(rounds)
-        assert session.encode_calls == 1
-        assert session.solver_calls == 3
+            family.solve(3, 1, rounds, max_rounds=5)
+        assert family.encode_calls == 1
+        assert family.solver_calls == 3
 
 
 class TestAcceptanceFixedStepSweepOnDgx1:
@@ -73,8 +76,8 @@ class TestAcceptanceFixedStepSweepOnDgx1:
     )
 
     def test_incremental_sweep_uses_strictly_fewer_encodes(self):
-        serial = SerialDispatcher().sweep(self.REQUEST)
-        incremental = IncrementalDispatcher().sweep(self.REQUEST)
+        serial = make_dispatcher("serial").sweep(self.REQUEST)
+        incremental = make_dispatcher("incremental").sweep(self.REQUEST)
 
         # Identical verdicts candidate by candidate...
         assert [r.status for r in incremental.results] == [
@@ -97,8 +100,8 @@ class TestAcceptanceFixedStepSweepOnDgx1:
             steps=2,
             candidates=self.REQUEST.candidates,
         )
-        serial = SerialDispatcher().sweep(request)
-        incremental = IncrementalDispatcher().sweep(request)
+        serial = make_dispatcher("serial").sweep(request)
+        incremental = make_dispatcher("incremental").sweep(request)
         assert incremental.stats.encode_calls <= serial.stats.encode_calls
         assert incremental.first_sat is not None
         assert (
@@ -112,16 +115,16 @@ class TestAcceptanceFixedStepSweepOnDgx1:
 
 class TestSessionResults:
     def test_results_report_backend_and_instance(self):
-        session = IncrementalSession("Allgather", ring(4), 1, 2, 3)
-        result = session.solve(3)
+        family = SessionFamily("Allgather", ring(4))
+        result = family.solve(2, 1, 3)
         assert result.backend == "cdcl"
         assert not result.cache_hit
         assert result.instance.rounds == 3
         assert result.instance.steps == 2
 
     def test_encode_time_attributed_to_first_probe(self):
-        session = IncrementalSession("Allgather", ring(6), 1, 3, 5)
-        first = session.solve(3)
-        second = session.solve(4)
+        family = SessionFamily("Allgather", ring(6))
+        first = family.solve(3, 1, 3, max_rounds=5)
+        second = family.solve(3, 1, 4, max_rounds=5)
         assert first.encode_time > 0.0
         assert second.encode_time == 0.0

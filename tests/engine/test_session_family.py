@@ -10,7 +10,13 @@ import pytest
 
 from repro.core import make_instance, synthesize
 from repro.core.encoding import EncodingError, PrefixAnalysis, ScclEncoding
-from repro.engine import IncrementalDispatcher, SessionFamily, SweepRequest
+from repro.engine import (
+    Dispatcher,
+    FamilyExecutor,
+    SessionFamily,
+    SweepRequest,
+    make_dispatcher,
+)
 from repro.engine.session import SessionError
 from repro.topology import line, ring, star
 
@@ -144,24 +150,29 @@ class TestIncrementalDispatcherFamilies:
             candidates=((3, 2), (3, 1), (4, 2), (4, 1)),
             stop_at_first_sat=False,
         )
-        outcome = IncrementalDispatcher().sweep(request)
+        outcome = make_dispatcher("incremental").sweep(request)
         assert len(outcome.results) == 4
         assert outcome.stats.encode_calls == 1
         assert outcome.stats.solver_calls == 4
 
     def test_family_persists_across_sweeps(self):
-        dispatcher = IncrementalDispatcher()
+        executors = []
+
+        def make_executor(request):
+            executors.append(FamilyExecutor(request))
+            return executors[-1]
+
         topology = ring(4)
-        for steps in (2, 3):
-            request = SweepRequest(
+        Dispatcher("incremental", make_executor).run([
+            SweepRequest(
                 collective="Allgather",
                 topology=topology,
                 steps=steps,
                 candidates=((steps, 1), (steps + 1, 1)),
             )
-            dispatcher.sweep(request)
-        # One family handles both step counts (two per-S encodings sharing
-        # one reachability analysis).
-        assert len(dispatcher._families) == 1
-        family = next(iter(dispatcher._families.values()))
-        assert family.encode_calls == 2
+            for steps in (2, 3)
+        ])
+        # One family handles both step counts of the run (two per-S
+        # encodings sharing one reachability analysis).
+        (executor,) = executors
+        assert executor.encode_calls == 2

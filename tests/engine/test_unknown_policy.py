@@ -1,25 +1,23 @@
 """The deterministic UNKNOWN policy: family-frame budget exhaustion must
 not change the frontier the sweep reports.
 
-The incremental dispatcher probes candidates through shared-prefix family
+The incremental strategy probes candidates through shared-prefix family
 frames — *larger* formulas than the standalone encodings every other
 strategy solves, so a per-probe budget can exhaust on a frame where the
-standalone formula would verdict.  The policy (``SweepRequest.unknown_retry``)
-retries the exact standalone formula with the same budget before conceding
-the lattice point, restoring cross-strategy frontier agreement under
-injected resource limits.
+standalone formula would verdict.  The sweep loop retries the exact
+standalone formula with the same budget before conceding the lattice
+point, restoring cross-strategy frontier agreement under injected
+resource limits.
 """
 
 import pytest
 
 from repro.core import make_instance, pareto_synthesize
 from repro.core.synthesizer import SynthesisResult
-from repro.engine import IncrementalDispatcher, SweepRequest
+from repro.engine import STRATEGIES, SweepRequest, make_dispatcher
 from repro.engine.session import SessionFamily
 from repro.solver.sat import SolveResult
 from repro.topology import line, ring
-
-STRATEGIES = ("serial", "incremental", "parallel", "speculative")
 
 
 def signatures(frontier):
@@ -62,20 +60,13 @@ class TestExactRetry:
         point: the exact standalone formula is retried and its verdict
         (here SAT) is what the sweep reports."""
         _unknown_family_solve(monkeypatch)
-        outcome = IncrementalDispatcher().sweep(self.request())
+        outcome = make_dispatcher("incremental").sweep(self.request())
         assert outcome.first_sat is not None
         assert outcome.stats.unknown_retries >= 1
 
-    def test_retry_can_be_disabled(self, monkeypatch):
-        _unknown_family_solve(monkeypatch)
-        outcome = IncrementalDispatcher().sweep(self.request(unknown_retry=False))
-        assert outcome.first_sat is None
-        assert all(r.is_unknown for r in outcome.results)
-        assert outcome.stats.unknown_retries == 0
-
     def test_sound_verdicts_are_never_retried(self):
         """SAT/UNSAT family answers are sound; no retry runs for them."""
-        outcome = IncrementalDispatcher().sweep(self.request())
+        outcome = make_dispatcher("incremental").sweep(self.request())
         assert outcome.first_sat is not None
         assert outcome.stats.unknown_retries == 0
 
@@ -91,7 +82,7 @@ class TestExactRetry:
             return SynthesisResult(instance=instance, status=SolveResult.UNKNOWN)
 
         monkeypatch.setattr(synthesizer, "synthesize", fake_synthesize)
-        outcome = IncrementalDispatcher().sweep(self.request())
+        outcome = make_dispatcher("incremental").sweep(self.request())
         assert all(r.is_unknown for r in outcome.results)
         assert outcome.stats.unknown_retries == len(outcome.results)
 
