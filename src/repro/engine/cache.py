@@ -285,7 +285,8 @@ class AlgorithmCache:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry.to_json(), handle, sort_keys=True)
+                # dumps, not dump: one pass of the C encoder, same bytes.
+                handle.write(json.dumps(entry.to_json(), sort_keys=True))
             os.replace(tmp_name, path)
             get_metrics().inc("repro_cache_stores_total")
         except BaseException:

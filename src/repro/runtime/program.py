@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 
 class ProgramError(Exception):
@@ -96,6 +96,53 @@ class RankProgram:
         return len(self.instructions)
 
 
+@dataclass(frozen=True)
+class StepIndex:
+    """Everything the per-step consumers ask of a program, from one walk.
+
+    All three lists have one entry per synchronous step: the SENDs as
+    ``(rank, instruction)`` in rank-then-program order, the ``(rank, chunk)``
+    keys of the RECV_REDUCEs, and the ``(link, message count)`` pairs in
+    first-send order.  ``source`` is a copy of the instruction lists the
+    index was built from; comparing it with the live lists (identity checks
+    at C speed, no Python-level walk) is how a mutation is noticed.
+    """
+
+    sends: List[List[Tuple[int, Instruction]]]
+    reduce_keys: List[Set[Tuple[int, int]]]
+    link_messages: List[List[Tuple[Tuple[int, int], int]]]
+    source: List[List[Instruction]]
+
+    @staticmethod
+    def build(ranks: List[RankProgram]) -> "StepIndex":
+        sends: List[List[Tuple[int, Instruction]]] = []
+        reduce_keys: List[Set[Tuple[int, int]]] = []
+        counts: List[Dict[Tuple[int, int], int]] = []
+        source = [list(rank_program.instructions) for rank_program in ranks]
+        for rank_program, instructions in zip(ranks, source):
+            rank = rank_program.rank
+            for instr in instructions:
+                step = instr.step
+                if step < 0:
+                    continue
+                while step >= len(sends):
+                    sends.append([])
+                    reduce_keys.append(set())
+                    counts.append({})
+                if instr.op is OpCode.SEND:
+                    sends[step].append((rank, instr))
+                    link = (rank, instr.peer)
+                    counts[step][link] = counts[step].get(link, 0) + 1
+                elif instr.op is OpCode.RECV_REDUCE:
+                    reduce_keys[step].add((rank, instr.chunk))
+        return StepIndex(
+            sends=sends,
+            reduce_keys=reduce_keys,
+            link_messages=[list(per_link.items()) for per_link in counts],
+            source=source,
+        )
+
+
 @dataclass
 class Program:
     """A whole-machine program: one :class:`RankProgram` per rank.
@@ -114,6 +161,7 @@ class Program:
     ranks: List[RankProgram] = field(default_factory=list)
     protocol: str = "single_kernel_push"
     metadata: Dict[str, object] = field(default_factory=dict)
+    _index: Optional[StepIndex] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.ranks:
@@ -128,23 +176,28 @@ class Program:
             raise ProgramError(f"rank {index} out of range")
         return self.ranks[index]
 
+    def step_index(self) -> StepIndex:
+        """The program's :class:`StepIndex`, rebuilt if the instructions changed.
+
+        Built on first use and kept on the program itself, so it is freed
+        with it.  The lists inside are shared: read them, do not edit them.
+        """
+        index = self._index
+        if index is None or index.source != [rank.instructions for rank in self.ranks]:
+            index = self._index = StepIndex.build(self.ranks)
+        return index
+
     @property
     def num_steps(self) -> int:
-        return 1 + max(
-            (i.step for rank in self.ranks for i in rank.instructions), default=-1
-        )
+        return len(self.step_index().sends)
 
     def total_instructions(self) -> int:
         return sum(len(rank) for rank in self.ranks)
 
     def sends_at_step(self, step: int) -> List[Tuple[int, Instruction]]:
         """All SENDs scheduled for a given synchronous step, as (rank, instr)."""
-        result = []
-        for rank in self.ranks:
-            for instruction in rank.instructions:
-                if instruction.op is OpCode.SEND and instruction.step == step:
-                    result.append((rank.rank, instruction))
-        return result
+        sends = self.step_index().sends
+        return list(sends[step]) if 0 <= step < len(sends) else []
 
     def validate(self) -> None:
         """Structural checks: matched send/recv pairs per (chunk, step, link)."""

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.algorithm import Algorithm
 from ..topology import DEFAULT_LINK_LATENCY_S, Topology
-from .program import OpCode, Program
+from .program import Program
 
 
 class SimulationError(Exception):
@@ -111,7 +111,12 @@ class SimulationResult:
 
 
 class Simulator:
-    """Simulate lowered programs on a topology."""
+    """Simulate lowered programs on a topology.
+
+    A link's ``(alpha, beta)`` is read from the topology the first time the
+    link is priced and kept; degrade a fabric by building a new topology
+    (as ``FaultSet.apply`` does), not by editing this one in place.
+    """
 
     def __init__(
         self,
@@ -123,6 +128,9 @@ class Simulator:
         if protocols:
             self.protocols.update(protocols)
         self._capacity = topology.link_capacity()
+        # bandwidth multiplier -> link -> (alpha, beta): bounded by the
+        # topology's links, and holds no reference to any program.
+        self._link_costs: Dict[float, Dict[Tuple[int, int], Tuple[float, float]]] = {}
 
     # ------------------------------------------------------------------
     def chunk_bytes(self, program: Program, size_bytes: float) -> float:
@@ -153,35 +161,41 @@ class Simulator:
             raise SimulationError(f"no cost model for protocol {program.protocol!r}")
         chunk_bytes = self.chunk_bytes(program, size_bytes)
 
+        # Size-independent: which links are busy with how many messages
+        # (the program's step index, one instruction walk for all sizes) and
+        # what each link costs.  Per size: the payloads and the arithmetic.
+        index = program.step_index()
+        costs = self._link_costs.setdefault(protocol.bandwidth_multiplier, {})
+        fixed = protocol.per_transfer_fixed_s
+        # payloads[m] is m chunks pushed over one link, summed one by one.
+        payloads = [0.0]
+
         total = protocol.kernel_launch_s
         timings: List[StepTiming] = []
-        for step in range(program.num_steps):
-            sends = program.sends_at_step(step)
-            # Bytes pushed over each directed link this step; sends over the
-            # same link serialize, different links run in parallel.
-            per_link_bytes: Dict[Tuple[int, int], float] = {}
-            per_link_msgs: Dict[Tuple[int, int], int] = {}
-            for (src, instr) in sends:
-                link = (src, instr.peer)
-                per_link_bytes[link] = per_link_bytes.get(link, 0.0) + chunk_bytes
-                per_link_msgs[link] = per_link_msgs.get(link, 0) + 1
+        for step, messages_per_link in enumerate(index.link_messages):
+            # Sends over the same link serialize, different links run in
+            # parallel.
             link_times: Dict[Tuple[int, int], float] = {}
-            for link, payload in per_link_bytes.items():
-                beta = self.link_beta(link[0], link[1], protocol)
-                messages = per_link_msgs[link]
-                link_times[link] = (
-                    self.link_alpha(*link)
-                    + messages * protocol.per_transfer_fixed_s
-                    + payload * beta
-                )
+            loads: List[float] = []
+            for link, messages in messages_per_link:
+                cost = costs.get(link)
+                if cost is None:
+                    beta = self.link_beta(link[0], link[1], protocol)
+                    cost = costs[link] = (self.link_alpha(*link), beta)
+                alpha, beta = cost
+                while len(payloads) <= messages:
+                    payloads.append(payloads[-1] + chunk_bytes)
+                payload = payloads[messages]
+                loads.append(payload)
+                link_times[link] = alpha + messages * fixed + payload * beta
             busiest = max(link_times.values(), default=0.0)
             duration = protocol.per_step_sync_s + busiest
             total += duration
             timings.append(
                 StepTiming(
                     step=step,
-                    transfers=len(sends),
-                    bytes_on_busiest_link=max(per_link_bytes.values(), default=0.0),
+                    transfers=len(index.sends[step]),
+                    bytes_on_busiest_link=max(loads, default=0.0),
                     duration_s=duration,
                     link_times=link_times,
                 )

@@ -416,7 +416,8 @@ class PlanRegistry:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(table.to_json(), handle, sort_keys=True)
+                # dumps, not dump: one pass of the C encoder, same bytes.
+                handle.write(json.dumps(table.to_json(), sort_keys=True))
             os.replace(tmp_name, path)
         except BaseException:
             try:

@@ -76,6 +76,15 @@ class TestCacheBasics:
         warm = synthesize(instance, cache=cache)
         assert warm.cache_hit and warm.is_unsat
 
+    def test_stored_bytes_are_the_sorted_json_of_the_entry(self, cache):
+        instance = make_instance("Allgather", ring(4), 1, 2, 3)
+        synthesize(instance, cache=cache)
+        key = instance_fingerprint(instance)
+        entry = cache.lookup(key)
+        assert cache._path(key).read_text(encoding="utf-8") == json.dumps(
+            entry.to_json(), sort_keys=True
+        )
+
     def test_unknown_not_cached(self, cache):
         instance = make_instance("Allgather", ring(6), 2, 5, 5)
         result = synthesize(instance, cache=cache, conflict_limit=1)

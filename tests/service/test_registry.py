@@ -94,6 +94,16 @@ class TestRegistryPersistence:
         plan.algorithm.verify()
         assert registry.stats()["route_hits"] == 1
 
+    def test_saved_bytes_are_the_sorted_json_of_the_table(self, registry, frontier):
+        request = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
+        table = build_routing_table(
+            "Allgather", ring(4), frontier.algorithms(), synchrony=1
+        )
+        key = registry.install_table(request, table)
+        assert registry._table_path(key).read_text(encoding="utf-8") == json.dumps(
+            table.to_json(), sort_keys=True
+        )
+
     def test_tables_memoized_until_file_changes(self, registry, frontier):
         request = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
         table = build_routing_table(
