@@ -33,9 +33,12 @@ def cpu_parallelism() -> int:
 
 
 def bench_dir() -> Path:
-    """Where BENCH_*.json artifacts land (repo root, or $SCCL_BENCH_DIR)."""
-    root = os.environ.get("SCCL_BENCH_DIR") or Path(__file__).resolve().parents[1]
-    return Path(root)
+    """Where BENCH_*.json and trace.json land: $SCCL_BENCH_DIR, else the
+    git-ignored ``.bench_build/`` — a plain test run leaves the checkout clean."""
+    root = os.environ.get("SCCL_BENCH_DIR") or Path(__file__).resolve().parents[1] / ".bench_build"
+    path = Path(root)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _stamp_host(payload: dict) -> dict:

@@ -12,7 +12,7 @@ Measures what degraded-mode operation costs on the quickstart instance
 * **baseline fallback** — replan under a deadline too tight to solve:
   the ladder degrades to a verified baseline instead of erroring.
 
-The numbers land in ``BENCH_faults.json`` next to the repo root (or
+The numbers land in ``BENCH_faults.json`` under ``.bench_build/`` (or
 ``$SCCL_BENCH_DIR``) so CI can archive the recovery-latency trajectory
 run over run.  Everything here must stay fast: this file runs inside
 the tier-1 suite.

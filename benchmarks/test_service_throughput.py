@@ -10,7 +10,7 @@ about, on the quickstart instance (Allgather, 4-node ring):
   requests over a hot registry: requests/sec, coalescing ratio and cache
   hit rate.
 
-The numbers land in ``BENCH_service.json`` next to the repo root (or
+The numbers land in ``BENCH_service.json`` under ``.bench_build/`` (or
 ``$SCCL_BENCH_DIR``) so CI can archive the perf trajectory run over run.
 Everything here must stay fast: this file runs inside the tier-1 suite.
 """

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..solver import SolveResult
-from ..telemetry import get_metrics, get_tracer
+from ..telemetry import get_metrics, get_tracer, record_run
 from .algorithm import Algorithm
 from .bounds import Cut
 from .encoding import NaiveEncoding, ScclEncoding
@@ -138,13 +138,15 @@ def synthesize(
         fresh SAT/UNSAT outcomes are persisted back.
     """
     from ..engine.backends import get_backend
-    from ..engine.cache import lookup_result, store_result
+    from ..engine.cache import instance_fingerprint, lookup_result, store_result
 
     if encoding not in ("sccl", "naive"):
         raise ValueError(f"unknown encoding {encoding!r}")
     # Resolve the backend before consulting the cache so a typo'd backend
     # name fails immediately rather than only on the first cache miss.
     solver_backend = get_backend(backend)
+    # Cache key and archive fingerprint of this probe, computed once.
+    key = instance_fingerprint(instance, encoding=encoding, prune=prune)
 
     tracer = get_tracer()
     with tracer.span(
@@ -158,7 +160,8 @@ def synthesize(
     ) as probe_span:
         if cache is not None:
             cached = lookup_result(
-                cache, instance, encoding=encoding, prune=prune, verify=verify
+                cache, instance, encoding=encoding, prune=prune, verify=verify,
+                key=key,
             )
             if cached is not None:
                 if name is not None and cached.algorithm is not None:
@@ -227,20 +230,17 @@ def synthesize(
                     result.verify_time = time.monotonic() - start
             result.algorithm = algorithm
         if cache is not None:
-            store_result(cache, result, encoding=encoding, prune=prune)
-        _record_probe(result, encoding=encoding, prune=prune)
+            store_result(cache, result, encoding=encoding, prune=prune, key=key)
+        _record_probe(result, encoding=encoding, fingerprint=key)
         return result
 
 
-def _record_probe(result: SynthesisResult, *, encoding: str, prune: bool) -> None:
-    """Append one solved probe to the performance archive (best effort).
+def _record_probe(result: SynthesisResult, *, encoding: str, fingerprint: str) -> None:
+    """Record one solved probe in the performance archive (best effort).
 
     Only fresh solves are recorded — cache replays carry the original
     run's timings and would skew every distribution built on top.
     """
-    from ..engine.cache import instance_fingerprint
-    from ..telemetry import record_run
-
     instance = result.instance
     record_run(
         "probe",
@@ -248,9 +248,7 @@ def _record_probe(result: SynthesisResult, *, encoding: str, prune: bool) -> Non
             f"{instance.collective}/{instance.topology.name}/"
             f"C{instance.chunks_per_node}S{instance.steps}R{instance.rounds}"
         ),
-        fingerprint=instance_fingerprint(
-            instance, encoding=encoding, prune=prune
-        ),
+        fingerprint=fingerprint,
         features={
             "nodes": instance.topology.num_nodes,
             "C": instance.chunks_per_node,

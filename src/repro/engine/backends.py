@@ -141,7 +141,12 @@ class SolverHandle(Protocol):
     """
 
     def load(self, cnf: CNF) -> bool:
-        """Load a formula; returns False if it is trivially UNSAT."""
+        """Load a formula; returns False if it is trivially UNSAT.
+
+        The handle may keep the formula's clause lists and reorder the
+        literals within them (:meth:`CNF.hand_over`): ``cnf`` stays the
+        same formula, clause for clause, and can be grown and loaded again.
+        """
         ...
 
     def solve(

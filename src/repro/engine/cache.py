@@ -512,17 +512,20 @@ def lookup_result(
     encoding: str = "sccl",
     prune: bool = True,
     verify: bool = True,
+    key: Optional[str] = None,
 ):
     """Replay a cached outcome as a :class:`~repro.core.synthesizer.SynthesisResult`.
 
     Returns ``None`` on a miss (including corrupted entries).  Hits carry
     ``cache_hit=True``, the backend that originally produced the entry, and
     zero encode/solve time — the evaluation tables use those fields to
-    distinguish solved from replayed rows.
+    distinguish solved from replayed rows.  ``key`` is the instance's
+    fingerprint when the caller already computed it.
     """
     from ..core.synthesizer import SynthesisResult
 
-    key = instance_fingerprint(instance, encoding=encoding, prune=prune)
+    if key is None:
+        key = instance_fingerprint(instance, encoding=encoding, prune=prune)
     entry = cache.lookup(key)
     if entry is None:
         return None
@@ -550,8 +553,12 @@ def store_result(
     *,
     encoding: str = "sccl",
     prune: bool = True,
+    key: Optional[str] = None,
 ) -> bool:
-    """Persist a SAT or UNSAT synthesis outcome; UNKNOWN is never stored."""
+    """Persist a SAT or UNSAT synthesis outcome; UNKNOWN is never stored.
+
+    ``key`` is the instance's fingerprint when the caller already computed it.
+    """
     status = result.status
     if status is SolveResult.SAT:
         if result.algorithm is None:
@@ -563,7 +570,8 @@ def store_result(
         status_name = "unsat"
     else:
         return False
-    key = instance_fingerprint(result.instance, encoding=encoding, prune=prune)
+    if key is None:
+        key = instance_fingerprint(result.instance, encoding=encoding, prune=prune)
     instance = result.instance
     witness = getattr(result, "witness", None)
     entry = CacheEntry(

@@ -48,11 +48,11 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from ..core.instance import SynCollInstance, make_instance
-from ..telemetry import exact_quantiles, get_metrics, get_tracer, record_run
+from ..telemetry import exact_quantiles, flush_records, get_metrics, get_tracer, record_run
 from ..topology import Topology
 from .backends import QUARANTINE, get_backend, register_backend
 from .bounds import CUT, PROBE, PRUNE, BoundsLedger, ProbePlan, cut_result
-from .cache import AlgorithmCache, lookup_result, store_result
+from .cache import AlgorithmCache, instance_fingerprint, lookup_result, store_result
 from .session import SessionFamily
 
 #: The sweep strategy names — the only list of them; the CLI choices and
@@ -291,18 +291,21 @@ def _solve_in_worker(key: Tuple[int, int, int]):
     request, trace = _WORKER_SHARED
     steps, rounds, chunks = key
     probe = Probe(replace(request, steps=steps), rounds, chunks)
-    if not trace:
-        return _solve_exact(probe)
-    # The parent is tracing: record this probe with a private worker tracer
-    # and ship the span forest back in the pickled result.  The loop
-    # re-parents it under its sweep span, keeping this process's pid/tid.
-    from ..telemetry import Tracer, tracing
+    try:
+        if not trace:
+            return _solve_exact(probe)
+        # The parent is tracing: record this probe with a private worker tracer
+        # and ship the span forest back in the pickled result.  The loop
+        # re-parents it under its sweep span, keeping this process's pid/tid.
+        from ..telemetry import Tracer, tracing
 
-    tracer = Tracer()
-    with tracing(tracer):
-        result = _solve_exact(probe)
-    result.trace = tracer.export()
-    return result
+        tracer = Tracer()
+        with tracing(tracer):
+            result = _solve_exact(probe)
+        result.trace = tracer.export()
+        return result
+    finally:
+        flush_records()  # a pool child exits without running atexit
 
 
 class PoolExecutor:
@@ -414,13 +417,24 @@ def _plan_probes(request: SweepRequest) -> Optional[ProbePlan]:
     return request.bounds.plan(request.steps, request.candidates)
 
 
-def _cached_result(probe: Probe, cache: Optional[AlgorithmCache]):
-    """Resolve one probe against the cache (None on a miss or no cache)."""
+def _cached_result(
+    probe: Probe, cache: Optional[AlgorithmCache],
+    fingerprints: Dict[Tuple[int, int, int], str],
+):
+    """Resolve one probe against the cache (None on a miss or no cache).
+
+    The probe's fingerprint is left in ``fingerprints`` for the store that
+    follows a miss.
+    """
     if cache is None:
         return None
     request = probe.request
+    instance = probe.instance()
+    key = fingerprints[probe.key] = instance_fingerprint(
+        instance, encoding=request.encoding, prune=request.prune
+    )
     return lookup_result(
-        cache, probe.instance(), encoding=request.encoding, prune=request.prune
+        cache, instance, encoding=request.encoding, prune=request.prune, key=key
     )
 
 
@@ -524,11 +538,12 @@ class Dispatcher:
         executor = self._make_executor(requests[0])
         tracer = get_tracer()
         replays: Dict[Tuple[int, int, int], object] = {}
+        fingerprints: Dict[Tuple[int, int, int], str] = {}
 
         def lookup(probe: Probe):
             """The cache's answer for ``probe``, asked at most once per run."""
             if probe.key not in replays:
-                replays[probe.key] = _cached_result(probe, cache)
+                replays[probe.key] = _cached_result(probe, cache, fingerprints)
             return replays[probe.key]
 
         def misses(request: SweepRequest, plan: Optional[ProbePlan]) -> Iterator[Probe]:
@@ -612,6 +627,7 @@ class Dispatcher:
                                 store_result(
                                     cache, result,
                                     encoding=request.encoding, prune=request.prune,
+                                    key=fingerprints[probe.key],
                                 )
                         if request.bounds is not None:
                             request.bounds.observe(result)

@@ -34,7 +34,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional
 
-from ..telemetry import get_metrics
+from ..telemetry import flush_records, get_metrics, record_run
 from .api import (
     DEFAULT_DEADLINE_S,
     FaultRequest,
@@ -189,8 +189,6 @@ class SynthesisResolver:
         failure status; the latency histogram behind ``/v1/stats``'s
         p50/p95/p99 is labelled the same way.
         """
-        from ..telemetry import record_run
-
         rung = response.source if response.ok else response.status
         get_metrics().observe(
             "repro_resolver_latency_seconds", response.solve_time_s, rung=rung
@@ -573,6 +571,7 @@ class PlanningService:
         if self._started:
             self.pool.stop()
             self._started = False
+            flush_records()  # the resolutions' archive lines still held back
 
     def __enter__(self) -> "PlanningService":
         return self.start()

@@ -52,6 +52,10 @@ class CNF:
 
     num_vars: int = 0
     clauses: List[List[int]] = field(default_factory=list)
+    # Clauses that entered through add_clause / add_clause_fast, and how many
+    # leading clauses a solver already holds (see hand_over).
+    _vouched: int = field(default=0, init=False, repr=False, compare=False)
+    _handed: int = field(default=0, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Variable management
@@ -99,21 +103,42 @@ class CNF:
             clause.append(lit)
             self.ensure_var(lit_var(lit))
         self.clauses.append(clause)
+        self._vouched += 1
 
     def add_clause_fast(self, lits: List[int]) -> None:
         """Append a pre-normalized clause, skipping the per-literal scans.
 
         The caller guarantees that every literal's variable is already
-        allocated in this formula and that the clause is worth keeping as
-        given — no tautology check, no duplicate removal, no ``ensure_var``.
+        allocated in this formula, that no variable occurs twice and that
+        the clause is worth keeping as given — no tautology check, no
+        duplicate removal, no ``ensure_var``; the solver's loader relies on
+        the same promise (:meth:`hand_over`).
         This is the hot path for machine-generated clauses (the synthesis
         encoder and the cardinality encoders), whose clauses are built from
         freshly allocated variables and are normalized by construction;
         :meth:`add_clause` remains the safe door for everything else
         (DIMACS parsing, hand-written constraints).  The list is stored
-        directly, so callers must not mutate it afterwards.
+        directly and a solver may reorder it, so callers must not mutate or
+        rely on its literal order afterwards.
         """
         self.clauses.append(lits)
+        self._vouched += 1
+
+    def hand_over(self) -> int:
+        """Hand the clause lists to a loader; returns where its share starts.
+
+        Clauses from the returned index on are vouched for — distinct
+        variables, all allocated: :meth:`add_clause` normalized them or the
+        caller of :meth:`add_clause_fast` promised — and no loader holds
+        them yet, so this one may keep the lists themselves (a solver
+        reorders the literals of a list, never changes them).  Clauses
+        before it must be checked and copied.  A ``clauses`` list edited
+        from outside vouches for nothing.
+        """
+        count = len(self.clauses)
+        start = self._handed if self._vouched == count else count
+        self._handed = count
+        return start
 
     def extend(self, clauses: Iterable[Iterable[int]]) -> None:
         """Add several clauses."""

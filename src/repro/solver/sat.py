@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from itertools import islice
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -224,40 +225,37 @@ class SATSolver:
     def add_cnf(self, cnf: CNF) -> bool:
         """Load every clause of a :class:`~repro.solver.cnf.CNF` object.
 
-        The variable space grows once.  A clause over distinct, known
-        variables only needs simplifying against the fixed literals, done
-        here; any other takes the checked path.  Either way it is stored,
-        watched and propagated exactly as by :meth:`add_clause`.
+        The variable space grows once.  The clauses the formula hands over
+        (:meth:`CNF.hand_over`) need no checks: one with no fixed literal
+        is stored as the very list the formula holds, and this solver
+        reorders its literals from then on.  Every other clause goes
+        through :meth:`add_clause`.  Either way it is stored, watched and
+        propagated exactly as by :meth:`add_clause`.
         """
         self.ensure_vars(cnf.num_vars)
         if not self._ok:
             return False
-        val, watches, clauses = self._val, self._watches, self._clauses
-        num_vars = self.num_vars  # a stale bound only sends more clauses down the checked path
-        for lits in cnf.clauses:
-            if len(lits) == 2:
-                a, b = lits
-                plain = a != b and a != -b and 0 < abs(a) <= num_vars and 0 < abs(b) <= num_vars
-            else:
-                used = set(map(abs, lits))
-                plain = len(used) == len(lits) > 0 and 0 not in used and max(used) <= num_vars
-            if plain:
-                clause = []
-                for lit in lits:
-                    value = val[lit]
-                    if value == TRUE:
-                        break  # satisfied for good: dropped
-                    if value == UNASSIGNED:
-                        clause.append(lit)
-                else:
-                    if len(clause) > 1:
-                        clauses.append(clause)
-                        watches[-clause[0]].append(clause)
-                        watches[-clause[1]].append(clause)
-                    elif not self.add_clause(clause):  # unit or empty
-                        return False
+        watches, clauses, trail = self._watches, self._clauses, self._trail
+        source = cnf.clauses
+        handed_from = cnf.hand_over()
+        for lits in islice(source, handed_from):
+            if not self.add_clause(lits):
+                return False
+        # solve() returns at decision level 0, so the trail is the fixed literals.
+        fixed = set(trail).union([-lit for lit in trail])
+        known = len(trail)
+        for lits in islice(source, handed_from, None):
+            if len(lits) > 1 and fixed.isdisjoint(lits):
+                clauses.append(lits)
+                watches[-lits[0]].append(lits)
+                watches[-lits[1]].append(lits)
             elif not self.add_clause(lits):
                 return False
+            elif len(trail) > known:  # a unit: it and what it implied are fixed now
+                for lit in trail[known:]:
+                    fixed.add(lit)
+                    fixed.add(-lit)
+                known = len(trail)
         return True
 
     def _attach(self, clause: List[int]) -> None:

@@ -24,6 +24,7 @@ from .archive import (
     RunRecord,
     default_archive_dir,
     exact_quantiles,
+    flush_records,
     get_archive,
     host_context,
     host_fingerprint,
@@ -73,6 +74,7 @@ __all__ = [
     "default_archive_dir",
     "diff_chrome_traces",
     "exact_quantiles",
+    "flush_records",
     "get_archive",
     "get_metrics",
     "get_tracer",

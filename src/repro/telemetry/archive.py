@@ -21,6 +21,17 @@ up — is counted and skipped, never raised.  Recording is *always* best
 effort: an unwritable archive must never fail the synthesis or request
 that tried to record into it.
 
+Recording must not tax the path it observes either, so the producer hook
+:func:`record_run` does no I/O: it finishes the line and holds it back,
+and a root's held lines are written in one locked append when there are
+64 of them, when the oldest is a second old at the next record, before
+this process reads that root, on :func:`set_archive`, at interpreter exit
+and wherever :func:`flush_records` is called (the end of a pool-worker
+task; ``PlanningService.stop``, which is ``repro serve``'s shutdown
+path).  A process killed outright therefore loses at most 64 lines or one
+second of records.  :meth:`PerfArchive.append` remains the immediate,
+unbuffered write.
+
 Records carry host context (hostname, cpu count, python version) because
 timings from different hosts must never be compared against each other:
 the regression sentinel partitions on :func:`host_fingerprint`.
@@ -28,6 +39,7 @@ the regression sentinel partitions on :func:`host_fingerprint`.
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import json
 import math
@@ -38,7 +50,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 try:  # POSIX only; elsewhere appends fall back to best-effort O_APPEND.
     import fcntl
@@ -65,14 +77,21 @@ def host_context() -> Dict[str, object]:
 
     Archived runs from different hosts are never compared against each
     other (a 64-core build box and a 1-core CI runner disagree about
-    everything); :func:`host_fingerprint` is the partition key.
+    everything); :func:`host_fingerprint` is the partition key.  Computed
+    once per process; every caller gets its own copy.
     """
-    return {
-        "hostname": socket.gethostname(),
-        "cpu_count": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "platform": platform.system().lower(),
-    }
+    global _HOST
+    if _HOST is None:
+        _HOST = {
+            "hostname": socket.gethostname(),
+            "cpu_count": os.cpu_count() or 1,
+            "python": platform.python_version(),
+            "platform": platform.system().lower(),
+        }
+    return dict(_HOST)
+
+
+_HOST: Optional[Dict[str, object]] = None
 
 
 def host_fingerprint(host: Optional[Dict[str, object]] = None) -> str:
@@ -119,9 +138,8 @@ class RunRecord:
     created_at: float = 0.0
 
     def to_json(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["version"] = ARCHIVE_FORMAT_VERSION
-        return data
+        """The record's fields (shared, not copied) plus the format version."""
+        return dict(vars(self), version=ARCHIVE_FORMAT_VERSION)
 
     @classmethod
     def from_json(cls, data: dict) -> "RunRecord":
@@ -172,9 +190,16 @@ def exact_quantiles(
 
 
 def _session_id() -> str:
-    return f"{socket.gethostname()}-{os.getpid()}-{int(_SESSION_EPOCH * 1000):x}"
+    """This process's session id, computed once (a forked child gets its own)."""
+    global _SESSION
+    if _SESSION is None:
+        _SESSION = (
+            f"{host_context()['hostname']}-{os.getpid()}-{int(_SESSION_EPOCH * 1000):x}"
+        )
+    return _SESSION
 
 
+_SESSION: Optional[str] = None
 _SESSION_EPOCH = time.time()
 _SEQ_LOCK = threading.Lock()
 _SEQ = 0
@@ -186,6 +211,19 @@ def _next_run_id(created_at: float) -> str:
         _SEQ += 1
         seq = _SEQ
     return f"{int(created_at * 1000):x}-{os.getpid()}-{seq}"
+
+
+def _finish(record: RunRecord) -> str:
+    """Stamp the bookkeeping fields; returns the record's archive line."""
+    if not record.created_at:
+        record.created_at = time.time()
+    if not record.run_id:
+        record.run_id = _next_run_id(record.created_at)
+    if not record.session:
+        record.session = _session_id()
+    if not record.host:
+        record.host = host_context()
+    return json.dumps(record.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +243,7 @@ class PerfArchive:
 
     def __init__(self, root=None) -> None:
         self.root = Path(root) if root is not None else default_archive_dir()
+        self._key = os.path.abspath(self.root)  # names the root in _PENDING
         #: Lines the last load skipped because they would not parse.
         self.corrupt_lines = 0
 
@@ -216,26 +255,24 @@ class PerfArchive:
         return self.root / f"{self.SEGMENT_PREFIX}{day}{self.SEGMENT_SUFFIX}"
 
     def append(self, record: RunRecord) -> bool:
-        """Durably append one record; False (never an exception) on failure.
+        """Durably append one record; False (never an exception) on failure."""
+        line = _finish(record)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError:
+            return False
+        return self._write(self._segment_path(record.created_at), line)
+
+    def _write(self, path: Path, lines: str) -> bool:
+        """Append whole lines to one segment of an existing root in a single
+        ``write``.
 
         The advisory lock serializes whole-line appends across processes;
         on lock failure the append still proceeds — O_APPEND keeps single
         ``write`` calls intact on POSIX for these line sizes, the lock just
         removes any doubt.
         """
-        if not record.created_at:
-            record.created_at = time.time()
-        if not record.run_id:
-            record.run_id = _next_run_id(record.created_at)
-        if not record.session:
-            record.session = _session_id()
-        if not record.host:
-            record.host = host_context()
-        line = json.dumps(record.to_json(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            path = self._segment_path(record.created_at)
             with open(self.root / self.LOCK_NAME, "a+") as lock_handle:
                 if fcntl is not None:
                     try:
@@ -244,7 +281,7 @@ class PerfArchive:
                         pass
                 try:
                     with open(path, "a", encoding="utf-8") as handle:
-                        handle.write(line)
+                        handle.write(lines)
                         handle.flush()
                 finally:
                     if fcntl is not None:
@@ -260,6 +297,7 @@ class PerfArchive:
     # Reading
     # ------------------------------------------------------------------
     def segments(self) -> List[Path]:
+        flush_records(self.root)  # a read sees everything this process recorded
         if not self.root.exists():
             return []
         return sorted(
@@ -411,24 +449,92 @@ def get_archive() -> PerfArchive:
 def set_archive(archive: Optional[PerfArchive]) -> Optional[PerfArchive]:
     """Install an explicit archive (``None`` restores env resolution)."""
     global _OVERRIDE
+    flush_records()
     previous = _OVERRIDE
     _OVERRIDE = archive
     return previous
 
 
+#: What :func:`record_run` holds back, per archive root: finished lines as
+#: ``(recorded at, created_at, line)``, written in one locked append once
+#: there are ``_FLUSH_LINES`` of them or the oldest is ``_FLUSH_AGE_S`` old.
+#: A root has an entry from its first record, which goes straight to disk,
+#: until a batch finds the root gone.
+_PENDING: Dict[str, List[Tuple[float, float, str]]] = {}
+_PENDING_LOCK = threading.Lock()
+_FLUSH_LINES = 64
+_FLUSH_AGE_S = 1.0
+
+
+def flush_records(root=None) -> None:
+    """Write the records :func:`record_run` still holds back (for one
+    archive root; for every root when None).
+
+    Runs at interpreter exit and before this process reads the root; call
+    it where neither happens — at the end of a pool-worker task (pool
+    children skip ``atexit``) and when a service stops.
+    """
+    with _PENDING_LOCK:
+        for key in list(_PENDING) if root is None else [os.path.abspath(root)]:
+            pending = _PENDING.get(key)
+            if not pending:
+                continue
+            archive = PerfArchive(key)
+            batches: Dict[Path, List[str]] = {}
+            for _, created_at, line in pending:
+                batches.setdefault(archive._segment_path(created_at), []).append(line)
+            del pending[:]
+            for path, lines in batches.items():
+                if not archive._write(path, "".join(lines)):
+                    # The root is gone (a throwaway archive deleted by its
+                    # owner): never resurrect it from here; the next record
+                    # goes through append again, which creates it.
+                    _PENDING.pop(key, None)
+
+
+def _after_fork_in_child() -> None:
+    """A forked child starts empty: its parent writes the lines it held back,
+    and the lock may belong to a thread that does not exist here."""
+    global _PENDING_LOCK, _SESSION
+    _PENDING.clear()
+    _PENDING_LOCK = threading.Lock()
+    _SESSION = None
+
+
+atexit.register(flush_records)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
 def record_run(kind: str, **fields) -> Optional[RunRecord]:
-    """Build and append one record to the ambient archive; None when disabled.
+    """Build one record for the ambient archive; None when disabled or failed.
 
     The one-call producer hook used by the synthesizer, the sweep loop,
-    the Pareto loop, the service resolver and the benchmark harness.
-    Never raises: recording is an observation, not a dependency.
+    the Pareto loop, the service resolver and the benchmark harness.  The
+    finished line joins the root's pending batch (see ``_PENDING``), so a
+    record costs its caller no I/O.  Never raises: recording is an
+    observation, not a dependency.
     """
     if not recording_enabled():
         return None
     try:
         record = RunRecord(kind=kind, **fields)
-        if get_archive().append(record):
-            return record
+        archive = get_archive()
+        with _PENDING_LOCK:
+            pending = _PENDING.get(archive._key)
+            if pending is None:
+                # A root's first record goes straight to disk, which creates
+                # the root; an unwritable one fails here, every time.
+                if not archive.append(record):
+                    return None
+                _PENDING[archive._key] = []
+                return record
+            line = _finish(record)
+            now = time.monotonic()
+            pending.append((now, record.created_at, line))
+            due = len(pending) >= _FLUSH_LINES or now - pending[0][0] > _FLUSH_AGE_S
+        if due:
+            flush_records(archive.root)
+        return record
     except Exception:
-        pass
-    return None
+        return None
