@@ -71,6 +71,9 @@ class Step:
     def __post_init__(self) -> None:
         if self.rounds < 0:
             raise AlgorithmError("negative round count")
+        if not isinstance(self.sends, tuple):
+            # A step is immutable all the way down: Algorithm.verify relies on it.
+            object.__setattr__(self, "sends", tuple(self.sends))
 
     @property
     def num_sends(self) -> int:
@@ -118,6 +121,13 @@ class Algorithm:
     steps: List[Step] = field(default_factory=list)
     combining: bool = False
     metadata: Dict[str, object] = field(default_factory=dict)
+    # What the last successful verify() checked (see _verify_inputs).  Not a
+    # constructor argument, so replace(), from_dict and every import start
+    # without one; __getstate__ keeps it out of pickles and copies.
+    _witness: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_witness": None}
 
     # ------------------------------------------------------------------
     # Basic quantities
@@ -185,19 +195,15 @@ class Algorithm:
         canonical origin.  For combining algorithms every resident copy is
         that node's *own* partial input.
         """
-        state: ContributionState = {}
+        if self.combining:
+            return {(chunk, node): frozenset({node}) for (chunk, node) in self.precondition}
+        origin: Dict[int, int] = {}
         for (chunk, node) in self.precondition:
-            if self.combining:
-                state[(chunk, node)] = frozenset({node})
-            else:
-                state[(chunk, node)] = frozenset({self._origin(chunk)})
-        return state
-
-    def _origin(self, chunk: int) -> int:
-        origins = sorted(n for (c, n) in self.precondition if c == chunk)
-        if not origins:
-            raise AlgorithmError(f"chunk {chunk} has no origin in the precondition")
-        return origins[0]
+            if node < origin.get(chunk, node + 1):
+                origin[chunk] = node
+        return {
+            (chunk, node): frozenset({origin[chunk]}) for (chunk, node) in self.precondition
+        }
 
     def run(self) -> List[ContributionState]:
         """Execute the schedule, returning the state after every step.
@@ -206,47 +212,65 @@ class Algorithm:
         present at its source at that step, or merges overlapping
         contributions (which would double-count inputs in a reduction).
         """
+        history: List[ContributionState] = []
+        self._replay(history)
+        return history
+
+    def _replay(self, history: Optional[List[ContributionState]] = None) -> ContributionState:
+        """The run semantics; returns the final state.
+
+        A step's sends all read the state as it was before the step, so its
+        writes are collected apart and applied together.  With ``history``,
+        a copy of the state is appended before the first step and after
+        every step.
+        """
         state = self.initial_state()
-        history = [dict(state)]
+        if history is not None:
+            history.append(dict(state))
+        no_contributions: FrozenSet[int] = frozenset()
         for index, step in enumerate(self.steps):
-            next_state: ContributionState = dict(state)
+            written: ContributionState = {}
             for send in step.sends:
-                key_src = (send.chunk, send.src)
-                if key_src not in state:
+                incoming = state.get((send.chunk, send.src))
+                if incoming is None:
                     raise AlgorithmError(
                         f"step {index}: node {send.src} sends chunk {send.chunk} "
                         f"it does not hold"
                     )
-                incoming = state[key_src]
                 key_dst = (send.chunk, send.dst)
                 if send.op == "copy":
-                    next_state[key_dst] = incoming
+                    written[key_dst] = incoming
                 else:  # reduce
-                    existing = next_state.get(key_dst, frozenset())
+                    existing = written.get(key_dst)
+                    if existing is None:
+                        existing = state.get(key_dst, no_contributions)
                     overlap = existing & incoming
                     if overlap:
                         raise AlgorithmError(
                             f"step {index}: reducing chunk {send.chunk} at node "
                             f"{send.dst} double-counts contributions {sorted(overlap)}"
                         )
-                    next_state[key_dst] = existing | incoming
-            state = next_state
-            history.append(dict(state))
-        return history
+                    written[key_dst] = existing | incoming
+            state.update(written)
+            if history is not None:
+                history.append(dict(state))
+        return state
 
     def check_bandwidth(self) -> None:
         """Check constraint C5: per-step link loads within ``b * r_s``."""
+        link_set = self.topology.links()
+        constraints = self.topology.constraints
         for index, step in enumerate(self.steps):
             loads: Dict[Tuple[int, int], int] = {}
             for send in step.sends:
-                loads[(send.src, send.dst)] = loads.get((send.src, send.dst), 0) + 1
-            link_set = self.topology.links()
-            for link, load in loads.items():
+                link = (send.src, send.dst)
+                loads[link] = loads.get(link, 0) + 1
+            for link in loads:
                 if link not in link_set:
                     raise AlgorithmError(
                         f"step {index}: send scheduled on non-existent link {link}"
                     )
-            for constraint in self.topology.constraints:
+            for constraint in constraints:
                 total = sum(loads.get(link, 0) for link in constraint.links)
                 allowed = constraint.bandwidth * step.rounds
                 if total > allowed:
@@ -256,10 +280,38 @@ class Algorithm:
                         f"bandwidth {constraint.bandwidth} x {step.rounds} rounds"
                     )
 
+    def _verify_inputs(self) -> tuple:
+        """Everything :meth:`verify` reads, as one comparable value.
+
+        Steps and bandwidth constraints are frozen, so holding the objects
+        is holding their content; the tuples copy the two lists that can be
+        edited in place, and ``frozenset()`` copies a placement only when it
+        is a mutable set.
+        """
+        topology = self.topology
+        return (
+            tuple(self.steps),
+            tuple(topology.constraints),
+            topology.num_nodes,
+            frozenset(self.precondition),
+            frozenset(self.postcondition),
+            self.combining,
+        )
+
     def verify(self) -> None:
-        """Full validity check: run semantics, bandwidth, postcondition."""
+        """Full validity check: run semantics, bandwidth, postcondition.
+
+        An algorithm is checked in full once per content, and again whenever
+        anything the check reads has changed: a successful check leaves a
+        witness of its inputs on the object, and a later call returns at
+        once while the live fields still compare equal to it (identical
+        objects compare without being walked, so this costs O(S)).
+        """
+        inputs = self._verify_inputs()
+        if self._witness == inputs:
+            return
         self.check_bandwidth()
-        final_state = self.run()[-1]
+        final_state = self._replay()
         if self.combining:
             expected = self._full_contributions()
             for (chunk, node) in self.postcondition:
@@ -280,6 +332,7 @@ class Algorithm:
                     raise AlgorithmError(
                         f"postcondition violated: chunk {chunk} never reaches node {node}"
                     )
+        self._witness = inputs
 
     def _full_contributions(self) -> Dict[int, FrozenSet[int]]:
         full: Dict[int, Set[int]] = {}

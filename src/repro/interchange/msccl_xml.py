@@ -8,8 +8,9 @@ operations.  This module emits and parses that shape for
 
 * :func:`to_msccl_xml` lowers the algorithm through
   :func:`repro.runtime.lowering.lower` (so the emitted ops are exactly the
-  per-rank SEND / RECV / RECV_REDUCE instructions the runtime would execute)
-  and assigns one threadblock per communicating peer.
+  per-rank SEND / RECV / RECV_REDUCE instructions the runtime would execute),
+  assigns one threadblock per communicating peer and writes the document as
+  text in that one walk; ElementTree is used for parsing only.
 * :func:`from_msccl_xml` parses a document back into an ``Algorithm``,
   cross-checks every send against a matching receive, rebuilds the pre/post
   placements from the collective specification
@@ -43,6 +44,12 @@ XML_FORMAT_VERSION = 1
 _SEND_TYPE = "s"
 _RECV_TYPES = {"r": "copy", "rrc": "reduce"}
 
+# "&" first: the entities themselves contain it.
+_ATTR_ENTITIES = (
+    ("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
+    ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"),
+)
+
 
 # ----------------------------------------------------------------------
 # Emission
@@ -55,106 +62,97 @@ def to_msccl_xml(
 ) -> str:
     """Serialize an algorithm as an MSCCL-style XML document.
 
-    The algorithm is lowered first (which verifies it), so an invalid
-    schedule can never be emitted.
+    The algorithm is lowered first, and lowering verifies it (in full unless
+    this very content was verified before), so an invalid schedule can never
+    be emitted.  The text is written directly, two spaces per level, in the
+    layout ``ElementTree.indent`` + ``tostring`` give the same tree — the
+    tests hold the writer to that, byte for byte.
     """
     from ..runtime.lowering import lower
+    from ..runtime.program import OpCode
 
     spec = get_collective(algorithm.collective)
     root_node = infer_root(algorithm)
     program = lower(algorithm, protocol=protocol)
+    topology = algorithm.topology
+    num_gpus = topology.num_nodes
 
-    algo = ET.Element(
-        "algo",
-        {
-            "name": name or algorithm.name,
-            "coll": spec.name.lower(),
-            "proto": "Simple",
-            "protocol": protocol,
-            "nchannels": "1",
-            "ngpus": str(algorithm.topology.num_nodes),
-            "nchunksperloop": str(algorithm.num_chunks),
-            "chunks_per_node": str(algorithm.chunks_per_node),
-            "nsteps": str(algorithm.num_steps),
-            "nrounds": str(algorithm.total_rounds),
-            "root": str(root_node),
-            "combining": "1" if algorithm.combining else "0",
-            "version": str(XML_FORMAT_VERSION),
-        },
+    lines = [
+        f'<algo name="{_escape_attr(name or algorithm.name)}" coll="{spec.name.lower()}" '
+        f'proto="Simple" protocol="{_escape_attr(protocol)}" nchannels="1" '
+        f'ngpus="{num_gpus}" nchunksperloop="{algorithm.num_chunks}" '
+        f'chunks_per_node="{algorithm.chunks_per_node}" nsteps="{algorithm.num_steps}" '
+        f'nrounds="{algorithm.total_rounds}" root="{root_node}" '
+        f'combining="{1 if algorithm.combining else 0}" version="{XML_FORMAT_VERSION}">'
+    ]
+
+    constraint_lines: List[str] = []
+    for constraint in topology.constraints:
+        constraint_lines += _element(
+            "    ", "constraint",
+            f' bandwidth="{constraint.bandwidth}" name="{_escape_attr(constraint.name)}"',
+            [f'      <link src="{src}" dst="{dst}" />'
+             for (src, dst) in sorted(constraint.links)],
+        )
+    lines += _element(
+        "  ", "topology",
+        f' name="{_escape_attr(topology.name)}" nodes="{num_gpus}" '
+        f'alpha="{_escape_attr(repr(topology.alpha))}" '
+        f'beta="{_escape_attr(repr(topology.beta))}"',
+        constraint_lines,
     )
-    algo.append(_topology_element(algorithm.topology))
-
-    schedule = ET.SubElement(algo, "schedule")
-    for index, step in enumerate(algorithm.steps):
-        ET.SubElement(schedule, "phase", {"id": str(index), "rounds": str(step.rounds)})
+    lines += _element(
+        "  ", "schedule", "",
+        [f'    <phase id="{index}" rounds="{step.rounds}" />'
+         for index, step in enumerate(algorithm.steps)],
+    )
 
     precondition = algorithm.precondition
-    for gpu in range(algorithm.topology.num_nodes):
-        gpu_el = ET.SubElement(algo, "gpu", {"id": str(gpu)})
+    for gpu in range(num_gpus):
         peers = program.rank(gpu).transfers_by_peer()
+        tb_lines: List[str] = []
         for tb_id, peer in enumerate(sorted(peers)):
             sends = peers[peer]["send"]
             recvs = peers[peer]["recv"]
-            tb_el = ET.SubElement(
-                gpu_el,
-                "tb",
-                {
-                    "id": str(tb_id),
-                    "send": str(peer) if sends else "-1",
-                    "recv": str(peer) if recvs else "-1",
-                    "chan": "0",
-                },
+            tb_lines.append(
+                f'    <tb id="{tb_id}" send="{peer if sends else -1}" '
+                f'recv="{peer if recvs else -1}" chan="0">'
             )
-            ops: List[Tuple[int, int, int, str, int]] = []
-            # (step, order-within-step: sends first, chunk, type, peer)
-            for instr in sends:
-                ops.append((instr.step, 0, instr.chunk, _SEND_TYPE, peer))
-            for instr in recvs:
-                recv_type = "rrc" if instr.op.value == "recv_reduce" else "r"
-                ops.append((instr.step, 1, instr.chunk, recv_type, peer))
+            # (step, order-within-step: sends first, chunk, type, who held the chunk)
+            ops = [(instr.step, 0, instr.chunk, _SEND_TYPE, gpu) for instr in sends]
+            ops.extend(
+                (instr.step, 1, instr.chunk,
+                 "rrc" if instr.op is OpCode.RECV_REDUCE else "r", peer)
+                for instr in recvs
+            )
             ops.sort()
-            for step_index, _, chunk, op_type, op_peer in ops:
-                holder = gpu if op_type == _SEND_TYPE else op_peer
-                ET.SubElement(
-                    tb_el,
-                    "step",
-                    {
-                        "s": str(step_index),
-                        "type": op_type,
-                        "srcbuf": "i" if (chunk, holder) in precondition else "o",
-                        "srcoff": str(chunk),
-                        "dstbuf": "o",
-                        "dstoff": str(chunk),
-                        "cnt": "1",
-                        "depid": "-1",
-                        "deps": "-1",
-                        "hasdep": "0",
-                    },
-                )
+            tb_lines.extend(
+                f'      <step s="{step_index}" type="{op_type}" '
+                f'srcbuf="{"i" if (chunk, holder) in precondition else "o"}" '
+                f'srcoff="{chunk}" dstbuf="o" dstoff="{chunk}" cnt="1" depid="-1" '
+                f'deps="-1" hasdep="0" />'
+                for step_index, _, chunk, op_type, holder in ops
+            )
+            tb_lines.append("    </tb>")
+        lines += _element("  ", "gpu", f' id="{gpu}"', tb_lines)
 
-    ET.indent(algo, space="  ")
-    return ET.tostring(algo, encoding="unicode") + "\n"
+    lines.append("</algo>\n")
+    return "\n".join(lines)
 
 
-def _topology_element(topology: Topology) -> ET.Element:
-    element = ET.Element(
-        "topology",
-        {
-            "name": topology.name,
-            "nodes": str(topology.num_nodes),
-            "alpha": repr(topology.alpha),
-            "beta": repr(topology.beta),
-        },
-    )
-    for constraint in topology.constraints:
-        constraint_el = ET.SubElement(
-            element,
-            "constraint",
-            {"bandwidth": str(constraint.bandwidth), "name": constraint.name},
-        )
-        for (src, dst) in sorted(constraint.links):
-            ET.SubElement(constraint_el, "link", {"src": str(src), "dst": str(dst)})
-    return element
+def _element(indent: str, tag: str, attrs: str, children: List[str]) -> List[str]:
+    """An element's lines; self-closing without children, as ElementTree writes it."""
+    if not children:
+        return [f"{indent}<{tag}{attrs} />"]
+    return [f"{indent}<{tag}{attrs}>", *children, f"{indent}</{tag}>"]
+
+
+def _escape_attr(text: str) -> str:
+    """Escape a free-text attribute value exactly as ElementTree does."""
+    for char, entity in _ATTR_ENTITIES:
+        if char in text:
+            text = text.replace(char, entity)
+    return text
 
 
 def write_msccl_xml(
@@ -182,7 +180,10 @@ def from_msccl_xml(text: str, *, topology: Optional[Topology] = None) -> Algorit
     count must agree with ``ngpus``).  Every send must have exactly one
     matching receive on the destination GPU, the placements are rebuilt from
     the collective specification, and the schedule is re-verified — a
-    foreign document cannot inject an invalid schedule.
+    foreign document cannot inject an invalid schedule.  A step that moves
+    more than one chunk (``cnt`` other than 1) or lands at another offset
+    than it left (``dstoff`` other than ``srcoff``) is rejected, not read as
+    the single same-offset transfer a :class:`Send` can express.
     """
     try:
         algo = ET.fromstring(text)
@@ -205,6 +206,18 @@ def from_msccl_xml(text: str, *, topology: Optional[Topology] = None) -> Algorit
     chunks_per_node = _int_attr(algo, "chunks_per_node")
     num_steps = _int_attr(algo, "nsteps")
     root = _int_attr(algo, "root", default=0)
+    for attr, value in (("ngpus", num_gpus), ("nchunksperloop", num_chunks),
+                        ("nsteps", num_steps)):
+        if value < 0:
+            raise InterchangeError(f"<algo {attr}={value}> is negative")
+    # Everything below allocates per step: nsteps must be a number the
+    # document's own content accounts for, not just one it declares.
+    described = _described_steps(algo)
+    if num_steps > described:
+        raise InterchangeError(
+            f"the document declares nsteps={num_steps} but describes only "
+            f"{described} step(s)"
+        )
 
     if topology is None:
         topo_el = algo.find("topology")
@@ -324,6 +337,18 @@ def _parse_topology(element: ET.Element) -> Topology:
         raise InterchangeError(f"invalid embedded topology: {exc}") from exc
 
 
+def _described_steps(algo: ET.Element) -> int:
+    """How many steps the document's content can justify.
+
+    The ``<phase>`` count when the ``<schedule>`` extension is present,
+    otherwise the largest ``s`` attribute of any ``<step>`` plus one.
+    """
+    schedule = algo.find("schedule")
+    if schedule is not None:
+        return len(schedule.findall("phase"))
+    return 1 + max((_int_attr(step_el, "s") for step_el in algo.iter("step")), default=-1)
+
+
 def _parse_schedule(algo: ET.Element, num_steps: int) -> List[int]:
     schedule = algo.find("schedule")
     if schedule is None:
@@ -363,6 +388,22 @@ def _collect_operations(
                 step_index = _int_attr(step_el, "s")
                 chunk = _int_attr(step_el, "srcoff")
                 op_type = step_el.get("type", "")
+                # One chunk, same slot on both sides, is all a Send can say;
+                # anything else would be imported as a different schedule.
+                # (The text is compared first: the usual spelling needs no parse.)
+                if step_el.get("cnt", "1") != "1" and _int_attr(step_el, "cnt") != 1:
+                    raise InterchangeError(
+                        f"gpu {gpu}: step {step_index} has cnt="
+                        f"{step_el.get('cnt')!r}; only single-chunk steps are supported"
+                    )
+                dstoff = step_el.get("dstoff")
+                if (dstoff is not None and dstoff != step_el.get("srcoff")
+                        and _int_attr(step_el, "dstoff") != chunk):
+                    raise InterchangeError(
+                        f"gpu {gpu}: step {step_index} has dstoff={dstoff!r} but "
+                        f"srcoff={chunk}; a transfer between different offsets is "
+                        f"not supported"
+                    )
                 if not 0 <= step_index < num_steps:
                     raise InterchangeError(
                         f"gpu {gpu}: step index {step_index} out of range"

@@ -97,7 +97,8 @@ class AlgorithmPlan:
         )
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        """The bundle as one line of compact JSON (``python -m json.tool`` pretty-prints it)."""
+        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
 
     def matches_topology(self, topology: Topology) -> bool:
         """True when ``topology`` is structurally identical to the plan's."""
@@ -120,7 +121,7 @@ class AlgorithmPlan:
 def plan_from_algorithm(
     algorithm: Algorithm, *, provenance: Optional[Dict[str, object]] = None
 ) -> AlgorithmPlan:
-    """Bundle a (verified) algorithm into a plan."""
+    """Bundle an algorithm into a plan; verifies it unless this content already was."""
     from .. import __version__
 
     algorithm.verify()

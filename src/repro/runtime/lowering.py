@@ -46,8 +46,10 @@ def lower(
 ) -> Program:
     """Lower an algorithm to a :class:`~repro.runtime.program.Program`.
 
-    The algorithm is verified first; lowering an invalid schedule is always
-    a bug upstream.
+    The algorithm is verified first (:meth:`Algorithm.verify` checks a
+    content in full once, so lowering one unchanged algorithm under several
+    protocols pays for one check); lowering an invalid schedule is always a
+    bug upstream.
     """
     if protocol not in PROTOCOLS:
         raise LoweringError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
@@ -90,7 +92,10 @@ def lower(
 
 
 def lower_all_protocols(algorithm: Algorithm) -> Dict[str, Program]:
-    """Lower an algorithm under every protocol (used by the lowering ablation)."""
+    """Lower an algorithm under every protocol (used by the lowering ablation).
+
+    One full verification, then one instruction-building walk per protocol.
+    """
     return {protocol: lower(algorithm, protocol) for protocol in PROTOCOLS}
 
 
@@ -110,8 +115,9 @@ def lower_cached(
 
     This is the runtime's entry into the same content-addressed store the
     synthesizer and the evaluation harness use: serving a collective that a
-    previous run already synthesized costs a JSON load, a verification and a
-    lowering — no solver.  Raises :class:`LoweringError` when the candidate
+    previous run already synthesized costs a JSON load, one verification
+    (the cache's, on load — the loaded object is not checked again here) and
+    a lowering — no solver.  Raises :class:`LoweringError` when the candidate
     has no verified cache entry.
     """
     algorithm = cache.load_algorithm(

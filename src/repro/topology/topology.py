@@ -45,6 +45,9 @@ class BandwidthConstraint:
     def __post_init__(self) -> None:
         if self.bandwidth < 0:
             raise TopologyError(f"negative bandwidth in constraint {self.name!r}")
+        if not isinstance(self.links, frozenset):
+            # Immutable all the way down: Algorithm.verify relies on it.
+            object.__setattr__(self, "links", frozenset(self.links))
 
     def covers(self, link: Link) -> bool:
         return link in self.links

@@ -1,12 +1,15 @@
 """Tests for Algorithm run semantics, verification and cost."""
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from repro.collectives import get_collective
 from repro.core import Algorithm, AlgorithmError, Send, Step
-from repro.topology import ring, fully_connected
+from repro.topology import BandwidthConstraint, ring, fully_connected
 
 
 def make_ring_allgather_c1():
@@ -176,3 +179,185 @@ class TestTransformations:
         # Step 0 uses every link once; step 1 uses the 4 forward links once more.
         assert counts[(0, 1)] == 2
         assert counts[(1, 0)] == 1
+
+
+@pytest.fixture
+def full_checks(monkeypatch):
+    """Counts full verifications: check_bandwidth runs once per full check."""
+    calls = []
+    check_bandwidth = Algorithm.check_bandwidth
+
+    def counting(self):
+        calls.append(self.name)
+        check_bandwidth(self)
+
+    monkeypatch.setattr(Algorithm, "check_bandwidth", counting)
+    return calls
+
+
+class TestVerificationWitness:
+    """verify() checks a content in full once — and again after any change."""
+
+    def test_unchanged_algorithm_is_checked_once(self, full_checks):
+        algo = make_ring_allgather_c1()
+        algo.verify()
+        algo.verify()
+        assert algo.is_valid()
+        assert len(full_checks) == 1
+
+    def test_failed_check_is_repeated(self, full_checks):
+        algo = make_ring_allgather_c1()
+        algo.verify()
+        algo.steps.pop()
+        for _ in range(2):
+            with pytest.raises(AlgorithmError):
+                algo.verify()
+        assert len(full_checks) == 3
+
+    # Each edit invalidates a verified algorithm; the error is the parent commit's.
+    def _drop_step(algo):
+        del algo.steps[1]
+
+    def _append_step(algo):
+        algo.steps.append(Step(rounds=1, sends=(Send(chunk=0, src=0, dst=2),)))
+
+    def _replace_step(algo):
+        algo.steps[0] = Step(rounds=1, sends=algo.steps[0].sends[4:])
+
+    def _drop_used_link(algo):
+        algo.topology.constraints = [
+            c for c in algo.topology.constraints if (0, 1) not in c.links
+        ]
+
+    def _drop_used_link_in_place(algo):
+        constraints = algo.topology.constraints
+        del constraints[next(i for i, c in enumerate(constraints) if (0, 1) in c.links)]
+
+    def _lower_bandwidth(algo):
+        constraints = algo.topology.constraints
+        index = next(i for i, c in enumerate(constraints) if (0, 1) in c.links)
+        constraints[index] = dataclasses.replace(constraints[index], bandwidth=0)
+
+    def _swap_precondition(algo):
+        algo.precondition = frozenset({(0, 0)})
+
+    def _swap_postcondition(algo):
+        algo.postcondition = algo.postcondition | {(4, 0)}
+
+    @pytest.mark.parametrize("edit, message", [
+        (_drop_step, "never reaches"),
+        (_append_step, "non-existent link"),
+        (_replace_step, "does not hold"),
+        (_drop_used_link, "non-existent link"),
+        (_drop_used_link_in_place, "non-existent link"),
+        (_lower_bandwidth, "non-existent link"),
+        (_swap_precondition, "does not hold"),
+        (_swap_postcondition, "never reaches"),
+    ])
+    def test_every_input_of_the_check_is_watched(self, edit, message, full_checks):
+        algo = make_ring_allgather_c1()
+        algo.verify()
+        edit(algo)
+        with pytest.raises(AlgorithmError, match=message):
+            algo.verify()
+        assert len(full_checks) == 2
+
+    def test_lowered_bandwidth_is_noticed(self):
+        algo = make_ring_allgather_c1()
+        constraints = algo.topology.constraints
+        constraints[:] = [dataclasses.replace(c, bandwidth=2) for c in constraints]
+        algo.steps[0] = Step(rounds=1, sends=algo.steps[0].sends + (Send(1, 1, 2),))
+        algo.verify()
+        index = next(i for i, c in enumerate(constraints) if (1, 2) in c.links)
+        constraints[index] = dataclasses.replace(constraints[index], bandwidth=1)
+        with pytest.raises(AlgorithmError, match="exceed bandwidth 1 x 1"):
+            algo.verify()
+
+    def test_flipped_combining_is_noticed(self):
+        algo = Algorithm(
+            name="reduce_fc3", collective="Reduce", topology=fully_connected(3),
+            chunks_per_node=1, num_chunks=1,
+            precondition=frozenset((0, n) for n in range(3)), postcondition=frozenset({(0, 0)}),
+            steps=[Step(rounds=1, sends=(Send(0, 1, 0, op="reduce"), Send(0, 2, 0, op="reduce")))],
+            combining=True,
+        )
+        algo.verify()
+        algo.combining = False
+        with pytest.raises(AlgorithmError, match="double-counts"):
+            algo.verify()
+
+    def test_placements_given_as_mutable_sets_are_watched(self):
+        algo = make_ring_allgather_c1()
+        algo.postcondition = set(algo.postcondition)
+        algo.verify()
+        algo.postcondition.add((4, 0))
+        with pytest.raises(AlgorithmError, match="never reaches"):
+            algo.verify()
+
+    def test_step_and_constraint_are_immutable_all_the_way_down(self):
+        step = Step(rounds=1, sends=[Send(0, 0, 1)])
+        assert step.sends == (Send(0, 0, 1),)
+        constraint = BandwidthConstraint({(0, 1)}, 1)
+        assert isinstance(constraint.links, frozenset)
+
+    def test_copies_start_without_a_witness(self, full_checks, tmp_path):
+        from repro.interchange import (
+            from_msccl_xml, plan_from_algorithm, read_plan, to_msccl_xml, write_plan,
+        )
+
+        algo = make_ring_allgather_c1()
+        algo.verify()
+        copies = [
+            dataclasses.replace(algo),
+            algo.renamed("other"),
+            Algorithm.from_dict(algo.to_dict()),
+            pickle.loads(pickle.dumps(algo)),
+            copy.copy(algo),
+            copy.deepcopy(algo),
+        ]
+        assert len(full_checks) == 1
+        for index, duplicate in enumerate(copies, start=2):
+            assert duplicate._witness is None
+            duplicate.verify()
+            assert len(full_checks) == index
+        # Both imports verify their own copy in full, whatever the original carries.
+        before = len(full_checks)
+        from_msccl_xml(to_msccl_xml(algo))
+        read_plan(write_plan(plan_from_algorithm(algo), tmp_path / "plan.json"))
+        assert len(full_checks) == before + 2
+
+    def test_witness_is_invisible(self):
+        from repro.interchange import plan_from_algorithm
+
+        fresh, verified = make_ring_allgather_c1(), make_ring_allgather_c1()
+        verified.verify()
+        assert verified._witness is not None
+        assert verified == fresh
+        assert repr(verified) == repr(fresh)
+        assert verified.to_dict() == fresh.to_dict()
+        assert "witness" not in repr(verified)
+        assert "witness" not in plan_from_algorithm(verified).dumps()
+
+    def test_pipeline_verifies_each_artefact_once(self, full_checks):
+        """The benchmark's stage sequence: 3 full checks, 7 before the witness."""
+        import json
+
+        from repro.baselines import baseline_suite
+        from repro.interchange import (
+            AlgorithmPlan, from_msccl_xml, plan_from_algorithm, to_msccl_xml,
+        )
+        from repro.runtime import PROTOCOLS, execute, generate_cuda_like_source, lower
+        from repro.topology import dgx1
+
+        # replace(): a DGX-1 algorithm nobody has verified yet.
+        algorithm = dataclasses.replace(baseline_suite("Allgather", dgx1())[0].algorithm)
+        del full_checks[:]
+        for expected in (3, 2):  # the second pass re-checks the two imported copies only
+            programs = [lower(algorithm, protocol) for protocol in PROTOCOLS]
+            assert all(generate_cuda_like_source(program) for program in programs)
+            execute(programs[0], algorithm, check=True)
+            from_xml = from_msccl_xml(to_msccl_xml(algorithm))
+            blob = plan_from_algorithm(algorithm).dumps()
+            from_plan = AlgorithmPlan.from_json(json.loads(blob), verify=True).algorithm
+            assert full_checks == [algorithm.name, from_xml.name, from_plan.name][-expected:]
+            del full_checks[:]

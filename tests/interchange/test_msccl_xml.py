@@ -6,20 +6,29 @@ rounds, same send sets), and tampered documents are rejected rather than
 silently repaired.
 """
 
+import dataclasses
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import make_instance, synthesize
+from repro.baselines import baseline_suite
+from repro.cli.topologies import parse_topology
+from repro.core import Algorithm, Send, Step, allreduce_from_allgather, make_instance, synthesize
 from repro.core.combining import synthesize_allreduce, synthesize_reduce
 from repro.interchange import (
     InterchangeError,
     from_msccl_xml,
     read_msccl_xml,
+    read_plan,
     to_msccl_xml,
     write_msccl_xml,
 )
-from repro.topology import dgx1, line, ring
+from repro.runtime import PROTOCOLS
+from repro.topology import BandwidthConstraint, Topology, dgx1, line, ring
+
+DATA = Path(__file__).parent / "data"
 
 
 def synthesize_allgather(chunks=1, steps=2, rounds=3, nodes=4):
@@ -93,6 +102,101 @@ class TestRoundTrip:
         assert result.is_sat
         imported = from_msccl_xml(to_msccl_xml(result.algorithm))
         assert_schedules_equal(imported, result.algorithm)
+
+
+def elementtree_layout(text: str) -> str:
+    """The document as ElementTree writes the tree it parses from ``text``.
+
+    ElementTree is the reference for the hand-written writer: attribute
+    order, escaping, indentation and the self-closing forms must all be the
+    ones ``indent`` + ``tostring`` produce.
+    """
+    root = ET.fromstring(text)
+    ET.indent(root, space="  ")
+    return ET.tostring(root, encoding="unicode") + "\n"
+
+
+def pipeline_algorithms():
+    """The benchmark's 14 baselines, two synthesized DGX-1 points, their Allreduces."""
+    algorithms = []
+    for topology_spec in ("ring:8", "dgx1", "amd_z52"):
+        topology = parse_topology(topology_spec)
+        for collective in ("Allgather", "Allreduce", "Broadcast", "Reducescatter", "Reduce"):
+            for baseline in baseline_suite(collective, topology):
+                algorithms.append(baseline.algorithm)
+    assert len(algorithms) == 14
+    for (chunks, steps, rounds) in ((1, 2, 2), (2, 2, 3)):
+        result = synthesize(make_instance("Allgather", dgx1(), chunks, steps, rounds))
+        assert result.is_sat
+        algorithms.append(result.algorithm)
+        algorithms.append(allreduce_from_allgather(result.algorithm))
+    return algorithms
+
+
+class TestWriterAgainstElementTree:
+    def test_pipeline_algorithms_under_every_protocol(self):
+        for algorithm in pipeline_algorithms():
+            for protocol in PROTOCOLS:
+                text = to_msccl_xml(algorithm, protocol=protocol)
+                assert text == elementtree_layout(text), (algorithm.name, protocol)
+
+    def test_output_of_the_elementtree_writer_is_reproduced(self):
+        # Both files were written at the last commit that emitted through
+        # ElementTree, from the same cached quickstart algorithm.
+        algorithm = read_plan(DATA / "legacy_indented_plan.json").algorithm
+        golden = (DATA / "quickstart_allgather.xml").read_text(encoding="utf-8")
+        assert to_msccl_xml(algorithm) == golden
+
+    # Everything ElementTree escapes in an attribute, a quote it does not,
+    # and text outside ASCII and outside the BMP.
+    names = st.text(alphabet="&<>\"'\n\t\r ;#aZ09-_\u00e9\u00df\u6f22\U0001f600", max_size=12)
+
+    @given(name=names, topology_name=names, constraint_name=names)
+    @settings(max_examples=60, deadline=None)
+    def test_free_text_attributes(self, name, topology_name, constraint_name):
+        base = baseline_suite("Allgather", ring(4))[0].algorithm
+        topology = dataclasses.replace(
+            base.topology,
+            name=topology_name,
+            constraints=[
+                dataclasses.replace(constraint, name=f"{constraint_name}{index}")
+                for index, constraint in enumerate(base.topology.constraints)
+            ],
+        )
+        algorithm = dataclasses.replace(base, name=name, topology=topology)
+        text = to_msccl_xml(algorithm)
+        assert text == elementtree_layout(text)
+        imported = from_msccl_xml(text)
+        assert imported.name == name
+        assert imported.topology.name == topology_name
+        assert [c.name for c in imported.topology.constraints] == [
+            c.name for c in topology.constraints
+        ]
+
+    def test_rank_without_transfers_and_constraint_without_links(self):
+        topology = line(3)
+        topology.constraints.append(BandwidthConstraint(frozenset(), 1, "spare"))
+        algorithm = Algorithm(
+            name="to_the_neighbour", collective="Broadcast", topology=topology,
+            chunks_per_node=1, num_chunks=1,
+            precondition=frozenset({(0, 0)}), postcondition=frozenset({(0, 0), (0, 1)}),
+            steps=[Step(rounds=1, sends=(Send(chunk=0, src=0, dst=1),))],
+        )
+        text = to_msccl_xml(algorithm)
+        assert '  <gpu id="2" />\n' in text
+        assert '    <constraint bandwidth="1" name="spare" />\n' in text
+        assert text == elementtree_layout(text)
+
+    def test_no_links_and_no_steps(self):
+        algorithm = Algorithm(
+            name="alone", collective="Broadcast", topology=Topology("solo", 1),
+            chunks_per_node=1, num_chunks=1,
+            precondition=frozenset({(0, 0)}), postcondition=frozenset({(0, 0)}),
+        )
+        text = to_msccl_xml(algorithm)
+        assert '  <topology name="solo" nodes="1" alpha="5e-06" beta="4e-11" />\n' in text
+        assert "  <schedule />\n" in text
+        assert text == elementtree_layout(text)
 
 
 def mutate(xml: str, fn) -> str:
@@ -174,3 +278,44 @@ class TestTrustBoundary:
         xml = to_msccl_xml(synthesize_allgather())
         with pytest.raises(InterchangeError, match="nodes"):
             from_msccl_xml(xml, topology=ring(6))
+
+    def test_multi_chunk_step_rejected(self):
+        # cnt="3" describes a three-chunk transfer; it must not be imported
+        # as the one-chunk transfer at srcoff.
+        xml = to_msccl_xml(synthesize_allgather())
+        assert xml.count('cnt="1"') > 1
+        with pytest.raises(InterchangeError, match=r"gpu \d+: step \d+ has cnt='3'"):
+            from_msccl_xml(xml.replace('cnt="1"', 'cnt="3"', 1))
+        from_msccl_xml(xml.replace('cnt="1"', 'cnt=" 1 "'))  # the same integer
+
+    def test_transfer_between_offsets_rejected(self):
+        def shift_destination(algo):
+            step = algo.find("gpu").find("tb").find("step")
+            step.set("dstoff", str(int(step.get("srcoff")) + 1))
+        xml = to_msccl_xml(synthesize_allgather())
+        with pytest.raises(InterchangeError, match=r"gpu 0: step \d+ has dstoff="):
+            from_msccl_xml(mutate(xml, shift_destination))
+
+    @pytest.mark.parametrize("attr", ["nsteps", "ngpus", "nchunksperloop"])
+    def test_negative_counts_rejected(self, attr):
+        xml = to_msccl_xml(synthesize_allgather())
+        with pytest.raises(InterchangeError, match=f"{attr}=-1"):
+            from_msccl_xml(mutate(xml, lambda a: a.set(attr, "-1")))
+
+    def test_nsteps_beyond_the_schedule_rejected(self):
+        xml = to_msccl_xml(synthesize_allgather())
+        with pytest.raises(InterchangeError, match="nsteps=100000000 but describes only 2"):
+            from_msccl_xml(mutate(xml, lambda a: a.set("nsteps", "100000000")))
+
+    def test_nsteps_beyond_the_steps_rejected_without_schedule(self):
+        def drop_schedule(algo):
+            algo.remove(algo.find("schedule"))
+            algo.set("nsteps", "100000000")
+        result = synthesize(make_instance("Allgather", ring(4), 1, 2, 2))
+        assert result.is_sat
+        xml = to_msccl_xml(result.algorithm)
+        with pytest.raises(InterchangeError, match="describes only 2"):
+            from_msccl_xml(mutate(xml, drop_schedule))
+        # The MSCCL shape proper (no <schedule>) still imports: one round per step.
+        plain = mutate(xml, lambda a: a.remove(a.find("schedule")))
+        assert from_msccl_xml(plain).rounds_per_step == [1, 1]

@@ -1,6 +1,9 @@
 """Plan-bundle round-trip, fingerprint and provenance tests."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +93,40 @@ class TestTamperRejection:
         path.write_text(path.read_text()[:100])
         with pytest.raises(InterchangeError):
             read_plan(path)
+
+
+LEGACY_PLAN = Path(__file__).parent / "data" / "legacy_indented_plan.json"
+
+
+class TestLayoutCompatibility:
+    """Bundles are one compact line now; the indented ones already out there still load."""
+
+    def test_legacy_bundle_is_the_indented_layout(self):
+        text = LEGACY_PLAN.read_text(encoding="utf-8")
+        assert text.startswith('{\n  "algorithm": {\n')
+
+    def test_both_layouts_load_and_agree(self, tmp_path):
+        legacy = read_plan(LEGACY_PLAN)
+        text = legacy.dumps()
+        assert text.endswith("}\n") and text.count("\n") == 1 and '":{"' in text
+        compact = read_plan(write_plan(legacy, tmp_path / "compact.json"))
+        assert compact.algorithm == legacy.algorithm
+        assert json.loads(compact.dumps()) == json.loads(text)
+        assert json.loads(text) == json.loads(LEGACY_PLAN.read_text(encoding="utf-8"))
+
+    def test_cli_imports_both_and_json_tool_pretty_prints(self, tmp_path):
+        from repro.cli import main
+
+        compact = write_plan(read_plan(LEGACY_PLAN), tmp_path / "compact.json")
+        assert main(["import", str(LEGACY_PLAN), "-q"]) == 0
+        assert main(["import", str(compact), "-q"]) == 0
+        # repro export --format plan | python -m json.tool
+        exported = tmp_path / "exported.json"
+        assert main(["export", "--plan-input", str(compact), "--format", "plan",
+                     "-o", str(exported)]) == 0
+        pretty = subprocess.run(
+            [sys.executable, "-m", "json.tool", "--sort-keys", "--indent", "2", str(exported)],
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        assert pretty.startswith('{\n  "algorithm": {\n')
+        assert json.loads(pretty) == json.loads(compact.read_text(encoding="utf-8"))
