@@ -521,7 +521,12 @@ def _make_registry(args):
 
 
 def _cmd_serve(args) -> int:
+    import multiprocessing
+    import os
+    import signal
+
     from ..service import PlanningService, make_server
+    from ..telemetry import flush_records
 
     if args.workers < 1:
         raise CliError("--workers must be at least 1")
@@ -539,13 +544,30 @@ def _cmd_serve(args) -> int:
         f"workers={args.workers})",
         flush=True,
     )
+
+    # SIGTERM (kill, systemd, a process supervisor) takes the Ctrl-C path.
+    # Pool workers a cold sweep forks must keep dying on it as before.
+    def _terminate(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    os.register_at_fork(after_in_child=lambda: signal.signal(signal.SIGTERM, signal.SIG_DFL))
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)  # a second one ends the process
         server.server_close()
-        service.stop()
+        # Archive lines first, then a bounded wait: a worker mid-solve is a
+        # daemon thread and must not hold the exit (or the lines) back.
+        flush_records()
+        # Probes a cold sweep left running in pool workers have nobody to
+        # answer to any more; ended here, or the pool's exit hook waits for
+        # every one of them.
+        for worker in multiprocessing.active_children():
+            worker.terminate()
+        service.stop(timeout=1.0)
         stats = service.broker.stats()
         print(
             f"served {stats['completed']} request(s), "
@@ -614,6 +636,7 @@ def _cmd_request_stats(args) -> int:
         _print_section("resolver", [
             ("solves", resolver.get("solves", 0)),
             ("registry hits", resolver.get("registry_hits", 0)),
+            ("warm hits", resolver.get("warm_hits", 0)),
             ("replans", resolver.get("replans", 0)),
             ("ladder rungs", rung_text),
         ])

@@ -125,6 +125,20 @@ def instance_fingerprint(
     )
 
 
+def file_signature(path) -> Optional[Tuple[int, int, int]]:
+    """``(st_mtime_ns, st_size, st_ino)`` of a file, None when it is absent.
+
+    One ``stat``: what the holder of a decoded copy compares to learn that
+    the file was replaced (atomic writers give it a new inode), rewritten,
+    touched or removed since the copy was made.
+    """
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return (stat.st_mtime_ns, stat.st_size, stat.st_ino)
+
+
 @dataclass
 class CacheEntry:
     """One persisted synthesis outcome.
@@ -276,6 +290,15 @@ class AlgorithmCache:
         except OSError:
             pass
         return entry
+
+    def entry_signature(self, key: str) -> Optional[Tuple[int, int, int]]:
+        """The :func:`file_signature` of the entry's file."""
+        return file_signature(self._path(key))
+
+    def count_hit(self) -> None:
+        """Count a hit answered from a decoded copy whose signature still holds."""
+        self.hits += 1
+        get_metrics().inc("repro_cache_lookups_total", outcome="hit")
 
     def store(self, entry: CacheEntry) -> None:
         path = self._path(entry.key)

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..collectives import get_collective
 from ..core.algorithm import Algorithm
 from .program import Program
+
+if TYPE_CHECKING:  # numpy loads with the first execution, not with the package
+    import numpy as np
 
 
 class ExecutionError(Exception):
@@ -45,7 +46,7 @@ class ExecutionResult:
     steps_executed: int = 0
 
     def chunk_present(self, rank: int, chunk: int) -> bool:
-        return not np.isnan(self.buffers[rank, chunk])
+        return not math.isnan(self.buffers[rank, chunk])
 
 
 class Executor:
@@ -61,6 +62,8 @@ class Executor:
     # Initial buffer state
     # ------------------------------------------------------------------
     def initial_buffers(self) -> np.ndarray:
+        import numpy as np
+
         buffers = np.full((self.num_ranks, self.num_chunks), np.nan)
         for (chunk, node) in self.algorithm.precondition:
             if self.algorithm.combining:

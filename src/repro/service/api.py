@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Optional
 
 from ..cli.topologies import TopologySpecError, parse_topology
@@ -106,6 +107,16 @@ class PlanRequest:
         return self
 
     def resolve_topology(self) -> Topology:
+        """The spec's topology, parsed once per request object.
+
+        The request is frozen, so the answer cannot change; every caller
+        gets the same :class:`Topology` and must not mutate it.
+        (``dataclasses.replace`` builds a new request, which parses again.)
+        """
+        return self._topology
+
+    @cached_property
+    def _topology(self) -> Topology:
         try:
             return parse_topology(self.topology)
         except TopologySpecError as exc:
@@ -121,8 +132,12 @@ class PlanRequest:
         request key doubles as the cache key of the answer.  Routed
         requests hash the structural topology payload plus the routing
         inputs.  The deadline and the backend are caller preferences, not
-        work content, and are excluded.
+        work content, and are excluded.  Hashed once per request object.
         """
+        return self._key
+
+    @cached_property
+    def _key(self) -> str:
         from ..engine.cache import fingerprint, topology_fingerprint_payload
 
         topology = self.resolve_topology()
@@ -230,7 +245,9 @@ class PlanResponse:
 
     status: str                       # one of STATUSES
     request_key: str
-    plan: Optional[dict] = None       # AlgorithmPlan.to_json() when status == "ok"
+    #: ``AlgorithmPlan.to_json()`` when status == "ok".  Read-only: a warm
+    #: answer carries the registry's own copy, shared with later answers.
+    plan: Optional[dict] = None
     source: str = ""                  # one of SOURCES when status == "ok"
     solve_time_s: float = 0.0         # worker-side time spent answering
     wait_time_s: float = 0.0          # caller-side queueing + coalescing wait

@@ -8,7 +8,7 @@ subsequent plan request for that topology is resolved against the
 
 Two integration points matter:
 
-* :meth:`FaultBoard.apply` is called by the resolver before any registry
+* :meth:`FaultBoard.fabric` is called by the resolver before any registry
   lookup or synthesis, so cache keys, routing keys and verification all
   see the degraded topology — a plan can never silently route over a
   link the operator declared dead.
@@ -16,6 +16,10 @@ Two integration points matter:
   keys are salted with the active fault fingerprint so a request issued
   *after* a fault registration never coalesces with an in-flight
   synthesis that still targets the healthy fabric.
+
+Both read a :class:`Fabric`: what one topology spec resolves to while the
+board's fault state stays as it is, computed once and dropped by every
+``register`` / ``clear``.
 
 Entries are keyed by the *structural* topology fingerprint: two spec
 strings that parse to the same fabric (``dgx1`` vs. an equivalent
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..faults import FaultError, FaultSet
@@ -35,6 +40,40 @@ from ..topology import Topology
 from .api import FaultRequest, FaultResponse, PlanRequest, ServiceError
 
 
+#: Topology specs (and derived keys per spec) a board keeps resolved; specs
+#: are outside input, so a board past the bound starts over.
+FABRIC_MEMO_ENTRIES = 64
+
+
+@dataclass
+class Fabric:
+    """One topology spec as the board sees it under one fault state.
+
+    Everything here depends only on (spec, fault state), so it is worked
+    out once per state: ``register`` and ``clear`` drop every ``Fabric``.
+    """
+
+    topology: Topology        # what plans must target: degraded under faults
+    degraded: bool
+    salt: str                 # the active fault fingerprint; "" when healthy
+    #: Content hashes derived from ``topology`` (the resolver's routing
+    #: keys), by the request fields they also depend on.
+    keys: Dict[tuple, str] = field(default_factory=dict)
+
+    def key(self, fields: tuple, compute) -> str:
+        """``compute()`` once per ``fields``, remembered with this fabric.
+
+        Unlocked on purpose: the value is a pure function of the key, so two
+        workers racing here store the same thing.
+        """
+        key = self.keys.get(fields)
+        if key is None:
+            if len(self.keys) >= FABRIC_MEMO_ENTRIES:
+                self.keys.clear()
+            key = self.keys[fields] = compute()
+        return key
+
+
 class FaultBoard:
     """Thread-safe registry of active fault sets, one per topology."""
 
@@ -42,6 +81,7 @@ class FaultBoard:
         self._lock = threading.Lock()
         self._faults: Dict[str, FaultSet] = {}
         self._names: Dict[str, str] = {}  # fingerprint -> last seen topology name
+        self._fabrics: Dict[str, Fabric] = {}  # topology spec -> its current view
 
     # ------------------------------------------------------------------
     # Mutation
@@ -59,6 +99,7 @@ class FaultBoard:
             if merged:
                 self._faults[key] = merged
                 self._names[key] = topology.name
+                self._fabrics.clear()
             return merged
 
     def clear(self, topology: Topology) -> FaultSet:
@@ -66,6 +107,7 @@ class FaultBoard:
         key = topology_fingerprint(topology)
         with self._lock:
             self._names.pop(key, None)
+            self._fabrics.clear()
             return self._faults.pop(key, FaultSet.of())
 
     # ------------------------------------------------------------------
@@ -85,6 +127,26 @@ class FaultBoard:
         fault_set = self.get(topology)
         return fault_set.fingerprint() if fault_set else ""
 
+    def fabric(self, request: PlanRequest) -> Fabric:
+        """The request's topology spec under the current fault state.
+
+        Resolved under the lock ``register`` / ``clear`` take, so a fabric
+        worked out against the old state is never kept for the new one.
+        """
+        with self._lock:
+            fabric = self._fabrics.get(request.topology)
+            if fabric is None:
+                base = request.resolve_topology()
+                fault_set = self._faults.get(topology_fingerprint(base))
+                if fault_set:
+                    fabric = Fabric(fault_set.apply(base), True, fault_set.fingerprint())
+                else:
+                    fabric = Fabric(base, False, "")
+                if len(self._fabrics) >= FABRIC_MEMO_ENTRIES:
+                    self._fabrics.clear()
+                self._fabrics[request.topology] = fabric
+            return fabric
+
     def salted_key(self, request: PlanRequest) -> str:
         """Broker key function: the request key, salted by active faults.
 
@@ -92,7 +154,7 @@ class FaultBoard:
         behaviour is byte-identical to a service without a fault board.
         """
         key = request.request_key()
-        salt = self.salt(request.resolve_topology())
+        salt = self.fabric(request).salt
         if not salt:
             return key
         return hashlib.sha256(f"{key}:{salt}".encode("utf-8")).hexdigest()

@@ -39,6 +39,8 @@ from ..core.algorithm import Algorithm
 from ..engine.cache import (
     AlgorithmCache,
     default_cache,
+    file_signature,
+    fingerprint,
     topology_cost_payload,
     topology_fingerprint_payload,
 )
@@ -54,6 +56,10 @@ DEFAULT_ROUTE_SIZES: Tuple[int, ...] = tuple(1024 * 4 ** i for i in range(10))
 
 #: Protocol whose cost model scores routing candidates.
 DEFAULT_ROUTE_PROTOCOL = "single_kernel_push"
+
+#: Pinned plans a registry keeps in wire form in memory (least recently
+#: used dropped first); a constant, sized for a service's hot set.
+PINNED_MEMO_ENTRIES = 128
 
 
 class RegistryError(ServiceError):
@@ -118,13 +124,17 @@ class RoutingTable:
                 return entry
         return None
 
-    def plan_for(self, entry: RouteEntry, *, verify: bool = False) -> AlgorithmPlan:
+    def plan_json(self, entry: RouteEntry) -> dict:
+        """The entry's plan in wire form, as embedded (shared: do not mutate)."""
         payload = self.plans.get(entry.plan_name)
         if payload is None:
             raise RegistryError(
                 f"routing table references unknown plan {entry.plan_name!r}"
             )
-        return AlgorithmPlan.from_json(payload, verify=verify)
+        return payload
+
+    def plan_for(self, entry: RouteEntry, *, verify: bool = False) -> AlgorithmPlan:
+        return AlgorithmPlan.from_json(self.plan_json(entry), verify=verify)
 
     def to_json(self) -> dict:
         return {
@@ -329,11 +339,18 @@ def routing_key(
 # The registry
 # ----------------------------------------------------------------------
 class PlanRegistry:
-    """Pinned-plan cache plus persistent, memoized routing tables.
+    """Pinned-plan cache plus persistent routing tables, both memoized.
 
-    Loaded tables are memoized in memory keyed by file mtime, so steady
-    state routed lookups cost two dict probes and no disk I/O or
-    re-verification — the microseconds-path the service exists for.
+    What was read from disk and verified once is kept in memory and
+    re-validated by one ``stat`` per lookup, against the ``(mtime_ns, size,
+    inode)`` of the file it came from: loaded tables, and pinned plans in
+    wire form (at most :data:`PINNED_MEMO_ENTRIES`) signed with their cache
+    entry.  A steady-state lookup therefore costs a ``stat`` and two
+    dict probes — no read, no decode, no re-verification — and a file that
+    was replaced, rewritten, touched or removed goes through the full
+    read-and-verify path again, so edited bytes are never served from
+    memory.  ``*_json`` lookups hand out the wire form the service sends;
+    their plain namesakes decode it into an :class:`AlgorithmPlan`.
     """
 
     def __init__(
@@ -346,9 +363,14 @@ class PlanRegistry:
             routes_dir = self.cache.root.parent / "routes"
         self.routes_dir = Path(routes_dir)
         self._lock = threading.Lock()
-        self._tables: Dict[str, Tuple[float, RoutingTable]] = {}
+        # Both keyed by content hash and signed with the backing file's
+        # (mtime_ns, size, inode): loaded tables, and pinned plans in wire
+        # form in least-recently-used order.
+        self._tables: Dict[str, Tuple[Tuple[int, int, int], RoutingTable]] = {}
+        self._pinned: Dict[str, Tuple[Tuple[int, int, int], dict]] = {}
         self.route_hits = 0
         self.route_misses = 0
+        self.warm_hits = 0   # lookups answered from memory after one stat
 
     # ------------------------------------------------------------------
     # Pinned plans (delegated to the algorithm cache)
@@ -356,14 +378,57 @@ class PlanRegistry:
     def lookup_pinned(
         self, request: PlanRequest, *, topology: Optional[Topology] = None
     ) -> Optional[AlgorithmPlan]:
-        """Cached plan for a pinned request, or None.
+        """Cached plan for a pinned request, or None (decoded per call)."""
+        payload = self.lookup_pinned_json(request, topology=topology)
+        if payload is None:
+            return None
+        return AlgorithmPlan.from_json(payload, verify=False)
+
+    def lookup_pinned_json(
+        self,
+        request: PlanRequest,
+        *,
+        topology: Optional[Topology] = None,
+        key: Optional[str] = None,
+    ) -> Optional[dict]:
+        """Wire-form cached plan for a pinned request, or None.
 
         ``topology`` overrides the request's spec-derived topology — the
         resolver passes the *degraded* topology when faults are active, so
         lookups address plans built for the fabric as it currently is.
+        ``key`` is the candidate's cache key when the caller already has it
+        (on a healthy fabric it is the request key).
+
+        The answer is shared with later callers (do not mutate it) for as
+        long as the entry file keeps its signature.  Only a plan that went
+        through the full read, decode and ``verify()`` is ever held, and
+        only for the key it was verified for.
         """
         if topology is None:
             topology = request.resolve_topology()
+        if key is None:
+            key = fingerprint(
+                request.collective,
+                topology,
+                request.chunks,
+                request.steps,
+                request.rounds,
+                root=request.root,
+                encoding=request.encoding,
+                prune=request.prune,
+            )
+        signature = self.cache.entry_signature(key)
+        with self._lock:
+            held = self._pinned.pop(key, None)
+            if held is not None and held[0] == signature:
+                self._pinned[key] = held  # back in, as the most recently used
+                self.warm_hits += 1
+            else:
+                held = None
+        if held is not None:
+            self.cache.count_hit()
+            return held[1]
+
         algorithm = self.cache.load_algorithm(
             request.collective,
             topology,
@@ -376,9 +441,17 @@ class PlanRegistry:
         )
         if algorithm is None:
             return None
-        return plan_from_algorithm(
+        payload = plan_from_algorithm(
             algorithm, provenance={"backend": "cache", "cache_hit": True}
-        )
+        ).to_json()
+        # Signed after the read: the hit itself refreshed the file's mtime.
+        signature = self.cache.entry_signature(key)
+        if signature is not None:
+            with self._lock:
+                if len(self._pinned) >= PINNED_MEMO_ENTRIES:
+                    del self._pinned[next(iter(self._pinned))]
+                self._pinned[key] = (signature, payload)
+        return payload
 
     # ------------------------------------------------------------------
     # Routing tables
@@ -389,13 +462,13 @@ class PlanRegistry:
     def load_table(self, key: str) -> Optional[RoutingTable]:
         """Load (and memoize) a routing table; None when absent/invalid."""
         path = self._table_path(key)
-        try:
-            mtime = path.stat().st_mtime
-        except OSError:
+        signature = file_signature(path)
+        if signature is None:
             return None
         with self._lock:
             cached = self._tables.get(key)
-            if cached is not None and cached[0] == mtime:
+            if cached is not None and cached[0] == signature:
+                self.warm_hits += 1
                 return cached[1]
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
@@ -404,7 +477,7 @@ class PlanRegistry:
             # An unreadable or tampered table is a miss, never an answer.
             return None
         with self._lock:
-            self._tables[key] = (mtime, table)
+            self._tables[key] = (signature, table)
         return table
 
     def save_table(self, key: str, table: RoutingTable) -> Path:
@@ -425,19 +498,21 @@ class PlanRegistry:
             except OSError:
                 pass
             raise
+        signature = file_signature(path)
         with self._lock:
-            try:
-                self._tables[key] = (path.stat().st_mtime, table)
-            except OSError:
+            if signature is None:
                 self._tables.pop(key, None)
+            else:
+                self._tables[key] = (signature, table)
         return path
 
-    def table_for(
+    def table_key(
         self, request: PlanRequest, *, topology: Optional[Topology] = None
-    ) -> Optional[RoutingTable]:
+    ) -> str:
+        """The :func:`routing_key` of the table a routed request reads."""
         if topology is None:
             topology = request.resolve_topology()
-        key = routing_key(
+        return routing_key(
             request.collective,
             topology,
             root=request.root,
@@ -445,13 +520,40 @@ class PlanRegistry:
             encoding=request.encoding,
             prune=request.prune,
         )
+
+    def table_for(
+        self,
+        request: PlanRequest,
+        *,
+        topology: Optional[Topology] = None,
+        key: Optional[str] = None,
+    ) -> Optional[RoutingTable]:
+        """``key`` is the request's :meth:`table_key` when already computed."""
+        if key is None:
+            key = self.table_key(request, topology=topology)
         return self.load_table(key)
 
     def route(
         self, request: PlanRequest, *, topology: Optional[Topology] = None
     ) -> Optional[Tuple[AlgorithmPlan, RouteEntry, RoutingTable]]:
-        """Answer a routed request from a persisted table, or None."""
-        table = self.table_for(request, topology=topology)
+        """Answer a routed request from a persisted table, or None (the
+        plan decoded per call)."""
+        routed = self.route_json(request, topology=topology)
+        if routed is None:
+            return None
+        payload, entry, table = routed
+        return AlgorithmPlan.from_json(payload, verify=False), entry, table
+
+    def route_json(
+        self,
+        request: PlanRequest,
+        *,
+        topology: Optional[Topology] = None,
+        key: Optional[str] = None,
+    ) -> Optional[Tuple[dict, RouteEntry, RoutingTable]]:
+        """:meth:`route` with the plan in the table's own wire form (shared:
+        do not mutate)."""
+        table = self.table_for(request, topology=topology, key=key)
         if table is None:
             with self._lock:
                 self.route_misses += 1
@@ -464,8 +566,8 @@ class PlanRegistry:
         with self._lock:
             self.route_hits += 1
         # Plans inside a memoized table were verified when the table was
-        # loaded; skip per-request re-verification on the hot path.
-        return table.plan_for(entry, verify=False), entry, table
+        # loaded: no per-request decode or re-verification on the hot path.
+        return table.plan_json(entry), entry, table
 
     def install_table(
         self,
@@ -473,17 +575,10 @@ class PlanRegistry:
         table: RoutingTable,
         *,
         topology: Optional[Topology] = None,
+        key: Optional[str] = None,
     ) -> str:
-        if topology is None:
-            topology = request.resolve_topology()
-        key = routing_key(
-            request.collective,
-            topology,
-            root=request.root,
-            synchrony=request.synchrony,
-            encoding=request.encoding,
-            prune=request.prune,
-        )
+        if key is None:
+            key = self.table_key(request, topology=topology)
         self.save_table(key, table)
         return key
 
@@ -528,6 +623,8 @@ class PlanRegistry:
                 and meta.get("num_nodes") == topology.num_nodes
             ):
                 self.cache.discard(entry.key)
+                with self._lock:
+                    self._pinned.pop(entry.key, None)
                 entries_dropped += 1
         return {"tables": tables_dropped, "cache_entries": entries_dropped}
 

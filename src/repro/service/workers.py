@@ -44,7 +44,7 @@ from .api import (
     ServiceError,
 )
 from .broker import Broker, Job, Ticket
-from .faults import FaultBoard, apply_fault_request
+from .faults import Fabric, FaultBoard, apply_fault_request
 from .registry import PlanRegistry, build_routing_table
 
 #: Resolver signature: (request, remaining_s) -> PlanResponse.
@@ -152,8 +152,9 @@ class SynthesisResolver:
         # Every resolution targets the fault board's view of the fabric:
         # with active faults the degraded topology flows through cache
         # lookups, routing keys, synthesis and baselines alike, so no
-        # answer can schedule traffic over a link declared dead.
-        self.fault_board = fault_board
+        # answer can schedule traffic over a link declared dead.  Without
+        # a board the fabric is always healthy: an empty board says that.
+        self.fault_board = fault_board if fault_board is not None else FaultBoard()
         self.replans = 0          # resolutions that targeted a degraded topology
         self.solves = 0           # backend solves performed (not replayed)
         self.registry_hits = 0    # answers served with zero solver work
@@ -173,12 +174,15 @@ class SynthesisResolver:
     def __call__(
         self, request: PlanRequest, remaining_s: Optional[float] = None
     ) -> PlanResponse:
-        topology = self._effective_topology(request)
+        fabric = self.fault_board.fabric(request)
+        if fabric.degraded:
+            with self._lock:
+                self.replans += 1
         if request.mode == "pinned":
-            response = self._resolve_pinned(request, remaining_s, topology)
+            response = self._resolve_pinned(request, remaining_s, fabric)
         else:
-            response = self._resolve_routed(request, remaining_s, topology)
-        self._record(request, response, topology)
+            response = self._resolve_routed(request, remaining_s, fabric)
+        self._record(request, response, fabric.topology)
         return response
 
     def _record(self, request: PlanRequest, response: PlanResponse, topology) -> None:
@@ -210,28 +214,22 @@ class SynthesisResolver:
             self.rungs[rung] = self.rungs.get(rung, 0) + 1
         get_metrics().inc("repro_resolver_rung_total", rung=rung)
 
-    def _effective_topology(self, request: PlanRequest):
-        """The topology this resolution must target (degraded under faults)."""
-        base = request.resolve_topology()
-        if self.fault_board is None:
-            return base
-        topology = self.fault_board.apply(base)
-        if topology is not base:
-            with self._lock:
-                self.replans += 1
-        return topology
-
     # ------------------------------------------------------------------
     def _resolve_pinned(
-        self, request: PlanRequest, remaining_s: Optional[float], topology
+        self, request: PlanRequest, remaining_s: Optional[float], fabric: Fabric
     ) -> PlanResponse:
         from ..core import make_instance, synthesize
         from ..interchange.plan import plan_from_result
 
         key = request.request_key()
         started = time.monotonic()
+        topology = fabric.topology
 
-        plan = self.registry.lookup_pinned(request, topology=topology)
+        # On a healthy fabric the request key *is* the answer's cache key;
+        # a degraded one addresses the entry built for the degraded fabric.
+        plan = self.registry.lookup_pinned_json(
+            request, topology=topology, key=None if fabric.degraded else key
+        )
         if plan is not None:
             with self._lock:
                 self.registry_hits += 1
@@ -239,7 +237,7 @@ class SynthesisResolver:
             return PlanResponse(
                 status="ok",
                 request_key=key,
-                plan=plan.to_json(),
+                plan=plan,
                 source="cache",
                 solve_time_s=time.monotonic() - started,
             )
@@ -296,13 +294,22 @@ class SynthesisResolver:
 
     # ------------------------------------------------------------------
     def _resolve_routed(
-        self, request: PlanRequest, remaining_s: Optional[float], topology
+        self, request: PlanRequest, remaining_s: Optional[float], fabric: Fabric
     ) -> PlanResponse:
         key = request.request_key()
         started = time.monotonic()
+        topology = fabric.topology
+        # The table's key depends on the fabric and on these fields only.
+        table_key = fabric.key(
+            (request.collective, request.root, request.synchrony,
+             request.encoding, request.prune),
+            lambda: self.registry.table_key(request, topology=topology),
+        )
 
-        routed = self.registry.route(request, topology=topology)
-        if routed is not None:
+        def routed_answer() -> Optional[PlanResponse]:
+            routed = self.registry.route_json(request, key=table_key)
+            if routed is None:
+                return None
             plan, entry, table = routed
             with self._lock:
                 self.registry_hits += 1
@@ -310,31 +317,24 @@ class SynthesisResolver:
             return PlanResponse(
                 status="ok",
                 request_key=key,
-                plan=plan.to_json(),
+                plan=plan,
                 source="registry",
                 solve_time_s=time.monotonic() - started,
                 route=_route_payload(entry, table),
             )
 
+        response = routed_answer()
+        if response is not None:
+            return response
+
         # Miss: synthesize the frontier, score it with the simulator,
         # persist the table, then route.  Builds of the
         # same table (routed requests differing only in size) serialize on
         # a per-table lock; whoever waited re-checks the registry first.
-        with self._build_lock(request, topology):
-            routed = self.registry.route(request, topology=topology)
-            if routed is not None:
-                plan, entry, table = routed
-                with self._lock:
-                    self.registry_hits += 1
-                self._rung("registry")
-                return PlanResponse(
-                    status="ok",
-                    request_key=key,
-                    plan=plan.to_json(),
-                    source="registry",
-                    solve_time_s=time.monotonic() - started,
-                    route=_route_payload(entry, table),
-                )
+        with self._build_lock(table_key):
+            response = routed_answer()
+            if response is not None:
+                return response
             try:
                 table = self._build_table(request, remaining_s, topology)
             except Exception as exc:
@@ -351,7 +351,7 @@ class SynthesisResolver:
                     started=started,
                     topology=topology,
                 )
-            self.registry.install_table(request, table, topology=topology)
+            self.registry.install_table(request, table, key=table_key)
         entry = table.route(float(request.size_bytes))
         if entry is None:  # pragma: no cover - tables tile [0, inf)
             self._rung("baseline")
@@ -363,25 +363,15 @@ class SynthesisResolver:
         return PlanResponse(
             status="ok",
             request_key=key,
-            plan=table.plan_for(entry, verify=False).to_json(),
+            plan=table.plan_json(entry),
             source="synthesized",
             solve_time_s=time.monotonic() - started,
             route=_route_payload(entry, table),
         )
 
-    def _build_lock(self, request: PlanRequest, topology) -> threading.Lock:
-        from .registry import routing_key
-
-        key = routing_key(
-            request.collective,
-            topology,
-            root=request.root,
-            synchrony=request.synchrony,
-            encoding=request.encoding,
-            prune=request.prune,
-        )
+    def _build_lock(self, table_key: str) -> threading.Lock:
         with self._lock:
-            return self._table_locks.setdefault(key, threading.Lock())
+            return self._table_locks.setdefault(table_key, threading.Lock())
 
     def _build_table(self, request: PlanRequest, remaining_s: Optional[float], topology):
         from ..core import pareto_synthesize
@@ -421,6 +411,8 @@ class SynthesisResolver:
                 "registry_hits": self.registry_hits,
                 "replans": self.replans,
                 "rungs": dict(self.rungs),
+                # Lookups the registry answered from memory after one stat.
+                "warm_hits": self.registry.warm_hits,
                 "since": self.since,
             }
 
@@ -496,10 +488,13 @@ class WorkerPool:
             self._threads.append(thread)
 
     def stop(self, *, timeout: Optional[float] = 5.0) -> None:
+        """Close the broker and wait up to ``timeout`` seconds in all for the
+        workers; one still mid-solve after that is a daemon and is left."""
         self._stop.set()
         self.broker.close()
+        deadline = None if timeout is None else time.monotonic() + timeout
         for thread in self._threads:
-            thread.join(timeout)
+            thread.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
         self._threads.clear()
 
     def _run(self) -> None:
@@ -567,9 +562,10 @@ class PlanningService:
             self._started = True
         return self
 
-    def stop(self) -> None:
+    def stop(self, *, timeout: Optional[float] = 5.0) -> None:
+        """Stop the pool, waiting at most ``timeout`` seconds for its workers."""
         if self._started:
-            self.pool.stop()
+            self.pool.stop(timeout=timeout)
             self._started = False
             flush_records()  # the resolutions' archive lines still held back
 

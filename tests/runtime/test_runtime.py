@@ -1,5 +1,10 @@
 """Tests for lowering, execution, simulation and code generation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import nccl_allgather, nccl_allreduce, ring_allgather, single_ring
@@ -96,6 +101,28 @@ class TestExecution:
         result = execute(lower(algorithm), algorithm)
         assert result.reduced_transfers == 336
         assert result.transfers == 672
+
+    def test_numpy_loads_with_the_first_execution_not_with_the_packages(self):
+        # The planning service (and its clients) never execute a program:
+        # importing them must not cost numpy's ~12 MB per process.
+        script = (
+            "import repro.service, repro.core, repro.engine, repro.interchange, sys\n"
+            "assert 'numpy' not in sys.modules\n"
+            "from repro.baselines import ring_allgather, single_ring\n"
+            "from repro.runtime import execute, lower\n"
+            "from repro.topology import ring\n"
+            "algorithm = ring_allgather(ring(4), single_ring(ring(4)))\n"
+            "result = execute(lower(algorithm), algorithm)\n"
+            "import numpy\n"
+            "assert isinstance(result.buffers, numpy.ndarray)\n"
+            "assert result.buffers.shape == (4, 8) and result.chunk_present(3, 0)\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_corrupted_program_detected(self, ring4_allgather):
         program = lower(ring4_allgather)

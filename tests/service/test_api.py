@@ -73,6 +73,34 @@ class TestContentAddressing:
         ).request_key()
 
 
+class TestDerivedOncePerObject:
+    """Topology and key are functions of frozen fields: computed once."""
+
+    def test_topology_and_key_are_remembered(self):
+        request = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
+        assert request.resolve_topology() is request.resolve_topology()
+        assert request.request_key() == fingerprint("Allgather", ring(4), 1, 2, 3)
+
+    def test_replace_starts_clean_and_identity_is_the_fields(self):
+        import dataclasses
+        import pickle
+
+        request = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
+        fresh = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
+        request.resolve_topology(), request.request_key()
+        assert request == fresh and hash(request) == hash(fresh) and repr(request) == repr(fresh)
+        other = dataclasses.replace(request, topology="ring:6", steps=3, rounds=5)
+        assert other.resolve_topology().num_nodes == 6
+        assert other.request_key() == fingerprint("Allgather", ring(6), 1, 3, 5)
+        assert pickle.loads(pickle.dumps(request)) == request
+
+    def test_a_bad_spec_fails_every_time(self):
+        request = PlanRequest("Allgather", "mesh:4", size_bytes=8)
+        for _ in range(2):
+            with pytest.raises(ServiceError, match="mesh"):
+                request.resolve_topology()
+
+
 class TestWireForms:
     def test_request_roundtrip(self):
         request = PlanRequest(

@@ -4,25 +4,33 @@
 import json
 import os
 import re
+import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.engine import AlgorithmCache
 from repro.service import (
+    PlanningHTTPServer,
     PlanRegistry,
     PlanRequest,
     PlanningService,
     ServerThread,
     ServiceError,
     check_health,
+    fetch_stats,
     make_server,
     request_plan,
 )
+from repro.service import server as server_module
+from repro.telemetry import PerfArchive
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = str(REPO_ROOT / "src")
@@ -94,6 +102,171 @@ class TestHTTP:
             )
 
 
+class _CountingServer(PlanningHTTPServer):
+    """Counts the connections the accept loop hands out."""
+
+    accepted = 0
+
+    def get_request(self):
+        self.accepted += 1
+        return super().get_request()
+
+
+QUICKSTART = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3, deadline_s=60)
+
+
+def _in_threads(count, call):
+    """Run ``call`` in ``count`` new threads; re-raise what any of them raised."""
+    errors = []
+
+    def run():
+        try:
+            call()
+        except BaseException as exc:  # handed to the test's own thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    if errors:
+        raise errors[0]
+
+
+class TestKeepAlive:
+    """The client functions keep one connection per thread and server."""
+
+    def test_one_thread_uses_one_connection(self, service):
+        server = _CountingServer(("127.0.0.1", 0), service)
+        with ServerThread(server) as thread:
+            # A new thread: it owns no connection to this port yet.
+            def client():
+                for _ in range(200):
+                    assert request_plan(thread.url, QUICKSTART).ok
+                assert "broker" in fetch_stats(thread.url)
+                assert check_health(thread.url)
+
+            _in_threads(1, client)
+        assert server.accepted == 1
+
+    def test_two_threads_use_two_connections(self, service):
+        server = _CountingServer(("127.0.0.1", 0), service)
+        with ServerThread(server) as thread:
+            _in_threads(2, lambda: [request_plan(thread.url, QUICKSTART) for _ in range(20)])
+        assert server.accepted == 2
+
+    def test_kept_alive_requests_do_not_wait_for_delayed_acks(self, server_url):
+        # Header and body in two segments cost a kept-alive peer about
+        # 40 ms per request (Nagle + delayed ACK): 50 would take 2 s.
+        assert request_plan(server_url, QUICKSTART).ok
+        started = time.perf_counter()
+        for _ in range(50):
+            assert request_plan(server_url, QUICKSTART).source == "cache"
+        assert time.perf_counter() - started < 1.0
+
+    def test_reconnects_once_after_a_restart_on_the_same_port(self, service):
+        with ServerThread(make_server(service, port=0)) as first:
+            url = first.url
+            assert request_plan(url, QUICKSTART).ok
+        second = _CountingServer(("127.0.0.1", urlsplit(url).port), service)
+        with ServerThread(second):
+            # The kept connection went with the first server: one new one.
+            assert request_plan(url, QUICKSTART).ok
+            assert request_plan(url, QUICKSTART).ok
+        assert second.accepted == 1
+
+    def test_a_stopped_server_answers_on_no_kept_connection(self, service):
+        with ServerThread(make_server(service, port=0)) as thread:
+            url = thread.url
+            assert request_plan(url, QUICKSTART).ok
+        # The handler thread of the kept connection outlives the accept
+        # loop; server_close hangs up on it, so this fails to *connect*.
+        with pytest.raises(ServiceError, match="cannot reach planning service"):
+            request_plan(url, QUICKSTART)
+
+    def test_reconnects_once_after_the_idle_timeout(self, service, monkeypatch):
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.2)
+        server = _CountingServer(("127.0.0.1", 0), service)
+        with ServerThread(server) as thread:
+            assert request_plan(thread.url, QUICKSTART).ok
+            time.sleep(0.6)  # the handler hangs up on the idle connection
+            assert request_plan(thread.url, QUICKSTART).ok
+            assert request_plan(thread.url, QUICKSTART).ok
+        assert server.accepted == 2
+
+    def test_error_statuses_map_as_before(self, service, server_url):
+        # 400 with an error dict -> ServiceError naming status and reason.
+        with pytest.raises(ServiceError, match=r"rejected the request \(HTTP 400\).*nope"):
+            request_plan(server_url, PlanRequest("Allgather", "nope:3", size_bytes=8))
+        # 422 with a PlanResponse body -> that response, on the same connection.
+        unsat = request_plan(
+            server_url,
+            PlanRequest("Allgather", "ring:4", chunks=1, steps=1, rounds=1, deadline_s=60),
+        )
+        assert unsat.status == "error" and "unsatisfiable" in unsat.error
+        # 503 (the service refuses work) -> ServiceError.
+        service.stop()
+        with pytest.raises(ServiceError, match=r"rejected the request \(HTTP 503\)"):
+            request_plan(server_url, QUICKSTART)
+        with pytest.raises(ServiceError, match="cannot fetch stats .*HTTP Error 404"):
+            fetch_stats(server_url + "/nowhere")
+
+
+def _raw_exchange(url, payload, *, timeout=2.0):
+    """Send raw bytes; everything the server answers until it hangs up or
+    falls silent for ``timeout`` seconds."""
+    parts = urlsplit(url)
+    received = b""
+    with socket.create_connection((parts.hostname, parts.port), timeout=timeout) as sock:
+        sock.sendall(payload)
+        try:
+            while True:
+                data = sock.recv(65536)
+                if not data:
+                    break
+                received += data
+        except socket.timeout:
+            pass
+    return received.decode("latin-1")
+
+
+class TestRequestBodyIsOutsideInput:
+    """``Content-Length`` and the path are the peer's to choose."""
+
+    def test_negative_content_length_is_a_400_not_a_pinned_thread(self, server_url):
+        answer = _raw_exchange(
+            server_url, b"POST /v1/plan HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n\r\n"
+        )
+        assert answer.startswith("HTTP/1.1 400 ") and "Connection: close" in answer
+
+    def test_non_integer_content_length_is_a_400(self, server_url):
+        answer = _raw_exchange(
+            server_url, b"POST /v1/fault HTTP/1.1\r\nHost: x\r\nContent-Length: lots\r\n\r\n"
+        )
+        assert answer.startswith("HTTP/1.1 400 ") and "Connection: close" in answer
+
+    def test_oversized_body_is_a_413_without_being_read(self, server_url):
+        declared = server_module.MAX_BODY_BYTES + 1
+        answer = _raw_exchange(
+            server_url,
+            f"POST /v1/plan HTTP/1.1\r\nHost: x\r\nContent-Length: {declared}\r\n\r\n".encode(),
+        )
+        assert answer.startswith("HTTP/1.1 413 ") and "Connection: close" in answer
+
+    def test_unknown_post_path_consumes_its_body(self, server_url):
+        body = b'{"hello": "world"}'
+        answer = _raw_exchange(
+            server_url,
+            b"POST /nope HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+            % (len(body), body),
+        )
+        statuses = re.findall(r"HTTP/1\.1 (\d{3}) ", answer)
+        assert statuses == ["404", "200"], answer
+
+
 class TestSubprocessSmoke:
     """The CI smoke step: serve, request and run as real processes."""
 
@@ -157,6 +330,69 @@ class TestSubprocessSmoke:
                 server.wait(timeout=10)
             finally:
                 server.stdout.close()
+
+    def test_sigterm_is_a_clean_shutdown(self, tmp_path):
+        env = self._env(tmp_path / "cache")
+        env["REPRO_PERF_DIR"] = str(tmp_path / "perf")
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--routes-dir", str(tmp_path / "routes"),
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env, cwd=REPO_ROOT,
+        )
+        try:
+            url = re.search(r"http://\S+", server.stdout.readline()).group(0)
+            assert request_plan(url, QUICKSTART).ok
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=10) == 0
+            assert "served 1 request(s)" in server.stdout.read()
+        finally:
+            server.kill()
+            server.wait()
+            server.stdout.close()
+        # The resolution's archive line was held back in memory: a clean
+        # exit writes it, the default disposition would have lost it.
+        records = PerfArchive(tmp_path / "perf").records(kind="service")
+        assert [record.verdict for record in records] == ["ok"]
+
+    def test_sigterm_does_not_wait_for_a_worker_mid_solve(self, tmp_path):
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--routes-dir", str(tmp_path / "routes"),
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=self._env(tmp_path / "cache"), cwd=REPO_ROOT,
+        )
+        try:
+            url = re.search(r"http://\S+", server.stdout.readline()).group(0)
+            # A paper-scale row: minutes of encoding and search in a worker thread.
+            heavy = PlanRequest("Allgather", "dgx1", chunks=6, steps=7, rounds=7)
+            outcome = []
+
+            def ask():
+                try:
+                    outcome.append(request_plan(url, heavy, timeout=30).status)
+                except ServiceError as exc:
+                    outcome.append(str(exc))
+
+            client = threading.Thread(target=ask)
+            client.start()
+            time.sleep(1.0)
+            assert fetch_stats(url)["broker"]["inflight"] == 1
+            server.send_signal(signal.SIGTERM)
+            # Well inside the 5 s a supervisor (and bench/) waits before SIGKILL.
+            assert server.wait(timeout=4) == 0
+            client.join(timeout=10)
+            assert outcome and outcome[0] != "ok"
+        finally:
+            server.kill()
+            server.wait()
+            server.stdout.close()
 
     def test_request_local_answers_without_a_server(self, tmp_path):
         env = self._env(tmp_path / "cache")

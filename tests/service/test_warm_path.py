@@ -1,0 +1,246 @@
+"""The warm path remembers only what cannot have changed.
+
+A long-lived service (pinned-plan memo, table memo, per-fault-state
+fabrics, per-request topology and key) must answer exactly like a resolver
+built from nothing for every query, whatever happened to the files and the
+fault board in between; and a warm repeat must cost one ``stat`` — no
+read, no decode, no verification, no second parse of the topology spec.
+"""
+
+import builtins
+import json
+import os
+import shutil
+
+import pytest
+
+from repro.core.algorithm import Algorithm
+from repro.engine import AlgorithmCache
+from repro.engine.cache import CacheEntry, fingerprint
+from repro.faults import FaultSet, LinkDown
+from repro.service import (
+    FaultBoard,
+    FaultRequest,
+    PlanRegistry,
+    PlanRequest,
+    PlanningService,
+    ServerThread,
+    SynthesisResolver,
+    api,
+    build_routing_table,
+    make_server,
+    request_fault,
+    request_plan,
+)
+from repro.service.faults import FABRIC_MEMO_ENTRIES
+from repro.service.registry import PINNED_MEMO_ENTRIES
+from repro.telemetry import get_metrics
+from repro.topology import ring
+
+PINNED = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
+#: Satisfiable on ring:4 with and without the 0 -> 1 link.
+PINNED_SLACK = PlanRequest("Allgather", "ring:4", chunks=1, steps=3, rounds=4)
+ROUTED = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
+QUERIES = (PINNED, PINNED_SLACK, ROUTED)
+
+DEAD_LINK = LinkDown(0, 1)
+
+
+def _registry(root) -> PlanRegistry:
+    return PlanRegistry(cache=AlgorithmCache(root / "algorithms"), routes_dir=root / "routes")
+
+
+def _comparable(response) -> tuple:
+    """``(status, source, route, plan)`` without what only dates the answer."""
+    # Through JSON on both sides: the live answers crossed HTTP.
+    plan, route = json.loads(json.dumps([response.plan, response.route]))
+    if plan is not None:
+        for stamp in ("created_at", "solve_time_s", "encode_time_s"):
+            plan["provenance"].pop(stamp, None)
+    if route is not None and response.source == "synthesized":
+        del route["table_built_at"]  # both sides built their own table just now
+    return (response.status, response.source, route, plan)
+
+
+class Pair:
+    """A long-lived service over HTTP, and a from-nothing resolver per query."""
+
+    def __init__(self, tmp_path, url, service) -> None:
+        self.root, self.url, self.service = tmp_path / "live", url, service
+        self.scratch = tmp_path / "reference"
+        self.faults = FaultSet.of()
+        self.root.mkdir()
+
+    def agree(self, label):
+        """Every query answers the same on both sides; returns the live answers."""
+        answers = []
+        for request in QUERIES:
+            # The reference works on a copy: a miss makes either side write.
+            shutil.rmtree(self.scratch, ignore_errors=True)
+            shutil.copytree(self.root, self.scratch)
+            board = FaultBoard()
+            if self.faults:
+                board.register(ring(4), self.faults)
+            reference = SynthesisResolver(_registry(self.scratch), fault_board=board)(request)
+            live = request_plan(self.url, request)
+            assert _comparable(live) == _comparable(reference), (label, request.describe())
+            if live.ok:
+                algorithm = live.plan_object().algorithm  # re-verified on the way in
+                if self.faults:
+                    assert (0, 1) not in {(s.src, s.dst) for t in algorithm.steps for s in t.sends}
+            answers.append(live)
+        return answers
+
+    def entry_path(self, request):
+        return self.service.registry.cache._path(request.request_key())
+
+
+@pytest.fixture
+def pair(tmp_path):
+    with PlanningService(_registry(tmp_path / "live"), num_workers=2) as service:
+        with ServerThread(make_server(service, port=0)) as thread:
+            yield Pair(tmp_path, thread.url, service)
+
+
+def _corrupt_total() -> float:
+    return get_metrics().total("repro_cache_corrupt_total")
+
+
+def test_memoized_service_agrees_with_a_fresh_resolver(pair):
+    assert [a.source for a in pair.agree("cold")] == ["synthesized"] * 3
+    assert [a.source for a in pair.agree("first read")] == ["cache", "cache", "registry"]
+    before = pair.service.resolver.stats()["warm_hits"]
+    assert [a.source for a in pair.agree("repeat")] == ["cache", "cache", "registry"]
+    assert pair.service.resolver.stats()["warm_hits"] == before + 3
+
+    # Another valid entry moved over the file: the new one is served.
+    path = pair.entry_path(PINNED)
+    entry = json.loads(path.read_text())
+    entry["algorithm"]["name"] = "moved-in"
+    for step in entry["algorithm"]["steps"]:
+        step["sends"].reverse()
+    (pair.root / "incoming.json").write_text(json.dumps(entry))
+    os.replace(pair.root / "incoming.json", path)
+    moved = pair.agree("os.replace")[0]
+    assert moved.source == "cache" and moved.plan["algorithm"]["name"] == "moved-in"
+
+    # An invalid schedule written in place: dropped and counted, never served.
+    entry["algorithm"]["name"] = "torn"
+    entry["algorithm"]["steps"][0]["sends"] = []
+    path.write_text(json.dumps(entry))
+    corrupt = _corrupt_total()
+    torn = pair.agree("invalid in place")[0]
+    assert torn.source == "synthesized" and torn.plan["algorithm"]["name"] != "torn"
+    assert _corrupt_total() == corrupt + 2  # once per side
+    assert pair.agree("after the re-solve")[0].source == "cache"
+
+    os.utime(path)
+    assert pair.agree("os.utime")[0].source == "cache"
+
+    path.unlink()
+    assert pair.agree("unlink")[0].source == "synthesized"
+    pair.agree("refill")
+    pair.service.registry.cache.evict(max_entries=0)
+    assert [a.source for a in pair.agree("cache evict")[:2]] == ["synthesized"] * 2
+
+    # A dead link: degraded plans on both sides, nothing from before it.
+    pair.agree("refill")
+    registered = request_fault(
+        pair.url, FaultRequest("ring:4", "register", (DEAD_LINK.to_json(),))
+    )
+    assert registered.ok
+    pair.faults = FaultSet.of(DEAD_LINK)
+    degraded = pair.agree("fault register")
+    assert degraded[0].status == "error"  # (1, 2, 3) needs the whole ring
+    assert [a.source for a in degraded[1:]] == ["synthesized"] * 2
+    assert [a.source for a in pair.agree("degraded repeat")[1:]] == ["cache", "registry"]
+    pair.agree("degraded repeat, warm")
+    assert request_fault(pair.url, FaultRequest("ring:4", "clear")).ok
+    pair.faults = FaultSet.of()
+    assert [a.source for a in pair.agree("fault clear")] == ["synthesized"] * 3
+    pair.agree("healthy again")
+
+    pair.agree("healthy again, warm")
+    pair.service.registry.invalidate(ring(4))
+    assert [a.source for a in pair.agree("registry.invalidate")] == ["synthesized"] * 3
+    pair.agree("refill")
+
+    # A table rewritten by another writer: the next answer reads the new one.
+    live_table = pair.agree("warm")[2].route
+    table = pair.service.registry.table_for(ROUTED)
+    algorithm = table.plan_for(table.entries[0]).algorithm
+    rewritten = build_routing_table("Allgather", ring(4), [algorithm], synchrony=1)
+    _registry(pair.root).install_table(ROUTED, rewritten)
+    routed = pair.agree("install_table")[2]
+    assert routed.source == "registry" and routed.route["plan"] == algorithm.name
+    assert routed.route["table_built_at"] == rewritten.built_at != live_table["table_built_at"]
+
+
+class _Counts:
+    """Calls of the four things a warm answer must not repeat."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls = {"stat": 0, "open": 0, "parse_topology": 0, "full_verify": 0}
+        self._wrap(monkeypatch, os, "stat", "stat")
+        self._wrap(monkeypatch, builtins, "open", "open")
+        self._wrap(monkeypatch, api, "parse_topology", "parse_topology")
+        # Runs once per full Algorithm.verify(), never on its witness shortcut.
+        self._wrap(monkeypatch, Algorithm, "check_bandwidth", "full_verify")
+
+    def _wrap(self, monkeypatch, owner, name, counter) -> None:
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            self.calls[counter] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def reset(self) -> None:
+        for name in self.calls:
+            self.calls[name] = 0
+
+
+@pytest.mark.parametrize("request_", [PINNED, ROUTED], ids=["pinned", "routed"])
+def test_a_warm_repeat_costs_one_stat(tmp_path, monkeypatch, request_):
+    with PlanningService(_registry(tmp_path), num_workers=1) as service:
+        for _ in range(2):  # solve it, then read it back once
+            assert service.request(request_).ok
+        counts = _Counts(monkeypatch)
+        # As the HTTP handler does it: a new request object per message.
+        warm = service.request(PlanRequest.from_json(request_.to_json()))
+        assert warm.source in ("cache", "registry")
+        assert counts.calls == {"stat": 1, "open": 0, "parse_topology": 1, "full_verify": 0}
+        # The same object again: its topology and key are already known.
+        counts.reset()
+        assert service.request(request_).ok
+        assert counts.calls == {"stat": 1, "open": 0, "parse_topology": 0, "full_verify": 0}
+
+
+def test_memos_are_bounded(tmp_path):
+    registry = _registry(tmp_path)
+    with PlanningService(registry, num_workers=1) as service:
+        assert service.request(PINNED).ok
+        solved = json.loads(registry.cache._path(PINNED.request_key()).read_text())
+        # Allgather ignores the root, so the schedule is valid under every
+        # one of these keys.
+        for root in range(1, 10 * PINNED_MEMO_ENTRIES + 1):
+            key = fingerprint("Allgather", ring(4), 1, 2, 3, root=root)
+            registry.cache.store(CacheEntry.from_json(dict(solved, key=key)))
+            request = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3, root=root)
+            assert registry.lookup_pinned_json(request) is not None
+            assert len(registry._pinned) <= PINNED_MEMO_ENTRIES
+        assert len(registry._pinned) == PINNED_MEMO_ENTRIES
+        # The most recent ones stayed: a repeat is answered from memory.
+        warm = registry.warm_hits
+        assert registry.lookup_pinned_json(request) is not None
+        assert registry.warm_hits == warm + 1
+
+        board = service.fault_board
+        for bandwidth in range(1, 10 * FABRIC_MEMO_ENTRIES + 1):
+            routed = PlanRequest("Allgather", f"ring:4:{bandwidth}", size_bytes=64)
+            fabric = board.fabric(routed)
+            for root in range(FABRIC_MEMO_ENTRIES + 1):
+                fabric.key((root,), lambda: "key")
+            assert len(fabric.keys) <= FABRIC_MEMO_ENTRIES
+            assert len(board._fabrics) <= FABRIC_MEMO_ENTRIES
