@@ -19,6 +19,7 @@ The paper computes two lower bounds before enumerating instances:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -87,6 +88,31 @@ class Cut:
         return cls(frozenset(data["part"]), int(data["chunks"]), int(data["capacity"]))
 
 
+_Cuts = Tuple[Tuple[FrozenSet[int], int], ...]
+
+
+def _with_capacity(topology: Topology, parts) -> _Cuts:
+    return tuple((part, cut_capacity(topology, part)) for part in parts)
+
+
+def _node_cuts(topology: Topology) -> _Cuts:
+    """Each node's in-cut ``{n}``, then each node's out-cut (everything but ``n``)."""
+    everyone = frozenset(topology.nodes())
+    singles = [frozenset({n}) for n in topology.nodes()]
+    return _with_capacity(topology, singles + [everyone - part for part in singles])
+
+
+def _balanced_cuts(topology: Topology) -> _Cuts:
+    """Both sides of every balanced bipartition."""
+    nodes = list(topology.nodes())
+    everyone = frozenset(nodes)
+    return _with_capacity(topology, (
+        part
+        for subset in combinations(nodes, len(nodes) // 2)
+        for part in (frozenset(subset), everyone - frozenset(subset))
+    ))
+
+
 def iter_cuts(
     topology: Topology,
     precondition: Placement,
@@ -101,22 +127,33 @@ def iter_cuts(
     The synthesis encoder refutes instances with the single-node cuts
     before emitting a formula; :func:`bandwidth_lower_bound` takes the
     tightest ratio over all of them.
+
+    The node sets and their capacities are facts of the topology
+    (:meth:`~repro.topology.Topology.fact`: enumerated once, whoever asks),
+    and the placements are read once: chunks held and needed by the same
+    nodes cross the same cuts, so each cut is judged per such class.
     """
-    nodes = list(topology.nodes())
-    everyone = frozenset(nodes)
-    parts: List[FrozenSet[int]] = [frozenset({n}) for n in nodes]
-    parts += [everyone - part for part in parts]
-    if 2 <= len(nodes) <= bipartition_limit:
-        for subset in combinations(nodes, len(nodes) // 2):
-            parts += [frozenset(subset), everyone - frozenset(subset)]
+    cuts = topology.fact(_node_cuts)
+    if 2 <= topology.num_nodes <= bipartition_limit:
+        cuts += topology.fact(_balanced_cuts)
     holders: Dict[int, Set[int]] = {}
     for (chunk, node) in precondition:
         holders.setdefault(chunk, set()).add(node)
-    for part in parts:
-        needed = {c for (c, n) in postcondition if n in part}
-        chunks = sum(1 for c in needed if part.isdisjoint(holders.get(c, ())))
+    needers: Dict[int, Set[int]] = {}
+    for (chunk, node) in postcondition:
+        needers.setdefault(chunk, set()).add(node)
+    classes = Counter(
+        (frozenset(holders.get(chunk, ())), frozenset(nodes))
+        for chunk, nodes in needers.items()
+    )
+    for part, capacity in cuts:
+        chunks = sum(
+            count
+            for (held, needed), count in classes.items()
+            if part.isdisjoint(held) and not part.isdisjoint(needed)
+        )
         if chunks:
-            yield Cut(part, chunks, cut_capacity(topology, part))
+            yield Cut(part, chunks, capacity)
 
 
 def bandwidth_lower_bound(
@@ -136,14 +173,15 @@ def bandwidth_lower_bound(
     """
     if chunks_per_node <= 0:
         raise BoundsError("chunks_per_node must be positive")
-    best = Fraction(0)
+    chunks, capacity = 0, 1  # the tightest ratio so far, compared by cross-multiplication
     for cut in iter_cuts(topology, precondition, postcondition, exact_bipartition_limit):
         if cut.capacity == 0:
             raise BoundsError(
                 f"nodes {sorted(cut.part)} need {cut.chunks} chunks but have no incoming links"
             )
-        best = max(best, Fraction(cut.chunks, cut.capacity * chunks_per_node))
-    return best
+        if cut.chunks * capacity > chunks * cut.capacity:
+            chunks, capacity = cut.chunks, cut.capacity
+    return Fraction(chunks, capacity * chunks_per_node)
 
 
 def lower_bounds(

@@ -335,11 +335,9 @@ class ScclEncoding:
                     # An unconditional postcondition ends the domain at S.
                     owed = not self.chunk_selector and (chunk, node) in instance.postcondition
                     last = S if owed else S + 1
-                self.time_vars[(chunk, node)] = ctx.new_int(
-                    first, last, name=f"time_c{chunk}_n{node}"
-                )
+                self.time_vars[(chunk, node)] = ctx.new_int(first, last)
         for (chunk, src, dst) in sends:
-            lit = ctx.new_bool(name=f"snd_c{chunk}_{src}_{dst}")
+            lit = ctx.new_bool()
             self.send_vars[(chunk, src, dst)] = lit
             if self.chunk_selector:
                 # A send of a disabled chunk level is forbidden, so a
@@ -446,7 +444,7 @@ class ScclEncoding:
             # The only possible arrival step: the send is its own activation.
             self._activation[key] = snd
             return snd
-        a = ctx.new_bool(name=f"act_c{chunk}_{src}_{dst}_s{s}")
+        a = ctx.new_bool()
         ctx.add_clause_fast([-snd] + [-lit for lit in time_dst.eq_lits(s)] + [a])
         self._activation[key] = a
         self.stats.aux_vars += 1

@@ -64,8 +64,9 @@ class SynCollInstance:
                 raise InstanceError(f"chunk {chunk} out of range [0, {self.num_chunks})")
             if not 0 <= node < nodes:
                 raise InstanceError(f"node {node} out of range [0, {nodes})")
+        sourced = {chunk for (chunk, _) in self.precondition}
         for chunk in range(self.num_chunks):
-            if not any(c == chunk for (c, _) in self.precondition):
+            if chunk not in sourced:
                 raise InstanceError(f"chunk {chunk} has no source in the precondition")
 
     # ------------------------------------------------------------------

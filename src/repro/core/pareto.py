@@ -212,8 +212,8 @@ def resolve_strategy(
 
     Single-core hosts (or an explicit one-worker budget) get the serial
     loop: the pool executor only adds process overhead there, and the
-    shared-prefix family's exact-formula UNKNOWN retries can make the
-    incremental path pay for probes twice.
+    shared-prefix family pays for one frame plus its exact-formula retry
+    at every step count whose probes are bound by the budget.
 
     On multi-core hosts the pick is by size: large instances — many nodes,
     deep chunk subdivision or a loose synchrony budget, all of which

@@ -330,18 +330,21 @@ def cut_result(
     root: int = 0,
     witness: Optional[Tuple[int, int, int]] = None,
     backend: str = "bounds",
+    instance=None,
 ):
     """A synthetic UNSAT result for a candidate killed by a monotone cut.
 
     Positionally byte-identical to a solver UNSAT in the sweep's result
     stream; ``provenance="cut"`` records that no solver ran, and the
-    witness travels in ``solver_stats`` for forensics.
+    witness travels in ``solver_stats`` for forensics.  ``instance`` is the
+    candidate's instance when the caller already built it.
     """
     from ..core.instance import make_instance
     from ..core.synthesizer import SynthesisResult
     from ..solver import SolveResult
 
-    instance = make_instance(collective, topology, chunks, steps, rounds, root=root)
+    if instance is None:
+        instance = make_instance(collective, topology, chunks, steps, rounds, root=root)
     stats: Dict[str, float] = {}
     if witness is not None:
         stats = {

@@ -83,6 +83,14 @@ def topology_cost_payload(topology: Topology) -> dict:
     }
 
 
+def _canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _topology_blob(topology: Topology) -> str:
+    return _canonical(topology_fingerprint_payload(topology))
+
+
 def fingerprint(
     collective: str,
     topology: Topology,
@@ -94,19 +102,26 @@ def fingerprint(
     encoding: str = "sccl",
     prune: bool = True,
 ) -> str:
-    """Content hash identifying one synthesis candidate."""
-    payload = {
-        "version": CACHE_FORMAT_VERSION,
+    """Content hash identifying one synthesis candidate.
+
+    The hash is over the canonical JSON of the whole payload.  The
+    topology's part of it is serialised once per fabric
+    (:meth:`~repro.topology.Topology.fact`) and spliced in: ``"topology"``
+    and ``"version"`` sort after every other key.
+    """
+    head = _canonical({
         "collective": collective,
-        "topology": topology_fingerprint_payload(topology),
         "chunks_per_node": chunks_per_node,
         "steps": steps,
         "rounds": rounds,
         "root": root,
         "encoding": encoding,
         "prune": prune,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    })
+    blob = (
+        f'{head[:-1]},"topology":{topology.fact(_topology_blob)},'
+        f'"version":{CACHE_FORMAT_VERSION}}}'
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -5,9 +5,9 @@ candidates in cost order, keep the first satisfiable one, stop once the
 bandwidth bound is met.  :class:`Dispatcher` is that loop, written once.
 It owns every decision — the bounds ledger's plan when a step count
 becomes current, dominance prunes, monotone cuts, cache replays, the
-first-SAT truncation, the exact-formula retry of an UNKNOWN, cache
-writes, ledger feedback and telemetry — and asks an *executor* for one
-thing only: the result of ``(S, R, C)``.
+first-SAT truncation, the UNKNOWN policy (below), cache writes, ledger
+feedback and telemetry — and asks an *executor* for one thing only: the
+result of ``(S, R, C)``.
 
 Three executors answer that question, and the four strategy names select
 among them (``make_dispatcher``):
@@ -31,13 +31,28 @@ opportunistic property of the executor (PopPy's position).  Because the
 loop consumes results in order, the three exact-formula strategies report
 byte-identical frontiers and the family strategy the same verdicts.
 
+The UNKNOWN policy.  A family frame is a larger formula than the exact
+one, so it can exhaust a per-probe budget the exact formula would not.
+SAT and UNSAT answers of a frame are sound and never retried.  The first
+frame of a step count that comes back UNKNOWN is answered again on the
+exact formula — whose verdict is reported, with the frame's encode and
+solve time added to its own, so the phases of a sweep add up to what it
+cost — and marks that step count *budget-bound*: its remaining probes go
+straight to the exact formula, no frame, no retry, and report exactly what
+``serial`` would.  The next step count starts on its family again.  A
+budget is thus spent twice at most once per step count, never once per
+probe; the family stays an accelerator where its frames decide and stops
+being a decelerator where they do not.
+
 When the pool pays off: it overlaps probes, so it wins when probes are
-long or burn a wall-clock limit (DGX-1 Allgather smoke under
-``time_limit=1.2`` on a 2-core host: speculative 2.16 s, parallel 2.90 s,
-serial 3.46 s, incremental 6.98 s with its retries).  It loses on
-sub-second frontiers, where spawning workers and pickling results costs
-more than the solves (``bench/`` ``frontier_cold``, two DGX-1 rows:
-serial 0.14 s, incremental 0.18 s, parallel 0.38 s, speculative 0.42 s).
+long or burn a wall-clock limit (``benchmarks/`` sweep ablation, DGX-1
+Allgather under ``time_limit=1.2`` on a 2-core host: parallel 1.8 s,
+speculative 1.9 s, serial 3.1 s, incremental 4.4 s — one frame and one
+retry per budget-bound step count over serial).  It loses on sub-second
+frontiers, where spawning workers and pickling results costs more than the
+solves (``bench/`` ``frontier_cold``, two DGX-1 rows, one of them
+budget-bound: serial 0.12 s, incremental 0.12 s, parallel 0.26 s,
+speculative 0.31 s).
 """
 
 from __future__ import annotations
@@ -134,17 +149,22 @@ class Probe(NamedTuple):
     request: SweepRequest
     rounds: int
     chunks: int
+    #: The point's instance.  The loop builds one per lattice point and run
+    #: (:func:`make_probe`); cache lookups, executors and results share it.
+    instance: SynCollInstance
 
     @property
     def key(self) -> Tuple[int, int, int]:
         return (self.request.steps, self.rounds, self.chunks)
 
-    def instance(self) -> SynCollInstance:
-        request = self.request
-        return make_instance(
-            request.collective, request.topology, self.chunks,
-            request.steps, self.rounds, root=request.root,
-        )
+
+def make_probe(request: SweepRequest, rounds: int, chunks: int) -> Probe:
+    """The probe of ``(request.steps, rounds, chunks)``, instance included."""
+    instance = make_instance(
+        request.collective, request.topology, chunks,
+        request.steps, rounds, root=request.root,
+    )
+    return Probe(request, rounds, chunks, instance)
 
 
 # ----------------------------------------------------------------------
@@ -159,8 +179,9 @@ class Executor(Protocol):
     """
 
     #: True when results come from the exact standalone formula.  A derived
-    #: formula can exhaust a budget the exact one would not, so the loop
-    #: retries its UNKNOWNs exactly.
+    #: formula can exhaust a budget the exact one would not: the loop asks
+    #: the exact formula again and stops asking the executor for that step
+    #: count (the UNKNOWN policy, module docstring).
     exact: bool
     #: Later step counts included in each prefetch hint.
     lookahead: int
@@ -181,14 +202,15 @@ class Executor(Protocol):
 def _solve_exact(probe: Probe):
     """Cold encode+solve of the standalone formula.
 
-    The inline executor, the pool's workers and the UNKNOWN retry all
-    answer with this, so they agree bit for bit.
+    The inline executor, the pool's workers, the UNKNOWN retry and the
+    probes of a budget-bound step count all answer with this, so they
+    agree bit for bit.
     """
     from ..core.synthesizer import synthesize
 
     request = probe.request
     return synthesize(
-        probe.instance(),
+        probe.instance,
         encoding=request.encoding,
         prune=request.prune,
         time_limit=request.time_limit,
@@ -257,6 +279,7 @@ class FamilyExecutor:
         request = probe.request
         return self._family.solve(
             request.steps, probe.chunks, probe.rounds,
+            instance=probe.instance,
             max_rounds=self._rounds_budget.get(request.steps),
             time_limit=request.time_limit,
             conflict_limit=request.conflict_limit,
@@ -290,7 +313,7 @@ def _solve_in_worker(key: Tuple[int, int, int]):
         raise DispatchError("worker used before _init_pool_worker ran")
     request, trace = _WORKER_SHARED
     steps, rounds, chunks = key
-    probe = Probe(replace(request, steps=steps), rounds, chunks)
+    probe = make_probe(replace(request, steps=steps), rounds, chunks)
     try:
         if not trace:
             return _solve_exact(probe)
@@ -429,21 +452,20 @@ def _cached_result(
     if cache is None:
         return None
     request = probe.request
-    instance = probe.instance()
     key = fingerprints[probe.key] = instance_fingerprint(
-        instance, encoding=request.encoding, prune=request.prune
+        probe.instance, encoding=request.encoding, prune=request.prune
     )
     return lookup_result(
-        cache, instance, encoding=request.encoding, prune=request.prune, key=key
+        cache, probe.instance, encoding=request.encoding, prune=request.prune, key=key
     )
 
 
-def _cut_for(request: SweepRequest, plan: ProbePlan, index: int, cache):
+def _cut_for(probe: Probe, witness: Optional[Tuple[int, int, int]], cache):
     """Materialize the synthetic UNSAT for a cut candidate (and persist it)."""
-    rounds, chunks = request.candidates[index]
+    request = probe.request
     result = cut_result(
-        request.collective, request.topology, request.steps, rounds, chunks,
-        root=request.root, witness=plan.witnesses.get(index),
+        request.collective, request.topology, request.steps, probe.rounds,
+        probe.chunks, root=request.root, witness=witness, instance=probe.instance,
     )
     if cache is not None:
         store_result(cache, result, encoding=request.encoding, prune=request.prune)
@@ -537,8 +559,17 @@ class Dispatcher:
         get_backend(requests[0].backend)
         executor = self._make_executor(requests[0])
         tracer = get_tracer()
+        probes: Dict[Tuple[int, int, int], Probe] = {}
         replays: Dict[Tuple[int, int, int], object] = {}
         fingerprints: Dict[Tuple[int, int, int], str] = {}
+
+        def probe_at(request: SweepRequest, rounds: int, chunks: int) -> Probe:
+            """The run's one probe (hence one instance) per lattice point."""
+            key = (request.steps, rounds, chunks)
+            probe = probes.get(key)
+            if probe is None:
+                probe = probes[key] = make_probe(request, rounds, chunks)
+            return probe
 
         def lookup(probe: Probe):
             """The cache's answer for ``probe``, asked at most once per run."""
@@ -551,7 +582,7 @@ class Dispatcher:
             for index, (rounds, chunks) in enumerate(request.candidates):
                 if plan is not None and plan.actions[index] != PROBE:
                     continue
-                probe = Probe(request, rounds, chunks)
+                probe = probe_at(request, rounds, chunks)
                 cached = lookup(probe)
                 if cached is None:
                     yield probe
@@ -575,6 +606,9 @@ class Dispatcher:
                 plan = plans[0]
                 outcome = SweepOutcome()
                 stats = outcome.stats
+                # Set by the first derived formula of this step count that
+                # exhausts its budget (the UNKNOWN policy below).
+                budget_bound = False
                 with tracer.span(
                     "sweep", strategy=self.name, S=request.steps,
                     collective=request.collective,
@@ -584,11 +618,13 @@ class Dispatcher:
                         if action == PRUNE:
                             stats.probes_pruned += 1
                             continue
+                        probe = probe_at(request, rounds, chunks)
                         if action == CUT:
                             stats.probes_cut += 1
-                            outcome.results.append(_cut_for(request, plan, index, cache))
+                            outcome.results.append(
+                                _cut_for(probe, plan.witnesses.get(index), cache)
+                            )
                             continue
-                        probe = Probe(request, rounds, chunks)
                         stats.candidates_probed += 1
                         result = lookup(probe)
                         if result is not None:
@@ -603,23 +639,28 @@ class Dispatcher:
                                 backend=result.backend,
                             )
                         else:
-                            before = executor.encode_calls
-                            result = executor.result(probe)
-                            stats.encode_calls += executor.encode_calls - before
                             stats.solver_calls += 1
-                            if result.is_unknown and not executor.exact:
-                                # The deterministic UNKNOWN policy: a derived
-                                # formula is larger than the exact one, so it
-                                # can exhaust a budget where the exact formula
-                                # would not — and the exact-formula strategies
-                                # would then disagree on the frontier.  SAT
-                                # and UNSAT answers are sound, never retried.
-                                retry = _solve_exact(probe)
-                                stats.unknown_retries += 1
+                            if budget_bound:
                                 stats.encode_calls += 1
-                                stats.solver_calls += 1
-                                if not retry.is_unknown:
-                                    result = retry
+                                result = _solve_exact(probe)
+                            else:
+                                before = executor.encode_calls
+                                result = executor.result(probe)
+                                stats.encode_calls += executor.encode_calls - before
+                                if result.is_unknown and not executor.exact:
+                                    # The UNKNOWN policy (module docstring): a
+                                    # derived formula exhausted the budget.  Ask
+                                    # the exact one, report its answer with the
+                                    # frame's time added, and send the rest of
+                                    # this step count straight there.
+                                    budget_bound = True
+                                    frame = result
+                                    result = _solve_exact(probe)
+                                    result.encode_time += frame.encode_time
+                                    result.solve_time += frame.solve_time
+                                    stats.unknown_retries += 1
+                                    stats.encode_calls += 1
+                                    stats.solver_calls += 1
                             if result.trace:
                                 sweep_span.adopt(result.trace)
                                 result.trace = None

@@ -20,15 +20,19 @@ widening the per-step round domains is inert once the total is pinned
 ``R - (S - 1)``), the selector assumptions force the total exactly, and
 disabled chunk levels can neither send nor owe postconditions.  A frame is
 still a *larger* formula than the cold one, so it can exhaust a conflict
-or time budget the cold formula would not; the sweep loop retries such
-UNKNOWNs on the exact formula.
+or time budget the cold formula would not.  The sweep loop answers the
+first such UNKNOWN of a step count on the exact formula and sends the rest
+of that step count there directly (``engine/dispatch.py``, the UNKNOWN
+policy): the family is asked while its frames decide, and a step count
+whose probes are bound by the budget rather than by the formula pays for
+one frame, not for one per candidate.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..core.encoding import PrefixAnalysis, ScclEncoding
 from ..core.instance import SynCollInstance, make_instance
@@ -93,6 +97,9 @@ class SessionFamily:
         self._backend: SolverBackend = get_backend(backend)
         self._analysis = PrefixAnalysis(topology)
         self._entries: Dict[int, _FamilyEntry] = {}
+        # One instance per lattice point: a candidate's frame and a budget
+        # that coincides with it are the same object.
+        self._instances: Dict[Tuple[int, int, int], SynCollInstance] = {}
         self.encode_calls = 0      # full encodes + in-place extensions
         self.extensions = 0        # chunk-budget growths (subset of the above)
         self.rebuilds = 0          # rounds-budget overflows (full re-encodes)
@@ -103,9 +110,13 @@ class SessionFamily:
     # Entry management
     # ------------------------------------------------------------------
     def _budget_instance(self, steps: int, chunks: int, rounds: int) -> SynCollInstance:
-        return make_instance(
-            self.collective, self.topology, chunks, steps, rounds, root=self.root
-        )
+        key = (steps, chunks, rounds)
+        instance = self._instances.get(key)
+        if instance is None:
+            instance = self._instances[key] = make_instance(
+                self.collective, self.topology, chunks, steps, rounds, root=self.root
+            )
+        return instance
 
     def _build_entry(self, steps: int, chunks: int, rounds: int) -> _FamilyEntry:
         with get_tracer().span("encode", S=steps, C=chunks, R=rounds, family=True):
@@ -188,8 +199,13 @@ class SessionFamily:
         conflict_limit: Optional[int] = None,
         verify: bool = True,
         name: Optional[str] = None,
+        instance: Optional[SynCollInstance] = None,
     ):
-        """Probe one ``(S, C, R)`` candidate; returns a SynthesisResult."""
+        """Probe one ``(S, C, R)`` candidate; returns a SynthesisResult.
+
+        ``instance`` is the candidate's instance when the caller already
+        built it (the sweep loop has); the result carries it.
+        """
         from ..core.synthesizer import SynthesisError, SynthesisResult
 
         if rounds < steps:
@@ -198,7 +214,16 @@ class SessionFamily:
             )
         if chunks < 1:
             raise SessionError(f"chunk count must be positive, got {chunks}")
-        instance = self._budget_instance(steps, chunks, rounds)
+        if instance is None:
+            instance = self._budget_instance(steps, chunks, rounds)
+        elif (instance.steps, instance.chunks_per_node, instance.rounds) != (
+            steps, chunks, rounds
+        ):
+            raise SessionError(
+                f"instance {instance.describe()!r} is not the probed candidate"
+            )
+        else:
+            self._instances.setdefault((steps, chunks, rounds), instance)
         tracer = get_tracer()
         probe_ctx = tracer.span(
             "probe",

@@ -45,7 +45,7 @@ class IntVar:
         self.cnf = cnf
         self.lo = lo
         self.hi = hi
-        self.name = name or f"int[{lo}..{hi}]"
+        self.name = name
         self._true = true_lit
         from .encoders import _fast_add
 
@@ -136,7 +136,7 @@ class IntVar:
         return [self._ge[v] for v in range(self.lo + 1, self.hi + 1)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"IntVar({self.name}, [{self.lo}..{self.hi}])"
+        return f"IntVar({self.name or 'int'}, [{self.lo}..{self.hi}])"
 
 
 def unary_sum_equals(cnf: CNF, variables: Sequence[IntVar], total: int) -> None:

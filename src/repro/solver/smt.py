@@ -64,7 +64,6 @@ class SmtLite:
         # domain bounds return honest literals.
         self._true = self.cnf.new_var()
         self.cnf.add_clause([self._true])
-        self._bool_names: Dict[int, str] = {}
         self._int_vars: List[IntVar] = []
 
     # ------------------------------------------------------------------
@@ -80,11 +79,12 @@ class SmtLite:
         return -self._true
 
     def new_bool(self, name: str = "") -> int:
-        """Create a fresh Boolean variable; returns its positive literal."""
-        var = self.cnf.new_var()
-        if name:
-            self._bool_names[var] = name
-        return var
+        """Create a fresh Boolean variable; returns its positive literal.
+
+        ``name`` labels the variable for whoever reads a hand-written
+        formula; nothing stores it.
+        """
+        return self.cnf.new_var()
 
     def new_int(self, lo: int, hi: int, name: str = "") -> IntVar:
         """Create an order-encoded integer with inclusive domain ``[lo, hi]``."""

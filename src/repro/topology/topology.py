@@ -16,7 +16,10 @@ into wall-clock estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Tuple, TypeVar
+
+T = TypeVar("T")
 
 Link = Tuple[int, int]
 
@@ -53,9 +56,40 @@ class BandwidthConstraint:
         return link in self.links
 
 
+def _link_capacity(topology: "Topology") -> Mapping[Link, int]:
+    capacity: Dict[Link, int] = {}
+    for constraint in topology.constraints:
+        bandwidth = constraint.bandwidth
+        for link in constraint.links:
+            if link not in capacity or bandwidth < capacity[link]:
+                capacity[link] = bandwidth
+    return MappingProxyType(capacity)
+
+
+def _links(topology: "Topology") -> FrozenSet[Link]:
+    return frozenset(link for link, cap in topology.link_capacity().items() if cap > 0)
+
+
+def _neighbors(topology: "Topology") -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """``(out, in)``: per node, the sorted nodes its links lead to / come from."""
+    out_sets: List[set] = [set() for _ in topology.nodes()]
+    in_sets: List[set] = [set() for _ in topology.nodes()]
+    for (src, dst) in topology.links():
+        out_sets[src].add(dst)
+        in_sets[dst].add(src)
+    return tuple(
+        tuple(tuple(sorted(nodes)) for nodes in sets) for sets in (out_sets, in_sets)
+    )
+
+
 @dataclass
 class Topology:
     """A communication topology.
+
+    What the bandwidth relation determines — per-link capacities, the link
+    set, neighbour lists and whatever else :meth:`fact` is asked for — is
+    derived on first use and remembered until ``constraints`` (or
+    ``num_nodes``) change, however they change.
 
     Parameters
     ----------
@@ -90,6 +124,17 @@ class Topology:
     link_beta_scale: Dict[Link, float] = field(default_factory=dict)
     provenance: Dict[str, object] = field(default_factory=dict)
 
+    # The memo behind :meth:`fact`: ``((num_nodes, constraints), {compute:
+    # value})``.  Not a dataclass field: ``==``, ``repr``, ``replace`` and
+    # ``asdict`` never see it, and ``__getstate__`` keeps it out of copies
+    # and pickles (a pool's workers derive their own).
+    _facts = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_facts", None)
+        return state
+
     def __post_init__(self) -> None:
         if self.num_nodes <= 0:
             raise TopologyError("a topology needs at least one node")
@@ -113,29 +158,47 @@ class Topology:
     def nodes(self) -> range:
         return range(self.num_nodes)
 
-    def links(self) -> Set[Link]:
-        """All directed links with non-zero bandwidth (the set ``E`` in §3.4)."""
-        capacity = self.link_capacity()
-        return {link for link, cap in capacity.items() if cap > 0}
+    def fact(self, compute: Callable[["Topology"], T]) -> T:
+        """``compute(self)``, computed once per state of the bandwidth relation.
 
-    def link_capacity(self) -> Dict[Link, int]:
-        """Per-link effective capacity: the tightest bound over constraints covering it."""
-        capacity: Dict[Link, int] = {}
-        for constraint in self.constraints:
-            for link in constraint.links:
-                if link in capacity:
-                    capacity[link] = min(capacity[link], constraint.bandwidth)
-                else:
-                    capacity[link] = constraint.bandwidth
-        return capacity
+        For what is derived from ``(num_nodes, constraints)`` alone: the
+        link structure below, cut capacities, a fingerprint payload.  The
+        state the memo was filled under is compared with the live one on
+        every call — identity per constraint, in C, on the usual path — so
+        ``add_link``, ``add_shared_constraint``, an edited or a replaced
+        ``constraints`` list are all answered with a fresh computation.
+        The value is shared between callers: ``compute`` returns something
+        nobody mutates.
+        """
+        state = (self.num_nodes, tuple(self.constraints))
+        memo = self._facts
+        if memo is None or memo[0] != state:
+            memo = self._facts = (state, {})
+        computed = memo[1]
+        try:
+            return computed[compute]
+        except KeyError:
+            value = computed[compute] = compute(self)
+            return value
+
+    def links(self) -> FrozenSet[Link]:
+        """All directed links with non-zero bandwidth (the set ``E`` in §3.4)."""
+        return self.fact(_links)
+
+    def link_capacity(self) -> Mapping[Link, int]:
+        """Per-link effective capacity: the tightest bound over constraints covering it.
+
+        A read-only view, shared between callers.
+        """
+        return self.fact(_link_capacity)
 
     def out_neighbors(self, node: int) -> List[int]:
         self._check_node(node)
-        return sorted({dst for (src, dst) in self.links() if src == node})
+        return list(self.fact(_neighbors)[0][node])
 
     def in_neighbors(self, node: int) -> List[int]:
         self._check_node(node)
-        return sorted({src for (src, dst) in self.links() if dst == node})
+        return list(self.fact(_neighbors)[1][node])
 
     def degree(self, node: int) -> int:
         return len(self.out_neighbors(node))

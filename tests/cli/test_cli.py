@@ -37,6 +37,76 @@ def run_cli(args, cache_dir):
     )
 
 
+def run_python(script):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestLazyPackage:
+    """``repro.cli`` resolves ``main`` / ``build_parser`` / ``CliError`` on
+    first use, and ``repro.cli.main`` stays the entry-point function even
+    though a submodule of that name exists."""
+
+    def test_parse_topology_does_not_import_the_subcommands(self):
+        done = run_python(
+            "import sys\n"
+            "from repro.cli.topologies import parse_topology\n"
+            "from repro.cli import parse_topology as same, TopologySpecError\n"
+            "assert same is parse_topology\n"
+            "assert 'repro.cli.main' not in sys.modules\n"
+            "assert 'argparse' not in sys.modules\n"
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_function_first_then_submodule(self):
+        done = run_python(
+            "import sys, types\n"
+            "from repro.cli import main\n"
+            "assert isinstance(main, types.FunctionType)\n"
+            "import repro.cli.main\n"
+            "import repro.cli\n"
+            "assert repro.cli.main is main\n"
+            "from repro.cli import main as again, build_parser, CliError\n"
+            "assert again is main is sys.modules['repro.cli.main'].main\n"
+            "assert build_parser is sys.modules['repro.cli.main'].build_parser\n"
+            "assert issubclass(CliError, Exception)\n"
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_submodule_first_then_function(self):
+        done = run_python(
+            "import importlib, types\n"
+            "module = importlib.import_module('repro.cli.main')\n"
+            "assert isinstance(module, types.ModuleType)\n"
+            "from repro.cli import main\n"
+            "assert main is module.main\n"
+            "import repro.cli\n"
+            "assert repro.cli.main is module.main\n"
+            "try:\n"
+            "    main(['--version'])\n"
+            "except SystemExit as stop:\n"
+            "    assert stop.code == 0\n"
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_console_script_target_resolves(self):
+        """``repro = "repro.cli:main"``: import the module, getattr the name."""
+        done = run_python(
+            "import importlib\n"
+            "target = getattr(importlib.import_module('repro.cli'), 'main')\n"
+            "assert callable(target) and target.__module__ == 'repro.cli.main'\n"
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_unknown_attribute_raises(self):
+        import repro.cli
+
+        with pytest.raises(AttributeError):
+            repro.cli.no_such_name
+
+
 class TestTopologySpecs:
     def test_named_machines(self):
         assert parse_topology("dgx1").num_nodes == 8

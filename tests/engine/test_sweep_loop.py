@@ -54,7 +54,7 @@ class RecordingExecutor:
         assert probe.key in self.hints[-1], "awaited a probe that was never hinted"
         self.awaited.append(probe.key)
         return SynthesisResult(
-            instance=probe.instance(), status=self.verdicts[probe.key]
+            instance=probe.instance, status=self.verdicts[probe.key]
         )
 
     def close(self):

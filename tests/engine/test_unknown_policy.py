@@ -7,7 +7,9 @@ strategy solves, so a per-probe budget can exhaust on a frame where the
 standalone formula would verdict.  The sweep loop retries the exact
 standalone formula with the same budget before conceding the lattice
 point, restoring cross-strategy frontier agreement under injected
-resource limits.
+resource limits — and from then on the step count is *budget-bound*: its
+remaining probes go straight to the exact formula, so a budget is spent
+twice at most once per step count.
 """
 
 import pytest
@@ -34,18 +36,39 @@ def signatures(frontier):
     ]
 
 
-def _unknown_family_solve(monkeypatch):
-    """Make every family-frame probe exhaust its budget (UNKNOWN)."""
+def _unknown_family_solve(monkeypatch, encode_time=0.0, solve_time=0.0):
+    """Make every family-frame probe exhaust its budget (UNKNOWN).
+
+    Returns the list the ``(steps, rounds, chunks)`` of every frame asked
+    is appended to.
+    """
+    asked = []
 
     def fake_solve(self, steps, chunks, rounds, **kwargs):
+        asked.append((steps, rounds, chunks))
         instance = make_instance(
             self.collective, self.topology, chunks, steps, rounds, root=self.root
         )
         return SynthesisResult(
-            instance=instance, status=SolveResult.UNKNOWN, backend=self.backend_name
+            instance=instance, status=SolveResult.UNKNOWN, backend=self.backend_name,
+            encode_time=encode_time, solve_time=solve_time,
         )
 
     monkeypatch.setattr(SessionFamily, "solve", fake_solve)
+    return asked
+
+
+def _unknown_exact_solve(monkeypatch, encode_time=0.0, solve_time=0.0):
+    """Make every exact-formula solve exhaust its budget too."""
+    from repro.core import synthesizer
+
+    def fake_synthesize(instance, **kwargs):
+        return SynthesisResult(
+            instance=instance, status=SolveResult.UNKNOWN,
+            encode_time=encode_time, solve_time=solve_time,
+        )
+
+    monkeypatch.setattr(synthesizer, "synthesize", fake_synthesize)
 
 
 class TestExactRetry:
@@ -73,18 +96,98 @@ class TestExactRetry:
     def test_retry_that_also_exhausts_concedes(self, monkeypatch):
         """When the standalone formula exhausts the budget too, the point
         is honestly UNKNOWN — the retry changes verdicts, never invents
-        them."""
-        from repro.core import synthesizer
-
+        them — and the budget is spent twice once, not once per result."""
         _unknown_family_solve(monkeypatch)
-
-        def fake_synthesize(instance, **kwargs):
-            return SynthesisResult(instance=instance, status=SolveResult.UNKNOWN)
-
-        monkeypatch.setattr(synthesizer, "synthesize", fake_synthesize)
+        _unknown_exact_solve(monkeypatch)
         outcome = make_dispatcher("incremental").sweep(self.request())
+        assert len(outcome.results) == 2
         assert all(r.is_unknown for r in outcome.results)
-        assert outcome.stats.unknown_retries == len(outcome.results)
+        assert outcome.stats.unknown_retries == 1
+        assert outcome.stats.solver_calls == len(outcome.results) + 1
+
+    def test_a_retried_probe_reports_both_attempts(self, monkeypatch):
+        """The exact formula's result carries the frame's burnt budget:
+        the phases of a sweep add up to what it cost."""
+        _unknown_family_solve(monkeypatch, encode_time=1.0, solve_time=2.0)
+        _unknown_exact_solve(monkeypatch, encode_time=0.25, solve_time=0.5)
+        retried, direct = make_dispatcher("incremental").sweep(self.request()).results
+        assert (retried.encode_time, retried.solve_time) == (1.25, 2.5)
+        assert (direct.encode_time, direct.solve_time) == (0.25, 0.5)
+
+    def test_a_deciding_retry_keeps_the_frames_time(self, monkeypatch):
+        _unknown_family_solve(monkeypatch, encode_time=1.0, solve_time=2.0)
+        sat = make_dispatcher("incremental").sweep(self.request()).first_sat
+        assert sat is not None
+        assert sat.encode_time > 1.0 and sat.solve_time > 2.0
+
+
+class TestBudgetBoundStepCount:
+    """After its first UNKNOWN frame a step count asks no frame again."""
+
+    def requests(self):
+        topology = ring(4)
+        return [
+            SweepRequest(
+                collective="Allgather", topology=topology, steps=steps,
+                candidates=((steps, 1), (steps + 1, 1), (steps + 1, 2)),
+            )
+            for steps in (3, 4)
+        ]
+
+    def test_one_frame_per_budget_bound_step_count(self, monkeypatch):
+        """Every formula exhausts: each step count asks its family once,
+        retries that probe exactly and sends the rest to the exact formula."""
+        asked = _unknown_family_solve(monkeypatch)
+        _unknown_exact_solve(monkeypatch)
+        outcomes = make_dispatcher("incremental").run(self.requests())
+        assert asked == [(3, 3, 1), (4, 4, 1)]
+        for outcome in outcomes:
+            assert len(outcome.results) == 3
+            assert outcome.stats.unknown_retries == 1
+            assert outcome.stats.solver_calls == 4
+            assert outcome.stats.encode_calls == 3  # the fake family encodes nothing
+
+    def test_the_family_answers_until_a_frame_exhausts(self, monkeypatch):
+        """Frames that decide are kept (never retried); the first one that
+        does not makes the rest of that step count exact, and the next step
+        count starts on its family again."""
+        real_solve = SessionFamily.solve
+        asked = []
+
+        def solve(self, steps, chunks, rounds, **kwargs):
+            asked.append((steps, rounds, chunks))
+            result = real_solve(self, steps, chunks, rounds, **kwargs)
+            if (steps, rounds, chunks) == (3, 4, 1):
+                result.status, result.algorithm = SolveResult.UNKNOWN, None
+            return result
+
+        monkeypatch.setattr(SessionFamily, "solve", solve)
+        _unknown_exact_solve(monkeypatch)
+        topology = ring(4)
+        requests = [
+            SweepRequest(
+                collective="Allgather", topology=topology, steps=steps,
+                candidates=((steps, 2), (steps + 1, 1), (steps + 2, 1)),
+                stop_at_first_sat=False,
+            )
+            for steps in (3, 4)
+        ]
+        first, second = make_dispatcher("incremental").run(requests)
+        assert asked == [(3, 3, 2), (3, 4, 1), (4, 4, 2), (4, 5, 1), (4, 6, 1)]
+        assert [r.status for r in first.results] == [
+            SolveResult.SAT, SolveResult.UNKNOWN, SolveResult.UNKNOWN,
+        ]
+        assert (first.stats.unknown_retries, first.stats.solver_calls) == (1, 4)
+        assert (second.stats.unknown_retries, second.stats.solver_calls) == (0, 3)
+
+    @pytest.mark.parametrize("strategy", ["parallel", "serial"])
+    def test_exact_executors_are_untouched(self, monkeypatch, strategy):
+        """An exact executor's UNKNOWN is the reference: nothing is retried."""
+        _unknown_exact_solve(monkeypatch)
+        outcomes = make_dispatcher(strategy, max_workers=1).run(self.requests())
+        for outcome in outcomes:
+            assert outcome.stats.unknown_retries == 0
+            assert outcome.stats.solver_calls == len(outcome.results) == 3
 
 
 class TestStrategyAgreementUnderLimits:
@@ -113,6 +216,69 @@ class TestStrategyAgreementUnderLimits:
             assert signatures(frontiers[strategy]) == serial, (
                 f"{strategy} frontier diverged from serial under conflict limits"
             )
+
+    def test_budget_bound_step_count_reports_the_serial_frontier(self):
+        """DGX-1 Broadcast under 100 conflicts: the S=3 frame of (8,3,3)
+        exhausts, the retry exhausts, and (7,3,3) and (6,3,3) go straight to
+        the exact formula — the frontier ``serial`` reports, ``proved`` flags
+        included, for one solver call more."""
+        from repro.topology import dgx1
+
+        frontiers = {
+            strategy: pareto_synthesize(
+                "Broadcast", dgx1(), k=1, max_steps=3, max_chunks=8,
+                conflict_limit=100, strategy=strategy,
+            )
+            for strategy in ("serial", "incremental")
+        }
+        serial, incremental = frontiers["serial"], frontiers["incremental"]
+        assert signatures(incremental) == signatures(serial)
+        assert [(*p.signature, p.proved) for p in incremental.points] == [
+            (2, 2, 2, True), (6, 3, 3, False),
+        ]
+        assert incremental.engine_stats["unknown_retries"] == 1
+        assert (
+            incremental.engine_stats["solver_calls"]
+            == serial.engine_stats["solver_calls"] + 1
+        )
+
+    def test_time_limit_exhaustion_on_a_frame(self, monkeypatch):
+        """The same under a per-probe ``time_limit`` the first frame
+        exhausts: DGX-1 Allgather refutes (3,2,4) and finds (2,2,3), both on
+        the exact formula, within the limit — serial's frontier, one retry,
+        and no second frame at the budget-bound step count."""
+        from repro.topology import dgx1
+
+        real_solve = SessionFamily.solve
+        asked = []
+
+        def solve(self, steps, chunks, rounds, *, time_limit=None, **kwargs):
+            asked.append((steps, rounds, chunks))
+            result = real_solve(
+                self, steps, chunks, rounds, time_limit=time_limit, **kwargs
+            )
+            if time_limit is not None:
+                result.status, result.algorithm = SolveResult.UNKNOWN, None
+            return result
+
+        monkeypatch.setattr(SessionFamily, "solve", solve)
+        frontiers = {
+            strategy: pareto_synthesize(
+                "Allgather", dgx1(), k=2, max_steps=2, max_chunks=4,
+                time_limit_per_instance=60.0, strategy=strategy,
+            )
+            for strategy in ("serial", "incremental")
+        }
+        serial, incremental = frontiers["serial"], frontiers["incremental"]
+        assert signatures(incremental) == signatures(serial)
+        assert [(*p.signature, p.proved) for p in incremental.points] == [(2, 2, 3, True)]
+        assert asked == [(2, 4, 3)]
+        assert incremental.engine_stats["candidates_probed"] == 2
+        assert incremental.engine_stats["unknown_retries"] == 1
+        assert (
+            incremental.engine_stats["solver_calls"]
+            == serial.engine_stats["solver_calls"] + 1
+        )
 
     def test_incremental_with_dead_family_matches_serial(self, monkeypatch):
         """Extreme injection: every family frame exhausts its budget.  The
