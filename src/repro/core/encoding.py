@@ -21,8 +21,9 @@ Two encodings are provided:
   redundant parts prune the search: an instance a single node's in- or
   out-cut refutes (more chunks must cross than ``capacity × R``) is
   answered with the empty clause and a :class:`~repro.core.bounds.Cut`
-  witness, and interchangeable chunks (same pre- and post-condition
-  nodes) arrive in id order at one node that owes them.  The
+  witness — before any distance table is built — and interchangeable
+  chunks (same pre- and post-condition nodes) arrive in id order at one
+  node that owes them.  The
   role Z3's theory of linear integer arithmetic plays in the paper is
   played here by the order encoding plus cardinality/totalizer encoders
   (:mod:`repro.solver.encoders`), which is an exact finite-domain
@@ -41,8 +42,9 @@ and ``decode(model)`` mapping a satisfying assignment back to an
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..collectives import get_collective
 from ..solver import IntVar, SmtLite
@@ -51,91 +53,111 @@ from .algorithm import Algorithm, Send, Step
 from .bounds import Cut, iter_cuts
 from .instance import SynCollInstance
 
+Link = Tuple[int, int]
+#: A chunk's sorted source nodes and sorted needer nodes: chunks with equal
+#: classes are interchangeable and share every distance row.
+ChunkClass = Tuple[Tuple[int, ...], Tuple[int, ...]]
+#: Per node, hops from the nearest source / to the nearest needer (None: no path).
+Rows = Tuple[List[Optional[int]], List[Optional[int]]]
+
 
 class EncodingError(Exception):
     """Raised when an instance cannot be encoded (e.g. unreachable chunk)."""
 
 
-class PrefixAnalysis:
-    """Chunk-reachability tables shared across a family of encodings.
+def _chunk_classes(instance: SynCollInstance, lo: int, hi: int) -> List[ChunkClass]:
+    """The class of each chunk in ``[lo, hi)`` under ``instance``'s placements."""
+    sources: List[List[int]] = [[] for _ in range(lo, hi)]
+    needers: List[List[int]] = [[] for _ in range(lo, hi)]
+    for (chunk, node) in instance.precondition:
+        if lo <= chunk < hi:
+            sources[chunk - lo].append(node)
+    for (chunk, node) in instance.postcondition:
+        if lo <= chunk < hi:
+            needers[chunk - lo].append(node)
+    return [(tuple(sorted(s)), tuple(sorted(n))) for s, n in zip(sources, needers)]
 
-    The distance tables the encoder uses for pruning depend only on the
-    topology and on each chunk's own pre/post placements — never on the
-    step count ``S`` or the rounds budget ``R`` — and the Table 1 relations
-    are *prefix-stable* in the per-node chunk count ``C``: growing ``C``
-    appends new global chunk ids without moving the placements of existing
-    ones.  One ``PrefixAnalysis`` therefore serves every encoding of a
-    ``(S, C)`` lattice: the all-pairs shortest paths are computed once and
-    the per-chunk rows are extended monotonically as larger instances
-    arrive (:meth:`ensure`).
+
+def _class_rows(distances: Dict[int, Dict[int, int]], num_nodes: int, key: ChunkClass) -> Rows:
+    sources, needers = key
+    reach: List[Optional[int]] = [None] * num_nodes
+    for src in sources:
+        for node, d in distances[src].items():
+            best = reach[node]
+            if best is None or d < best:
+                reach[node] = d
+    need: List[Optional[int]] = [None] * num_nodes
+    for node in range(num_nodes):
+        row = distances[node]
+        for dst in needers:
+            d = row.get(dst)
+            if d is not None:
+                best = need[node]
+                if best is None or d < best:
+                    need[node] = d
+    return reach, need
+
+
+class PrefixAnalysis:
+    """Chunk-reachability rows shared across a family of encodings.
+
+    The distance rows the encoder prunes with depend only on the topology
+    and on a chunk's class — its pre- and post-condition nodes — never on
+    the chunk id, the collective, the root, the step count ``S`` or the
+    rounds budget ``R``.  One ``PrefixAnalysis`` therefore serves every
+    encoding on its fabric: the rows of a class are computed the first time
+    an instance has a chunk of it and kept (:meth:`ensure`), so ``C``
+    interchangeable chunks cost one row, and a second collective or root on
+    the same analysis computes only the classes it adds.  The all-pairs
+    shortest paths are a fact of the topology
+    (:meth:`~repro.topology.Topology.fact`): computed once per fabric state,
+    shared, never mutated.
     """
 
     def __init__(self, topology) -> None:
         self.topology = topology
-        self.distances = shortest_path_lengths(topology)
-        self.chunk_dist: Dict[Tuple[int, int], Optional[int]] = {}
-        self.need_dist: Dict[Tuple[int, int], Optional[int]] = {}
-        #: Per chunk, the sorted nodes that hold it initially / must end up
-        #: with it.  Chunks with equal pairs are interchangeable.
-        self.sources: Dict[int, Tuple[int, ...]] = {}
-        self.needers: Dict[int, Tuple[int, ...]] = {}
-        self._chunks_covered = 0
+        self.rows: Dict[ChunkClass, Rows] = {}
 
-    def ensure(self, instance: SynCollInstance) -> "PrefixAnalysis":
-        """Extend the tables to cover ``instance``'s chunks; returns self."""
-        other = instance.topology
-        # The tables depend on the link structure, so identity of name alone
-        # is not enough — a same-named topology with different links would
+    def check(self, topology) -> None:
+        """Raise unless ``topology`` has this analysis's link structure."""
+        # The rows depend on the link structure, so identity of name alone is
+        # not enough — a same-named topology with different links would
         # silently poison the pruning.
-        if other is not self.topology and (
-            other.num_nodes != self.topology.num_nodes
-            or sorted(other.links()) != sorted(self.topology.links())
+        if topology is not self.topology and (
+            topology.num_nodes != self.topology.num_nodes
+            or topology.links() != self.topology.links()
         ):
             raise EncodingError(
                 f"analysis built for topology {self.topology.name!r} cannot "
-                f"serve the structurally different {other.name!r}"
+                f"serve the structurally different {topology.name!r}"
             )
-        lo, hi = self._chunks_covered, instance.num_chunks
-        if hi <= lo:
-            return self
-        sources: Dict[int, List[int]] = {c: [] for c in range(lo, hi)}
-        needers: Dict[int, List[int]] = {c: [] for c in range(lo, hi)}
-        for (chunk, node) in instance.precondition:
-            if lo <= chunk < hi:
-                sources[chunk].append(node)
-        for (chunk, node) in instance.postcondition:
-            if lo <= chunk < hi:
-                needers[chunk].append(node)
-        nodes = list(self.topology.nodes())
-        for chunk in range(lo, hi):
-            self.sources[chunk] = tuple(sorted(sources[chunk]))
-            self.needers[chunk] = tuple(sorted(needers[chunk]))
-            for node in nodes:
-                best: Optional[int] = None
-                for src in sources[chunk]:
-                    d = self.distances.get(src, {}).get(node)
-                    if d is not None and (best is None or d < best):
-                        best = d
-                self.chunk_dist[(chunk, node)] = best
-                best = None
-                for dst in needers[chunk]:
-                    d = self.distances.get(node, {}).get(dst)
-                    if d is not None and (best is None or d < best):
-                        best = d
-                self.need_dist[(chunk, node)] = best
-        self._chunks_covered = hi
-        return self
+
+    def ensure(
+        self, instance: SynCollInstance, lo: int = 0, hi: Optional[int] = None
+    ) -> List[ChunkClass]:
+        """The classes of ``instance``'s chunks ``[lo, hi)``, each with its rows."""
+        self.check(instance.topology)
+        classes = _chunk_classes(instance, lo, instance.num_chunks if hi is None else hi)
+        rows = self.rows
+        missing = [key for key in dict.fromkeys(classes) if key not in rows]
+        if missing:
+            distances = self.topology.fact(shortest_path_lengths)
+            for key in missing:
+                rows[key] = _class_rows(distances, self.topology.num_nodes, key)
+        return classes
 
 
 @dataclass
 class EncodingStats:
-    """Size and timing statistics reported by the benchmarks."""
+    """Size statistics reported with every result."""
 
     variables: int = 0
     clauses: int = 0
+    #: Send Booleans (``NaiveEncoding``: one per send and step).
     send_vars: int = 0
+    #: Order-encoded ``time[c, n]`` IntVars, one per (chunk, node)
+    #: (``NaiveEncoding``: its presence Booleans).
     time_vars: int = 0
-    aux_vars: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -143,8 +165,91 @@ class EncodingStats:
             "clauses": self.clauses,
             "send_vars": self.send_vars,
             "time_vars": self.time_vars,
-            "aux_vars": self.aux_vars,
         }
+
+
+def _sorted_links(topology) -> List[Link]:
+    return sorted(topology.links())
+
+
+def _shared_links(topology) -> FrozenSet[Link]:
+    """Links listed more than once over the bandwidth constraints."""
+    counts = Counter(link for constraint in topology.constraints for link in constraint.links)
+    return frozenset(link for link, count in counts.items() if count > 1)
+
+
+class _ClassPlan:
+    """What every chunk of one class shares within one encoding (fixed ``S``).
+
+    ``key`` is the class; ``links`` the sends worth a variable (all links
+    without pruning) in sorted order — a chunk's send literals are one block
+    in this order; ``incoming[n]`` the positions of the links into ``n`` (in
+    in-neighbour order); ``counted``, per bandwidth constraint with such a
+    link, its index and the positions of its links (in the constraint's
+    order); ``domains[n]`` the ``time[c, n]`` domain; ``receivers`` the
+    nodes that do not hold the chunk at start.
+    """
+
+    __slots__ = ("key", "links", "incoming", "counted", "domains", "receivers")
+
+    def __init__(
+        self, key: ChunkClass, rows: Rows, topology, steps: int, prune: bool,
+        owed_by_S: bool,
+    ) -> None:
+        S = steps
+        num_nodes = topology.num_nodes
+        sources, needers = key
+        reach, need = rows
+        links = topology.fact(_sorted_links)
+        if prune:
+            links = [link for link in links if _send_useful(reach, need, *link, S)]
+        self.key = key
+        self.links = links
+        index = {link: i for i, link in enumerate(links)}
+        incoming: List[List[int]] = [[] for _ in range(num_nodes)]
+        for i, (_, dst) in enumerate(links):
+            incoming[dst].append(i)
+        self.incoming = incoming
+        self.counted: List[Tuple[int, List[int]]] = []
+        for ci, constraint in enumerate(topology.constraints):
+            positions = [index[link] for link in constraint.links if link in index]
+            if positions:
+                self.counted.append((ci, positions))
+        held, owed = set(sources), set(needers)
+        domains: List[Tuple[int, int]] = []
+        for node in range(num_nodes):
+            if node in held:
+                domains.append((0, 0))  # C1
+            elif not incoming[node]:
+                # No send can deliver it: S+1, "not present within the
+                # algorithm".  If the node is owed the chunk, C2 refutes.
+                domains.append((S + 1, S + 1))
+            else:
+                # A chunk cannot arrive earlier than its graph distance; an
+                # unconditional postcondition ends the domain at S.
+                domains.append((
+                    reach[node] if prune else 0,
+                    S if owed_by_S and node in owed else S + 1,
+                ))
+        self.domains = domains
+        self.receivers = [node for node in range(num_nodes) if node not in held]
+
+
+def _send_useful(
+    reach: List[Optional[int]], need: List[Optional[int]], src: int, dst: int, S: int
+) -> bool:
+    """Whether a send over ``src -> dst`` can appear in a valid schedule."""
+    reach_src = reach[src]
+    if reach_src is None or reach_src + 1 > S:
+        return False
+    # After arriving at dst (taking at least reach_src + 1 steps), the
+    # chunk must still be able to serve some node that needs it.
+    useful_at = need[dst]
+    reach_dst = reach[dst]
+    if useful_at is None or reach_dst == 0:  # dead end, or dst holds it already
+        return False
+    earliest_arrival = max(reach_dst, reach_src + 1)
+    return earliest_arrival + useful_at <= S
 
 
 class ScclEncoding:
@@ -176,6 +281,13 @@ class ScclEncoding:
     :meth:`extend_chunks` re-checks before growing the budget in place —
     appending new levels' variables and clauses to the same formula instead
     of re-encoding the shared time/send substructure.
+
+    :meth:`encode` of the plain form answers an instance a single-node cut
+    refutes before it builds any table.  Otherwise what chunks of one class
+    share — useful links, time domains, incoming links — is derived once
+    per class from ``analysis``'s rows, which any number of encodings on
+    the same fabric may share (:class:`PrefixAnalysis`), and each chunk's
+    variables are allocated as blocks.
     """
 
     def __init__(
@@ -200,9 +312,6 @@ class ScclEncoding:
         #: Set by :meth:`encode` when a single node's in- or out-cut refutes
         #: the instance; the formula is then just the empty clause.
         self.cut_witness: Optional[Cut] = None
-        # Variable maps populated by encode().
-        self.time_vars: Dict[Tuple[int, int], IntVar] = {}
-        self.send_vars: Dict[Tuple[int, int, int], int] = {}   # (chunk, src, dst) -> lit
         self.round_vars: List[IntVar] = []
         self.stats = EncodingStats()
         self._encoded = False
@@ -218,14 +327,16 @@ class ScclEncoding:
         self._level_lits: List[int] = []
         self._chunk_level: List[int] = []
         self._bandwidth_terms: Dict[Tuple[int, int], List[int]] = {}
-        self._activation: Dict[Tuple[int, int, int, int], int] = {}
-        self._chunk_dist: Dict[Tuple[int, int], Optional[int]] = {}
-        self._need_dist: Dict[Tuple[int, int], Optional[int]] = {}
-        self._links: List[Tuple[int, int]] = []
-        self._in_links: Dict[int, List[int]] = {}
+        # Variables populated by encode(), per chunk id: the plan of its
+        # class, its first send literal (its sends are one block in
+        # plan.links order) and its time[c, n] variables by node.
+        self._plans: Dict[ChunkClass, _ClassPlan] = {}
+        self._chunk_plans: List[_ClassPlan] = []
+        self._send_base: List[int] = []
+        self._times: List[List[IntVar]] = []
         # Symmetry breaking: the highest chunk id seen so far of each class
-        # of interchangeable chunks, keyed by (pre nodes, post nodes).
-        self._class_tail: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+        # of interchangeable chunks.
+        self._class_tail: Dict[ChunkClass, int] = {}
 
     # ------------------------------------------------------------------
     # Encoding
@@ -239,13 +350,9 @@ class ScclEncoding:
         R = instance.rounds
         G = instance.num_chunks
         topology = instance.topology
-        self._links = sorted(topology.links())
-        self._in_links = {n: topology.in_neighbors(n) for n in topology.nodes()}
-        self.analysis.ensure(instance)
-        self._chunk_dist = self.analysis.chunk_dist
-        self._need_dist = self.analysis.need_dist
+        self.analysis.check(topology)
 
-        # --- cut arithmetic: refute before emitting anything ------------------------
+        # --- cut arithmetic: refute before building any table -----------------------
         # Only the plain form: a budgeted or chunk-selector formula serves
         # many (C, R) frames and one frame's cut says nothing about the rest.
         if self.rounds_budget is None and not self.chunk_selector:
@@ -311,38 +418,28 @@ class ScclEncoding:
     def _encode_placement_vars(self, lo: int, hi: int) -> None:
         """Time and send variables (plus selector guards) for chunks [lo, hi)."""
         ctx = self.ctx
+        cnf = ctx.cnf
         instance = self.instance
-        S = instance.steps
-        nodes = list(instance.topology.nodes())
-        sends = [
-            (chunk, src, dst)
-            for chunk in range(lo, hi)
-            for (src, dst) in self._links
-            if not self.prune or self._send_useful(chunk, src, dst)
-        ]
-        reachable = {(chunk, dst) for (chunk, _, dst) in sends}
-        for chunk in range(lo, hi):
-            for node in nodes:
-                if (chunk, node) in instance.precondition:
-                    first = last = 0  # C1
-                elif (chunk, node) not in reachable:
-                    # No send can deliver it: S+1, "not present within the
-                    # algorithm".  If the node is owed the chunk, C2 refutes.
-                    first = last = S + 1
-                else:
-                    # A chunk cannot arrive earlier than its graph distance.
-                    first = self._chunk_dist[(chunk, node)] if self.prune else 0
-                    # An unconditional postcondition ends the domain at S.
-                    owed = not self.chunk_selector and (chunk, node) in instance.postcondition
-                    last = S if owed else S + 1
-                self.time_vars[(chunk, node)] = ctx.new_int(first, last)
-        for (chunk, src, dst) in sends:
-            lit = ctx.new_bool()
-            self.send_vars[(chunk, src, dst)] = lit
+        classes = self.analysis.ensure(instance, lo, hi)
+        plans = self._plans
+        for key in classes:
+            if key not in plans:
+                plans[key] = _ClassPlan(
+                    key, self.analysis.rows[key], instance.topology, instance.steps,
+                    self.prune, owed_by_S=not self.chunk_selector,
+                )
+        chunk_plans = [plans[key] for key in classes]
+        self._chunk_plans.extend(chunk_plans)
+        for plan in chunk_plans:
+            self._times.append([ctx.new_int(first, last) for (first, last) in plan.domains])
+        for chunk, plan in zip(range(lo, hi), chunk_plans):
+            self._send_base.append(cnf.num_vars + 1)
+            block = cnf.new_vars(len(plan.links))
             if self.chunk_selector:
                 # A send of a disabled chunk level is forbidden, so a
                 # frame assumption cleanly zeroes the level out.
-                ctx.add_clause_fast([-lit, self._level_lits[self._chunk_level[chunk]]])
+                enable = self._level_lits[self._chunk_level[chunk]]
+                cnf.add_clauses_fast([[-lit, enable] for lit in block])
 
     def _encode_chunk_constraints(self, lo: int, hi: int) -> None:
         """Constraints C2-C4 and the symmetry order, for the chunk range [lo, hi).
@@ -351,16 +448,20 @@ class ScclEncoding:
         variables (:meth:`_encode_placement_vars`).
         """
         ctx = self.ctx
+        cnf = ctx.cnf
         instance = self.instance
         S = instance.steps
         true = ctx.true_lit
-        add = ctx.add_clause_fast
+        times = self._times
+        chunk_range = range(lo, hi)
+        plans = self._chunk_plans[lo:hi]
+        bases = self._send_base[lo:hi]
 
         # --- C2: postconditions -----------------------------------------------------
         for (chunk, node) in instance.postcondition:
             if not lo <= chunk < hi:
                 continue
-            held = self.time_vars[(chunk, node)].le_lit(S)
+            held = times[chunk][node].le_lit(S)
             if self.chunk_selector:
                 # The postcondition only binds while the chunk's level is on.
                 self._emit([-self._level_lits[self._chunk_level[chunk]], held])
@@ -368,87 +469,72 @@ class ScclEncoding:
                 self._emit([held])
 
         # --- C3: unique reception ----------------------------------------------------
-        for chunk in range(lo, hi):
-            for node in instance.topology.nodes():
-                if (chunk, node) in instance.precondition:
-                    continue
-                present = self.time_vars[(chunk, node)].le_lit(S)
-                incoming = [
-                    self.send_vars[(chunk, src, node)]
-                    for src in self._in_links[node]
-                    if (chunk, src, node) in self.send_vars
-                ]
+        for chunk, plan, base in zip(chunk_range, plans, bases):
+            row = times[chunk]
+            for node in plan.receivers:
+                present = row[node].le_lit(S)
+                incoming = [base + i for i in plan.incoming[node]]
                 # present -> exactly one incoming send (with none the chunk
                 # never arrives; owing it anyway makes the instance UNSAT)
                 self._emit([-present] + incoming)
-                ctx.at_most_one(incoming)
+                if len(incoming) > 1:
+                    ctx.at_most_one(incoming)
                 # any incoming send -> present within S steps
-                if present != true:
-                    for lit in incoming:
-                        add([-lit, present])
+                if present != true and incoming:
+                    cnf.add_clauses_fast([[-lit, present] for lit in incoming])
 
         # --- C4: causality ------------------------------------------------------------
-        for (chunk, src, dst), snd in self.send_vars.items():
-            if not lo <= chunk < hi:
-                continue
-            time_src = self.time_vars[(chunk, src)]
-            time_dst = self.time_vars[(chunk, dst)]
-            # snd ∧ time_dst <= s  ->  time_src <= s - 1.  Below time_dst's
-            # domain the premise is false; from time_src's upper end on the
-            # conclusion is true (every s >= 1 for a precondition source).
-            for s in range(time_dst.lo, min(S, time_src.hi) + 1):
-                clause = [-snd]
-                arrived = time_dst.le_lit(s)
-                if arrived != true:
-                    clause.append(-arrived)
-                earlier = time_src.le_lit(s - 1)
-                if earlier != -true:
-                    clause.append(earlier)
-                add(clause)
+        # snd ∧ time_dst <= s  ->  time_src <= s - 1, for s from time_dst's
+        # lower end (below it the premise is false) up to S and time_src's
+        # upper end (from there on the conclusion is true).  In the order
+        # encoding, time_dst <= s is -ge[s + 1] (true from time_dst.hi on)
+        # and time_src <= s - 1 is -ge[s] (false up to time_src.lo).
+        clauses: List[List[int]] = []
+        emit = clauses.append
+        for chunk, plan, base in zip(chunk_range, plans, bases):
+            row = times[chunk]
+            for i, (src, dst) in enumerate(plan.links):
+                not_sent = -(base + i)
+                time_src, time_dst = row[src], row[dst]
+                src_lo, src_ge = time_src.lo, time_src._ge
+                dst_hi, dst_ge = time_dst.hi, time_dst._ge
+                for s in range(time_dst.lo, min(S, time_src.hi) + 1):
+                    if s < dst_hi:
+                        if s > src_lo:
+                            emit([not_sent, dst_ge[s + 1], -src_ge[s]])
+                        else:
+                            emit([not_sent, dst_ge[s + 1]])
+                    elif s > src_lo:
+                        emit([not_sent, -src_ge[s]])
+                    else:
+                        emit([not_sent])
+        cnf.add_clauses_fast(clauses)
 
         # --- symmetry: interchangeable chunks arrive in id order ---------------------
-        sources, needers = self.analysis.sources, self.analysis.needers
-        for chunk in range(lo, hi):
-            key = (sources[chunk], needers[chunk])
+        clauses = []
+        for chunk, plan in zip(chunk_range, plans):
+            key = plan.key
             previous = self._class_tail.get(key)
             self._class_tail[key] = chunk
-            owing = set(needers[chunk]) - set(sources[chunk])
+            sources, needers = key
+            owing = set(needers) - set(sources)
             if previous is None or not owing:
                 continue
             # One node suffices to order the class; which one is a search
             # heuristic (the highest-numbered measured best on probe_rows).
             node = max(owing)
-            time_a = self.time_vars[(previous, node)]
-            time_b = self.time_vars[(chunk, node)]
+            time_a = times[previous][node]
+            time_b = times[chunk][node]
+            # time_b <= s  ->  time_a <= s, i.e. ge_b[s + 1] ∨ -ge_a[s + 1],
+            # each side settled outside its variable's domain.
             for s in range(S + 1):
-                # time_b <= s  ->  time_a <= s
-                self._emit([-time_b.le_lit(s), time_a.le_lit(s)])
-
-    def _activation_lit(self, chunk: int, src: int, dst: int, s: int) -> Optional[int]:
-        """Auxiliary activation literal a[c, (src,dst), s]: (snd ∧ time_dst == s) -> a.
-
-        Only this direction is needed because the activations appear in
-        upper-bound (<=) constraints.
-        """
-        ctx = self.ctx
-        key = (chunk, src, dst, s)
-        if key in self._activation:
-            return self._activation[key]
-        snd = self.send_vars.get((chunk, src, dst))
-        if snd is None:
-            return None
-        time_dst = self.time_vars[(chunk, dst)]
-        if not time_dst.lo <= s <= time_dst.hi:
-            return None  # arrival at step s is impossible
-        if time_dst.lo == time_dst.hi:
-            # The only possible arrival step: the send is its own activation.
-            self._activation[key] = snd
-            return snd
-        a = ctx.new_bool()
-        ctx.add_clause_fast([-snd] + [-lit for lit in time_dst.eq_lits(s)] + [a])
-        self._activation[key] = a
-        self.stats.aux_vars += 1
-        return a
+                if s < time_b.lo or s >= time_a.hi:
+                    continue  # premise false or conclusion true
+                clause = [] if s >= time_b.hi else [time_b._ge[s + 1]]
+                if s >= time_a.lo:
+                    clause.append(-time_a._ge[s + 1])
+                clauses.append(clause)
+        cnf.add_clauses_fast(clauses)
 
     def _encode_bandwidth(self, lo: int, hi: int) -> None:
         """Constraint C5: per-step bandwidth counts.
@@ -459,19 +545,70 @@ class ScclEncoding:
         extension the constraints already emitted over the old prefix stay
         in the formula — they are sound under-counts — and the fresh
         emission restores completeness over the grown term set.
+
+        A send counts at step ``s`` through its activation literal
+        ``a[c, (src, dst), s]``: ``(snd ∧ time_dst == s) -> a``, only this
+        direction because activations appear in upper bounds.  Where the
+        arrival step is fixed the send is its own activation; a link listed
+        by several constraints shares one activation literal among them.
         """
         ctx = self.ctx
+        cnf = ctx.cnf
         S = self.instance.steps
-        for ci, constraint in enumerate(self.instance.topology.constraints):
+        topology = self.instance.topology
+        shared = topology.fact(_shared_links)
+        # Per constraint and step, the sends that may arrive then, chunk-then-
+        # link: the send itself where its arrival step is fixed, else the
+        # body of its activation clause, completed by the literal below.
+        candidates: List[List[List[Tuple[int, Optional[List[int]], bool]]]] = [
+            [[] for _ in range(S + 1)] for _ in topology.constraints
+        ]
+        for plan, base, row in zip(
+            self._chunk_plans[lo:hi], self._send_base[lo:hi], self._times[lo:hi]
+        ):
+            links = plan.links
+            for ci, positions in plan.counted:
+                steps = candidates[ci]
+                for i in positions:
+                    snd = base + i
+                    link = links[i]
+                    time_dst = row[link[1]]
+                    t_lo, t_hi, ge = time_dst.lo, time_dst.hi, time_dst._ge
+                    if t_lo == t_hi:
+                        if 1 <= t_lo <= S:
+                            steps[t_lo].append((snd, None, False))
+                        continue
+                    is_shared = link in shared
+                    steps[t_lo].append((snd, [-snd, ge[t_lo + 1]], is_shared))
+                    for s in range(t_lo + 1, min(t_hi, S + 1)):
+                        steps[s].append((snd, [-snd, -ge[s], ge[s + 1]], is_shared))
+                    if t_hi <= S:
+                        steps[t_hi].append((snd, [-snd, -ge[t_hi]], is_shared))
+        made: Dict[Tuple[int, int], int] = {}   # (send, step) -> activation
+        for ci, constraint in enumerate(topology.constraints):
             b = constraint.bandwidth
+            steps = candidates[ci]
             for s in range(1, S + 1):
                 terms = self._bandwidth_terms.setdefault((ci, s), [])
                 before = len(terms)
-                for chunk in range(lo, hi):
-                    for (src, dst) in constraint.links:
-                        a = self._activation_lit(chunk, src, dst, s)
+                clauses: List[List[int]] = []
+                for snd, body, is_shared in steps[s]:
+                    if body is None:
+                        terms.append(snd)
+                        continue
+                    if is_shared:
+                        a = made.get((snd, s))
                         if a is not None:
                             terms.append(a)
+                            continue
+                    cnf.num_vars += 1
+                    a = cnf.num_vars
+                    body.append(a)
+                    clauses.append(body)
+                    terms.append(a)
+                    if is_shared:
+                        made[(snd, s)] = a
+                cnf.add_clauses_fast(clauses)
                 if not terms or (lo > 0 and len(terms) == before):
                     continue
                 r_s = self.round_vars[s - 1]
@@ -484,16 +621,17 @@ class ScclEncoding:
                 #   count >= b*j + 1  ->  r_s >= j + 1
                 bound = min(len(terms), b * r_s.hi + 1)
                 outputs = ctx.totalizer(terms, bound=bound)
-                for j in range(0, r_s.hi + 1):
-                    threshold = b * j + 1
-                    if threshold <= len(outputs):
-                        ctx.add_clause_fast([-outputs[threshold - 1], r_s.ge_lit(j + 1)])
+                cnf.add_clauses_fast([
+                    [-outputs[b * j], r_s.ge_lit(j + 1)]
+                    for j in range(0, r_s.hi + 1)
+                    if b * j < len(outputs)
+                ])
 
     def _refresh_stats(self) -> None:
         self.stats.variables = self.ctx.cnf.num_vars
         self.stats.clauses = self.ctx.cnf.num_clauses
-        self.stats.send_vars = len(self.send_vars)
-        self.stats.time_vars = len(self.time_vars)
+        self.stats.send_vars = sum(len(plan.links) for plan in self._chunk_plans)
+        self.stats.time_vars = len(self._times) * self.instance.topology.num_nodes
 
     # ------------------------------------------------------------------
     # Chunk-selector layer (shared-prefix form)
@@ -557,7 +695,6 @@ class ScclEncoding:
                 f"chunk count; cannot extend the encoding in place"
             )
         lo, hi = old.num_chunks, instance.num_chunks
-        self.analysis.ensure(instance)
         self.instance = instance
         self._ensure_levels(instance.chunks_per_node)
         self._encode_placement_vars(lo, hi)
@@ -647,21 +784,6 @@ class ScclEncoding:
             assumptions.append(-self._false_ge[n - target])
         return assumptions
 
-    def _send_useful(self, chunk: int, src: int, dst: int) -> bool:
-        """Prune send variables that can never appear in a valid schedule."""
-        S = self.instance.steps
-        reach_src = self._chunk_dist[(chunk, src)]
-        if reach_src is None or reach_src + 1 > S:
-            return False
-        # After arriving at dst (taking at least reach_src + 1 steps), the
-        # chunk must still be able to serve some node that needs it.
-        useful_at = self._need_dist[(chunk, dst)]
-        reach_dst = self._chunk_dist[(chunk, dst)]
-        if useful_at is None or reach_dst == 0:  # dead end, or dst holds it already
-            return False
-        earliest_arrival = max(reach_dst, reach_src + 1)
-        return earliest_arrival + useful_at <= S
-
     # ------------------------------------------------------------------
     # Decoding
     # ------------------------------------------------------------------
@@ -693,23 +815,24 @@ class ScclEncoding:
         S = instance.steps
         rounds = [SmtLite.int_value(model, rv) for rv in self.round_vars]
         sends_by_step: List[List[Send]] = [[] for _ in range(S)]
-        for (chunk, src, dst), lit in self.send_vars.items():
-            if chunk >= instance.num_chunks:
-                continue  # disabled level of a chunk-selector encoding
-            if not SmtLite.bool_value(model, lit):
-                continue
-            arrival = SmtLite.int_value(model, self.time_vars[(chunk, dst)])
-            if arrival > S:
-                # A send that never takes effect; drop it (it cannot appear in
-                # a minimal model but nothing in the constraints forbids it).
-                continue
-            step_index = arrival - 1
-            if step_index < 0:
-                raise EncodingError(
-                    f"model places arrival of chunk {chunk} at node {dst} at step 0 "
-                    f"despite not being in the precondition"
-                )
-            sends_by_step[step_index].append(Send(chunk=chunk, src=src, dst=dst))
+        # Chunks past the frame's are a disabled level of a chunk-selector
+        # encoding.
+        for chunk in range(instance.num_chunks):
+            base, row = self._send_base[chunk], self._times[chunk]
+            for i, (src, dst) in enumerate(self._chunk_plans[chunk].links):
+                if not SmtLite.bool_value(model, base + i):
+                    continue
+                arrival = SmtLite.int_value(model, row[dst])
+                if arrival > S:
+                    # A send that never takes effect; drop it (it cannot appear
+                    # in a minimal model but nothing in the constraints forbids it).
+                    continue
+                if arrival < 1:
+                    raise EncodingError(
+                        f"model places arrival of chunk {chunk} at node {dst} at step 0 "
+                        f"despite not being in the precondition"
+                    )
+                sends_by_step[arrival - 1].append(Send(chunk=chunk, src=src, dst=dst))
         steps = [
             Step(rounds=rounds[s], sends=tuple(sorted(
                 sends_by_step[s], key=lambda x: (x.src, x.dst, x.chunk)

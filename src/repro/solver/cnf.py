@@ -124,6 +124,16 @@ class CNF:
         self.clauses.append(lits)
         self._vouched += 1
 
+    def add_clauses_fast(self, batch: List[List[int]]) -> None:
+        """:meth:`add_clause_fast` for a list of clauses, in order.
+
+        The bulk door of the encoders: they build a constraint's clauses in
+        a local list and hand it over once, under the same promise for
+        every clause in it.
+        """
+        self.clauses.extend(batch)
+        self._vouched += len(batch)
+
     def hand_over(self) -> int:
         """Hand the clause lists to a loader; returns where its share starts.
 

@@ -16,46 +16,43 @@ This module provides standard encodings of those building blocks:
   encoding uses to express ``count <= b * r_s`` with a *variable* ``r_s``,
 * a weighted pseudo-Boolean (<=) encoder via a sequential weighted counter.
 
-All functions take a :class:`~repro.solver.cnf.CNF` (or anything exposing
-``new_var``/``add_clause``) and mutate it in place.
+All functions take a :class:`~repro.solver.cnf.CNF` and mutate it in
+place.  The clauses they emit mix caller literals (already allocated in the
+formula) with fresh auxiliary variables, so they are normalized by
+construction: each encoder builds its clauses in a local list and hands it
+over through the one bulk door, :meth:`CNF.add_clauses_fast`, which keeps
+the formula's vouched-for count (:meth:`CNF.hand_over`) exact.  Dropping
+``add_clause``'s tautology/duplicate scan never changes semantics: a
+duplicated or tautological input literal only makes an emitted clause
+redundant, not wrong.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from .cnf import CNF
+
 
 class EncodingError(Exception):
     """Raised when an encoder receives inconsistent arguments."""
 
 
-def _fast_add(cnf):
-    """The pre-normalized clause fast path when the database offers one.
-
-    Every clause the encoders below emit mixes caller literals (already
-    allocated in ``cnf``) with freshly created auxiliary variables, so the
-    tautology/duplicate scan and ``ensure_var`` bookkeeping of
-    ``add_clause`` are pure overhead here — and they dominate encode time
-    on large instances.  Dropping the scan never changes semantics: a
-    duplicated or tautological input literal only makes the emitted clause
-    redundant, not wrong.
-    """
-    return getattr(cnf, "add_clause_fast", None) or cnf.add_clause
-
-
 # ----------------------------------------------------------------------
 # At-most-one / exactly-one
 # ----------------------------------------------------------------------
-def at_most_one_pairwise(cnf, lits: Sequence[int]) -> None:
+def _pairs(lits: Sequence[int]) -> List[List[int]]:
+    """The binary clauses ``-a ∨ -b`` of every pair, in input order."""
+    negated = [-lit for lit in lits]
+    return [[a, b] for i, a in enumerate(negated) for b in negated[i + 1:]]
+
+
+def at_most_one_pairwise(cnf: CNF, lits: Sequence[int]) -> None:
     """Pairwise (binomial) AMO: O(n^2) binary clauses, no auxiliary variables."""
-    add = _fast_add(cnf)
-    n = len(lits)
-    for i in range(n):
-        for j in range(i + 1, n):
-            add([-lits[i], -lits[j]])
+    cnf.add_clauses_fast(_pairs(lits))
 
 
-def at_most_one_commander(cnf, lits: Sequence[int], group_size: int = 4) -> None:
+def at_most_one_commander(cnf: CNF, lits: Sequence[int], group_size: int = 4) -> None:
     """Commander-variable AMO encoding.
 
     Splits the literals into groups of ``group_size``, adds a commander
@@ -66,21 +63,21 @@ def at_most_one_commander(cnf, lits: Sequence[int], group_size: int = 4) -> None
     if len(lits) <= group_size + 1:
         at_most_one_pairwise(cnf, lits)
         return
-    add = _fast_add(cnf)
+    clauses: List[List[int]] = []
     commanders: List[int] = []
     for start in range(0, len(lits), group_size):
         group = lits[start : start + group_size]
         commander = cnf.new_var()
         commanders.append(commander)
         # commander is true if any literal in the group is true
-        for lit in group:
-            add([-lit, commander])
+        clauses.extend([-lit, commander] for lit in group)
         # at most one within the group
-        at_most_one_pairwise(cnf, group)
+        clauses.extend(_pairs(group))
+    cnf.add_clauses_fast(clauses)
     at_most_one_commander(cnf, commanders, group_size)
 
 
-def at_most_one(cnf, lits: Sequence[int], method: str = "auto") -> None:
+def at_most_one(cnf: CNF, lits: Sequence[int], method: str = "auto") -> None:
     """Dispatching AMO encoder.
 
     ``method`` is one of ``"pairwise"``, ``"commander"`` or ``"auto"`` (use
@@ -97,12 +94,12 @@ def at_most_one(cnf, lits: Sequence[int], method: str = "auto") -> None:
         raise EncodingError(f"unknown at-most-one method {method!r}")
 
 
-def at_least_one(cnf, lits: Sequence[int]) -> None:
+def at_least_one(cnf: CNF, lits: Sequence[int]) -> None:
     """ALO is a single clause; an empty input is unsatisfiable by convention."""
     cnf.add_clause(list(lits))
 
 
-def exactly_one(cnf, lits: Sequence[int], method: str = "auto") -> None:
+def exactly_one(cnf: CNF, lits: Sequence[int], method: str = "auto") -> None:
     """Exactly-one = at-least-one + at-most-one."""
     at_least_one(cnf, lits)
     at_most_one(cnf, lits, method=method)
@@ -111,7 +108,7 @@ def exactly_one(cnf, lits: Sequence[int], method: str = "auto") -> None:
 # ----------------------------------------------------------------------
 # At-most-k via sequential counter (Sinz encoding)
 # ----------------------------------------------------------------------
-def at_most_k_sequential(cnf, lits: Sequence[int], k: int) -> None:
+def at_most_k_sequential(cnf: CNF, lits: Sequence[int], k: int) -> None:
     """Sinz sequential counter enforcing ``sum(lits) <= k``.
 
     Uses ``n * k`` auxiliary variables and ``O(n * k)`` clauses.
@@ -126,22 +123,24 @@ def at_most_k_sequential(cnf, lits: Sequence[int], k: int) -> None:
         return
     if n <= k:
         return
-    add = _fast_add(cnf)
     # s[i][j]: among lits[0..i] at least j+1 are true (j in 0..k-1)
-    s = [[cnf.new_var() for _ in range(k)] for _ in range(n)]
-    add([-lits[0], s[0][0]])
-    for j in range(1, k):
-        add([-s[0][j]])
+    block = cnf.new_vars(n * k)
+    s = [block[i * k : (i + 1) * k] for i in range(n)]
+    clauses = [[-lits[0], s[0][0]]]
+    clauses.extend([-var] for var in s[0][1:])
+    emit = clauses.append
     for i in range(1, n):
-        add([-lits[i], s[i][0]])
-        add([-s[i - 1][0], s[i][0]])
+        not_lit, row, prev = -lits[i], s[i], s[i - 1]
+        emit([not_lit, row[0]])
+        emit([-prev[0], row[0]])
         for j in range(1, k):
-            add([-lits[i], -s[i - 1][j - 1], s[i][j]])
-            add([-s[i - 1][j], s[i][j]])
-        add([-lits[i], -s[i - 1][k - 1]])
+            emit([not_lit, -prev[j - 1], row[j]])
+            emit([-prev[j], row[j]])
+        emit([not_lit, -prev[k - 1]])
+    cnf.add_clauses_fast(clauses)
 
 
-def at_most_k(cnf, lits: Sequence[int], k: int, method: str = "auto") -> None:
+def at_most_k(cnf: CNF, lits: Sequence[int], k: int, method: str = "auto") -> None:
     """Dispatching at-most-k encoder."""
     lits = list(lits)
     if k >= len(lits):
@@ -159,7 +158,7 @@ def at_most_k(cnf, lits: Sequence[int], k: int, method: str = "auto") -> None:
         raise EncodingError(f"unknown at-most-k method {method!r}")
 
 
-def at_least_k(cnf, lits: Sequence[int], k: int) -> None:
+def at_least_k(cnf: CNF, lits: Sequence[int], k: int) -> None:
     """``sum(lits) >= k`` via at-most on the negations."""
     lits = list(lits)
     if k <= 0:
@@ -173,7 +172,7 @@ def at_least_k(cnf, lits: Sequence[int], k: int) -> None:
     at_most_k(cnf, [-lit for lit in lits], len(lits) - k)
 
 
-def exactly_k(cnf, lits: Sequence[int], k: int) -> None:
+def exactly_k(cnf: CNF, lits: Sequence[int], k: int) -> None:
     """``sum(lits) == k``."""
     at_most_k(cnf, lits, k)
     at_least_k(cnf, lits, k)
@@ -182,7 +181,7 @@ def exactly_k(cnf, lits: Sequence[int], k: int) -> None:
 # ----------------------------------------------------------------------
 # Totalizer: full unary output counts
 # ----------------------------------------------------------------------
-def totalizer(cnf, lits: Sequence[int], bound: Optional[int] = None) -> List[int]:
+def totalizer(cnf: CNF, lits: Sequence[int], bound: Optional[int] = None) -> List[int]:
     """Build a totalizer over ``lits`` and return its unary outputs.
 
     The returned list ``out`` satisfies ``out[i]`` is true iff at least
@@ -199,40 +198,41 @@ def totalizer(cnf, lits: Sequence[int], bound: Optional[int] = None) -> List[int
     if bound is None:
         bound = len(lits)
     bound = max(0, min(bound, len(lits)))
-    add = _fast_add(cnf)
+    if bound == 0:
+        return []
+    if len(lits) == 1:
+        return lits  # a single input is its own count
+    clauses: List[List[int]] = []
+    emit = clauses.append
 
     def build(sub: List[int]) -> List[int]:
-        if len(sub) <= 1:
-            return list(sub)
         mid = len(sub) // 2
-        left = build(sub[:mid])
-        right = build(sub[mid:])
+        left = sub[:mid] if mid == 1 else build(sub[:mid])
+        right = sub[mid:] if len(sub) - mid == 1 else build(sub[mid:])
         width = min(bound, len(left) + len(right))
-        outputs = [cnf.new_var() for _ in range(width)]
-        # sum_left >= a and sum_right >= b implies sum >= a + b
-        for a in range(len(left) + 1):
-            for b in range(len(right) + 1):
-                total = a + b
-                if total == 0 or total > width:
-                    continue
-                clause = [outputs[total - 1]]
-                if a > 0:
-                    clause.append(-left[a - 1])
-                if b > 0:
-                    clause.append(-right[b - 1])
-                add(clause)
+        outputs = cnf.new_vars(width)
+        # sum_left >= a and sum_right >= b implies sum >= a + b, for
+        # 0 < a + b <= width (a = 0 first, then b = 0 before b > 0)
+        not_right = [-lit for lit in right[:width]]
+        for b, not_r in enumerate(not_right):
+            emit([outputs[b], not_r])
+        for a, lit in enumerate(left[:width]):
+            not_l = -lit
+            emit([outputs[a], not_l])
+            for b, not_r in enumerate(not_right[: width - a - 1]):
+                emit([outputs[a + b + 1], not_l, not_r])
         return outputs
 
-    if bound == 0 or not lits:
-        return []
-    return build(lits)
+    outputs = build(lits)
+    cnf.add_clauses_fast(clauses)
+    return outputs
 
 
 # ----------------------------------------------------------------------
 # Weighted pseudo-Boolean (<=) via sequential weighted counter
 # ----------------------------------------------------------------------
 def pseudo_boolean_leq(
-    cnf, lits: Sequence[int], weights: Sequence[int], bound: int
+    cnf: CNF, lits: Sequence[int], weights: Sequence[int], bound: int
 ) -> None:
     """Encode ``sum(w_i * lit_i) <= bound`` for non-negative integer weights.
 
@@ -304,7 +304,7 @@ def pseudo_boolean_leq(
 
 
 def pseudo_boolean_eq(
-    cnf, lits: Sequence[int], weights: Sequence[int], bound: int
+    cnf: CNF, lits: Sequence[int], weights: Sequence[int], bound: int
 ) -> None:
     """``sum(w_i * lit_i) == bound`` via a (<=) pair on original/negated literals."""
     if len(lits) != len(weights):

@@ -47,19 +47,12 @@ class IntVar:
         self.hi = hi
         self.name = name
         self._true = true_lit
-        from .encoders import _fast_add
-
-        # _ge[v] is the Boolean variable for x >= v, for v in lo+1..hi
-        self._ge: Dict[int, int] = {}
-        add = _fast_add(cnf)
-        prev = None
-        for v in range(lo + 1, hi + 1):
-            var = cnf.new_var()
-            self._ge[v] = var
-            if prev is not None:
-                # x >= v implies x >= v-1 (fresh variables: pre-normalized)
-                add([-var, prev])
-            prev = var
+        # _ge[v] is the Boolean variable for x >= v, for v in lo+1..hi: one
+        # block of fresh variables, chained by x >= v -> x >= v-1.
+        block = cnf.new_vars(hi - lo)
+        self._ge: Dict[int, int] = dict(zip(range(lo + 1, hi + 1), block))
+        if len(block) > 1:
+            cnf.add_clauses_fast([[-var, var - 1] for var in block[1:]])
 
     # ------------------------------------------------------------------
     # Comparison literals

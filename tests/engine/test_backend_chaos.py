@@ -26,16 +26,21 @@ from repro.topology import ring
 
 def make_crashy_solver(tmp_path, exit_codes):
     """A fake DIMACS solver whose Nth invocation exits with exit_codes[N]
-    (the last code repeats forever).  Returns (script_path, counter_path)."""
+    (the last code repeats forever).  Returns (script_path, counter_path).
+
+    Each invocation appends one byte to the counter file, so the file's
+    size is the attempt count even when pool workers run the solver
+    concurrently (a read-then-write counter loses their updates)."""
     counter = tmp_path / "attempts.txt"
     script = tmp_path / "crashy_solver.py"
     script.write_text(
         textwrap.dedent(
             f"""
-            import pathlib, sys
-            counter = pathlib.Path({str(counter)!r})
-            n = int(counter.read_text()) if counter.exists() else 0
-            counter.write_text(str(n + 1))
+            import os, sys
+            fd = os.open({str(counter)!r}, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            os.write(fd, b"x")
+            n = os.fstat(fd).st_size - 1
+            os.close(fd)
             codes = {list(exit_codes)!r}
             code = codes[min(n, len(codes) - 1)]
             if code == 10:
@@ -121,7 +126,7 @@ class TestCrashRetry:
         handle = backend.create()
         handle.load(tiny_cnf())
         assert handle.solve() is SolveResult.UNSAT
-        assert int(counter.read_text()) == 3
+        assert len(counter.read_bytes()) == 3
         stats = handle.stats()
         assert stats["crashes"] == 2
         assert stats["retries"] == 2
@@ -145,7 +150,7 @@ class TestCrashRetry:
         handle = backend.create()
         handle.load(tiny_cnf())
         assert handle.solve() is SolveResult.UNKNOWN
-        assert int(counter.read_text()) == 3  # 1 attempt + 2 retries
+        assert len(counter.read_bytes()) == 3  # 1 attempt + 2 retries
         assert handle.stats()["exhausted_calls"] == 1
 
     def test_exhausted_calls_feed_the_quarantine(self, tmp_path):
@@ -213,7 +218,7 @@ class TestSweepSurvival:
             # A dying solver degrades every probe to UNKNOWN, never raises.
             assert len(outcome.results) == 3
             assert all(r.is_unknown for r in outcome.results)
-            assert int(counter.read_text()) >= 3
+            assert len(counter.read_bytes()) >= 3
             assert parent.stats()["total_crashes"]["crashy"] == 3
             assert parent.is_quarantined("crashy")
         finally:

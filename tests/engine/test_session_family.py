@@ -18,7 +18,8 @@ from repro.engine import (
     make_dispatcher,
 )
 from repro.engine.session import SessionError
-from repro.topology import line, ring, star
+from repro.solver import SolveResult
+from repro.topology import dgx1, line, ring, star
 
 
 class TestLatticeEquivalence:
@@ -132,13 +133,46 @@ class TestPrefixEncodingContracts:
         analysis = PrefixAnalysis(topology)
         small = make_instance("Allgather", topology, 1, 2, 2)
         analysis.ensure(small)
-        covered = len(analysis.chunk_dist)
+        rows = dict(analysis.rows)
         big = make_instance("Allgather", topology, 3, 2, 2)
-        analysis.ensure(big)
-        assert len(analysis.chunk_dist) > covered
-        # Prefix rows are untouched by growth.
-        for key in list(analysis.chunk_dist)[:covered]:
-            assert key in analysis.chunk_dist
+        classes = analysis.ensure(big)
+        # The three chunks a node starts with share one class, so growing C
+        # adds chunks, not rows.
+        assert len(classes) == 12 and set(classes) == set(rows)
+        # Another collective adds its own classes; rows already there are
+        # untouched by growth.
+        analysis.ensure(make_instance("Alltoall", topology, 1, 2, 2))
+        assert len(analysis.rows) > len(rows)
+        for key, row in rows.items():
+            assert analysis.rows[key] is row
+
+
+class TestOneAnalysisAcrossCollectives:
+    """A shared analysis serves a second collective or root as a fresh one does.
+
+    Rows keyed by chunk id would hand the second instance the first one's
+    placements and prune sends it needs (Broadcast from root 3 after an
+    Allgather answered UNSAT).  Keyed by class, the formula is the same
+    byte for byte.
+    """
+
+    FABRICS = {"ring6": lambda: ring(6), "dgx1": dgx1}
+
+    @pytest.mark.parametrize("fabric", FABRICS)
+    @pytest.mark.parametrize(
+        "collective,root",
+        [(c, r) for c in ("Broadcast", "Gather", "Scatter") for r in (0, 3)]
+        + [("Alltoall", 0)],
+    )
+    def test_after_allgather(self, fabric, collective, root):
+        topology = self.FABRICS[fabric]()
+        analysis = PrefixAnalysis(topology)
+        ScclEncoding(make_instance("Allgather", topology, 1, 3, 3), analysis=analysis).encode()
+        instance = make_instance(collective, topology, 1, 3, 3, root=root)
+        shared = ScclEncoding(instance, analysis=analysis).encode()
+        fresh = ScclEncoding(instance).encode()
+        assert (shared.cnf.num_vars, shared.cnf.clauses) == (fresh.cnf.num_vars, fresh.cnf.clauses)
+        assert shared.check().result is fresh.check().result is SolveResult.SAT
 
 
 class TestIncrementalDispatcherFamilies:

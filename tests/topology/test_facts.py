@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.collectives import get_collective
 from repro.core.bounds import BoundsError, lower_bounds
 from repro.faults import FaultSet, LinkDown
-from repro.topology import BandwidthConstraint, Topology, dgx1, ring
+from repro.topology import BandwidthConstraint, Topology, dgx1, ring, shortest_path_lengths
 from repro.topology.analysis import cut_capacity
 
 
@@ -160,6 +160,17 @@ class TestRecomputedWhenTheRelationChanges:
             topology.links().add((0, 2))
         topology.out_neighbors(0).append(7)  # a caller's own list
         assert topology.out_neighbors(0) == [1, 3]
+
+    def test_shortest_paths_are_a_fresh_dict_unless_asked_as_a_fact(self):
+        # The encoder reads the shared table through ``fact``; whoever calls
+        # the function gets a table of their own to edit.
+        topology = ring(4)
+        shared = topology.fact(shortest_path_lengths)
+        own = shortest_path_lengths(topology)
+        assert own == shared and own is not shared
+        own[0][2] = 99
+        assert shortest_path_lengths(topology)[0][2] == 2
+        assert topology.fact(shortest_path_lengths) is shared and shared[0][2] == 2
 
 
 # ----------------------------------------------------------------------
