@@ -41,43 +41,10 @@ def bench_dir() -> Path:
     return path
 
 
-def _stamp_host(payload: dict) -> dict:
-    """Attach host context so archived rows are never compared across hosts."""
-    from repro.telemetry import host_context
-
-    payload = dict(payload)
-    payload["host"] = host_context()
-    return payload
-
-
-def _archive_bench(filename: str, payload: dict) -> None:
-    """Append this run's flattened metrics to the performance archive.
-
-    The snapshot file is overwritten every run; the archive keeps the
-    trajectory, which is what ``repro perf regressions`` (the CI sentinel)
-    judges the *next* run's snapshot against.  Metric names here and in
-    the sentinel come from the same flattener, so they agree forever.
-    """
-    from repro.perf import flatten_bench_metrics
-    from repro.telemetry import record_run
-
-    record_run(
-        "bench",
-        name=Path(filename).stem,
-        metrics={
-            metric: value
-            for metric, (value, _) in flatten_bench_metrics(payload).items()
-        },
-        extra={"file": filename},
-    )
-
-
 def write_bench_json(filename: str, payload: dict) -> Path:
-    """Persist one benchmark's JSON artifact for CI to archive."""
-    payload = _stamp_host(payload)
+    """Persist one benchmark's JSON artifact under :func:`bench_dir`."""
     path = bench_dir() / filename
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _archive_bench(filename, payload)
     return path
 
 
@@ -97,9 +64,7 @@ def merge_bench_json(filename: str, key: str, payload: dict) -> Path:
     except (OSError, ValueError):
         existing = {}
     existing[key] = payload
-    existing = _stamp_host(existing)
     path.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
-    _archive_bench(filename, existing)
     return path
 
 

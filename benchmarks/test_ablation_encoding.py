@@ -145,7 +145,7 @@ def _run_sweep_strategy(strategy: str) -> dict:
     }
     if strategy == "speculative":
         # The acceptance-criterion artifact: a Perfetto-loadable trace of the
-        # speculative DGX-1 Allgather sweep, archived by the CI bench job.
+        # speculative DGX-1 Allgather sweep.
         trace_path = bench_dir() / "trace.json"
         tracer.write_chrome_trace(trace_path)
         row["trace_artifact"] = trace_path.name
@@ -225,7 +225,7 @@ def test_sweep_strategy_ablation():
         stats = row["engine_stats"]
         assert row["metrics"]["bounds_probed"] == stats["candidates_probed"], name
         assert row["metrics"]["solver_calls"] == stats["solver_calls"], name
-    # Perfetto acceptance: the archived speculative trace's per-candidate
+    # Perfetto acceptance: the written speculative trace's per-candidate
     # probe spans cover >=95% of the measured sweep wall clock.
     assert rows["speculative"]["probe_coverage"] >= 0.95, rows["speculative"]
     assert (bench_dir() / rows["speculative"]["trace_artifact"]).exists()

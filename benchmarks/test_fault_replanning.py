@@ -13,9 +13,8 @@ Measures what degraded-mode operation costs on the quickstart instance
   the ladder degrades to a verified baseline instead of erroring.
 
 The numbers land in ``BENCH_faults.json`` under ``.bench_build/`` (or
-``$SCCL_BENCH_DIR``) so CI can archive the recovery-latency trajectory
-run over run.  Everything here must stay fast: this file runs inside
-the tier-1 suite.
+``$SCCL_BENCH_DIR``).  Everything here must stay fast: this file runs
+inside the tier-1 suite.
 """
 
 import time
@@ -174,8 +173,6 @@ def test_fault_replanning_latency(tmp_path, monkeypatch):
         "dgx1_pinned": dgx1_stats,
         "baseline_fallback": fallback_stats,
     }
-    # write_bench_json stamps host context and appends this run's metrics to
-    # the performance archive for the CI regression sentinel.
     output = write_bench_json("BENCH_faults.json", payload)
 
     report(

@@ -11,7 +11,7 @@ about, on the quickstart instance (Allgather, 4-node ring):
   hit rate.
 
 The numbers land in ``BENCH_service.json`` under ``.bench_build/`` (or
-``$SCCL_BENCH_DIR``) so CI can archive the perf trajectory run over run.
+``$SCCL_BENCH_DIR``).
 Everything here must stay fast: this file runs inside the tier-1 suite.
 """
 
@@ -168,8 +168,6 @@ def test_service_throughput(tmp_path):
         "cold_burst": cold,
         "warm": warm,
     }
-    # write_bench_json stamps host context and appends this run's metrics to
-    # the performance archive for the CI regression sentinel.
     output = write_bench_json("BENCH_service.json", payload)
 
     report(

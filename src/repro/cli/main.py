@@ -41,11 +41,6 @@ Subcommands
     or ``pareto --trace`` (span counts, totals, slowest probes); ``--top N``
     lists the slowest individual spans and ``--diff OTHER.json`` compares
     two traces phase by phase.
-``repro perf history|compare|regressions``
-    Query the persistent performance archive (``$REPRO_PERF_DIR`` or
-    ``~/.cache/repro/perf``): list run history, diff two archived runs and
-    gate fresh ``BENCH_*.json`` files against the archived trajectory (the
-    CI regression sentinel).
 
 Every subcommand exits 0 on success and 1 on failure, printing errors to
 stderr; ``repro synthesize`` additionally exits 1 when the candidate is
@@ -526,7 +521,6 @@ def _cmd_serve(args) -> int:
     import signal
 
     from ..service import PlanningService, make_server
-    from ..telemetry import flush_records
 
     if args.workers < 1:
         raise CliError("--workers must be at least 1")
@@ -559,12 +553,10 @@ def _cmd_serve(args) -> int:
     finally:
         signal.signal(signal.SIGTERM, previous)  # a second one ends the process
         server.server_close()
-        # Archive lines first, then a bounded wait: a worker mid-solve is a
-        # daemon thread and must not hold the exit (or the lines) back.
-        flush_records()
         # Probes a cold sweep left running in pool workers have nobody to
         # answer to any more; ended here, or the pool's exit hook waits for
-        # every one of them.
+        # every one of them.  The wait that follows is bounded: a worker
+        # mid-solve is a daemon thread and must not hold the exit back.
         for worker in multiprocessing.active_children():
             worker.terminate()
         service.stop(timeout=1.0)
@@ -874,113 +866,6 @@ def _cmd_trace(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# repro perf
-# ----------------------------------------------------------------------
-def _perf_archive(args):
-    from ..telemetry import PerfArchive, get_archive
-
-    if getattr(args, "archive_dir", None):
-        return PerfArchive(args.archive_dir)
-    return get_archive()
-
-
-def _cmd_perf_history(args) -> int:
-    from ..telemetry import host_fingerprint
-
-    archive = _perf_archive(args)
-    kwargs = {}
-    if args.kind:
-        kwargs["kind"] = args.kind
-    if args.this_host:
-        kwargs["host"] = host_fingerprint()
-    records = archive.records(**kwargs)
-    shown = records[-args.limit:] if args.limit else records
-    if args.json:
-        print(json.dumps([r.to_json() for r in shown], indent=2, sort_keys=True))
-        return 0
-    stats = archive.stats()
-    print(
-        f"archive {stats['root']}: {stats['records']} records in "
-        f"{stats['segments']} segment(s)"
-        + (f", {stats['corrupt_lines']} corrupt line(s) skipped"
-           if stats["corrupt_lines"] else "")
-    )
-    if not shown:
-        print("no matching records (run a sweep or a benchmark to record one)")
-        return 0
-    for record in shown:
-        print(f"{record.run_id:<24} {record.describe()}")
-    return 0
-
-
-def _resolve_perf_record(archive, token: str):
-    from ..telemetry import ArchiveError
-
-    try:
-        matches = archive.find(token)
-    except ArchiveError as exc:
-        raise CliError(str(exc)) from exc
-    if not matches:
-        raise CliError(
-            f"no archived record matches {token!r} "
-            "(use a run-id prefix from `repro perf history`, or @N for the "
-            "Nth most recent)"
-        )
-    if len(matches) > 1:
-        preview = ", ".join(r.run_id for r in matches[:5])
-        raise CliError(
-            f"{token!r} is ambiguous ({len(matches)} records: {preview}...)"
-        )
-    return matches[0]
-
-
-def _cmd_perf_compare(args) -> int:
-    from ..perf import compare_records
-
-    archive = _perf_archive(args)
-    record_a = _resolve_perf_record(archive, args.run_a)
-    record_b = _resolve_perf_record(archive, args.run_b)
-    print(compare_records(record_a, record_b))
-    return 0
-
-
-def _cmd_perf_regressions(args) -> int:
-    from ..perf import ToleranceBand, detect_regressions
-
-    archive = _perf_archive(args)
-    bench_dir = Path(args.bench_dir) if args.bench_dir else Path.cwd()
-    current = {}
-    for path in sorted(bench_dir.glob("BENCH_*.json")):
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot read {path}: {exc}") from exc
-        if isinstance(payload, dict):
-            current[path.stem] = payload
-    if not current:
-        raise CliError(
-            f"no BENCH_*.json files under {bench_dir} "
-            "(run the benchmarks first, or pass --bench-dir)"
-        )
-    band = ToleranceBand(
-        max_slowdown=args.max_slowdown,
-        max_hit_rate_drop=args.max_hit_rate_drop,
-        min_wall_s=args.min_wall,
-    )
-    report = detect_regressions(
-        current, archive, band=band, baseline=args.baseline
-    )
-    print(report.render())
-    if report.failures and not args.warn_only:
-        print(
-            f"repro perf regressions: {len(report.failures)} metric(s) "
-            "outside the tolerance band", file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-# ----------------------------------------------------------------------
 # Parser assembly
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
@@ -1215,74 +1100,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="phase-by-phase comparison against a second trace "
                        "instead of a summary")
     trace.set_defaults(func=_cmd_trace)
-
-    # perf -------------------------------------------------------------
-    perf = subparsers.add_parser(
-        "perf",
-        help="query the persistent performance archive "
-        "(~/.cache/repro/perf or $REPRO_PERF_DIR)",
-    )
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-
-    def _add_archive_option(p) -> None:
-        p.add_argument("--archive-dir", default=None, metavar="DIR",
-                       help="performance archive directory "
-                       "(default: $REPRO_PERF_DIR or ~/.cache/repro/perf)")
-
-    history = perf_sub.add_parser(
-        "history", help="list archived runs (probes, sweeps, pareto, "
-        "service requests, benchmarks)"
-    )
-    history.add_argument("--kind", default=None,
-                         choices=("probe", "sweep", "pareto", "service", "bench"),
-                         help="only records of this kind")
-    history.add_argument("--limit", type=int, default=20, metavar="N",
-                         help="show the N most recent records (0 = all)")
-    history.add_argument("--this-host", action="store_true",
-                         help="only records from this host's fingerprint")
-    history.add_argument("--json", action="store_true",
-                         help="dump the raw records as JSON")
-    _add_archive_option(history)
-    history.set_defaults(func=_cmd_perf_history)
-
-    compare = perf_sub.add_parser(
-        "compare", help="diff two archived runs phase by phase"
-    )
-    compare.add_argument("run_a", help="run-id/session/fingerprint prefix, "
-                         "or @N for the Nth most recent record")
-    compare.add_argument("run_b")
-    _add_archive_option(compare)
-    compare.set_defaults(func=_cmd_perf_compare)
-
-    regressions = perf_sub.add_parser(
-        "regressions",
-        help="compare fresh BENCH_*.json files against the archived "
-        "trajectory (the CI gate)",
-    )
-    regressions.add_argument("--bench-dir", default=None, metavar="DIR",
-                             help="directory holding BENCH_*.json "
-                             "(default: current directory)")
-    regressions.add_argument("--baseline", default=None, metavar="RUN",
-                             help="pin the baseline to specific archived runs "
-                             "(run-id/session prefix or @N) instead of the "
-                             "whole same-host trajectory median")
-    regressions.add_argument("--max-slowdown", type=float, default=0.25,
-                             metavar="FRAC",
-                             help="relative slowdown tolerance for time/rate "
-                             "metrics (default 0.25 = +25%%)")
-    regressions.add_argument("--max-hit-rate-drop", type=float, default=0.05,
-                             metavar="FRAC",
-                             help="absolute drop tolerance for hit-rate/ratio "
-                             "metrics (default 0.05)")
-    regressions.add_argument("--min-wall", type=float, default=0.05,
-                             metavar="S",
-                             help="noise floor: timings under S seconds are "
-                             "never judged (default 0.05)")
-    regressions.add_argument("--warn-only", action="store_true",
-                             help="report findings but always exit 0 "
-                             "(an empty archive is warn-only by itself)")
-    _add_archive_option(regressions)
-    regressions.set_defaults(func=_cmd_perf_regressions)
 
     # backends ---------------------------------------------------------
     backends = subparsers.add_parser("backends", help="list registered solver backends")

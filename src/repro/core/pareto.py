@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..collectives import get_collective
 from ..solver import SolveResult
-from ..telemetry import Tracer, exact_quantiles, get_tracer, record_run, tracing
+from ..telemetry import Tracer, get_tracer, tracing
 from ..topology import Topology
 from .algorithm import Algorithm
 from .bounds import lower_bounds
@@ -411,24 +411,9 @@ def pareto_synthesize(
             bounds=ledger,
         )
 
-    # Phase splits and raw solve samples across the whole run: what the
-    # performance archive's "pareto" record carries.
-    phase_acc = {"encode_s": 0.0, "solve_s": 0.0, "verify_s": 0.0}
-    solve_samples: List[float] = []
-    cache_replays = 0
-
     def ingest_sweep(outcome) -> bool:
         """Fold one sweep outcome into the frontier; True at bandwidth-optimal."""
-        nonlocal cache_replays
         sweep_stats.merge(outcome.stats)
-        for result in outcome.results:
-            if result.cache_hit:
-                cache_replays += 1
-            else:
-                phase_acc["encode_s"] += result.encode_time
-                phase_acc["solve_s"] += result.solve_time
-                phase_acc["verify_s"] += result.verify_time
-                solve_samples.append(result.solve_time)
         proved = True
         unsat_probes = 0
         for result in outcome.results:
@@ -480,26 +465,6 @@ def pareto_synthesize(
         frontier.engine_stats = sweep_stats.as_dict()
         pareto_span.set(points=len(frontier.points))
 
-    record_run(
-        "pareto",
-        name=f"{spec.name}/{topology.name}",
-        features={"nodes": topology.num_nodes, "k": k, "chunks": max_chunks or 0},
-        strategy=strategy,
-        backend=frontier.backend,
-        verdict="sat" if frontier.points else "exhausted",
-        wall_s=frontier.total_time,
-        phases={key: round(value, 6) for key, value in phase_acc.items()},
-        quantiles={
-            f"solve_{key}": value
-            for key, value in exact_quantiles(solve_samples).items()
-        },
-        extra={
-            "points": len(frontier.points),
-            "bounds": bounds_mode,
-            "cache_replays": cache_replays,
-            "engine_stats": sweep_stats.as_dict(),
-        },
-    )
     return frontier
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..solver import SolveResult
-from ..telemetry import get_metrics, get_tracer, record_run
+from ..telemetry import get_metrics, get_tracer
 from .algorithm import Algorithm
 from .bounds import Cut
 from .encoding import NaiveEncoding, ScclEncoding
@@ -145,8 +145,11 @@ def synthesize(
     # Resolve the backend before consulting the cache so a typo'd backend
     # name fails immediately rather than only on the first cache miss.
     solver_backend = get_backend(backend)
-    # Cache key and archive fingerprint of this probe, computed once.
-    key = instance_fingerprint(instance, encoding=encoding, prune=prune)
+    # The cache key of this probe, computed once for lookup and store.
+    key = (
+        instance_fingerprint(instance, encoding=encoding, prune=prune)
+        if cache is not None else None
+    )
 
     tracer = get_tracer()
     with tracer.span(
@@ -231,40 +234,7 @@ def synthesize(
             result.algorithm = algorithm
         if cache is not None:
             store_result(cache, result, encoding=encoding, prune=prune, key=key)
-        _record_probe(result, encoding=encoding, fingerprint=key)
         return result
-
-
-def _record_probe(result: SynthesisResult, *, encoding: str, fingerprint: str) -> None:
-    """Record one solved probe in the performance archive (best effort).
-
-    Only fresh solves are recorded — cache replays carry the original
-    run's timings and would skew every distribution built on top.
-    """
-    instance = result.instance
-    record_run(
-        "probe",
-        name=(
-            f"{instance.collective}/{instance.topology.name}/"
-            f"C{instance.chunks_per_node}S{instance.steps}R{instance.rounds}"
-        ),
-        fingerprint=fingerprint,
-        features={
-            "nodes": instance.topology.num_nodes,
-            "C": instance.chunks_per_node,
-            "S": instance.steps,
-            "R": instance.rounds,
-        },
-        backend=result.backend,
-        verdict=result.status.value,
-        wall_s=result.encode_time + result.solve_time + result.verify_time,
-        phases={
-            "encode_s": round(result.encode_time, 6),
-            "solve_s": round(result.solve_time, 6),
-            "verify_s": round(result.verify_time, 6),
-        },
-        extra={"encoding": encoding, "provenance": result.provenance},
-    )
 
 
 def synthesize_collective(

@@ -154,6 +154,28 @@ def file_signature(path) -> Optional[Tuple[int, int, int]]:
     return (stat.st_mtime_ns, stat.st_size, stat.st_ino)
 
 
+def atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and one rename.
+
+    Readers see the old file or the new one, never half of either, and
+    concurrent writers leave one of their files whole (the last rename
+    wins).  The temp file, ``.<first 8 of the name>-*.tmp`` beside
+    ``path``, is removed if anything fails.  Creates the parent directory.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        prefix=f".{path.stem[:8]}-", suffix=".tmp", dir=path.parent
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+
+
 @dataclass
 class CacheEntry:
     """One persisted synthesis outcome.
@@ -257,10 +279,11 @@ class AlgorithmCache:
     def _mutation_lock(self):
         """Advisory exclusive lock for index-wide mutations (evict/clear).
 
-        Best effort on purpose: when ``fcntl`` is unavailable or the
-        directory is unwritable, mutations proceed unlocked — per-entry
-        deletes tolerate losing races (missing files are skipped), the
-        lock only removes the window where two evictors both prune.
+        Best effort on purpose: when ``fcntl`` is unavailable, the
+        directory is unwritable or the filesystem refuses locks
+        (``ENOLCK``), mutations proceed unlocked — per-entry deletes
+        tolerate losing races (missing files are skipped), the lock only
+        removes the window where two evictors both prune.
         """
         if fcntl is None:
             yield
@@ -271,14 +294,18 @@ class AlgorithmCache:
         except OSError:
             yield
             return
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            yield
-        finally:
+        with handle:
             try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+            except OSError:
+                yield
+                return
+            # Unlocked explicitly, not by the close: a child forked meanwhile
+            # shares the descriptor and would hold the lock until it exits.
+            try:
+                yield
             finally:
-                handle.close()
+                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
     # ------------------------------------------------------------------
     # Lookup / store
@@ -316,23 +343,8 @@ class AlgorithmCache:
         get_metrics().inc("repro_cache_lookups_total", outcome="hit")
 
     def store(self, entry: CacheEntry) -> None:
-        path = self._path(entry.key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{entry.key[:8]}-", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                # dumps, not dump: one pass of the C encoder, same bytes.
-                handle.write(json.dumps(entry.to_json(), sort_keys=True))
-            os.replace(tmp_name, path)
-            get_metrics().inc("repro_cache_stores_total")
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(self._path(entry.key), json.dumps(entry.to_json(), sort_keys=True))
+        get_metrics().inc("repro_cache_stores_total")
 
     def discard(self, key: str) -> None:
         try:

@@ -63,7 +63,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from ..core.instance import SynCollInstance, make_instance
-from ..telemetry import exact_quantiles, flush_records, get_metrics, get_tracer, record_run
+from ..telemetry import get_metrics, get_tracer
 from ..topology import Topology
 from .backends import QUARANTINE, get_backend, register_backend
 from .bounds import CUT, PROBE, PRUNE, BoundsLedger, ProbePlan, cut_result
@@ -314,21 +314,18 @@ def _solve_in_worker(key: Tuple[int, int, int]):
     request, trace = _WORKER_SHARED
     steps, rounds, chunks = key
     probe = make_probe(replace(request, steps=steps), rounds, chunks)
-    try:
-        if not trace:
-            return _solve_exact(probe)
-        # The parent is tracing: record this probe with a private worker tracer
-        # and ship the span forest back in the pickled result.  The loop
-        # re-parents it under its sweep span, keeping this process's pid/tid.
-        from ..telemetry import Tracer, tracing
+    if not trace:
+        return _solve_exact(probe)
+    # The parent is tracing: record this probe with a private worker tracer
+    # and ship the span forest back in the pickled result.  The loop
+    # re-parents it under its sweep span, keeping this process's pid/tid.
+    from ..telemetry import Tracer, tracing
 
-        tracer = Tracer()
-        with tracing(tracer):
-            result = _solve_exact(probe)
-        result.trace = tracer.export()
-        return result
-    finally:
-        flush_records()  # a pool child exits without running atexit
+    tracer = Tracer()
+    with tracing(tracer):
+        result = _solve_exact(probe)
+    result.trace = tracer.export()
+    return result
 
 
 class PoolExecutor:
@@ -472,16 +469,13 @@ def _cut_for(probe: Probe, witness: Optional[Tuple[int, int, int]], cache):
     return result
 
 
-def _commit_sweep_telemetry(
-    strategy: str, request: SweepRequest, outcome: SweepOutcome
-) -> None:
-    """Publish one finished sweep: metrics registry + performance archive.
+def _commit_sweep_telemetry(stats: SweepStats) -> None:
+    """Publish one finished sweep's candidate counts to the metrics registry.
 
     Called once per sweep, from the stats the caller reports, so the
-    archive's ``sweep`` records and the ``repro_bounds_candidates_total``
-    series equal the :class:`SweepStats` totals by construction.
+    ``repro_bounds_candidates_total`` series equals the :class:`SweepStats`
+    totals by construction.
     """
-    stats = outcome.stats
     for action, count in (
         ("probed", stats.candidates_probed),
         ("pruned", stats.probes_pruned),
@@ -491,36 +485,6 @@ def _commit_sweep_telemetry(
             get_metrics().inc(
                 "repro_bounds_candidates_total", value=float(count), action=action
             )
-    solved = [r for r in outcome.results if not r.cache_hit]
-    first_sat = outcome.first_sat
-    record_run(
-        "sweep",
-        name=f"{request.collective}/{request.topology.name}/S{request.steps}",
-        features={
-            "nodes": request.topology.num_nodes,
-            "S": request.steps,
-            "candidates": len(request.candidates),
-        },
-        strategy=strategy,
-        backend=(
-            outcome.results[0].backend if outcome.results
-            else (request.backend or "")
-        ),
-        verdict=first_sat.status.value if first_sat is not None else "unsat",
-        wall_s=sum(r.encode_time + r.solve_time + r.verify_time for r in solved),
-        phases={
-            "encode_s": round(sum(r.encode_time for r in solved), 6),
-            "solve_s": round(sum(r.solve_time for r in solved), 6),
-            "verify_s": round(sum(r.verify_time for r in solved), 6),
-        },
-        quantiles={
-            f"solve_{key}": value
-            for key, value in exact_quantiles(
-                [r.solve_time for r in solved]
-            ).items()
-        },
-        extra=stats.as_dict(),
-    )
 
 
 class Dispatcher:
@@ -675,7 +639,7 @@ class Dispatcher:
                         outcome.results.append(result)
                         if result.is_sat and request.stop_at_first_sat:
                             break
-                _commit_sweep_telemetry(self.name, request, outcome)
+                _commit_sweep_telemetry(outcome.stats)
                 outcomes.append(outcome)
                 if stop is not None and stop(outcome):
                     break

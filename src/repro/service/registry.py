@@ -27,8 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -38,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.algorithm import Algorithm
 from ..engine.cache import (
     AlgorithmCache,
+    atomic_write,
     default_cache,
     file_signature,
     fingerprint,
@@ -483,21 +482,7 @@ class PlanRegistry:
     def save_table(self, key: str, table: RoutingTable) -> Path:
         """Atomically persist a table (concurrent writers: last one wins)."""
         path = self._table_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{key[:8]}-", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                # dumps, not dump: one pass of the C encoder, same bytes.
-                handle.write(json.dumps(table.to_json(), sort_keys=True))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, json.dumps(table.to_json(), sort_keys=True))
         signature = file_signature(path)
         with self._lock:
             if signature is None:

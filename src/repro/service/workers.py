@@ -34,7 +34,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional
 
-from ..telemetry import flush_records, get_metrics, record_run
+from ..telemetry import get_metrics
 from .api import (
     DEFAULT_DEADLINE_S,
     FaultRequest,
@@ -182,30 +182,20 @@ class SynthesisResolver:
             response = self._resolve_pinned(request, remaining_s, fabric)
         else:
             response = self._resolve_routed(request, remaining_s, fabric)
-        self._record(request, response, fabric.topology)
+        self._record(response)
         return response
 
-    def _record(self, request: PlanRequest, response: PlanResponse, topology) -> None:
-        """One archive record + latency observation per resolution.
+    def _record(self, response: PlanResponse) -> None:
+        """One latency observation per resolution.
 
-        The ``rung`` is the resolver-ladder rung that produced the answer
+        Labelled with the resolver-ladder rung that produced the answer
         (``cache`` / ``registry`` / ``synthesized`` / ``baseline``) or the
-        failure status; the latency histogram behind ``/v1/stats``'s
-        p50/p95/p99 is labelled the same way.
+        failure status; this histogram is behind ``/v1/stats``'s
+        p50/p95/p99.
         """
         rung = response.source if response.ok else response.status
         get_metrics().observe(
             "repro_resolver_latency_seconds", response.solve_time_s, rung=rung
-        )
-        record_run(
-            "service",
-            name=f"{request.collective}/{topology.name}",
-            fingerprint=response.request_key,
-            features={"mode": request.mode, "nodes": topology.num_nodes},
-            strategy=self.sweep_strategy,
-            verdict=response.status,
-            wall_s=response.solve_time_s,
-            extra={"rung": rung},
         )
 
     def _rung(self, rung: str) -> None:
@@ -567,7 +557,6 @@ class PlanningService:
         if self._started:
             self.pool.stop(timeout=timeout)
             self._started = False
-            flush_records()  # the resolutions' archive lines still held back
 
     def __enter__(self) -> "PlanningService":
         return self.start()
@@ -606,7 +595,6 @@ class PlanningService:
 
     def stats(self) -> Dict[str, object]:
         from ..engine.backends import get_quarantine
-        from ..telemetry import host_context
 
         data: Dict[str, object] = {"broker": self.broker.stats()}
         data["registry"] = self.registry.stats()
@@ -616,9 +604,6 @@ class PlanningService:
         data["faults"] = self.fault_board.snapshot()
         data["quarantine"] = get_quarantine().stats()
         data["engine"] = self._engine_stats()
-        # Where these numbers were measured: archived alongside every run so
-        # the regression sentinel never compares timings across hosts.
-        data["host"] = host_context()
         return data
 
     def _engine_stats(self) -> Dict[str, object]:

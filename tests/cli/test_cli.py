@@ -278,6 +278,115 @@ class TestInProcess:
         assert "backend" in capsys.readouterr().err
 
 
+class TestWritesOnlyWhereAsked:
+    """Every subcommand writes under the paths on its command line and
+    nowhere else: not under ``HOME``, not in the working directory, and
+    not under the retired ``REPRO_PERF_DIR``."""
+
+    SCENARIOS = {
+        "synthesize-cached": [
+            ["synthesize", *QUICKSTART, "--cache-dir", "{w}/cache", "-q"],
+        ],
+        "synthesize-exports": [
+            ["synthesize", *QUICKSTART, "--no-cache", "-q",
+             "--xml", "{w}/a.xml", "--plan", "{w}/a.json"],
+        ],
+        "pareto-no-cache": [
+            ["pareto", "Allgather", "-t", "ring:4", "--max-steps", "3", "--no-cache"],
+        ],
+        "pareto-export": [
+            ["pareto", "Allgather", "-t", "ring:4", "--max-steps", "3",
+             "--cache-dir", "{w}/cache", "--export-dir", "{w}/plans"],
+        ],
+        "import-store-export": [
+            ["synthesize", *QUICKSTART, "--no-cache", "-q", "--xml", "{w}/a.xml"],
+            ["import", "{w}/a.xml", "--store", "--cache-dir", "{w}/cache", "-q"],
+            ["export", *QUICKSTART, "--cache-dir", "{w}/cache", "-o", "{w}/b.xml"],
+        ],
+        "run-plan": [
+            ["synthesize", *QUICKSTART, "--no-cache", "-q", "--plan", "{w}/a.json"],
+            ["run", "{w}/a.json", "--size", "1K"],
+        ],
+        "cache-management": [
+            ["synthesize", *QUICKSTART, "--cache-dir", "{w}/cache", "-q"],
+            ["cache", "ls", "--cache-dir", "{w}/cache"],
+            ["cache", "verify", "--cache-dir", "{w}/cache"],
+            ["cache", "evict", "--max-entries", "0", "--cache-dir", "{w}/cache"],
+            ["cache", "clear", "--cache-dir", "{w}/cache"],
+        ],
+        "request-local": [
+            ["request", *QUICKSTART, "--local",
+             "--cache-dir", "{w}/cache", "--routes-dir", "{w}/routes"],
+        ],
+        "request-stats-local": [
+            ["request", "--stats", "--local",
+             "--cache-dir", "{w}/cache", "--routes-dir", "{w}/routes"],
+        ],
+        "fault-preview": [
+            ["fault", "register", "-t", "ring:4", "--link-down", "0:1", "--preview"],
+        ],
+        "trace": [
+            ["synthesize", *QUICKSTART, "--no-cache", "-q", "--trace", "{w}/t.json"],
+            ["trace", "{w}/t.json", "--top", "2"],
+        ],
+        "backends": [["backends"]],
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_writes_stay_under_the_given_paths(
+        self, scenario, tmp_path, monkeypatch, capsys
+    ):
+        for name in list(os.environ):
+            if name.startswith("REPRO_"):
+                monkeypatch.delenv(name)
+        for name in ("home", "cwd", "work"):
+            (tmp_path / name).mkdir()
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setenv("REPRO_PERF_DIR", str(tmp_path / "perf"))
+        monkeypatch.chdir(tmp_path / "cwd")
+
+        work = str(tmp_path / "work")
+        for argv in self.SCENARIOS[scenario]:
+            args = [arg.replace("{w}", work) for arg in argv]
+            assert main(args) == 0, (args, capsys.readouterr().err)
+
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cwd", "home", "work"]
+        assert sorted((tmp_path / "home").rglob("*")) == []
+        assert sorted((tmp_path / "cwd").rglob("*")) == []
+
+
+class TestRetiredPerfCommand:
+    """``repro perf`` and its run history are gone: argparse rejects them."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["perf"],
+            ["perf", "history"],
+            ["perf", "compare", "@1", "@0"],
+            ["perf", "regressions", "--warn-only"],
+        ],
+        ids=["bare", "history", "compare", "regressions"],
+    )
+    def test_perf_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
+
+    def test_no_subcommand_is_named_perf(self):
+        from repro.cli import build_parser
+
+        (subparsers,) = [
+            action for action in build_parser()._actions
+            if action.dest == "command"
+        ]
+        assert "perf" not in subparsers.choices
+        assert {"synthesize", "pareto", "serve", "request", "trace"} <= set(
+            subparsers.choices
+        )
+
+
 class TestSubprocessSmoke:
     """The CI smoke path: the real entrypoint on the quickstart instance."""
 
@@ -295,6 +404,51 @@ class TestSubprocessSmoke:
         result = run_cli(["--version"], tmp_path)
         assert result.returncode == 0
         assert "repro-sccl" in result.stdout
+
+    def test_a_run_writes_nothing_it_was_not_asked_to(self, tmp_path):
+        """Synthesis, a Pareto sweep and a served request write only under
+        the directories they were given: ``HOME`` stays empty."""
+        import re
+        import signal
+
+        home = tmp_path / "home"
+        home.mkdir()
+        work = tmp_path / "work"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env.update(HOME=str(home), PYTHONPATH=SRC)
+
+        def repro(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *args], capture_output=True,
+                text=True, env=env, cwd=REPO_ROOT, timeout=300,
+            )
+
+        solve = repro("synthesize", *QUICKSTART, "--cache-dir", str(work))
+        assert solve.returncode == 0, solve.stderr
+        sweep = repro("pareto", "Allgather", "-t", "ring:4", "--no-cache")
+        assert sweep.returncode == 0, sweep.stderr
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--cache-dir", str(work / "c"), "--routes-dir", str(work / "r"),
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env, cwd=REPO_ROOT,
+        )
+        try:
+            url = re.search(r"http://\S+", server.stdout.readline()).group(0)
+            request = repro("request", *QUICKSTART, "--url", url)
+            assert request.returncode == 0, request.stderr
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=10) == 0
+            assert "served 1 request(s)" in server.stdout.read()
+        finally:
+            server.kill()
+            server.wait()
+            server.stdout.close()
+        assert sorted(home.rglob("*")) == []
+        # No subcommand reads or writes a run history either.
+        assert repro("perf", "history").returncode == 2
 
 
 class TestReviewRegressions:

@@ -65,6 +65,53 @@ class TestTraceExport:
         assert "expected a JSON object" in capsys.readouterr().err
 
 
+def _trace(events):
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+
+def _span(name, ts_us, dur_us, **args):
+    return {"ph": "X", "name": name, "ts": ts_us, "dur": dur_us,
+            "pid": 1, "tid": 1, "args": args}
+
+
+class TestTraceTopAndDiff:
+    def test_trace_top_lists_slowest_spans(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(_trace([
+            _span("solve", 0, 900_000, C=1, S=2),
+            _span("encode", 900_000, 100_000),
+            _span("verify", 1_000_000, 50_000),
+        ])))
+        assert main(["trace", str(path), "--top", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "top 2 slowest spans:" in out
+        assert "solve" in out and "C=1" in out
+        assert "verify" not in out.split("top 2 slowest spans:")[1]
+
+    def test_trace_diff_ranks_phases_by_delta(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps(_trace([
+            _span("solve", 0, 1_000_000), _span("encode", 0, 100_000),
+        ])))
+        b.write_text(json.dumps(_trace([
+            _span("solve", 0, 3_000_000), _span("encode", 0, 110_000),
+        ])))
+        assert main(["trace", str(a), "--diff", str(b)]) == 0
+        out = capsys.readouterr().out
+        # solve moved +2s, encode +0.01s: solve is the first data row.
+        rows = [line for line in out.splitlines()
+                if line.startswith(("solve", "encode"))]
+        assert rows and rows[0].startswith("solve")
+        assert "(+200%)" in rows[0]
+
+    def test_trace_diff_missing_file_errors(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(_trace([_span("solve", 0, 1000)])))
+        assert main(["trace", str(path), "--diff", str(tmp_path / "nope.json")]) == 1
+        assert "no such file" in capsys.readouterr().err
+
+
 class TestRequestStats:
     def test_stats_local_pretty_prints_sections(self, tmp_path, capsys):
         code = main(

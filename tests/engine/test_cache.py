@@ -21,6 +21,11 @@ from repro.runtime import LoweringError, lower_cached
 from repro.solver import SATSolver
 from repro.topology import Topology, dgx1, ring
 
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX hosts
+    fcntl = None
+
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 
 
@@ -130,6 +135,27 @@ class TestCacheBasics:
         assert cache._path(key).read_text(encoding="utf-8") == json.dumps(
             entry.to_json(), sort_keys=True
         )
+
+    def test_a_failed_store_leaves_no_temp_and_counts_no_store(self, cache, monkeypatch):
+        from repro.engine import CacheEntry
+        from repro.engine import cache as cache_module
+        from repro.telemetry import Metrics, set_metrics
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        entry = CacheEntry(key="ab" + "0" * 62, status="unsat", backend="test")
+        metrics = Metrics()
+        previous = set_metrics(metrics)
+        try:
+            monkeypatch.setattr(cache_module.os, "replace", refuse)
+            with pytest.raises(OSError, match="disk full"):
+                cache.store(entry)
+        finally:
+            set_metrics(previous)
+        assert metrics.value("repro_cache_stores_total") == 0.0
+        assert list(cache._path(entry.key).parent.iterdir()) == []
+        assert cache.lookup(entry.key) is None
 
     def test_unknown_not_cached(self, cache):
         instance = make_instance("Allgather", ring(6), 2, 5, 5)
@@ -390,3 +416,116 @@ class TestConcurrentMutation:
         evicted_a, evicted_b = results
         assert not (set(evicted_a) & set(evicted_b))
         assert len(cache) == 5
+
+    def test_a_filesystem_without_locks_mutates_unlocked(self, tmp_path, monkeypatch):
+        """The lock is best effort: ``ENOLCK`` (a filesystem without lock
+        support) lets evict and clear proceed unlocked instead of raising."""
+        import errno
+
+        fcntl = pytest.importorskip("fcntl")
+        real_flock = fcntl.flock
+
+        def no_locks(fd, operation):
+            if operation & fcntl.LOCK_EX:
+                raise OSError(errno.ENOLCK, "No locks available")
+            return real_flock(fd, operation)
+
+        cache = AlgorithmCache(tmp_path / "shared")
+        for index in range(3):
+            cache.store(self._entry(f"{index:x}"))
+        monkeypatch.setattr(fcntl, "flock", no_locks)
+        assert len(cache.evict(max_entries=0)) == 3
+        assert len(cache) == 0
+        cache.store(self._entry("f"))
+        cache.clear()
+        assert len(cache) == 0
+
+
+@pytest.mark.skipif(fcntl is None, reason="advisory locks need fcntl")
+class TestMutationLock:
+    """``evict`` and ``clear`` serialize on ``<root>/.lock`` when they can
+    and proceed unlocked when they cannot — never raising for the lock."""
+
+    def _filled(self, tmp_path, count=3):
+        from repro.engine import CacheEntry
+
+        cache = AlgorithmCache(tmp_path / "shared")
+        for index in range(count):
+            cache.store(CacheEntry(key=f"{index:0>64x}", status="unsat", backend="test"))
+        return cache
+
+    def _lock_is_free(self, cache):
+        """Take and drop the lock through a separate open file description."""
+        with open(cache.root / AlgorithmCache.LOCK_NAME, "a+") as handle:
+            try:
+                fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                return False
+            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+            return True
+
+    @pytest.mark.parametrize("operation", ["evict", "clear"])
+    @pytest.mark.parametrize("code", ["ENOLCK", "EOPNOTSUPP", "EINVAL", "EIO"])
+    def test_a_refused_lock_lets_the_mutation_proceed(
+        self, tmp_path, monkeypatch, operation, code
+    ):
+        import errno
+
+        real_flock = fcntl.flock
+
+        def refuse(fd, how):
+            if how & fcntl.LOCK_EX:
+                raise OSError(getattr(errno, code), code)
+            return real_flock(fd, how)
+
+        cache = self._filled(tmp_path)
+        monkeypatch.setattr(fcntl, "flock", refuse)
+        if operation == "evict":
+            assert len(cache.evict(max_entries=1)) == 2
+            assert len(cache) == 1
+        else:
+            cache.clear()
+            assert len(cache) == 0
+
+    def test_without_fcntl_mutations_proceed_unlocked(self, tmp_path, monkeypatch):
+        from repro.engine import cache as cache_module
+
+        cache = self._filled(tmp_path)
+        monkeypatch.setattr(cache_module, "fcntl", None)
+        assert len(cache.evict(max_entries=0)) == 3
+        assert not (cache.root / AlgorithmCache.LOCK_NAME).exists()
+
+    def test_an_unopenable_lock_file_lets_the_mutation_proceed(self, tmp_path):
+        cache = self._filled(tmp_path)
+        (cache.root / AlgorithmCache.LOCK_NAME).mkdir()  # open("a+") fails
+        cache.clear()
+        assert len(cache) == 0
+
+    def test_the_lock_is_held_during_the_mutation_and_released_after(
+        self, tmp_path, monkeypatch
+    ):
+        cache = self._filled(tmp_path)
+        real_evict = cache._evict_locked
+        held = []
+
+        def observe(**limits):
+            held.append(not self._lock_is_free(cache))
+            return real_evict(**limits)
+
+        monkeypatch.setattr(cache, "_evict_locked", observe)
+        assert len(cache.evict(max_entries=1)) == 2
+        assert held == [True]
+        assert self._lock_is_free(cache)
+
+    def test_the_lock_is_released_when_the_mutation_raises(self, tmp_path, monkeypatch):
+        cache = self._filled(tmp_path)
+
+        def fail(**limits):
+            raise RuntimeError("mid-eviction failure")
+
+        monkeypatch.setattr(cache, "_evict_locked", fail)
+        with pytest.raises(RuntimeError, match="mid-eviction failure"):
+            cache.evict(max_entries=1)
+        assert self._lock_is_free(cache)
+        monkeypatch.undo()
+        assert len(cache.evict(max_entries=1)) == 2

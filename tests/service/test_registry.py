@@ -104,6 +104,30 @@ class TestRegistryPersistence:
             table.to_json(), sort_keys=True
         )
 
+    def test_a_failed_save_keeps_the_old_table_and_leaves_no_temp(
+        self, registry, frontier, monkeypatch
+    ):
+        from repro.engine import cache as cache_module
+
+        request = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
+        table = build_routing_table(
+            "Allgather", ring(4), frontier.algorithms(), synchrony=1
+        )
+        key = registry.install_table(request, table)
+        path = registry._table_path(key)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cache_module.os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            registry.save_table(key, table)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+        assert registry.route(request) is not None
+
     def test_tables_memoized_until_file_changes(self, registry, frontier):
         request = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
         table = build_routing_table(

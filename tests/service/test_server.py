@@ -30,7 +30,6 @@ from repro.service import (
     request_plan,
 )
 from repro.service import server as server_module
-from repro.telemetry import PerfArchive
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = str(REPO_ROOT / "src")
@@ -332,8 +331,6 @@ class TestSubprocessSmoke:
                 server.stdout.close()
 
     def test_sigterm_is_a_clean_shutdown(self, tmp_path):
-        env = self._env(tmp_path / "cache")
-        env["REPRO_PERF_DIR"] = str(tmp_path / "perf")
         server = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve", "--port", "0",
@@ -341,7 +338,7 @@ class TestSubprocessSmoke:
                 "--routes-dir", str(tmp_path / "routes"),
             ],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-            env=env, cwd=REPO_ROOT,
+            env=self._env(tmp_path / "cache"), cwd=REPO_ROOT,
         )
         try:
             url = re.search(r"http://\S+", server.stdout.readline()).group(0)
@@ -353,10 +350,6 @@ class TestSubprocessSmoke:
             server.kill()
             server.wait()
             server.stdout.close()
-        # The resolution's archive line was held back in memory: a clean
-        # exit writes it, the default disposition would have lost it.
-        records = PerfArchive(tmp_path / "perf").records(kind="service")
-        assert [record.verdict for record in records] == ["ok"]
 
     def test_sigterm_does_not_wait_for_a_worker_mid_solve(self, tmp_path):
         server = subprocess.Popen(
