@@ -295,7 +295,9 @@ def _cmd_export(args) -> int:
         payload = plan.dumps()
 
     if args.output:
-        Path(args.output).write_text(payload, encoding="utf-8")
+        from ..engine.cache import atomic_write
+
+        atomic_write(Path(args.output), payload)
         print(f"wrote {args.format} to {args.output}")
     else:
         sys.stdout.write(payload)

@@ -24,7 +24,7 @@ from typing import List, Optional, Set, Union
 
 from ..core.algorithm import Algorithm
 from ..runtime.executor import ExecutionResult, execute
-from ..runtime.program import OpCode, Program
+from ..runtime.program import Program
 from ..runtime.simulator import SimulationResult, Simulator
 from ..topology import Link, Topology
 from .models import FaultError, FaultSet
@@ -87,24 +87,18 @@ def scan_program(
     """Every SEND of ``program`` that crosses a dead link, ordered by step.
 
     ``faults`` is either a :class:`FaultSet` (resolved against
-    ``topology``) or an explicit set of dead links.
+    ``topology``) or an explicit set of dead links.  The SENDs are read off
+    the program's step index (shared with the executor and the simulator),
+    so a scan walks no instructions of its own; a SEND at a negative step,
+    which :meth:`Program.validate` rejects, is not in it.
     """
     dead = _dead_links(faults, topology)
-    violations: List[FaultViolation] = []
-    for rank_program in program.ranks:
-        for instr in rank_program.instructions:
-            if instr.op is not OpCode.SEND:
-                continue
-            link = (rank_program.rank, instr.peer)
-            if link in dead:
-                violations.append(
-                    FaultViolation(
-                        step=instr.step,
-                        src=rank_program.rank,
-                        dst=instr.peer,
-                        chunk=instr.chunk,
-                    )
-                )
+    violations = [
+        FaultViolation(step=step, src=rank, dst=instr.peer, chunk=instr.chunk)
+        for step, sends in enumerate(program.step_index().sends)
+        for rank, instr in sends
+        if (rank, instr.peer) in dead
+    ]
     violations.sort(key=lambda v: (v.step, v.src, v.dst, v.chunk))
     return violations
 

@@ -162,11 +162,11 @@ def write_msccl_xml(
     protocol: str = "single_kernel_push",
     name: Optional[str] = None,
 ) -> Path:
-    """Emit an algorithm to ``path``; returns the path written."""
+    """Emit an algorithm to ``path``, atomically; returns the path written."""
+    from ..engine.cache import atomic_write
+
     destination = Path(path)
-    destination.write_text(
-        to_msccl_xml(algorithm, protocol=protocol, name=name), encoding="utf-8"
-    )
+    atomic_write(destination, to_msccl_xml(algorithm, protocol=protocol, name=name))
     return destination
 
 
@@ -385,19 +385,24 @@ def _collect_operations(
             send_peer = _int_attr(tb_el, "send", default=-1)
             recv_peer = _int_attr(tb_el, "recv", default=-1)
             for step_el in tb_el.findall("step"):
-                step_index = _int_attr(step_el, "s")
-                chunk = _int_attr(step_el, "srcoff")
-                op_type = step_el.get("type", "")
+                attrib = step_el.attrib
+                try:
+                    step_index = int(attrib["s"])
+                    chunk = int(attrib["srcoff"])
+                except (KeyError, ValueError):  # _int_attr raises the error text
+                    step_index = _int_attr(step_el, "s")
+                    chunk = _int_attr(step_el, "srcoff")
+                op_type = attrib.get("type", "")
                 # One chunk, same slot on both sides, is all a Send can say;
                 # anything else would be imported as a different schedule.
                 # (The text is compared first: the usual spelling needs no parse.)
-                if step_el.get("cnt", "1") != "1" and _int_attr(step_el, "cnt") != 1:
+                if attrib.get("cnt", "1") != "1" and _int_attr(step_el, "cnt") != 1:
                     raise InterchangeError(
                         f"gpu {gpu}: step {step_index} has cnt="
-                        f"{step_el.get('cnt')!r}; only single-chunk steps are supported"
+                        f"{attrib.get('cnt')!r}; only single-chunk steps are supported"
                     )
-                dstoff = step_el.get("dstoff")
-                if (dstoff is not None and dstoff != step_el.get("srcoff")
+                dstoff = attrib.get("dstoff")
+                if (dstoff is not None and dstoff != attrib["srcoff"]
                         and _int_attr(step_el, "dstoff") != chunk):
                     raise InterchangeError(
                         f"gpu {gpu}: step {step_index} has dstoff={dstoff!r} but "

@@ -173,8 +173,11 @@ def plan_from_result(result) -> AlgorithmPlan:
 # File I/O
 # ----------------------------------------------------------------------
 def write_plan(plan: AlgorithmPlan, path) -> Path:
+    """Write ``plan`` to ``path``, atomically; returns the path written."""
+    from ..engine.cache import atomic_write
+
     destination = Path(path)
-    destination.write_text(plan.dumps(), encoding="utf-8")
+    atomic_write(destination, plan.dumps())
     return destination
 
 

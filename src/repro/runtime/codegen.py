@@ -14,9 +14,9 @@ chunk/connection, threadfence between data and flag writes, push copies).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from pathlib import Path
 
-from .program import Instruction, OpCode, Program
+from .program import OpCode, Program
 
 
 class CodegenError(Exception):
@@ -72,45 +72,25 @@ __device__ static inline void wait(volatile unsigned int* flag) {
 """
 
 
-def _flag_index(chunk: int, step: int, num_chunks: int) -> int:
-    return step * num_chunks + chunk
-
-
-def _emit_instruction(instr: Instruction, num_chunks: int, protocol: str) -> List[str]:
-    flag = _flag_index(instr.chunk, instr.step, num_chunks)
-    if instr.op is OpCode.SEND:
-        copy = "cudaMemcpyAsync" if protocol == "multi_kernel_memcpy" else "push_chunk"
-        lines = []
-        if protocol == "multi_kernel_memcpy":
-            lines.append(
-                f"        cudaMemcpyAsync(peers[{instr.peer}].buffer + {instr.chunk} * CHUNK_ELEMS,"
-            )
-            lines.append(
-                f"                        local + {instr.chunk} * CHUNK_ELEMS,"
-                f" chunk_bytes, cudaMemcpyDeviceToDevice, stream);  // step {instr.step}"
-            )
-        else:
-            lines.append(
-                f"        {copy}(peers[{instr.peer}].buffer + {instr.chunk} * CHUNK_ELEMS,"
-                f" local + {instr.chunk} * CHUNK_ELEMS);  // step {instr.step}"
-            )
-        lines.append(f"        signal(&peers[{instr.peer}].flags[{flag}]);")
-        return lines
-    if instr.op is OpCode.RECV:
-        return [
-            f"        wait(&my_flags[{flag}]);  "
-            f"// chunk {instr.chunk} from rank {instr.peer}, step {instr.step}"
-        ]
-    if instr.op is OpCode.RECV_REDUCE:
-        return [
-            f"        wait(&my_flags[{flag}]);  "
-            f"// partial chunk {instr.chunk} from rank {instr.peer}, step {instr.step}",
-            f"        push_chunk_reduce(local + {instr.chunk} * CHUNK_ELEMS,"
-            f" staging + {instr.chunk} * CHUNK_ELEMS);",
-        ]
-    if instr.op is OpCode.BARRIER:
-        return [f"        // ---- step {instr.step} boundary (kernel relaunch) ----"]
-    raise CodegenError(f"unknown opcode {instr.op}")
+# One ``%`` template per opcode (and, for SEND, per protocol); ``%s`` writes
+# an int exactly as an f-string does.  A flag index is step * chunks + chunk.
+_PUSH_SEND = (
+    "        push_chunk(peers[%s].buffer + %s * CHUNK_ELEMS, local + %s * CHUNK_ELEMS);"
+    "  // step %s\n"
+    "        signal(&peers[%s].flags[%s]);\n"
+)
+_MEMCPY_SEND = (
+    "        cudaMemcpyAsync(peers[%s].buffer + %s * CHUNK_ELEMS,\n"
+    "                        local + %s * CHUNK_ELEMS, chunk_bytes, cudaMemcpyDeviceToDevice,"
+    " stream);  // step %s\n"
+    "        signal(&peers[%s].flags[%s]);\n"
+)
+_RECV = "        wait(&my_flags[%s]);  // chunk %s from rank %s, step %s\n"
+_RECV_REDUCE = (
+    "        wait(&my_flags[%s]);  // partial chunk %s from rank %s, step %s\n"
+    "        push_chunk_reduce(local + %s * CHUNK_ELEMS, staging + %s * CHUNK_ELEMS);\n"
+)
+_BARRIER = "        // ---- step %s boundary (kernel relaunch) ----\n"
 
 
 def generate_cuda_like_source(program: Program) -> str:
@@ -135,14 +115,25 @@ def generate_cuda_like_source(program: Program) -> str:
         "                            size_t chunk_bytes) {\n"
         "    switch (rank) {\n"
     )
+    append = parts.append
+    num_chunks = program.num_chunks
+    send = _MEMCPY_SEND if program.protocol == "multi_kernel_memcpy" else _PUSH_SEND
     for rank_program in program.ranks:
-        parts.append(f"    case {rank_program.rank}: {{\n")
-        for instr in rank_program.instructions:
-            for line in _emit_instruction(instr, program.num_chunks, program.protocol):
-                parts.append(line + "\n")
-        parts.append("        break;\n    }\n")
-    parts.append("    }\n}\n")
-    parts.append(_emit_host_launcher(program))
+        append(f"    case {rank_program.rank}: {{\n")
+        for (op, chunk, peer, step) in rank_program.instructions:
+            if op is OpCode.SEND:
+                append(send % (peer, chunk, chunk, step, peer, step * num_chunks + chunk))
+            elif op is OpCode.RECV:
+                append(_RECV % (step * num_chunks + chunk, chunk, peer, step))
+            elif op is OpCode.RECV_REDUCE:
+                append(_RECV_REDUCE % (step * num_chunks + chunk, chunk, peer, step, chunk, chunk))
+            elif op is OpCode.BARRIER:
+                append(_BARRIER % (step,))
+            else:
+                raise CodegenError(f"unknown opcode {op}")
+        append("        break;\n    }\n")
+    append("    }\n}\n")
+    append(_emit_host_launcher(program))
     return "".join(parts)
 
 
@@ -170,8 +161,9 @@ def _emit_host_launcher(program: Program) -> str:
 
 
 def write_source(program: Program, path: str) -> str:
-    """Generate and write the source to ``path``; returns the text."""
+    """Generate and write the source to ``path``, atomically; returns the text."""
+    from ..engine.cache import atomic_write
+
     text = generate_cuda_like_source(program)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    atomic_write(Path(path), text)
     return text

@@ -1,4 +1,4 @@
-"""Functional executor: run a lowered program on real (numpy) buffers.
+"""Functional executor: run a lowered program on real buffers.
 
 This is the correctness half of the hardware substitute.  Every rank gets
 a buffer with one slot per global chunk; SENDs copy slots between ranks'
@@ -7,7 +7,8 @@ are checked against the collective's mathematical definition, which gives
 an end-to-end test of synthesis + lowering that does not depend on the
 algorithm verifier (the two are implemented independently on purpose).
 
-Buffers hold ``float64`` values; each rank's initial contribution for chunk
+Buffers hold double-precision values (Python floats while running, one
+``float64`` array in the result); each rank's initial contribution for chunk
 ``c`` is a deterministic pseudo-random value derived from ``(rank, c)``, so
 reductions are exact (sums of distinct integers) and misplaced chunks are
 detected reliably.
@@ -17,9 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from ..collectives import get_collective
 from ..core.algorithm import Algorithm
 from .program import Program
 
@@ -50,7 +50,11 @@ class ExecutionResult:
 
 
 class Executor:
-    """Execute a :class:`~repro.runtime.program.Program` step by step."""
+    """Execute a :class:`~repro.runtime.program.Program` step by step.
+
+    The buffers are lists of Python floats (the IEEE doubles of ``float64``,
+    unboxed); :meth:`run` imports numpy only to return one ``ndarray``.
+    """
 
     def __init__(self, program: Program, algorithm: Algorithm) -> None:
         self.program = program
@@ -61,82 +65,83 @@ class Executor:
     # ------------------------------------------------------------------
     # Initial buffer state
     # ------------------------------------------------------------------
-    def initial_buffers(self) -> np.ndarray:
-        import numpy as np
-
-        buffers = np.full((self.num_ranks, self.num_chunks), np.nan)
+    def initial_buffers(self) -> List[List[float]]:
+        """One row per rank, one slot per chunk; NaN where a chunk is absent."""
+        buffers = [[math.nan] * self.num_chunks for _ in range(self.num_ranks)]
+        # Without combining, every holder starts with the origin's value.
+        origin_values = None if self.algorithm.combining else self.expected_values()
         for (chunk, node) in self.algorithm.precondition:
-            if self.algorithm.combining:
-                buffers[node, chunk] = _input_value(node, chunk)
-            else:
-                origin = min(n for (c, n) in self.algorithm.precondition if c == chunk)
-                buffers[node, chunk] = _input_value(origin, chunk)
+            buffers[node][chunk] = (
+                _input_value(node, chunk) if origin_values is None else origin_values[chunk]
+            )
         return buffers
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> ExecutionResult:
+        import numpy as np
+
         buffers = self.initial_buffers()
-        result = ExecutionResult(buffers=buffers)
         index = self.program.step_index()
+        transfers = reduced = 0
         for step, sends in enumerate(index.sends):
             # Synchronous step semantics: all sends read the buffer state at
             # the start of the step (matching V_s -> V_{s+1} in the paper).
-            snapshot = buffers.copy()
+            # Every read below happens before the step's first write, so the
+            # live buffers are that state; no snapshot is taken.
             arrivals: List[Tuple[int, int, float]] = []
-            for (rank, instr) in sends:
-                value = snapshot[rank, instr.chunk]
+            for (rank, (_, chunk, peer, _)) in sends:
+                value = buffers[rank][chunk]
                 if math.isnan(value):
                     raise ExecutionError(
-                        f"step {step}: rank {rank} sends chunk {instr.chunk} "
+                        f"step {step}: rank {rank} sends chunk {chunk} "
                         f"before it is available"
                     )
-                arrivals.append((instr.peer, instr.chunk, value))
+                arrivals.append((peer, chunk, value))
             # Match arrivals against the receive instructions to honour the
             # reduce/copy distinction recorded at lowering time.
             reduce_keys = index.reduce_keys[step]
             for (dst, chunk, value) in arrivals:
+                row = buffers[dst]
                 if (dst, chunk) in reduce_keys:
-                    current = buffers[dst, chunk]
-                    buffers[dst, chunk] = value if math.isnan(current) else current + value
-                    result.reduced_transfers += 1
+                    current = row[chunk]
+                    row[chunk] = value if math.isnan(current) else current + value
+                    reduced += 1
                 else:
-                    buffers[dst, chunk] = value
-                result.transfers += 1
-            result.steps_executed += 1
-        result.buffers = buffers
-        return result
+                    row[chunk] = value
+            transfers += len(arrivals)
+        array = np.array(buffers, dtype=np.float64).reshape(self.num_ranks, self.num_chunks)
+        return ExecutionResult(array, transfers, reduced, steps_executed=len(index.sends))
 
     # ------------------------------------------------------------------
     # Result checking
     # ------------------------------------------------------------------
-    def expected_value(self, chunk: int, node: int) -> Optional[float]:
-        """The mathematically expected buffer value at (node, chunk), or None if unconstrained."""
-        if (chunk, node) not in self.algorithm.postcondition:
-            return None
+    def expected_values(self) -> Dict[int, float]:
+        """Every chunk's final value: its lowest holder's input, or the sum of all."""
+        holders: Dict[int, List[int]] = {}
+        for (chunk, node) in self.algorithm.precondition:
+            holders.setdefault(chunk, []).append(node)
         if self.algorithm.combining:
-            contributors = sorted(
-                n for (c, n) in self.algorithm.precondition if c == chunk
-            )
-            return float(sum(_input_value(n, chunk) for n in contributors))
-        origin = min(n for (c, n) in self.algorithm.precondition if c == chunk)
-        return _input_value(origin, chunk)
+            return {
+                chunk: float(sum(_input_value(n, chunk) for n in sorted(nodes)))
+                for chunk, nodes in holders.items()
+            }
+        return {chunk: _input_value(min(nodes), chunk) for chunk, nodes in holders.items()}
 
     def check(self, result: ExecutionResult) -> None:
         """Verify the final buffers against the collective's definition."""
         buffers = result.buffers.tolist()
+        expected_values = self.expected_values()
         for (chunk, node) in self.algorithm.postcondition:
-            expected = self.expected_value(chunk, node)
             actual = buffers[node][chunk]
             if math.isnan(actual):
                 raise ExecutionError(
                     f"chunk {chunk} missing at rank {node} after execution"
                 )
             # numpy.isclose's default test, on scalars.
-            if expected is not None and not (
-                abs(actual - expected) <= 1e-8 + 1e-5 * abs(expected)
-            ):
+            expected = expected_values[chunk]
+            if not abs(actual - expected) <= 1e-8 + 1e-5 * abs(expected):
                 raise ExecutionError(
                     f"chunk {chunk} at rank {node}: expected {expected}, got {actual}"
                 )

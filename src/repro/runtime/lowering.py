@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..core.algorithm import Algorithm
-from .program import Instruction, OpCode, Program, ProgramError, RankProgram
+from .program import Instruction, OpCode, Program
 
 #: Protocols understood by the lowering, simulator and code generator.
 PROTOCOLS = ("single_kernel_push", "multi_kernel_push", "multi_kernel_memcpy")
@@ -70,22 +70,25 @@ def lower(
     )
 
     barrier_per_step = protocol.startswith("multi_kernel")
+    # Verified sends name existing ranks: append straight to each rank's list.
+    appends = [rank_program.instructions.append for rank_program in program.ranks]
+    send_op, recv_op, reduce_op = OpCode.SEND, OpCode.RECV, OpCode.RECV_REDUCE
     for step_index, step in enumerate(algorithm.steps):
         # Emit sends first, then receives: under the push model the sender
         # writes remote memory and the receiver only waits on its flag, so
         # per-rank ordering within a step does not matter; a deterministic
         # order keeps programs reproducible.
         for send in step.sends:
-            program.rank(send.src).append(
-                Instruction(op=OpCode.SEND, chunk=send.chunk, peer=send.dst, step=step_index)
-            )
-            recv_op = OpCode.RECV_REDUCE if send.op == "reduce" else OpCode.RECV
-            program.rank(send.dst).append(
-                Instruction(op=recv_op, chunk=send.chunk, peer=send.src, step=step_index)
-            )
+            chunk, src, dst = send.chunk, send.src, send.dst
+            appends[src](Instruction(send_op, chunk, dst, step_index))
+            appends[dst](Instruction(
+                reduce_op if send.op == "reduce" else recv_op, chunk, src, step_index
+            ))
         if barrier_per_step:
-            for rank in range(program.num_ranks):
-                program.rank(rank).append(Instruction(op=OpCode.BARRIER, step=step_index))
+            # Instructions are immutable: one barrier serves every rank.
+            barrier = Instruction(OpCode.BARRIER, -1, -1, step_index)
+            for append in appends:
+                append(barrier)
 
     program.validate()
     return program

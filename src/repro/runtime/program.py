@@ -22,9 +22,10 @@ mirrors what the generated CUDA does:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 
 class ProgramError(Exception):
@@ -38,13 +39,13 @@ class OpCode(Enum):
     BARRIER = "barrier"
 
 
-@dataclass(frozen=True)
-class Instruction:
-    """One instruction of a rank program.
+class Instruction(NamedTuple):
+    """One instruction of a rank program: an immutable, hashable tuple.
 
     ``chunk`` and ``peer`` are meaningful for SEND/RECV/RECV_REDUCE;
     ``step`` records which synchronous step of the source algorithm the
-    instruction implements (used for simulation and reporting).
+    instruction implements (used for simulation and reporting).  Consumers
+    unpack it as ``op, chunk, peer, step``.
     """
 
     op: OpCode
@@ -67,12 +68,6 @@ class RankProgram:
 
     def append(self, instruction: Instruction) -> None:
         self.instructions.append(instruction)
-
-    def sends(self) -> List[Instruction]:
-        return [i for i in self.instructions if i.op is OpCode.SEND]
-
-    def receives(self) -> List[Instruction]:
-        return [i for i in self.instructions if i.op in (OpCode.RECV, OpCode.RECV_REDUCE)]
 
     def transfers_by_peer(self) -> Dict[int, Dict[str, List[Instruction]]]:
         """Data-movement instructions grouped by peer.
@@ -100,46 +95,46 @@ class RankProgram:
 class StepIndex:
     """Everything the per-step consumers ask of a program, from one walk.
 
-    All three lists have one entry per synchronous step: the SENDs as
-    ``(rank, instruction)`` in rank-then-program order, the ``(rank, chunk)``
-    keys of the RECV_REDUCEs, and the ``(link, message count)`` pairs in
-    first-send order.  ``source`` is a copy of the instruction lists the
-    index was built from; comparing it with the live lists (identity checks
-    at C speed, no Python-level walk) is how a mutation is noticed.
+    ``sends`` and ``reduce_keys`` have one entry per synchronous step: the
+    SENDs as ``(rank, instruction)`` in rank-then-program order, and the
+    ``(rank, chunk)`` keys of the RECV_REDUCEs.  ``sent``/``received`` hold a
+    ``(chunk, src, dst, step)`` per SEND/receive, any step, for
+    :meth:`Program.validate`.  ``source`` is a copy of the instruction lists
+    the index was built from; comparing it with the live lists (identity
+    checks at C speed, no Python-level walk) is how a mutation is noticed.
+    ``priced`` holds the simulator's rows, so they die with the index.
     """
 
     sends: List[List[Tuple[int, Instruction]]]
     reduce_keys: List[Set[Tuple[int, int]]]
-    link_messages: List[List[Tuple[Tuple[int, int], int]]]
+    sent: List[Tuple[int, int, int, int]]
+    received: List[Tuple[int, int, int, int]]
     source: List[List[Instruction]]
+    priced: Dict[object, object] = field(default_factory=dict)
 
     @staticmethod
     def build(ranks: List[RankProgram]) -> "StepIndex":
-        sends: List[List[Tuple[int, Instruction]]] = []
-        reduce_keys: List[Set[Tuple[int, int]]] = []
-        counts: List[Dict[Tuple[int, int], int]] = []
+        sends, reduce_keys, sent, received = [], [], [], []
         source = [list(rank_program.instructions) for rank_program in ranks]
+        num_steps = 0
         for rank_program, instructions in zip(ranks, source):
             rank = rank_program.rank
             for instr in instructions:
-                step = instr.step
-                if step < 0:
-                    continue
-                while step >= len(sends):
-                    sends.append([])
-                    reduce_keys.append(set())
-                    counts.append({})
-                if instr.op is OpCode.SEND:
-                    sends[step].append((rank, instr))
-                    link = (rank, instr.peer)
-                    counts[step][link] = counts[step].get(link, 0) + 1
-                elif instr.op is OpCode.RECV_REDUCE:
-                    reduce_keys[step].add((rank, instr.chunk))
+                op, chunk, peer, step = instr
+                if step >= num_steps:  # never for a negative step
+                    sends.extend([] for _ in range(step + 1 - num_steps))
+                    reduce_keys.extend(set() for _ in range(step + 1 - num_steps))
+                    num_steps = step + 1
+                if op is OpCode.SEND:
+                    sent.append((chunk, rank, peer, step))
+                    if step >= 0:
+                        sends[step].append((rank, instr))
+                elif op is not OpCode.BARRIER:
+                    received.append((chunk, peer, rank, step))
+                    if op is OpCode.RECV_REDUCE and step >= 0:
+                        reduce_keys[step].add((rank, chunk))
         return StepIndex(
-            sends=sends,
-            reduce_keys=reduce_keys,
-            link_messages=[list(per_link.items()) for per_link in counts],
-            source=source,
+            sends=sends, reduce_keys=reduce_keys, sent=sent, received=received, source=source
         )
 
 
@@ -200,21 +195,47 @@ class Program:
         return list(sends[step]) if 0 <= step < len(sends) else []
 
     def validate(self) -> None:
-        """Structural checks: matched send/recv pairs per (chunk, step, link)."""
-        sends: Dict[Tuple[int, int, int, int], int] = {}
-        recvs: Dict[Tuple[int, int, int, int], int] = {}
-        for rank in self.ranks:
-            for instr in rank.instructions:
-                if instr.op is OpCode.SEND:
-                    key = (instr.chunk, rank.rank, instr.peer, instr.step)
-                    sends[key] = sends.get(key, 0) + 1
-                elif instr.op in (OpCode.RECV, OpCode.RECV_REDUCE):
-                    key = (instr.chunk, instr.peer, rank.rank, instr.step)
-                    recvs[key] = recvs.get(key, 0) + 1
-        if sends != recvs:
-            missing = set(sends) ^ set(recvs)
+        """Structural checks, read off :meth:`step_index` (no walk of its own).
+
+        A SEND/RECV/RECV_REDUCE must name a chunk in ``[0, num_chunks)``, a
+        peer in ``[0, num_ranks)`` and a step ``>= 0`` (the error names the
+        rank and the instruction), and each ``(chunk, src, dst, step)`` must
+        be sent as often as received (the error names up to five keys that
+        are not, with both counts).
+        """
+        index = self.step_index()
+        chunks, ranks = self.num_chunks, self.num_ranks
+        for keys, peer_column in ((index.sent, 2), (index.received, 1)):
+            columns = tuple(zip(*keys))
+            if keys and not (0 <= min(columns[0]) and max(columns[0]) < chunks
+                             and 0 <= min(columns[peer_column])
+                             and max(columns[peer_column]) < ranks and min(columns[3]) >= 0):
+                rank, instr = next(
+                    (rank_program.rank, instr)
+                    for rank_program, instructions in zip(self.ranks, index.source)
+                    for instr in instructions
+                    if instr.op is not OpCode.BARRIER and not (
+                        0 <= instr.chunk < chunks and 0 <= instr.peer < ranks and instr.step >= 0
+                    )
+                )
+                raise ProgramError(
+                    f"rank {rank}: {instr} is out of range "
+                    f"(chunk in [0, {chunks}), peer in [0, {ranks}), step >= 0)"
+                )
+        sent, received = index.sent, index.received
+        distinct = set(sent)
+        if len(distinct) == len(sent) == len(received) and distinct == set(received):
+            return  # no duplicate and no stray: the common case, at C speed
+        sent, received = Counter(sent), Counter(received)
+        unmatched = sorted(
+            (key, sent[key], received[key])
+            for key in sent.keys() | received.keys() if sent[key] != received[key]
+        )
+        if unmatched:
+            named = "; ".join(f"{key} sent {s}, received {r}" for key, s, r in unmatched[:5])
+            more = f" (+{len(unmatched) - 5} more)" if len(unmatched) > 5 else ""
             raise ProgramError(
-                f"unmatched send/recv pairs for (chunk, src, dst, step) in {sorted(missing)[:5]}"
+                f"unmatched send/recv counts for (chunk, src, dst, step): {named}{more}"
             )
 
     def describe(self) -> str:

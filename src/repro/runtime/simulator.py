@@ -154,52 +154,67 @@ class Simulator:
         return self.topology.link_latency.get((src, dst), DEFAULT_LINK_LATENCY_S)
 
     # ------------------------------------------------------------------
+    def _rows(self, program: Program, protocol: ProtocolModel) -> Tuple[list, int]:
+        """Per step ``(transfers, [(link, m, alpha + m * fixed, beta)], (m, ...))``, peak m.
+
+        Size-independent, so priced once per (cost table, fixed cost) and kept
+        on the program's step index: the rows die with the program and are
+        rebuilt with the index.  The memo keeps the cost table alive, so the
+        table's ``id`` in its key is never reused while the entry lives.
+        """
+        index = program.step_index()
+        costs = self._link_costs.setdefault(protocol.bandwidth_multiplier, {})
+        fixed = protocol.per_transfer_fixed_s
+        memo = index.priced.get((id(costs), fixed))
+        if memo is None:
+            rows = []
+            for sends in index.sends:
+                per_link: Dict[Tuple[int, int], int] = {}
+                for rank, instr in sends:
+                    link = (rank, instr.peer)
+                    per_link[link] = per_link.get(link, 0) + 1
+                links = []
+                for link, messages in per_link.items():
+                    cost = costs.get(link)
+                    if cost is None:
+                        beta = self.link_beta(link[0], link[1], protocol)
+                        cost = costs[link] = (self.link_alpha(*link), beta)
+                    links.append((link, messages, cost[0] + messages * fixed, cost[1]))
+                rows.append((len(sends), links, tuple(per_link.values())))
+            peak = max((m for row in rows for m in row[2]), default=0)
+            memo = index.priced[id(costs), fixed] = (costs, rows, peak)
+        return memo[1], memo[2]
+
     def simulate(self, program: Program, size_bytes: float) -> SimulationResult:
-        """Simulate a program for a per-node input of ``size_bytes`` bytes."""
+        """Simulate a program for a per-node input of ``size_bytes`` bytes.
+
+        On top of :meth:`_rows`, a size costs its payloads and ``base +
+        payload * beta`` per busy link: the association of ``alpha + m *
+        fixed + payload * beta``, so times are bit-identical to a rescan.
+        """
         protocol = self.protocols.get(program.protocol)
         if protocol is None:
             raise SimulationError(f"no cost model for protocol {program.protocol!r}")
         chunk_bytes = self.chunk_bytes(program, size_bytes)
-
-        # Size-independent: which links are busy with how many messages
-        # (the program's step index, one instruction walk for all sizes) and
-        # what each link costs.  Per size: the payloads and the arithmetic.
-        index = program.step_index()
-        costs = self._link_costs.setdefault(protocol.bandwidth_multiplier, {})
-        fixed = protocol.per_transfer_fixed_s
+        rows, peak = self._rows(program, protocol)
         # payloads[m] is m chunks pushed over one link, summed one by one.
         payloads = [0.0]
+        for _ in range(peak):
+            payloads.append(payloads[-1] + chunk_bytes)
 
+        sync = protocol.per_step_sync_s
         total = protocol.kernel_launch_s
         timings: List[StepTiming] = []
-        for step, messages_per_link in enumerate(index.link_messages):
+        for step, (transfers, links, messages) in enumerate(rows):
             # Sends over the same link serialize, different links run in
             # parallel.
-            link_times: Dict[Tuple[int, int], float] = {}
-            loads: List[float] = []
-            for link, messages in messages_per_link:
-                cost = costs.get(link)
-                if cost is None:
-                    beta = self.link_beta(link[0], link[1], protocol)
-                    cost = costs[link] = (self.link_alpha(*link), beta)
-                alpha, beta = cost
-                while len(payloads) <= messages:
-                    payloads.append(payloads[-1] + chunk_bytes)
-                payload = payloads[messages]
-                loads.append(payload)
-                link_times[link] = alpha + messages * fixed + payload * beta
-            busiest = max(link_times.values(), default=0.0)
-            duration = protocol.per_step_sync_s + busiest
+            link_times = {
+                link: base + payloads[count] * beta for link, count, base, beta in links
+            }
+            duration = sync + max(link_times.values(), default=0.0)
             total += duration
-            timings.append(
-                StepTiming(
-                    step=step,
-                    transfers=len(index.sends[step]),
-                    bytes_on_busiest_link=max(loads, default=0.0),
-                    duration_s=duration,
-                    link_times=link_times,
-                )
-            )
+            busiest_bytes = max(map(payloads.__getitem__, messages), default=0.0)
+            timings.append(StepTiming(step, transfers, busiest_bytes, duration, link_times))
         return SimulationResult(
             program_name=program.name,
             protocol=program.protocol,

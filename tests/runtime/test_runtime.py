@@ -46,9 +46,8 @@ class TestLowering:
         assert program.num_ranks == 4
         assert program.num_steps == ring4_allgather.num_steps
         # Every send has a matching receive.
-        sends = sum(len(r.sends()) for r in program.ranks)
-        recvs = sum(len(r.receives()) for r in program.ranks)
-        assert sends == recvs == ring4_allgather.total_sends
+        index = program.step_index()
+        assert len(index.sent) == len(index.received) == ring4_allgather.total_sends
 
     def test_multi_kernel_inserts_barriers(self, ring4_allgather):
         program = lower(ring4_allgather, protocol="multi_kernel_push")
@@ -81,6 +80,74 @@ class TestLowering:
         program.rank(0).append(Instruction(op=OpCode.SEND, chunk=0, peer=1, step=0))
         with pytest.raises(ProgramError):
             program.validate()
+
+
+def _two_ranks(sends, recvs, num_chunks=1):
+    """A 2-rank program: ``sends`` on rank 0, ``recvs`` on rank 1."""
+    program = Program(
+        name="p", collective="X", num_ranks=2, num_chunks=num_chunks, chunks_per_node=1
+    )
+    for instr in sends:
+        program.rank(0).append(instr)
+    for instr in recvs:
+        program.rank(1).append(instr)
+    return program
+
+
+class TestValidation:
+    def test_a_count_mismatch_names_the_key_and_both_counts(self):
+        send = Instruction(OpCode.SEND, chunk=0, peer=1, step=0)
+        program = _two_ranks([send, send], [Instruction(OpCode.RECV, chunk=0, peer=0, step=0)])
+        with pytest.raises(ProgramError, match=r"\(0, 0, 1, 0\) sent 2, received 1"):
+            program.validate()
+
+    def test_a_missing_send_names_the_receive(self):
+        program = _two_ranks([], [Instruction(OpCode.RECV_REDUCE, chunk=0, peer=0, step=3)])
+        with pytest.raises(ProgramError, match=r"\(0, 0, 1, 3\) sent 0, received 1"):
+            program.validate()
+
+    def test_counts_not_sets_are_compared(self):
+        sends = [Instruction(OpCode.SEND, 0, 1, 0), Instruction(OpCode.SEND, 0, 1, 1)]
+        recv = Instruction(OpCode.RECV, 0, 0, 0)
+        with pytest.raises(ProgramError, match=r"\(0, 0, 1, 0\) sent 1, received 2; "
+                                               r"\(0, 0, 1, 1\) sent 1, received 0$"):
+            _two_ranks(sends, [recv, recv]).validate()
+        # A duplicate on both sides is balanced.
+        _two_ranks([sends[0], sends[0]], [recv, recv]).validate()
+
+    def test_many_mismatches_are_counted(self):
+        sends = [Instruction(OpCode.SEND, chunk=0, peer=1, step=s) for s in range(7)]
+        with pytest.raises(ProgramError, match=r"\(0, 0, 1, 4\) sent 1, received 0 \(\+2 more\)$"):
+            _two_ranks(sends, []).validate()
+
+    @pytest.mark.parametrize("chunk, peer, step", [
+        (1, 1, 0),    # chunk past the last slot
+        (-1, 1, 0),   # a negative chunk would alias the last slot
+        (0, 1, -1),   # a negative step
+    ])
+    def test_a_matched_pair_out_of_range_is_rejected(self, chunk, peer, step):
+        program = _two_ranks(
+            [Instruction(OpCode.SEND, chunk, peer, step)],
+            [Instruction(OpCode.RECV, chunk, 0, step)],
+        )
+        with pytest.raises(ProgramError, match=(
+            rf"^rank 0: send\(chunk={chunk}, peer={peer}, step={step}\) is out of range "
+            rf"\(chunk in \[0, 1\), peer in \[0, 2\), step >= 0\)$"
+        )):
+            program.validate()
+
+    def test_a_peer_out_of_range_names_its_rank(self):
+        program = _two_ranks([Instruction(OpCode.SEND, 0, 2, 0)], [])
+        with pytest.raises(ProgramError, match=r"^rank 0: send\(chunk=0, peer=2, step=0\)"):
+            program.validate()
+        program = _two_ranks([], [Instruction(OpCode.RECV_REDUCE, 0, -1, 0)])
+        with pytest.raises(ProgramError, match=r"^rank 1: recv_reduce\(chunk=0, peer=-1, step=0\)"):
+            program.validate()
+
+    def test_barriers_and_lowered_programs_pass(self, ring4_allgather):
+        _two_ranks([Instruction(OpCode.BARRIER, step=0)], [Instruction(OpCode.BARRIER)]).validate()
+        for protocol in ("single_kernel_push", "multi_kernel_push"):
+            lower(ring4_allgather, protocol).validate()
 
 
 class TestExecution:

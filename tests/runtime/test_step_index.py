@@ -14,7 +14,7 @@ import pytest
 from repro.baselines import baseline_suite
 from repro.cli.topologies import parse_topology
 from repro.core import allreduce_from_allgather
-from repro.faults import FaultSet, LinkDegraded, simulate_with_faults
+from repro.faults import FaultSet, LinkDegraded, scan_program, simulate_with_faults
 from repro.runtime import (
     PROTOCOLS,
     Instruction,
@@ -179,24 +179,44 @@ class TestStaleness:
 
 
 class TestOnePass:
-    def test_queries_share_one_walk(self, allgather):
+    def test_queries_share_one_walk(self, allgather, monkeypatch):
         walks = []
+        built = []
+        build = program_module.StepIndex.build
 
         class CountingList(list):
             def __iter__(self):
                 walks.append(1)
                 return super().__iter__()
 
+        def counting(ranks):
+            built.append(len(ranks))
+            return build(ranks)
+
+        def query_everything(program):
+            simulator = Simulator(allgather.topology)
+            for size in SIZES:
+                simulator.simulate(program, size)
+            execute(program, allgather, check=True)
+            for step in range(program.num_steps):
+                program.sends_at_step(step)
+            program.validate()
+            scan_program(program, {(0, 1)})
+
+        monkeypatch.setattr(program_module.StepIndex, "build", staticmethod(counting))
+        # Lowering validates, and validating reads the index: it is built there.
         program = lower(allgather)
+        assert built == [program.num_ranks]
         for rank_program in program.ranks:
             rank_program.instructions = CountingList(rank_program.instructions)
-        simulator = Simulator(allgather.topology)
-        for size in SIZES:
-            simulator.simulate(program, size)
-        execute(program, allgather, check=True)
-        for step in range(program.num_steps):
-            program.sends_at_step(step)
+        query_everything(program)
+        assert walks == [] and built == [program.num_ranks]
+
+        # After an edit, one rebuild walks each rank's list once for all of them.
+        program.rank(0).append(Instruction(OpCode.BARRIER, step=0))
+        query_everything(program)
         assert len(walks) == program.num_ranks
+        assert built == [program.num_ranks] * 2
 
     def test_sweep_builds_one_index(self, allgather, monkeypatch):
         built = []
