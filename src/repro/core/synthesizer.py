@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from ..solver import SolveResult
 from ..telemetry import get_metrics, get_tracer
@@ -136,7 +136,40 @@ def synthesize(
         An :class:`~repro.engine.cache.AlgorithmCache`.  A hit returns a
         replayed result (``cache_hit=True``) without encoding or solving;
         fresh SAT/UNSAT outcomes are persisted back.
+
+    A solver call made here is counted in the metrics registry; the sweep
+    loop, which calls the uncounted :func:`_probe`, counts its own.
     """
+    result = _probe(
+        instance, encoding=encoding, prune=prune, time_limit=time_limit,
+        conflict_limit=conflict_limit, verify=verify, name=name,
+        backend=backend, cache=cache,
+    )
+    if not result.cache_hit:
+        count_solver_call(result)
+    return result
+
+
+def count_solver_call(result: SynthesisResult) -> None:
+    """Commit one solver call that produced ``result`` to the metrics registry."""
+    metrics = get_metrics()
+    metrics.inc("repro_solver_calls_total", backend=result.backend)
+    metrics.observe("repro_solve_seconds", result.solve_time, backend=result.backend)
+
+
+def _probe(
+    instance: SynCollInstance,
+    *,
+    encoding: str = "sccl",
+    prune: bool = True,
+    time_limit: Optional[float] = None,
+    conflict_limit: Optional[int] = None,
+    verify: bool = True,
+    name: Optional[str] = None,
+    backend: Optional[str] = None,
+    cache=None,
+) -> SynthesisResult:
+    """:func:`synthesize` without the metrics: one cold encode and solve."""
     from ..engine.backends import get_backend
     from ..engine.cache import instance_fingerprint, lookup_result, store_result
 
@@ -188,53 +221,74 @@ def synthesize(
         # (the formula is the empty clause): no backend sees it.
         witness = getattr(encoder, "cut_witness", None)
         handle = solver_backend.create()
-        with tracer.span("solve", backend=solver_backend.name):
-            start = time.monotonic()
-            loaded = witness is None and handle.load(ctx.cnf)
-            if not loaded:
-                status = SolveResult.UNSAT
-            else:
-                status = handle.solve(
-                    conflict_limit=conflict_limit, time_limit=time_limit
-                )
-            solve_time = time.monotonic() - start
 
-        metrics = get_metrics()
-        metrics.inc("repro_solver_calls_total", backend=solver_backend.name)
-        metrics.observe(
-            "repro_solve_seconds", solve_time, backend=solver_backend.name
-        )
-        metrics.observe("repro_encode_seconds", encode_time)
+        def solve():
+            if witness is not None or not handle.load(ctx.cnf):
+                return SolveResult.UNSAT, {}
+            status = handle.solve(conflict_limit=conflict_limit, time_limit=time_limit)
+            return status, handle.stats()
 
-        result = SynthesisResult(
-            instance=instance,
-            status=status,
-            encode_time=encode_time,
-            solve_time=solve_time,
-            encoding_stats=encoder.stats.as_dict(),
-            solver_stats=handle.stats() if loaded else {},
-            encoding=encoding,
-            backend=solver_backend.name,
-            provenance="solved" if witness is None else "bound",
-            witness=witness,
+        result = finish_probe(
+            instance, solve, lambda: encoder.decode(handle.model(), name=name),
+            backend=solver_backend.name, encoding=encoding,
+            encode_time=encode_time, encoding_stats=encoder.stats.as_dict(),
+            verify=verify, witness=witness,
         )
-        probe_span.set(verdict=status.value, cache_hit=False)
-        if status is SolveResult.SAT:
-            algorithm = encoder.decode(handle.model(), name=name)
-            if verify:
-                with tracer.span("verify"):
-                    start = time.monotonic()
-                    try:
-                        algorithm.verify()
-                    except Exception as exc:  # pragma: no cover - encoder bug guard
-                        raise SynthesisError(
-                            f"decoded algorithm fails verification: {exc}"
-                        ) from exc
-                    result.verify_time = time.monotonic() - start
-            result.algorithm = algorithm
+        probe_span.set(verdict=result.status.value, cache_hit=False)
         if cache is not None:
             store_result(cache, result, encoding=encoding, prune=prune, key=key)
         return result
+
+
+def finish_probe(
+    instance: SynCollInstance,
+    solve: Callable[[], Tuple[SolveResult, Dict[str, float]]],
+    decode: Callable[[], Algorithm],
+    *,
+    backend: str,
+    encoding: str,
+    encode_time: float,
+    encoding_stats: Dict[str, int],
+    verify: bool,
+    witness: Optional[Cut] = None,
+) -> SynthesisResult:
+    """The end every encoded probe shares, a cold formula or a family frame.
+
+    ``solve()`` runs under the ``solve`` span and returns the verdict with
+    the solver's statistics; a SAT verdict's ``decode()`` is then checked
+    by ``Algorithm.verify()`` under the ``verify`` span.
+    """
+    tracer = get_tracer()
+    with tracer.span("solve", backend=backend):
+        start = time.monotonic()
+        status, solver_stats = solve()
+        solve_time = time.monotonic() - start
+    result = SynthesisResult(
+        instance=instance,
+        status=status,
+        encode_time=encode_time,
+        solve_time=solve_time,
+        encoding_stats=encoding_stats,
+        solver_stats=solver_stats,
+        encoding=encoding,
+        backend=backend,
+        provenance="solved" if witness is None else "bound",
+        witness=witness,
+    )
+    if status is SolveResult.SAT:
+        algorithm = decode()
+        if verify:
+            with tracer.span("verify"):
+                start = time.monotonic()
+                try:
+                    algorithm.verify()
+                except Exception as exc:  # pragma: no cover - encoder bug guard
+                    raise SynthesisError(
+                        f"decoded algorithm fails verification: {exc}"
+                    ) from exc
+                result.verify_time = time.monotonic() - start
+        result.algorithm = algorithm
+    return result
 
 
 def synthesize_collective(

@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from ..solver import CNF, SATSolver, SolveResult
-from ..telemetry import get_metrics
 
 
 class BackendError(Exception):
@@ -74,7 +73,6 @@ class BackendQuarantine:
             self._total_crashes[name] = self._total_crashes.get(name, 0) + 1
             if count >= self.threshold and name not in self._quarantined_at:
                 self._quarantined_at[name] = self._clock()
-                get_metrics().inc("repro_backend_quarantined_total", backend=name)
             return name in self._quarantined_at
 
     def record_success(self, name: str) -> None:
@@ -490,10 +488,8 @@ class _DimacsHandle:
                 return SolveResult.UNKNOWN
 
             self._stats["crashes"] += 1
-            get_metrics().inc("repro_solver_crashes_total", backend=self._family)
             if attempt < self._max_retries:
                 self._stats["retries"] += 1
-                get_metrics().inc("repro_solver_retries_total", backend=self._family)
                 if self._retry_backoff_s > 0:
                     time.sleep(self._retry_backoff_s * (2 ** attempt))
 

@@ -311,20 +311,38 @@ class AlgorithmCache:
     # Lookup / store
     # ------------------------------------------------------------------
     def lookup(self, key: str) -> Optional[CacheEntry]:
+        """The entry stored under ``key`` (None on a miss), counted."""
+        entry = self._read(key)
+        self._count(entry is not None)
+        return entry
+
+    def lookup_decoded(
+        self, key: str, topology: Topology, *, verify: bool = True
+    ) -> Optional[Tuple[CacheEntry, Optional[Algorithm]]]:
+        """The entry under ``key`` with its SAT schedule decoded onto ``topology``.
+
+        None on a miss.  A schedule that no longer decodes or verifies is
+        dropped and answered as a miss; the outcome is counted once, after
+        the decode, so a corrupt entry never reads as a hit anywhere.
+        """
+        entry = self._read(key)
+        algorithm = None
+        if entry is not None and entry.status == "sat":
+            algorithm = self._decode_algorithm(entry, topology, key, verify=verify)
+            if algorithm is None:
+                entry = None
+        self._count(entry is not None)
+        return None if entry is None else (entry, algorithm)
+
+    def _read(self, key: str) -> Optional[CacheEntry]:
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 entry = CacheEntry.from_json(json.load(handle))
         except (OSError, ValueError, KeyError, CacheError):
-            self.misses += 1
-            get_metrics().inc("repro_cache_lookups_total", outcome="miss")
             return None
         if entry.key != key:
-            self.misses += 1
-            get_metrics().inc("repro_cache_lookups_total", outcome="miss")
             return None
-        self.hits += 1
-        get_metrics().inc("repro_cache_lookups_total", outcome="hit")
         # Refresh the file's mtime so LRU eviction sees recently-replayed
         # entries as hot.  Best effort: a read-only cache still serves hits.
         try:
@@ -333,14 +351,20 @@ class AlgorithmCache:
             pass
         return entry
 
+    def _count(self, hit: bool) -> None:
+        if hit:
+            self.hits += 1
+        else:
+            self.misses += 1
+        get_metrics().inc("repro_cache_lookups_total", outcome="hit" if hit else "miss")
+
     def entry_signature(self, key: str) -> Optional[Tuple[int, int, int]]:
         """The :func:`file_signature` of the entry's file."""
         return file_signature(self._path(key))
 
     def count_hit(self) -> None:
         """Count a hit answered from a decoded copy whose signature still holds."""
-        self.hits += 1
-        get_metrics().inc("repro_cache_lookups_total", outcome="hit")
+        self._count(True)
 
     def store(self, entry: CacheEntry) -> None:
         atomic_write(self._path(entry.key), json.dumps(entry.to_json(), sort_keys=True))
@@ -485,10 +509,6 @@ class AlgorithmCache:
             except OSError:
                 continue
             evicted.append(path.stem)
-        if evicted:
-            get_metrics().inc(
-                "repro_cache_evictions_total", value=float(len(evicted))
-            )
         return evicted
 
     # ------------------------------------------------------------------
@@ -516,10 +536,8 @@ class AlgorithmCache:
             collective, topology, chunks_per_node, steps, rounds,
             root=root, encoding=encoding, prune=prune,
         )
-        entry = self.lookup(key)
-        if entry is None or entry.status != "sat" or entry.algorithm is None:
-            return None
-        return self._decode_algorithm(entry, topology, key, verify=verify)
+        found = self.lookup_decoded(key, topology, verify=verify)
+        return None if found is None else found[1]
 
     def _decode_algorithm(
         self, entry: CacheEntry, topology: Topology, key: str, *, verify: bool = True
@@ -530,10 +548,8 @@ class AlgorithmCache:
             if verify:
                 algorithm.verify()
         except Exception:
-            # Corrupted or stale entry: drop it and report a miss.
+            # Corrupted or stale entry: drop it (the caller counts a miss).
             self.discard(key)
-            self.hits -= 1
-            self.misses += 1
             get_metrics().inc("repro_cache_corrupt_total")
             return None
         return algorithm
@@ -576,14 +592,10 @@ def lookup_result(
 
     if key is None:
         key = instance_fingerprint(instance, encoding=encoding, prune=prune)
-    entry = cache.lookup(key)
-    if entry is None:
+    found = cache.lookup_decoded(key, instance.topology, verify=verify)
+    if found is None:
         return None
-    algorithm = None
-    if entry.status == "sat":
-        algorithm = cache._decode_algorithm(entry, instance.topology, key, verify=verify)
-        if algorithm is None:
-            return None
+    entry, algorithm = found
     status = SolveResult.SAT if entry.status == "sat" else SolveResult.UNSAT
     return SynthesisResult(
         instance=instance,

@@ -63,6 +63,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from ..core.instance import SynCollInstance, make_instance
+from ..core.synthesizer import count_solver_call
 from ..telemetry import get_metrics, get_tracer
 from ..topology import Topology
 from .backends import QUARANTINE, get_backend, register_backend
@@ -204,12 +205,12 @@ def _solve_exact(probe: Probe):
 
     The inline executor, the pool's workers, the UNKNOWN retry and the
     probes of a budget-bound step count all answer with this, so they
-    agree bit for bit.
+    agree bit for bit.  Uncounted: the loop counts what it awaits.
     """
-    from ..core.synthesizer import synthesize
+    from ..core.synthesizer import _probe
 
     request = probe.request
-    return synthesize(
+    return _probe(
         probe.instance,
         encoding=request.encoding,
         prune=request.prune,
@@ -383,12 +384,8 @@ class PoolExecutor:
         if future is None:
             return _solve_exact(probe)
         result = future.result()  # worker errors propagate
-        # Workers run with their own (discarded) metrics registry and
-        # quarantine, so the parent replays the per-result counters here.
-        metrics = get_metrics()
-        metrics.inc("repro_solver_calls_total", backend=result.backend)
-        metrics.observe("repro_solve_seconds", result.solve_time, backend=result.backend)
-        metrics.observe("repro_encode_seconds", result.encode_time)
+        # Workers run with their own quarantine, so the parent replays the
+        # result's crash accounting into this process's.
         exhausted = int((result.solver_stats or {}).get("exhausted_calls", 0) or 0)
         for _ in range(exhausted):
             QUARANTINE.record_crash(result.backend)
@@ -603,14 +600,19 @@ class Dispatcher:
                                 backend=result.backend,
                             )
                         else:
+                            # Every awaited result is one solver call, counted
+                            # here and in the registry: the executors and the
+                            # workers beneath them count nothing.
                             stats.solver_calls += 1
                             if budget_bound:
                                 stats.encode_calls += 1
                                 result = _solve_exact(probe)
+                                count_solver_call(result)
                             else:
                                 before = executor.encode_calls
                                 result = executor.result(probe)
                                 stats.encode_calls += executor.encode_calls - before
+                                count_solver_call(result)
                                 if result.is_unknown and not executor.exact:
                                     # The UNKNOWN policy (module docstring): a
                                     # derived formula exhausted the budget.  Ask
@@ -620,11 +622,12 @@ class Dispatcher:
                                     budget_bound = True
                                     frame = result
                                     result = _solve_exact(probe)
-                                    result.encode_time += frame.encode_time
-                                    result.solve_time += frame.solve_time
                                     stats.unknown_retries += 1
                                     stats.encode_calls += 1
                                     stats.solver_calls += 1
+                                    count_solver_call(result)
+                                    result.encode_time += frame.encode_time
+                                    result.solve_time += frame.solve_time
                             if result.trace:
                                 sweep_span.adopt(result.trace)
                                 result.trace = None

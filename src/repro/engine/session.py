@@ -37,7 +37,7 @@ from typing import Dict, Optional, Tuple
 from ..core.encoding import PrefixAnalysis, ScclEncoding
 from ..core.instance import SynCollInstance, make_instance
 from ..solver import SolveResult
-from ..telemetry import get_metrics, get_tracer
+from ..telemetry import get_tracer
 from ..topology import Topology
 from .backends import SolverBackend, SolverHandle, get_backend
 
@@ -104,7 +104,6 @@ class SessionFamily:
         self.extensions = 0        # chunk-budget growths (subset of the above)
         self.rebuilds = 0          # rounds-budget overflows (full re-encodes)
         self.solver_calls = 0
-        self.encode_time = 0.0
 
     # ------------------------------------------------------------------
     # Entry management
@@ -130,9 +129,7 @@ class SessionFamily:
             )
             ctx = encoder.encode()
             elapsed = time.monotonic() - start
-        self.encode_time += elapsed
         self.encode_calls += 1
-        get_metrics().observe("repro_encode_seconds", elapsed)
         handle = self._backend.create()
         loaded = handle.load(ctx.cnf)
         entry = _FamilyEntry(
@@ -157,7 +154,6 @@ class SessionFamily:
             # Round domains are fixed at creation; rebuild this step count
             # at the larger budget (the analysis prefix is still shared).
             self.rebuilds += 1
-            get_metrics().inc("repro_family_rebuilds_total")
             return self._build_entry(
                 steps, max(want_chunks, entry.chunks_budget), want_rounds
             )
@@ -170,11 +166,8 @@ class SessionFamily:
                     self._budget_instance(steps, want_chunks, entry.rounds_budget)
                 )
                 elapsed = time.monotonic() - start
-            self.encode_time += elapsed
             self.encode_calls += 1
             self.extensions += 1
-            get_metrics().inc("repro_family_extensions_total")
-            get_metrics().observe("repro_encode_seconds", elapsed)
             # The formula grew: reload a fresh handle (learned clauses from
             # the smaller prefix are dropped, the encoding work is kept).
             handle = self._backend.create()
@@ -204,9 +197,11 @@ class SessionFamily:
         """Probe one ``(S, C, R)`` candidate; returns a SynthesisResult.
 
         ``instance`` is the candidate's instance when the caller already
-        built it (the sweep loop has); the result carries it.
+        built it (the sweep loop has); the result carries it.  The frame is
+        finished like a cold probe (:func:`~repro.core.synthesizer.finish_probe`)
+        and counted by the caller, not here.
         """
-        from ..core.synthesizer import SynthesisError, SynthesisResult
+        from ..core.synthesizer import SynthesisError, finish_probe
 
         if rounds < steps:
             raise SessionError(
@@ -224,8 +219,7 @@ class SessionFamily:
             )
         else:
             self._instances.setdefault((steps, chunks, rounds), instance)
-        tracer = get_tracer()
-        probe_ctx = tracer.span(
+        with get_tracer().span(
             "probe",
             collective=self.collective,
             C=chunks,
@@ -233,74 +227,48 @@ class SessionFamily:
             R=rounds,
             encoding="sccl",
             backend=self.backend_name,
-        )
-        with probe_ctx as probe_span:
+        ) as probe_span:
             entry = self._entry_for(steps, chunks, rounds, max_chunks, max_rounds)
             encode_time, entry.pending_encode_time = entry.pending_encode_time, 0.0
 
-            if entry.trivially_unsat:
-                status = SolveResult.UNSAT
-                solve_time = 0.0
-                solver_stats: Dict[str, float] = {}
-            else:
-                assumptions = entry.encoder.frame_assumptions(chunks, rounds)
-                with tracer.span("solve", backend=self.backend_name):
-                    start = time.monotonic()
-                    status = entry.handle.solve(
-                        assumptions, conflict_limit=conflict_limit,
-                        time_limit=time_limit,
-                    )
-                    solve_time = time.monotonic() - start
+            def solve():
+                if entry.trivially_unsat:
+                    return SolveResult.UNSAT, {}
+                status = entry.handle.solve(
+                    entry.encoder.frame_assumptions(chunks, rounds),
+                    conflict_limit=conflict_limit, time_limit=time_limit,
+                )
+                # The handle's counters are cumulative: report this frame's.
                 raw = entry.handle.stats()
-                watermarks = {"max_decision_level"}
-                solver_stats = {
-                    key: value if key in watermarks else value - entry.prev_stats.get(key, 0)
+                previous, entry.prev_stats = entry.prev_stats, dict(raw)
+                return status, {
+                    key: value if key == "max_decision_level"
+                    else value - previous.get(key, 0)
                     for key, value in raw.items()
                 }
-                entry.prev_stats = dict(raw)
-            self.solver_calls += 1
-            metrics = get_metrics()
-            metrics.inc("repro_solver_calls_total", backend=self.backend_name)
-            metrics.observe(
-                "repro_solve_seconds", solve_time, backend=self.backend_name
-            )
-            probe_span.set(verdict=status.value, cache_hit=False)
 
-            result = SynthesisResult(
-                instance=instance,
-                status=status,
-                encode_time=encode_time,
-                solve_time=solve_time,
-                encoding_stats=entry.encoder.stats.as_dict(),
-                solver_stats=solver_stats,
-                encoding="sccl",
-                backend=self.backend_name,
-            )
-            if status is SolveResult.SAT:
-                algorithm = entry.encoder.decode(
+            result = finish_probe(
+                instance, solve,
+                lambda: entry.encoder.decode(
                     entry.handle.model(), name=name, instance=instance
+                ),
+                backend=self.backend_name, encoding="sccl",
+                encode_time=encode_time,
+                encoding_stats=entry.encoder.stats.as_dict(),
+                verify=verify,
+            )
+            self.solver_calls += 1
+            probe_span.set(verdict=result.status.value, cache_hit=False)
+            algorithm = result.algorithm
+            if algorithm is not None and (
+                algorithm.total_rounds != rounds
+                or algorithm.num_chunks != instance.num_chunks
+            ):  # pragma: no cover - selector guard
+                raise SynthesisError(
+                    f"selector leak: asked for {rounds} rounds and "
+                    f"{instance.num_chunks} chunks, decoded "
+                    f"{algorithm.total_rounds} and {algorithm.num_chunks}"
                 )
-                if verify:
-                    with tracer.span("verify"):
-                        start = time.monotonic()
-                        try:
-                            algorithm.verify()
-                        except Exception as exc:  # pragma: no cover - encoder bug guard
-                            raise SynthesisError(
-                                f"decoded algorithm fails verification: {exc}"
-                            ) from exc
-                        result.verify_time = time.monotonic() - start
-                if algorithm.total_rounds != rounds:  # pragma: no cover - selector guard
-                    raise SynthesisError(
-                        f"rounds selector leak: asked for {rounds} rounds, decoded "
-                        f"{algorithm.total_rounds}"
-                    )
-                if algorithm.num_chunks != instance.num_chunks:  # pragma: no cover
-                    raise SynthesisError(
-                        f"chunk selector leak: asked for {instance.num_chunks} chunks, "
-                        f"decoded {algorithm.num_chunks}"
-                    )
-                result.algorithm = algorithm
             return result
 
     # ------------------------------------------------------------------

@@ -170,7 +170,6 @@ class Ticket:
                 return self._response
             self._detach_locked()
             self._broker._stats.expired += 1
-        get_metrics().inc("repro_broker_tickets_total", outcome="expired")
         return PlanResponse(
             status="timeout",
             request_key=self.key,
@@ -186,7 +185,6 @@ class Ticket:
                 return False
             self._detach_locked()
             self._broker._stats.cancelled += 1
-            get_metrics().inc("repro_broker_tickets_total", outcome="cancelled")
             self._response = PlanResponse(
                 status="cancelled",
                 request_key=self.key,
@@ -218,7 +216,6 @@ class Ticket:
                 time.monotonic() - self.submitted_at, coalesced=self.coalesced
             )
             self._event.set()
-            get_metrics().inc("repro_broker_tickets_total", outcome="resolved")
 
 
 class Broker:
@@ -275,9 +272,7 @@ class Broker:
             job.tickets.append(ticket)
             self._inflight[key] = job
             self._queue.append(job)
-            metrics = get_metrics()
-            metrics.inc("repro_broker_requests_total", outcome="enqueued")
-            metrics.set_gauge("repro_broker_queue_depth", float(len(self._queue)))
+            get_metrics().inc("repro_broker_requests_total", outcome="enqueued")
             self._available.notify()
             return ticket
 
@@ -292,9 +287,6 @@ class Broker:
             while True:
                 while self._queue:
                     job = self._queue.popleft()
-                    get_metrics().set_gauge(
-                        "repro_broker_queue_depth", float(len(self._queue))
-                    )
                     if job.dropped:
                         continue
                     job.started = True
@@ -331,7 +323,6 @@ class Broker:
         """
         with self._lock:
             self._stats.resolver_crashes += 1
-        get_metrics().inc("repro_broker_resolver_crashes_total")
         self.complete(
             job,
             PlanResponse(

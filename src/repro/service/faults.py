@@ -35,7 +35,6 @@ from typing import Dict, Optional
 
 from ..faults import FaultError, FaultSet
 from ..interchange.plan import topology_fingerprint
-from ..telemetry import get_metrics
 from ..topology import Topology
 from .api import FaultRequest, FaultResponse, PlanRequest, ServiceError
 
@@ -222,13 +221,6 @@ def apply_fault_request(
                 name: invalidated.get(name, 0) + stale.get(name, 0)
                 for name in set(invalidated) | set(stale)
             }
-        metrics = get_metrics()
-        for kind, count in invalidated.items():
-            if count:
-                metrics.inc(
-                    "repro_fault_invalidations_total",
-                    value=float(count), kind=kind,
-                )
 
     degraded = None
     if active:

@@ -18,8 +18,8 @@ them through :class:`SynthesisResolver`, whose fallback ladder is fixed:
    engine as the solve time limit.
 3. **baseline** — when the solver comes back UNKNOWN (deadline / resource
    limits) the resolver degrades gracefully to a hand-written baseline
-   (ring Allgather/Allreduce/Reducescatter, BFS-tree Broadcast/Reduce),
-   clearly labelled ``source="baseline"``.  Serving a correct-but-
+   (ring Allgather/Allreduce/Reducescatter, BFS-tree Broadcast/Reduce, or
+   the NCCL/RCCL schedule where no ring fits), clearly labelled ``source="baseline"``.  Serving a correct-but-
    suboptimal schedule beats serving an error.
 
 :class:`PlanningService` bundles broker + pool + registry into the
@@ -59,36 +59,17 @@ class WorkerError(ServiceError):
 # Baseline fallback
 # ----------------------------------------------------------------------
 def baseline_algorithm(collective: str, topology, *, root: int = 0):
-    """Best-effort hand-written algorithm for a collective, or None.
+    """The first hand-written algorithm that builds and verifies, or None.
 
-    Ring baselines need a Hamiltonian ring in the topology, tree baselines
-    a connected one; anything else (Gather, Scatter, Alltoall, or an
-    exotic topology) simply has no fallback.
+    The choice is :func:`~repro.baselines.baseline_suite`'s: ring or tree
+    first, then the NCCL/RCCL tables (DGX-1 has no Hamiltonian ring of
+    uniform links, but its NCCL rings verify).  Gather, Scatter, Alltoall
+    and fabrics no builder fits have no fallback.
     """
-    from ..baselines import (
-        ring_allgather,
-        ring_allreduce,
-        ring_reduce_scatter,
-        single_ring,
-        tree_broadcast,
-        tree_reduce,
-    )
+    from ..baselines import baseline_suite
 
-    try:
-        name = collective.lower()
-        if name == "allgather":
-            return ring_allgather(topology, single_ring(topology))
-        if name == "allreduce":
-            return ring_allreduce(topology, single_ring(topology))
-        if name == "reducescatter":
-            return ring_reduce_scatter(topology, single_ring(topology))
-        if name == "broadcast":
-            return tree_broadcast(topology, root=root)
-        if name == "reduce":
-            return tree_reduce(topology, root=root)
-    except Exception:
-        return None
-    return None
+    suite = baseline_suite(collective, topology, root=root)
+    return suite[0].algorithm if suite else None
 
 
 def _baseline_response(

@@ -1,19 +1,18 @@
-"""Telemetry: span tracing, a metrics registry, and their export paths.
+"""Telemetry: span tracing, a metrics registry, and their two export paths.
 
-Three pieces, all stdlib-only and all in-process: nothing here writes a
-file unless asked to (a Chrome trace path, a logging handler).
+Two pieces, both stdlib-only and in-process: nothing here writes a file
+unless asked to (a Chrome trace path).
 
 * :mod:`~repro.telemetry.tracer` — nested :class:`Span` trees recorded by a
   :class:`Tracer`; pool workers export spans as dicts and the dispatching
   sweep span re-parents them with :meth:`Span.adopt`.  Chrome trace-event
   JSON export for Perfetto.  Disabled by default via a shared no-op tracer.
-* :mod:`~repro.telemetry.metrics` — counters / gauges / histograms with
-  label sets and Prometheus text exposition (served at ``/v1/metrics``).
-* :mod:`~repro.telemetry.logbridge` — one JSONL record per finished span
-  through the stdlib ``logging`` module.
+* :mod:`~repro.telemetry.metrics` — counters and histograms with label
+  sets and Prometheus text exposition (served at ``/v1/metrics``).  Each
+  fact has one writer: the sweep loop counts the solver calls it awaits,
+  :func:`~repro.core.synthesizer.synthesize` counts its own direct calls.
 """
 
-from .logbridge import SpanLogBridge, jsonl_logging, log_metrics_snapshot
 from .metrics import (
     DEFAULT_BUCKETS,
     Metrics,
@@ -45,14 +44,11 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Span",
-    "SpanLogBridge",
     "Tracer",
     "diff_chrome_traces",
     "get_metrics",
     "get_tracer",
     "iter_spans",
-    "jsonl_logging",
-    "log_metrics_snapshot",
     "set_metrics",
     "set_tracer",
     "span_coverage",

@@ -1,12 +1,11 @@
 """Label-aware metrics registry with Prometheus text exposition.
 
-One process-wide :class:`Metrics` instance collects counters, gauges and
+One process-wide :class:`Metrics` instance collects counters and
 histograms from the engine (solver calls, cache lookups, bounds actions)
-and the service (broker queue, resolver rungs, fault invalidations).  All
-mutation goes through three calls::
+and the service (broker requests and jobs, resolver rungs).  All mutation
+goes through two calls::
 
     get_metrics().inc("repro_solver_calls_total", backend="cdcl")
-    get_metrics().set_gauge("repro_broker_queue_depth", depth)
     get_metrics().observe("repro_solve_seconds", dt, backend="cdcl")
 
 Series are keyed on ``(name, sorted label items)`` and rendered in the
@@ -120,15 +119,13 @@ class _Histogram:
 
 
 class Metrics:
-    """Thread-safe registry of counters, gauges and histograms."""
+    """Thread-safe registry of counters and histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[SeriesKey, float] = {}
-        self._gauges: Dict[SeriesKey, float] = {}
         self._histograms: Dict[SeriesKey, _Histogram] = {}
         self._types: Dict[str, str] = {}
-        self._help: Dict[str, str] = {}
         self.since = time.time()
 
     # ------------------------------------------------------------------
@@ -149,12 +146,6 @@ class Metrics:
             self._check_type(name, "counter")
             self._counters[key] = self._counters.get(key, 0.0) + value
 
-    def set_gauge(self, name: str, value: float, **labels) -> None:
-        key = (name, _label_key(labels))
-        with self._lock:
-            self._check_type(name, "gauge")
-            self._gauges[key] = float(value)
-
     def observe(self, name: str, value: float, **labels) -> None:
         key = (name, _label_key(labels))
         with self._lock:
@@ -164,16 +155,10 @@ class Metrics:
                 hist = self._histograms[key] = _Histogram(DEFAULT_BUCKETS)
             hist.observe(float(value))
 
-    def describe(self, name: str, help_text: str) -> None:
-        """Attach a ``# HELP`` line to a metric name."""
-        with self._lock:
-            self._help[name] = help_text
-
     def reset(self) -> None:
         """Drop every series and restart the ``since`` epoch (tests)."""
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
             self._types.clear()
             self.since = time.time()
@@ -187,8 +172,6 @@ class Metrics:
         with self._lock:
             if key in self._counters:
                 return self._counters[key]
-            if key in self._gauges:
-                return self._gauges[key]
             hist = self._histograms.get(key)
             return hist.sum if hist is not None else 0.0
 
@@ -197,10 +180,9 @@ class Metrics:
         wanted = set(_label_key(match))
         total = 0.0
         with self._lock:
-            for store in (self._counters, self._gauges):
-                for (series, labels), value in store.items():
-                    if series == name and wanted <= set(labels):
-                        total += value
+            for (series, labels), value in self._counters.items():
+                if series == name and wanted <= set(labels):
+                    total += value
             for (series, labels), hist in self._histograms.items():
                 if series == name and wanted <= set(labels):
                     total += hist.sum
@@ -239,10 +221,6 @@ class Metrics:
                     f"{name}{_render_labels(labels)}": value
                     for (name, labels), value in sorted(self._counters.items())
                 },
-                "gauges": {
-                    f"{name}{_render_labels(labels)}": value
-                    for (name, labels), value in sorted(self._gauges.items())
-                },
                 "histograms": {
                     f"{name}{_render_labels(labels)}": dict(
                         {"count": hist.count, "sum": hist.sum},
@@ -262,16 +240,10 @@ class Metrics:
             by_name: Dict[str, List[Tuple[LabelKey, object]]] = {}
             for (name, labels), value in self._counters.items():
                 by_name.setdefault(name, []).append((labels, value))
-            for (name, labels), value in self._gauges.items():
-                by_name.setdefault(name, []).append((labels, value))
             for (name, labels), hist in self._histograms.items():
                 by_name.setdefault(name, []).append((labels, hist))
             for name in sorted(by_name):
-                kind = self._types.get(name, "untyped")
-                if name in self._help:
-                    lines.append(f"# HELP {name} {self._help[name]}")
-                lines.append(f"# TYPE {name} {kind}")
-                estimates: List[str] = []
+                lines.append(f"# TYPE {name} {self._types[name]}")
                 for labels, value in sorted(by_name[name]):
                     if isinstance(value, _Histogram):
                         cumulative = 0
@@ -287,31 +259,10 @@ class Metrics:
                         lines.append(
                             f"{name}_count{_render_labels(labels)} {value.count}"
                         )
-                        for q_label, q in (("0.5", 0.50), ("0.95", 0.95),
-                                           ("0.99", 0.99)):
-                            ql = _render_labels(labels, ("quantile", q_label))
-                            estimates.append(
-                                f"{name}_estimate{ql} "
-                                f"{_format(value.quantile(q))}"
-                            )
-                        estimates.append(
-                            f"{name}_estimate_sum{_render_labels(labels)} "
-                            f"{_format(value.sum)}"
-                        )
-                        estimates.append(
-                            f"{name}_estimate_count{_render_labels(labels)} "
-                            f"{value.count}"
-                        )
                     else:
                         lines.append(
                             f"{name}{_render_labels(labels)} {_format(value)}"
                         )
-                if estimates:
-                    # Interpolated quantile estimates as a companion summary
-                    # family, so dashboards get p50/p95/p99 without PromQL
-                    # histogram_quantile over the bucket series.
-                    lines.append(f"# TYPE {name}_estimate summary")
-                    lines.extend(estimates)
             lines.append(
                 f"# TYPE repro_metrics_since_timestamp_seconds gauge"
             )

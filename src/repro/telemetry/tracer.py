@@ -30,7 +30,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 class Span:
@@ -149,7 +149,6 @@ class Tracer:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._roots: List[Span] = []
-        self._listeners: List[Callable[[Span], None]] = []
 
     # ------------------------------------------------------------------
     # Recording
@@ -166,8 +165,6 @@ class Tracer:
         else:
             with self._lock:
                 self._roots.append(span)
-        for listener in list(self._listeners):
-            listener(span)
 
     def span(self, name: str, **attrs) -> _SpanContext:
         """Open a nested span: ``with tracer.span("solve", S=3) as sp: ...``"""
@@ -202,16 +199,6 @@ class Tracer:
         span.attrs.update(attrs)
         span._open = False
         self._attach(span, self._stack())
-
-    def add_listener(self, listener: Callable[[Span], None]) -> None:
-        """Call ``listener(span)`` whenever a span finishes (log bridges)."""
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: Callable[[Span], None]) -> None:
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
 
     # ------------------------------------------------------------------
     # Reading / exporting
@@ -279,12 +266,6 @@ class NullTracer:
         return NULL_SPAN
 
     def close(self, span, **attrs) -> None:
-        pass
-
-    def add_listener(self, listener) -> None:
-        pass
-
-    def remove_listener(self, listener) -> None:
         pass
 
     def roots(self) -> List[Span]:

@@ -2,16 +2,12 @@
 
 from .amd_z52 import Z52_RING_ORDER, amd_z52, amd_z52_ring_order
 from .analysis import (
-    bisection_cut_capacity,
     cut_capacity,
     diameter,
     distance,
-    inverse_bisection_bandwidth,
     is_strongly_connected,
-    latency_lower_bound,
     link_utilization,
     min_node_in_capacity,
-    min_node_out_capacity,
     node_in_capacity,
     node_out_capacity,
     shortest_path_lengths,
@@ -47,7 +43,6 @@ __all__ = [
     "Z52_RING_ORDER",
     "amd_z52",
     "amd_z52_ring_order",
-    "bisection_cut_capacity",
     "cut_capacity",
     "diameter",
     "distance",
@@ -56,13 +51,10 @@ __all__ = [
     "from_edge_list",
     "fully_connected",
     "hypercube",
-    "inverse_bisection_bandwidth",
     "is_strongly_connected",
-    "latency_lower_bound",
     "line",
     "link_utilization",
     "min_node_in_capacity",
-    "min_node_out_capacity",
     "node_in_capacity",
     "node_out_capacity",
     "ring",

@@ -1,26 +1,16 @@
-"""Topology analysis: distances, diameter, bisection bandwidth.
+"""Topology analysis: distances, diameter, node and cut capacities.
 
-Algorithm 1 (Pareto-Synthesize) needs two lower bounds computed from the
-topology:
-
-* ``a_l`` — the latency lower bound, which is the diameter of the directed
-  link graph (any chunk must be able to reach the farthest node that needs
-  it, and each step moves a chunk by at most one hop), and
-* ``b_l`` — the bandwidth lower bound, the *inverse bisection bandwidth*:
-  for Allgather-style collectives every node must receive ``(P-1)/P`` of the
-  global data, so the per-node incoming capacity bounds how fast any
-  algorithm can finish.
-
-This module also provides all-pairs shortest path distances used by the
-encoder for pruning (a chunk cannot be present at a node earlier than its
-graph distance from the chunk's source).
+The facts here are collective-blind.  The paper's lower bounds ``a_l``
+and ``b_l`` depend on the collective's pre- and postcondition, so they
+live in one place, :mod:`repro.core.bounds`, which reads distances and
+cut capacities from this module.  All-pairs shortest path distances also
+drive the encoder's pruning (a chunk cannot be present at a node earlier
+than its graph distance from the chunk's source).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from .topology import Link, Topology, TopologyError
 
@@ -92,70 +82,12 @@ def min_node_in_capacity(topology: Topology) -> int:
     return min(node_in_capacity(topology, node) for node in topology.nodes())
 
 
-def min_node_out_capacity(topology: Topology) -> int:
-    return min(node_out_capacity(topology, node) for node in topology.nodes())
-
-
 def cut_capacity(topology: Topology, part: Set[int]) -> int:
     """Capacity (chunks/round) of directed links crossing from outside ``part`` into it."""
     capacity = topology.link_capacity()
     return sum(
         cap for (src, dst), cap in capacity.items() if dst in part and src not in part
     )
-
-
-def bisection_cut_capacity(topology: Topology, exact_limit: int = 12) -> int:
-    """Minimum incoming capacity over all (near-)balanced bipartitions.
-
-    For small node counts (``P <= exact_limit``) every balanced bipartition
-    is enumerated; beyond that a node-local lower bound is used, which is
-    exact for the topologies in the paper.
-    """
-    n = topology.num_nodes
-    if n < 2:
-        return 0
-    half = n // 2
-    if n <= exact_limit:
-        best: Optional[int] = None
-        nodes = list(topology.nodes())
-        for subset in combinations(nodes, half):
-            part = set(subset)
-            cut = min(cut_capacity(topology, part), cut_capacity(topology, set(nodes) - part))
-            if best is None or cut < best:
-                best = cut
-        return best if best is not None else 0
-    return min_node_in_capacity(topology)
-
-
-def inverse_bisection_bandwidth(
-    topology: Topology, per_node_fraction: Optional[Fraction] = None
-) -> Fraction:
-    """Bandwidth lower bound ``b_l`` in rounds per (per-node) chunk.
-
-    For an Allgather each node must receive the other ``P - 1`` nodes'
-    data; with an aggregate incoming capacity of ``cap`` chunks per round
-    the best achievable bandwidth cost (the ``R / C`` ratio of a schedule)
-    is ``(P - 1) / cap``.  The DGX-1 figure from Section 2.4 — ``7/6`` —
-    falls out of this directly (7 peer chunks over 6 incoming NVLinks).
-
-    ``per_node_fraction`` overrides the numerator for collectives that move
-    less data (e.g. Broadcast needs each non-root to receive 1 chunk's worth
-    per input chunk).
-    """
-    cap = min_node_in_capacity(topology)
-    if cap == 0:
-        raise TopologyError(f"node with zero incoming capacity in {topology.name!r}")
-    numerator = (
-        per_node_fraction
-        if per_node_fraction is not None
-        else Fraction(topology.num_nodes - 1, 1)
-    )
-    return Fraction(numerator, cap)
-
-
-def latency_lower_bound(topology: Topology) -> int:
-    """Latency lower bound ``a_l`` = topology diameter (steps)."""
-    return diameter(topology)
 
 
 def link_utilization(topology: Topology, sends_per_link: Dict[Link, int]) -> Dict[Link, float]:

@@ -198,6 +198,34 @@ class TestCacheBasics:
         assert lookup_result(cache, instance) is None
         assert not path.exists()  # the bad entry was discarded
 
+    @pytest.mark.parametrize("read", ["lookup_result", "load_algorithm"])
+    def test_a_corrupt_entry_is_one_miss_everywhere(self, cache, read):
+        """The registry and ``stats()`` count the same outcome: a schedule
+        that no longer decodes is a miss (and a corrupt entry), never a hit."""
+        from repro.telemetry import Metrics, set_metrics
+
+        instance = make_instance("Allgather", ring(4), 1, 2, 3)
+        synthesize(instance, cache=cache)
+        path = cache._path(instance_fingerprint(instance))
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["algorithm"]["steps"] = data["algorithm"]["steps"][:1]
+        path.write_text(json.dumps(data), encoding="utf-8")
+
+        reader = AlgorithmCache(cache.root)
+        metrics = Metrics()
+        previous = set_metrics(metrics)
+        try:
+            if read == "lookup_result":
+                assert lookup_result(reader, instance) is None
+            else:
+                assert reader.load_algorithm("Allgather", instance.topology, 1, 2, 3) is None
+        finally:
+            set_metrics(previous)
+        assert (reader.stats()["hits"], reader.stats()["misses"]) == (0, 1)
+        assert metrics.value("repro_cache_lookups_total", outcome="hit") == 0
+        assert metrics.value("repro_cache_lookups_total", outcome="miss") == 1
+        assert metrics.value("repro_cache_corrupt_total") == 1
+
 
 class TestWarmRunsPerformZeroSolverCalls:
     def test_warm_synthesize_never_touches_the_solver(self, cache, monkeypatch):

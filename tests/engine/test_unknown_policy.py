@@ -68,7 +68,8 @@ def _unknown_exact_solve(monkeypatch, encode_time=0.0, solve_time=0.0):
             encode_time=encode_time, solve_time=solve_time,
         )
 
-    monkeypatch.setattr(synthesizer, "synthesize", fake_synthesize)
+    # The sweep loop's exact formula is the uncounted ``_probe``.
+    monkeypatch.setattr(synthesizer, "_probe", fake_synthesize)
 
 
 class TestExactRetry:

@@ -160,6 +160,27 @@ class TestBaselines:
     def test_no_baseline_for_alltoall(self):
         assert baseline_algorithm("Alltoall", ring(4)) is None
 
+    @pytest.mark.parametrize("collective", ["Allgather", "Allreduce", "Reducescatter"])
+    def test_dgx1_has_a_baseline_rung(self, collective):
+        """DGX-1 has no ring baseline, but its NCCL rings verify: an UNKNOWN
+        solve there is answered from the baseline rung, not timed out."""
+        import time
+
+        from repro.interchange import AlgorithmPlan
+        from repro.service.workers import _baseline_response
+        from repro.topology import dgx1
+
+        request = PlanRequest(collective, "dgx1", chunks=1, steps=2, rounds=3)
+        response = _baseline_response(
+            request, request.request_key(), reason="solver deadline exceeded",
+            started=time.monotonic(),
+        )
+        assert (response.status, response.source) == ("ok", "baseline")
+        # Re-read at the trust boundary: the schedule verifies on DGX-1.
+        plan = AlgorithmPlan.from_json(response.plan, verify=True)
+        assert plan.matches_topology(dgx1())
+        assert plan.algorithm.collective == collective
+
 
 class TestEndToEndCoalescing:
     def test_eight_concurrent_identical_requests_one_solve(self, registry):

@@ -1,6 +1,6 @@
 """End-to-end telemetry tests: the instrumented hot path under every
-strategy, metric/stat agreement, worker-span re-parenting, the JSONL
-bridge, and the no-op overhead guard.
+strategy, metric/stat agreement (one writer per fact), worker-span
+re-parenting, and the no-op overhead guard.
 """
 
 import json
@@ -16,7 +16,6 @@ from repro.telemetry import (
     Tracer,
     get_tracer,
     iter_spans,
-    jsonl_logging,
     set_metrics,
     span_coverage,
     tracing,
@@ -101,6 +100,11 @@ def test_parallel_worker_spans_reparented(metrics):
     assert pool_probes, "no probe spans came back from pool workers"
     for probe in pool_probes:
         assert any(c.name == "solve" for c in probe.children)
+    # The loop counts what it awaited; the workers count nothing.
+    assert (
+        metrics.total("repro_solver_calls_total")
+        == frontier.engine_stats["solver_calls"]
+    )
 
 
 def test_speculative_sweep_many_spans(metrics):
@@ -191,29 +195,50 @@ def test_pareto_trace_kwarg_accepts_tracer():
 
 
 # ----------------------------------------------------------------------
-# JSONL logging bridge
+# One writer per fact: the sweep loop, or a direct synthesize() call
 # ----------------------------------------------------------------------
-def test_jsonl_bridge_streams_span_records(tmp_path, metrics):
-    from repro.telemetry import log_metrics_snapshot
+def _solve_count(metrics):
+    (hist,) = metrics.snapshot()["histograms"].values()
+    return hist["count"]
 
-    path = tmp_path / "spans.jsonl"
-    tracer = Tracer()
-    with jsonl_logging(path, tracer):
-        with tracing(tracer):
-            pareto_synthesize("Gather", line(3), k=0, max_steps=4, strategy="serial")
-        log_metrics_snapshot(metrics)
 
-    records = [json.loads(row) for row in path.read_text().splitlines()]
-    spans = [r for r in records if r["event"] == "span"]
-    assert {"pareto", "sweep", "probe"} <= {r["name"] for r in spans}
-    for record in spans:
-        assert set(record) == {
-            "event", "name", "start_s", "duration_s", "pid", "tid", "attrs"
-        }
-    (snapshot,) = [r for r in records if r["event"] == "metrics"]
-    assert any(
-        key.startswith("repro_solver_calls_total") for key in snapshot["counters"]
+def test_budget_bound_sweep_counts_the_retry_once(metrics):
+    """DGX-1 Broadcast under 100 conflicts: one S=3 frame exhausts and is
+    retried on the exact formula.  Both solver calls are counted once, by
+    the loop, and the rest of S=3 is counted where it is solved."""
+    from repro.topology import dgx1
+
+    frontier = pareto_synthesize(
+        "Broadcast", dgx1(), k=1, max_steps=3, max_chunks=8,
+        conflict_limit=100, strategy="incremental",
     )
+    stats = frontier.engine_stats
+    assert stats["unknown_retries"] == 1
+    assert metrics.total("repro_solver_calls_total") == stats["solver_calls"]
+    assert _solve_count(metrics) == stats["solver_calls"]
+
+
+def test_a_direct_family_solve_writes_no_series(metrics):
+    from repro.engine.session import SessionFamily
+
+    result = SessionFamily("Allgather", ring(4)).solve(2, 1, 3)
+    assert result.is_sat
+    assert metrics.snapshot()["counters"] == {}
+    assert metrics.snapshot()["histograms"] == {}
+
+
+def test_a_direct_synthesize_writes_one_solver_call(metrics, tmp_path):
+    from repro.core import make_instance, synthesize
+    from repro.engine import AlgorithmCache
+
+    instance = make_instance("Allgather", ring(4), 1, 2, 3)
+    cache = AlgorithmCache(tmp_path)
+    assert synthesize(instance, cache=cache).is_sat
+    assert metrics.total("repro_solver_calls_total") == 1
+    assert _solve_count(metrics) == 1
+    # A replay runs no solver and counts none.
+    assert synthesize(instance, cache=cache).cache_hit
+    assert metrics.total("repro_solver_calls_total") == 1
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.telemetry import (
 
 
 # ----------------------------------------------------------------------
-# Counters / gauges / histograms
+# Counters / histograms
 # ----------------------------------------------------------------------
 def test_counters_accumulate_per_label_set():
     metrics = Metrics()
@@ -29,13 +29,6 @@ def test_counters_accumulate_per_label_set():
     assert metrics.total("repro_solver_calls_total", backend="cdcl") == 2.0
     # Unknown series read as zero, not KeyError.
     assert metrics.value("repro_solver_calls_total", backend="z3") == 0.0
-
-
-def test_gauges_overwrite():
-    metrics = Metrics()
-    metrics.set_gauge("repro_broker_queue_depth", 4.0)
-    metrics.set_gauge("repro_broker_queue_depth", 2.0)
-    assert metrics.value("repro_broker_queue_depth") == 2.0
 
 
 def test_histograms_track_sum_count_and_buckets():
@@ -53,9 +46,10 @@ def test_type_confusion_is_an_error():
     metrics = Metrics()
     metrics.inc("repro_solver_calls_total")
     with pytest.raises(MetricsError):
-        metrics.set_gauge("repro_solver_calls_total", 1.0)
-    with pytest.raises(MetricsError):
         metrics.observe("repro_solver_calls_total", 1.0)
+    metrics.observe("repro_solve_seconds", 1.0)
+    with pytest.raises(MetricsError):
+        metrics.inc("repro_solve_seconds")
 
 
 # ----------------------------------------------------------------------
@@ -63,19 +57,18 @@ def test_type_confusion_is_an_error():
 # ----------------------------------------------------------------------
 def test_prometheus_rendering_format():
     metrics = Metrics()
-    metrics.describe("repro_cache_lookups_total", "algorithm cache lookups")
     metrics.inc("repro_cache_lookups_total", outcome="hit")
     metrics.inc("repro_cache_lookups_total", value=2.0, outcome="miss")
-    metrics.set_gauge("repro_broker_queue_depth", 3.0)
+    metrics.observe("repro_solve_seconds", 0.5)
 
     text = metrics.render_prometheus()
     lines = text.splitlines()
-    assert "# HELP repro_cache_lookups_total algorithm cache lookups" in lines
     assert "# TYPE repro_cache_lookups_total counter" in lines
     assert 'repro_cache_lookups_total{outcome="hit"} 1' in lines
     assert 'repro_cache_lookups_total{outcome="miss"} 2' in lines
-    assert "# TYPE repro_broker_queue_depth gauge" in lines
-    assert "repro_broker_queue_depth 3" in lines
+    assert "# TYPE repro_solve_seconds histogram" in lines
+    # Buckets, sum and count only: quantiles are served by /v1/stats.
+    assert not any("_estimate" in line for line in lines)
     # The registry's window is dated so scrapers can detect resets.
     assert any(
         line.startswith("repro_metrics_since_timestamp_seconds ") for line in lines
@@ -132,17 +125,6 @@ def test_quantiles_unknown_series_is_empty():
     assert Metrics().quantiles("repro_solve_seconds") == {}
 
 
-def test_prometheus_estimate_family():
-    metrics = Metrics()
-    for value in (0.004, 0.04, 0.4, 4.0):
-        metrics.observe("repro_solve_seconds", value, backend="cdcl")
-    text = metrics.render_prometheus()
-    assert "# TYPE repro_solve_seconds_estimate summary" in text
-    assert 'repro_solve_seconds_estimate{backend="cdcl",quantile="0.5"}' in text
-    assert 'repro_solve_seconds_estimate{backend="cdcl",quantile="0.99"}' in text
-    assert 'repro_solve_seconds_estimate_count{backend="cdcl"} 4' in text
-
-
 def test_histogram_buckets_are_per_bucket_counts():
     """Intermediate cumulative bucket lines must be correct, not just the
     first and +Inf ones (a double-cumulation bug once hid here)."""
@@ -167,7 +149,7 @@ def test_reset_zeros_series_and_restamps_since():
     assert metrics.total("repro_solver_calls_total") == 0.0
     assert metrics.since > before
     # The name is free for a different type after a reset.
-    metrics.set_gauge("repro_solver_calls_total", 1.0)
+    metrics.observe("repro_solver_calls_total", 1.0)
 
 
 def test_set_metrics_swaps_registry():
@@ -194,7 +176,6 @@ def test_concurrent_increments_are_lossless():
         for _ in range(per_thread):
             metrics.inc("repro_solver_calls_total", backend=backend)
             metrics.observe("repro_solve_seconds", 0.001, backend=backend)
-            metrics.set_gauge("repro_broker_queue_depth", float(index))
 
     workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
     for worker in workers:
@@ -206,3 +187,25 @@ def test_concurrent_increments_are_lossless():
     assert metrics.value("repro_solver_calls_total", backend="cdcl") == 4 * per_thread
     text = metrics.render_prometheus()
     assert f'repro_solve_seconds_count{{backend="cdcl"}} {4 * per_thread}' in text
+
+
+# ----------------------------------------------------------------------
+# The README metric table is the list of series: no more, no fewer
+# ----------------------------------------------------------------------
+def test_readme_metric_table_names_every_series_written():
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[2]
+    written = set()
+    for path in (root / "src").rglob("*.py"):
+        written.update(re.findall(r"\brepro_[a-z_]+", path.read_text(encoding="utf-8")))
+
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Metric names (all prefixed `repro_`", 1)[1].split("\n\n")[1]
+    documented = set()
+    for row in table.splitlines()[2:]:
+        first_cell = row.split("|")[1]
+        documented.update("repro_" + name for name in re.findall(r"`(\w+)`", first_cell))
+
+    assert written == documented

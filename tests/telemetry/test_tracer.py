@@ -242,18 +242,3 @@ def test_set_tracer_none_restores_null():
     assert previous is NULL_TRACER
     set_tracer(None)
     assert get_tracer() is NULL_TRACER
-
-
-def test_listener_sees_finished_spans():
-    tracer = Tracer()
-    seen = []
-    tracer.add_listener(seen.append)
-    with tracer.span("sweep"):
-        with tracer.span("probe"):
-            pass
-    # Children finish before their parents.
-    assert [s.name for s in seen] == ["probe", "sweep"]
-    tracer.remove_listener(seen.append)
-    with tracer.span("late"):
-        pass
-    assert [s.name for s in seen] == ["probe", "sweep"]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.bounds import BoundsError, lower_bounds
 from repro.topology import (
     TopologyError,
     Topology,
@@ -13,9 +14,7 @@ from repro.topology import (
     distance,
     fully_connected,
     hypercube,
-    inverse_bisection_bandwidth,
     is_strongly_connected,
-    latency_lower_bound,
     line,
     link_utilization,
     min_node_in_capacity,
@@ -73,20 +72,22 @@ def test_cut_capacity():
     assert cut_capacity(topo, {0, 1}) == 2
 
 
-def test_inverse_bisection_bandwidth_ring():
+def test_allgather_bandwidth_bound_ring():
     # Ring of 8, capacity 2 in per node: (8-1)/2.
-    assert inverse_bisection_bandwidth(ring(8)) == Fraction(7, 2)
+    assert lower_bounds("Allgather", ring(8)) == (4, Fraction(7, 2))
 
 
-def test_inverse_bisection_bandwidth_zero_capacity():
+def test_allgather_bounds_need_a_path_in():
     topo = Topology(name="t", num_nodes=2)
     topo.add_link(0, 1)
-    with pytest.raises(TopologyError):
-        inverse_bisection_bandwidth(topo)
+    with pytest.raises(BoundsError):
+        lower_bounds("Allgather", topo)
 
 
 def test_latency_lower_bound_equals_diameter():
-    assert latency_lower_bound(ring(6)) == 3
+    for n in (2, 5, 6, 9):
+        latency, _ = lower_bounds("Allgather", ring(n))
+        assert latency == diameter(ring(n))
 
 
 def test_link_utilization():

@@ -2,13 +2,13 @@
 
 from fractions import Fraction
 
+from repro.core.bounds import lower_bounds
 from repro.topology import (
     amd_z52,
     amd_z52_ring_order,
     diameter,
     dgx1,
     dgx1_logical_rings,
-    inverse_bisection_bandwidth,
     is_strongly_connected,
     min_node_in_capacity,
     node_in_capacity,
@@ -43,7 +43,7 @@ class TestDGX1:
 
     def test_allgather_bandwidth_lower_bound_is_seven_sixths(self):
         # Section 2.4: any Allgather needs at least 7/6 * L * beta.
-        assert inverse_bisection_bandwidth(dgx1()) == Fraction(7, 6)
+        assert lower_bounds("Allgather", dgx1()) == (2, Fraction(7, 6))
 
     def test_six_logical_rings(self):
         rings = dgx1_logical_rings()
@@ -84,7 +84,7 @@ class TestAmdZ52:
 
     def test_allgather_bandwidth_lower_bound(self):
         # Table 5: the bandwidth-optimal Allgather is (C=2, R=7) => 7/2.
-        assert inverse_bisection_bandwidth(amd_z52()) == Fraction(7, 2)
+        assert lower_bounds("Allgather", amd_z52()) == (4, Fraction(7, 2))
 
     def test_symmetric(self):
         assert amd_z52().is_symmetric()
