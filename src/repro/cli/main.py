@@ -597,10 +597,12 @@ def _print_section(title: str, rows) -> None:
 
 
 def _cmd_request_stats(args) -> int:
-    from ..service import PlanningService, ServiceError, fetch_stats
+    from ..service import ServiceError, fetch_stats
 
     try:
         if args.local:
+            from ..service import PlanningService
+
             with PlanningService(_make_registry(args), num_workers=args.workers) as service:
                 stats = service.stats()
         else:
@@ -654,7 +656,7 @@ def _cmd_request_stats(args) -> int:
 
 
 def _cmd_request(args) -> int:
-    from ..service import PlanningService, ServiceError, request_plan
+    from ..service import ServiceError, request_plan
 
     if args.stats:
         return _cmd_request_stats(args)
@@ -665,6 +667,8 @@ def _cmd_request(args) -> int:
     request = _build_plan_request(args)
     try:
         if args.local:
+            from ..service import PlanningService
+
             with PlanningService(_make_registry(args), num_workers=args.workers) as service:
                 response = service.request(request)
         else:
@@ -867,13 +871,29 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _cmd_backends(args) -> int:
+    from ..engine.backends import available_backends
+
+    print("\n".join(available_backends()))
+    return 0
+
+
 # ----------------------------------------------------------------------
 # Parser assembly
 # ----------------------------------------------------------------------
-def build_parser() -> argparse.ArgumentParser:
-    from ..engine.backends import available_backends
-    from ..engine.dispatch import STRATEGIES
+class _StrategyChoices:
+    """``--strategy`` choices: the engine loads when they are matched or listed."""
 
+    def __iter__(self):
+        from ..engine.dispatch import STRATEGIES
+
+        return iter((*STRATEGIES, "auto"))
+
+    def __contains__(self, name) -> bool:
+        return name in tuple(self)
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SCCL reproduction toolchain: synthesize, inspect and "
@@ -917,10 +937,11 @@ def build_parser() -> argparse.ArgumentParser:
     pareto.add_argument("--max-chunks", type=int, default=None)
     pareto.add_argument(
         "--strategy",
-        choices=(*STRATEGIES, "auto"),
+        choices=_StrategyChoices(),
+        metavar="STRATEGY",
         default="incremental",
-        help="candidate-sweep strategy (default incremental; auto picks from "
-        "the host's core count and the instance size)",
+        help="candidate-sweep strategy: %(choices)s (default incremental; auto "
+        "picks from the host's core count and the instance size)",
     )
     pareto.add_argument(
         "--no-bounds", action="store_true",
@@ -1105,7 +1126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # backends ---------------------------------------------------------
     backends = subparsers.add_parser("backends", help="list registered solver backends")
-    backends.set_defaults(func=lambda args: print("\n".join(available_backends())) or 0)
+    backends.set_defaults(func=_cmd_backends)
 
     return parser
 

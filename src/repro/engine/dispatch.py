@@ -58,9 +58,10 @@ speculative 0.31 s).
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple,
+)
 
 from ..core.instance import SynCollInstance, make_instance
 from ..core.synthesizer import count_solver_call
@@ -70,6 +71,9 @@ from .backends import QUARANTINE, get_backend, register_backend
 from .bounds import CUT, PROBE, PRUNE, BoundsLedger, ProbePlan, cut_result
 from .cache import AlgorithmCache, instance_fingerprint, lookup_result, store_result
 from .session import SessionFamily
+
+if TYPE_CHECKING:  # the pool's modules load with the pool, in ``prefetch``
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 #: The sweep strategy names — the only list of them; the CLI choices and
 #: ``resolve_strategy`` derive theirs from it.
@@ -335,7 +339,8 @@ class PoolExecutor:
     ``prefetch`` submits the hinted probes it has not seen (FIFO, so the
     current step count runs first) and cancels the ones no longer hinted;
     ``result`` waits for one.  The pool starts with the first hint that
-    holds two probes — with nothing to overlap, ``result`` solves inline.
+    holds two probes — with nothing to overlap, ``result`` solves inline —
+    and the pool's modules (``multiprocessing``) load with the pool.
     Only awaited results are accounted, stored or observed.  A loser that
     was already running cannot be cancelled; it finishes in its worker and
     only its spans are kept, under a ``pool`` span, so a trace shows what
@@ -368,6 +373,8 @@ class PoolExecutor:
         if self._pool is None:
             if len(wanted) < 2:
                 return
+            from concurrent.futures import ProcessPoolExecutor
+
             self._span = get_tracer().open("pool", workers=self._workers)
             self._pool = ProcessPoolExecutor(
                 max_workers=self._workers,

@@ -11,7 +11,19 @@ algorithm on deadline expiry (:mod:`~repro.service.workers`), a registry
 layering buffer-size routing tables over the algorithm cache
 (:mod:`~repro.service.registry`), and a stdlib HTTP endpoint plus client
 (:mod:`~repro.service.server`) behind ``repro serve`` / ``repro request``.
+
+``import repro.service`` loads the client only, not the synthesis stack:
+client names are the wire format (``PlanRequest``, ``PlanResponse``,
+``FaultRequest``, ``FaultResponse``, ``ServiceError``, ``API_VERSION``,
+``DEFAULT_DEADLINE_S``, ``FAULT_ACTIONS``) and the HTTP transport
+(``request_plan``, ``request_fault``, ``fetch_stats``, ``fetch_metrics``,
+``check_health``, ``make_server``, ``ServerThread``, ``PlanningHTTPServer``,
+``DEFAULT_HOST``, ``DEFAULT_PORT``).  Server names — the broker's, the
+fault board's, the registry's and the workers' (``PlanningService``, ...),
+listed in ``_SERVER_NAMES`` — load on first access.
 """
+
+import importlib
 
 from .api import (
     API_VERSION,
@@ -22,18 +34,6 @@ from .api import (
     PlanRequest,
     PlanResponse,
     ServiceError,
-)
-from .broker import Broker, BrokerError, BrokerStats, Job, Ticket
-from .faults import FaultBoard, apply_fault_request
-from .registry import (
-    DEFAULT_ROUTE_SIZES,
-    PlanRegistry,
-    RegistryError,
-    RouteEntry,
-    RoutingTable,
-    build_routing_table,
-    default_registry,
-    routing_key,
 )
 from .server import (
     DEFAULT_HOST,
@@ -47,13 +47,31 @@ from .server import (
     request_fault,
     request_plan,
 )
-from .workers import (
-    PlanningService,
-    SynthesisResolver,
-    WorkerError,
-    WorkerPool,
-    baseline_algorithm,
-)
+
+#: Server-side names, by the submodule that defines them.
+_SERVER_NAMES = {
+    "broker": ("Broker", "BrokerError", "BrokerStats", "Job", "Ticket"),
+    "faults": ("FaultBoard", "apply_fault_request"),
+    "registry": ("DEFAULT_ROUTE_SIZES", "PlanRegistry", "RegistryError", "RouteEntry",
+                 "RoutingTable", "build_routing_table", "default_registry", "routing_key"),
+    "workers": ("PlanningService", "SynthesisResolver", "WorkerError", "WorkerPool",
+                "baseline_algorithm"),
+}
+_LAZY = {name: module for module, names in _SERVER_NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "API_VERSION",

@@ -29,11 +29,13 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..cli.topologies import TopologySpecError, parse_topology
-from ..interchange.plan import AlgorithmPlan
 from ..topology import Topology
+
+if TYPE_CHECKING:
+    from ..interchange.plan import AlgorithmPlan
 
 API_VERSION = 1
 
@@ -99,8 +101,8 @@ class PlanRequest:
             raise ServiceError("size_bytes must be positive")
         if self.synchrony < 0:
             raise ServiceError("synchrony must be non-negative")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ServiceError("deadline_s must be positive")
+        if self.deadline_s is not None and not 0 < self.deadline_s < float("inf"):
+            raise ServiceError("deadline_s must be a finite positive number")
         if self.encoding not in ("sccl", "naive"):
             raise ServiceError(f"unknown encoding {self.encoding!r}")
         self.resolve_topology()
@@ -196,19 +198,19 @@ class PlanRequest:
             request = cls(
                 collective=str(data["collective"]),
                 topology=str(data["topology"]),
-                chunks=_opt_int(data, "chunks"),
-                steps=_opt_int(data, "steps"),
-                rounds=_opt_int(data, "rounds"),
-                root=int(data.get("root", 0)),
-                size_bytes=_opt_int(data, "size_bytes"),
-                synchrony=int(data.get("synchrony", 2)),
-                deadline_s=_opt_float(data, "deadline_s"),
+                chunks=_field(data, "chunks", int),
+                steps=_field(data, "steps", int),
+                rounds=_field(data, "rounds", int),
+                root=_field(data, "root", int, 0),
+                size_bytes=_field(data, "size_bytes", int),
+                synchrony=_field(data, "synchrony", int, 2),
+                deadline_s=_field(data, "deadline_s", float),
                 backend=data.get("backend"),
                 encoding=str(data.get("encoding", "sccl")),
-                prune=bool(data.get("prune", True)),
+                prune=_field(data, "prune", bool, True),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ServiceError(f"malformed request: {exc}") from exc
+        except KeyError as exc:
+            raise ServiceError(f"malformed request: missing {exc}") from exc
         return request.validate()
 
     def describe(self) -> str:
@@ -219,14 +221,21 @@ class PlanRequest:
         return f"{self.collective} on {self.topology} [{shape}]"
 
 
-def _opt_int(data: dict, key: str) -> Optional[int]:
-    value = data.get(key)
-    return None if value is None else int(value)
+_JSON_TYPES = {int: "an integer", float: "a number", bool: "a boolean"}
 
 
-def _opt_float(data: dict, key: str) -> Optional[float]:
-    value = data.get(key)
-    return None if value is None else float(value)
+def _field(data: dict, key: str, kind: type, default=None):
+    """``data[key]`` if it is a JSON ``kind`` (null only where the default is
+    None).  An integral float counts as an integer and an integer as a number;
+    nothing else is coerced: ``int(1.9)`` or ``bool("false")`` asks another question."""
+    value = data.get(key, default)
+    if type(value) is kind or (value is None and default is None):
+        return value
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    if kind is float and type(value) is int:
+        return float(value)
+    raise ServiceError(f"{key} must be {_JSON_TYPES[kind]}, got {value!r}")
 
 
 # ----------------------------------------------------------------------
@@ -262,6 +271,8 @@ class PlanResponse:
 
     def plan_object(self, *, verify: bool = True) -> AlgorithmPlan:
         """Decode (and by default re-verify) the carried plan bundle."""
+        from ..interchange.plan import AlgorithmPlan
+
         if self.plan is None:
             raise ServiceError(f"response has no plan (status={self.status!r})")
         return AlgorithmPlan.from_json(self.plan, verify=verify)

@@ -37,10 +37,9 @@ import socket
 import threading
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 from urllib.parse import urlsplit
 
-from ..telemetry import get_metrics
 from .api import (
     DEFAULT_DEADLINE_S,
     FaultRequest,
@@ -49,7 +48,9 @@ from .api import (
     PlanResponse,
     ServiceError,
 )
-from .workers import PlanningService
+
+if TYPE_CHECKING:
+    from .workers import PlanningService
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8315
@@ -130,6 +131,8 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == "/v1/stats":
             self._send(200, self.server.service.stats())
         elif self.path == "/v1/metrics":
+            from ..telemetry import get_metrics  # the server's, not a client's import
+
             self._send_text(
                 200, get_metrics().render_prometheus(),
                 content_type="text/plain; version=0.0.4; charset=utf-8",

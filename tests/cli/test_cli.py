@@ -232,6 +232,19 @@ class TestInProcess:
         assert "strategy=speculative" in out
         assert "Bandwidth" in out
 
+    def test_pareto_strategy_choices_come_from_the_engine(self, capsys):
+        from repro.engine import STRATEGIES
+
+        with pytest.raises(SystemExit) as exc:
+            main(["pareto", "Allgather", "-t", "ring:4", "--strategy", "bogus"])
+        assert exc.value.code == 2
+        listed = ", ".join(repr(name) for name in (*STRATEGIES, "auto"))
+        assert f"invalid choice: 'bogus' (choose from {listed})" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["pareto", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"strategy: {', '.join((*STRATEGIES, 'auto'))} (default" in help_text
+
     def test_cache_evict_prunes_to_n_entries(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         for rounds in ("3", "4", "5"):

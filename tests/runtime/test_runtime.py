@@ -27,6 +27,16 @@ from repro.runtime import (
 from repro.topology import dgx1, ring
 
 
+def _run_fresh(script: str) -> None:
+    """Run ``script`` in a fresh interpreter on this checkout; it must pass."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.fixture(scope="module")
 def ring4_allgather():
     result = synthesize(make_instance("Allgather", ring(4), 1, 2, 3))
@@ -172,7 +182,7 @@ class TestExecution:
     def test_numpy_loads_with_the_first_execution_not_with_the_packages(self):
         # The planning service (and its clients) never execute a program:
         # importing them must not cost numpy's ~12 MB per process.
-        script = (
+        _run_fresh(
             "import repro.service, repro.core, repro.engine, repro.interchange, sys\n"
             "assert 'numpy' not in sys.modules\n"
             "from repro.baselines import ring_allgather, single_ring\n"
@@ -184,12 +194,58 @@ class TestExecution:
             "assert isinstance(result.buffers, numpy.ndarray)\n"
             "assert result.buffers.shape == (4, 8) and result.chunk_present(3, 0)\n"
         )
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+
+    def test_a_plan_client_loads_no_synthesis_stack(self):
+        # A client builds a PlanRequest, posts JSON and decodes a PlanResponse.
+        _run_fresh(
+            "import repro.service, sys\n"
+            "heavy = ('repro.core', 'repro.engine', 'repro.solver', 'repro.interchange',\n"
+            "         'repro.runtime', 'repro.faults', 'repro.baselines',\n"
+            "         'numpy', 'multiprocessing')\n"
+            "prefixes = tuple(name + '.' for name in heavy)\n"
+            "loaded = [m for m in sys.modules if m in heavy or m.startswith(prefixes)]\n"
+            "assert not loaded, loaded\n"
         )
-        assert done.returncode == 0, done.stderr
+
+    def test_every_service_name_still_imports(self):
+        _run_fresh(
+            "import repro.service, sys\n"
+            "listed = dir(repro.service)\n"
+            "for name in repro.service.__all__:\n"
+            "    assert name in listed, name\n"
+            "    exec(f'from repro.service import {name}')\n"
+            "assert 'repro.service.workers' in sys.modules\n"
+            "try:\n"
+            "    repro.service.NoSuchName\n"
+            "except AttributeError as exc:\n"
+            "    assert 'NoSuchName' in str(exc)\n"
+            "else:\n"
+            "    raise AssertionError('unknown name resolved')\n"
+        )
+
+    def test_the_process_pool_loads_with_the_pool(self):
+        _run_fresh(
+            "import repro.engine, sys\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
+            "from concurrent.futures import process\n"
+            "started = []\n"
+            "init = process.ProcessPoolExecutor.__init__\n"
+            "def counting(pool, *args, **kwargs):\n"
+            "    started.append(pool)\n"
+            "    init(pool, *args, **kwargs)\n"
+            "process.ProcessPoolExecutor.__init__ = counting\n"
+            "from repro.engine import SweepRequest, make_dispatcher\n"
+            "from repro.topology import ring\n"
+            "request = SweepRequest('Allgather', ring(6), 3, ((3, 1), (4, 1)),\n"
+            "                       stop_at_first_sat=False)\n"
+            "serial = make_dispatcher('serial').sweep(request)\n"
+            "assert not started\n"
+            "parallel = make_dispatcher('parallel', max_workers=2).sweep(request)\n"
+            "assert len(started) == 1\n"
+            "statuses = [[r.status for r in o.results] for o in (serial, parallel)]\n"
+            "assert statuses[0] == statuses[1] and len(statuses[0]) == 2, statuses\n"
+        )
 
     def test_corrupted_program_detected(self, ring4_allgather):
         program = lower(ring4_allgather)

@@ -7,6 +7,9 @@ from repro.service import PlanRequest, PlanResponse, ServiceError
 from repro.topology import ring
 
 
+PINNED_JSON = {"collective": "Allgather", "topology": "ring:4", "chunks": 1, "steps": 2, "rounds": 3}
+
+
 class TestRequestValidation:
     def test_pinned_and_routed_modes(self):
         pinned = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
@@ -116,11 +119,36 @@ class TestWireForms:
         assert again == request
         assert again.request_key() == request.request_key()
 
-    def test_from_json_validates(self):
-        with pytest.raises(ServiceError):
-            PlanRequest.from_json({"collective": "Allgather"})
-        with pytest.raises(ServiceError):
-            PlanRequest.from_json("not an object")
+    @pytest.mark.parametrize("payload, field", [
+        ({"collective": "Allgather"}, "topology"),
+        ("not an object", "JSON object"),
+        # Nothing the wire cannot represent is coerced into something else.
+        ({"chunks": 1.9}, "chunks"),
+        ({"chunks": True}, "chunks"),
+        ({"steps": "2"}, "steps"),
+        ({"root": 1.5}, "root"),
+        ({"synchrony": 2.5, "chunks": None, "steps": None, "rounds": None,
+          "size_bytes": 1024}, "synchrony"),
+        ({"size_bytes": True, "chunks": None, "steps": None, "rounds": None}, "size_bytes"),
+        ({"prune": "false"}, "prune"),
+        ({"prune": 0}, "prune"),
+        ({"deadline_s": float("nan")}, "deadline_s"),
+        ({"deadline_s": float("inf")}, "deadline_s"),
+        ({"deadline_s": True}, "deadline_s"),
+        ({"deadline_s": "60"}, "deadline_s"),
+    ])
+    def test_from_json_validates(self, payload, field):
+        if isinstance(payload, dict) and "collective" not in payload:
+            payload = {**PINNED_JSON, **payload}
+        with pytest.raises(ServiceError, match=field):
+            PlanRequest.from_json(payload)
+
+    def test_from_json_takes_integral_floats(self):
+        routed = {**PINNED_JSON, "chunks": None, "steps": None, "rounds": None,
+                  "size_bytes": 1048576.0, "root": 0.0}
+        request = PlanRequest.from_json(routed)
+        assert request.size_bytes == 1048576 and type(request.size_bytes) is int
+        assert request == PlanRequest("Allgather", "ring:4", size_bytes=1 << 20)
 
     def test_response_roundtrip(self):
         response = PlanResponse(

@@ -87,6 +87,17 @@ class TestHTTP:
             urllib.request.urlopen(http_request, timeout=5)
         assert info.value.code == 400
 
+    def test_nan_deadline_is_a_400_naming_the_field(self, server_url):
+        body = json.dumps({**QUICKSTART.to_json(), "deadline_s": float("nan")}).encode()
+        http_request = urllib.request.Request(
+            server_url + "/v1/plan", data=body,
+            headers={"Content-Type": "application/json"}, method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(http_request, timeout=5)
+        assert info.value.code == 400
+        assert "deadline_s" in json.loads(info.value.read())["error"]
+
     def test_unknown_endpoint_404(self, server_url):
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(server_url + "/nope", timeout=5)
@@ -386,6 +397,22 @@ class TestSubprocessSmoke:
             server.kill()
             server.wait()
             server.stdout.close()
+
+    def test_remote_stats_request_loads_no_synthesis_stack(self, server_url, tmp_path):
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['request', '--stats', '--url', sys.argv[1]]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('repro.engine', 'repro.core'))))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, server_url],
+            capture_output=True, text=True, env=self._env(tmp_path / "cache"),
+            cwd=REPO_ROOT, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "broker:" in result.stdout
+        assert result.stdout.splitlines()[-1] == "[]"
 
     def test_request_local_answers_without_a_server(self, tmp_path):
         env = self._env(tmp_path / "cache")
