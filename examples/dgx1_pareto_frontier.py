@@ -31,7 +31,7 @@ Run:  python examples/dgx1_pareto_frontier.py [--max-steps N] [--k K]
 import argparse
 
 from repro.core import pareto_synthesize
-from repro.engine import STRATEGIES, available_backends, default_cache
+from repro.engine import STRATEGIES, default_cache
 from repro.evaluation import format_table
 from repro.topology import dgx1
 
@@ -48,8 +48,6 @@ def main() -> None:
                         help="candidate-sweep strategy")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for --strategy parallel/speculative")
-    parser.add_argument("--backend", default=None,
-                        help=f"solver backend (available: {', '.join(available_backends())})")
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore the persistent algorithm cache")
     args = parser.parse_args()
@@ -66,7 +64,6 @@ def main() -> None:
         time_limit_per_instance=args.time_limit,
         strategy=args.strategy,
         max_workers=args.jobs,
-        backend=args.backend,
         cache=None if args.no_cache else default_cache(),
     )
     print(f"\nlatency lower bound  a_l = {frontier.latency_lower_bound} steps")

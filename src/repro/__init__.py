@@ -25,7 +25,7 @@ Subpackages
 ``repro.evaluation``
     Harnesses regenerating every table and figure of the evaluation.
 ``repro.engine``
-    Solver backends, shared-prefix sessions, the sweep loop and the
+    The CDCL solver handle, shared-prefix sessions, the sweep loop and the
     persistent algorithm cache.
 ``repro.interchange``
     MSCCL-style XML and JSON plan bundles with spec re-verification on

@@ -8,7 +8,7 @@ Subcommands
     the algorithm as MSCCL-style XML or a plan bundle.
 ``repro pareto``
     Run Pareto-Synthesize (Algorithm 1) with any engine strategy
-    (serial / incremental / parallel / speculative) and backend, print the
+    (serial / incremental / parallel / speculative), print the
     Table 4/5-style rows and optionally export every frontier algorithm.
 ``repro export``
     Emit a cached (or plan-bundled) algorithm as XML or a plan.
@@ -91,7 +91,6 @@ def _add_cache_options(
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("engine")
-    group.add_argument("--backend", default=None, help="solver backend name (default: cdcl)")
     group.add_argument(
         "--time-limit", type=float, default=None, metavar="S",
         help="per-solve wall-clock limit in seconds (exceeded -> unknown)",
@@ -148,7 +147,6 @@ def _cmd_synthesize(args) -> int:
             instance,
             time_limit=args.time_limit,
             conflict_limit=args.conflict_limit,
-            backend=args.backend,
             cache=cache,
             name=args.name,
         )
@@ -224,7 +222,6 @@ def _cmd_pareto(args) -> int:
             conflict_limit=args.conflict_limit,
             strategy=args.strategy,
             max_workers=args.max_workers,
-            backend=args.backend,
             cache=cache,
             bounds="off" if args.no_bounds else "baseline",
             trace=args.trace,
@@ -584,7 +581,6 @@ def _build_plan_request(args):
             size_bytes=args.size,
             synchrony=args.synchrony,
             deadline_s=args.deadline,
-            backend=args.backend,
         ).validate()
     except ServiceError as exc:
         raise CliError(str(exc)) from exc
@@ -871,13 +867,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_backends(args) -> int:
-    from ..engine.backends import available_backends
-
-    print("\n".join(available_backends()))
-    return 0
-
-
 # ----------------------------------------------------------------------
 # Parser assembly
 # ----------------------------------------------------------------------
@@ -1063,7 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="synchrony budget for routed-mode sweeps (default 2)")
     request.add_argument("--deadline", type=float, default=None, metavar="S",
                          help="give up (and fall back to a baseline) after S seconds")
-    request.add_argument("--backend", default=None, help="solver backend name")
     request.add_argument("--url", default=f"http://{DEFAULT_HOST}:{DEFAULT_PORT}",
                          help="service URL (default %(default)s)")
     request.add_argument("--local", action="store_true",
@@ -1123,10 +1111,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="phase-by-phase comparison against a second trace "
                        "instead of a summary")
     trace.set_defaults(func=_cmd_trace)
-
-    # backends ---------------------------------------------------------
-    backends = subparsers.add_parser("backends", help="list registered solver backends")
-    backends.set_defaults(func=_cmd_backends)
 
     return parser
 

@@ -13,9 +13,9 @@ Public surface:
 * :class:`~repro.core.algorithm.Algorithm` and the cost-model helpers in
   :mod:`repro.core.cost` / :mod:`repro.core.bounds`.
 
-Solving is carried out by the engine layer (:mod:`repro.engine`): both
-:func:`synthesize` and :func:`pareto_synthesize` accept a solver ``backend``
-name and an :class:`~repro.engine.cache.AlgorithmCache`, and Algorithm 1
+Solving is carried out by the engine layer (:mod:`repro.engine`) on the
+in-house CDCL solver: both :func:`synthesize` and :func:`pareto_synthesize`
+accept an :class:`~repro.engine.cache.AlgorithmCache`, and Algorithm 1
 runs its candidate sweeps through a pluggable dispatch strategy
 (serial / incremental / parallel).
 """

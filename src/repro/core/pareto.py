@@ -54,7 +54,7 @@ class ParetoPoint:
     pareto_optimal: bool = False
     proved: bool = True  # False when resource limits made lower candidates UNKNOWN
     unsat_probes: int = 0
-    backend: str = "cdcl"    # solver backend that produced the algorithm
+    backend: str = "cdcl"    # provenance: "cdcl", "bounds" or "cache"
     cache_hit: bool = False  # True when replayed from the algorithm cache
 
     @property
@@ -252,7 +252,6 @@ def pareto_synthesize(
     on_result: Optional[Callable[[SynthesisResult], None]] = None,
     strategy: str = "incremental",
     max_workers: Optional[int] = None,
-    backend: Optional[str] = None,
     cache=None,
     bounds: Union[str, None, "object"] = "baseline",
     trace: Union[str, "os.PathLike", Tracer, None] = None,
@@ -288,8 +287,6 @@ def pareto_synthesize(
         candidate order, so the frontier does not depend on the choice.
     max_workers:
         Worker-process count for the parallel/speculative strategies.
-    backend:
-        Registered solver-backend name (default ``"cdcl"``).
     cache:
         An :class:`~repro.engine.cache.AlgorithmCache`; hits replay persisted
         SAT/UNSAT probes without touching the solver.
@@ -311,7 +308,6 @@ def pareto_synthesize(
         and writes nothing.  ``None`` (default) leaves the ambient tracer
         in place — the no-op tracer unless the caller installed one.
     """
-    from ..engine.backends import get_backend
     from ..engine.bounds import BoundsLedger, seed_ledger
     from ..engine.dispatch import SweepRequest, SweepStats, make_dispatcher
 
@@ -328,7 +324,6 @@ def pareto_synthesize(
         on_result=on_result,
         strategy=strategy,
         max_workers=max_workers,
-        backend=backend,
         cache=cache,
         bounds=bounds,
     )
@@ -388,7 +383,6 @@ def pareto_synthesize(
         latency_lower_bound=a_l,
         bandwidth_lower_bound=b_l,
         strategy=strategy,
-        backend=get_backend(backend).name,
         bounds=bounds_mode,
         bound_sources=ledger.sources() if ledger is not None else [],
     )
@@ -405,7 +399,6 @@ def pareto_synthesize(
             candidates=tuple(candidate_set(steps, k, b_l, max_chunks)),
             root=root,
             prune=True,
-            backend=backend,
             time_limit=time_limit_per_instance,
             conflict_limit=conflict_limit,
             bounds=ledger,

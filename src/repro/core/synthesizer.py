@@ -6,9 +6,9 @@ returns a :class:`SynthesisResult` carrying the outcome, the decoded and
 *verified* algorithm (for SAT answers), and the timing / size statistics
 that the paper's Tables 4 and 5 report.
 
-Solving is delegated to the engine layer: the ``backend`` parameter names a
-registered :class:`~repro.engine.backends.SolverBackend` (default: the
-pure-Python CDCL solver) and an optional
+Solving is delegated to the engine layer: a
+:class:`~repro.engine.backends.CdclHandle` over the in-house CDCL solver
+answers every probe, and an optional
 :class:`~repro.engine.cache.AlgorithmCache` short-circuits candidates whose
 outcome a previous run already persisted (``cache_hit=True`` on the result).
 Engine imports are deferred to call time so ``repro.core`` and
@@ -109,7 +109,6 @@ def synthesize(
     conflict_limit: Optional[int] = None,
     verify: bool = True,
     name: Optional[str] = None,
-    backend: Optional[str] = None,
     cache=None,
 ) -> SynthesisResult:
     """Synthesize an algorithm for one SynColl instance.
@@ -130,8 +129,6 @@ def synthesize(
         Re-check the decoded algorithm against the run semantics; any
         violation raises :class:`SynthesisError` (it would indicate a bug in
         the encoder, not user error).
-    backend:
-        Name of a registered solver backend (default ``"cdcl"``).
     cache:
         An :class:`~repro.engine.cache.AlgorithmCache`.  A hit returns a
         replayed result (``cache_hit=True``) without encoding or solving;
@@ -142,8 +139,7 @@ def synthesize(
     """
     result = _probe(
         instance, encoding=encoding, prune=prune, time_limit=time_limit,
-        conflict_limit=conflict_limit, verify=verify, name=name,
-        backend=backend, cache=cache,
+        conflict_limit=conflict_limit, verify=verify, name=name, cache=cache,
     )
     if not result.cache_hit:
         count_solver_call(result)
@@ -166,18 +162,14 @@ def _probe(
     conflict_limit: Optional[int] = None,
     verify: bool = True,
     name: Optional[str] = None,
-    backend: Optional[str] = None,
     cache=None,
 ) -> SynthesisResult:
     """:func:`synthesize` without the metrics: one cold encode and solve."""
-    from ..engine.backends import get_backend
+    from ..engine.backends import CdclHandle, get_backend
     from ..engine.cache import instance_fingerprint, lookup_result, store_result
 
     if encoding not in ("sccl", "naive"):
         raise ValueError(f"unknown encoding {encoding!r}")
-    # Resolve the backend before consulting the cache so a typo'd backend
-    # name fails immediately rather than only on the first cache miss.
-    solver_backend = get_backend(backend)
     # The cache key of this probe, computed once for lookup and store.
     key = (
         instance_fingerprint(instance, encoding=encoding, prune=prune)
@@ -192,7 +184,7 @@ def _probe(
         S=instance.steps,
         R=instance.rounds,
         encoding=encoding,
-        backend=solver_backend.name,
+        backend=CdclHandle.name,
     ) as probe_span:
         if cache is not None:
             cached = lookup_result(
@@ -218,9 +210,9 @@ def _probe(
             encode_time = time.monotonic() - start
 
         # A cut witness means the encoder refuted the instance by arithmetic
-        # (the formula is the empty clause): no backend sees it.
+        # (the formula is the empty clause): no solver sees it.
         witness = getattr(encoder, "cut_witness", None)
-        handle = solver_backend.create()
+        handle = get_backend().create()
 
         def solve():
             if witness is not None or not handle.load(ctx.cnf):
@@ -230,7 +222,7 @@ def _probe(
 
         result = finish_probe(
             instance, solve, lambda: encoder.decode(handle.model(), name=name),
-            backend=solver_backend.name, encoding=encoding,
+            backend=CdclHandle.name, encoding=encoding,
             encode_time=encode_time, encoding_stats=encoder.stats.as_dict(),
             verify=verify, witness=witness,
         )

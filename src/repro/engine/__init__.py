@@ -1,9 +1,10 @@
-"""The synthesis engine: solver backends, the candidate-sweep loop with its
-executors, shared-prefix sessions and the persistent algorithm cache.
+"""The synthesis engine: the solver handle, the candidate-sweep loop with
+its executors, shared-prefix sessions and the persistent algorithm cache.
 
 This layer sits between the CNF/SAT substrate (:mod:`repro.solver`) and the
 synthesis logic (:mod:`repro.core`): the encoders stay where they are, but
-every *solve* flows through a named :class:`SolverBackend`, and Algorithm
+every *solve* flows through a :class:`CdclHandle` over the in-house CDCL
+solver, the engine's only solver, and Algorithm
 1's candidate sweep is one ordered loop (:class:`Dispatcher`) that owns
 every pruning, caching and commit decision and asks one of three executors
 for the result of each ``(S, R, C)`` probe — a cold in-process solve
@@ -16,26 +17,7 @@ content-addressed :class:`AlgorithmCache` shared by the examples, the
 benchmarks, the evaluation harness and the runtime.
 """
 
-from .backends import (
-    BackendError,
-    BackendQuarantine,
-    CdclBackend,
-    CdclHandle,
-    DEFAULT_BACKEND,
-    DIMACS_SOLVER_CANDIDATES,
-    DimacsSolverBackend,
-    PySatBackend,
-    QUARANTINE,
-    SolverBackend,
-    SolverHandle,
-    available_backends,
-    classify_dimacs_exit,
-    get_backend,
-    get_quarantine,
-    register_backend,
-    register_dimacs_backends,
-    unregister_backend,
-)
+from .backends import BackendError, CdclHandle, get_backend
 from .bounds import (
     CUT,
     PROBE,
@@ -79,7 +61,6 @@ from .session import SessionError, SessionFamily
 __all__ = [
     "AlgorithmCache",
     "BackendError",
-    "BackendQuarantine",
     "BoundsError",
     "BoundsLedger",
     "CACHE_DIR_ENV",
@@ -90,11 +71,7 @@ __all__ = [
     "PROBE",
     "PRUNE",
     "ProbePlan",
-    "CdclBackend",
     "CdclHandle",
-    "DEFAULT_BACKEND",
-    "DIMACS_SOLVER_CANDIDATES",
-    "DimacsSolverBackend",
     "DispatchError",
     "Dispatcher",
     "Executor",
@@ -102,31 +79,21 @@ __all__ = [
     "InlineExecutor",
     "PoolExecutor",
     "Probe",
-    "PySatBackend",
-    "QUARANTINE",
     "STRATEGIES",
     "SessionError",
     "SessionFamily",
-    "SolverBackend",
-    "SolverHandle",
     "SweepOutcome",
     "SweepRequest",
     "SweepStats",
-    "available_backends",
-    "classify_dimacs_exit",
     "cut_result",
     "seed_ledger",
     "default_cache",
     "default_cache_dir",
     "fingerprint",
     "get_backend",
-    "get_quarantine",
     "instance_fingerprint",
     "load_algorithm",
     "lookup_result",
     "make_dispatcher",
-    "register_backend",
-    "register_dimacs_backends",
     "store_result",
-    "unregister_backend",
 ]

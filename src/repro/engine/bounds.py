@@ -329,7 +329,6 @@ def cut_result(
     *,
     root: int = 0,
     witness: Optional[Tuple[int, int, int]] = None,
-    backend: str = "bounds",
     instance=None,
 ):
     """A synthetic UNSAT result for a candidate killed by a monotone cut.
@@ -355,7 +354,7 @@ def cut_result(
     return SynthesisResult(
         instance=instance,
         status=SolveResult.UNSAT,
-        backend=backend,
+        backend="bounds",
         solver_stats=stats,
         provenance="cut",
     )

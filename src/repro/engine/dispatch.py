@@ -67,7 +67,6 @@ from ..core.instance import SynCollInstance, make_instance
 from ..core.synthesizer import count_solver_call
 from ..telemetry import get_metrics, get_tracer
 from ..topology import Topology
-from .backends import QUARANTINE, get_backend, register_backend
 from .bounds import CUT, PROBE, PRUNE, BoundsLedger, ProbePlan, cut_result
 from .cache import AlgorithmCache, instance_fingerprint, lookup_result, store_result
 from .session import SessionFamily
@@ -98,7 +97,6 @@ class SweepRequest:
     root: int = 0
     encoding: str = "sccl"
     prune: bool = True
-    backend: Optional[str] = None
     time_limit: Optional[float] = None
     conflict_limit: Optional[int] = None
     stop_at_first_sat: bool = True
@@ -220,7 +218,6 @@ def _solve_exact(probe: Probe):
         prune=request.prune,
         time_limit=request.time_limit,
         conflict_limit=request.conflict_limit,
-        backend=request.backend,
     )
 
 
@@ -259,7 +256,7 @@ class FamilyExecutor:
     def __init__(self, request: SweepRequest) -> None:
         self._family = SessionFamily(
             request.collective, request.topology,
-            root=request.root, prune=request.prune, backend=request.backend,
+            root=request.root, prune=request.prune,
         )
         self._rounds_budget: Dict[int, int] = {}
 
@@ -295,20 +292,14 @@ class FamilyExecutor:
 
 
 #: Per-worker run context installed by the pool initializer, so the request
-#: (topology object, limits) and the backend object are pickled once per
-#: worker instead of once per probe.
+#: (topology object, limits) is pickled once per worker instead of once per
+#: probe.
 _WORKER_SHARED: Optional[Tuple[SweepRequest, bool]] = None
 
 
-def _init_pool_worker(request: SweepRequest, backend_obj, trace: bool) -> None:
-    """Pool initializer: install the run context in this worker.
-
-    A worker process starts with a fresh registry (only the default and
-    any import-time backends), so a runtime-registered backend travels as
-    a pickled object once per worker and is re-registered here.
-    """
+def _init_pool_worker(request: SweepRequest, trace: bool) -> None:
+    """Pool initializer: install the run context in this worker."""
     global _WORKER_SHARED
-    register_backend(backend_obj, replace=True)
     _WORKER_SHARED = (request, trace)
 
 
@@ -340,7 +331,9 @@ class PoolExecutor:
     current step count runs first) and cancels the ones no longer hinted;
     ``result`` waits for one.  The pool starts with the first hint that
     holds two probes — with nothing to overlap, ``result`` solves inline —
-    and the pool's modules (``multiprocessing``) load with the pool.
+    and the pool's modules (``multiprocessing``) load with the pool.  A
+    worker answers with :func:`_solve_exact`, the inline executor's own
+    in-house CDCL solve, and its errors propagate from ``result``.
     Only awaited results are accounted, stored or observed.  A loser that
     was already running cannot be cancelled; it finishes in its worker and
     only its spans are kept, under a ``pool`` span, so a trace shows what
@@ -357,7 +350,6 @@ class PoolExecutor:
         self._workers = max_workers or os.cpu_count() or 1
         self._initargs = (
             replace(request, candidates=(), bounds=None),
-            get_backend(request.backend),
             get_tracer().enabled,
         )
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -390,15 +382,7 @@ class PoolExecutor:
         future = self._futures.pop(probe.key, None)
         if future is None:
             return _solve_exact(probe)
-        result = future.result()  # worker errors propagate
-        # Workers run with their own quarantine, so the parent replays the
-        # result's crash accounting into this process's.
-        exhausted = int((result.solver_stats or {}).get("exhausted_calls", 0) or 0)
-        for _ in range(exhausted):
-            QUARANTINE.record_crash(result.backend)
-        if not exhausted and not result.is_unknown:
-            QUARANTINE.record_success(result.backend)
-        return result
+        return future.result()  # worker errors propagate
 
     def close(self) -> None:
         self.prefetch(())  # an empty hint cancels everything outstanding
@@ -420,7 +404,7 @@ def _check_uniform(requests: Sequence[SweepRequest]) -> None:
     def context(request: SweepRequest) -> tuple:
         return (
             request.collective, id(request.topology), request.root,
-            request.encoding, request.prune, request.backend,
+            request.encoding, request.prune,
             request.time_limit, request.conflict_limit,
             request.stop_at_first_sat, id(request.bounds),
         )
@@ -523,8 +507,6 @@ class Dispatcher:
         if not requests:
             return []
         _check_uniform(requests)
-        # Fail fast on an unknown backend name, before any executor work.
-        get_backend(requests[0].backend)
         executor = self._make_executor(requests[0])
         tracer = get_tracer()
         probes: Dict[Tuple[int, int, int], Probe] = {}

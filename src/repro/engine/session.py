@@ -39,7 +39,7 @@ from ..core.instance import SynCollInstance, make_instance
 from ..solver import SolveResult
 from ..telemetry import get_tracer
 from ..topology import Topology
-from .backends import SolverBackend, SolverHandle, get_backend
+from .backends import CdclHandle, get_backend
 
 
 class SessionError(Exception):
@@ -51,7 +51,7 @@ class _FamilyEntry:
     """One step count's shared-prefix encoding plus its solver handle."""
 
     encoder: ScclEncoding
-    handle: SolverHandle
+    handle: CdclHandle
     trivially_unsat: bool = False
     pending_encode_time: float = 0.0  # attributed to the next probe
     prev_stats: Dict[str, float] = field(default_factory=dict)
@@ -87,14 +87,11 @@ class SessionFamily:
         *,
         root: int = 0,
         prune: bool = True,
-        backend: Optional[str] = None,
     ) -> None:
         self.collective = collective
         self.topology = topology
         self.root = root
         self.prune = prune
-        self.backend_name = (backend or get_backend().name)
-        self._backend: SolverBackend = get_backend(backend)
         self._analysis = PrefixAnalysis(topology)
         self._entries: Dict[int, _FamilyEntry] = {}
         # One instance per lattice point: a candidate's frame and a budget
@@ -130,7 +127,7 @@ class SessionFamily:
             ctx = encoder.encode()
             elapsed = time.monotonic() - start
         self.encode_calls += 1
-        handle = self._backend.create()
+        handle = get_backend().create()
         loaded = handle.load(ctx.cnf)
         entry = _FamilyEntry(
             encoder=encoder,
@@ -170,7 +167,7 @@ class SessionFamily:
             self.extensions += 1
             # The formula grew: reload a fresh handle (learned clauses from
             # the smaller prefix are dropped, the encoding work is kept).
-            handle = self._backend.create()
+            handle = get_backend().create()
             entry.handle = handle
             entry.trivially_unsat = not handle.load(ctx.cnf)
             entry.prev_stats = {}
@@ -226,7 +223,7 @@ class SessionFamily:
             S=steps,
             R=rounds,
             encoding="sccl",
-            backend=self.backend_name,
+            backend=CdclHandle.name,
         ) as probe_span:
             entry = self._entry_for(steps, chunks, rounds, max_chunks, max_rounds)
             encode_time, entry.pending_encode_time = entry.pending_encode_time, 0.0
@@ -252,7 +249,7 @@ class SessionFamily:
                 lambda: entry.encoder.decode(
                     entry.handle.model(), name=name, instance=instance
                 ),
-                backend=self.backend_name, encoding="sccl",
+                backend=CdclHandle.name, encoding="sccl",
                 encode_time=encode_time,
                 encoding_stats=entry.encoder.stats.as_dict(),
                 verify=verify,
@@ -281,7 +278,7 @@ class SessionFamily:
         )
         return (
             f"SessionFamily({self.collective} on {self.topology.name}: "
-            f"[{budgets}] backend={self.backend_name}, "
+            f"[{budgets}] backend={CdclHandle.name}, "
             f"encodes={self.encode_calls} (+{self.extensions} ext, "
             f"{self.rebuilds} rebuilds), solves={self.solver_calls})"
         )

@@ -79,7 +79,6 @@ class SynthesisTableConfig:
     max_k: Optional[int] = None
     strategy: str = "incremental"        # candidate-sweep strategy (engine dispatch)
     max_workers: Optional[int] = None    # worker processes (parallel/speculative)
-    backend: Optional[str] = None        # solver backend name
     bounds: str = "baseline"             # bound-seeded pruning ("baseline" or "off")
     cache_dir: Optional[str] = None      # algorithm-cache directory (None disables)
     export_dir: Optional[str] = None     # write each point's algorithm here (None disables)
@@ -187,7 +186,6 @@ def synthesis_table(
             conflict_limit=config.conflict_limit,
             strategy=config.strategy,
             max_workers=config.max_workers,
-            backend=config.backend,
             cache=cache,
             bounds=config.bounds,
         )

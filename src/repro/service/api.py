@@ -65,7 +65,6 @@ class PlanRequest:
     size_bytes: Optional[int] = None
     synchrony: int = 2            # k budget for routed-mode frontier sweeps
     deadline_s: Optional[float] = None
-    backend: Optional[str] = None
     encoding: str = "sccl"
     prune: bool = True
 
@@ -133,8 +132,8 @@ class PlanRequest:
         Pinned requests reuse the engine cache fingerprint verbatim, so a
         request key doubles as the cache key of the answer.  Routed
         requests hash the structural topology payload plus the routing
-        inputs.  The deadline and the backend are caller preferences, not
-        work content, and are excluded.  Hashed once per request object.
+        inputs.  The deadline is a caller preference, not work content, and
+        is excluded.  Hashed once per request object.
         """
         return self._key
 
@@ -181,7 +180,7 @@ class PlanRequest:
             "encoding": self.encoding,
             "prune": self.prune,
         }
-        for name in ("chunks", "steps", "rounds", "size_bytes", "deadline_s", "backend"):
+        for name in ("chunks", "steps", "rounds", "size_bytes", "deadline_s"):
             value = getattr(self, name)
             if value is not None:
                 data[name] = value
@@ -194,6 +193,10 @@ class PlanRequest:
         version = data.get("version", API_VERSION)
         if version != API_VERSION:
             raise ServiceError(f"unsupported request version {version!r}")
+        unknown = sorted(map(str, data.keys() - _REQUEST_KEYS))
+        if unknown:
+            gone = "; 'backend' is gone: cdcl is the only solver" if "backend" in unknown else ""
+            raise ServiceError(f"unknown request field(s): {', '.join(unknown)}{gone}")
         try:
             request = cls(
                 collective=str(data["collective"]),
@@ -205,7 +208,6 @@ class PlanRequest:
                 size_bytes=_field(data, "size_bytes", int),
                 synchrony=_field(data, "synchrony", int, 2),
                 deadline_s=_field(data, "deadline_s", float),
-                backend=data.get("backend"),
                 encoding=str(data.get("encoding", "sccl")),
                 prune=_field(data, "prune", bool, True),
             )
@@ -222,6 +224,13 @@ class PlanRequest:
 
 
 _JSON_TYPES = {int: "an integer", float: "a number", bool: "a boolean"}
+
+
+#: The request schema: every key ``from_json`` accepts.
+_REQUEST_KEYS = frozenset((
+    "version", "collective", "topology", "chunks", "steps", "rounds", "root",
+    "size_bytes", "synchrony", "deadline_s", "encoding", "prune",
+))
 
 
 def _field(data: dict, key: str, kind: type, default=None):

@@ -25,7 +25,7 @@ them through :class:`SynthesisResolver`, whose fallback ladder is fixed:
 :class:`PlanningService` bundles broker + pool + registry into the
 one-object facade the HTTP server, the CLI, the quickstart example and the
 benchmarks all share.  The resolver is injectable, which is also how the
-contention tests count backend solves.
+contention tests count solves.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class SynthesisResolver:
         # a board the fabric is always healthy: an empty board says that.
         self.fault_board = fault_board if fault_board is not None else FaultBoard()
         self.replans = 0          # resolutions that targeted a degraded topology
-        self.solves = 0           # backend solves performed (not replayed)
+        self.solves = 0           # solves performed (not replayed)
         self.registry_hits = 0    # answers served with zero solver work
         # Which rung of the ladder answered: cache / registry / synthesized
         # / baseline / error.  Mirrors repro_resolver_rung_total{rung=...}.
@@ -236,7 +236,6 @@ class SynthesisResolver:
             encoding=request.encoding,
             prune=request.prune,
             time_limit=_clamp_limit(remaining_s),
-            backend=request.backend,
             cache=self.registry.cache,
         )
         if result.is_sat:
@@ -357,7 +356,6 @@ class SynthesisResolver:
             time_limit_per_instance=_clamp_limit(remaining_s),
             strategy=self.sweep_strategy,
             max_workers=self.sweep_workers,
-            backend=request.backend,
             cache=self.registry.cache,
             # Cold routed builds are the service's most expensive path, so
             # baseline bound-seeding is requested explicitly (not just by
@@ -425,7 +423,7 @@ class WorkerPool:
     releases the GIL poorly — but the pool still wins: cache and registry
     hits are I/O-bound, coalesced bursts collapse to one solve, and the
     pool shape (``num_workers``) is the knob every future scaling PR
-    (multi-process workers, remote backends) will re-implement behind the
+    (multi-process workers, remote hosts) will re-implement behind the
     same broker contract.
     """
 
@@ -575,15 +573,12 @@ class PlanningService:
         return apply_fault_request(self.fault_board, request, registry=self.registry)
 
     def stats(self) -> Dict[str, object]:
-        from ..engine.backends import get_quarantine
-
         data: Dict[str, object] = {"broker": self.broker.stats()}
         data["registry"] = self.registry.stats()
         if hasattr(self.resolver, "stats"):
             data["resolver"] = self.resolver.stats()
         data["workers"] = self.pool.num_workers
         data["faults"] = self.fault_board.snapshot()
-        data["quarantine"] = get_quarantine().stats()
         data["engine"] = self._engine_stats()
         return data
 

@@ -195,7 +195,7 @@ class Metrics:
         """Estimated quantiles over all ``name`` series matching ``match``.
 
         Matching histograms are bucket-merged first, so the answer covers
-        the label-aggregated distribution (e.g. all backends together).
+        the label-aggregated distribution (e.g. every label value together).
         Empty when no matching series has observations.
         """
         wanted = set(_label_key(match))

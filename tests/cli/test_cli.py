@@ -284,11 +284,21 @@ class TestInProcess:
         assert main(["cache", "clear", "--cache-dir", str(cache)]) == 0
         assert len(list(cache.glob("*/*.json"))) == 0
 
-    def test_unknown_backend_fails_cleanly(self, tmp_path, capsys):
-        assert main(
-            ["synthesize", *QUICKSTART, "--no-cache", "--backend", "z3"]
-        ) == 1
-        assert "backend" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["synthesize", *QUICKSTART], ["pareto", "Allgather", "-t", "ring:4"],
+        ["request", *QUICKSTART],
+    ], ids=["synthesize", "pareto", "request"])
+    def test_backend_is_an_unrecognized_argument(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--backend", "cdcl"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    def test_backends_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["backends"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'backends'" in capsys.readouterr().err
 
 
 class TestWritesOnlyWhereAsked:
@@ -342,7 +352,6 @@ class TestWritesOnlyWhereAsked:
             ["synthesize", *QUICKSTART, "--no-cache", "-q", "--trace", "{w}/t.json"],
             ["trace", "{w}/t.json", "--top", "2"],
         ],
-        "backends": [["backends"]],
     }
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

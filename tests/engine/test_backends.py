@@ -1,93 +1,27 @@
-"""Tests for the solver-backend registry."""
+"""Tests for the engine's solver handle and its lookup."""
 
 import pytest
 
-from repro.core import make_instance, synthesize
-from repro.engine import (
-    BackendError,
-    CdclBackend,
-    CdclHandle,
-    available_backends,
-    get_backend,
-    register_backend,
-    unregister_backend,
-)
+from repro.engine import BackendError, CdclHandle, get_backend
 from repro.solver import SolveResult
-from repro.topology import ring
 
 
 class TestRegistry:
+    """What is left of the backend registry: one name, ``cdcl``."""
+
     def test_default_backend_is_cdcl(self):
         assert get_backend().name == "cdcl"
         assert get_backend(None).name == "cdcl"
-        assert "cdcl" in available_backends()
+        assert isinstance(get_backend("cdcl").create(), CdclHandle)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(BackendError):
+        with pytest.raises(BackendError, match="cdcl"):
             get_backend("z3")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(BackendError):
-            register_backend(CdclBackend())
-
-    def test_default_cannot_be_unregistered(self):
-        with pytest.raises(BackendError):
-            unregister_backend("cdcl")
-
-    def test_nameless_backend_rejected(self):
-        class Nameless:
-            name = ""
-
-            def create(self):  # pragma: no cover
-                return CdclHandle()
-
-        with pytest.raises(BackendError):
-            register_backend(Nameless())
-
-
-class CountingBackend:
-    """A custom backend wrapping the CDCL handle, counting create() calls."""
-
-    name = "counting"
-
-    def __init__(self):
-        self.created = 0
-
-    def create(self):
-        self.created += 1
-        return CdclHandle()
-
-
-class TestCustomBackend:
-    def test_synthesize_routes_through_registered_backend(self):
-        backend = CountingBackend()
-        register_backend(backend, replace=True)
-        try:
-            result = synthesize(
-                make_instance("Allgather", ring(4), 1, 2, 3), backend="counting"
-            )
-            assert backend.created == 1
-            assert result.backend == "counting"
-            assert result.is_sat
-            result.algorithm.verify()
-        finally:
-            unregister_backend("counting")
-
-    def test_pareto_reports_backend_on_points(self):
-        backend = CountingBackend()
-        register_backend(backend, replace=True)
-        try:
-            from repro.core import pareto_synthesize
-
-            frontier = pareto_synthesize(
-                "Allgather", ring(4), k=0, max_steps=3, backend="counting"
-            )
-            assert frontier.backend == "counting"
-            assert frontier.points
-            assert all(p.backend == "counting" for p in frontier.points)
-            assert backend.created > 0
-        finally:
-            unregister_backend("counting")
+    @pytest.mark.parametrize("name", ["kissat", "pysat", "CDCL", ""])
+    def test_only_cdcl_is_accepted(self, name):
+        with pytest.raises(BackendError, match="the only solver is 'cdcl'"):
+            get_backend(name)
 
 
 class TestCdclHandle:
@@ -107,100 +41,188 @@ class TestCdclHandle:
         assert handle.solve([-b]) is SolveResult.UNSAT
         assert handle.solve([b]) is SolveResult.SAT
 
+    def test_a_trivially_unsat_formula_does_not_load(self):
+        from repro.solver import CNF
 
-FAKE_DIMACS_SOLVER = '''#!/usr/bin/env python3
-"""A SAT-competition-style DIMACS solver wrapping the project's CDCL core."""
-import sys
-sys.path.insert(0, {src!r})
-from repro.solver import CNF, SATSolver, SolveResult
+        cnf = CNF()
+        a = cnf.new_var()
+        cnf.add_clause([a])
+        cnf.add_clause([-a])
+        assert not get_backend().create().load(cnf)
 
-cnf = CNF.from_dimacs(open(sys.argv[-1]).read())
-solver = SATSolver()
-if not solver.add_cnf(cnf):
-    print("s UNSATISFIABLE")
-    sys.exit(20)
-result = solver.solve()
-if result is SolveResult.SAT:
-    print("s SATISFIABLE")
-    lits = [v if val else -v for v, val in sorted(solver.model().items())]
-    print("v " + " ".join(map(str, lits)) + " 0")
-    sys.exit(10)
-print("s UNSATISFIABLE")
-sys.exit(20)
-'''
+    def test_a_conflict_budget_yields_unknown(self):
+        handle = get_backend().create()
+        assert handle.load(_pigeonhole(6, 5))
+        assert handle.solve(conflict_limit=1) is SolveResult.UNKNOWN
+        # The same handle still decides once the budget is lifted.
+        assert handle.solve() is SolveResult.UNSAT
 
+    def test_stats_are_the_solver_counters(self):
+        handle = get_backend().create()
+        handle.load(_pigeonhole(4, 3))
+        assert handle.solve() is SolveResult.UNSAT
+        stats = handle.stats()
+        assert set(stats) == {
+            "decisions", "propagations", "conflicts", "restarts",
+            "learned_clauses", "deleted_clauses", "max_decision_level", "solve_time",
+        }
+        assert stats["conflicts"] > 0
 
-@pytest.fixture
-def fake_dimacs_solver(tmp_path):
-    """An executable DIMACS solver script usable as a subprocess backend."""
-    import os
-    from pathlib import Path
-
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    script = tmp_path / "fakesat"
-    script.write_text(FAKE_DIMACS_SOLVER.format(src=src))
-    script.chmod(0o755)
-    return str(script)
-
-
-class TestDimacsBackend:
-    def test_subprocess_solver_sat_and_unsat(self, fake_dimacs_solver):
-        from repro.engine import DimacsSolverBackend
-
-        register_backend(DimacsSolverBackend(fake_dimacs_solver, name="fakesat"))
-        try:
-            sat = synthesize(
-                make_instance("Allgather", ring(4), 1, 2, 3), backend="fakesat"
-            )
-            assert sat.is_sat and sat.backend == "fakesat"
-            sat.algorithm.verify()
-            assert sat.solver_stats["subprocess_calls"] == 1
-            unsat = synthesize(
-                make_instance("Allgather", ring(4), 1, 1, 1), backend="fakesat"
-            )
-            assert unsat.is_unsat
-        finally:
-            unregister_backend("fakesat")
-
-    def test_assumptions_become_unit_clauses(self, fake_dimacs_solver):
-        from repro.engine import DimacsSolverBackend
+    def test_a_grown_formula_loads_again(self):
         from repro.solver import CNF
 
         cnf = CNF()
         a, b = cnf.new_var(), cnf.new_var()
         cnf.add_clause([a, b])
-        handle = DimacsSolverBackend(fake_dimacs_solver, name="fakesat2").create()
-        assert handle.load(cnf)
-        assert handle.solve([-a]) is SolveResult.SAT
-        assert handle.model()[b]
-        assert handle.solve([-a, -b]) is SolveResult.UNSAT
+        handle = get_backend().create()
+        assert handle.load(cnf) and handle.solve() is SolveResult.SAT
+        c = cnf.new_var()
+        cnf.add_clause([-a, c])
+        cnf.add_clause([-c])
+        again = get_backend().create()
+        assert again.load(cnf) and again.solve() is SolveResult.SAT
+        model = again.model()
+        assert set(model) == {a, b, c}
+        assert not model[a] and model[b] and not model[c]
 
-    def test_missing_binary_raises_backend_error(self):
-        from repro.engine import DimacsSolverBackend
-        from repro.solver import CNF
 
-        handle = DimacsSolverBackend("/nonexistent/kissat", name="kissat").create()
-        cnf = CNF()
-        cnf.add_clause([cnf.new_var()])
-        handle.load(cnf)
-        with pytest.raises(BackendError, match="cannot run"):
-            handle.solve()
+def _pigeonhole(pigeons: int, holes: int):
+    """``pigeons`` into ``holes`` with no hole shared: UNSAT for pigeons > holes."""
+    from repro.solver import CNF
 
-    def test_path_registration_is_gated(self):
-        from repro.engine import register_dimacs_backends
+    cnf = CNF()
+    sits = [[cnf.new_var() for _ in range(holes)] for _ in range(pigeons)]
+    for row in sits:
+        cnf.add_clause(row)
+    for hole in range(holes):
+        for i in range(pigeons):
+            for j in range(i + 1, pigeons):
+                cnf.add_clause([-sits[i][hole], -sits[j][hole]])
+    return cnf
 
-        # The CI container ships neither kissat nor cadical: nothing new is
-        # registered for absent binaries, and the call is idempotent.
-        registered = register_dimacs_backends(("definitely-not-a-solver",))
-        assert registered == []
 
-    def test_conflict_limit_without_native_flag_fails_fast(self, fake_dimacs_solver):
-        from repro.engine import DimacsSolverBackend
-        from repro.solver import CNF
+class TestOneCodePath:
+    """A cold probe and a family frame both get their handle from
+    ``get_backend().create()``, the call the traced benchmark probe makes."""
 
-        handle = DimacsSolverBackend(fake_dimacs_solver, name="fakesat3").create()
-        cnf = CNF()
-        cnf.add_clause([cnf.new_var()])
-        handle.load(cnf)
-        with pytest.raises(BackendError, match="conflict-budget"):
-            handle.solve(conflict_limit=100)
+    @pytest.fixture
+    def created(self, monkeypatch):
+        handles = []
+        original = CdclHandle.create.__func__
+
+        def counting(cls):
+            handle = original(cls)
+            handles.append(handle)
+            return handle
+
+        monkeypatch.setattr(CdclHandle, "create", classmethod(counting))
+        return handles
+
+    def test_a_cold_probe_creates_one_handle(self, created):
+        from repro.core import make_instance, synthesize
+        from repro.topology import ring
+
+        result = synthesize(make_instance("Allgather", ring(4), 1, 2, 3))
+        assert result.is_sat and result.backend == "cdcl"
+        assert len(created) == 1
+
+    def test_a_family_creates_one_handle_per_step_count(self, created):
+        from repro.engine import SessionFamily
+        from repro.topology import ring
+
+        family = SessionFamily("Allgather", ring(4))
+        for steps, chunks, rounds in ((2, 1, 3), (2, 1, 4), (3, 1, 3), (3, 1, 4)):
+            result = family.solve(steps, chunks, rounds, max_rounds=4)
+            assert result.backend == "cdcl"
+        assert len(created) == 2
+
+
+class TestNoSolverOption:
+    """The solver is not a choice: no entry point takes a ``backend``."""
+
+    def test_synthesize(self):
+        from repro.core import make_instance, synthesize
+        from repro.topology import ring
+
+        with pytest.raises(TypeError, match="backend"):
+            synthesize(make_instance("Allgather", ring(4), 1, 2, 3), backend="cdcl")
+
+    def test_pareto_synthesize(self):
+        from repro.core import pareto_synthesize
+        from repro.topology import ring
+
+        with pytest.raises(TypeError, match="backend"):
+            pareto_synthesize("Allgather", ring(4), backend="cdcl")
+
+    def test_sweep_request(self):
+        from repro.engine import SweepRequest
+        from repro.topology import ring
+
+        with pytest.raises(TypeError, match="backend"):
+            SweepRequest("Allgather", ring(4), 2, ((3, 1),), backend="cdcl")
+
+    def test_session_family(self):
+        from repro.engine import SessionFamily
+        from repro.topology import ring
+
+        with pytest.raises(TypeError, match="backend"):
+            SessionFamily("Allgather", ring(4), backend="cdcl")
+
+    def test_synthesis_table_config(self):
+        from repro.evaluation.tables import SynthesisTableConfig
+
+        with pytest.raises(TypeError, match="backend"):
+            SynthesisTableConfig(backend="cdcl")
+
+    def test_plan_request(self):
+        from repro.service import PlanRequest
+
+        with pytest.raises(TypeError, match="backend"):
+            PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3, backend="cdcl")
+
+
+class TestProvenanceLabel:
+    """``cdcl`` stays in every serialized form: it is data, not a knob."""
+
+    def test_summary_reads_cdcl_cold_and_cached(self, tmp_path):
+        from repro.core import make_instance, synthesize
+        from repro.engine import AlgorithmCache
+        from repro.topology import ring
+
+        cache = AlgorithmCache(tmp_path)
+        instance = make_instance("Allgather", ring(4), 1, 2, 3)
+        assert synthesize(instance, cache=cache).summary().endswith("[backend=cdcl]")
+        warm = synthesize(instance, cache=cache)
+        assert warm.cache_hit and warm.summary().endswith("[cached, backend=cdcl]")
+        (entry,) = tmp_path.glob("*/*.json")
+        assert '"backend": "cdcl"' in entry.read_text()
+
+    def test_metric_label_is_cdcl(self):
+        from repro.core import make_instance, synthesize
+        from repro.telemetry import Metrics, set_metrics
+        from repro.topology import ring
+
+        fresh = Metrics()
+        previous = set_metrics(fresh)
+        try:
+            synthesize(make_instance("Allgather", ring(4), 1, 2, 3))
+        finally:
+            set_metrics(previous)
+        assert fresh.value("repro_solver_calls_total", backend="cdcl") == 1
+
+    def test_frontier_and_points_read_cdcl(self):
+        from repro.core import pareto_synthesize
+        from repro.topology import ring
+
+        frontier = pareto_synthesize("Allgather", ring(4), k=0, max_steps=3)
+        assert frontier.backend == "cdcl" and frontier.to_dict()["backend"] == "cdcl"
+        assert frontier.points
+        assert {p.backend for p in frontier.points} == {"cdcl"}
+
+    def test_plan_provenance_reads_cdcl(self):
+        from repro.core import make_instance, synthesize
+        from repro.interchange import plan_from_result
+        from repro.topology import ring
+
+        result = synthesize(make_instance("Allgather", ring(4), 1, 2, 3))
+        assert plan_from_result(result).to_json()["provenance"]["backend"] == "cdcl"

@@ -90,26 +90,6 @@ class TestParallelDeterminism:
         assert outcome.first_sat is not None
 
 
-class TestParallelWithCustomBackend:
-    def test_runtime_registered_backend_reaches_the_workers(self):
-        # Worker processes start with a fresh registry; the pool executor ships
-        # the backend object along so runtime registrations still compose
-        # with strategy="parallel".
-        from repro.engine import register_backend, unregister_backend
-        from engine_backend_helper import PickleableCountingBackend
-
-        register_backend(PickleableCountingBackend(), replace=True)
-        try:
-            frontier = pareto_synthesize(
-                "Allgather", ring(4), k=0, max_steps=3,
-                strategy="parallel", max_workers=2, backend="pickle-counting",
-            )
-            assert frontier.points
-            assert all(p.backend == "pickle-counting" for p in frontier.points)
-        finally:
-            unregister_backend("pickle-counting")
-
-
 class TestIncrementalEquivalence:
     def test_incremental_matches_serial_signatures(self):
         # Incremental solving may find a different concrete schedule, but the

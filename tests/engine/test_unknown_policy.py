@@ -50,7 +50,7 @@ def _unknown_family_solve(monkeypatch, encode_time=0.0, solve_time=0.0):
             self.collective, self.topology, chunks, steps, rounds, root=self.root
         )
         return SynthesisResult(
-            instance=instance, status=SolveResult.UNKNOWN, backend=self.backend_name,
+            instance=instance, status=SolveResult.UNKNOWN,
             encode_time=encode_time, solve_time=solve_time,
         )
 

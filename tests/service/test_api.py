@@ -45,11 +45,10 @@ class TestContentAddressing:
         request = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
         assert request.request_key() == fingerprint("Allgather", ring(4), 1, 2, 3)
 
-    def test_deadline_and_backend_do_not_affect_key(self):
+    def test_deadline_does_not_affect_key(self):
         base = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
         patient = PlanRequest(
-            "Allgather", "ring:4", chunks=1, steps=2, rounds=3,
-            deadline_s=1.0, backend="cdcl",
+            "Allgather", "ring:4", chunks=1, steps=2, rounds=3, deadline_s=1.0,
         )
         assert base.request_key() == patient.request_key()
 
@@ -107,10 +106,14 @@ class TestDerivedOncePerObject:
 class TestWireForms:
     def test_request_roundtrip(self):
         request = PlanRequest(
-            "Allgather", "ring:4", chunks=2, steps=3, rounds=4,
-            deadline_s=5.0, backend="cdcl",
+            "Allgather", "ring:4", chunks=2, steps=3, rounds=4, deadline_s=5.0,
         )
-        again = PlanRequest.from_json(request.to_json())
+        wire = request.to_json()
+        assert set(wire) == {
+            "version", "collective", "topology", "chunks", "steps", "rounds",
+            "root", "synchrony", "deadline_s", "encoding", "prune",
+        }
+        again = PlanRequest.from_json(wire)
         assert again == request
 
     def test_routed_request_roundtrip(self):
@@ -136,12 +139,30 @@ class TestWireForms:
         ({"deadline_s": float("inf")}, "deadline_s"),
         ({"deadline_s": True}, "deadline_s"),
         ({"deadline_s": "60"}, "deadline_s"),
+        # The schema is closed: every key outside it is named, none ignored.
+        ({"deadline": 0.5, "prun": False}, "unknown request field.*: deadline, prun"),
+        ({"Chunks": 1}, "unknown request field.*Chunks"),
+        ({"backend": 5}, "'backend' is gone"),
+        ({"backend": "cdcl"}, "'backend' is gone"),
+        ({"backend": "z3", "chunks": None, "steps": None, "rounds": None,
+          "size_bytes": 1024}, "'backend' is gone"),
     ])
     def test_from_json_validates(self, payload, field):
         if isinstance(payload, dict) and "collective" not in payload:
             payload = {**PINNED_JSON, **payload}
         with pytest.raises(ServiceError, match=field):
             PlanRequest.from_json(payload)
+
+    def test_from_json_takes_every_schema_key(self):
+        payload = {
+            "version": 1, "collective": "Allgather", "topology": "ring:4",
+            "chunks": 1, "steps": 2, "rounds": 3, "root": 0, "size_bytes": None,
+            "synchrony": 1, "deadline_s": 5, "encoding": "sccl", "prune": False,
+        }
+        assert PlanRequest.from_json(payload) == PlanRequest(
+            "Allgather", "ring:4", chunks=1, steps=2, rounds=3, synchrony=1,
+            deadline_s=5.0, prune=False,
+        )
 
     def test_from_json_takes_integral_floats(self):
         routed = {**PINNED_JSON, "chunks": None, "steps": None, "rounds": None,
