@@ -4,6 +4,9 @@ Public surface:
 
 * :func:`~repro.core.instance.make_instance` / :class:`~repro.core.instance.SynCollInstance`
 * :func:`~repro.core.synthesizer.synthesize` / :func:`~repro.core.synthesizer.synthesize_collective`
+  (always the pruned :class:`~repro.core.encoding.ScclEncoding`), and
+  :func:`~repro.core.synthesizer.solve_encoding` for the reference formulas
+  (:class:`~repro.core.encoding.NaiveEncoding`, unpruned ``ScclEncoding``)
 * :func:`~repro.core.pareto.pareto_synthesize` (Algorithm 1)
 * :func:`~repro.core.combining.invert_algorithm`,
   :func:`~repro.core.combining.allreduce_from_allgather`,
@@ -67,6 +70,7 @@ from .pareto import (
 from .synthesizer import (
     SynthesisError,
     SynthesisResult,
+    solve_encoding,
     synthesize,
     synthesize_collective,
 )
@@ -109,6 +113,7 @@ __all__ = [
     "pareto_frontier",
     "pareto_synthesize",
     "resolve_strategy",
+    "solve_encoding",
     "speedup",
     "synthesize",
     "synthesize_allreduce",

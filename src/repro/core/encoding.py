@@ -866,6 +866,9 @@ class NaiveEncoding:
     and scales poorly compared to :class:`ScclEncoding`.
     """
 
+    #: The naive formula refutes nothing by arithmetic (no cut check).
+    cut_witness: Optional[Cut] = None
+
     def __init__(self, instance: SynCollInstance) -> None:
         self.instance = instance
         self.ctx = SmtLite(name=f"naive_{instance.collective}")

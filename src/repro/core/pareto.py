@@ -248,7 +248,6 @@ def pareto_synthesize(
     max_chunks: Optional[int] = None,
     time_limit_per_instance: Optional[float] = None,
     conflict_limit: Optional[int] = None,
-    stop_at_bandwidth_optimal: bool = True,
     on_result: Optional[Callable[[SynthesisResult], None]] = None,
     strategy: str = "incremental",
     max_workers: Optional[int] = None,
@@ -320,7 +319,6 @@ def pareto_synthesize(
         max_chunks=max_chunks,
         time_limit_per_instance=time_limit_per_instance,
         conflict_limit=conflict_limit,
-        stop_at_bandwidth_optimal=stop_at_bandwidth_optimal,
         on_result=on_result,
         strategy=strategy,
         max_workers=max_workers,
@@ -398,7 +396,6 @@ def pareto_synthesize(
             steps=steps,
             candidates=tuple(candidate_set(steps, k, b_l, max_chunks)),
             root=root,
-            prune=True,
             time_limit=time_limit_per_instance,
             conflict_limit=conflict_limit,
             bounds=ledger,
@@ -449,7 +446,7 @@ def pareto_synthesize(
         outcomes = dispatcher.run(
             [build_request(steps) for steps in step_counts],
             cache=cache,
-            stop=lambda outcome: ingest_sweep(outcome) and stop_at_bandwidth_optimal,
+            stop=ingest_sweep,
         )
         frontier.exhausted_steps = len(outcomes) == len(step_counts)
 

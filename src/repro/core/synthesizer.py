@@ -25,7 +25,7 @@ from ..solver import SolveResult
 from ..telemetry import get_metrics, get_tracer
 from .algorithm import Algorithm
 from .bounds import Cut
-from .encoding import NaiveEncoding, ScclEncoding
+from .encoding import ScclEncoding
 from .instance import SynCollInstance
 
 
@@ -45,7 +45,6 @@ class SynthesisResult:
     verify_time: float = 0.0
     encoding_stats: Dict[str, int] = field(default_factory=dict)
     solver_stats: Dict[str, float] = field(default_factory=dict)
-    encoding: str = "sccl"
     backend: str = "cdcl"
     cache_hit: bool = False
     #: How this verdict was obtained: ``"solved"`` (a solver ran),
@@ -103,32 +102,26 @@ class SynthesisResult:
 def synthesize(
     instance: SynCollInstance,
     *,
-    encoding: str = "sccl",
-    prune: bool = True,
     time_limit: Optional[float] = None,
     conflict_limit: Optional[int] = None,
-    verify: bool = True,
     name: Optional[str] = None,
     cache=None,
 ) -> SynthesisResult:
     """Synthesize an algorithm for one SynColl instance.
 
+    The formula is the paper's time/send split encoding with reachability
+    pruning (:class:`~repro.core.encoding.ScclEncoding`), and every decoded
+    algorithm is re-checked against the run semantics; a violation raises
+    :class:`SynthesisError` (it would indicate a bug in the encoder, not
+    user error).
+
     Parameters
     ----------
     instance:
         The ``(G, S, R, P, B, pre, post)`` tuple to solve.
-    encoding:
-        ``"sccl"`` (the paper's time/send split encoding) or ``"naive"``
-        (one Boolean per ``(c, n, n', s)``; used for the ablation).
-    prune:
-        Enable distance-based variable pruning (sccl encoding only).
     time_limit / conflict_limit:
         Resource limits passed to the SAT solver; on exhaustion the result
         status is ``UNKNOWN``.
-    verify:
-        Re-check the decoded algorithm against the run semantics; any
-        violation raises :class:`SynthesisError` (it would indicate a bug in
-        the encoder, not user error).
     cache:
         An :class:`~repro.engine.cache.AlgorithmCache`.  A hit returns a
         replayed result (``cache_hit=True``) without encoding or solving;
@@ -138,8 +131,8 @@ def synthesize(
     loop, which calls the uncounted :func:`_probe`, counts its own.
     """
     result = _probe(
-        instance, encoding=encoding, prune=prune, time_limit=time_limit,
-        conflict_limit=conflict_limit, verify=verify, name=name, cache=cache,
+        instance, time_limit=time_limit, conflict_limit=conflict_limit,
+        name=name, cache=cache,
     )
     if not result.cache_hit:
         count_solver_call(result)
@@ -156,41 +149,28 @@ def count_solver_call(result: SynthesisResult) -> None:
 def _probe(
     instance: SynCollInstance,
     *,
-    encoding: str = "sccl",
-    prune: bool = True,
     time_limit: Optional[float] = None,
     conflict_limit: Optional[int] = None,
-    verify: bool = True,
     name: Optional[str] = None,
     cache=None,
 ) -> SynthesisResult:
     """:func:`synthesize` without the metrics: one cold encode and solve."""
-    from ..engine.backends import CdclHandle, get_backend
+    from ..engine.backends import CdclHandle
     from ..engine.cache import instance_fingerprint, lookup_result, store_result
 
-    if encoding not in ("sccl", "naive"):
-        raise ValueError(f"unknown encoding {encoding!r}")
     # The cache key of this probe, computed once for lookup and store.
-    key = (
-        instance_fingerprint(instance, encoding=encoding, prune=prune)
-        if cache is not None else None
-    )
+    key = instance_fingerprint(instance) if cache is not None else None
 
-    tracer = get_tracer()
-    with tracer.span(
+    with get_tracer().span(
         "probe",
         collective=instance.collective,
         C=instance.chunks_per_node,
         S=instance.steps,
         R=instance.rounds,
-        encoding=encoding,
         backend=CdclHandle.name,
     ) as probe_span:
         if cache is not None:
-            cached = lookup_result(
-                cache, instance, encoding=encoding, prune=prune, verify=verify,
-                key=key,
-            )
+            cached = lookup_result(cache, instance, key=key)
             if cached is not None:
                 if name is not None and cached.algorithm is not None:
                     cached.algorithm = cached.algorithm.renamed(name)
@@ -200,36 +180,53 @@ def _probe(
                 )
                 return cached
 
-        with tracer.span("encode", encoding=encoding):
-            start = time.monotonic()
-            if encoding == "sccl":
-                encoder = ScclEncoding(instance, prune=prune)
-            else:
-                encoder = NaiveEncoding(instance)
-            ctx = encoder.encode()
-            encode_time = time.monotonic() - start
-
-        # A cut witness means the encoder refuted the instance by arithmetic
-        # (the formula is the empty clause): no solver sees it.
-        witness = getattr(encoder, "cut_witness", None)
-        handle = get_backend().create()
-
-        def solve():
-            if witness is not None or not handle.load(ctx.cnf):
-                return SolveResult.UNSAT, {}
-            status = handle.solve(conflict_limit=conflict_limit, time_limit=time_limit)
-            return status, handle.stats()
-
-        result = finish_probe(
-            instance, solve, lambda: encoder.decode(handle.model(), name=name),
-            backend=CdclHandle.name, encoding=encoding,
-            encode_time=encode_time, encoding_stats=encoder.stats.as_dict(),
-            verify=verify, witness=witness,
+        result = solve_encoding(
+            ScclEncoding(instance), time_limit=time_limit,
+            conflict_limit=conflict_limit, name=name,
         )
         probe_span.set(verdict=result.status.value, cache_hit=False)
         if cache is not None:
-            store_result(cache, result, encoding=encoding, prune=prune, key=key)
+            store_result(cache, result, key=key)
         return result
+
+
+def solve_encoding(
+    encoder,
+    *,
+    time_limit: Optional[float] = None,
+    conflict_limit: Optional[int] = None,
+    name: Optional[str] = None,
+) -> SynthesisResult:
+    """Encode, solve, decode and verify one formula, uncached and uncounted.
+
+    Every probe's formula is the pruned :class:`ScclEncoding`
+    (:func:`_probe`).  The oracle tests and the Section 5.4.3 ablation
+    also hand in :class:`~repro.core.encoding.NaiveEncoding` and
+    ``ScclEncoding(instance, prune=False)``, the formulas no probe solves.
+    """
+    from ..engine.backends import CdclHandle, get_backend
+
+    with get_tracer().span("encode"):
+        start = time.monotonic()
+        ctx = encoder.encode()
+        encode_time = time.monotonic() - start
+
+    # A cut witness means the encoder refuted the instance by arithmetic
+    # (the formula is the empty clause): no solver sees it.
+    witness = encoder.cut_witness
+    handle = get_backend().create()
+
+    def solve():
+        if witness is not None or not handle.load(ctx.cnf):
+            return SolveResult.UNSAT, {}
+        status = handle.solve(conflict_limit=conflict_limit, time_limit=time_limit)
+        return status, handle.stats()
+
+    return finish_probe(
+        encoder.instance, solve, lambda: encoder.decode(handle.model(), name=name),
+        backend=CdclHandle.name, encode_time=encode_time,
+        encoding_stats=encoder.stats.as_dict(), witness=witness,
+    )
 
 
 def finish_probe(
@@ -238,10 +235,8 @@ def finish_probe(
     decode: Callable[[], Algorithm],
     *,
     backend: str,
-    encoding: str,
     encode_time: float,
     encoding_stats: Dict[str, int],
-    verify: bool,
     witness: Optional[Cut] = None,
 ) -> SynthesisResult:
     """The end every encoded probe shares, a cold formula or a family frame.
@@ -262,23 +257,21 @@ def finish_probe(
         solve_time=solve_time,
         encoding_stats=encoding_stats,
         solver_stats=solver_stats,
-        encoding=encoding,
         backend=backend,
         provenance="solved" if witness is None else "bound",
         witness=witness,
     )
     if status is SolveResult.SAT:
         algorithm = decode()
-        if verify:
-            with tracer.span("verify"):
-                start = time.monotonic()
-                try:
-                    algorithm.verify()
-                except Exception as exc:  # pragma: no cover - encoder bug guard
-                    raise SynthesisError(
-                        f"decoded algorithm fails verification: {exc}"
-                    ) from exc
-                result.verify_time = time.monotonic() - start
+        with tracer.span("verify"):
+            start = time.monotonic()
+            try:
+                algorithm.verify()
+            except Exception as exc:  # pragma: no cover - encoder bug guard
+                raise SynthesisError(
+                    f"decoded algorithm fails verification: {exc}"
+                ) from exc
+            result.verify_time = time.monotonic() - start
         result.algorithm = algorithm
     return result
 

@@ -38,7 +38,6 @@ from .cache import (
     default_cache_dir,
     fingerprint,
     instance_fingerprint,
-    load_algorithm,
     lookup_result,
     store_result,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "fingerprint",
     "get_backend",
     "instance_fingerprint",
-    "load_algorithm",
     "lookup_result",
     "make_dispatcher",
     "store_result",

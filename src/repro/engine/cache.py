@@ -1,7 +1,7 @@
 """Persistent, content-addressed cache of synthesized algorithms.
 
-Every solved ``(topology, collective, C, S, R, root, encoding, prune)``
-candidate is fingerprinted with SHA-256 over a canonical JSON payload and
+Every solved ``(topology, collective, C, S, R, root)`` candidate is
+fingerprinted with SHA-256 over a canonical JSON payload and
 stored as one JSON file per entry.  SAT entries carry the verified
 algorithm's serialized schedule; UNSAT entries carry just the status, so a
 warm Pareto sweep skips its failed probes as well as its successes.
@@ -10,8 +10,8 @@ the run that produced them.
 
 The fingerprint covers only what determines satisfiability: the topology's
 structure (node count and bandwidth constraints — *not* its name or its
-alpha/beta cost parameters), the instance signature, and the encoding
-configuration.  On a hit the stored algorithm is re-verified against the
+alpha/beta cost parameters) and the instance signature, plus the constant
+:data:`FORMULA`.  On a hit the stored algorithm is re-verified against the
 run semantics and re-attached to the *requested* topology object, so cost
 queries use the caller's alpha/beta.
 """
@@ -45,6 +45,12 @@ CACHE_FORMAT_VERSION = 1
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: The one formula every probe solves (the pruned ``ScclEncoding``), as the
+#: cache, request and routing keys name it.  A constant of every key
+#: payload, so keys written by earlier versions, which took it as an
+#: option, still match.
+FORMULA = {"encoding": "sccl", "prune": True}
 
 
 class CacheError(Exception):
@@ -99,8 +105,6 @@ def fingerprint(
     rounds: int,
     *,
     root: int = 0,
-    encoding: str = "sccl",
-    prune: bool = True,
 ) -> str:
     """Content hash identifying one synthesis candidate.
 
@@ -115,8 +119,7 @@ def fingerprint(
         "steps": steps,
         "rounds": rounds,
         "root": root,
-        "encoding": encoding,
-        "prune": prune,
+        **FORMULA,
     })
     blob = (
         f'{head[:-1]},"topology":{topology.fact(_topology_blob)},'
@@ -125,9 +128,7 @@ def fingerprint(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def instance_fingerprint(
-    instance: SynCollInstance, *, encoding: str = "sccl", prune: bool = True
-) -> str:
+def instance_fingerprint(instance: SynCollInstance) -> str:
     return fingerprint(
         instance.collective,
         instance.topology,
@@ -135,8 +136,6 @@ def instance_fingerprint(
         instance.steps,
         instance.rounds,
         root=instance.root,
-        encoding=encoding,
-        prune=prune,
     )
 
 
@@ -181,7 +180,7 @@ class CacheEntry:
     """One persisted synthesis outcome.
 
     ``instance`` is an optional human-readable description of the candidate
-    (collective, topology name, C/S/R, root, encoding) written alongside the
+    (collective, topology name, C/S/R, root) written alongside the
     opaque content hash so that ``repro cache ls`` can say what an entry
     *is*; entries written before it was introduced simply report unknowns.
     """
@@ -317,9 +316,10 @@ class AlgorithmCache:
         return entry
 
     def lookup_decoded(
-        self, key: str, topology: Topology, *, verify: bool = True
+        self, key: str, topology: Topology
     ) -> Optional[Tuple[CacheEntry, Optional[Algorithm]]]:
-        """The entry under ``key`` with its SAT schedule decoded onto ``topology``.
+        """The entry under ``key`` with its SAT schedule decoded onto ``topology``
+        and re-verified.
 
         None on a miss.  A schedule that no longer decodes or verifies is
         dropped and answered as a miss; the outcome is counted once, after
@@ -328,7 +328,7 @@ class AlgorithmCache:
         entry = self._read(key)
         algorithm = None
         if entry is not None and entry.status == "sat":
-            algorithm = self._decode_algorithm(entry, topology, key, verify=verify)
+            algorithm = self._decode_algorithm(entry, topology, key)
             if algorithm is None:
                 entry = None
         self._count(entry is not None)
@@ -523,9 +523,6 @@ class AlgorithmCache:
         rounds: int,
         *,
         root: int = 0,
-        encoding: str = "sccl",
-        prune: bool = True,
-        verify: bool = True,
     ) -> Optional[Algorithm]:
         """Return the cached verified algorithm for a candidate, or None.
 
@@ -533,20 +530,18 @@ class AlgorithmCache:
         (the fingerprint guarantees structural equality) and re-verified.
         """
         key = fingerprint(
-            collective, topology, chunks_per_node, steps, rounds,
-            root=root, encoding=encoding, prune=prune,
+            collective, topology, chunks_per_node, steps, rounds, root=root
         )
-        found = self.lookup_decoded(key, topology, verify=verify)
+        found = self.lookup_decoded(key, topology)
         return None if found is None else found[1]
 
     def _decode_algorithm(
-        self, entry: CacheEntry, topology: Topology, key: str, *, verify: bool = True
+        self, entry: CacheEntry, topology: Topology, key: str
     ) -> Optional[Algorithm]:
         try:
             algorithm = Algorithm.from_dict(entry.algorithm)
             algorithm = dataclasses.replace(algorithm, topology=topology)
-            if verify:
-                algorithm.verify()
+            algorithm.verify()
         except Exception:
             # Corrupted or stale entry: drop it (the caller counts a miss).
             self.discard(key)
@@ -575,9 +570,6 @@ def lookup_result(
     cache: AlgorithmCache,
     instance: SynCollInstance,
     *,
-    encoding: str = "sccl",
-    prune: bool = True,
-    verify: bool = True,
     key: Optional[str] = None,
 ):
     """Replay a cached outcome as a :class:`~repro.core.synthesizer.SynthesisResult`.
@@ -591,8 +583,8 @@ def lookup_result(
     from ..core.synthesizer import SynthesisResult
 
     if key is None:
-        key = instance_fingerprint(instance, encoding=encoding, prune=prune)
-    found = cache.lookup_decoded(key, instance.topology, verify=verify)
+        key = instance_fingerprint(instance)
+    found = cache.lookup_decoded(key, instance.topology)
     if found is None:
         return None
     entry, algorithm = found
@@ -601,7 +593,6 @@ def lookup_result(
         instance=instance,
         status=status,
         algorithm=algorithm,
-        encoding=encoding,
         backend=entry.backend,
         cache_hit=True,
         provenance=entry.provenance,
@@ -613,8 +604,6 @@ def store_result(
     cache: AlgorithmCache,
     result,
     *,
-    encoding: str = "sccl",
-    prune: bool = True,
     key: Optional[str] = None,
 ) -> bool:
     """Persist a SAT or UNSAT synthesis outcome; UNKNOWN is never stored.
@@ -633,7 +622,7 @@ def store_result(
     else:
         return False
     if key is None:
-        key = instance_fingerprint(result.instance, encoding=encoding, prune=prune)
+        key = instance_fingerprint(result.instance)
     instance = result.instance
     witness = getattr(result, "witness", None)
     entry = CacheEntry(
@@ -653,8 +642,7 @@ def store_result(
             "steps": instance.steps,
             "rounds": instance.rounds,
             "root": instance.root,
-            "encoding": encoding,
-            "prune": prune,
+            **FORMULA,
         },
     )
     try:
@@ -664,18 +652,3 @@ def store_result(
         # fail a synthesis that already succeeded.
         return False
     return True
-
-
-def load_algorithm(
-    cache: AlgorithmCache,
-    collective: str,
-    topology: Topology,
-    chunks_per_node: int,
-    steps: int,
-    rounds: int,
-    **kwargs,
-) -> Optional[Algorithm]:
-    """Module-level alias of :meth:`AlgorithmCache.load_algorithm`."""
-    return cache.load_algorithm(
-        collective, topology, chunks_per_node, steps, rounds, **kwargs
-    )

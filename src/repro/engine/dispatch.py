@@ -95,8 +95,6 @@ class SweepRequest:
     steps: int
     candidates: Tuple[Tuple[int, int], ...]  # (rounds, chunks) in cost order
     root: int = 0
-    encoding: str = "sccl"
-    prune: bool = True
     time_limit: Optional[float] = None
     conflict_limit: Optional[int] = None
     stop_at_first_sat: bool = True
@@ -214,8 +212,6 @@ def _solve_exact(probe: Probe):
     request = probe.request
     return _probe(
         probe.instance,
-        encoding=request.encoding,
-        prune=request.prune,
         time_limit=request.time_limit,
         conflict_limit=request.conflict_limit,
     )
@@ -255,8 +251,7 @@ class FamilyExecutor:
 
     def __init__(self, request: SweepRequest) -> None:
         self._family = SessionFamily(
-            request.collective, request.topology,
-            root=request.root, prune=request.prune,
+            request.collective, request.topology, root=request.root
         )
         self._rounds_budget: Dict[int, int] = {}
 
@@ -404,7 +399,6 @@ def _check_uniform(requests: Sequence[SweepRequest]) -> None:
     def context(request: SweepRequest) -> tuple:
         return (
             request.collective, id(request.topology), request.root,
-            request.encoding, request.prune,
             request.time_limit, request.conflict_limit,
             request.stop_at_first_sat, id(request.bounds),
         )
@@ -436,13 +430,8 @@ def _cached_result(
     """
     if cache is None:
         return None
-    request = probe.request
-    key = fingerprints[probe.key] = instance_fingerprint(
-        probe.instance, encoding=request.encoding, prune=request.prune
-    )
-    return lookup_result(
-        cache, probe.instance, encoding=request.encoding, prune=request.prune, key=key
-    )
+    key = fingerprints[probe.key] = instance_fingerprint(probe.instance)
+    return lookup_result(cache, probe.instance, key=key)
 
 
 def _cut_for(probe: Probe, witness: Optional[Tuple[int, int, int]], cache):
@@ -453,7 +442,7 @@ def _cut_for(probe: Probe, witness: Optional[Tuple[int, int, int]], cache):
         probe.chunks, root=request.root, witness=witness, instance=probe.instance,
     )
     if cache is not None:
-        store_result(cache, result, encoding=request.encoding, prune=request.prune)
+        store_result(cache, result)
     return result
 
 
@@ -621,11 +610,7 @@ class Dispatcher:
                                 sweep_span.adopt(result.trace)
                                 result.trace = None
                             if cache is not None:
-                                store_result(
-                                    cache, result,
-                                    encoding=request.encoding, prune=request.prune,
-                                    key=fingerprints[probe.key],
-                                )
+                                store_result(cache, result, key=fingerprints[probe.key])
                         if request.bounds is not None:
                             request.bounds.observe(result)
                         outcome.results.append(result)
@@ -654,8 +639,7 @@ def make_dispatcher(
     def make_executor(request: SweepRequest) -> Executor:
         if strategy in _POOL_LOOKAHEAD and max_workers != 1:
             return PoolExecutor(request, max_workers, _POOL_LOOKAHEAD[strategy])
-        # The naive ablation encoding has no selector layers to frame.
-        if strategy == "incremental" and request.encoding == "sccl":
+        if strategy == "incremental":
             return FamilyExecutor(request)
         return InlineExecutor()
 

@@ -86,12 +86,10 @@ class SessionFamily:
         topology: Topology,
         *,
         root: int = 0,
-        prune: bool = True,
     ) -> None:
         self.collective = collective
         self.topology = topology
         self.root = root
-        self.prune = prune
         self._analysis = PrefixAnalysis(topology)
         self._entries: Dict[int, _FamilyEntry] = {}
         # One instance per lattice point: a candidate's frame and a budget
@@ -119,7 +117,6 @@ class SessionFamily:
             start = time.monotonic()
             encoder = ScclEncoding(
                 self._budget_instance(steps, chunks, rounds),
-                prune=self.prune,
                 rounds_budget=rounds,
                 chunk_selector=True,
                 analysis=self._analysis,
@@ -187,7 +184,6 @@ class SessionFamily:
         max_rounds: Optional[int] = None,
         time_limit: Optional[float] = None,
         conflict_limit: Optional[int] = None,
-        verify: bool = True,
         name: Optional[str] = None,
         instance: Optional[SynCollInstance] = None,
     ):
@@ -222,7 +218,6 @@ class SessionFamily:
             C=chunks,
             S=steps,
             R=rounds,
-            encoding="sccl",
             backend=CdclHandle.name,
         ) as probe_span:
             entry = self._entry_for(steps, chunks, rounds, max_chunks, max_rounds)
@@ -249,10 +244,8 @@ class SessionFamily:
                 lambda: entry.encoder.decode(
                     entry.handle.model(), name=name, instance=instance
                 ),
-                backend=CdclHandle.name, encoding="sccl",
-                encode_time=encode_time,
+                backend=CdclHandle.name, encode_time=encode_time,
                 encoding_stats=entry.encoder.stats.as_dict(),
-                verify=verify,
             )
             self.solver_calls += 1
             probe_span.set(verdict=result.status.value, cache_hit=False)

@@ -161,7 +161,7 @@ def plan_from_result(result) -> AlgorithmPlan:
         result.algorithm,
         provenance={
             "backend": result.backend,
-            "encoding": result.encoding,
+            "encoding": "sccl",
             "cache_hit": result.cache_hit,
             "encode_time_s": result.encode_time,
             "solve_time_s": result.solve_time,
@@ -181,10 +181,11 @@ def write_plan(plan: AlgorithmPlan, path) -> Path:
     return destination
 
 
-def read_plan(path, *, verify: bool = True) -> AlgorithmPlan:
+def read_plan(path) -> AlgorithmPlan:
+    """Read a plan file and re-verify its algorithm against the spec."""
     source = Path(path)
     try:
         data = json.loads(source.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise InterchangeError(f"cannot read plan {source}: {exc}") from exc
-    return AlgorithmPlan.from_json(data, verify=verify)
+    return AlgorithmPlan.from_json(data)

@@ -65,8 +65,6 @@ class PlanRequest:
     size_bytes: Optional[int] = None
     synchrony: int = 2            # k budget for routed-mode frontier sweeps
     deadline_s: Optional[float] = None
-    encoding: str = "sccl"
-    prune: bool = True
 
     # ------------------------------------------------------------------
     # Validation / mode
@@ -102,8 +100,6 @@ class PlanRequest:
             raise ServiceError("synchrony must be non-negative")
         if self.deadline_s is not None and not 0 < self.deadline_s < float("inf"):
             raise ServiceError("deadline_s must be a finite positive number")
-        if self.encoding not in ("sccl", "naive"):
-            raise ServiceError(f"unknown encoding {self.encoding!r}")
         self.resolve_topology()
         return self
 
@@ -132,14 +128,15 @@ class PlanRequest:
         Pinned requests reuse the engine cache fingerprint verbatim, so a
         request key doubles as the cache key of the answer.  Routed
         requests hash the structural topology payload plus the routing
-        inputs.  The deadline is a caller preference, not work content, and
-        is excluded.  Hashed once per request object.
+        inputs and the constant formula.  The deadline is a caller
+        preference, not work content, and is excluded.  Hashed once per
+        request object.
         """
         return self._key
 
     @cached_property
     def _key(self) -> str:
-        from ..engine.cache import fingerprint, topology_fingerprint_payload
+        from ..engine.cache import FORMULA, fingerprint, topology_fingerprint_payload
 
         topology = self.resolve_topology()
         if self.mode == "pinned":
@@ -150,8 +147,6 @@ class PlanRequest:
                 self.steps,
                 self.rounds,
                 root=self.root,
-                encoding=self.encoding,
-                prune=self.prune,
             )
         payload = {
             "version": API_VERSION,
@@ -161,8 +156,7 @@ class PlanRequest:
             "root": self.root,
             "size_bytes": self.size_bytes,
             "synchrony": self.synchrony,
-            "encoding": self.encoding,
-            "prune": self.prune,
+            **FORMULA,
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -177,8 +171,6 @@ class PlanRequest:
             "topology": self.topology,
             "root": self.root,
             "synchrony": self.synchrony,
-            "encoding": self.encoding,
-            "prune": self.prune,
         }
         for name in ("chunks", "steps", "rounds", "size_bytes", "deadline_s"):
             value = getattr(self, name)
@@ -197,6 +189,13 @@ class PlanRequest:
         if unknown:
             gone = "; 'backend' is gone: cdcl is the only solver" if "backend" in unknown else ""
             raise ServiceError(f"unknown request field(s): {', '.join(unknown)}{gone}")
+        for name, value in _FIXED_FIELDS.items():
+            if name in data and (type(data[name]) is not type(value) or data[name] != value):
+                raise ServiceError(
+                    f"'{name}' is gone: every plan solves the sccl formula with "
+                    f"pruning, so {name} may only be {json.dumps(value)} "
+                    f"(got {data[name]!r})"
+                )
         try:
             request = cls(
                 collective=str(data["collective"]),
@@ -208,8 +207,6 @@ class PlanRequest:
                 size_bytes=_field(data, "size_bytes", int),
                 synchrony=_field(data, "synchrony", int, 2),
                 deadline_s=_field(data, "deadline_s", float),
-                encoding=str(data.get("encoding", "sccl")),
-                prune=_field(data, "prune", bool, True),
             )
         except KeyError as exc:
             raise ServiceError(f"malformed request: missing {exc}") from exc
@@ -226,10 +223,14 @@ class PlanRequest:
 _JSON_TYPES = {int: "an integer", float: "a number", bool: "a boolean"}
 
 
+#: Keys earlier clients send, accepted only at the values that name the one
+#: formula (``engine/cache.py:FORMULA``; this module loads without the engine).
+_FIXED_FIELDS = {"encoding": "sccl", "prune": True}
+
 #: The request schema: every key ``from_json`` accepts.
 _REQUEST_KEYS = frozenset((
     "version", "collective", "topology", "chunks", "steps", "rounds", "root",
-    "size_bytes", "synchrony", "deadline_s", "encoding", "prune",
+    "size_bytes", "synchrony", "deadline_s", *_FIXED_FIELDS,
 ))
 
 
@@ -278,13 +279,13 @@ class PlanResponse:
     def ok(self) -> bool:
         return self.status == "ok"
 
-    def plan_object(self, *, verify: bool = True) -> AlgorithmPlan:
-        """Decode (and by default re-verify) the carried plan bundle."""
+    def plan_object(self) -> AlgorithmPlan:
+        """Decode and re-verify the carried plan bundle."""
         from ..interchange.plan import AlgorithmPlan
 
         if self.plan is None:
             raise ServiceError(f"response has no plan (status={self.status!r})")
-        return AlgorithmPlan.from_json(self.plan, verify=verify)
+        return AlgorithmPlan.from_json(self.plan)
 
     def to_json(self) -> dict:
         data = {

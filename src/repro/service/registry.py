@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.algorithm import Algorithm
 from ..engine.cache import (
+    FORMULA,
     AlgorithmCache,
     atomic_write,
     default_cache,
@@ -132,8 +133,9 @@ class RoutingTable:
             )
         return payload
 
-    def plan_for(self, entry: RouteEntry, *, verify: bool = False) -> AlgorithmPlan:
-        return AlgorithmPlan.from_json(self.plan_json(entry), verify=verify)
+    def plan_for(self, entry: RouteEntry) -> AlgorithmPlan:
+        """The entry's plan, decoded and re-verified against its spec."""
+        return AlgorithmPlan.from_json(self.plan_json(entry))
 
     def to_json(self) -> dict:
         return {
@@ -154,7 +156,8 @@ class RoutingTable:
         }
 
     @classmethod
-    def from_json(cls, data: dict, *, verify: bool = True) -> "RoutingTable":
+    def from_json(cls, data: dict) -> "RoutingTable":
+        """Decode a table and check it (:meth:`verify`): the trust boundary."""
         if data.get("format") != ROUTES_FORMAT:
             raise RegistryError(
                 f"not a {ROUTES_FORMAT} document (format={data.get('format')!r})"
@@ -181,8 +184,7 @@ class RoutingTable:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise RegistryError(f"malformed routing table: {exc}") from exc
-        if verify:
-            table.verify()
+        table.verify()
         return table
 
     def verify(self) -> None:
@@ -193,7 +195,7 @@ class RoutingTable:
         entries must tile [0, inf) without gaps or overlaps.
         """
         for entry in self.entries:
-            plan = self.plan_for(entry, verify=True)
+            plan = self.plan_for(entry)
             if plan.fingerprint != self.fingerprint:
                 raise RegistryError(
                     f"plan {entry.plan_name!r} was built for a different topology "
@@ -309,8 +311,6 @@ def routing_key(
     *,
     root: int = 0,
     synchrony: int = 0,
-    encoding: str = "sccl",
-    prune: bool = True,
 ) -> str:
     """Content hash identifying one routing table (size-independent).
 
@@ -319,6 +319,7 @@ def routing_key(
     and per-link overrides — decides which frontier algorithm wins each
     size range).  Changing cost parameters therefore addresses a fresh
     table instead of serving routes scored under the old cost model.
+    :data:`~repro.engine.cache.FORMULA` is a constant of the payload.
     """
     payload = {
         "version": ROUTES_VERSION,
@@ -327,8 +328,7 @@ def routing_key(
         "topology_cost": topology_cost_payload(topology),
         "root": root,
         "synchrony": synchrony,
-        "encoding": encoding,
-        "prune": prune,
+        **FORMULA,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -413,8 +413,6 @@ class PlanRegistry:
                 request.steps,
                 request.rounds,
                 root=request.root,
-                encoding=request.encoding,
-                prune=request.prune,
             )
         signature = self.cache.entry_signature(key)
         with self._lock:
@@ -435,8 +433,6 @@ class PlanRegistry:
             request.steps,
             request.rounds,
             root=request.root,
-            encoding=request.encoding,
-            prune=request.prune,
         )
         if algorithm is None:
             return None
@@ -471,7 +467,7 @@ class PlanRegistry:
                 return cached[1]
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-            table = RoutingTable.from_json(data, verify=True)
+            table = RoutingTable.from_json(data)
         except Exception:
             # An unreadable or tampered table is a miss, never an answer.
             return None
@@ -502,8 +498,6 @@ class PlanRegistry:
             topology,
             root=request.root,
             synchrony=request.synchrony,
-            encoding=request.encoding,
-            prune=request.prune,
         )
 
     def table_for(

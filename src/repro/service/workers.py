@@ -233,8 +233,6 @@ class SynthesisResolver:
             self.solves += 1
         result = synthesize(
             instance,
-            encoding=request.encoding,
-            prune=request.prune,
             time_limit=_clamp_limit(remaining_s),
             cache=self.registry.cache,
         )
@@ -271,8 +269,7 @@ class SynthesisResolver:
         topology = fabric.topology
         # The table's key depends on the fabric and on these fields only.
         table_key = fabric.key(
-            (request.collective, request.root, request.synchrony,
-             request.encoding, request.prune),
+            (request.collective, request.root, request.synchrony),
             lambda: self.registry.table_key(request, topology=topology),
         )
 

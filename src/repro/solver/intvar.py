@@ -69,12 +69,6 @@ class IntVar:
         """Literal that is true iff ``x <= v``."""
         return -self.ge_lit(v + 1)
 
-    def gt_lit(self, v: int) -> int:
-        return self.ge_lit(v + 1)
-
-    def lt_lit(self, v: int) -> int:
-        return -self.ge_lit(v)
-
     def eq_lits(self, v: int) -> List[int]:
         """Literals whose conjunction is ``x == v``.
 

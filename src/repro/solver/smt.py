@@ -141,10 +141,6 @@ class SmtLite:
     ) -> None:
         encoders.pseudo_boolean_eq(self.cnf, lits, weights, bound)
 
-    def conjunction_implies(self, antecedents: Sequence[int], consequent_lits: Sequence[int]) -> None:
-        """``and(antecedents) -> or(consequent_lits)``."""
-        self.cnf.add_clause([-a for a in antecedents] + list(consequent_lits))
-
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------

@@ -2,16 +2,17 @@
 
 ``ScclEncoding`` refutes instances by cut arithmetic, orders interchangeable
 chunks and builds time variables over tightened domains; ``NaiveEncoding``
-does none of that.  On random small fabrics the two must agree on every
-verdict, every model must verify, every cut witness must be confirmed by
-the naive formula, assumption frames of a grown ``SessionFamily`` must
+does none of that.  On random small fabrics the two (and the unpruned
+``ScclEncoding``) must agree on every verdict, every model of either formula
+must verify, every cut witness must be confirmed by the naive formula,
+assumption frames of a grown ``SessionFamily`` must
 equal cold encodes, and feasibility must be monotone in ``R`` and ``S`` —
 the invariant ``BoundsLedger`` assumes.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import NaiveEncoding, ScclEncoding, make_instance, synthesize
+from repro.core import NaiveEncoding, ScclEncoding, make_instance, solve_encoding, synthesize
 from repro.engine import SessionFamily
 from repro.solver import SolveResult
 from repro.topology import Topology
@@ -49,15 +50,17 @@ def instances(draw):
 
 
 def naive_verdict(instance):
-    """Verdict of the unpruned reference formula, straight from the solver."""
-    return NaiveEncoding(instance).encode().check().result
+    """Verdict of the unpruned reference formula; a SAT model is decoded and
+    verified on the way."""
+    return solve_encoding(NaiveEncoding(instance)).status
 
 
 @settings(max_examples=120, deadline=None)
 @given(instances())
 def test_pruned_encoding_agrees_with_naive(instance):
-    result = synthesize(instance)  # verify=True: every SAT model is re-checked
+    result = synthesize(instance)  # every SAT model is re-checked
     assert result.status is naive_verdict(instance)
+    assert solve_encoding(ScclEncoding(instance, prune=False)).status is result.status
     if result.is_sat:
         result.algorithm.verify()
         assert result.algorithm.total_rounds == instance.rounds

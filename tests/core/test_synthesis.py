@@ -11,6 +11,7 @@ from repro.core import (
     NaiveEncoding,
     ScclEncoding,
     make_instance,
+    solve_encoding,
     synthesize,
     synthesize_collective,
 )
@@ -136,12 +137,9 @@ class TestEncodingMechanics:
 
     def test_unpruned_encoding_agrees(self):
         instance = make_instance("Allgather", ring(4), 1, 2, 2)
-        assert synthesize(instance, prune=False).is_sat
-        assert synthesize(instance, prune=True).is_sat
-
-    def test_unknown_encoding_rejected(self):
-        with pytest.raises(ValueError):
-            synthesize(make_instance("Allgather", ring(4), 1, 2, 2), encoding="magic")
+        unpruned = solve_encoding(ScclEncoding(instance, prune=False))
+        assert unpruned.is_sat and unpruned.algorithm.total_rounds == 2
+        assert synthesize(instance).is_sat
 
     def test_resource_limit_gives_unknown_or_answer(self):
         result = synthesize(
@@ -183,7 +181,7 @@ class TestArithmeticVerdicts:
             assert encoder.cut_witness is None and encoder.stats.clauses > 2
 
     def test_naive_encoding_has_no_arithmetic(self):
-        result = synthesize(make_instance("Scatter", dgx1(), 2, 2, 2), encoding="naive")
+        result = solve_encoding(NaiveEncoding(make_instance("Scatter", dgx1(), 2, 2, 2)))
         assert result.is_unsat and result.provenance == "solved" and result.witness is None
 
 
@@ -202,12 +200,9 @@ class TestNaiveEncodingAblation:
     )
     def test_agreement_with_sccl_encoding(self, collective, topo, chunks, steps, rounds, expected_sat):
         instance = make_instance(collective, topo, chunks, steps, rounds, root=0)
-        naive = synthesize(instance, encoding="naive")
-        sccl = synthesize(instance, encoding="sccl")
+        naive = solve_encoding(NaiveEncoding(instance))  # decoded and verified
+        sccl = synthesize(instance)
         assert naive.is_sat == sccl.is_sat == expected_sat
-        if expected_sat:
-            naive.algorithm.verify()
-            sccl.algorithm.verify()
 
     def test_naive_encoding_is_larger(self):
         instance = make_instance("Allgather", ring(6), 1, 3, 3)
@@ -216,3 +211,91 @@ class TestNaiveEncodingAblation:
         sccl = ScclEncoding(instance)
         sccl.encode()
         assert naive.stats.variables > sccl.stats.variables
+
+
+class TestNoFormulaOption:
+    """The formula is not a choice: above the encoders, no entry point takes
+    ``encoding``, ``prune`` or ``verify``; every probe solves the pruned
+    ``ScclEncoding`` and verifies what it decodes."""
+
+    @staticmethod
+    def entry_points(tmp_path):
+        from repro.core.synthesizer import _probe, finish_probe
+        from repro.engine import (
+            AlgorithmCache, FamilyExecutor, SessionFamily, SweepRequest,
+            fingerprint, instance_fingerprint, lookup_result, make_dispatcher,
+            store_result,
+        )
+        from repro.engine.dispatch import (
+            _cached_result, _check_uniform, _cut_for, _solve_exact,
+        )
+        from repro.interchange import read_plan
+        from repro.service import PlanRegistry, PlanRequest, PlanResponse
+        from repro.service.registry import RoutingTable, routing_key
+
+        cache = AlgorithmCache(tmp_path / "algorithms")
+        registry = PlanRegistry(cache=cache, routes_dir=tmp_path / "routes")
+        family = SessionFamily("Allgather", ring(4))
+        instance = make_instance("Allgather", ring(4), 1, 2, 3)
+        request = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
+        return {
+            "synthesize": lambda **kw: synthesize(instance, **kw),
+            "_probe": lambda **kw: _probe(instance, **kw),
+            "finish_probe": lambda **kw: finish_probe(
+                instance, None, None, backend="cdcl", encode_time=0.0,
+                encoding_stats={}, **kw),
+            "SweepRequest": lambda **kw: SweepRequest(
+                "Allgather", ring(4), 2, ((3, 1),), **kw),
+            "_solve_exact": lambda **kw: _solve_exact(None, **kw),
+            "FamilyExecutor": lambda **kw: FamilyExecutor(None, **kw),
+            "_check_uniform": lambda **kw: _check_uniform([], **kw),
+            "_cached_result": lambda **kw: _cached_result(None, cache, {}, **kw),
+            "_cut_for": lambda **kw: _cut_for(None, None, cache, **kw),
+            "make_dispatcher": lambda **kw: make_dispatcher("incremental", **kw),
+            "SessionFamily": lambda **kw: SessionFamily("Allgather", ring(4), **kw),
+            "SessionFamily.solve": lambda **kw: family.solve(2, 1, 3, **kw),
+            "fingerprint": lambda **kw: fingerprint("Allgather", ring(4), 1, 2, 3, **kw),
+            "instance_fingerprint": lambda **kw: instance_fingerprint(instance, **kw),
+            "lookup_result": lambda **kw: lookup_result(cache, instance, **kw),
+            "store_result": lambda **kw: store_result(cache, None, **kw),
+            "lookup_decoded": lambda **kw: cache.lookup_decoded("k", ring(4), **kw),
+            "_decode_algorithm": lambda **kw: cache._decode_algorithm(
+                None, ring(4), "k", **kw),
+            "load_algorithm": lambda **kw: cache.load_algorithm(
+                "Allgather", ring(4), 1, 2, 3, **kw),
+            "routing_key": lambda **kw: routing_key("Allgather", ring(4), **kw),
+            "lookup_pinned_json": lambda **kw: registry.lookup_pinned_json(request, **kw),
+            "table_key": lambda **kw: registry.table_key(request, **kw),
+            "PlanRequest": lambda **kw: PlanRequest(
+                "Allgather", "ring:4", chunks=1, steps=2, rounds=3, **kw),
+            # Only AlgorithmPlan.from_json keeps ``verify``: what reads plans
+            # and tables in from outside always checks them.
+            "RoutingTable.from_json": lambda **kw: RoutingTable.from_json({}, **kw),
+            "RoutingTable.plan_for": lambda **kw: RoutingTable.plan_for(None, None, **kw),
+            "read_plan": lambda **kw: read_plan(tmp_path / "plan.json", **kw),
+            "PlanResponse.plan_object": lambda **kw: PlanResponse("ok", "k").plan_object(**kw),
+        }
+
+    @pytest.mark.parametrize("option, value", [
+        ("encoding", "sccl"), ("prune", True), ("verify", True),
+    ])
+    def test_every_entry_point_rejects_the_option(self, tmp_path, option, value):
+        for name, call in self.entry_points(tmp_path).items():
+            with pytest.raises(TypeError, match=option):
+                call(**{option: value})
+                pytest.fail(f"{name} accepted {option}=")
+
+    def test_the_sweep_always_stops_at_bandwidth_optimal(self):
+        from repro.core import pareto_synthesize
+
+        with pytest.raises(TypeError, match="stop_at_bandwidth_optimal"):
+            pareto_synthesize("Allgather", ring(4), stop_at_bandwidth_optimal=False)
+
+    def test_retired_helpers_are_gone(self):
+        import repro.engine
+        from repro.solver import IntVar, SmtLite
+
+        assert not hasattr(repro.engine, "load_algorithm")
+        assert not hasattr(repro.engine.cache, "load_algorithm")
+        assert not hasattr(SmtLite, "conjunction_implies")
+        assert not hasattr(IntVar, "gt_lit") and not hasattr(IntVar, "lt_lit")

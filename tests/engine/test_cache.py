@@ -60,45 +60,41 @@ class TestFingerprint:
         assert base != fingerprint("Allgather", topo, 2, 2, 3)
         assert base != fingerprint("Gather", topo, 1, 2, 3)
         assert base != fingerprint("Allgather", ring(6), 1, 2, 3)
-        assert base != fingerprint("Allgather", topo, 1, 2, 3, prune=False)
-        assert base != fingerprint("Allgather", topo, 1, 2, 3, encoding="naive")
+        assert base != fingerprint("Allgather", topo, 1, 2, 3, root=1)
 
     def test_keys_are_the_hash_of_the_whole_canonical_payload(self):
         """The topology's part is serialised once and spliced in; the key
         must stay the SHA-256 of the one-shot canonical JSON (entries on
-        disk are addressed by it)."""
+        disk are addressed by it), with the one formula's ``encoding`` and
+        ``prune`` as constants."""
         import hashlib
 
         from repro.engine.cache import CACHE_FORMAT_VERSION, topology_fingerprint_payload
 
-        def one_shot(collective, topology, chunks, steps, rounds, root, encoding, prune):
+        def one_shot(collective, topology, chunks, steps, rounds, root):
             payload = {
                 "version": CACHE_FORMAT_VERSION, "collective": collective,
                 "topology": topology_fingerprint_payload(topology),
                 "chunks_per_node": chunks, "steps": steps, "rounds": rounds,
-                "root": root, "encoding": encoding, "prune": prune,
+                "root": root, "encoding": "sccl", "prune": True,
             }
             blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
             return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
         for topology in (ring(4), dgx1()):
             for args in (
-                ("Allgather", topology, 1, 2, 2, 0, "sccl", True),
-                ("Broadcast", topology, 3, 4, 5, 2, "naive", False),
-                ('Odd "name"\\', topology, 10, 11, 12, 3, "sccl", True),
+                ("Allgather", topology, 1, 2, 2, 0),
+                ("Broadcast", topology, 3, 4, 5, 2),
+                ('Odd "name"\\', topology, 10, 11, 12, 3),
             ):
-                collective, _, chunks, steps, rounds, root, encoding, prune = args
+                collective, _, chunks, steps, rounds, root = args
                 assert fingerprint(
-                    collective, topology, chunks, steps, rounds,
-                    root=root, encoding=encoding, prune=prune,
+                    collective, topology, chunks, steps, rounds, root=root
                 ) == one_shot(*args)
         # Recorded at the commit before the splice.
         assert fingerprint("Allgather", dgx1(), 1, 2, 2) == (
             "719698455844b21bf866655ffc5a7244bb4ec2b082df9bd1429fc2ce8f87f187"
         )
-        assert fingerprint(
-            "Broadcast", ring(4), 3, 4, 5, root=2, encoding="naive", prune=False
-        ) == "50df8b4c2f4a430e9acce8f7430f8f1841fd9d596316dd877d19d147312aa3e7"
 
     def test_key_follows_an_edited_topology(self):
         topo = ring(4)

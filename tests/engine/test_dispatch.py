@@ -108,18 +108,6 @@ class TestIncrementalEquivalence:
         for point in incremental.points:
             point.algorithm.verify()
 
-    def test_naive_encoding_falls_back_to_serial(self):
-        request = SweepRequest(
-            collective="Allgather",
-            topology=ring(4),
-            steps=2,
-            candidates=((2, 1), (3, 1)),
-            encoding="naive",
-        )
-        outcome = make_dispatcher("incremental").sweep(request)
-        assert outcome.first_sat is not None
-        assert outcome.stats.encode_calls >= 1
-
 
 class TestEngineStatsOnFrontier:
     def test_frontier_records_engine_stats(self):

@@ -111,7 +111,7 @@ class TestWireForms:
         wire = request.to_json()
         assert set(wire) == {
             "version", "collective", "topology", "chunks", "steps", "rounds",
-            "root", "synchrony", "deadline_s", "encoding", "prune",
+            "root", "synchrony", "deadline_s",
         }
         again = PlanRequest.from_json(wire)
         assert again == request
@@ -135,6 +135,16 @@ class TestWireForms:
         ({"size_bytes": True, "chunks": None, "steps": None, "rounds": None}, "size_bytes"),
         ({"prune": "false"}, "prune"),
         ({"prune": 0}, "prune"),
+        # The formula is not a choice: only the values every older client
+        # sends are accepted.
+        ({"encoding": "naive"}, "'encoding' is gone"),
+        ({"encoding": None}, "'encoding' is gone"),
+        ({"prune": False}, "'prune' is gone"),
+        ({"prune": 1}, "'prune' is gone"),
+        ({"encoding": "naive", "chunks": None, "steps": None, "rounds": None,
+          "size_bytes": 1024}, "'encoding' is gone"),
+        ({"prune": False, "chunks": None, "steps": None, "rounds": None,
+          "size_bytes": 1024}, "'prune' is gone"),
         ({"deadline_s": float("nan")}, "deadline_s"),
         ({"deadline_s": float("inf")}, "deadline_s"),
         ({"deadline_s": True}, "deadline_s"),
@@ -157,12 +167,25 @@ class TestWireForms:
         payload = {
             "version": 1, "collective": "Allgather", "topology": "ring:4",
             "chunks": 1, "steps": 2, "rounds": 3, "root": 0, "size_bytes": None,
-            "synchrony": 1, "deadline_s": 5, "encoding": "sccl", "prune": False,
+            "synchrony": 1, "deadline_s": 5, "encoding": "sccl", "prune": True,
         }
         assert PlanRequest.from_json(payload) == PlanRequest(
             "Allgather", "ring:4", chunks=1, steps=2, rounds=3, synchrony=1,
-            deadline_s=5.0, prune=False,
+            deadline_s=5.0,
         )
+
+    @pytest.mark.parametrize("request_", [
+        PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3),
+        PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1),
+    ], ids=["pinned", "routed"])
+    def test_older_clients_wire_form_is_the_same_request(self, request_):
+        """Clients of earlier versions send ``encoding``/``prune`` at their one
+        accepted value: the same request, the same key, as without them."""
+        wire = request_.to_json()
+        assert "encoding" not in wire and "prune" not in wire
+        older = PlanRequest.from_json({**wire, "encoding": "sccl", "prune": True})
+        assert older == request_ == PlanRequest.from_json(wire)
+        assert older.request_key() == request_.request_key()
 
     def test_from_json_takes_integral_floats(self):
         routed = {**PINNED_JSON, "chunks": None, "steps": None, "rounds": None,

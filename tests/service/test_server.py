@@ -110,6 +110,22 @@ class TestHTTP:
         error = json.loads(info.value.read())["error"]
         assert "backend, prun" in error and "'backend' is gone" in error
 
+    @pytest.mark.parametrize("field, value", [("encoding", "naive"), ("prune", False)])
+    @pytest.mark.parametrize("mode", ["pinned", "routed"])
+    def test_another_formula_is_a_400_naming_the_field(self, server_url, mode, field, value):
+        request = QUICKSTART if mode == "pinned" else PlanRequest(
+            "Allgather", "ring:4", size_bytes=1 << 20, synchrony=1
+        )
+        body = json.dumps({**request.to_json(), field: value}).encode()
+        http_request = urllib.request.Request(
+            server_url + "/v1/plan", data=body,
+            headers={"Content-Type": "application/json"}, method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(http_request, timeout=5)
+        assert info.value.code == 400
+        assert f"'{field}' is gone" in json.loads(info.value.read())["error"]
+
     def test_unknown_endpoint_404(self, server_url):
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(server_url + "/nope", timeout=5)

@@ -95,6 +95,24 @@ class TestResolverLadder:
         assert other.ok and other.source == "registry"
         assert resolver.stats()["solves"] == 1
 
+    def test_older_clients_routed_request_shares_the_table(self, registry):
+        """A routed request as earlier clients send it (``encoding`` and
+        ``prune`` at their one accepted value) and as clients send it now
+        address one table, built once."""
+        older_wire = {
+            "version": 1, "collective": "Allgather", "topology": "ring:4",
+            "root": 0, "synchrony": 1, "size_bytes": 1 << 20,
+            "encoding": "sccl", "prune": True,
+        }
+        wire = ROUTED.to_json()
+        assert set(older_wire) - set(wire) == {"encoding", "prune"}
+        older, current = PlanRequest.from_json(older_wire), PlanRequest.from_json(wire)
+        assert older.request_key() == current.request_key() == ROUTED.request_key()
+        resolver = SynthesisResolver(registry)
+        assert resolver(older, None).source == "synthesized"
+        assert resolver(current, None).source == "registry"
+        assert resolver.stats()["solves"] == 1 and len(registry.tables()) == 1
+
     def test_combining_pinned_request_is_a_clean_error(self, registry):
         resolver = SynthesisResolver(registry)
         response = resolver(
