@@ -89,10 +89,8 @@ def phase_totals(tracer) -> Dict[str, float]:
         "probes": 0,
         "cache_replays": 0,
     }
-    # Family "extend" spans are incremental encoding work: charge to encode.
     span_to_phase = {
         "encode": "encode_s",
-        "extend": "encode_s",
         "solve": "solve_s",
         "verify": "verify_s",
     }

@@ -143,10 +143,10 @@ def _run_sweep_strategy(strategy: str) -> dict:
         "points": [[p.chunks_per_node, p.steps, p.rounds] for p in frontier.points],
         "engine_stats": frontier.engine_stats,
         "phases": phase_totals(tracer),
-        # Shared-prefix encodings built (or grown): the family's spans say so.
+        # Shared-prefix encodings built: the family's spans say so.
         "family_encodes": sum(
             1 for span in iter_spans(tracer.roots())
-            if span.name in ("encode", "extend") and span.attrs.get("family")
+            if span.name == "encode" and span.attrs.get("family")
         ),
         "probe_coverage": round(span_coverage(tracer.roots(), "probe", total_s=wall), 4),
         "metrics": _metrics_snapshot(metrics),

@@ -65,16 +65,14 @@ class EncodingError(Exception):
     """Raised when an instance cannot be encoded (e.g. unreachable chunk)."""
 
 
-def _chunk_classes(instance: SynCollInstance, lo: int, hi: int) -> List[ChunkClass]:
-    """The class of each chunk in ``[lo, hi)`` under ``instance``'s placements."""
-    sources: List[List[int]] = [[] for _ in range(lo, hi)]
-    needers: List[List[int]] = [[] for _ in range(lo, hi)]
+def _chunk_classes(instance: SynCollInstance) -> List[ChunkClass]:
+    """The class of each chunk under ``instance``'s placements."""
+    sources: List[List[int]] = [[] for _ in range(instance.num_chunks)]
+    needers: List[List[int]] = [[] for _ in range(instance.num_chunks)]
     for (chunk, node) in instance.precondition:
-        if lo <= chunk < hi:
-            sources[chunk - lo].append(node)
+        sources[chunk].append(node)
     for (chunk, node) in instance.postcondition:
-        if lo <= chunk < hi:
-            needers[chunk - lo].append(node)
+        needers[chunk].append(node)
     return [(tuple(sorted(s)), tuple(sorted(n))) for s, n in zip(sources, needers)]
 
 
@@ -132,12 +130,10 @@ class PrefixAnalysis:
                 f"serve the structurally different {topology.name!r}"
             )
 
-    def ensure(
-        self, instance: SynCollInstance, lo: int = 0, hi: Optional[int] = None
-    ) -> List[ChunkClass]:
-        """The classes of ``instance``'s chunks ``[lo, hi)``, each with its rows."""
+    def ensure(self, instance: SynCollInstance) -> List[ChunkClass]:
+        """The classes of ``instance``'s chunks, each with its rows."""
         self.check(instance.topology)
-        classes = _chunk_classes(instance, lo, instance.num_chunks if hi is None else hi)
+        classes = _chunk_classes(instance)
         rows = self.rows
         missing = [key for key in dict.fromkeys(classes) if key not in rows]
         if missing:
@@ -277,10 +273,10 @@ class ScclEncoding:
     activation literals are free to be false), so satisfiability under a
     ``(C, R)`` assumption frame coincides with a cold encode of the
     ``(S, C, R)`` instance.  This relies on the Table 1 relations being
-    prefix-stable in ``C`` (see :class:`PrefixAnalysis`), which
-    :meth:`extend_chunks` re-checks before growing the budget in place —
-    appending new levels' variables and clauses to the same formula instead
-    of re-encoding the shared time/send substructure.
+    prefix-stable in ``C``: the chunks of a smaller count keep their
+    placements under a larger one.  The formula is built once, at its
+    budgets; a frame outside them needs a new encoding
+    (:class:`repro.engine.session.SessionFamily` rebuilds).
 
     :meth:`encode` of the plain form answers an instance a single-node cut
     refutes before it builds any table.  Otherwise what chunks of one class
@@ -321,22 +317,16 @@ class ScclEncoding:
         self._round_bools: List[int] = []
         self._count_ge: List[int] = []
         self._false_ge: List[int] = []
-        # Chunk-selector layer: one enable literal per chunk level, the
-        # level index of each global chunk, and the per-(constraint, step)
-        # bandwidth terms kept for in-place extension.
+        # Chunk-selector layer: one enable literal per chunk level and the
+        # level index of each global chunk.
         self._level_lits: List[int] = []
         self._chunk_level: List[int] = []
-        self._bandwidth_terms: Dict[Tuple[int, int], List[int]] = {}
         # Variables populated by encode(), per chunk id: the plan of its
         # class, its first send literal (its sends are one block in
         # plan.links order) and its time[c, n] variables by node.
-        self._plans: Dict[ChunkClass, _ClassPlan] = {}
         self._chunk_plans: List[_ClassPlan] = []
         self._send_base: List[int] = []
         self._times: List[List[IntVar]] = []
-        # Symmetry breaking: the highest chunk id seen so far of each class
-        # of interchangeable chunks.
-        self._class_tail: Dict[ChunkClass, int] = {}
 
     # ------------------------------------------------------------------
     # Encoding
@@ -348,7 +338,6 @@ class ScclEncoding:
         ctx = self.ctx
         S = instance.steps
         R = instance.rounds
-        G = instance.num_chunks
         topology = instance.topology
         self.analysis.check(topology)
 
@@ -365,10 +354,10 @@ class ScclEncoding:
                     return ctx
 
         if self.chunk_selector:
-            self._ensure_levels(instance.chunks_per_node)
+            self._encode_levels()
 
         # --- time[c, n] and snd[c, src, dst] variables -----------------------------
-        self._encode_placement_vars(0, G)
+        self._encode_placement_vars()
 
         # --- r[s] round variables ---------------------------------------------------
         # Rounds are per-step; each step performs at least one round (steps
@@ -382,9 +371,9 @@ class ScclEncoding:
                 ctx.new_int(min_rounds, budget - (S - 1) * min_rounds, name=f"rounds_{s}")
             )
 
-        # --- C1-C4 over the chunk range, C5 over the accumulated terms --------------
-        self._encode_chunk_constraints(0, G)
-        self._encode_bandwidth(0, G)
+        # --- C1-C5 -------------------------------------------------------------------
+        self._encode_chunk_constraints()
+        self._encode_bandwidth()
 
         # --- C6: total rounds -----------------------------------------------------------
         if self.rounds_budget is None:
@@ -415,24 +404,25 @@ class ScclEncoding:
                 clause.append(lit)
         self.ctx.add_clause_fast(clause)
 
-    def _encode_placement_vars(self, lo: int, hi: int) -> None:
-        """Time and send variables (plus selector guards) for chunks [lo, hi)."""
+    def _encode_placement_vars(self) -> None:
+        """Time and send variables (plus selector guards) for every chunk."""
         ctx = self.ctx
         cnf = ctx.cnf
         instance = self.instance
-        classes = self.analysis.ensure(instance, lo, hi)
-        plans = self._plans
-        for key in classes:
-            if key not in plans:
-                plans[key] = _ClassPlan(
-                    key, self.analysis.rows[key], instance.topology, instance.steps,
-                    self.prune, owed_by_S=not self.chunk_selector,
-                )
-        chunk_plans = [plans[key] for key in classes]
-        self._chunk_plans.extend(chunk_plans)
-        for plan in chunk_plans:
-            self._times.append([ctx.new_int(first, last) for (first, last) in plan.domains])
-        for chunk, plan in zip(range(lo, hi), chunk_plans):
+        classes = self.analysis.ensure(instance)
+        plans = {
+            key: _ClassPlan(
+                key, self.analysis.rows[key], instance.topology, instance.steps,
+                self.prune, owed_by_S=not self.chunk_selector,
+            )
+            for key in dict.fromkeys(classes)
+        }
+        chunk_plans = self._chunk_plans = [plans[key] for key in classes]
+        self._times = [
+            [ctx.new_int(first, last) for (first, last) in plan.domains]
+            for plan in chunk_plans
+        ]
+        for chunk, plan in enumerate(chunk_plans):
             self._send_base.append(cnf.num_vars + 1)
             block = cnf.new_vars(len(plan.links))
             if self.chunk_selector:
@@ -441,8 +431,8 @@ class ScclEncoding:
                 enable = self._level_lits[self._chunk_level[chunk]]
                 cnf.add_clauses_fast([[-lit, enable] for lit in block])
 
-    def _encode_chunk_constraints(self, lo: int, hi: int) -> None:
-        """Constraints C2-C4 and the symmetry order, for the chunk range [lo, hi).
+    def _encode_chunk_constraints(self) -> None:
+        """Constraints C2-C4 and the symmetry order.
 
         C1 is the constant-0 domain of the precondition nodes' time
         variables (:meth:`_encode_placement_vars`).
@@ -453,14 +443,12 @@ class ScclEncoding:
         S = instance.steps
         true = ctx.true_lit
         times = self._times
-        chunk_range = range(lo, hi)
-        plans = self._chunk_plans[lo:hi]
-        bases = self._send_base[lo:hi]
+        chunk_range = range(instance.num_chunks)
+        plans = self._chunk_plans
+        bases = self._send_base
 
         # --- C2: postconditions -----------------------------------------------------
         for (chunk, node) in instance.postcondition:
-            if not lo <= chunk < hi:
-                continue
             held = times[chunk][node].le_lit(S)
             if self.chunk_selector:
                 # The postcondition only binds while the chunk's level is on.
@@ -512,10 +500,11 @@ class ScclEncoding:
 
         # --- symmetry: interchangeable chunks arrive in id order ---------------------
         clauses = []
+        tail: Dict[ChunkClass, int] = {}  # the highest chunk id so far per class
         for chunk, plan in zip(chunk_range, plans):
             key = plan.key
-            previous = self._class_tail.get(key)
-            self._class_tail[key] = chunk
+            previous = tail.get(key)
+            tail[key] = chunk
             sources, needers = key
             owing = set(needers) - set(sources)
             if previous is None or not owing:
@@ -536,15 +525,8 @@ class ScclEncoding:
                 clauses.append(clause)
         cnf.add_clauses_fast(clauses)
 
-    def _encode_bandwidth(self, lo: int, hi: int) -> None:
+    def _encode_bandwidth(self) -> None:
         """Constraint C5: per-step bandwidth counts.
-
-        Activation terms for chunks in [lo, hi) are appended to the
-        per-(constraint, step) term lists; the cardinality link to the
-        round variables is then (re-)emitted over the *full* list.  On
-        extension the constraints already emitted over the old prefix stay
-        in the formula — they are sound under-counts — and the fresh
-        emission restores completeness over the grown term set.
 
         A send counts at step ``s`` through its activation literal
         ``a[c, (src, dst), s]``: ``(snd ∧ time_dst == s) -> a``, only this
@@ -563,9 +545,7 @@ class ScclEncoding:
         candidates: List[List[List[Tuple[int, Optional[List[int]], bool]]]] = [
             [[] for _ in range(S + 1)] for _ in topology.constraints
         ]
-        for plan, base, row in zip(
-            self._chunk_plans[lo:hi], self._send_base[lo:hi], self._times[lo:hi]
-        ):
+        for plan, base, row in zip(self._chunk_plans, self._send_base, self._times):
             links = plan.links
             for ci, positions in plan.counted:
                 steps = candidates[ci]
@@ -589,8 +569,7 @@ class ScclEncoding:
             b = constraint.bandwidth
             steps = candidates[ci]
             for s in range(1, S + 1):
-                terms = self._bandwidth_terms.setdefault((ci, s), [])
-                before = len(terms)
+                terms: List[int] = []
                 clauses: List[List[int]] = []
                 for snd, body, is_shared in steps[s]:
                     if body is None:
@@ -609,7 +588,7 @@ class ScclEncoding:
                     if is_shared:
                         made[(snd, s)] = a
                 cnf.add_clauses_fast(clauses)
-                if not terms or (lo > 0 and len(terms) == before):
+                if not terms:
                     continue
                 r_s = self.round_vars[s - 1]
                 if r_s.lo == r_s.hi:
@@ -636,12 +615,11 @@ class ScclEncoding:
     # ------------------------------------------------------------------
     # Chunk-selector layer (shared-prefix form)
     # ------------------------------------------------------------------
-    def _ensure_levels(self, chunks_per_node: int) -> None:
-        """Enable literals and the chunk -> level map up to ``chunks_per_node``."""
+    def _encode_levels(self) -> None:
+        """Enable literals and the chunk -> level map up to the chunk budget."""
         spec = get_collective(self.instance.collective)
         nodes = self.instance.topology.num_nodes
-        while len(self._level_lits) < chunks_per_node:
-            level = len(self._level_lits) + 1
+        for level in range(1, self.instance.chunks_per_node + 1):
             lit = self.ctx.new_bool(name=f"chunks_ge_{level}")
             if self._level_lits:
                 # Enabled levels form a prefix: level l on implies l-1 on,
@@ -650,58 +628,6 @@ class ScclEncoding:
             self._level_lits.append(lit)
             for _ in range(spec.global_chunks(nodes, level) - len(self._chunk_level)):
                 self._chunk_level.append(level - 1)
-
-    def extend_chunks(self, instance: SynCollInstance) -> SmtLite:
-        """Grow the chunk budget in place to serve ``instance``'s chunk count.
-
-        Appends the new levels' time/send variables and their C1-C4
-        clauses, re-links C5 over the grown activation term lists, and
-        leaves every existing variable and clause untouched — the shared
-        time/send substructure is extended, not re-encoded.  The caller
-        must reload any solver handle (the formula grew).
-        """
-        if not self._encoded:
-            raise EncodingError("encode() must be called before extend_chunks()")
-        if not self.chunk_selector:
-            raise EncodingError("extend_chunks() requires a chunk_selector encoding")
-        old = self.instance
-        if (
-            instance.collective != old.collective
-            or instance.topology.name != old.topology.name
-            or instance.steps != old.steps
-            or instance.rounds != old.rounds
-            or instance.root != old.root
-        ):
-            raise EncodingError(
-                "extend_chunks(): instance may differ from the encoded one only "
-                "in its chunk count"
-            )
-        if instance.chunks_per_node < old.chunks_per_node:
-            raise EncodingError(
-                f"cannot shrink the chunk budget ({old.chunks_per_node} -> "
-                f"{instance.chunks_per_node}); use chunks_assumptions() instead"
-            )
-        if instance.chunks_per_node == old.chunks_per_node:
-            return self.ctx
-        # The extension is only sound when existing chunks keep their
-        # placements — true for every Table 1 relation, re-checked here so
-        # an exotic future collective cannot silently corrupt the family.
-        if not (
-            old.precondition <= instance.precondition
-            and old.postcondition <= instance.postcondition
-        ):
-            raise EncodingError(
-                f"{old.collective} placements are not prefix-stable in the "
-                f"chunk count; cannot extend the encoding in place"
-            )
-        lo, hi = old.num_chunks, instance.num_chunks
-        self.instance = instance
-        self._ensure_levels(instance.chunks_per_node)
-        self._encode_placement_vars(lo, hi)
-        self._encode_chunk_constraints(lo, hi)
-        self._encode_bandwidth(lo, hi)
-        self._refresh_stats()
-        return self.ctx
 
     def chunks_assumptions(self, chunks_per_node: int) -> List[int]:
         """Assumption literals enabling exactly the first ``chunks_per_node`` levels."""

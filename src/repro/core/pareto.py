@@ -268,6 +268,9 @@ def pareto_synthesize(
         Upper bound on the enumerated step count (defaults to the latency
         lower bound plus 8); needed because the procedure does not always
         terminate on its own.
+    max_chunks:
+        Upper bound on the per-node chunk count of a candidate, at least 1
+        (defaults to what the bandwidth lower bound leaves useful).
     time_limit_per_instance / conflict_limit:
         Resource limits per SMT query; exceeded limits yield UNKNOWN
         candidates, which are skipped but recorded (``proved=False``).
@@ -312,6 +315,8 @@ def pareto_synthesize(
 
     if k < 0:
         raise ParetoError("k must be non-negative")
+    if max_chunks is not None and max_chunks < 1:
+        raise ParetoError(f"max_chunks must be at least 1, got {max_chunks}")
 
     options = dict(
         root=root,

@@ -40,7 +40,7 @@ class CdclHandle:
 
         The solver may keep the formula's clause lists and reorder the
         literals within them (:meth:`CNF.hand_over`): ``cnf`` stays the
-        same formula, clause for clause, and can be grown and loaded again.
+        same formula, clause for clause, and another handle may load it.
         """
         return self._solver.add_cnf(cnf)
 

@@ -244,6 +244,12 @@ class FamilyExecutor:
     candidate is an assumption frame over it — and the reachability
     analysis behind variable pruning is computed once.  The frames are
     *derived* formulas (``exact`` is False).
+
+    Each step count's encoding is sized from the prefetch hint: its chunk
+    and rounds budgets are the largest ``C`` and ``R`` among the probes
+    the loop will ask for.  The hint never holds a pruned, cut or cached
+    candidate, so a sweep whose large candidates were all pruned never pays
+    for their variables, and no probe outgrows its encoding.
     """
 
     exact = False
@@ -253,31 +259,29 @@ class FamilyExecutor:
         self._family = SessionFamily(
             request.collective, request.topology, root=request.root
         )
-        self._rounds_budget: Dict[int, int] = {}
+        self._budgets: Dict[int, Tuple[int, int]] = {}  # steps -> (C, R)
 
     @property
     def encode_calls(self) -> int:
         return self._family.encode_calls
 
     def prefetch(self, probes: Sequence[Probe]) -> None:
-        # Size-adaptive budgets: the chunk selector starts at the first
-        # probe's C and grows in place on demand, so a sweep whose large-C
-        # candidates were all pruned never pays for their variables.  Round
-        # domains cannot grow, so the rounds budget is sized up front — over
-        # the probes that will actually be asked for.
-        self._rounds_budget = {}
+        budgets: Dict[int, Tuple[int, int]] = {}
         for probe in probes:
-            steps = probe.request.steps
-            self._rounds_budget[steps] = max(
-                probe.rounds, self._rounds_budget.get(steps, 0)
+            chunks, rounds = budgets.get(probe.request.steps, (0, 0))
+            budgets[probe.request.steps] = (
+                max(chunks, probe.chunks), max(rounds, probe.rounds)
             )
+        self._budgets = budgets
 
     def result(self, probe: Probe):
         request = probe.request
+        max_chunks, max_rounds = self._budgets.get(request.steps, (None, None))
         return self._family.solve(
             request.steps, probe.chunks, probe.rounds,
             instance=probe.instance,
-            max_rounds=self._rounds_budget.get(request.steps),
+            max_chunks=max_chunks,
+            max_rounds=max_rounds,
             time_limit=request.time_limit,
             conflict_limit=request.conflict_limit,
         )

@@ -10,9 +10,10 @@ candidate of a fixed-``S`` sweep is a per-candidate assumption frame over
 one encoding — one encode per ``S`` instead of one per candidate — and the
 solver's learned clauses carry over between probes.  The ``S``-independent
 reachability analysis is computed once per family and shared by every
-per-``S`` encoding, and a candidate beyond the current chunk budget grows
-the encoding in place (:meth:`ScclEncoding.extend_chunks`) instead of
-re-encoding the shared time/send substructure.
+per-``S`` encoding.  An encoding is built once, at its chunk and rounds
+budgets, and never grown: a candidate outside them rebuilds that step
+count's encoding at the larger budgets, which the sweep loop avoids by
+sizing both budgets from the probes it will ask for.
 
 Satisfiability is identical to a cold encode at the probed candidate:
 widening the per-step round domains is inert once the total is pinned
@@ -73,11 +74,10 @@ class SessionFamily:
     candidate with a per-candidate assumption frame, so a fixed-``S``
     candidate sweep pays exactly one encoding, and the reachability
     analysis behind variable pruning is computed once for the whole
-    family.  Chunk counts beyond an encoding's budget extend it in place;
-    rounds beyond the budget rebuild that step count's encoding (the round
-    variables' domains cannot be widened after the fact), which callers
-    avoid by passing the sweep's known budgets up front via ``max_chunks``
-    / ``max_rounds``.
+    family.  A chunk count or a round count beyond an encoding's budget
+    rebuilds that step count's encoding at the larger budgets, which
+    callers avoid by passing the sweep's known budgets up front via
+    ``max_chunks`` / ``max_rounds``.
     """
 
     def __init__(
@@ -95,9 +95,8 @@ class SessionFamily:
         # One instance per lattice point: a candidate's frame and a budget
         # that coincides with it are the same object.
         self._instances: Dict[Tuple[int, int, int], SynCollInstance] = {}
-        self.encode_calls = 0      # full encodes + in-place extensions
-        self.extensions = 0        # chunk-budget growths (subset of the above)
-        self.rebuilds = 0          # rounds-budget overflows (full re-encodes)
+        self.encode_calls = 0
+        self.rebuilds = 0          # budget overflows (subset of the above)
         self.solver_calls = 0
 
     # ------------------------------------------------------------------
@@ -144,31 +143,15 @@ class SessionFamily:
         entry = self._entries.get(steps)
         if entry is None:
             return self._build_entry(steps, want_chunks, want_rounds)
-        if want_rounds > entry.rounds_budget:
-            # Round domains are fixed at creation; rebuild this step count
-            # at the larger budget (the analysis prefix is still shared).
+        if want_chunks > entry.chunks_budget or want_rounds > entry.rounds_budget:
+            # A formula is built at its budgets and never grown: rebuild this
+            # step count at the larger ones (the analysis is still shared).
             self.rebuilds += 1
             return self._build_entry(
-                steps, max(want_chunks, entry.chunks_budget), want_rounds
+                steps,
+                max(want_chunks, entry.chunks_budget),
+                max(want_rounds, entry.rounds_budget),
             )
-        if want_chunks > entry.chunks_budget:
-            with get_tracer().span(
-                "extend", S=steps, C=want_chunks, family=True
-            ):
-                start = time.monotonic()
-                ctx = entry.encoder.extend_chunks(
-                    self._budget_instance(steps, want_chunks, entry.rounds_budget)
-                )
-                elapsed = time.monotonic() - start
-            self.encode_calls += 1
-            self.extensions += 1
-            # The formula grew: reload a fresh handle (learned clauses from
-            # the smaller prefix are dropped, the encoding work is kept).
-            handle = get_backend().create()
-            entry.handle = handle
-            entry.trivially_unsat = not handle.load(ctx.cnf)
-            entry.prev_stats = {}
-            entry.pending_encode_time += elapsed
         return entry
 
     # ------------------------------------------------------------------
@@ -272,6 +255,6 @@ class SessionFamily:
         return (
             f"SessionFamily({self.collective} on {self.topology.name}: "
             f"[{budgets}] backend={CdclHandle.name}, "
-            f"encodes={self.encode_calls} (+{self.extensions} ext, "
-            f"{self.rebuilds} rebuilds), solves={self.solver_calls})"
+            f"encodes={self.encode_calls} ({self.rebuilds} rebuilds), "
+            f"solves={self.solver_calls})"
         )

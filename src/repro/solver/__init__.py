@@ -2,7 +2,7 @@
 
 Public surface:
 
-* :class:`~repro.solver.cnf.CNF` — clause database with DIMACS I/O.
+* :class:`~repro.solver.cnf.CNF` — clause database.
 * :class:`~repro.solver.sat.SATSolver` — CDCL SAT solver.
 * :func:`~repro.solver.sat.solve_cnf` — one-shot solving helper.
 * :class:`~repro.solver.smt.SmtLite` — finite-domain constraint facade used

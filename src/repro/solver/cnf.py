@@ -1,13 +1,13 @@
 """CNF formula representation.
 
 This module provides the low-level clause database used by the CDCL SAT
-solver in :mod:`repro.solver.sat`.  Literals follow the DIMACS convention:
-variables are positive integers ``1..n`` and a literal is either ``v``
-(positive occurrence) or ``-v`` (negated occurrence).
+solver in :mod:`repro.solver.sat`.  Variables are positive integers
+``1..n`` and a literal is either ``v`` (positive occurrence) or ``-v``
+(negated occurrence).
 
 The solver-facing classes are intentionally small: a :class:`CNF` is just a
 growable list of clauses plus a variable counter, with helpers for creating
-fresh variables and reading/writing DIMACS files.  All higher level
+fresh variables.  All higher level
 constructs (cardinality constraints, pseudo-Boolean sums, bounded integers)
 are compiled down to this representation by :mod:`repro.solver.encoders` and
 :mod:`repro.solver.intvar`.
@@ -117,7 +117,7 @@ class CNF:
         encoder and the cardinality encoders), whose clauses are built from
         freshly allocated variables and are normalized by construction;
         :meth:`add_clause` remains the safe door for everything else
-        (DIMACS parsing, hand-written constraints).  The list is stored
+        (hand-written constraints, tests).  The list is stored
         directly and a solver may reorder it, so callers must not mutate or
         rely on its literal order afterwards.
         """
@@ -162,7 +162,7 @@ class CNF:
         return iter(self.clauses)
 
     # ------------------------------------------------------------------
-    # Statistics & serialization
+    # Statistics
     # ------------------------------------------------------------------
     @property
     def num_clauses(self) -> int:
@@ -176,42 +176,6 @@ class CNF:
             "clauses": len(self.clauses),
             "literals": literal_count,
         }
-
-    def to_dimacs(self) -> str:
-        """Serialize the formula in DIMACS CNF format."""
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_dimacs(cls, text: str) -> "CNF":
-        """Parse a DIMACS CNF string into a :class:`CNF`."""
-        cnf = cls()
-        declared_vars = 0
-        current: List[int] = []
-        for raw_line in text.splitlines():
-            line = raw_line.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) < 4 or parts[1] != "cnf":
-                    raise CNFError(f"malformed problem line: {line!r}")
-                declared_vars = int(parts[2])
-                continue
-            for token in line.split():
-                lit = int(token)
-                if lit == 0:
-                    cnf.add_clause(current)
-                    current = []
-                else:
-                    current.append(lit)
-        if current:
-            raise CNFError("last clause is not terminated by 0")
-        if declared_vars > cnf.num_vars:
-            cnf.num_vars = declared_vars
-        return cnf
 
 
 def clause_is_satisfied(clause: Sequence[int], assignment: dict) -> bool:

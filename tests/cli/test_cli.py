@@ -232,6 +232,14 @@ class TestInProcess:
         assert "strategy=speculative" in out
         assert "Bandwidth" in out
 
+    def test_pareto_rejects_zero_max_chunks(self, capsys):
+        code = main(["pareto", "Allgather", "-t", "ring:4", "--max-chunks", "0", "--no-cache"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error: ")
+        assert "max_chunks" in captured.err
+        assert "no satisfiable candidates" not in captured.out
+
     def test_pareto_strategy_choices_come_from_the_engine(self, capsys):
         from repro.engine import STRATEGIES
 

@@ -102,14 +102,14 @@ def test_feasibility_is_monotone_in_rounds_and_steps(instance, more_steps, more_
 
 @settings(max_examples=25, deadline=None)
 @given(topologies(), st.integers(1, 3), st.integers(0, 2))
-def test_family_frames_equal_cold_encodes_across_an_extension(topology, steps, slack):
-    """Broadcast C 1 -> 4: the symmetry chain must survive ``extend_chunks``
-    and hold under frames that disable the upper chunk levels."""
+def test_family_frames_equal_cold_encodes_across_a_rebuild(topology, steps, slack):
+    """Broadcast C 1 -> 4: the symmetry chain of the rebuilt C = 4 formula
+    must hold under frames that disable the upper chunk levels."""
     family = SessionFamily("Broadcast", topology)
     max_rounds = steps + slack
-    for chunks in (1, 4, 2, 3):  # grows the budget once, then frames below it
+    for chunks in (1, 4, 2, 3):  # rebuilds at C = 4 once, then frames below it
         for rounds in range(steps, max_rounds + 1):
             framed = family.solve(steps, chunks, rounds, max_rounds=max_rounds)
             cold = synthesize(make_instance("Broadcast", topology, chunks, steps, rounds))
             assert framed.status is cold.status, (chunks, steps, rounds)
-    assert family.extensions == 1
+    assert family.rebuilds == 1

@@ -119,6 +119,13 @@ class TestCombiningDelegation:
         with pytest.raises(ParetoError):
             pareto_synthesize("Allgather", ring(4), k=-1)
 
+    @pytest.mark.parametrize("max_chunks", [0, -2])
+    def test_max_chunks_below_one_rejected(self, max_chunks):
+        # No candidate has fewer than one chunk: an empty search would
+        # report an empty frontier as if the step budget ran out.
+        with pytest.raises(ParetoError, match="max_chunks"):
+            pareto_synthesize("Allgather", ring(4), k=0, max_chunks=max_chunks)
+
 
 class TestResourceLimits:
     def test_unknown_results_recorded_not_fabricated(self):

@@ -2,13 +2,13 @@
 
 The family contract is satisfiability-equivalence with cold solves at
 every lattice point, one encoding per step count (however many chunk
-counts a sweep probes), in-place chunk-budget extension, and a rebuild —
-not an error — when a rounds budget is exceeded.
+counts a sweep probes), and a rebuild — not an error — when a chunk or
+rounds budget is exceeded.
 """
 
 import pytest
 
-from repro.core import make_instance, synthesize
+from repro.core import make_instance, pareto_synthesize, synthesize
 from repro.core.encoding import EncodingError, PrefixAnalysis, ScclEncoding
 from repro.engine import (
     Dispatcher,
@@ -60,17 +60,17 @@ class TestLatticeEquivalence:
 
 
 class TestBudgets:
-    def test_chunk_budget_extends_in_place(self):
+    def test_chunk_budget_overflow_rebuilds(self):
         family = SessionFamily("Allgather", ring(4))
         family.solve(3, 1, 3, max_chunks=1, max_rounds=4)
-        assert family.extensions == 0
-        # Exceeding the chunk budget (within the rounds budget) extends the
-        # encoding in place rather than re-encoding it.
+        assert family.rebuilds == 0
+        # Exceeding the chunk budget (within the rounds budget) rebuilds the
+        # step count at the larger chunk budget, keeping the rounds budget.
         probe = family.solve(3, 3, 4)
         cold = synthesize(make_instance("Allgather", ring(4), 3, 3, 4))
         assert probe.status == cold.status
-        assert family.extensions == 1
-        assert family.rebuilds == 0
+        assert (family.rebuilds, family.encode_calls) == (1, 2)
+        assert "S=3:C<=3,R<=4" in family.describe()
 
     def test_rounds_budget_overflow_rebuilds(self):
         family = SessionFamily("Allgather", ring(4))
@@ -96,20 +96,6 @@ class TestBudgets:
 
 
 class TestPrefixEncodingContracts:
-    def test_extend_chunks_requires_selector(self):
-        instance = make_instance("Allgather", ring(4), 1, 2, 2)
-        encoder = ScclEncoding(instance)
-        encoder.encode()
-        with pytest.raises(EncodingError):
-            encoder.extend_chunks(make_instance("Allgather", ring(4), 2, 2, 2))
-
-    def test_extend_chunks_rejects_other_dimensions(self):
-        instance = make_instance("Allgather", ring(4), 1, 2, 2)
-        encoder = ScclEncoding(instance, chunk_selector=True)
-        encoder.encode()
-        with pytest.raises(EncodingError):
-            encoder.extend_chunks(make_instance("Allgather", ring(4), 2, 3, 3))
-
     def test_chunks_assumptions_bounds_checked(self):
         instance = make_instance("Allgather", ring(4), 2, 2, 2)
         encoder = ScclEncoding(instance, chunk_selector=True)
@@ -210,3 +196,17 @@ class TestIncrementalDispatcherFamilies:
         # encodings sharing one reachability analysis).
         (executor,) = executors
         assert executor.encode_calls == 2
+
+    def test_budgets_come_from_the_hint(self):
+        # The sweep asks for C = 1 before C = 2 at every step count; the
+        # hint sizes each encoding at the largest C and R it will be asked
+        # for, so each step count is encoded once, never rebuilt.
+        topology = ring(4)
+        kwargs = dict(max_steps=4, conflict_limit=20000)
+        family = pareto_synthesize("Broadcast", topology, 1, strategy="incremental", **kwargs)
+        serial = pareto_synthesize("Broadcast", topology, 1, strategy="serial", **kwargs)
+        assert family.engine_stats["encode_calls"] == 3
+        assert family.engine_stats["solver_calls"] == serial.engine_stats["solver_calls"]
+        assert [(p.signature, p.proved) for p in family.points] == [
+            (p.signature, p.proved) for p in serial.points
+        ]

@@ -1,4 +1,4 @@
-"""Unit tests for the CNF container and DIMACS serialization."""
+"""Unit tests for the CNF container."""
 
 import pytest
 
@@ -47,36 +47,6 @@ def test_literal_helpers():
     assert lit_sign(5) is True
     assert lit_sign(-5) is False
     assert lit_neg(5) == -5
-
-
-def test_dimacs_roundtrip():
-    cnf = CNF()
-    cnf.add_clause([1, 2, -3])
-    cnf.add_clause([-1, 3])
-    cnf.add_clause([2])
-    text = cnf.to_dimacs()
-    assert text.startswith("p cnf 3 3")
-    parsed = CNF.from_dimacs(text)
-    assert parsed.num_vars == 3
-    assert parsed.clauses == cnf.clauses
-
-
-def test_dimacs_parse_with_comments_and_blank_lines():
-    text = """c an example
-c with comments
-
-p cnf 4 2
-1 -2 0
-3 4 -1 0
-"""
-    cnf = CNF.from_dimacs(text)
-    assert cnf.num_vars == 4
-    assert cnf.num_clauses == 2
-
-
-def test_dimacs_unterminated_clause_raises():
-    with pytest.raises(CNFError):
-        CNF.from_dimacs("p cnf 2 1\n1 2\n")
 
 
 def test_stats():

@@ -13,8 +13,7 @@ copying path.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import NaiveEncoding, ScclEncoding, make_instance, synthesize
-from repro.engine import SessionFamily
+from repro.core import NaiveEncoding, ScclEncoding, make_instance
 from repro.solver import CNF, SATSolver, SmtLite, SolveResult
 from repro.topology import Topology, ring
 
@@ -232,14 +231,3 @@ def test_second_check_of_one_context_returns_the_same_verdicts():
     first, second = ctx.check(), ctx.check()
     assert first.result is second.result is SolveResult.SAT
     encoder.decode(second.model).verify()
-
-
-def test_family_reload_after_extend_chunks_keeps_the_verdicts():
-    topology = ring(4)
-    family = SessionFamily("Broadcast", topology)
-    for chunks in (1, 3, 2):  # grows the budget once: the formula is loaded again
-        for rounds in (2, 3):
-            framed = family.solve(2, chunks, rounds, max_rounds=3)
-            cold = synthesize(make_instance("Broadcast", topology, chunks, 2, rounds))
-            assert framed.status is cold.status, (chunks, rounds)
-    assert family.extensions == 1
