@@ -4,7 +4,8 @@ Measures what degraded-mode operation costs on the quickstart instance
 (Allgather, 4-node ring) plus a DGX-1 pinned plan:
 
 * **fault registration** — the control-plane cost of ``/v1/fault``
-  register: board mutation + routing-table/cache invalidation;
+  register: a board mutation only (every artifact is keyed by the fabric
+  it was built for, so nothing is deleted);
 * **cold replan** — first plan request after a LinkDown: a fresh
   synthesis against the degraded topology;
 * **warm replan** — the same degraded request again: served from the
@@ -75,7 +76,6 @@ def _ring_replan(tmp_path) -> dict:
         "instance": "Allgather on ring:4, routed, LinkDown(0, 1)",
         "healthy_cold_plan_s": round(healthy_s, 4),
         "fault_register_s": round(register_s, 4),
-        "invalidated": fault.invalidated,
         "replan_cold_s": round(cold_s, 4),
         "replan_warm_s": round(warm_s, 4),
         "replan_speedup_warm_vs_cold": round(cold_s / warm_s, 1) if warm_s else None,
@@ -101,9 +101,7 @@ def _dgx1_replan(tmp_path) -> dict:
 
     fault, register_s = _timed(
         lambda: apply_fault_request(
-            board,
-            FaultRequest("dgx1", "register", (LinkDown(*dead).to_json(),)),
-            registry=registry,
+            board, FaultRequest("dgx1", "register", (LinkDown(*dead).to_json(),))
         )
     )
     assert fault.ok
@@ -117,7 +115,6 @@ def _dgx1_replan(tmp_path) -> dict:
         "instance": f"Allgather on dgx1, pinned (1,2,2), LinkDown{dead}",
         "healthy_cold_plan_s": round(healthy_s, 4),
         "fault_register_s": round(register_s, 4),
-        "invalidated": fault.invalidated,
         "replan_cold_s": round(cold_s, 4),
         "replan_warm_s": round(warm_s, 4),
     }

@@ -29,10 +29,11 @@ Subcommands
     ladder rungs, bounds-ledger work, cache hit rate).
 ``repro fault``
     Register, clear or inspect fabric faults on a running service
-    (``--link-down``, ``--rank-down``, ``--link-degraded``); mutations
-    invalidate affected routing tables and cached plans so the next
-    request replans against the degraded topology.  ``--preview`` derives
-    the degraded topology locally without a server.
+    (``--link-down``, ``--rank-down``, ``--link-degraded``).  The next
+    request replans against the degraded topology; nothing is deleted,
+    since every cached plan and routing table is keyed by the fabric it
+    was built for, so ``clear`` serves the healthy plans again warm.
+    ``--preview`` derives the degraded topology locally without a server.
 ``repro run``
     Execute an imported plan/XML file on the functional executor and the
     alpha-beta simulator: verified correctness plus estimated times.

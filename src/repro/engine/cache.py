@@ -74,7 +74,7 @@ def topology_cost_payload(topology: Topology) -> dict:
     these parameters decide which satisfiable algorithm *wins* at a given
     buffer size.  Routing keys hash both, so a routing table built under old
     alpha/beta figures — or before a ``LinkDegraded`` fault inflated a link —
-    is invalidated instead of silently served.
+    is addressed afresh instead of silently served.
     """
     return {
         "alpha": topology.alpha,

@@ -432,7 +432,6 @@ class FaultResponse:
     faults: list = field(default_factory=list)   # active FaultSet wire form
     fingerprint: str = ""             # FaultSet.fingerprint() ("" when empty)
     degraded: Optional[Dict[str, object]] = None  # degraded-topology summary
-    invalidated: Optional[Dict[str, int]] = None  # routing tables / cache entries dropped
     error: Optional[str] = None
 
     @property
@@ -450,8 +449,6 @@ class FaultResponse:
         }
         if self.degraded is not None:
             data["degraded"] = self.degraded
-        if self.invalidated is not None:
-            data["invalidated"] = self.invalidated
         if self.error is not None:
             data["error"] = self.error
         return data
@@ -470,7 +467,6 @@ class FaultResponse:
             faults=list(data.get("faults", [])),
             fingerprint=str(data.get("fingerprint", "")),
             degraded=data.get("degraded"),
-            invalidated=data.get("invalidated"),
             error=data.get("error"),
         )
 
@@ -479,9 +475,4 @@ class FaultResponse:
         if not self.ok:
             return f"fault {self.action} on {self.topology}: error: {self.error}"
         noun = "fault" if count == 1 else "faults"
-        parts = [f"fault {self.action} on {self.topology}: {count} active {noun}"]
-        if self.invalidated:
-            tables = self.invalidated.get("tables", 0)
-            entries = self.invalidated.get("cache_entries", 0)
-            parts.append(f"invalidated {tables} tables / {entries} cache entries")
-        return "; ".join(parts)
+        return f"fault {self.action} on {self.topology}: {count} active {noun}"

@@ -21,6 +21,16 @@ Both read a :class:`Fabric`: what one topology spec resolves to while the
 board's fault state stays as it is, computed once and dropped by every
 ``register`` / ``clear``.
 
+A transition deletes no routing table and no cache entry: content
+addressing is the invalidation.  ``LinkDown``, ``RankDown`` and a
+``LinkDegraded`` bandwidth cap change the fabric's structure, so every
+cache, pinned and routing key changes with it.  A cost-only
+``LinkDegraded`` keeps the structural key, where the cached schedule is
+equally valid (the cache re-attaches it to the degraded topology and
+re-verifies it), and changes the routing key, whose payload hashes the
+α/β costs.  After ``clear`` the healthy keys come back, and with them the
+healthy artifacts; a fault registered again finds its degraded ones.
+
 Entries are keyed by the *structural* topology fingerprint: two spec
 strings that parse to the same fabric (``dgx1`` vs. an equivalent
 explicit spec) share one fault set.
@@ -31,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ..faults import FaultError, FaultSet
 from ..interchange.plan import topology_fingerprint
@@ -116,16 +126,6 @@ class FaultBoard:
         with self._lock:
             return self._faults.get(topology_fingerprint(topology), FaultSet.of())
 
-    def apply(self, topology: Topology) -> Topology:
-        """The topology plans must target: degraded when faults are active."""
-        fault_set = self.get(topology)
-        return fault_set.apply(topology) if fault_set else topology
-
-    def salt(self, topology: Topology) -> str:
-        """Fault fingerprint for the active set; ``""`` when healthy."""
-        fault_set = self.get(topology)
-        return fault_set.fingerprint() if fault_set else ""
-
     def fabric(self, request: PlanRequest) -> Fabric:
         """The request's topology spec under the current fault state.
 
@@ -182,25 +182,19 @@ def _degraded_summary(topology: Topology, degraded: Topology) -> Dict[str, objec
     }
 
 
-def apply_fault_request(
-    board: FaultBoard,
-    request: FaultRequest,
-    *,
-    registry: Optional[object] = None,
-) -> FaultResponse:
+def apply_fault_request(board: FaultBoard, request: FaultRequest) -> FaultResponse:
     """Execute one :class:`FaultRequest` against the board.
 
-    ``register`` and ``clear`` additionally invalidate the registry's
-    routing tables and cache entries for the affected topology (both the
-    healthy and — on clear — the previously degraded one), so no stale
-    plan survives a fault-state transition.
+    A transition deletes nothing: every persisted artifact is addressed by
+    a hash of the fabric it was built for, so the board's new state alone
+    decides what the next request can reach (see the module docstring).
     """
     try:
         topology = request.resolve_topology()
         if request.action == "register":
             active = board.register(topology, request.fault_set())
         elif request.action == "clear":
-            cleared = board.clear(topology)
+            board.clear(topology)
             active = FaultSet.of()
         else:
             active = board.get(topology)
@@ -212,16 +206,6 @@ def apply_fault_request(
             error=str(exc),
         )
 
-    invalidated = None
-    if registry is not None and request.action in ("register", "clear"):
-        invalidated = registry.invalidate(topology)
-        if request.action == "clear" and cleared:
-            stale = registry.invalidate(cleared.apply(topology))
-            invalidated = {
-                name: invalidated.get(name, 0) + stale.get(name, 0)
-                for name in set(invalidated) | set(stale)
-            }
-
     degraded = None
     if active:
         degraded = _degraded_summary(topology, active.apply(topology))
@@ -232,5 +216,4 @@ def apply_fault_request(
         faults=active.to_json(),
         fingerprint=active.fingerprint() if active else "",
         degraded=degraded,
-        invalidated=invalidated,
     )

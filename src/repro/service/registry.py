@@ -362,11 +362,11 @@ class PlanRegistry:
             routes_dir = self.cache.root.parent / "routes"
         self.routes_dir = Path(routes_dir)
         self._lock = threading.Lock()
-        # Both keyed by content hash and signed with the backing file's
-        # (mtime_ns, size, inode): loaded tables, and pinned plans in wire
-        # form in least-recently-used order.
+        # Both signed with the backing file's (mtime_ns, size, inode): loaded
+        # tables by routing key, and pinned plans in wire form by (cache key,
+        # topology name) in least-recently-used order.
         self._tables: Dict[str, Tuple[Tuple[int, int, int], RoutingTable]] = {}
-        self._pinned: Dict[str, Tuple[Tuple[int, int, int], dict]] = {}
+        self._pinned: Dict[Tuple[str, str], Tuple[Tuple[int, int, int], dict]] = {}
         self.route_hits = 0
         self.route_misses = 0
         self.warm_hits = 0   # lookups answered from memory after one stat
@@ -401,7 +401,12 @@ class PlanRegistry:
         The answer is shared with later callers (do not mutate it) for as
         long as the entry file keeps its signature.  Only a plan that went
         through the full read, decode and ``verify()`` is ever held, and
-        only for the key it was verified for.
+        only under the memo key ``(cache key, topology.name)`` it was
+        verified for.  The cache key is structural, so fabrics of equal
+        structure share it (``ring:3`` and ``fc:3``, a fabric and its
+        cost-only degradation), but the plan embeds the whole topology; the
+        name tells them apart, since a spec fixes a fabric's costs and a
+        degraded fabric is named after its fault set.
         """
         if topology is None:
             topology = request.resolve_topology()
@@ -414,11 +419,12 @@ class PlanRegistry:
                 request.rounds,
                 root=request.root,
             )
+        memo_key = (key, topology.name)
         signature = self.cache.entry_signature(key)
         with self._lock:
-            held = self._pinned.pop(key, None)
+            held = self._pinned.pop(memo_key, None)
             if held is not None and held[0] == signature:
-                self._pinned[key] = held  # back in, as the most recently used
+                self._pinned[memo_key] = held  # back in, as the most recently used
                 self.warm_hits += 1
             else:
                 held = None
@@ -445,7 +451,7 @@ class PlanRegistry:
             with self._lock:
                 if len(self._pinned) >= PINNED_MEMO_ENTRIES:
                     del self._pinned[next(iter(self._pinned))]
-                self._pinned[key] = (signature, payload)
+                self._pinned[memo_key] = (signature, payload)
         return payload
 
     # ------------------------------------------------------------------
@@ -560,52 +566,6 @@ class PlanRegistry:
             key = self.table_key(request, topology=topology)
         self.save_table(key, table)
         return key
-
-    # ------------------------------------------------------------------
-    # Invalidation
-    # ------------------------------------------------------------------
-    def invalidate(self, topology: Topology) -> Dict[str, int]:
-        """Drop every routing table and cache entry built for ``topology``.
-
-        Called when the topology's fault state changes: any table or
-        cached algorithm addressed under the old fabric may route chunks
-        over links that no longer exist (or, on fault clearance, may
-        under-use links that are healthy again).  Tables are matched by
-        their embedded structural fingerprint; cache entries — whose keys
-        are opaque content hashes — by their descriptive instance
-        metadata (topology name and node count).
-        """
-        from ..interchange.plan import topology_fingerprint
-
-        target = topology_fingerprint(topology)
-        tables_dropped = 0
-        for path in self.tables():
-            try:
-                data = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
-            if data.get("topology_fingerprint") != target:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            with self._lock:
-                self._tables.pop(path.stem, None)
-            tables_dropped += 1
-
-        entries_dropped = 0
-        for _, entry in self.cache.entries():
-            meta = entry.instance or {}
-            if (
-                meta.get("topology") == topology.name
-                and meta.get("num_nodes") == topology.num_nodes
-            ):
-                self.cache.discard(entry.key)
-                with self._lock:
-                    self._pinned.pop(entry.key, None)
-                entries_dropped += 1
-        return {"tables": tables_dropped, "cache_entries": entries_dropped}
 
     # ------------------------------------------------------------------
     def tables(self) -> List[Path]:

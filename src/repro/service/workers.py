@@ -561,13 +561,14 @@ class PlanningService:
         return ticket.wait(timeout)
 
     def fault(self, request: FaultRequest) -> FaultResponse:
-        """Register, clear or inspect faults; invalidates affected plans.
+        """Register, clear or inspect faults; deletes nothing.
 
-        Mutations invalidate the registry's routing tables and cache
-        entries for the affected topology, so the next plan request
-        replans against the new fabric instead of serving a stale answer.
+        The next plan request resolves against the board's new view of the
+        fabric, and every registry key hashes that fabric: a degraded one
+        reaches only what was built for it, and after ``clear`` the healthy
+        plans are served again without a solve.
         """
-        return apply_fault_request(self.fault_board, request, registry=self.registry)
+        return apply_fault_request(self.fault_board, request)
 
     def stats(self) -> Dict[str, object]:
         data: Dict[str, object] = {"broker": self.broker.stats()}

@@ -1,12 +1,14 @@
-"""Degraded-mode planning: fault board, registry invalidation, replanning.
+"""Degraded-mode planning: fault board, content addressing, replanning.
 
 Covers the fault-tolerance ladder end to end — FaultRequest validation,
-the board's salted coalescing keys, routing-table/cache invalidation on
-fault transitions, resolver replanning against the degraded fabric, the
-hardened broker (bounded waits, resolver crash accounting), and the
-DGX-1 acceptance scenario over real HTTP.
+the board's salted coalescing keys, fault transitions that delete nothing
+(every key hashes the fabric, so no healthy artifact reaches a degraded
+request and ``clear`` serves the healthy plans warm), resolver replanning
+against the degraded fabric, the hardened broker (bounded waits, resolver
+crash accounting), and the DGX-1 acceptance scenario over real HTTP.
 """
 
+import shutil
 import threading
 
 import pytest
@@ -18,6 +20,7 @@ from repro.faults import (
     FaultSet,
     LinkDegraded,
     LinkDown,
+    RankDown,
     execute_with_faults,
 )
 from repro.runtime import execute, lower
@@ -39,17 +42,21 @@ from repro.service import (
     routing_key,
 )
 from repro.topology import dgx1, ring
+from test_warm_path import comparable
+
+
+def _registry(root) -> PlanRegistry:
+    return PlanRegistry(cache=AlgorithmCache(root / "algorithms"), routes_dir=root / "routes")
 
 
 @pytest.fixture
 def registry(tmp_path):
-    return PlanRegistry(
-        cache=AlgorithmCache(tmp_path / "algorithms"),
-        routes_dir=tmp_path / "routes",
-    )
+    return _registry(tmp_path)
 
 
 PINNED = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
+#: Satisfiable on ring:4 with and without the 0 -> 1 link.
+PINNED_SLACK = PlanRequest("Allgather", "ring:4", chunks=1, steps=3, rounds=4)
 ROUTED = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
 
 LINK_DOWN_01 = LinkDown(0, 1).to_json()
@@ -89,11 +96,10 @@ class TestFaultRequestValidation:
             status="ok", topology="ring:4", action="register",
             faults=[LINK_DOWN_01], fingerprint="abc",
             degraded={"name": "ring4!deg-abc", "links_removed": 1},
-            invalidated={"tables": 1, "cache_entries": 2},
         )
         restored = FaultResponse.from_json(response.to_json())
         assert restored == response
-        assert "invalidated 1 tables / 2 cache entries" in restored.summary()
+        assert restored.summary() == "fault register on ring:4: 1 active fault"
 
 
 class TestFaultBoard:
@@ -101,8 +107,9 @@ class TestFaultBoard:
         board = FaultBoard()
         topology = ring(4)
         assert not board.get(topology)
-        assert board.apply(topology) is topology
-        assert board.salt(topology) == ""
+        fabric = board.fabric(PINNED)
+        assert not fabric.degraded and fabric.salt == ""
+        assert fabric.topology.to_dict() == topology.to_dict()
         # Healthy fabric: the broker key is byte-identical to the unsalted one.
         assert board.salted_key(PINNED) == PINNED.request_key()
 
@@ -141,7 +148,7 @@ class TestFaultBoard:
         board = FaultBoard()
         topology = ring(4)
         board.register(topology, FaultSet.of(LinkDown(0, 1)))
-        degraded = board.apply(topology)
+        degraded = board.fabric(PINNED).topology
         assert (0, 1) not in degraded.links()
         assert degraded.name.startswith("ring4!deg-")
 
@@ -165,76 +172,85 @@ class TestRegistryInvalidation:
             "Allgather", degraded, synchrony=1
         )
 
-    def test_invalidate_drops_tables_and_cache_entries(self, registry):
-        resolver = SynthesisResolver(registry)
-        assert resolver(PINNED, None).ok
-        assert resolver(ROUTED, None).ok
-        assert len(registry.tables()) == 1
-        dropped = registry.invalidate(ring(4))
-        assert dropped["tables"] == 1
-        assert dropped["cache_entries"] >= 1
-        assert len(registry.tables()) == 0
-        # The next resolution is a genuine re-solve, not a stale hit.
-        solves_before = resolver.stats()["solves"]
-        assert resolver(PINNED, None).source == "synthesized"
-        assert resolver.stats()["solves"] == solves_before + 1
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            LinkDown(0, 1),
+            RankDown(2),
+            LinkDegraded(0, 1, bandwidth=1),
+            LinkDegraded(0, 1, beta_factor=4.0),
+        ],
+        ids=["link-down", "rank-down", "bandwidth-cap", "cost-only"],
+    )
+    def test_no_healthy_artifact_reaches_a_degraded_request(self, tmp_path, fault):
+        """A registration alone, with every healthy file and memo still in
+        place, answers exactly what a resolver built from nothing answers,
+        and every plan it serves names the degraded fabric."""
+        live = tmp_path / "live"
+        board = FaultBoard()
+        resolver = SynthesisResolver(_registry(live), fault_board=board)
+        queries = (PINNED, PINNED_SLACK, ROUTED)
+        for _ in range(3):  # solve, read back, answer from memory
+            assert all(resolver(request).ok for request in queries)
 
-    def test_invalidate_spares_unrelated_topologies(self, registry):
-        resolver = SynthesisResolver(registry)
-        assert resolver(PINNED, None).ok
-        dropped = registry.invalidate(ring(6))
-        assert dropped == {"tables": 0, "cache_entries": 0}
-        assert resolver(PINNED, None).source == "cache"
+        fault_set = FaultSet.of(fault)
+        board.register(ring(4), fault_set)
+        degraded = fault_set.apply(ring(4)).to_dict()
+        for request in queries:
+            scratch = tmp_path / "reference"
+            shutil.rmtree(scratch, ignore_errors=True)
+            shutil.copytree(live, scratch)
+            fresh_board = FaultBoard()
+            fresh_board.register(ring(4), fault_set)
+            reference = SynthesisResolver(_registry(scratch), fault_board=fresh_board)(request)
+            answer = resolver(request)
+            assert comparable(answer) == comparable(reference), request.describe()
+            if answer.ok:
+                assert answer.plan["algorithm"]["topology"] == degraded
 
 
 class TestApplyFaultRequest:
-    def test_register_reports_degradation_and_invalidation(self, registry):
+    def test_register_reports_degradation_and_deletes_nothing(self, registry):
         resolver = SynthesisResolver(registry)
         assert resolver(ROUTED, None).ok
         board = FaultBoard()
         response = apply_fault_request(
-            board,
-            FaultRequest("ring:4", "register", (LINK_DOWN_01,)),
-            registry=registry,
+            board, FaultRequest("ring:4", "register", (LINK_DOWN_01,))
         )
         assert response.ok
         assert response.degraded["links_removed"] == 1
-        assert response.invalidated["tables"] == 1
         assert board.get(ring(4))
+        assert len(registry.tables()) == 1
 
     def test_status_reads_without_invalidating(self, registry):
         resolver = SynthesisResolver(registry)
         assert resolver(ROUTED, None).ok
         board = FaultBoard()
         board.register(ring(4), FaultSet.of(LinkDown(0, 1)))
-        response = apply_fault_request(
-            board, FaultRequest("ring:4", "status"), registry=registry
-        )
+        response = apply_fault_request(board, FaultRequest("ring:4", "status"))
         assert response.ok and len(response.faults) == 1
-        assert response.invalidated is None
         assert len(registry.tables()) == 1
 
-    def test_clear_also_invalidates_the_degraded_artifacts(self, registry):
-        """Plans synthesized *while degraded* are stale once the fault is
-        repaired: clear must drop them along with the healthy ones."""
+    def test_clear_keeps_the_degraded_artifacts(self, registry):
+        """Plans synthesized *while degraded* stay on disk after the repair:
+        only the same fault state can address them again."""
         board = FaultBoard()
         board.register(ring(4), FaultSet.of(LinkDown(0, 1)))
         resolver = SynthesisResolver(registry, fault_board=board)
         assert resolver(ROUTED, None).ok  # builds a table for the DEGRADED ring
         assert len(registry.tables()) == 1
-        response = apply_fault_request(
-            board, FaultRequest("ring:4", "clear"), registry=registry
-        )
+        response = apply_fault_request(board, FaultRequest("ring:4", "clear"))
         assert response.ok and not response.faults
-        assert response.invalidated["tables"] == 1
-        assert len(registry.tables()) == 0
+        assert len(registry.tables()) == 1
+        healthy = resolver(ROUTED, None)
+        assert healthy.source == "synthesized"
+        assert (0, 1) in used_links(healthy.plan_object().algorithm)
+        assert len(registry.tables()) == 2
 
     def test_invalid_fault_is_an_error_response(self, registry):
         board = FaultBoard()
         response = apply_fault_request(
-            board,
-            FaultRequest("ring:4", "register", (LinkDown(0, 2).to_json(),)),
-            registry=registry,
+            board, FaultRequest("ring:4", "register", (LinkDown(0, 2).to_json(),))
         )
         assert response.status == "error"
         assert "0" in response.error and not board.get(ring(4))
@@ -247,7 +263,6 @@ class TestResolverReplanning:
         healthy = resolver(ROUTED, None)
         assert healthy.ok
         board.register(ring(4), FaultSet.of(LinkDown(0, 1)))
-        registry.invalidate(ring(4))
         replanned = resolver(ROUTED, None)
         assert replanned.ok
         plan = replanned.plan_object()
@@ -265,6 +280,36 @@ class TestResolverReplanning:
         plan = response.plan_object()  # re-verifies on import
         assert (0, 1) not in used_links(plan.algorithm)
         assert "!deg-" in plan.algorithm.topology.name
+
+
+class TestFaultTransitionsKeepWhatTheyCanReuse:
+    REGISTER = FaultRequest("ring:4", "register", (LINK_DOWN_01,))
+    CLEAR = FaultRequest("ring:4", "clear")
+
+    def test_clear_serves_the_healthy_plans_warm(self, registry):
+        with PlanningService(registry, num_workers=1) as service:
+            for _ in range(2):
+                assert service.request(PINNED).ok and service.request(ROUTED).ok
+            assert service.fault(self.REGISTER).ok
+            assert service.request(ROUTED).source == "synthesized"  # degraded
+            assert service.fault(self.CLEAR).ok
+            solves = service.resolver.stats()["solves"]
+            answers = [service.request(PINNED), service.request(ROUTED)]
+            assert [a.source for a in answers] == ["cache", "registry"]
+            assert service.resolver.stats()["solves"] == solves
+
+    def test_the_same_fault_again_is_answered_warm(self, registry):
+        with PlanningService(registry, num_workers=1) as service:
+            assert service.fault(self.REGISTER).ok
+            cold = [service.request(PINNED_SLACK), service.request(ROUTED)]
+            assert [a.source for a in cold] == ["synthesized"] * 2
+            assert service.fault(self.CLEAR).ok
+            assert service.fault(self.REGISTER).ok
+            solves = service.resolver.stats()["solves"]
+            warm = [service.request(PINNED_SLACK), service.request(ROUTED)]
+            assert [a.source for a in warm] == ["cache", "registry"]
+            assert [a.plan["algorithm"] for a in warm] == [a.plan["algorithm"] for a in cold]
+            assert service.resolver.stats()["solves"] == solves
 
 
 class TestBrokerHardening:
@@ -343,10 +388,11 @@ class TestConcurrentFaultAndPlan:
 
 
 class TestDGX1DegradedModeEndToEnd:
-    """The acceptance scenario over real HTTP: LinkDown on a DGX-1
-    service invalidates the stale plan, the next /v1/plan is verified
-    against the degraded topology, and the fault-injecting executor
-    proves the old plan fails where the new one runs clean."""
+    """The acceptance scenario over real HTTP: after a LinkDown on a DGX-1
+    service the next /v1/plan is re-synthesized and verified against the
+    degraded topology, the fault-injecting executor proves the old plan
+    fails where the new one runs clean, and clear serves the old plan
+    again from the cache."""
 
     REQUEST = PlanRequest(
         "Allgather", "dgx1", chunks=1, steps=2, rounds=2, deadline_s=120
@@ -368,7 +414,6 @@ class TestDGX1DegradedModeEndToEnd:
                 )
                 assert fault.ok
                 assert fault.degraded["links_removed"] == 1
-                assert fault.invalidated["cache_entries"] >= 1
 
                 replanned = request_plan(url, self.REQUEST)
                 assert replanned.ok and replanned.source == "synthesized"
@@ -394,13 +439,12 @@ class TestDGX1DegradedModeEndToEnd:
                     lower(new_plan.algorithm), new_plan.algorithm
                 ).transfers
 
-                # Status sees the fault; clear repairs the fabric and drops
-                # the degraded artifacts so healthy plans come back fresh.
+                # Status sees the fault; clear repairs the fabric, whose
+                # healthy plan was never deleted: it is served, not re-solved.
                 status = request_fault(url, FaultRequest("dgx1", "status"))
                 assert status.ok and len(status.faults) == 1
                 cleared = request_fault(url, FaultRequest("dgx1", "clear"))
                 assert cleared.ok and not cleared.faults
-                assert cleared.invalidated["cache_entries"] >= 1
                 healthy_again = request_plan(url, self.REQUEST)
-                assert healthy_again.ok
-                assert "!deg-" not in healthy_again.plan_object().algorithm.topology.name
+                assert healthy_again.ok and healthy_again.source == "cache"
+                assert healthy_again.plan["algorithm"] == cold.plan["algorithm"]

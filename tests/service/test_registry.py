@@ -180,3 +180,23 @@ class TestPinnedLookups:
         plan = registry.lookup_pinned(request)
         assert plan is not None
         assert plan.algorithm.signature() == (1, 2, 3)
+
+    def test_fabrics_of_equal_structure_share_the_entry_but_not_the_memo(
+        self, registry, tmp_path
+    ):
+        """``ring:3`` and ``fc:3`` have one cache key; each is served the plan
+        on its own topology, as a resolver built from nothing serves it."""
+        from repro.service import SynthesisResolver
+
+        on_ring = PlanRequest("Allgather", "ring:3", chunks=1, steps=1, rounds=1)
+        on_fc = PlanRequest("Allgather", "fc:3", chunks=1, steps=1, rounds=1)
+        assert on_ring.request_key() == on_fc.request_key()
+        resolver = SynthesisResolver(registry)
+        assert [resolver(on_ring).source for _ in range(2)] == ["synthesized", "cache"]
+
+        answer = resolver(on_fc)
+        fresh = SynthesisResolver(
+            PlanRegistry(cache=AlgorithmCache(registry.cache.root), routes_dir=tmp_path / "r")
+        )(on_fc)
+        assert answer.plan["algorithm"]["topology"]["name"] == "fc3"
+        assert answer.plan["algorithm"] == fresh.plan["algorithm"]

@@ -50,7 +50,7 @@ def _registry(root) -> PlanRegistry:
     return PlanRegistry(cache=AlgorithmCache(root / "algorithms"), routes_dir=root / "routes")
 
 
-def _comparable(response) -> tuple:
+def comparable(response) -> tuple:
     """``(status, source, route, plan)`` without what only dates the answer."""
     # Through JSON on both sides: the live answers crossed HTTP.
     plan, route = json.loads(json.dumps([response.plan, response.route]))
@@ -83,7 +83,7 @@ class Pair:
                 board.register(ring(4), self.faults)
             reference = SynthesisResolver(_registry(self.scratch), fault_board=board)(request)
             live = request_plan(self.url, request)
-            assert _comparable(live) == _comparable(reference), (label, request.describe())
+            assert comparable(live) == comparable(reference), (label, request.describe())
             if live.ok:
                 algorithm = live.plan_object().algorithm  # re-verified on the way in
                 if self.faults:
@@ -157,12 +157,14 @@ def test_memoized_service_agrees_with_a_fresh_resolver(pair):
     pair.agree("degraded repeat, warm")
     assert request_fault(pair.url, FaultRequest("ring:4", "clear")).ok
     pair.faults = FaultSet.of()
-    assert [a.source for a in pair.agree("fault clear")] == ["synthesized"] * 3
-    pair.agree("healthy again")
-
+    # Nothing was deleted: the healthy plans are served again, unsolved.
+    assert [a.source for a in pair.agree("fault clear")] == ["cache", "cache", "registry"]
     pair.agree("healthy again, warm")
-    pair.service.registry.invalidate(ring(4))
-    assert [a.source for a in pair.agree("registry.invalidate")] == ["synthesized"] * 3
+
+    # Every file gone: every answer is solved again.
+    for path in list(pair.root.rglob("*.json")):
+        path.unlink()
+    assert [a.source for a in pair.agree("every file unlinked")] == ["synthesized"] * 3
     pair.agree("refill")
 
     # A table rewritten by another writer: the next answer reads the new one.
