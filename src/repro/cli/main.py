@@ -90,14 +90,29 @@ def _add_cache_options(
         )
 
 
+def _limit(kind):
+    """An argparse type: ``kind(text)``, refused when negative or NaN."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if value >= 0:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
+
+    return parse
+
+
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("engine")
     group.add_argument(
-        "--time-limit", type=float, default=None, metavar="S",
+        "--time-limit", type=_limit(float), default=None, metavar="S",
         help="per-solve wall-clock limit in seconds (exceeded -> unknown)",
     )
     group.add_argument(
-        "--conflict-limit", type=int, default=None, metavar="N",
+        "--conflict-limit", type=_limit(int), default=None, metavar="N",
         help="per-solve conflict budget (exceeded -> unknown)",
     )
 

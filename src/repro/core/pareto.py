@@ -221,8 +221,11 @@ def resolve_strategy(
     step count of lookahead, small ones the in-process family executor.
 
     The pick only selects *which executor answers the probes*; the sweep
-    loop commits frontiers identically under all of them.  ``cpu_count``
-    overrides :func:`os.cpu_count` so the policy itself is unit-testable.
+    loop commits the same points and verdicts under all of them.  A
+    point's ``proved`` flag can differ under a conflict budget, since the
+    family executor's frames decide probes that a cold exact formula
+    leaves unknown (ROADMAP item 2(c)).  ``cpu_count`` overrides
+    :func:`os.cpu_count` so the policy itself is unit-testable.
     """
     from ..engine.dispatch import STRATEGIES
 
@@ -286,7 +289,10 @@ def pareto_synthesize(
         ``"auto"`` (pick one of the above from the host's core count and
         the instance size — see :func:`resolve_strategy`; the frontier
         records the resolved name).  Results are consumed strictly in
-        candidate order, so the frontier does not depend on the choice.
+        candidate order, so the frontier's points and verdicts do not
+        depend on the choice; under ``conflict_limit`` a point's
+        ``proved`` flag can (the family frames decide probes that cold
+        exact formulas exhaust their budget on; ROADMAP item 2(c)).
     max_workers:
         Worker-process count for the parallel/speculative strategies.
     cache:

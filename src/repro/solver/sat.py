@@ -32,17 +32,38 @@ Data layout
   range-checked where they enter.
 * Watch invariant: ``_watches[lit]`` holds the clauses watching ``-lit``,
   the ones to visit when ``lit`` becomes true.
-* ``_level``, ``_reason``, ``_activity``, ``_phase``, ``_seen`` and
-  ``_heap_copies`` are indexed by variable (slot 0 unused).
+* ``_level``, ``_reason``, ``_activity``, ``_phase``, ``_seen``,
+  ``_heap_copies`` and ``_in_zero_heap`` are indexed by variable (slot 0
+  unused).  ``_reason[var]`` is read only while ``var`` is on the trail;
+  a backtrack leaves it stale, and every assignment overwrites it.
 * Heap invariant: the search is defined by a lazy heap of possibly stale
   ``(-activity, var)`` entries that gets one entry per activity bump and one
-  per unassignment.  That multiset is ``_order_heap`` plus, for each
-  variable, ``max(0, _heap_copies[var] - 1)`` more copies of its current
-  entry ``(-_activity[var], var)``; a count ``>= 1`` implies the current
-  entry is in ``_order_heap``, so unassigning such a variable only counts.
-  The counted copies are pushed when the entry stops being current (a bump,
-  a rescale of all activities): entries from before a rescale outrank all
-  later ones, and each copy of them can yield one more decision.
+  per unassignment.  Before the first rescale it decides on the unassigned
+  variable with the highest activity, the lowest index on ties.  That heap
+  is stored in two tiers and some counts:
+
+  - A variable whose activity is ``0.0`` (never bumped, or scaled down
+    to it by rescales) waits as a plain int in ``_zero_heap`` when it is
+    unassigned (``_in_zero_heap[var]`` marks it present).  A bumped
+    activity is always ``> 0``, so a ``(-0.0, var)`` entry would leave the
+    heap after every bumped entry, in index order, and an unassigned bumped
+    variable always has a negative-key entry: the int heap is read only
+    when ``_order_heap`` holds no unassigned variable, and gives the same
+    pick.
+  - ``_order_heap`` holds the bumped entries.  For each variable,
+    ``max(0, _heap_copies[var] - 1)`` more copies of its current entry
+    ``(-_activity[var], var)`` are only counted; a count ``>= 1`` implies
+    the current entry is in ``_order_heap``, so unassigning such a
+    variable only counts.  The count is 0 while the activity is ``0.0``.
+  - A bump makes the variable's entry stale.  Within one activity epoch a
+    stale entry is never picked (the variable's current entry is smaller
+    and is in the heap while it is unassigned), and equal entries leave
+    the heap in the same pick, so its ``copies - 1`` counted copies wait in
+    ``_stale_copies`` instead of the heap.  A rescale of all activities
+    ends the epoch: entries from before it outrank all later ones and each
+    copy can yield one more decision, so the rescale first pushes the
+    waiting copies of every stale entry still in the heap, then the counted
+    copies of every current entry.
 """
 
 from __future__ import annotations
@@ -140,6 +161,7 @@ class SATSolver:
         self._phase: List[bool] = [False]
         self._seen: List[bool] = [False]
         self._heap_copies: List[int] = [0]
+        self._in_zero_heap: List[bool] = [False]
         self._clauses: List[List[int]] = []
         self._learnts: List[List[int]] = []
         self._cla_activity: Dict[int, float] = {}  # id(learnt clause) -> activity
@@ -151,8 +173,12 @@ class SATSolver:
         self._cla_inc = 1.0
         self._cla_decay = 0.999
         self._ok = True
-        # Lazy heap of (-activity, var); see the heap invariant above.
+        # Lazy heap of (-activity, var), the int tier of variables whose
+        # activity is 0.0, and the copies that wait for the next rescale;
+        # see the heap invariant above.
         self._order_heap: List[tuple[float, int]] = []
+        self._zero_heap: List[int] = []
+        self._stale_copies: Dict[tuple[float, int], int] = {}
         self.stats = SolverStats()
         self._model: Dict[int, bool] = {}
 
@@ -177,10 +203,11 @@ class SATSolver:
         self._activity.extend([0.0] * extra)
         self._phase.extend([False] * extra)
         self._seen.extend([False] * extra)
-        self._heap_copies.extend([1] * extra)
-        # No entry in the heap is greater than (0.0, new variable), so
+        self._heap_copies.extend([0] * extra)
+        self._in_zero_heap.extend([True] * extra)
+        # Every variable in the int heap is smaller than the new ones, so
         # appending is what a heappush per variable would do.
-        self._order_heap.extend((0.0, var) for var in range(old + 1, max_var + 1))
+        self._zero_heap.extend(range(old + 1, max_var + 1))
         self.num_vars = max_var
 
     def add_clause(self, lits: Iterable[int]) -> bool:
@@ -284,12 +311,13 @@ class SATSolver:
         level, reason = self._level, self._reason
         current_level = len(self._trail_lim)
         start = head = self._propagate_head
-        conflict: Optional[List[int]] = None
-        while conflict is None and head < len(trail):
+        while head < len(trail):
             lit = trail[head]
             head += 1
             false_lit = -lit
             watchers = watches[lit]
+            if not watchers:
+                continue
             # The list is compacted in place while it is read: [0, kept) holds
             # the clauses that go on watching false_lit.
             kept = 0
@@ -304,44 +332,58 @@ class SATSolver:
                     watchers[kept] = clause
                     kept += 1
                     continue
-                # Look for a new literal to watch.
-                for k in range(2, len(clause)):
-                    other = clause[k]
-                    if val[other] != FALSE:
-                        clause[1] = other
-                        clause[k] = false_lit
-                        watches[-other].append(clause)
-                        break
-                else:
-                    # Clause is unit or conflicting.
-                    watchers[kept] = clause
-                    kept += 1
-                    if val[first] == FALSE:
-                        conflict = clause
-                        watchers[kept:] = list(unvisited)  # the rest keeps watching
-                        break
-                    val[first] = TRUE
-                    val[-first] = FALSE
-                    var = first if first > 0 else -first
-                    level[var] = current_level
-                    reason[var] = clause
-                    trail.append(first)
-            else:
-                del watchers[kept:]
+                # Look for a new literal to watch; a binary clause has none.
+                if len(clause) > 2:
+                    for k in range(2, len(clause)):
+                        other = clause[k]
+                        if val[other] != FALSE:
+                            clause[1] = other
+                            clause[k] = false_lit
+                            watches[-other].append(clause)
+                            break
+                    else:
+                        k = 0
+                    if k:
+                        continue
+                # Clause is unit or conflicting.
+                watchers[kept] = clause
+                kept += 1
+                if val[first] == FALSE:
+                    watchers[kept:] = list(unvisited)  # the rest keeps watching
+                    self._propagate_head = head
+                    self.stats.propagations += head - start
+                    return clause
+                val[first] = TRUE
+                val[-first] = FALSE
+                var = first if first > 0 else -first
+                level[var] = current_level
+                reason[var] = clause
+                trail.append(first)
+            del watchers[kept:]
         self._propagate_head = head
         self.stats.propagations += head - start
-        return conflict
+        return None
 
     # ------------------------------------------------------------------
     # Conflict analysis
     # ------------------------------------------------------------------
     def _rescale_var_activity(self) -> float:
         """Scale every activity by 1e-100 and return the new increment; no
-        heap entry is current afterwards, so counted copies are pushed first."""
+        heap entry is current afterwards, so the waiting copies of stale
+        entries still in the heap and the counted copies of current entries
+        are pushed first."""
         activity, copies, heap = self._activity, self._heap_copies, self._order_heap
+        stale = self._stale_copies
+        heappush = heapq.heappush
+        for entry in [entry for entry in heap if entry in stale]:
+            for _ in range(stale.pop(entry, 0)):
+                heappush(heap, entry)
+        stale.clear()
         for var in range(1, self.num_vars + 1):
-            for _ in range(copies[var] - 1):
-                heapq.heappush(heap, (-activity[var], var))
+            if copies[var] > 1:
+                entry = (-activity[var], var)
+                for _ in range(copies[var] - 1):
+                    heappush(heap, entry)
             copies[var] = 0
             activity[var] *= 1e-100
         self._var_inc *= 1e-100
@@ -363,6 +405,7 @@ class SATSolver:
         """
         seen, level, reason, trail = self._seen, self._level, self._reason, self._trail
         activity, copies, heap = self._activity, self._heap_copies, self._order_heap
+        stale = self._stale_copies
         cla_activity = self._cla_activity
         heappush = heapq.heappush
         var_inc = self._var_inc
@@ -383,8 +426,8 @@ class SATSolver:
                     seen[var] = True
                     path_vars.append(var)
                     # Bump the variable: its heap entry stops being current.
-                    for _ in range(copies[var] - 1):
-                        heappush(heap, (-activity[var], var))
+                    if copies[var] > 1:
+                        stale[(-activity[var], var)] = copies[var] - 1
                     act = activity[var] = activity[var] + var_inc
                     if act > 1e100:
                         copies[var] = 0
@@ -445,20 +488,30 @@ class SATSolver:
     def _backtrack(self, level: int) -> None:
         if len(self._trail_lim) <= level:
             return
-        val, reason, phase, trail = self._val, self._reason, self._phase, self._trail
+        val, phase, trail = self._val, self._phase, self._trail
         activity, copies, heap = self._activity, self._heap_copies, self._order_heap
+        zero_heap, in_zero_heap = self._zero_heap, self._in_zero_heap
+        heappush = heapq.heappush
         limit = self._trail_lim[level]
         for lit in trail[limit:]:
             val[lit] = val[-lit] = UNASSIGNED
-            var = lit if lit > 0 else -lit
-            phase[var] = lit > 0
-            reason[var] = None
-            # One more heap entry for var; counted if its entry is present.
-            if copies[var]:
-                copies[var] += 1
+            if lit > 0:
+                var = lit
+                phase[var] = True
             else:
-                copies[var] = 1
-                heapq.heappush(heap, (-activity[var], var))
+                var = -lit
+                phase[var] = False
+            # One more heap entry for var; counted if its entry is present.
+            act = activity[var]
+            if act:
+                if copies[var]:
+                    copies[var] += 1
+                else:
+                    copies[var] = 1
+                    heappush(heap, (-act, var))
+            elif not in_zero_heap[var]:
+                in_zero_heap[var] = True
+                heappush(zero_heap, var)
         del trail[limit:]
         del self._trail_lim[level:]
         self._propagate_head = min(self._propagate_head, limit)
@@ -469,20 +522,29 @@ class SATSolver:
     def _pick_branch_var(self) -> Optional[int]:
         val = self._val
         activity, copies, heap = self._activity, self._heap_copies, self._order_heap
+        heappop = heapq.heappop
         while heap:
             neg_activity, var = heap[0]
-            current = neg_activity == -activity[var]
-            if val[var] == UNASSIGNED and current and copies[var] > 1:
-                copies[var] -= 1  # a counted copy is used up, the entry stays
-                return var
-            heapq.heappop(heap)
-            if current:
-                copies[var] = 0  # an assigned variable drops all equal entries
+            if val[var] != UNASSIGNED:
+                heappop(heap)
+                if neg_activity == -activity[var]:
+                    copies[var] = 0  # an assigned variable drops all equal entries
+                continue
+            if neg_activity == -activity[var]:
+                if copies[var] > 1:
+                    copies[var] -= 1  # a counted copy is used up, the entry stays
+                    return var
+                copies[var] = 0
+            heappop(heap)
+            return var
+        zero_heap, in_zero_heap = self._zero_heap, self._in_zero_heap
+        while zero_heap:
+            var = heapq.heappop(zero_heap)
+            in_zero_heap[var] = False
             if val[var] == UNASSIGNED:
                 return var
-        # The heap can run dry while unassigned variables remain only if an
-        # entry was consumed earlier without being re-pushed; fall back to a
-        # scan to preserve completeness.
+        # Every unassigned variable has an entry in one of the heaps; the
+        # scan keeps the search complete should that ever not hold.
         for var in range(1, self.num_vars + 1):
             if val[var] == UNASSIGNED:
                 return var
@@ -496,7 +558,9 @@ class SATSolver:
         activity = self._cla_activity
         learnts.sort(key=lambda c: activity[id(c)])
         keep_from = len(learnts) // 2
-        locked = {id(reason) for reason in self._reason if reason is not None}
+        # Only a variable on the trail has a reason that is read.
+        reason = self._reason
+        locked = {id(reason[abs(lit)]) for lit in self._trail}
         removed = set()
         kept: List[List[int]] = []
         for i, clause in enumerate(learnts):
@@ -534,9 +598,14 @@ class SATSolver:
         time_limit:
             Abort with :data:`SolveResult.UNKNOWN` after this many seconds.
 
+        A negative limit, or a NaN time limit, raises :class:`ValueError`.
         Whatever the answer, the solver is back at decision level 0 when
         this returns, so clauses can be added between calls.
         """
+        if conflict_limit is not None and conflict_limit < 0:
+            raise ValueError(f"conflict_limit must be >= 0, got {conflict_limit!r}")
+        if time_limit is not None and not time_limit >= 0:
+            raise ValueError(f"time_limit must be >= 0, got {time_limit!r}")
         start_time = time.monotonic()
         self._model = {}
         try:
@@ -559,7 +628,10 @@ class SATSolver:
             return SolveResult.UNSAT
 
         stats = self.stats
-        val = self._val
+        val, level, reason, phase = self._val, self._level, self._reason, self._phase
+        trail, trail_lim, watches = self._trail, self._trail_lim, self._watches
+        propagate, analyze, backtrack = self._propagate, self._analyze, self._backtrack
+        pick_branch_var = self._pick_branch_var
         restart_count = 0
         conflicts_since_restart = 0
         restart_limit = 64 * luby(1)
@@ -567,25 +639,34 @@ class SATSolver:
         max_learnts = max(1000, len(self._clauses) // 2)
 
         while True:
-            conflict = self._propagate()
+            conflict = propagate()
             if conflict is not None:
                 stats.conflicts += 1
                 total_conflicts_this_call += 1
                 conflicts_since_restart += 1
-                if not self._trail_lim:
+                if not trail_lim:
                     self._ok = False
                     return SolveResult.UNSAT
-                learnt, backtrack_level = self._analyze(conflict)
-                self._backtrack(backtrack_level)
+                learnt, backtrack_level = analyze(conflict)
+                backtrack(backtrack_level)
+                # Assert the learnt clause's first literal at the level
+                # backtracked to; a unit learnt clause is a level-0 fact.
+                lit = learnt[0]
+                var = lit if lit > 0 else -lit
                 if len(learnt) == 1:
-                    self._assign(learnt[0], None)
+                    reason[var] = None
                 else:
                     self._learnts.append(learnt)
                     stats.learned_clauses += 1
-                    self._attach(learnt)
+                    watches[-lit].append(learnt)
+                    watches[-learnt[1]].append(learnt)
                     self._cla_activity[id(learnt)] = 0.0
                     self._bump_clause(id(learnt))
-                    self._assign(learnt[0], learnt)
+                    reason[var] = learnt
+                val[lit] = TRUE
+                val[-lit] = FALSE
+                level[var] = backtrack_level
+                trail.append(lit)
                 self._var_inc /= self._var_decay
                 self._cla_inc /= self._cla_decay
                 if conflict_limit is not None and total_conflicts_this_call >= conflict_limit:
@@ -604,7 +685,7 @@ class SATSolver:
                 stats.restarts += 1
                 conflicts_since_restart = 0
                 restart_limit = 64 * luby(restart_count + 1)
-                self._backtrack(0)
+                backtrack(0)
                 continue
 
             if len(self._learnts) > max_learnts:
@@ -621,18 +702,25 @@ class SATSolver:
                 next_lit = assumption
                 break
             if next_lit is None:
-                var = self._pick_branch_var()
+                var = pick_branch_var()
                 if var is None:
                     # All variables assigned: a model.
                     self._model = {v: val[v] == TRUE for v in range(1, self.num_vars + 1)}
                     return SolveResult.SAT
-                next_lit = var if self._phase[var] else -var
+                next_lit = var if phase[var] else -var
                 stats.decisions += 1
+            else:
+                var = next_lit if next_lit > 0 else -next_lit
 
-            self._trail_lim.append(len(self._trail))
-            if len(self._trail_lim) > stats.max_decision_level:
-                stats.max_decision_level = len(self._trail_lim)
-            self._assign(next_lit, None)
+            trail_lim.append(len(trail))
+            decision_level = len(trail_lim)
+            if decision_level > stats.max_decision_level:
+                stats.max_decision_level = decision_level
+            val[next_lit] = TRUE
+            val[-next_lit] = FALSE
+            level[var] = decision_level
+            reason[var] = None
+            trail.append(next_lit)
 
     # ------------------------------------------------------------------
     # Model access

@@ -308,6 +308,27 @@ class TestInProcess:
         assert exc.value.code == 2
         assert "invalid choice: 'backends'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["synthesize", *QUICKSTART],
+        ["pareto", "Allgather", "-t", "ring:4", "--max-steps", "2", "--max-chunks", "1"],
+    ], ids=["synthesize", "pareto"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--conflict-limit", "-5"), ("--time-limit", "-1"), ("--time-limit", "nan"),
+    ])
+    def test_negative_limits_are_rejected_when_parsed(self, argv, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--no-cache", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be a number >= 0, got {value!r}" in capsys.readouterr().err
+
+    def test_zero_limits_are_accepted(self, capsys):
+        code = main([
+            "synthesize", *QUICKSTART, "--no-cache", "-q",
+            "--conflict-limit", "0", "--time-limit", "0",
+        ])
+        assert code in (0, 1)
+        assert "Allgather" in capsys.readouterr().out
+
 
 class TestWritesOnlyWhereAsked:
     """Every subcommand writes under the paths on its command line and

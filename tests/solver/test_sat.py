@@ -258,3 +258,24 @@ def test_assumption_outside_the_variable_space_is_rejected():
         solver.solve([2])
     with pytest.raises(ValueError):
         solver.solve([0])
+
+
+@pytest.mark.parametrize("limits", [
+    {"conflict_limit": -1}, {"conflict_limit": -5},
+    {"time_limit": -1.0}, {"time_limit": -1e-9}, {"time_limit": float("nan")},
+], ids=["conflicts-1", "conflicts-5", "seconds-1", "seconds-tiny", "seconds-nan"])
+def test_negative_limits_are_rejected(limits):
+    solver = SATSolver()
+    a, b = solver.new_var(), solver.new_var()
+    solver.add_clause([a, b])
+    with pytest.raises(ValueError):
+        solver.solve(**limits)
+    assert solver.solve() is SolveResult.SAT
+
+
+def test_zero_limits_are_limits():
+    solver = SATSolver()
+    solver.add_cnf(pigeonhole_cnf(7))
+    assert solver.solve(conflict_limit=0) is SolveResult.UNKNOWN
+    assert solver.stats.conflicts == 1
+    assert solver.solve(time_limit=0.0) is SolveResult.UNKNOWN

@@ -55,6 +55,16 @@ def one_shot(cnf, **limits):
     return [snapshot(solver, solver.solve(**limits))]
 
 
+def frames(cnf, probes):
+    """One solver over a sequence of ``(assumptions, conflict_limit)`` frames."""
+    solver = SATSolver()
+    solver.add_cnf(cnf)
+    return [
+        snapshot(solver, solver.solve(assumptions, conflict_limit=limit))
+        for assumptions, limit in probes
+    ]
+
+
 def rounds_ladder(collective, chunks, steps, budget, probes):
     """One solver probed under assumptions, the ``SessionFamily`` pattern:
     every ``(rounds, conflict_limit)`` probe is a frame of selector
@@ -95,6 +105,13 @@ CASES = {
     "random_3sat_seed2_budget7000": lambda: one_shot(
         random_3sat_cnf(random.Random(2), 175, 745), conflict_limit=7000
     ),
+    # Two rescales, in the first frame and in the third, with an assumption
+    # frame between them: heap state built in one solve() call is carried
+    # into the next and replayed by the rescale there.
+    "random_3sat_seed4_frames_two_rescales": lambda: frames(
+        random_3sat_cnf(random.Random(4), 175, 745),
+        (((), 5000), ([3, -7], 2500), ((), 2500)),
+    ),
 }
 
 # Formulas written out clause by clause: recorded at commit 2eb871e, before
@@ -120,6 +137,14 @@ GOLDEN = {
         ('unknown', 7000, 9997, 234592, 45, 7000, 4516, None),
     ],
 }
+
+# Recorded at commit cf36e7c, before the decision heap kept unbumped
+# variables apart and deferred stale copies to the next rescale.
+GOLDEN["random_3sat_seed4_frames_two_rescales"] = [
+    ('unknown', 5000, 6448, 169477, 30, 5000, 3085, None),
+    ('unknown', 7500, 10766, 247946, 50, 7500, 5529, None),
+    ('unknown', 10000, 14933, 326835, 70, 10000, 8005, None),
+]
 
 # Formulas from ScclEncoding: re-recorded when the encoder started pruning
 # (cut arithmetic, chunk-symmetry order, domain-tight time variables), which
@@ -159,10 +184,13 @@ GOLDEN.update({
 })
 
 
+SLOW = {"random_3sat_seed2_budget7000", "random_3sat_seed4_frames_two_rescales"}
+
+
 @pytest.mark.parametrize(
     "name",
     [
-        pytest.param(name, marks=pytest.mark.slow) if "budget7000" in name else name
+        pytest.param(name, marks=pytest.mark.slow) if name in SLOW else name
         for name in CASES
     ],
 )
