@@ -531,8 +531,6 @@ def _make_registry(args):
 
 
 def _cmd_serve(args) -> int:
-    import multiprocessing
-    import os
     import signal
 
     from ..service import PlanningService, make_server
@@ -555,12 +553,10 @@ def _cmd_serve(args) -> int:
     )
 
     # SIGTERM (kill, systemd, a process supervisor) takes the Ctrl-C path.
-    # Pool workers a cold sweep forks must keep dying on it as before.
     def _terminate(signum, frame):
         raise KeyboardInterrupt
 
     previous = signal.signal(signal.SIGTERM, _terminate)
-    os.register_at_fork(after_in_child=lambda: signal.signal(signal.SIGTERM, signal.SIG_DFL))
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -568,12 +564,8 @@ def _cmd_serve(args) -> int:
     finally:
         signal.signal(signal.SIGTERM, previous)  # a second one ends the process
         server.server_close()
-        # Probes a cold sweep left running in pool workers have nobody to
-        # answer to any more; ended here, or the pool's exit hook waits for
-        # every one of them.  The wait that follows is bounded: a worker
-        # mid-solve is a daemon thread and must not hold the exit back.
-        for worker in multiprocessing.active_children():
-            worker.terminate()
+        # Bounded: a worker mid-solve is a daemon thread and must not hold
+        # the exit back.
         service.stop(timeout=1.0)
         stats = service.broker.stats()
         print(
@@ -892,7 +884,7 @@ class _StrategyChoices:
     def __iter__(self):
         from ..engine.dispatch import STRATEGIES
 
-        return iter((*STRATEGIES, "auto"))
+        return iter(STRATEGIES)
 
     def __contains__(self, name) -> bool:
         return name in tuple(self)
@@ -945,8 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=_StrategyChoices(),
         metavar="STRATEGY",
         default="incremental",
-        help="candidate-sweep strategy: %(choices)s (default incremental; auto "
-        "picks from the host's core count and the instance size)",
+        help="candidate-sweep strategy: %(choices)s (default incremental)",
     )
     pareto.add_argument(
         "--no-bounds", action="store_true",

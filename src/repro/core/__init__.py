@@ -65,7 +65,6 @@ from .pareto import (
     ParetoPoint,
     candidate_set,
     pareto_synthesize,
-    resolve_strategy,
 )
 from .synthesizer import (
     SynthesisError,
@@ -112,7 +111,6 @@ __all__ = [
     "make_instance",
     "pareto_frontier",
     "pareto_synthesize",
-    "resolve_strategy",
     "solve_encoding",
     "speedup",
     "synthesize",

@@ -119,6 +119,8 @@ def make_instance(
             f"{spec.name} is a combining collective; synthesize {spec.inverse_of} "
             f"and use repro.core.combining to derive it"
         )
+    if not spec.root_based and root != 0:
+        raise InstanceError(f"{spec.name} has no root, got root={root}")
     num_chunks = spec.global_chunks(topology.num_nodes, chunks_per_node)
     pre = spec.precondition(topology.num_nodes, chunks_per_node, root)
     post = spec.postcondition(topology.num_nodes, chunks_per_node, root)

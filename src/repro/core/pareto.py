@@ -200,47 +200,6 @@ def candidate_set(
     return candidates
 
 
-def resolve_strategy(
-    topology: Topology,
-    *,
-    k: int = 0,
-    max_chunks: Optional[int] = None,
-    max_workers: Optional[int] = None,
-    cpu_count: Optional[int] = None,
-) -> str:
-    """Pick a concrete sweep strategy for ``strategy="auto"``.
-
-    Single-core hosts (or an explicit one-worker budget) get the serial
-    loop: the pool executor only adds process overhead there, and the
-    shared-prefix family pays for one frame plus its exact-formula retry
-    at every step count whose probes are bound by the budget.
-
-    On multi-core hosts the pick is by size: large instances — many nodes,
-    deep chunk subdivision or a loose synchrony budget, all of which
-    multiply the candidate count and formula size — get the pool with one
-    step count of lookahead, small ones the in-process family executor.
-
-    The pick only selects *which executor answers the probes*; the sweep
-    loop commits the same points and verdicts under all of them.  A
-    point's ``proved`` flag can differ under a conflict budget, since the
-    family executor's frames decide probes that a cold exact formula
-    leaves unknown (ROADMAP item 2(c)).  ``cpu_count`` overrides
-    :func:`os.cpu_count` so the policy itself is unit-testable.
-    """
-    from ..engine.dispatch import STRATEGIES
-
-    serial, incremental, _parallel, speculative = STRATEGIES
-    cores = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    if cores < 2 or (max_workers is not None and max_workers < 2):
-        return serial
-    large = (
-        topology.num_nodes >= 6
-        or (max_chunks is not None and max_chunks >= 4)
-        or k >= 2
-    )
-    return speculative if large else incremental
-
-
 def pareto_synthesize(
     collective: str,
     topology: Topology,
@@ -284,15 +243,13 @@ def pareto_synthesize(
         count probed via per-candidate assumption frames), ``"serial"``
         (cold encode+solve per candidate, the paper's loop), ``"parallel"``
         (the exact formulas solved ahead of the loop in a process pool, one
-        step count at a time), ``"speculative"`` (the same pool also
-        started on the next step count while this one is in flight) or
-        ``"auto"`` (pick one of the above from the host's core count and
-        the instance size — see :func:`resolve_strategy`; the frontier
-        records the resolved name).  Results are consumed strictly in
-        candidate order, so the frontier's points and verdicts do not
-        depend on the choice; under ``conflict_limit`` a point's
-        ``proved`` flag can (the family frames decide probes that cold
-        exact formulas exhaust their budget on; ROADMAP item 2(c)).
+        step count at a time) or ``"speculative"`` (the same pool also
+        started on the next step count while this one is in flight).
+        Results are consumed strictly in candidate order, so the
+        frontier's points and verdicts do not depend on the choice; under
+        ``conflict_limit`` a point's ``proved`` flag can (the family frames
+        decide probes that cold exact formulas exhaust their budget on;
+        ROADMAP item 2(c)).
     max_workers:
         Worker-process count for the parallel/speculative strategies.
     cache:
@@ -319,10 +276,13 @@ def pareto_synthesize(
     from ..engine.bounds import BoundsLedger, seed_ledger
     from ..engine.dispatch import SweepRequest, SweepStats, make_dispatcher
 
+    spec = get_collective(collective)
     if k < 0:
         raise ParetoError("k must be non-negative")
     if max_chunks is not None and max_chunks < 1:
         raise ParetoError(f"max_chunks must be at least 1, got {max_chunks}")
+    if not spec.root_based and root != 0:
+        raise ParetoError(f"{spec.name} has no root, got root={root}")
 
     options = dict(
         root=root,
@@ -346,16 +306,9 @@ def pareto_synthesize(
         tracer.write_chrome_trace(trace)
         return frontier
 
-    spec = get_collective(collective)
-
     # --- combining collectives: delegate to the non-combining counterpart ----
     if spec.combining:
         return _pareto_synthesize_combining(spec.name, topology, k, **options)
-
-    if strategy == "auto":
-        strategy = resolve_strategy(
-            topology, k=k, max_chunks=max_chunks, max_workers=max_workers
-        )
 
     if bounds is None or bounds == "off":
         ledger = None

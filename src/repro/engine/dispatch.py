@@ -74,8 +74,8 @@ from .session import SessionFamily
 if TYPE_CHECKING:  # the pool's modules load with the pool, in ``prefetch``
     from concurrent.futures import Future, ProcessPoolExecutor
 
-#: The sweep strategy names — the only list of them; the CLI choices and
-#: ``resolve_strategy`` derive theirs from it.
+#: The sweep strategy names — the only list of them; the CLI choices derive
+#: theirs from it.
 STRATEGIES = ("serial", "incremental", "parallel", "speculative")
 
 #: Later step counts a pool strategy includes in each prefetch hint.

@@ -8,12 +8,11 @@ them through :class:`SynthesisResolver`, whose fallback ladder is fixed:
    persisted routing table; a hit is answered without any solver work.
 2. **synthesis** — pinned requests run one engine solve
    (:func:`repro.core.synthesizer.synthesize`); routed requests run a
-   Pareto sweep through the engine's one sweep loop with an *auto*-selected
-   executor (cold frontier builds pick serial, incremental or speculative
-   from the host's core count and the instance size, seeded with baseline
-   upper bounds so dominated candidates are pruned before any solver work;
-   see ``sweep_strategy`` to pin one), then score the
-   frontier with the alpha-beta simulator into a fresh routing table.
+   Pareto sweep through the engine's one sweep loop with its default
+   ``incremental`` executor, in the worker thread (no process is forked),
+   seeded with baseline upper bounds so dominated candidates are pruned
+   before any solver work, then score the frontier with the alpha-beta
+   simulator into a fresh routing table.
    The most patient waiter's remaining deadline is forwarded to the
    engine as the solve time limit.
 3. **baseline** — when the solver comes back UNKNOWN (deadline / resource
@@ -49,6 +48,9 @@ from .registry import PlanRegistry, build_routing_table
 
 #: Resolver signature: (request, remaining_s) -> PlanResponse.
 Resolver = Callable[[PlanRequest, Optional[float]], PlanResponse]
+
+#: How long an idle worker waits on the broker before rechecking for stop.
+_POLL_S = 0.1
 
 
 class WorkerError(ServiceError):
@@ -111,25 +113,9 @@ class SynthesisResolver:
         self,
         registry: PlanRegistry,
         *,
-        max_steps_margin: int = 4,
-        sweep_strategy: str = "auto",
-        sweep_workers: Optional[int] = None,
         fault_board: Optional[FaultBoard] = None,
     ) -> None:
-        # sweep_strategy="auto" lets the engine pick per build: serial on
-        # single-core hosts, speculative for large instances, incremental
-        # otherwise.  The pool executor pays off when probes are long or
-        # limit-bound (a cold DGX-1 build under a deadline) and costs more
-        # than it saves on sub-second frontiers.  It forks worker processes
-        # from a worker thread for cold routed builds.  That is safe here
-        # because pool children never touch the parent's broker/registry
-        # locks (they solve standalone instances), but deployments that
-        # embed the resolver next to fork-hostile libraries can inject
-        # sweep_strategy="incremental" to stay in-process.
         self.registry = registry
-        self.max_steps_margin = max_steps_margin
-        self.sweep_strategy = sweep_strategy
-        self.sweep_workers = sweep_workers
         # Every resolution targets the fault board's view of the fabric:
         # with active faults the degraded topology flows through cache
         # lookups, routing keys, synthesis and baselines alike, so no
@@ -351,13 +337,7 @@ class SynthesisResolver:
             k=request.synchrony,
             root=request.root,
             time_limit_per_instance=_clamp_limit(remaining_s),
-            strategy=self.sweep_strategy,
-            max_workers=self.sweep_workers,
             cache=self.registry.cache,
-            # Cold routed builds are the service's most expensive path, so
-            # baseline bound-seeding is requested explicitly (not just by
-            # default): dominated candidates never reach the solver pool.
-            bounds="baseline",
         )
         algorithms = frontier.algorithms()
         if not algorithms:
@@ -430,14 +410,12 @@ class WorkerPool:
         resolver: Resolver,
         *,
         num_workers: int = 2,
-        poll_s: float = 0.1,
     ) -> None:
         if num_workers < 1:
             raise WorkerError("num_workers must be at least 1")
         self.broker = broker
         self.resolver = resolver
         self.num_workers = num_workers
-        self.poll_s = poll_s
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
 
@@ -465,7 +443,7 @@ class WorkerPool:
 
     def _run(self) -> None:
         while not self._stop.is_set():
-            job = self.broker.next_job(timeout=self.poll_s)
+            job = self.broker.next_job(timeout=_POLL_S)
             if job is None:
                 continue
             self._serve(job)

@@ -243,15 +243,32 @@ class TestInProcess:
     def test_pareto_strategy_choices_come_from_the_engine(self, capsys):
         from repro.engine import STRATEGIES
 
-        with pytest.raises(SystemExit) as exc:
-            main(["pareto", "Allgather", "-t", "ring:4", "--strategy", "bogus"])
-        assert exc.value.code == 2
-        listed = ", ".join(repr(name) for name in (*STRATEGIES, "auto"))
-        assert f"invalid choice: 'bogus' (choose from {listed})" in capsys.readouterr().err
+        assert STRATEGIES == ("serial", "incremental", "parallel", "speculative")
+        for bogus in ("bogus", "auto"):
+            with pytest.raises(SystemExit) as exc:
+                main(["pareto", "Allgather", "-t", "ring:4", "--strategy", bogus])
+            assert exc.value.code == 2
+            listed = ", ".join(repr(name) for name in STRATEGIES)
+            assert f"invalid choice: '{bogus}' (choose from {listed})" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             main(["pareto", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
-        assert f"strategy: {', '.join((*STRATEGIES, 'auto'))} (default" in help_text
+        assert f"strategy: {', '.join(STRATEGIES)} (default incremental)" in help_text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synthesize", "Allgather", "-t", "ring:4", "-C", "1", "-S", "2", "-R", "3",
+             "--root", "7"],
+            ["pareto", "Alltoall", "-t", "ring:4", "--root", "-3"],
+        ],
+        ids=["synthesize", "pareto"],
+    )
+    def test_root_of_a_rootless_collective_is_refused(self, argv, tmp_path, capsys):
+        code = main([*argv, "--cache-dir", str(tmp_path / "cache")])
+        assert code == 1
+        assert "has no root" in capsys.readouterr().err
+        assert not list((tmp_path / "cache").glob("**/*.json"))
 
     def test_cache_evict_prunes_to_n_entries(self, tmp_path, capsys):
         cache = tmp_path / "cache"

@@ -106,6 +106,12 @@ class TestInstances:
         inst = make_instance("Broadcast", fully_connected(4), 2, 1, 1, root=3)
         assert all(node == 3 for (_, node) in inst.precondition)
 
+    @pytest.mark.parametrize("root", [3, -1])
+    @pytest.mark.parametrize("collective", ["Allgather", "Alltoall"])
+    def test_rootless_collective_refuses_a_root(self, collective, root):
+        with pytest.raises(InstanceError, match=f"{collective} has no root, got root={root}"):
+            make_instance(collective, ring(4), 1, 2, 3, root=root)
+
     def test_precondition_chunks_all_sourced(self):
         inst = make_instance("Alltoall", ring(4), 4, 2, 2)
         chunks_with_source = {c for (c, _) in inst.precondition}

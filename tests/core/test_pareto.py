@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import ParetoError, candidate_set, pareto_synthesize, resolve_strategy
+from repro.core import ParetoError, candidate_set, pareto_synthesize
 from repro.solver import SolveResult
 from repro.topology import fully_connected, line, ring, star
 
@@ -139,23 +139,23 @@ class TestResourceLimits:
             point.algorithm.verify()
 
 
-class TestResolveStrategy:
-    """``strategy="auto"``: a static rule over core count and instance size."""
+class TestStrategyNames:
+    def test_auto_is_an_unknown_strategy(self):
+        """Nothing picks a strategy for the caller: the error names the four."""
+        from repro.engine import DispatchError
 
-    def test_static_thresholds(self):
-        assert resolve_strategy(ring(4), cpu_count=8) == "incremental"
-        # Many nodes, deep chunk subdivision or a loose synchrony budget
-        # each escalate to the pool with lookahead.
-        assert resolve_strategy(ring(8), cpu_count=8) == "speculative"
-        assert resolve_strategy(ring(4), max_chunks=4, cpu_count=8) == "speculative"
-        assert resolve_strategy(ring(4), k=2, cpu_count=8) == "speculative"
+        with pytest.raises(DispatchError) as exc:
+            pareto_synthesize("Allgather", ring(4), k=0, max_steps=3, strategy="auto")
+        message = str(exc.value)
+        assert "unknown sweep strategy 'auto'" in message
+        for name in ("serial", "incremental", "parallel", "speculative"):
+            assert repr(name) in message
 
-    def test_serial_guard_on_one_core_or_one_worker(self):
-        assert resolve_strategy(ring(8), cpu_count=1) == "serial"
-        assert resolve_strategy(ring(8), cpu_count=8, max_workers=1) == "serial"
 
-    def test_auto_records_the_resolved_name(self):
-        from repro.engine import STRATEGIES
-
-        frontier = pareto_synthesize("Allgather", ring(4), k=0, max_steps=3, strategy="auto")
-        assert frontier.strategy in STRATEGIES
+@pytest.mark.parametrize("root", [3, -1])
+@pytest.mark.parametrize("collective", ["Allgather", "Alltoall", "Allreduce", "Reducescatter"])
+def test_rootless_collective_refuses_a_root(collective, root):
+    """A collective without a root takes root 0 only: any other root would
+    key the same work a second time."""
+    with pytest.raises(ParetoError, match=f"{collective} has no root, got root={root}"):
+        pareto_synthesize(collective, ring(4), k=0, max_steps=3, root=root)

@@ -1,5 +1,6 @@
 """Resolver ladder (cache -> synthesis -> baseline) and the service facade."""
 
+import json
 import threading
 
 import pytest
@@ -120,6 +121,35 @@ class TestResolverLadder:
         )
         assert response.status == "error"
         assert "combining" in response.error
+
+    def test_pinned_root_of_a_rootless_collective_is_an_error(self, registry):
+        """Allgather has no root: root 7 is refused, not solved and cached
+        under a second key for the root-0 schedule."""
+        resolver = SynthesisResolver(registry)
+        response = resolver(
+            PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3, root=7), None
+        )
+        assert response.status == "error"
+        assert "Allgather has no root" in response.error
+        assert len(registry.cache) == 0 and resolver.stats()["solves"] == 0
+
+    def test_cold_routed_build_forks_nothing(self, registry, monkeypatch):
+        """A cold routed build sweeps in the worker thread: at the routed
+        default k = 2 it constructs no process pool."""
+        import repro.engine.dispatch
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a routed build constructed a PoolExecutor")
+
+        monkeypatch.setattr(repro.engine.dispatch, "PoolExecutor", NoPool)
+        request = PlanRequest("Allgather", "ring:6", size_bytes=4096)
+        assert request.synchrony == 2
+        response = SynthesisResolver(registry)(request, None)
+        assert response.ok and response.source == "synthesized"
+        assert response.route["signature"] == [2, 3, 5]
+        (path,) = registry.tables()
+        assert sorted(json.loads(path.read_text())["plans"]) == ["allgather_ring6_c2_s3_r5"]
 
     def test_routed_combining_collective_works(self, registry):
         # Routed mode goes through pareto_synthesize, which handles the
