@@ -11,7 +11,7 @@ solver directly.
    the plan registry; concurrent identical requests would coalesce into
    one synthesis, and a warm registry answers with zero solver calls),
 3. re-verify the returned plan bundle against the collective spec,
-4. lower it to a per-rank program and execute it on numpy buffers,
+4. lower it to a per-rank program and execute it on per-rank float buffers,
 5. estimate its wall-clock time with the alpha-beta simulator, and
 6. emit the CUDA-like source the real SCCL tool would generate.
 

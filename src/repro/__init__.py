@@ -17,7 +17,7 @@ Subpackages
     algorithm semantics/verification, Pareto-optimal synthesis (Algorithm 1),
     the combining-collective reduction and the alpha-beta cost model.
 ``repro.runtime``
-    Lowering to per-rank programs, functional execution on numpy buffers,
+    Lowering to per-rank programs, functional execution on lists of floats,
     a discrete-event alpha-beta interconnect simulator, and a CUDA-like
     source emitter (the hardware substitute).
 ``repro.baselines``

@@ -14,6 +14,7 @@ defined on these pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -38,8 +39,8 @@ def algorithm_cost(
         raise CostError("steps and rounds must be non-negative")
     if chunks <= 0:
         raise CostError("chunk count must be positive")
-    if size_bytes < 0:
-        raise CostError("input size must be non-negative")
+    if not 0 <= size_bytes < math.inf:
+        raise CostError(f"input size must be finite and non-negative, got {size_bytes!r}")
     return float(steps) * float(alpha) + (float(rounds) / float(chunks)) * float(size_bytes) * float(beta)
 
 

@@ -7,24 +7,21 @@ are checked against the collective's mathematical definition, which gives
 an end-to-end test of synthesis + lowering that does not depend on the
 algorithm verifier (the two are implemented independently on purpose).
 
-Buffers hold double-precision values (Python floats while running, one
-``float64`` array in the result); each rank's initial contribution for chunk
-``c`` is a deterministic pseudo-random value derived from ``(rank, c)``, so
-reductions are exact (sums of distinct integers) and misplaced chunks are
-detected reliably.
+Buffers are lists of Python floats, one row per rank and one slot per
+chunk (NaN where a chunk is absent); the result returns those rows as they
+are.  Each rank's initial contribution for chunk ``c`` is a deterministic
+pseudo-random value derived from ``(rank, c)``, so reductions are exact
+(sums of distinct integers) and misplaced chunks are detected reliably.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.algorithm import Algorithm
 from .program import Program
-
-if TYPE_CHECKING:  # numpy loads with the first execution, not with the package
-    import numpy as np
 
 
 class ExecutionError(Exception):
@@ -40,20 +37,25 @@ def _input_value(rank: int, chunk: int) -> float:
 class ExecutionResult:
     """Final buffers plus bookkeeping from a functional run."""
 
-    buffers: np.ndarray            # shape (ranks, chunks), NaN = absent
+    buffers: List[List[float]]     # one row of chunks per rank, NaN = absent
     transfers: int = 0
     reduced_transfers: int = 0
     steps_executed: int = 0
 
     def chunk_present(self, rank: int, chunk: int) -> bool:
-        return not math.isnan(self.buffers[rank, chunk])
+        if not 0 <= rank < len(self.buffers):
+            raise ExecutionError(f"rank {rank} is not in [0, {len(self.buffers)})")
+        row = self.buffers[rank]
+        if not 0 <= chunk < len(row):
+            raise ExecutionError(f"chunk {chunk} is not in [0, {len(row)})")
+        return not math.isnan(row[chunk])
 
 
 class Executor:
     """Execute a :class:`~repro.runtime.program.Program` step by step.
 
-    The buffers are lists of Python floats (the IEEE doubles of ``float64``,
-    unboxed); :meth:`run` imports numpy only to return one ``ndarray``.
+    The buffers are lists of Python floats (IEEE doubles); :meth:`run`
+    returns the rows it computed on.
     """
 
     def __init__(self, program: Program, algorithm: Algorithm) -> None:
@@ -80,8 +82,6 @@ class Executor:
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> ExecutionResult:
-        import numpy as np
-
         buffers = self.initial_buffers()
         index = self.program.step_index()
         transfers = reduced = 0
@@ -111,8 +111,7 @@ class Executor:
                 else:
                     row[chunk] = value
             transfers += len(arrivals)
-        array = np.array(buffers, dtype=np.float64).reshape(self.num_ranks, self.num_chunks)
-        return ExecutionResult(array, transfers, reduced, steps_executed=len(index.sends))
+        return ExecutionResult(buffers, transfers, reduced, steps_executed=len(index.sends))
 
     # ------------------------------------------------------------------
     # Result checking
@@ -131,7 +130,7 @@ class Executor:
 
     def check(self, result: ExecutionResult) -> None:
         """Verify the final buffers against the collective's definition."""
-        buffers = result.buffers.tolist()
+        buffers = result.buffers
         expected_values = self.expected_values()
         for (chunk, node) in self.algorithm.postcondition:
             actual = buffers[node][chunk]

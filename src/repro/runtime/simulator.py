@@ -27,7 +27,9 @@ evaluation harness reproduces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..core.algorithm import Algorithm
@@ -89,19 +91,48 @@ class StepTiming:
     link_times: Dict[Tuple[int, int], float] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(eq=False)
 class SimulationResult:
-    """Outcome of simulating one program at one input size."""
+    """Outcome of simulating one program at one input size.
+
+    ``step_timings`` is built on first read from the simulator's priced rows
+    (``_steps``), with the same arithmetic that gave ``total_time_s``.
+    """
 
     program_name: str
     protocol: str
     size_bytes: float
     total_time_s: float
-    step_timings: List[StepTiming] = field(default_factory=list)
+    # (rows of Simulator._rows, payloads by message count, per-step sync)
+    _steps: Tuple[list, List[float], float] = field(default=((), [0.0], 0.0), repr=False)
 
     @property
     def num_steps(self) -> int:
-        return len(self.step_timings)
+        return len(self._steps[0])
+
+    @cached_property
+    def step_timings(self) -> List[StepTiming]:
+        rows, payloads, sync = self._steps
+        timings = []
+        for step, (transfers, links, messages) in enumerate(rows):
+            link_times = {
+                link: base + payloads[count] * beta for link, count, base, beta in links
+            }
+            duration = sync + max(link_times.values(), default=0.0)
+            busiest_bytes = max(map(payloads.__getitem__, messages), default=0.0)
+            timings.append(StepTiming(step, transfers, busiest_bytes, duration, link_times))
+        return timings
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimulationResult):
+            return NotImplemented
+        return (
+            self.program_name, self.protocol, self.size_bytes, self.total_time_s,
+            self.step_timings,
+        ) == (
+            other.program_name, other.protocol, other.size_bytes, other.total_time_s,
+            other.step_timings,
+        )
 
     def algorithmic_bandwidth(self) -> float:
         """Bytes per second of collective payload (size / time)."""
@@ -135,6 +166,8 @@ class Simulator:
     # ------------------------------------------------------------------
     def chunk_bytes(self, program: Program, size_bytes: float) -> float:
         """Bytes per chunk for a per-node input buffer of ``size_bytes``."""
+        if not 0 <= size_bytes < math.inf:
+            raise SimulationError(f"input size must be finite and non-negative, got {size_bytes!r}")
         if program.chunks_per_node <= 0:
             raise SimulationError("program has no chunks")
         return size_bytes / program.chunks_per_node
@@ -191,6 +224,7 @@ class Simulator:
         On top of :meth:`_rows`, a size costs its payloads and ``base +
         payload * beta`` per busy link: the association of ``alpha + m *
         fixed + payload * beta``, so times are bit-identical to a rescan.
+        Sizes must be finite and non-negative; 0 prices latency only.
         """
         protocol = self.protocols.get(program.protocol)
         if protocol is None:
@@ -204,23 +238,18 @@ class Simulator:
 
         sync = protocol.per_step_sync_s
         total = protocol.kernel_launch_s
-        timings: List[StepTiming] = []
-        for step, (transfers, links, messages) in enumerate(rows):
+        for _, links, _ in rows:
             # Sends over the same link serialize, different links run in
             # parallel.
-            link_times = {
-                link: base + payloads[count] * beta for link, count, base, beta in links
-            }
-            duration = sync + max(link_times.values(), default=0.0)
-            total += duration
-            busiest_bytes = max(map(payloads.__getitem__, messages), default=0.0)
-            timings.append(StepTiming(step, transfers, busiest_bytes, duration, link_times))
+            total += sync + max(
+                [base + payloads[count] * beta for _, count, base, beta in links], default=0.0
+            )
         return SimulationResult(
             program_name=program.name,
             protocol=program.protocol,
             size_bytes=size_bytes,
             total_time_s=total,
-            step_timings=timings,
+            _steps=(rows, payloads, sync),
         )
 
     # ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the alpha-beta cost model and Pareto utilities."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from repro.core import (
     pareto_frontier,
     speedup,
 )
+from repro.baselines import ring_allgather, single_ring
+from repro.topology import ring
 
 
 def test_algorithm_cost_formula():
@@ -32,6 +35,21 @@ def test_cost_validation():
         algorithm_cost(1, 1, 0, 1, 1, 1)
     with pytest.raises(CostError):
         algorithm_cost(1, 1, 1, -5, 1, 1)
+
+
+@pytest.mark.parametrize("size", [-(1 << 20), math.nan, math.inf],
+                         ids=["negative", "nan", "inf"])
+def test_cost_refuses_a_size_outside_zero_to_infinity(size):
+    algorithm = ring_allgather(ring(4), single_ring(ring(4)))
+    with pytest.raises(CostError, match="finite and non-negative"):
+        algorithm.cost(size)
+    with pytest.raises(CostError, match="finite and non-negative"):
+        algorithm_cost(1, 1, 1, size, 1, 1)
+
+
+def test_cost_of_size_zero_is_latency_only():
+    algorithm = ring_allgather(ring(4), single_ring(ring(4)))
+    assert algorithm.cost(0) == algorithm.num_steps * algorithm.topology.alpha
 
 
 def test_cost_point_dominance():

@@ -1,5 +1,6 @@
 """Tests for lowering, execution, simulation and code generation."""
 
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from repro.runtime import (
     OpCode,
     Program,
     ProgramError,
+    SimulationError,
     Simulator,
     execute,
     generate_cuda_like_source,
@@ -179,20 +181,57 @@ class TestExecution:
         assert result.reduced_transfers == 336
         assert result.transfers == 672
 
-    def test_numpy_loads_with_the_first_execution_not_with_the_packages(self):
-        # The planning service (and its clients) never execute a program:
-        # importing them must not cost numpy's ~12 MB per process.
+    def test_chunk_present_refuses_indices_outside_the_buffers(self):
+        algorithm = ring_allgather(ring(8), single_ring(ring(8)))
+        result = execute(lower(algorithm), algorithm)
+        assert (len(result.buffers), len(result.buffers[0])) == (8, 16)
+        assert result.chunk_present(7, 15)
+        for rank, chunk, name in ((-1, 0, "rank -1"), (8, 0, "rank 8"),
+                                  (0, -1, "chunk -1"), (0, 16, "chunk 16")):
+            with pytest.raises(ExecutionError, match=rf"^{name} is not in \[0, "):
+                result.chunk_present(rank, chunk)
+
+    def test_the_whole_pipeline_runs_without_numpy(self):
+        # With numpy blocked, any numpy import raises: lowering, codegen,
+        # execution, simulation, interchange, fault injection and `repro run`
+        # all run on the standard library.
         _run_fresh(
-            "import repro.service, repro.core, repro.engine, repro.interchange, sys\n"
-            "assert 'numpy' not in sys.modules\n"
-            "from repro.baselines import ring_allgather, single_ring\n"
-            "from repro.runtime import execute, lower\n"
-            "from repro.topology import ring\n"
-            "algorithm = ring_allgather(ring(4), single_ring(ring(4)))\n"
-            "result = execute(lower(algorithm), algorithm)\n"
-            "import numpy\n"
-            "assert isinstance(result.buffers, numpy.ndarray)\n"
-            "assert result.buffers.shape == (4, 8) and result.chunk_present(3, 0)\n"
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import tempfile\n"
+            "from pathlib import Path\n"
+            "from repro.baselines import baseline_suite\n"
+            "from repro.cli import main\n"
+            "from repro.cli.topologies import parse_topology\n"
+            "from repro.faults import (FaultSet, LinkDegraded, LinkDown, execute_with_faults,\n"
+            "                          scan_program)\n"
+            "from repro.interchange import (from_msccl_xml, plan_from_algorithm, read_plan,\n"
+            "                               to_msccl_xml, write_plan)\n"
+            "from repro.runtime import (PROTOCOLS, Simulator, execute,\n"
+            "                           generate_cuda_like_source, lower)\n"
+            "with tempfile.TemporaryDirectory() as tmp:\n"
+            "    for spec, collective in (('ring:8', 'Allgather'), ('dgx1', 'Allreduce')):\n"
+            "        topology = parse_topology(spec)\n"
+            "        algorithm = baseline_suite(collective, topology)[0].algorithm\n"
+            "        programs = [lower(algorithm, protocol) for protocol in PROTOCOLS]\n"
+            "        assert len(programs) == 3\n"
+            "        program = programs[0]\n"
+            "        assert generate_cuda_like_source(program)\n"
+            "        result = execute(program, algorithm, check=True)\n"
+            "        assert len(result.buffers) == program.num_ranks\n"
+            "        for row in result.buffers:\n"
+            "            assert len(row) == program.num_chunks\n"
+            "            assert all(type(value) is float for value in row)\n"
+            "        assert Simulator(topology).simulate(program, 1 << 20).total_time_s > 0\n"
+            "        xml = from_msccl_xml(to_msccl_xml(algorithm))\n"
+            "        assert xml.signature() == algorithm.signature()\n"
+            "        path = write_plan(plan_from_algorithm(algorithm), Path(tmp, spec + '.json'))\n"
+            "        assert read_plan(path).algorithm.signature() == algorithm.signature()\n"
+            "        assert scan_program(program, FaultSet.of(LinkDown(0, 1)), topology)\n"
+            "        degraded = FaultSet.of(LinkDegraded(0, 1, alpha_factor=2.0, beta_factor=2.0))\n"
+            "        assert execute_with_faults(program, algorithm, degraded, topology).transfers\n"
+            "        assert main(['run', str(path)]) == 0\n"
+            "    assert algorithm.combining\n"
         )
 
     def test_a_plan_client_loads_no_synthesis_stack(self):
@@ -292,6 +331,19 @@ class TestSimulator:
         memcpy_big = simulator.simulate_algorithm(algorithm, 1 << 28, protocol="multi_kernel_memcpy")
         assert memcpy_small.total_time_s > push_small.total_time_s
         assert memcpy_big.total_time_s < push_big.total_time_s
+
+    @pytest.mark.parametrize("size", [-(1 << 20), math.nan, math.inf],
+                             ids=["negative", "nan", "inf"])
+    def test_a_size_outside_zero_to_infinity_is_refused(self, ring4_allgather, ring4_topology,
+                                                        size):
+        program = lower(ring4_allgather)
+        with pytest.raises(SimulationError, match="finite and non-negative"):
+            Simulator(ring4_topology).simulate(program, size)
+
+    def test_size_zero_prices_latency_only(self, ring4_allgather, ring4_topology):
+        result = Simulator(ring4_topology).simulate(lower(ring4_allgather), 0)
+        assert result.total_time_s > 0
+        assert all(timing.bytes_on_busiest_link == 0 for timing in result.step_timings)
 
     def test_unknown_protocol_rejected(self, ring4_allgather, ring4_topology):
         program = lower(ring4_allgather)

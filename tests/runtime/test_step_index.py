@@ -8,6 +8,8 @@ the executor must reproduce them to the last bit.
 import gc
 import hashlib
 import weakref
+from array import array
+from itertools import chain
 
 import pytest
 
@@ -107,7 +109,9 @@ def execution_digest() -> str:
                 f"{algorithm.name}|{protocol}|{result.transfers}|"
                 f"{result.reduced_transfers}|{result.steps_executed}|".encode()
             )
-            digest.update(result.buffers.tobytes())
+            # The rows' doubles, row after row: the bytes of a (ranks, chunks)
+            # float64 array.
+            digest.update(array("d", chain.from_iterable(result.buffers)).tobytes())
     return digest.hexdigest()
 
 
