@@ -1,4 +1,4 @@
-"""Benchmarks of the SAT/SMT-lite substrate itself.
+"""Benchmarks of the SAT substrate itself.
 
 These measure the components the synthesis pipeline spends its time in:
 CNF encoding of a DGX-1 instance, loading that CNF into the solver, CDCL
@@ -90,12 +90,11 @@ def test_cdcl_unsat_pigeonhole(benchmark, holes):
 
 def test_cdcl_structured_sat(benchmark):
     instance = make_instance("Allgather", ring(6), 2, 5, 5)
-    encoder = ScclEncoding(instance)
-    ctx = encoder.encode()
+    cnf = ScclEncoding(instance).encode().cnf
 
     def run():
         solver = SATSolver()
-        solver.add_cnf(ctx.cnf)
+        solver.add_cnf(cnf)
         return solver, solver.solve()
 
     solver, result = benchmark(run)

@@ -6,7 +6,8 @@ This package reproduces "Synthesizing Optimal Collective Algorithms"
 Subpackages
 -----------
 ``repro.solver``
-    CDCL SAT solver + SMT-lite layer (the Z3 substitute).
+    CNF, cardinality encoders, order-encoded integers and the CDCL SAT
+    solver (the Z3 substitute).
 ``repro.topology``
     Topology model, bandwidth relations, DGX-1 / Gigabyte Z52 and synthetic
     topologies, diameter / bisection-bandwidth analysis.

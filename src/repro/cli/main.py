@@ -1011,9 +1011,9 @@ def build_parser() -> argparse.ArgumentParser:
     evict = cache_sub.add_parser(
         "evict", help="LRU-prune the cache to size/age limits"
     )
-    evict.add_argument("--max-entries", type=int, default=None, metavar="N")
-    evict.add_argument("--max-bytes", type=int, default=None, metavar="B")
-    evict.add_argument("--max-age-days", type=float, default=None, metavar="D")
+    evict.add_argument("--max-entries", type=_limit(int), default=None, metavar="N")
+    evict.add_argument("--max-bytes", type=_limit(int), default=None, metavar="B")
+    evict.add_argument("--max-age-days", type=_limit(float), default=None, metavar="D")
     evict.add_argument("-v", "--verbose", action="store_true", help="print evicted keys")
     _add_cache_options(evict)
     evict.set_defaults(func=_cmd_cache_evict)

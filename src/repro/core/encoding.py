@@ -35,9 +35,13 @@ Two encodings are provided:
   having none of the pruning above, as the oracle the tests compare
   :class:`ScclEncoding`'s verdicts against.
 
-Both encodings expose ``encode()`` producing an :class:`SmtLite` context
-and ``decode(model)`` mapping a satisfying assignment back to an
-:class:`~repro.core.algorithm.Algorithm`.
+Both encodings write CNF directly: each owns a
+:class:`~repro.solver.cnf.CNF` (``.cnf``) whose first variable is an
+always-true literal, builds bounded integers and cardinality constraints
+with :class:`~repro.solver.intvar.IntVar` and :mod:`repro.solver.encoders`,
+and exposes ``encode()``, which builds the formula into ``.cnf`` and
+returns the encoder, and ``decode(model)``, which maps a satisfying
+assignment back to an :class:`~repro.core.algorithm.Algorithm`.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..collectives import get_collective
-from ..solver import IntVar, SmtLite
+from ..solver import CNF, IntVar, encoders, unary_sum_equals
 from ..topology import shortest_path_lengths
 from .algorithm import Algorithm, Send, Step
 from .bounds import Cut, iter_cuts
@@ -63,6 +67,18 @@ Rows = Tuple[List[Optional[int]], List[Optional[int]]]
 
 class EncodingError(Exception):
     """Raised when an instance cannot be encoded (e.g. unreachable chunk)."""
+
+
+def _new_formula() -> Tuple[CNF, int]:
+    """An empty formula and its always-true literal, asserted by a unit clause.
+
+    Comparisons a bounded integer's domain settles come back as this
+    literal or its negation (:meth:`IntVar.ge_lit`).
+    """
+    cnf = CNF()
+    true = cnf.new_var()
+    cnf.add_clause([true])
+    return cnf, true
 
 
 def _chunk_classes(instance: SynCollInstance) -> List[ChunkClass]:
@@ -304,7 +320,7 @@ class ScclEncoding:
         self.rounds_budget = rounds_budget
         self.chunk_selector = chunk_selector
         self.analysis = analysis if analysis is not None else PrefixAnalysis(instance.topology)
-        self.ctx = SmtLite(name=f"sccl_{instance.collective}")
+        self.cnf, self.true_lit = _new_formula()
         #: Set by :meth:`encode` when a single node's in- or out-cut refutes
         #: the instance; the formula is then just the empty clause.
         self.cut_witness: Optional[Cut] = None
@@ -331,11 +347,12 @@ class ScclEncoding:
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
-    def encode(self) -> SmtLite:
+    def encode(self) -> "ScclEncoding":
+        """Build the formula into :attr:`cnf` (once) and return the encoder."""
         if self._encoded:
-            return self.ctx
+            return self
         instance = self.instance
-        ctx = self.ctx
+        cnf = self.cnf
         S = instance.steps
         R = instance.rounds
         topology = instance.topology
@@ -348,10 +365,10 @@ class ScclEncoding:
             for cut in iter_cuts(topology, instance.precondition, instance.postcondition):
                 if cut.refutes(R):
                     self.cut_witness = cut
-                    ctx.add_clause_fast([])
+                    cnf.add_clause_fast([])
                     self._refresh_stats()
                     self._encoded = True
-                    return ctx
+                    return self
 
         if self.chunk_selector:
             self._encode_levels()
@@ -367,9 +384,10 @@ class ScclEncoding:
         budget = self.rounds_budget if self.rounds_budget is not None else R
         min_rounds = 1 if budget >= S else 0
         for s in range(S):
-            self.round_vars.append(
-                ctx.new_int(min_rounds, budget - (S - 1) * min_rounds, name=f"rounds_{s}")
-            )
+            self.round_vars.append(IntVar(
+                cnf, min_rounds, budget - (S - 1) * min_rounds, self.true_lit,
+                name=f"rounds_{s}",
+            ))
 
         # --- C1-C5 -------------------------------------------------------------------
         self._encode_chunk_constraints()
@@ -377,37 +395,34 @@ class ScclEncoding:
 
         # --- C6: total rounds -----------------------------------------------------------
         if self.rounds_budget is None:
-            from ..solver.intvar import unary_sum_equals
-
-            unary_sum_equals(ctx.cnf, self.round_vars, R)
+            unary_sum_equals(cnf, self.round_vars, R)
         else:
             self._build_rounds_selector()
 
         self._refresh_stats()
         self._encoded = True
-        return ctx
+        return self
 
     def _emit(self, lits: Sequence[int]) -> None:
         """Add a clause, simplified against the constant literals.
 
         Comparisons a time variable's domain decides come back as the
-        context's constant true/false literal; a clause holding a true one
+        formula's constant true/false literal; a clause holding a true one
         is dropped and false ones are left out, so nothing the domains
         already settle reaches the solver.
         """
-        true = self.ctx.true_lit
+        true = self.true_lit
         clause = []
         for lit in lits:
             if lit == true:
                 return
             if lit != -true:
                 clause.append(lit)
-        self.ctx.add_clause_fast(clause)
+        self.cnf.add_clause_fast(clause)
 
     def _encode_placement_vars(self) -> None:
         """Time and send variables (plus selector guards) for every chunk."""
-        ctx = self.ctx
-        cnf = ctx.cnf
+        cnf, true = self.cnf, self.true_lit
         instance = self.instance
         classes = self.analysis.ensure(instance)
         plans = {
@@ -419,7 +434,7 @@ class ScclEncoding:
         }
         chunk_plans = self._chunk_plans = [plans[key] for key in classes]
         self._times = [
-            [ctx.new_int(first, last) for (first, last) in plan.domains]
+            [IntVar(cnf, first, last, true) for (first, last) in plan.domains]
             for plan in chunk_plans
         ]
         for chunk, plan in enumerate(chunk_plans):
@@ -437,11 +452,9 @@ class ScclEncoding:
         C1 is the constant-0 domain of the precondition nodes' time
         variables (:meth:`_encode_placement_vars`).
         """
-        ctx = self.ctx
-        cnf = ctx.cnf
+        cnf, true = self.cnf, self.true_lit
         instance = self.instance
         S = instance.steps
-        true = ctx.true_lit
         times = self._times
         chunk_range = range(instance.num_chunks)
         plans = self._chunk_plans
@@ -466,7 +479,7 @@ class ScclEncoding:
                 # never arrives; owing it anyway makes the instance UNSAT)
                 self._emit([-present] + incoming)
                 if len(incoming) > 1:
-                    ctx.at_most_one(incoming)
+                    encoders.at_most_one(cnf, incoming)
                 # any incoming send -> present within S steps
                 if present != true and incoming:
                     cnf.add_clauses_fast([[-lit, present] for lit in incoming])
@@ -534,8 +547,7 @@ class ScclEncoding:
         arrival step is fixed the send is its own activation; a link listed
         by several constraints shares one activation literal among them.
         """
-        ctx = self.ctx
-        cnf = ctx.cnf
+        cnf = self.cnf
         S = self.instance.steps
         topology = self.instance.topology
         shared = topology.fact(_shared_links)
@@ -593,13 +605,13 @@ class ScclEncoding:
                 r_s = self.round_vars[s - 1]
                 if r_s.lo == r_s.hi:
                     # Fixed round count: a plain cardinality constraint.
-                    ctx.at_most_k(terms, b * r_s.lo)
+                    encoders.at_most_k(cnf, terms, b * r_s.lo)
                     continue
                 # count <= b * r_s with a variable r_s: build unary counts and
                 # link each threshold to the order encoding of r_s:
                 #   count >= b*j + 1  ->  r_s >= j + 1
                 bound = min(len(terms), b * r_s.hi + 1)
-                outputs = ctx.totalizer(terms, bound=bound)
+                outputs = encoders.totalizer(cnf, terms, bound=bound)
                 cnf.add_clauses_fast([
                     [-outputs[b * j], r_s.ge_lit(j + 1)]
                     for j in range(0, r_s.hi + 1)
@@ -607,8 +619,8 @@ class ScclEncoding:
                 ])
 
     def _refresh_stats(self) -> None:
-        self.stats.variables = self.ctx.cnf.num_vars
-        self.stats.clauses = self.ctx.cnf.num_clauses
+        self.stats.variables = self.cnf.num_vars
+        self.stats.clauses = self.cnf.num_clauses
         self.stats.send_vars = sum(len(plan.links) for plan in self._chunk_plans)
         self.stats.time_vars = len(self._times) * self.instance.topology.num_nodes
 
@@ -620,11 +632,11 @@ class ScclEncoding:
         spec = get_collective(self.instance.collective)
         nodes = self.instance.topology.num_nodes
         for level in range(1, self.instance.chunks_per_node + 1):
-            lit = self.ctx.new_bool(name=f"chunks_ge_{level}")
+            lit = self.cnf.new_var()  # chunks_per_node >= level
             if self._level_lits:
                 # Enabled levels form a prefix: level l on implies l-1 on,
                 # so a frame needs only two assumption literals.
-                self.ctx.add_clause_fast([-lit, self._level_lits[-1]])
+                self.cnf.add_clause_fast([-lit, self._level_lits[-1]])
             self._level_lits.append(lit)
             for _ in range(spec.global_chunks(nodes, level) - len(self._chunk_level)):
                 self._chunk_level.append(level - 1)
@@ -676,8 +688,8 @@ class ScclEncoding:
             bools.extend(rv.booleans())
         self._round_bools = bools
         if bools:
-            self._count_ge = self.ctx.totalizer(bools)
-            self._false_ge = self.ctx.totalizer([-lit for lit in bools])
+            self._count_ge = encoders.totalizer(self.cnf, bools)
+            self._false_ge = encoders.totalizer(self.cnf, [-lit for lit in bools])
 
     def rounds_assumptions(self, rounds: int) -> List[int]:
         """Assumption literals forcing ``total_rounds == rounds``.
@@ -739,16 +751,16 @@ class ScclEncoding:
                 f"of the encoded instance {self.instance.describe()!r}"
             )
         S = instance.steps
-        rounds = [SmtLite.int_value(model, rv) for rv in self.round_vars]
+        rounds = [rv.value(model) for rv in self.round_vars]
         sends_by_step: List[List[Send]] = [[] for _ in range(S)]
         # Chunks past the frame's are a disabled level of a chunk-selector
         # encoding.
         for chunk in range(instance.num_chunks):
             base, row = self._send_base[chunk], self._times[chunk]
             for i, (src, dst) in enumerate(self._chunk_plans[chunk].links):
-                if not SmtLite.bool_value(model, base + i):
+                if not model.get(base + i, False):
                     continue
-                arrival = SmtLite.int_value(model, row[dst])
+                arrival = row[dst].value(model)
                 if arrival > S:
                     # A send that never takes effect; drop it (it cannot appear
                     # in a minimal model but nothing in the constraints forbids it).
@@ -797,18 +809,19 @@ class NaiveEncoding:
 
     def __init__(self, instance: SynCollInstance) -> None:
         self.instance = instance
-        self.ctx = SmtLite(name=f"naive_{instance.collective}")
+        self.cnf, self.true_lit = _new_formula()
         self.send_step_vars: Dict[Tuple[int, int, int, int], int] = {}
         self.present_vars: Dict[Tuple[int, int, int], int] = {}
         self.round_vars: List[IntVar] = []
         self.stats = EncodingStats()
         self._encoded = False
 
-    def encode(self) -> SmtLite:
+    def encode(self) -> "NaiveEncoding":
+        """Build the formula into :attr:`cnf` (once) and return the encoder."""
         if self._encoded:
-            return self.ctx
+            return self
         instance = self.instance
-        ctx = self.ctx
+        cnf = self.cnf
         S = instance.steps
         R = instance.rounds
         G = instance.num_chunks
@@ -819,30 +832,27 @@ class NaiveEncoding:
         for chunk in range(G):
             for node in topology.nodes():
                 for t in range(S + 1):
-                    self.present_vars[(chunk, node, t)] = ctx.new_bool(
-                        name=f"has_c{chunk}_n{node}_t{t}"
-                    )
+                    self.present_vars[(chunk, node, t)] = cnf.new_var()
         # x[c, src, dst, s]: chunk c is sent over (src, dst) at step s.
         for chunk in range(G):
             for (src, dst) in links:
                 for s in range(S):
-                    self.send_step_vars[(chunk, src, dst, s)] = ctx.new_bool(
-                        name=f"x_c{chunk}_{src}_{dst}_s{s}"
-                    )
+                    self.send_step_vars[(chunk, src, dst, s)] = cnf.new_var()
         min_rounds = 1 if R >= S else 0
         for s in range(S):
-            self.round_vars.append(
-                ctx.new_int(min_rounds, R - (S - 1) * min_rounds, name=f"rounds_{s}")
-            )
+            self.round_vars.append(IntVar(
+                cnf, min_rounds, R - (S - 1) * min_rounds, self.true_lit,
+                name=f"rounds_{s}",
+            ))
 
         # Initial state = precondition.
         for chunk in range(G):
             for node in topology.nodes():
                 lit = self.present_vars[(chunk, node, 0)]
                 if (chunk, node) in instance.precondition:
-                    ctx.add_unit(lit)
+                    cnf.add_clause([lit])
                 else:
-                    ctx.add_unit(-lit)
+                    cnf.add_clause([-lit])
 
         # Transition: present at t+1 iff present at t or received at step t.
         for chunk in range(G):
@@ -858,16 +868,16 @@ class NaiveEncoding:
                         for (src, dst) in incoming_links
                     ]
                     # now -> nxt
-                    ctx.add_clause([-now, nxt])
+                    cnf.add_clause([-now, nxt])
                     # received -> nxt
                     for lit in received:
-                        ctx.add_clause([-lit, nxt])
+                        cnf.add_clause([-lit, nxt])
                     # nxt -> now or received
-                    ctx.add_clause([-nxt, now] + received)
+                    cnf.add_clause([-nxt, now] + received)
 
         # A send requires the chunk at the source beforehand.
         for (chunk, src, dst, s), lit in self.send_step_vars.items():
-            ctx.add_clause([-lit, self.present_vars[(chunk, src, s)]])
+            cnf.add_clause([-lit, self.present_vars[(chunk, src, s)]])
 
         # Bandwidth per step and constraint.
         for constraint in topology.constraints:
@@ -882,38 +892,35 @@ class NaiveEncoding:
                     continue
                 r_s = self.round_vars[s]
                 if r_s.lo == r_s.hi:
-                    ctx.at_most_k(terms, b * r_s.lo)
+                    encoders.at_most_k(cnf, terms, b * r_s.lo)
                     continue
                 bound = min(len(terms), b * r_s.hi + 1)
-                outputs = ctx.totalizer(terms, bound=bound)
+                outputs = encoders.totalizer(cnf, terms, bound=bound)
                 for j in range(0, r_s.hi + 1):
                     threshold = b * j + 1
                     if threshold <= len(outputs):
-                        ctx.add_clause([-outputs[threshold - 1], r_s.ge_lit(j + 1)])
+                        cnf.add_clause([-outputs[threshold - 1], r_s.ge_lit(j + 1)])
 
         # Postcondition.
         for (chunk, node) in instance.postcondition:
-            ctx.add_unit(self.present_vars[(chunk, node, S)])
+            cnf.add_clause([self.present_vars[(chunk, node, S)]])
 
         # Total rounds.
-        from ..solver.intvar import unary_sum_equals
+        unary_sum_equals(cnf, self.round_vars, R)
 
-        unary_sum_equals(ctx.cnf, self.round_vars, R)
-
-        cnf_stats = ctx.stats()
-        self.stats.variables = cnf_stats["variables"]
-        self.stats.clauses = cnf_stats["clauses"]
+        self.stats.variables = cnf.num_vars
+        self.stats.clauses = cnf.num_clauses
         self.stats.send_vars = len(self.send_step_vars)
         self.stats.time_vars = len(self.present_vars)
         self._encoded = True
-        return ctx
+        return self
 
     def decode(self, model: Dict[int, bool], name: Optional[str] = None) -> Algorithm:
         if not self._encoded:
             raise EncodingError("encode() must be called before decode()")
         instance = self.instance
         S = instance.steps
-        rounds = [SmtLite.int_value(model, rv) for rv in self.round_vars]
+        rounds = [rv.value(model) for rv in self.round_vars]
         sends_by_step: List[List[Send]] = [[] for _ in range(S)]
         # Only keep sends that deliver the chunk for the first time, mirroring
         # the unique-reception property of the SCCL encoding.
@@ -923,7 +930,7 @@ class NaiveEncoding:
         for s in range(S):
             arrivals: Dict[Tuple[int, int], Tuple[int, int]] = {}
             for (chunk, src, dst, step), lit in self.send_step_vars.items():
-                if step != s or not SmtLite.bool_value(model, lit):
+                if step != s or not model.get(lit, False):
                     continue
                 if (chunk, dst) in delivered or (chunk, dst) in arrivals:
                     continue

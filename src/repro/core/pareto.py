@@ -227,14 +227,14 @@ def pareto_synthesize(
     k:
         The synchrony budget: rounds may exceed steps by at most ``k``.
     max_steps:
-        Upper bound on the enumerated step count (defaults to the latency
-        lower bound plus 8); needed because the procedure does not always
-        terminate on its own.
+        Upper bound on the enumerated step count, at least 1 (defaults to
+        the latency lower bound plus 8); needed because the procedure does
+        not always terminate on its own.
     max_chunks:
         Upper bound on the per-node chunk count of a candidate, at least 1
         (defaults to what the bandwidth lower bound leaves useful).
     time_limit_per_instance / conflict_limit:
-        Resource limits per SMT query; exceeded limits yield UNKNOWN
+        Resource limits per solver call; exceeded limits yield UNKNOWN
         candidates, which are skipped but recorded (``proved=False``).
     strategy:
         Which executor answers the sweep loop's probes (the loop itself —
@@ -279,6 +279,8 @@ def pareto_synthesize(
     spec = get_collective(collective)
     if k < 0:
         raise ParetoError("k must be non-negative")
+    if max_steps is not None and max_steps < 1:
+        raise ParetoError(f"max_steps must be at least 1, got {max_steps}")
     if max_chunks is not None and max_chunks < 1:
         raise ParetoError(f"max_chunks must be at least 1, got {max_chunks}")
     if not spec.root_based and root != 0:

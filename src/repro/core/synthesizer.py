@@ -208,7 +208,7 @@ def solve_encoding(
 
     with get_tracer().span("encode"):
         start = time.monotonic()
-        ctx = encoder.encode()
+        encoder.encode()
         encode_time = time.monotonic() - start
 
     # A cut witness means the encoder refuted the instance by arithmetic
@@ -217,7 +217,7 @@ def solve_encoding(
     handle = get_backend().create()
 
     def solve():
-        if witness is not None or not handle.load(ctx.cnf):
+        if witness is not None or not handle.load(encoder.cnf):
             return SolveResult.UNSAT, {}
         status = handle.solve(conflict_limit=conflict_limit, time_limit=time_limit)
         return status, handle.stats()

@@ -451,12 +451,12 @@ class AlgorithmCache:
         use is older than the horizon regardless of the other limits.  With
         no limits supplied this is a no-op.
         """
-        if max_entries is not None and max_entries < 0:
-            raise CacheError("max_entries must be non-negative")
-        if max_bytes is not None and max_bytes < 0:
-            raise CacheError("max_bytes must be non-negative")
-        if max_age_s is not None and max_age_s < 0:
-            raise CacheError("max_age_s must be non-negative")
+        # ``not x >= 0`` also refuses NaN, whose horizon would keep nothing
+        # and silently switch off the other limits.
+        limits = {"max_entries": max_entries, "max_bytes": max_bytes, "max_age_s": max_age_s}
+        for name, value in limits.items():
+            if value is not None and not value >= 0:
+                raise CacheError(f"{name} must be a number >= 0, got {value}")
         with self._mutation_lock():
             return self._evict_locked(
                 max_entries=max_entries, max_bytes=max_bytes,

@@ -120,11 +120,11 @@ class SessionFamily:
                 chunk_selector=True,
                 analysis=self._analysis,
             )
-            ctx = encoder.encode()
+            encoder.encode()
             elapsed = time.monotonic() - start
         self.encode_calls += 1
         handle = get_backend().create()
-        loaded = handle.load(ctx.cnf)
+        loaded = handle.load(encoder.cnf)
         entry = _FamilyEntry(
             encoder=encoder,
             handle=handle,

@@ -7,10 +7,9 @@ solver in :mod:`repro.solver.sat`.  Variables are positive integers
 
 The solver-facing classes are intentionally small: a :class:`CNF` is just a
 growable list of clauses plus a variable counter, with helpers for creating
-fresh variables.  All higher level
-constructs (cardinality constraints, pseudo-Boolean sums, bounded integers)
-are compiled down to this representation by :mod:`repro.solver.encoders` and
-:mod:`repro.solver.intvar`.
+fresh variables.  All higher level constructs (cardinality constraints,
+bounded integers) are compiled down to this representation by
+:mod:`repro.solver.encoders` and :mod:`repro.solver.intvar`.
 """
 
 from __future__ import annotations
@@ -21,21 +20,6 @@ from typing import Iterable, Iterator, List, Sequence
 
 class CNFError(Exception):
     """Raised for malformed clauses or literals."""
-
-
-def lit_var(lit: int) -> int:
-    """Return the variable of a literal (``|lit|``)."""
-    return lit if lit > 0 else -lit
-
-
-def lit_sign(lit: int) -> bool:
-    """Return ``True`` for a positive literal, ``False`` for a negated one."""
-    return lit > 0
-
-
-def lit_neg(lit: int) -> int:
-    """Return the negation of a literal."""
-    return -lit
 
 
 @dataclass
@@ -101,7 +85,7 @@ class CNF:
                 continue
             seen.add(lit)
             clause.append(lit)
-            self.ensure_var(lit_var(lit))
+            self.ensure_var(abs(lit))
         self.clauses.append(clause)
         self._vouched += 1
 
@@ -150,44 +134,27 @@ class CNF:
         self._handed = count
         return start
 
-    def extend(self, clauses: Iterable[Iterable[int]]) -> None:
-        """Add several clauses."""
-        for clause in clauses:
-            self.add_clause(clause)
-
     def __len__(self) -> int:
         return len(self.clauses)
 
     def __iter__(self) -> Iterator[List[int]]:
         return iter(self.clauses)
 
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
-
-    def stats(self) -> dict:
-        """Return simple size statistics for reporting."""
-        literal_count = sum(len(c) for c in self.clauses)
-        return {
-            "variables": self.num_vars,
-            "clauses": len(self.clauses),
-            "literals": literal_count,
-        }
 
 
 def clause_is_satisfied(clause: Sequence[int], assignment: dict) -> bool:
     """Check a clause against a ``{var: bool}`` assignment.
 
-    Unassigned variables count as not satisfying the clause.  Used by tests
-    and by the model validator in :mod:`repro.solver.sat`.
+    Unassigned variables count as not satisfying the clause.  The tests'
+    oracle for the models the solver returns.
     """
     for lit in clause:
-        value = assignment.get(lit_var(lit))
+        value = assignment.get(abs(lit))
         if value is None:
             continue
-        if value == lit_sign(lit):
+        if value == (lit > 0):
             return True
     return False

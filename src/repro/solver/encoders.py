@@ -1,4 +1,4 @@
-"""CNF encoders for cardinality and pseudo-Boolean constraints.
+"""CNF encoders for cardinality constraints.
 
 The SCCL synthesis constraints (Section 3.4 of the paper) need three kinds
 of non-clausal building blocks:
@@ -13,8 +13,11 @@ This module provides standard encodings of those building blocks:
 * pairwise and commander at-most-one,
 * the sequential (totalizer-free) at-most-k counter of Sinz (2005),
 * a totalizer encoder producing full unary count outputs, which the SCCL
-  encoding uses to express ``count <= b * r_s`` with a *variable* ``r_s``,
-* a weighted pseudo-Boolean (<=) encoder via a sequential weighted counter.
+  encoding uses to express ``count <= b * r_s`` with a *variable* ``r_s``.
+
+:func:`at_most_one` and :func:`at_most_k` pick among the named encoders by
+input size; the named encoders stay public for the formula digests and the
+cardinality ablation, which call them directly.
 
 All functions take a :class:`~repro.solver.cnf.CNF` and mutate it in
 place.  The clauses they emit mix caller literals (already allocated in the
@@ -39,7 +42,7 @@ class EncodingError(Exception):
 
 
 # ----------------------------------------------------------------------
-# At-most-one / exactly-one
+# At-most-one
 # ----------------------------------------------------------------------
 def _pairs(lits: Sequence[int]) -> List[List[int]]:
     """The binary clauses ``-a ∨ -b`` of every pair, in input order."""
@@ -77,32 +80,15 @@ def at_most_one_commander(cnf: CNF, lits: Sequence[int], group_size: int = 4) ->
     at_most_one_commander(cnf, commanders, group_size)
 
 
-def at_most_one(cnf: CNF, lits: Sequence[int], method: str = "auto") -> None:
-    """Dispatching AMO encoder.
-
-    ``method`` is one of ``"pairwise"``, ``"commander"`` or ``"auto"`` (use
-    pairwise for small inputs, commander otherwise).
-    """
+def at_most_one(cnf: CNF, lits: Sequence[int]) -> None:
+    """AMO: pairwise for up to six literals, commander above."""
     lits = list(lits)
     if len(lits) <= 1:
         return
-    if method == "pairwise" or (method == "auto" and len(lits) <= 6):
+    if len(lits) <= 6:
         at_most_one_pairwise(cnf, lits)
-    elif method == "commander" or method == "auto":
-        at_most_one_commander(cnf, lits)
     else:
-        raise EncodingError(f"unknown at-most-one method {method!r}")
-
-
-def at_least_one(cnf: CNF, lits: Sequence[int]) -> None:
-    """ALO is a single clause; an empty input is unsatisfiable by convention."""
-    cnf.add_clause(list(lits))
-
-
-def exactly_one(cnf: CNF, lits: Sequence[int], method: str = "auto") -> None:
-    """Exactly-one = at-least-one + at-most-one."""
-    at_least_one(cnf, lits)
-    at_most_one(cnf, lits, method=method)
+        at_most_one_commander(cnf, lits)
 
 
 # ----------------------------------------------------------------------
@@ -140,22 +126,15 @@ def at_most_k_sequential(cnf: CNF, lits: Sequence[int], k: int) -> None:
     cnf.add_clauses_fast(clauses)
 
 
-def at_most_k(cnf: CNF, lits: Sequence[int], k: int, method: str = "auto") -> None:
-    """Dispatching at-most-k encoder."""
+def at_most_k(cnf: CNF, lits: Sequence[int], k: int) -> None:
+    """``sum(lits) <= k``: :func:`at_most_one` for ``k == 1``, else sequential."""
     lits = list(lits)
     if k >= len(lits):
         return
-    if k == 1 and (method == "auto" or method == "pairwise"):
+    if k == 1:
         at_most_one(cnf, lits)
-        return
-    if method in ("auto", "sequential"):
-        at_most_k_sequential(cnf, lits, k)
-    elif method == "totalizer":
-        outputs = totalizer(cnf, lits, bound=k + 1)
-        if len(outputs) > k:
-            cnf.add_clause([-outputs[k]])
     else:
-        raise EncodingError(f"unknown at-most-k method {method!r}")
+        at_most_k_sequential(cnf, lits, k)
 
 
 def at_least_k(cnf: CNF, lits: Sequence[int], k: int) -> None:
@@ -226,90 +205,3 @@ def totalizer(cnf: CNF, lits: Sequence[int], bound: Optional[int] = None) -> Lis
     outputs = build(lits)
     cnf.add_clauses_fast(clauses)
     return outputs
-
-
-# ----------------------------------------------------------------------
-# Weighted pseudo-Boolean (<=) via sequential weighted counter
-# ----------------------------------------------------------------------
-def pseudo_boolean_leq(
-    cnf: CNF, lits: Sequence[int], weights: Sequence[int], bound: int
-) -> None:
-    """Encode ``sum(w_i * lit_i) <= bound`` for non-negative integer weights.
-
-    Implemented as a sequential weighted counter: ``state[i][v]`` is true
-    when the partial sum over the first ``i + 1`` terms is at least ``v``.
-    Auxiliary variable count is ``O(n * bound)``; this is only used for
-    moderate bounds (the synthesis encoding keeps bounds at ``b * R``).
-    """
-    if len(lits) != len(weights):
-        raise EncodingError("lits and weights must have equal length")
-    terms = [(lit, w) for lit, w in zip(lits, weights) if w > 0]
-    for _, w in terms:
-        if w < 0:
-            raise EncodingError("negative weights are not supported")
-    if bound < 0:
-        v = cnf.new_var()
-        cnf.add_clause([v])
-        cnf.add_clause([-v])
-        return
-    # Any term whose weight alone exceeds the bound must be false.
-    filtered = []
-    for lit, w in terms:
-        if w > bound:
-            cnf.add_clause([-lit])
-        else:
-            filtered.append((lit, w))
-    terms = filtered
-    total = sum(w for _, w in terms)
-    if total <= bound or not terms:
-        return
-
-    n = len(terms)
-    # state[v-1] for v in 1..bound ; rolled over terms
-    prev: List[Optional[int]] = [None] * bound
-    lit0, w0 = terms[0]
-    for v in range(1, bound + 1):
-        if v <= w0:
-            var = cnf.new_var()
-            cnf.add_clause([-lit0, var])
-            prev[v - 1] = var
-    for i in range(1, n):
-        lit, w = terms[i]
-        cur: List[Optional[int]] = [None] * bound
-        for v in range(1, bound + 1):
-            var = None
-            # carry: previous sum already >= v
-            if prev[v - 1] is not None:
-                var = cnf.new_var()
-                cnf.add_clause([-prev[v - 1], var])
-            # this term alone reaches v
-            if v <= w:
-                if var is None:
-                    var = cnf.new_var()
-                cnf.add_clause([-lit, var])
-            # previous sum >= v - w and this term is true
-            if w > 0 and v - w >= 1 and prev[v - w - 1] is not None:
-                if var is None:
-                    var = cnf.new_var()
-                cnf.add_clause([-lit, -prev[v - w - 1], var])
-            cur[v - 1] = var
-        # overflow check: previous sum >= bound - w + 1 and term true -> violation
-        if w > 0:
-            threshold = bound - w + 1
-            if threshold <= 0:
-                cnf.add_clause([-lit])
-            elif threshold <= bound and prev[threshold - 1] is not None:
-                cnf.add_clause([-lit, -prev[threshold - 1]])
-        prev = cur
-
-
-def pseudo_boolean_eq(
-    cnf: CNF, lits: Sequence[int], weights: Sequence[int], bound: int
-) -> None:
-    """``sum(w_i * lit_i) == bound`` via a (<=) pair on original/negated literals."""
-    if len(lits) != len(weights):
-        raise EncodingError("lits and weights must have equal length")
-    pseudo_boolean_leq(cnf, lits, weights, bound)
-    # sum w*x >= bound  <=>  sum w*(1-x) <= total - bound
-    total = sum(weights)
-    pseudo_boolean_leq(cnf, [-lit for lit in lits], weights, total - bound)

@@ -87,25 +87,6 @@ class IntVar:
         return lits
 
     # ------------------------------------------------------------------
-    # Constraints
-    # ------------------------------------------------------------------
-    def fix(self, v: int) -> None:
-        """Constrain ``x == v``."""
-        if v < self.lo or v > self.hi:
-            # Out of domain: unsatisfiable.
-            self.cnf.add_clause([self._true])
-            self.cnf.add_clause([-self._true])
-            return
-        for lit in self.eq_lits(v):
-            self.cnf.add_clause([lit])
-
-    def require_ge(self, v: int) -> None:
-        self.cnf.add_clause([self.ge_lit(v)])
-
-    def require_le(self, v: int) -> None:
-        self.cnf.add_clause([self.le_lit(v)])
-
-    # ------------------------------------------------------------------
     # Model extraction
     # ------------------------------------------------------------------
     def value(self, model: Dict[int, bool]) -> int:

@@ -2,7 +2,7 @@
 
 This is the solving substrate that replaces Z3 in the SCCL reproduction.
 The paper's synthesis encoding is a quantifier-free finite-domain formula
-(Booleans, bounded integers and pseudo-Boolean sums), so a SAT solver plus
+(Booleans, bounded integers and cardinality sums), so a SAT solver plus
 the encoders in :mod:`repro.solver.encoders` and
 :mod:`repro.solver.intvar` is a complete substitute.
 
@@ -736,21 +736,3 @@ class SATSolver:
             raise ValueError(f"variable {abs(lit)} has no model value (no SAT result yet?)")
         return value if lit > 0 else not value
 
-
-def solve_cnf(
-    cnf: CNF,
-    *,
-    assumptions: Sequence[int] = (),
-    conflict_limit: Optional[int] = None,
-    time_limit: Optional[float] = None,
-) -> tuple[SolveResult, Optional[Dict[int, bool]]]:
-    """Convenience helper: solve a CNF object and return (result, model)."""
-    solver = SATSolver()
-    if not solver.add_cnf(cnf):
-        return SolveResult.UNSAT, None
-    result = solver.solve(
-        assumptions, conflict_limit=conflict_limit, time_limit=time_limit
-    )
-    if result is SolveResult.SAT:
-        return result, solver.model()
-    return result, None

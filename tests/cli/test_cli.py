@@ -240,6 +240,15 @@ class TestInProcess:
         assert "max_chunks" in captured.err
         assert "no satisfiable candidates" not in captured.out
 
+    @pytest.mark.parametrize("max_steps", ["0", "-3"])
+    def test_pareto_rejects_max_steps_below_one(self, max_steps, capsys):
+        code = main(["pareto", "Allgather", "-t", "ring:4", "--max-steps", max_steps, "--no-cache"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error: ")
+        assert "max_steps" in captured.err
+        assert "step budget exhausted" not in captured.out
+
     def test_pareto_strategy_choices_come_from_the_engine(self, capsys):
         from repro.engine import STRATEGIES
 
@@ -287,6 +296,18 @@ class TestInProcess:
         assert main(["cache", "evict", "--max-entries", "1", "--cache-dir", str(cache)]) == 0
         assert "evicted 2 of 3" in capsys.readouterr().out
         assert len(list(cache.glob("*/*.json"))) == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-age-days", "nan"), ("--max-age-days", "-1"),
+        ("--max-entries", "-1"), ("--max-bytes", "-1"), ("--max-entries", "1.5"),
+    ])
+    def test_cache_evict_refuses_bad_limits_when_parsed(self, tmp_path, flag, value, capsys):
+        # The bad value is refused as parsed, before any other limit applies.
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "evict", flag, value, "--max-entries", "0",
+                  "--cache-dir", str(tmp_path / "cache")])
+        assert exc.value.code == 2
+        assert "must be a number >= 0" in capsys.readouterr().err
 
     def test_cache_evict_without_limits_errors(self, tmp_path, capsys):
         assert main(["cache", "evict", "--cache-dir", str(tmp_path / "c")]) == 1

@@ -126,6 +126,13 @@ class TestCombiningDelegation:
         with pytest.raises(ParetoError, match="max_chunks"):
             pareto_synthesize("Allgather", ring(4), k=0, max_chunks=max_chunks)
 
+    @pytest.mark.parametrize("max_steps", [0, -3])
+    def test_max_steps_below_one_rejected(self, max_steps):
+        # Same as max_chunks: no step count to probe is a caller error, not
+        # an exhausted step budget.
+        with pytest.raises(ParetoError, match="max_steps"):
+            pareto_synthesize("Allgather", ring(4), k=0, max_steps=max_steps)
+
 
 class TestResourceLimits:
     def test_unknown_results_recorded_not_fabricated(self):

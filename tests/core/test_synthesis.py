@@ -293,9 +293,10 @@ class TestNoFormulaOption:
 
     def test_retired_helpers_are_gone(self):
         import repro.engine
-        from repro.solver import IntVar, SmtLite
+        import repro.solver
+        from repro.solver import IntVar
 
         assert not hasattr(repro.engine, "load_algorithm")
         assert not hasattr(repro.engine.cache, "load_algorithm")
-        assert not hasattr(SmtLite, "conjunction_implies")
+        assert not hasattr(repro.solver, "SmtLite")
         assert not hasattr(IntVar, "gt_lit") and not hasattr(IntVar, "lt_lit")

@@ -350,6 +350,17 @@ class TestEviction:
         with pytest.raises(CacheError):
             cache.evict(max_entries=-1)
 
+    @pytest.mark.parametrize("limit", ["max_entries", "max_bytes", "max_age_s"])
+    def test_nan_limits_rejected(self, cache, limit):
+        # NaN compares false both ways: a NaN horizon kept no survivor, so
+        # the other limits never ran and nothing was evicted.
+        from repro.engine import CacheError
+
+        self.fill(cache, 2)
+        with pytest.raises(CacheError, match=limit):
+            cache.evict(**{limit: float("nan")})
+        assert len(cache) == 2
+
     def test_entries_expose_instance_metadata(self, cache):
         self.fill(cache, 1)
         ((path, entry),) = cache.entries()

@@ -15,6 +15,7 @@ from repro.engine import (
     FamilyExecutor,
     SessionFamily,
     SweepRequest,
+    get_backend,
     make_dispatcher,
 )
 from repro.engine.session import SessionError
@@ -158,7 +159,10 @@ class TestOneAnalysisAcrossCollectives:
         shared = ScclEncoding(instance, analysis=analysis).encode()
         fresh = ScclEncoding(instance).encode()
         assert (shared.cnf.num_vars, shared.cnf.clauses) == (fresh.cnf.num_vars, fresh.cnf.clauses)
-        assert shared.check().result is fresh.check().result is SolveResult.SAT
+        for encoder in (shared, fresh):
+            handle = get_backend().create()
+            assert handle.load(encoder.cnf)
+            assert handle.solve() is SolveResult.SAT
 
 
 class TestIncrementalDispatcherFamilies:

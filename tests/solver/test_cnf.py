@@ -3,7 +3,6 @@
 import pytest
 
 from repro.solver import CNF, CNFError
-from repro.solver.cnf import lit_neg, lit_sign, lit_var
 
 
 def test_new_var_sequence():
@@ -41,25 +40,10 @@ def test_negative_var_allocation_rejected():
         cnf.new_vars(-1)
 
 
-def test_literal_helpers():
-    assert lit_var(-5) == 5
-    assert lit_var(5) == 5
-    assert lit_sign(5) is True
-    assert lit_sign(-5) is False
-    assert lit_neg(5) == -5
-
-
-def test_stats():
+def test_len_and_iteration():
     cnf = CNF()
-    cnf.add_clause([1, 2])
-    cnf.add_clause([-1, 2, 3])
-    stats = cnf.stats()
-    assert stats == {"variables": 3, "clauses": 2, "literals": 5}
-
-
-def test_extend_and_iteration():
-    cnf = CNF()
-    cnf.extend([[1, 2], [-2, 3]])
+    for clause in ([1, 2], [-2, 3]):
+        cnf.add_clause(clause)
     assert len(cnf) == 2
     assert list(cnf) == [[1, 2], [-2, 3]]
 

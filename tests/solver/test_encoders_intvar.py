@@ -1,11 +1,13 @@
-"""Tests for cardinality / pseudo-Boolean encoders and order-encoded integers."""
+"""Tests for the cardinality encoders and order-encoded integers."""
 
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.solver import CNF, IntVar, SmtLite, SolveResult, solve_cnf, unary_sum_equals
+from test_sat import engine_solve
+
+from repro.solver import CNF, IntVar, SolveResult, unary_sum_equals
 from repro.solver import encoders
 
 
@@ -16,18 +18,25 @@ def count_models(cnf: CNF, interesting_vars):
         assumption = [
             v if bit else -v for v, bit in zip(interesting_vars, bits)
         ]
-        result, _ = solve_cnf(cnf, assumptions=assumption)
+        result, _ = engine_solve(cnf, assumptions=assumption)
         if result is SolveResult.SAT:
             models.append(bits)
     return models
 
 
-@pytest.mark.parametrize("method", ["pairwise", "commander", "auto"])
+AT_MOST_ONE = {
+    "pairwise": encoders.at_most_one_pairwise,
+    "commander": encoders.at_most_one_commander,
+    "auto": encoders.at_most_one,
+}
+
+
+@pytest.mark.parametrize("method", list(AT_MOST_ONE))
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_at_most_one(method, n):
     cnf = CNF()
     xs = cnf.new_vars(n)
-    encoders.at_most_one(cnf, xs, method=method)
+    AT_MOST_ONE[method](cnf, xs)
     models = count_models(cnf, xs)
     assert all(sum(bits) <= 1 for bits in models)
     assert len(models) == n + 1  # none true or exactly one true
@@ -37,7 +46,7 @@ def test_at_most_one(method, n):
 def test_at_most_k_sequential(n, k):
     cnf = CNF()
     xs = cnf.new_vars(n)
-    encoders.at_most_k(cnf, xs, k, method="sequential")
+    encoders.at_most_k_sequential(cnf, xs, k)
     models = count_models(cnf, xs)
     expected = sum(
         1 for bits in itertools.product([0, 1], repeat=n) if sum(bits) <= k
@@ -50,7 +59,8 @@ def test_at_most_k_sequential(n, k):
 def test_at_most_k_totalizer(n, k):
     cnf = CNF()
     xs = cnf.new_vars(n)
-    encoders.at_most_k(cnf, xs, k, method="totalizer")
+    outputs = encoders.totalizer(cnf, xs, bound=k + 1)
+    cnf.add_clause([-outputs[k]])
     models = count_models(cnf, xs)
     assert all(sum(bits) <= k for bits in models)
 
@@ -69,16 +79,8 @@ def test_at_least_k_more_than_n_unsat():
     cnf = CNF()
     xs = cnf.new_vars(3)
     encoders.at_least_k(cnf, xs, 5)
-    result, _ = solve_cnf(cnf)
+    result, _ = engine_solve(cnf)
     assert result is SolveResult.UNSAT
-
-
-def test_exactly_one_requires_one():
-    cnf = CNF()
-    xs = cnf.new_vars(4)
-    encoders.exactly_one(cnf, xs)
-    models = count_models(cnf, xs)
-    assert len(models) == 4
 
 
 def test_totalizer_outputs_count_correctly():
@@ -93,136 +95,66 @@ def test_totalizer_outputs_count_correctly():
     for lit in xs[3:]:
         cnf.add_clause([-lit])
     cnf.add_clause([-outputs[2]])
-    result, _ = solve_cnf(cnf)
+    result, _ = engine_solve(cnf)
     assert result is SolveResult.UNSAT
 
 
-@pytest.mark.parametrize(
-    "weights,bound",
-    [([1, 1, 1], 2), ([2, 3, 4], 5), ([5, 1, 1, 1], 3), ([2, 2, 2], 6)],
-)
-def test_pseudo_boolean_leq(weights, bound):
+def formula():
+    """An empty formula and its always-true literal, as the encoders make them."""
     cnf = CNF()
-    xs = cnf.new_vars(len(weights))
-    encoders.pseudo_boolean_leq(cnf, xs, weights, bound)
-    models = count_models(cnf, xs)
-    expected = [
-        bits
-        for bits in itertools.product([False, True], repeat=len(weights))
-        if sum(w for w, b in zip(weights, bits) if b) <= bound
-    ]
-    assert sorted(models) == sorted(expected)
-
-
-@pytest.mark.parametrize("weights,target", [([1, 2, 3], 3), ([2, 2, 2], 4)])
-def test_pseudo_boolean_eq(weights, target):
-    cnf = CNF()
-    xs = cnf.new_vars(len(weights))
-    encoders.pseudo_boolean_eq(cnf, xs, weights, target)
-    models = count_models(cnf, xs)
-    expected = [
-        bits
-        for bits in itertools.product([False, True], repeat=len(weights))
-        if sum(w for w, b in zip(weights, bits) if b) == target
-    ]
-    assert sorted(models) == sorted(expected)
-
-
-def test_pb_mismatched_lengths_rejected():
-    cnf = CNF()
-    xs = cnf.new_vars(2)
-    with pytest.raises(encoders.EncodingError):
-        encoders.pseudo_boolean_leq(cnf, xs, [1], 1)
+    true = cnf.new_var()
+    cnf.add_clause([true])
+    return cnf, true
 
 
 class TestIntVar:
     def test_value_decoding_all_domain(self):
-        ctx = SmtLite()
-        iv = ctx.new_int(0, 5)
+        cnf, true = formula()
+        iv = IntVar(cnf, 0, 5, true)
         for value in range(6):
-            sub = SmtLite()
-            sub_iv = sub.new_int(0, 5)
-            sub_iv.fix(value)
-            outcome = sub.check()
-            assert outcome.is_sat
-            assert SmtLite.int_value(outcome.model, sub_iv) == value
+            result, model = engine_solve(cnf, assumptions=iv.eq_lits(value))
+            assert result is SolveResult.SAT
+            assert iv.value(model) == value
+
+    @given(lo=st.integers(-2, 2), width=st.integers(0, 4))
+    @settings(max_examples=20, deadline=None)
+    def test_order_encoding_models_are_the_domain(self, lo, width):
+        cnf, true = formula()
+        iv = IntVar(cnf, lo, lo + width, true)
+        models = count_models(cnf, iv.booleans())
+        assert len(models) == width + 1  # one model per value, all monotone
+        assert all(list(bits) == sorted(bits, reverse=True) for bits in models)
 
     def test_comparison_literals(self):
-        ctx = SmtLite()
-        iv = ctx.new_int(2, 6)
-        assert iv.ge_lit(2) == ctx.true_lit
-        assert iv.ge_lit(7) == ctx.false_lit
-        assert iv.le_lit(6) == ctx.true_lit
-        assert iv.le_lit(1) == ctx.false_lit
+        cnf, true = formula()
+        iv = IntVar(cnf, 2, 6, true)
+        assert iv.ge_lit(2) == true
+        assert iv.ge_lit(7) == -true
+        assert iv.le_lit(6) == true
+        assert iv.le_lit(1) == -true
 
-    def test_require_bounds(self):
-        ctx = SmtLite()
-        iv = ctx.new_int(0, 4)
-        iv.require_ge(3)
-        iv.require_le(3)
-        outcome = ctx.check()
-        assert outcome.is_sat
-        assert SmtLite.int_value(outcome.model, iv) == 3
-
-    def test_out_of_domain_fix_is_unsat(self):
-        ctx = SmtLite()
-        iv = ctx.new_int(0, 2)
-        iv.fix(5)
-        assert ctx.check().is_unsat
+    def test_bound_literals_pin_the_value(self):
+        cnf, true = formula()
+        iv = IntVar(cnf, 0, 4, true)
+        result, model = engine_solve(cnf, assumptions=[iv.ge_lit(3), iv.le_lit(3)])
+        assert result is SolveResult.SAT
+        assert iv.value(model) == 3
 
     def test_empty_domain_rejected(self):
-        ctx = SmtLite()
+        cnf, true = formula()
         with pytest.raises(ValueError):
-            ctx.new_int(3, 1)
+            IntVar(cnf, 3, 1, true)
 
     @given(total=st.integers(0, 8))
     @settings(max_examples=12, deadline=None)
     def test_unary_sum_equals(self, total):
-        ctx = SmtLite()
-        ivs = [ctx.new_int(0, 3) for _ in range(3)]
-        unary_sum_equals(ctx.cnf, ivs, total)
-        outcome = ctx.check()
+        cnf, true = formula()
+        ivs = [IntVar(cnf, 0, 3, true) for _ in range(3)]
+        unary_sum_equals(cnf, ivs, total)
+        result, model = engine_solve(cnf)
         if total > 9:
-            assert outcome.is_unsat
+            assert result is SolveResult.UNSAT
         else:
-            assert outcome.is_sat
-            values = [SmtLite.int_value(outcome.model, iv) for iv in ivs]
+            assert result is SolveResult.SAT
+            values = [iv.value(model) for iv in ivs]
             assert sum(values) == total
-
-
-class TestSmtLiteFacade:
-    def test_implication_and_iff(self):
-        ctx = SmtLite()
-        a, b = ctx.new_bool("a"), ctx.new_bool("b")
-        ctx.add_implies([a], b)
-        ctx.add_unit(a)
-        outcome = ctx.check()
-        assert outcome.is_sat
-        assert SmtLite.bool_value(outcome.model, b)
-
-    def test_iff(self):
-        ctx = SmtLite()
-        a, b = ctx.new_bool(), ctx.new_bool()
-        ctx.add_iff(a, b)
-        ctx.add_unit(-a)
-        outcome = ctx.check()
-        assert outcome.is_sat
-        assert not SmtLite.bool_value(outcome.model, b)
-
-    def test_stats_and_timing(self):
-        ctx = SmtLite()
-        xs = [ctx.new_bool() for _ in range(5)]
-        ctx.exactly_k(xs, 2)
-        outcome = ctx.check()
-        assert outcome.is_sat
-        assert outcome.total_time >= 0
-        assert ctx.stats()["variables"] >= 5
-
-    def test_unsat_outcome(self):
-        ctx = SmtLite()
-        a = ctx.new_bool()
-        ctx.add_unit(a)
-        ctx.add_unit(-a)
-        outcome = ctx.check()
-        assert outcome.is_unsat
-        assert outcome.model is None

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import NaiveEncoding, ScclEncoding, make_instance
-from repro.solver import CNF, SATSolver, SmtLite, SolveResult
+from repro.engine import get_backend
+from repro.solver import CNF, SATSolver, SolveResult, encoders
 from repro.topology import Topology, ring
 
 COLLECTIVES = ("Allgather", "Broadcast", "Gather", "Scatter", "Alltoall")
@@ -212,22 +213,26 @@ def test_a_formula_is_handed_over_once():
     assert third._clauses[-1] is cnf.clauses[-1]
 
 
-def test_second_check_of_one_context_returns_the_same_verdicts():
-    ctx = SmtLite()
-    a, b, c = ctx.new_bool(), ctx.new_bool(), ctx.new_bool()
-    ctx.add_clause([a, b, c])
-    ctx.add_clause([-a, b])
-    ctx.add_clause([-b, c])
-    ctx.at_most_one([a, b, c])
-    written = [list(clause) for clause in ctx.cnf.clauses]
-    for _ in range(2):
-        assert ctx.check().result is SolveResult.SAT
-        assert ctx.check(assumptions=[-c]).result is SolveResult.UNSAT
-        assert ctx.check(assumptions=[a]).result is SolveResult.UNSAT
-    assert same_formula(ctx.cnf, written)
+def test_a_formula_loaded_again_returns_the_same_verdicts():
+    def load(cnf):
+        handle = get_backend().create()
+        assert handle.load(cnf)
+        return handle
 
-    encoder = NaiveEncoding(make_instance("Allgather", ring(4), 1, 2, 3))
-    ctx = encoder.encode()
-    first, second = ctx.check(), ctx.check()
-    assert first.result is second.result is SolveResult.SAT
-    encoder.decode(second.model).verify()
+    cnf = CNF()
+    a, b, c = cnf.new_vars(3)
+    cnf.add_clause([a, b, c])
+    cnf.add_clause([-a, b])
+    cnf.add_clause([-b, c])
+    encoders.at_most_one(cnf, [a, b, c])
+    written = [list(clause) for clause in cnf.clauses]
+    for _ in range(2):
+        assert load(cnf).solve() is SolveResult.SAT
+        assert load(cnf).solve([-c]) is SolveResult.UNSAT
+        assert load(cnf).solve([a]) is SolveResult.UNSAT
+    assert same_formula(cnf, written)
+
+    encoder = NaiveEncoding(make_instance("Allgather", ring(4), 1, 2, 3)).encode()
+    first, second = load(encoder.cnf), load(encoder.cnf)
+    assert first.solve() is second.solve() is SolveResult.SAT
+    encoder.decode(second.model()).verify()

@@ -5,8 +5,18 @@ import random
 
 import pytest
 
-from repro.solver import CNF, SATSolver, SolveResult, solve_cnf, luby
+from repro.engine import get_backend
+from repro.solver import CNF, SATSolver, SolveResult, luby
 from repro.solver.cnf import clause_is_satisfied
+
+
+def engine_solve(cnf: CNF, assumptions=(), conflict_limit=None):
+    """Solve ``cnf`` on the handle the engine uses: ``(result, model or None)``."""
+    handle = get_backend().create()
+    if not handle.load(cnf):
+        return SolveResult.UNSAT, None
+    result = handle.solve(assumptions, conflict_limit=conflict_limit)
+    return result, handle.model() if result is SolveResult.SAT else None
 
 
 def brute_force_sat(cnf: CNF) -> bool:
@@ -79,7 +89,7 @@ def pigeonhole_cnf(holes: int) -> CNF:
 
 @pytest.mark.parametrize("holes", [2, 3, 4, 5])
 def test_pigeonhole_unsat(holes):
-    result, model = solve_cnf(pigeonhole_cnf(holes))
+    result, model = engine_solve(pigeonhole_cnf(holes))
     assert result is SolveResult.UNSAT
     assert model is None
 
@@ -98,7 +108,7 @@ def test_graph_coloring_sat():
         u = (v + 1) % n
         for c in range(colors):
             cnf.add_clause([-var[v, c], -var[u, c]])
-    result, model = solve_cnf(cnf)
+    result, model = engine_solve(cnf)
     assert result is SolveResult.SAT
     # Verify the coloring.
     coloring = {}
@@ -121,7 +131,7 @@ def test_graph_coloring_unsat():
         for u in range(v + 1, 3):
             for c in range(2):
                 cnf.add_clause([-var[v, c], -var[u, c]])
-    result, _ = solve_cnf(cnf)
+    result, _ = engine_solve(cnf)
     assert result is SolveResult.UNSAT
 
 
@@ -139,7 +149,7 @@ def test_random_3sat_agrees_with_brute_force(seed):
     rng = random.Random(seed)
     cnf = random_3sat_cnf(rng, 8, rng.randint(20, 40))
     expected = brute_force_sat(cnf)
-    result, model = solve_cnf(cnf)
+    result, model = engine_solve(cnf)
     assert (result is SolveResult.SAT) == expected
     if model is not None:
         assignment = {v: model[v] for v in range(1, cnf.num_vars + 1)}
@@ -150,7 +160,7 @@ def test_model_satisfies_all_clauses_on_structured_instance():
     cnf = pigeonhole_cnf(4)
     # Make it satisfiable by removing a pigeon's at-least-one clause.
     cnf.clauses.pop(0)
-    result, model = solve_cnf(cnf)
+    result, model = engine_solve(cnf)
     assert result is SolveResult.SAT
     assignment = {v: model[v] for v in range(1, cnf.num_vars + 1)}
     assert all(clause_is_satisfied(c, assignment) for c in cnf.clauses)
@@ -169,7 +179,7 @@ def test_assumptions_interface():
 
 def test_conflict_limit_returns_unknown():
     cnf = pigeonhole_cnf(7)
-    result, _ = solve_cnf(cnf, conflict_limit=5)
+    result, _ = engine_solve(cnf, conflict_limit=5)
     assert result in (SolveResult.UNKNOWN, SolveResult.UNSAT)
 
 
