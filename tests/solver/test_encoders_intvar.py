@@ -83,6 +83,16 @@ def test_at_least_k_more_than_n_unsat():
     assert result is SolveResult.UNSAT
 
 
+def test_exactly_one_requires_one():
+    # The "one sender per chunk" shape of constraint C3: exactly_k with k=1.
+    cnf = CNF()
+    xs = cnf.new_vars(4)
+    encoders.exactly_k(cnf, xs, 1)
+    models = count_models(cnf, xs)
+    assert len(models) == 4
+    assert all(sum(bits) == 1 for bits in models)
+
+
 def test_totalizer_outputs_count_correctly():
     cnf = CNF()
     xs = cnf.new_vars(5)
@@ -139,6 +149,13 @@ class TestIntVar:
         result, model = engine_solve(cnf, assumptions=[iv.ge_lit(3), iv.le_lit(3)])
         assert result is SolveResult.SAT
         assert iv.value(model) == 3
+
+    def test_out_of_domain_fix_is_unsat(self):
+        cnf, true = formula()
+        iv = IntVar(cnf, 0, 2, true)
+        assert iv.eq_lits(5) == [-true]
+        result, _ = engine_solve(cnf, assumptions=iv.eq_lits(5))
+        assert result is SolveResult.UNSAT
 
     def test_empty_domain_rejected(self):
         cnf, true = formula()
