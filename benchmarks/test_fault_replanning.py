@@ -45,10 +45,7 @@ def _timed(fn):
 
 
 def _ring_replan(tmp_path) -> dict:
-    registry = PlanRegistry(
-        cache=AlgorithmCache(tmp_path / "ring" / "algorithms"),
-        routes_dir=tmp_path / "ring" / "routes",
-    )
+    registry = PlanRegistry(cache=AlgorithmCache(tmp_path / "ring" / "algorithms"))
     board = FaultBoard()
     resolver = SynthesisResolver(registry, fault_board=board)
     with PlanningService(
@@ -84,10 +81,7 @@ def _ring_replan(tmp_path) -> dict:
 
 
 def _dgx1_replan(tmp_path) -> dict:
-    registry = PlanRegistry(
-        cache=AlgorithmCache(tmp_path / "dgx1" / "algorithms"),
-        routes_dir=tmp_path / "dgx1" / "routes",
-    )
+    registry = PlanRegistry(cache=AlgorithmCache(tmp_path / "dgx1" / "algorithms"))
     board = FaultBoard()
     resolver = SynthesisResolver(registry, fault_board=board)
 
@@ -127,10 +121,7 @@ def _baseline_fallback(tmp_path, monkeypatch) -> dict:
     from repro.core.synthesizer import SynthesisResult
     from repro.solver import SolveResult
 
-    registry = PlanRegistry(
-        cache=AlgorithmCache(tmp_path / "fallback" / "algorithms"),
-        routes_dir=tmp_path / "fallback" / "routes",
-    )
+    registry = PlanRegistry(cache=AlgorithmCache(tmp_path / "fallback" / "algorithms"))
     board = FaultBoard()
     # Cost-only degradation: the fabric keeps its ring structure (so the
     # hand-written ring baseline still applies) but the link is 8x slower.

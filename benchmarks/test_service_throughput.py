@@ -29,10 +29,7 @@ ROUTED = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
 
 
 def _make_service(tmp_path, name):
-    registry = PlanRegistry(
-        cache=AlgorithmCache(tmp_path / name / "algorithms"),
-        routes_dir=tmp_path / name / "routes",
-    )
+    registry = PlanRegistry(cache=AlgorithmCache(tmp_path / name / "algorithms"))
     resolver = SynthesisResolver(registry)
     return PlanningService(registry, num_workers=4, resolver=resolver), resolver
 

@@ -257,6 +257,8 @@ def _cmd_pareto(args) -> int:
         print(format_table(rows, title=title))
     else:
         print(f"{title}: no satisfiable candidates found")
+    if frontier.note:
+        print(f"note: {frontier.note}")
     print(
         f"total {frontier.total_time:.2f}s, engine {frontier.engine_stats}"
         + (" [step budget exhausted]" if frontier.exhausted_steps else "")
@@ -525,9 +527,7 @@ def _cmd_cache_clear(args) -> int:
 def _make_registry(args):
     from ..service import PlanRegistry
 
-    cache = _require_cache(args)
-    routes_dir = args.routes_dir if getattr(args, "routes_dir", None) else None
-    return PlanRegistry(cache=cache, routes_dir=routes_dir)
+    return PlanRegistry(cache=_require_cache(args))
 
 
 def _cmd_serve(args) -> int:
@@ -547,8 +547,7 @@ def _cmd_serve(args) -> int:
     service.start()
     print(
         f"repro planning service listening on http://{host}:{port} "
-        f"(cache {registry.cache.root}, routes {registry.routes_dir}, "
-        f"workers={args.workers})",
+        f"(cache {registry.cache.root}, workers={args.workers})",
         flush=True,
     )
 
@@ -1033,8 +1032,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"TCP port (0 picks a free one; default {DEFAULT_PORT})")
     serve.add_argument("--workers", type=int, default=2,
                        help="planning worker threads (default 2)")
-    serve.add_argument("--routes-dir", default=None,
-                       help="routing-table directory (default: <cache>/../routes)")
+    # Accepted and ignored: routing tables are memoized, not stored.
+    serve.add_argument("--routes-dir", help=argparse.SUPPRESS)
     _add_cache_options(serve)
     serve.set_defaults(func=_cmd_serve)
 
@@ -1065,8 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="answer in-process instead of contacting a server")
     request.add_argument("--workers", type=int, default=2,
                          help="worker threads for --local (default 2)")
-    request.add_argument("--routes-dir", default=None,
-                         help="routing-table directory for --local")
     request.add_argument("-o", "--output", default=None, metavar="FILE",
                          help="write the returned plan bundle to FILE")
     _add_cache_options(request)

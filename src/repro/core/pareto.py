@@ -119,6 +119,8 @@ class ParetoFrontier:
     bounds: str = "off"
     #: Provenance of the seeded upper bounds (e.g. "baseline:ring").
     bound_sources: List[str] = field(default_factory=list)
+    #: Why the sweep probed nothing ("" when it probed something).
+    note: str = ""
 
     def algorithms(self) -> List[Algorithm]:
         return [p.algorithm for p in self.points if p.algorithm is not None]
@@ -405,6 +407,11 @@ def pareto_synthesize(
         return False
 
     step_counts = list(range(a_l, max_steps + 1))
+    if not step_counts:
+        frontier.note = (
+            f"no step count to probe: max_steps={max_steps} is below the "
+            f"{spec.name} latency lower bound {a_l}"
+        )
     with pareto_ctx as pareto_span:
         # Outcomes are folded in as the loop produces them; the loop stops
         # after the first one that reaches the bandwidth bound.  Stopping on
@@ -459,6 +466,7 @@ def _pareto_synthesize_combining(
         engine_stats=dict(base.engine_stats),
         bounds=base.bounds,
         bound_sources=list(base.bound_sources),
+        note=base.note,
     )
     for base_point in base.points:
         algorithm = base_point.algorithm

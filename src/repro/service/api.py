@@ -10,7 +10,7 @@ algorithm in one of two modes:
   consults the :class:`~repro.service.registry.PlanRegistry` routing table
   for the ``(collective, topology)`` pair and answers with the
   simulator-fastest frontier algorithm for that size, building (and
-  persisting) the table on first use.
+  memoizing) the table on first use.
 
 Requests are *content addressed*: :meth:`PlanRequest.request_key` reuses the
 engine cache's candidate fingerprint for pinned requests, so the broker's

@@ -185,8 +185,8 @@ def _degraded_summary(topology: Topology, degraded: Topology) -> Dict[str, objec
 def apply_fault_request(board: FaultBoard, request: FaultRequest) -> FaultResponse:
     """Execute one :class:`FaultRequest` against the board.
 
-    A transition deletes nothing: every persisted artifact is addressed by
-    a hash of the fabric it was built for, so the board's new state alone
+    A transition deletes nothing: every cache entry and memoized table is
+    addressed by a hash of the fabric it was built for, so the board's new state alone
     decides what the next request can reach (see the module docstring).
     """
     try:

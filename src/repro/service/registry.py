@@ -1,25 +1,28 @@
 """Plan registry: pinned-plan lookups plus per-(collective, topology)
 buffer-size routing tables.
 
-The registry is the serving-side face of the persistence layer.  It layers
-two stores:
+The algorithm cache is the one persistent store; the registry is its
+serving-side face and keeps two memos over it:
 
-* **pinned plans** — delegated to the engine's content-addressed
+* **pinned plans** — read from the engine's content-addressed
   :class:`~repro.engine.cache.AlgorithmCache` (one JSON file per solved
-  candidate, safe under concurrent writers);
-* **routing tables** — one JSON document per ``(collective, topology
-  structure, root, synchrony)`` tuple mapping *buffer-size ranges* to the
-  frontier algorithm the alpha-beta simulator predicts is fastest in that
-  range.  This turns the evaluation harness's offline "which algorithm
-  wins at which size" analysis (paper Figures 4-6) into an online routing
-  decision answered from a dict lookup.
+  candidate, safe under concurrent writers) and held in wire form;
+* **routing tables** — one per ``(collective, topology structure and
+  costs, root, synchrony)`` :func:`routing_key`, mapping *buffer-size
+  ranges* to the frontier algorithm the alpha-beta simulator predicts is
+  fastest in that range.  This turns the evaluation harness's offline
+  "which algorithm wins at which size" analysis (paper Figures 4-6) into
+  an online routing decision answered from a dict lookup.
 
-Tables embed their frontier algorithms as
-:class:`~repro.interchange.plan.AlgorithmPlan` bundles, so a routed answer
-is served without touching the algorithm cache, and every plan crossing
-back in from disk is re-verified against the collective spec (the
-interchange trust boundary applies to the registry's own files too —
-a hand-edited table cannot inject an invalid schedule).
+A routing table is a view over the cache, never a file: every SAT and
+UNSAT verdict of the sweep behind it is a cache entry, so a table that is
+not in memory (after a restart, an eviction, or under a new fault state)
+is rebuilt by a ``pareto_synthesize`` that replays the frontier without
+solving, plus :func:`build_routing_table`.  Tables embed their frontier
+algorithms as :class:`~repro.interchange.plan.AlgorithmPlan` bundles, so a
+routed answer is served without touching the cache; the plans came from
+verified algorithms in this process, and the cache's own read path is the
+one trust boundary.
 """
 
 from __future__ import annotations
@@ -30,16 +33,13 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.algorithm import Algorithm
 from ..engine.cache import (
     FORMULA,
     AlgorithmCache,
-    atomic_write,
     default_cache,
-    file_signature,
     fingerprint,
     topology_cost_payload,
     topology_fingerprint_payload,
@@ -47,9 +47,6 @@ from ..engine.cache import (
 from ..interchange.plan import AlgorithmPlan, plan_from_algorithm
 from ..topology import Topology
 from .api import PlanRequest, ServiceError
-
-ROUTES_FORMAT = "repro-sccl/routes"
-ROUTES_VERSION = 1
 
 #: Default probe grid for routing tables: 1 KiB .. 256 MiB in x4 steps.
 DEFAULT_ROUTE_SIZES: Tuple[int, ...] = tuple(1024 * 4 ** i for i in range(10))
@@ -60,6 +57,10 @@ DEFAULT_ROUTE_PROTOCOL = "single_kernel_push"
 #: Pinned plans a registry keeps in wire form in memory (least recently
 #: used dropped first); a constant, sized for a service's hot set.
 PINNED_MEMO_ENTRIES = 128
+
+#: Routing tables a registry keeps in memory (least recently used dropped
+#: first; a dropped table is rebuilt from the cache on its next request).
+TABLE_MEMO_ENTRIES = 32
 
 
 class RegistryError(ServiceError):
@@ -82,23 +83,6 @@ class RouteEntry:
         upper_ok = self.max_bytes is None or size_bytes < self.max_bytes
         return size_bytes >= self.min_bytes and upper_ok
 
-    def to_json(self) -> dict:
-        return {
-            "min_bytes": self.min_bytes,
-            "max_bytes": self.max_bytes,
-            "plan": self.plan_name,
-            "signature": list(self.signature),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RouteEntry":
-        return cls(
-            min_bytes=float(data["min_bytes"]),
-            max_bytes=None if data.get("max_bytes") is None else float(data["max_bytes"]),
-            plan_name=str(data["plan"]),
-            signature=tuple(int(v) for v in data["signature"]),
-        )
-
 
 @dataclass
 class RoutingTable:
@@ -106,7 +90,6 @@ class RoutingTable:
 
     collective: str
     topology_name: str
-    fingerprint: str                 # structural topology fingerprint
     root: int
     synchrony: int
     protocol: str
@@ -133,91 +116,6 @@ class RoutingTable:
             )
         return payload
 
-    def plan_for(self, entry: RouteEntry) -> AlgorithmPlan:
-        """The entry's plan, decoded and re-verified against its spec."""
-        return AlgorithmPlan.from_json(self.plan_json(entry))
-
-    def to_json(self) -> dict:
-        return {
-            "format": ROUTES_FORMAT,
-            "version": ROUTES_VERSION,
-            "collective": self.collective,
-            "topology": self.topology_name,
-            "topology_fingerprint": self.fingerprint,
-            "root": self.root,
-            "synchrony": self.synchrony,
-            "protocol": self.protocol,
-            "probe_sizes": list(self.probe_sizes),
-            "probe_times": {k: list(v) for k, v in self.probe_times.items()},
-            "entries": [entry.to_json() for entry in self.entries],
-            "plans": dict(self.plans),
-            "built_at": self.built_at,
-            "build_time_s": self.build_time_s,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RoutingTable":
-        """Decode a table and check it (:meth:`verify`): the trust boundary."""
-        if data.get("format") != ROUTES_FORMAT:
-            raise RegistryError(
-                f"not a {ROUTES_FORMAT} document (format={data.get('format')!r})"
-            )
-        if data.get("version") != ROUTES_VERSION:
-            raise RegistryError(f"unsupported routes version {data.get('version')!r}")
-        try:
-            table = cls(
-                collective=str(data["collective"]),
-                topology_name=str(data.get("topology", "?")),
-                fingerprint=str(data["topology_fingerprint"]),
-                root=int(data.get("root", 0)),
-                synchrony=int(data.get("synchrony", 0)),
-                protocol=str(data.get("protocol", DEFAULT_ROUTE_PROTOCOL)),
-                probe_sizes=[int(v) for v in data.get("probe_sizes", [])],
-                probe_times={
-                    str(k): [float(x) for x in v]
-                    for k, v in data.get("probe_times", {}).items()
-                },
-                entries=[RouteEntry.from_json(e) for e in data.get("entries", [])],
-                plans=dict(data.get("plans", {})),
-                built_at=float(data.get("built_at", 0.0)),
-                build_time_s=float(data.get("build_time_s", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RegistryError(f"malformed routing table: {exc}") from exc
-        table.verify()
-        return table
-
-    def verify(self) -> None:
-        """Trust boundary for tables loaded from disk.
-
-        Every referenced plan must exist, decode, re-verify against its
-        collective spec, and carry the table's topology fingerprint; the
-        entries must tile [0, inf) without gaps or overlaps.
-        """
-        for entry in self.entries:
-            plan = self.plan_for(entry)
-            if plan.fingerprint != self.fingerprint:
-                raise RegistryError(
-                    f"plan {entry.plan_name!r} was built for a different topology "
-                    f"than its routing table"
-                )
-        expected_min = 0.0
-        for index, entry in enumerate(self.entries):
-            if entry.min_bytes != expected_min:
-                raise RegistryError(
-                    f"routing entries do not tile sizes: entry {index} starts at "
-                    f"{entry.min_bytes}, expected {expected_min}"
-                )
-            if entry.max_bytes is None:
-                if index != len(self.entries) - 1:
-                    raise RegistryError("only the last routing entry may be open-ended")
-            else:
-                if entry.max_bytes <= entry.min_bytes:
-                    raise RegistryError(f"empty routing range at entry {index}")
-                expected_min = entry.max_bytes
-        if self.entries and self.entries[-1].max_bytes is not None:
-            raise RegistryError("last routing entry must be open-ended")
-
 
 def build_routing_table(
     collective: str,
@@ -238,7 +136,6 @@ def build_routing_table(
     midpoint of the adjacent probe sizes (sizes are sampled on a geometric
     grid, so that is the unbiased split).
     """
-    from ..interchange.plan import topology_fingerprint
     from ..runtime import Simulator, lower
 
     if not algorithms:
@@ -292,7 +189,6 @@ def build_routing_table(
     return RoutingTable(
         collective=collective,
         topology_name=topology.name,
-        fingerprint=topology_fingerprint(topology),
         root=root,
         synchrony=synchrony,
         protocol=protocol,
@@ -322,7 +218,7 @@ def routing_key(
     :data:`~repro.engine.cache.FORMULA` is a constant of the payload.
     """
     payload = {
-        "version": ROUTES_VERSION,
+        "version": 1,
         "collective": collective,
         "topology": topology_fingerprint_payload(topology),
         "topology_cost": topology_cost_payload(topology),
@@ -338,18 +234,21 @@ def routing_key(
 # The registry
 # ----------------------------------------------------------------------
 class PlanRegistry:
-    """Pinned-plan cache plus persistent routing tables, both memoized.
+    """Pinned plans and routing tables, both memoized in bounded LRU order.
 
-    What was read from disk and verified once is kept in memory and
-    re-validated by one ``stat`` per lookup, against the ``(mtime_ns, size,
-    inode)`` of the file it came from: loaded tables, and pinned plans in
-    wire form (at most :data:`PINNED_MEMO_ENTRIES`) signed with their cache
-    entry.  A steady-state lookup therefore costs a ``stat`` and two
-    dict probes — no read, no decode, no re-verification — and a file that
-    was replaced, rewritten, touched or removed goes through the full
+    Pinned plans are held in wire form (at most :data:`PINNED_MEMO_ENTRIES`),
+    each signed with its cache entry's ``(mtime_ns, size, inode)`` and
+    re-validated by one ``stat`` per lookup: an entry file that was
+    replaced, rewritten, touched or removed goes through the full
     read-and-verify path again, so edited bytes are never served from
-    memory.  ``*_json`` lookups hand out the wire form the service sends;
-    their plain namesakes decode it into an :class:`AlgorithmPlan`.
+    memory.  Routing tables (at most :data:`TABLE_MEMO_ENTRIES`) live in
+    memory only, keyed by :func:`routing_key`; a lookup is a dict probe,
+    and a miss is answered by the resolver's build, which on a warm cache
+    replays the frontier with no solver call (:meth:`install_table` puts
+    the result in).  ``*_json`` lookups hand out the wire form the service
+    sends; their plain namesakes decode it into an :class:`AlgorithmPlan`.
+
+    ``routes_dir`` is accepted and ignored: routing tables live only in memory.
     """
 
     def __init__(
@@ -358,18 +257,15 @@ class PlanRegistry:
         routes_dir=None,
     ) -> None:
         self.cache = cache if cache is not None else default_cache()
-        if routes_dir is None:
-            routes_dir = self.cache.root.parent / "routes"
-        self.routes_dir = Path(routes_dir)
         self._lock = threading.Lock()
-        # Both signed with the backing file's (mtime_ns, size, inode): loaded
-        # tables by routing key, and pinned plans in wire form by (cache key,
-        # topology name) in least-recently-used order.
-        self._tables: Dict[str, Tuple[Tuple[int, int, int], RoutingTable]] = {}
+        # Both in least-recently-used order: built tables by routing key, and
+        # pinned plans in wire form by (cache key, topology name), signed
+        # with the entry file's (mtime_ns, size, inode).
+        self._tables: Dict[str, RoutingTable] = {}
         self._pinned: Dict[Tuple[str, str], Tuple[Tuple[int, int, int], dict]] = {}
         self.route_hits = 0
         self.route_misses = 0
-        self.warm_hits = 0   # lookups answered from memory after one stat
+        self.warm_hits = 0   # lookups answered from memory
 
     # ------------------------------------------------------------------
     # Pinned plans (delegated to the algorithm cache)
@@ -457,42 +353,6 @@ class PlanRegistry:
     # ------------------------------------------------------------------
     # Routing tables
     # ------------------------------------------------------------------
-    def _table_path(self, key: str) -> Path:
-        return self.routes_dir / f"{key}.json"
-
-    def load_table(self, key: str) -> Optional[RoutingTable]:
-        """Load (and memoize) a routing table; None when absent/invalid."""
-        path = self._table_path(key)
-        signature = file_signature(path)
-        if signature is None:
-            return None
-        with self._lock:
-            cached = self._tables.get(key)
-            if cached is not None and cached[0] == signature:
-                self.warm_hits += 1
-                return cached[1]
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            table = RoutingTable.from_json(data)
-        except Exception:
-            # An unreadable or tampered table is a miss, never an answer.
-            return None
-        with self._lock:
-            self._tables[key] = (signature, table)
-        return table
-
-    def save_table(self, key: str, table: RoutingTable) -> Path:
-        """Atomically persist a table (concurrent writers: last one wins)."""
-        path = self._table_path(key)
-        atomic_write(path, json.dumps(table.to_json(), sort_keys=True))
-        signature = file_signature(path)
-        with self._lock:
-            if signature is None:
-                self._tables.pop(key, None)
-            else:
-                self._tables[key] = (signature, table)
-        return path
-
     def table_key(
         self, request: PlanRequest, *, topology: Optional[Topology] = None
     ) -> str:
@@ -513,16 +373,22 @@ class PlanRegistry:
         topology: Optional[Topology] = None,
         key: Optional[str] = None,
     ) -> Optional[RoutingTable]:
-        """``key`` is the request's :meth:`table_key` when already computed."""
+        """The memoized table, or None; ``key`` is the request's
+        :meth:`table_key` when already computed."""
         if key is None:
             key = self.table_key(request, topology=topology)
-        return self.load_table(key)
+        with self._lock:
+            table = self._tables.pop(key, None)
+            if table is not None:
+                self._tables[key] = table  # back in, as the most recently used
+                self.warm_hits += 1
+        return table
 
     def route(
         self, request: PlanRequest, *, topology: Optional[Topology] = None
     ) -> Optional[Tuple[AlgorithmPlan, RouteEntry, RoutingTable]]:
-        """Answer a routed request from a persisted table, or None (the
-        plan decoded per call)."""
+        """Answer a routed request from a memoized table, or None (the plan
+        decoded per call)."""
         routed = self.route_json(request, topology=topology)
         if routed is None:
             return None
@@ -539,19 +405,14 @@ class PlanRegistry:
         """:meth:`route` with the plan in the table's own wire form (shared:
         do not mutate)."""
         table = self.table_for(request, topology=topology, key=key)
-        if table is None:
-            with self._lock:
-                self.route_misses += 1
-            return None
-        entry = table.route(float(request.size_bytes))
-        if entry is None:
-            with self._lock:
-                self.route_misses += 1
-            return None
+        entry = None if table is None else table.route(float(request.size_bytes))
         with self._lock:
-            self.route_hits += 1
-        # Plans inside a memoized table were verified when the table was
-        # loaded: no per-request decode or re-verification on the hot path.
+            if entry is None:
+                self.route_misses += 1
+            else:
+                self.route_hits += 1
+        if entry is None:
+            return None
         return table.plan_json(entry), entry, table
 
     def install_table(
@@ -562,28 +423,28 @@ class PlanRegistry:
         topology: Optional[Topology] = None,
         key: Optional[str] = None,
     ) -> str:
+        """Memoize a built table as the most recently used; returns its key."""
         if key is None:
             key = self.table_key(request, topology=topology)
-        self.save_table(key, table)
+        with self._lock:
+            self._tables.pop(key, None)
+            if len(self._tables) >= TABLE_MEMO_ENTRIES:
+                del self._tables[next(iter(self._tables))]
+            self._tables[key] = table
         return key
 
     # ------------------------------------------------------------------
-    def tables(self) -> List[Path]:
-        if not self.routes_dir.exists():
-            return []
-        return sorted(self.routes_dir.glob("*.json"))
-
     def stats(self) -> Dict[str, object]:
         with self._lock:
-            hits, misses = self.route_hits, self.route_misses
+            hits, misses, tables = self.route_hits, self.route_misses, len(self._tables)
         return {
             "cache": self.cache.stats(),
             "route_hits": hits,
             "route_misses": misses,
-            "tables": len(self.tables()),
+            "tables": tables,
         }
 
 
 def default_registry() -> PlanRegistry:
-    """Registry over the process-default cache (routes live beside it)."""
+    """Registry over the process-default cache."""
     return PlanRegistry(cache=default_cache())

@@ -5,14 +5,18 @@ them through :class:`SynthesisResolver`, whose fallback ladder is fixed:
 
 1. **registry / cache** — pinned requests consult the content-addressed
    :class:`~repro.engine.cache.AlgorithmCache`, routed requests the
-   persisted routing table; a hit is answered without any solver work.
+   registry's memoized routing table; a hit is answered without any
+   solver work.
 2. **synthesis** — pinned requests run one engine solve
    (:func:`repro.core.synthesizer.synthesize`); routed requests run a
    Pareto sweep through the engine's one sweep loop with its default
    ``incremental`` executor, in the worker thread (no process is forked),
    seeded with baseline upper bounds so dominated candidates are pruned
    before any solver work, then score the frontier with the alpha-beta
-   simulator into a fresh routing table.
+   simulator into a fresh routing table.  The sweep reads and writes the
+   cache, so rebuilding a table that left memory replays its frontier
+   with no solver call (probes that ended UNKNOWN are never cached and
+   are solved again).
    The most patient waiter's remaining deadline is forwarded to the
    engine as the solve time limit.
 3. **baseline** — when the solver comes back UNKNOWN (deadline / resource
@@ -280,10 +284,10 @@ class SynthesisResolver:
         if response is not None:
             return response
 
-        # Miss: synthesize the frontier, score it with the simulator,
-        # persist the table, then route.  Builds of the
-        # same table (routed requests differing only in size) serialize on
-        # a per-table lock; whoever waited re-checks the registry first.
+        # Miss: synthesize (or replay) the frontier, score it with the
+        # simulator, memoize the table, then route.  Builds of the same
+        # table (routed requests differing only in size) serialize on a
+        # per-table lock; whoever waited re-checks the registry first.
         with self._build_lock(table_key):
             response = routed_answer()
             if response is not None:
@@ -357,7 +361,7 @@ class SynthesisResolver:
                 "registry_hits": self.registry_hits,
                 "replans": self.replans,
                 "rungs": dict(self.rungs),
-                # Lookups the registry answered from memory after one stat.
+                # Lookups the registry answered from memory.
                 "warm_hits": self.registry.warm_hits,
                 "since": self.since,
             }

@@ -15,7 +15,7 @@ bounded integers) are compiled down to this representation by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, List, Sequence
 
 
 class CNFError(Exception):
@@ -133,12 +133,6 @@ class CNF:
         start = self._handed if self._vouched == count else count
         self._handed = count
         return start
-
-    def __len__(self) -> int:
-        return len(self.clauses)
-
-    def __iter__(self) -> Iterator[List[int]]:
-        return iter(self.clauses)
 
     @property
     def num_clauses(self) -> int:

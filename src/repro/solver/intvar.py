@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from . import encoders
 from .cnf import CNF
 
 
@@ -115,8 +116,6 @@ def unary_sum_equals(cnf: CNF, variables: Sequence[IntVar], total: int) -> None:
     Booleans must equal ``total - sum(lo)``.  Delegates to the cardinality
     encoders.
     """
-    from . import encoders
-
     offset = sum(v.lo for v in variables)
     residual = total - offset
     bools: List[int] = []

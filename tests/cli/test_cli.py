@@ -249,6 +249,26 @@ class TestInProcess:
         assert "max_steps" in captured.err
         assert "step budget exhausted" not in captured.out
 
+    def test_pareto_names_the_bound_that_left_the_step_budget_empty(self, capsys):
+        code = main(["pareto", "Allgather", "-t", "ring:4", "--max-steps", "1", "--no-cache"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "no satisfiable candidates found" in out
+        assert "max_steps=1 is below the Allgather latency lower bound 2" in out
+
+    def test_serve_accepts_routes_dir_without_offering_it(self, capsys):
+        from repro.cli.main import build_parser
+
+        parser = build_parser()
+        args = parser.parse_args(["serve", "--routes-dir", "ignored"])
+        assert args.func.__name__ == "_cmd_serve"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "--help"])
+        assert "--routes-dir" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["request", "--stats", "--routes-dir", "r"])
+        assert exc.value.code == 2
+
     def test_pareto_strategy_choices_come_from_the_engine(self, capsys):
         from repro.engine import STRATEGIES
 
@@ -406,11 +426,11 @@ class TestWritesOnlyWhereAsked:
         ],
         "request-local": [
             ["request", *QUICKSTART, "--local",
-             "--cache-dir", "{w}/cache", "--routes-dir", "{w}/routes"],
+             "--cache-dir", "{w}/cache"],
         ],
         "request-stats-local": [
             ["request", "--stats", "--local",
-             "--cache-dir", "{w}/cache", "--routes-dir", "{w}/routes"],
+             "--cache-dir", "{w}/cache"],
         ],
         "fault-preview": [
             ["fault", "register", "-t", "ring:4", "--link-down", "0:1", "--preview"],
@@ -442,6 +462,18 @@ class TestWritesOnlyWhereAsked:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cwd", "home", "work"]
         assert sorted((tmp_path / "home").rglob("*")) == []
         assert sorted((tmp_path / "cwd").rglob("*")) == []
+
+
+    def test_routed_requests_leave_only_the_cache(self, tmp_path, capsys):
+        """Routing tables live in memory: two in-process routed requests in
+        a row (two processes' worth of tables) write the cache and nothing
+        beside it."""
+        argv = ["request", "Allgather", "-t", "ring:4", "--size", "1048576",
+                "--local", "--cache-dir", str(tmp_path / "cache")]
+        for _ in range(2):
+            assert main(argv) == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["cache"]
+        assert capsys.readouterr().out.count("routed to") == 2
 
 
 class TestRetiredPerfCommand:
@@ -519,7 +551,7 @@ class TestSubprocessSmoke:
         server = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve", "--port", "0",
-                "--cache-dir", str(work / "c"), "--routes-dir", str(work / "r"),
+                "--cache-dir", str(work / "c"),
             ],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env=env, cwd=REPO_ROOT,

@@ -118,7 +118,6 @@ class TestRequestStats:
             [
                 "request", "--stats", "--local",
                 "--cache-dir", str(tmp_path / "cache"),
-                "--routes-dir", str(tmp_path / "routes"),
             ]
         )
         assert code == 0

@@ -231,10 +231,10 @@ class TestNoFormulaOption:
         )
         from repro.interchange import read_plan
         from repro.service import PlanRegistry, PlanRequest, PlanResponse
-        from repro.service.registry import RoutingTable, routing_key
+        from repro.service.registry import routing_key
 
         cache = AlgorithmCache(tmp_path / "algorithms")
-        registry = PlanRegistry(cache=cache, routes_dir=tmp_path / "routes")
+        registry = PlanRegistry(cache=cache)
         family = SessionFamily("Allgather", ring(4))
         instance = make_instance("Allgather", ring(4), 1, 2, 3)
         request = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
@@ -269,9 +269,7 @@ class TestNoFormulaOption:
             "PlanRequest": lambda **kw: PlanRequest(
                 "Allgather", "ring:4", chunks=1, steps=2, rounds=3, **kw),
             # Only AlgorithmPlan.from_json keeps ``verify``: what reads plans
-            # and tables in from outside always checks them.
-            "RoutingTable.from_json": lambda **kw: RoutingTable.from_json({}, **kw),
-            "RoutingTable.plan_for": lambda **kw: RoutingTable.plan_for(None, None, **kw),
+            # in from outside always checks them.
             "read_plan": lambda **kw: read_plan(tmp_path / "plan.json", **kw),
             "PlanResponse.plan_object": lambda **kw: PlanResponse("ok", "k").plan_object(**kw),
         }

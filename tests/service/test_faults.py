@@ -3,7 +3,8 @@
 Covers the fault-tolerance ladder end to end — FaultRequest validation,
 the board's salted coalescing keys, fault transitions that delete nothing
 (every key hashes the fabric, so no healthy artifact reaches a degraded
-request and ``clear`` serves the healthy plans warm), resolver replanning
+request and ``clear`` serves the healthy plans warm; a cost-only fault
+re-scores the table without a solve), resolver replanning
 against the degraded fabric, the hardened broker (bounded waits, resolver
 crash accounting), and the DGX-1 acceptance scenario over real HTTP.
 """
@@ -41,12 +42,13 @@ from repro.service import (
     request_plan,
     routing_key,
 )
+from repro.telemetry import get_metrics
 from repro.topology import dgx1, ring
 from test_warm_path import comparable
 
 
 def _registry(root) -> PlanRegistry:
-    return PlanRegistry(cache=AlgorithmCache(root / "algorithms"), routes_dir=root / "routes")
+    return PlanRegistry(cache=AlgorithmCache(root / "algorithms"))
 
 
 @pytest.fixture
@@ -220,7 +222,7 @@ class TestApplyFaultRequest:
         assert response.ok
         assert response.degraded["links_removed"] == 1
         assert board.get(ring(4))
-        assert len(registry.tables()) == 1
+        assert registry.stats()["tables"] == 1
 
     def test_status_reads_without_invalidating(self, registry):
         resolver = SynthesisResolver(registry)
@@ -229,23 +231,23 @@ class TestApplyFaultRequest:
         board.register(ring(4), FaultSet.of(LinkDown(0, 1)))
         response = apply_fault_request(board, FaultRequest("ring:4", "status"))
         assert response.ok and len(response.faults) == 1
-        assert len(registry.tables()) == 1
+        assert registry.stats()["tables"] == 1
 
     def test_clear_keeps_the_degraded_artifacts(self, registry):
-        """Plans synthesized *while degraded* stay on disk after the repair:
+        """Tables built *while degraded* stay in memory after the repair:
         only the same fault state can address them again."""
         board = FaultBoard()
         board.register(ring(4), FaultSet.of(LinkDown(0, 1)))
         resolver = SynthesisResolver(registry, fault_board=board)
         assert resolver(ROUTED, None).ok  # builds a table for the DEGRADED ring
-        assert len(registry.tables()) == 1
+        assert registry.stats()["tables"] == 1
         response = apply_fault_request(board, FaultRequest("ring:4", "clear"))
         assert response.ok and not response.faults
-        assert len(registry.tables()) == 1
+        assert registry.stats()["tables"] == 1
         healthy = resolver(ROUTED, None)
         assert healthy.source == "synthesized"
         assert (0, 1) in used_links(healthy.plan_object().algorithm)
-        assert len(registry.tables()) == 2
+        assert registry.stats()["tables"] == 2
 
     def test_invalid_fault_is_an_error_response(self, registry):
         board = FaultBoard()
@@ -297,6 +299,40 @@ class TestFaultTransitionsKeepWhatTheyCanReuse:
             answers = [service.request(PINNED), service.request(ROUTED)]
             assert [a.source for a in answers] == ["cache", "registry"]
             assert service.resolver.stats()["solves"] == solves
+
+    def test_a_cost_only_fault_re_ranks_the_table_without_a_solve(
+        self, registry, tmp_path
+    ):
+        """An alpha/beta-only ``LinkDegraded`` keeps every structural key: the
+        degraded table is scored from the cached verdicts, and after
+        ``clear`` the healthy table is served from memory.  Neither costs a
+        solver call or writes a file."""
+        slower = LinkDegraded(0, 1, beta_factor=4.0).to_json()
+        with PlanningService(registry, num_workers=1) as service:
+            healthy = service.request(ROUTED)
+            assert healthy.source == "synthesized"
+            healthy_table = registry.table_for(ROUTED)
+            files = sorted(tmp_path.rglob("*"))
+            calls = get_metrics().total("repro_solver_calls_total")
+
+            assert service.fault(FaultRequest("ring:4", "register", (slower,))).ok
+            degraded = service.request(ROUTED)
+            assert degraded.source == "synthesized"
+            fabric = service.fault_board.fabric(ROUTED).topology
+            assert degraded.plan["algorithm"]["topology"] == fabric.to_dict()
+            table = registry.table_for(ROUTED, topology=fabric)
+            assert table is not healthy_table
+            # The same plans, scored under the slower link.
+            assert table.plans.keys() == healthy_table.plans.keys()
+            for name, times in table.probe_times.items():
+                assert times[-1] > healthy_table.probe_times[name][-1]
+
+            assert service.fault(self.CLEAR).ok
+            again = service.request(ROUTED)
+            assert again.source == "registry" and again.route == healthy.route
+            assert again.plan == healthy.plan
+        assert get_metrics().total("repro_solver_calls_total") == calls
+        assert sorted(tmp_path.rglob("*")) == files
 
     def test_the_same_fault_again_is_answered_warm(self, registry):
         with PlanningService(registry, num_workers=1) as service:

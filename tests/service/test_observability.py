@@ -32,10 +32,7 @@ def metrics():
 
 @pytest.fixture
 def service(tmp_path, metrics):
-    registry = PlanRegistry(
-        cache=AlgorithmCache(tmp_path / "algorithms"),
-        routes_dir=tmp_path / "routes",
-    )
+    registry = PlanRegistry(cache=AlgorithmCache(tmp_path / "algorithms"))
     with PlanningService(registry, num_workers=2) as svc:
         yield svc
 
@@ -109,10 +106,7 @@ class TestStatsEngineSection:
 
 class TestCountersAcrossRestarts:
     def test_counters_survive_stop_start(self, tmp_path, metrics):
-        registry = PlanRegistry(
-            cache=AlgorithmCache(tmp_path / "algorithms"),
-            routes_dir=tmp_path / "routes",
-        )
+        registry = PlanRegistry(cache=AlgorithmCache(tmp_path / "algorithms"))
         service = PlanningService(registry, num_workers=2)
         service.start()
         try:
@@ -131,10 +125,7 @@ class TestCountersAcrossRestarts:
             service.stop()
 
     def test_reset_stats_is_explicit_and_restamps_since(self, tmp_path, metrics):
-        registry = PlanRegistry(
-            cache=AlgorithmCache(tmp_path / "algorithms"),
-            routes_dir=tmp_path / "routes",
-        )
+        registry = PlanRegistry(cache=AlgorithmCache(tmp_path / "algorithms"))
         with PlanningService(registry, num_workers=2) as service:
             assert service.request(PINNED, timeout=120.0).ok
             old_since = service.broker.stats()["since"]

@@ -1,11 +1,10 @@
-"""Plan registry: routing-table construction, persistence, trust boundary."""
-
-import json
+"""Plan registry: routing-table construction, the table memo, pinned lookups."""
 
 import pytest
 
 from repro.core import pareto_synthesize
 from repro.engine import AlgorithmCache
+from repro.interchange.plan import AlgorithmPlan
 from repro.service import (
     PlanRegistry,
     PlanRequest,
@@ -18,10 +17,7 @@ from repro.topology import ring
 
 @pytest.fixture
 def registry(tmp_path):
-    return PlanRegistry(
-        cache=AlgorithmCache(tmp_path / "algorithms"),
-        routes_dir=tmp_path / "routes",
-    )
+    return PlanRegistry(cache=AlgorithmCache(tmp_path / "algorithms"))
 
 
 @pytest.fixture(scope="module")
@@ -29,14 +25,24 @@ def frontier():
     return pareto_synthesize("Allgather", ring(4), k=1, max_steps=3)
 
 
+def assert_tiles(table) -> None:
+    """The entries cover [0, inf) in order, without gaps or overlaps."""
+    lower = 0.0
+    for entry in table.entries[:-1]:
+        assert entry.min_bytes == lower and entry.max_bytes > entry.min_bytes
+        lower = entry.max_bytes
+    assert table.entries[-1].min_bytes == lower
+    assert table.entries[-1].max_bytes is None
+
+
 class TestBuildRoutingTable:
     def test_entries_tile_all_sizes(self, frontier):
         table = build_routing_table(
             "Allgather", ring(4), frontier.algorithms(), synchrony=1
         )
-        table.verify()  # tiling + plan re-verification
-        assert table.entries[0].min_bytes == 0.0
-        assert table.entries[-1].max_bytes is None
+        assert_tiles(table)
+        for entry in table.entries:
+            AlgorithmPlan.from_json(table.plan_json(entry))  # re-verifies
         for size in (1, 512, 1 << 20, 1 << 30):
             assert table.route(size) is not None
 
@@ -66,18 +72,8 @@ class TestBuildRoutingTable:
         with pytest.raises(RegistryError):
             build_routing_table("Allgather", ring(4), [])
 
-    def test_json_roundtrip(self, frontier):
-        from repro.service.registry import RoutingTable
 
-        table = build_routing_table(
-            "Allgather", ring(4), frontier.algorithms(), synchrony=1
-        )
-        again = RoutingTable.from_json(json.loads(json.dumps(table.to_json())))
-        assert [e.to_json() for e in again.entries] == [e.to_json() for e in table.entries]
-        assert again.route(1 << 20).plan_name == table.route(1 << 20).plan_name
-
-
-class TestRegistryPersistence:
+class TestTableMemo:
     def test_route_miss_then_hit(self, registry, frontier):
         request = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
         assert registry.route(request) is None
@@ -92,73 +88,47 @@ class TestRegistryPersistence:
         plan.algorithm.verify()
         assert registry.stats()["route_hits"] == 1
 
-    def test_saved_bytes_are_the_sorted_json_of_the_table(self, registry, frontier):
-        request = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
-        table = build_routing_table(
-            "Allgather", ring(4), frontier.algorithms(), synchrony=1
-        )
-        key = registry.install_table(request, table)
-        assert registry._table_path(key).read_text(encoding="utf-8") == json.dumps(
-            table.to_json(), sort_keys=True
-        )
-
-    def test_a_failed_save_keeps_the_old_table_and_leaves_no_temp(
-        self, registry, frontier, monkeypatch
+    def test_install_is_a_memo_insert_that_writes_nothing(
+        self, registry, frontier, tmp_path
     ):
-        from repro.engine import cache as cache_module
-
         request = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
         table = build_routing_table(
             "Allgather", ring(4), frontier.algorithms(), synchrony=1
         )
         key = registry.install_table(request, table)
-        path = registry._table_path(key)
-        before = path.read_bytes()
+        assert key == registry.table_key(request)
+        assert registry.table_for(request) is table  # the object itself
+        assert registry.stats()["tables"] == 1
+        assert list(tmp_path.iterdir()) == []
 
-        def refuse(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(cache_module.os, "replace", refuse)
-        with pytest.raises(OSError, match="disk full"):
-            registry.save_table(key, table)
-        monkeypatch.undo()
-        assert path.read_bytes() == before
-        assert [p.name for p in path.parent.iterdir()] == [path.name]
-        assert registry.route(request) is not None
-
-    def test_tables_memoized_until_file_changes(self, registry, frontier):
+    def test_a_fresh_registry_has_no_tables(self, registry, frontier):
         request = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
+        registry.install_table(
+            request,
+            build_routing_table("Allgather", ring(4), frontier.algorithms(), synchrony=1),
+        )
+        fresh = PlanRegistry(cache=registry.cache)
+        assert fresh.route(request) is None
+        assert fresh.stats()["route_misses"] == 1
+
+    def test_the_memo_drops_the_least_recently_used_table(self, registry, frontier):
+        from repro.service.registry import TABLE_MEMO_ENTRIES
+
         table = build_routing_table(
             "Allgather", ring(4), frontier.algorithms(), synchrony=1
         )
-        key = registry.install_table(request, table)
-        first = registry.load_table(key)
-        assert registry.load_table(key) is first  # same object: memoized
-        # Rewrite the file; the memo must refresh.
-        path = registry._table_path(key)
-        data = json.loads(path.read_text())
-        path.write_text(json.dumps(data))
-        import os
-
-        os.utime(path, (path.stat().st_atime, path.stat().st_mtime + 10))
-        assert registry.load_table(key) is not first
-
-    def test_tampered_table_is_a_miss(self, registry, frontier):
-        request = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
-        table = build_routing_table(
-            "Allgather", ring(4), frontier.algorithms(), synchrony=1
-        )
-        key = registry.install_table(request, table)
-        registry._tables.clear()  # force a disk reload
-        path = registry._table_path(key)
-        data = json.loads(path.read_text())
-        # Drop every send from one embedded plan: spec re-verification on
-        # load must reject the whole table (fail closed, serve a miss).
-        name = next(iter(data["plans"]))
-        for step in data["plans"][name]["algorithm"]["steps"]:
-            step["sends"] = []
-        path.write_text(json.dumps(data))
-        assert registry.route(request) is None
+        requests = [
+            PlanRequest("Allgather", "ring:4", size_bytes=64, synchrony=1, root=root)
+            for root in range(TABLE_MEMO_ENTRIES + 1)
+        ]
+        # Distinct keys: a routing key hashes the root whatever the collective.
+        for request in requests[:-1]:
+            registry.install_table(request, table)
+        assert registry.route(requests[0]) is not None  # now the most recent
+        registry.install_table(requests[-1], table)
+        assert registry.stats()["tables"] == TABLE_MEMO_ENTRIES
+        assert registry.route(requests[1]) is None
+        assert all(registry.route(r) is not None for r in [requests[0], *requests[2:]])
 
     def test_routing_key_is_structural_and_size_free(self):
         key = routing_key("Allgather", ring(4), synchrony=1)
@@ -196,7 +166,7 @@ class TestPinnedLookups:
 
         answer = resolver(on_fc)
         fresh = SynthesisResolver(
-            PlanRegistry(cache=AlgorithmCache(registry.cache.root), routes_dir=tmp_path / "r")
+            PlanRegistry(cache=AlgorithmCache(registry.cache.root))
         )(on_fc)
         assert answer.plan["algorithm"]["topology"]["name"] == "fc3"
         assert answer.plan["algorithm"] == fresh.plan["algorithm"]

@@ -37,10 +37,7 @@ SRC = str(REPO_ROOT / "src")
 
 @pytest.fixture
 def service(tmp_path):
-    registry = PlanRegistry(
-        cache=AlgorithmCache(tmp_path / "algorithms"),
-        routes_dir=tmp_path / "routes",
-    )
+    registry = PlanRegistry(cache=AlgorithmCache(tmp_path / "algorithms"))
     with PlanningService(registry, num_workers=2) as svc:
         yield svc
 
@@ -320,7 +317,6 @@ class TestSubprocessSmoke:
             [
                 sys.executable, "-m", "repro", "serve", "--port", "0",
                 "--cache-dir", str(tmp_path / "cache"),
-                "--routes-dir", str(tmp_path / "routes"),
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
@@ -374,7 +370,6 @@ class TestSubprocessSmoke:
             [
                 sys.executable, "-m", "repro", "serve", "--port", "0",
                 "--cache-dir", str(tmp_path / "cache"),
-                "--routes-dir", str(tmp_path / "routes"),
             ],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env=self._env(tmp_path / "cache"), cwd=REPO_ROOT,
@@ -395,7 +390,6 @@ class TestSubprocessSmoke:
             [
                 sys.executable, "-m", "repro", "serve", "--port", "0",
                 "--cache-dir", str(tmp_path / "cache"),
-                "--routes-dir", str(tmp_path / "routes"),
             ],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env=self._env(tmp_path / "cache"), cwd=REPO_ROOT,

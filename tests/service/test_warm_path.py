@@ -3,8 +3,11 @@
 A long-lived service (pinned-plan memo, table memo, per-fault-state
 fabrics, per-request topology and key) must answer exactly like a resolver
 built from nothing for every query, whatever happened to the files and the
-fault board in between; and a warm repeat must cost one ``stat`` — no
-read, no decode, no verification, no second parse of the topology spec.
+fault board in between; a warm pinned repeat must cost one ``stat`` and a
+warm routed one none — no read, no decode, no verification, no second
+parse of the topology spec.  A routing table is a view over the cache: one
+that is not in memory (a restart, an eviction) is rebuilt without a solver
+call.
 """
 
 import builtins
@@ -33,7 +36,7 @@ from repro.service import (
     request_plan,
 )
 from repro.service.faults import FABRIC_MEMO_ENTRIES
-from repro.service.registry import PINNED_MEMO_ENTRIES
+from repro.service.registry import PINNED_MEMO_ENTRIES, TABLE_MEMO_ENTRIES
 from repro.telemetry import get_metrics
 from repro.topology import ring
 
@@ -47,19 +50,30 @@ DEAD_LINK = LinkDown(0, 1)
 
 
 def _registry(root) -> PlanRegistry:
-    return PlanRegistry(cache=AlgorithmCache(root / "algorithms"), routes_dir=root / "routes")
+    return PlanRegistry(cache=AlgorithmCache(root / "algorithms"))
+
+
+def _solver_calls() -> float:
+    return get_metrics().total("repro_solver_calls_total")
 
 
 def comparable(response) -> tuple:
-    """``(status, source, route, plan)`` without what only dates the answer."""
+    """``(status, source, route, plan)`` without what only dates the answer.
+
+    A resolver built from nothing holds no table and rebuilds it from the
+    cache, so a routed answer from the memo (``registry``) and one from a
+    build (``synthesized``) are the same answer when route and plan are.
+    """
     # Through JSON on both sides: the live answers crossed HTTP.
     plan, route = json.loads(json.dumps([response.plan, response.route]))
     if plan is not None:
         for stamp in ("created_at", "solve_time_s", "encode_time_s"):
             plan["provenance"].pop(stamp, None)
-    if route is not None and response.source == "synthesized":
-        del route["table_built_at"]  # both sides built their own table just now
-    return (response.status, response.source, route, plan)
+    source = response.source
+    if route is not None:
+        del route["table_built_at"]
+        source = "routed"
+    return (response.status, source, route, plan)
 
 
 class Pair:
@@ -161,21 +175,14 @@ def test_memoized_service_agrees_with_a_fresh_resolver(pair):
     assert [a.source for a in pair.agree("fault clear")] == ["cache", "cache", "registry"]
     pair.agree("healthy again, warm")
 
-    # Every file gone: every answer is solved again.
+    # Every file gone: every pinned answer is solved again; the table in
+    # memory is the one a sweep over an empty cache builds.
     for path in list(pair.root.rglob("*.json")):
         path.unlink()
-    assert [a.source for a in pair.agree("every file unlinked")] == ["synthesized"] * 3
+    assert [a.source for a in pair.agree("every file unlinked")] == [
+        "synthesized", "synthesized", "registry",
+    ]
     pair.agree("refill")
-
-    # A table rewritten by another writer: the next answer reads the new one.
-    live_table = pair.agree("warm")[2].route
-    table = pair.service.registry.table_for(ROUTED)
-    algorithm = table.plan_for(table.entries[0]).algorithm
-    rewritten = build_routing_table("Allgather", ring(4), [algorithm], synchrony=1)
-    _registry(pair.root).install_table(ROUTED, rewritten)
-    routed = pair.agree("install_table")[2]
-    assert routed.source == "registry" and routed.route["plan"] == algorithm.name
-    assert routed.route["table_built_at"] == rewritten.built_at != live_table["table_built_at"]
 
 
 class _Counts:
@@ -203,8 +210,11 @@ class _Counts:
             self.calls[name] = 0
 
 
-@pytest.mark.parametrize("request_", [PINNED, ROUTED], ids=["pinned", "routed"])
-def test_a_warm_repeat_costs_one_stat(tmp_path, monkeypatch, request_):
+@pytest.mark.parametrize(
+    "request_, stats", [(PINNED, 1), (ROUTED, 0)], ids=["pinned", "routed"]
+)
+def test_a_warm_repeat_costs_one_stat(tmp_path, monkeypatch, request_, stats):
+    """A pinned plan is signed with its cache entry; a table has no file."""
     with PlanningService(_registry(tmp_path), num_workers=1) as service:
         for _ in range(2):  # solve it, then read it back once
             assert service.request(request_).ok
@@ -212,11 +222,15 @@ def test_a_warm_repeat_costs_one_stat(tmp_path, monkeypatch, request_):
         # As the HTTP handler does it: a new request object per message.
         warm = service.request(PlanRequest.from_json(request_.to_json()))
         assert warm.source in ("cache", "registry")
-        assert counts.calls == {"stat": 1, "open": 0, "parse_topology": 1, "full_verify": 0}
+        assert counts.calls == {
+            "stat": stats, "open": 0, "parse_topology": 1, "full_verify": 0,
+        }
         # The same object again: its topology and key are already known.
         counts.reset()
         assert service.request(request_).ok
-        assert counts.calls == {"stat": 1, "open": 0, "parse_topology": 0, "full_verify": 0}
+        assert counts.calls == {
+            "stat": stats, "open": 0, "parse_topology": 0, "full_verify": 0,
+        }
 
 
 def test_memos_are_bounded(tmp_path):
@@ -246,3 +260,63 @@ def test_memos_are_bounded(tmp_path):
                 fabric.key((root,), lambda: "key")
             assert len(fabric.keys) <= FABRIC_MEMO_ENTRIES
             assert len(board._fabrics) <= FABRIC_MEMO_ENTRIES
+
+
+def test_an_evicted_table_comes_back_without_a_solver_call(tmp_path):
+    """One table more than the memo holds: the least recently used one is
+    dropped, and its next request rebuilds it from the cache unsolved."""
+    registry = _registry(tmp_path)
+    resolver = SynthesisResolver(registry)
+    # The synchrony is part of the routing key; the sweeps share the cache.
+    tables = [
+        PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=k)
+        for k in range(TABLE_MEMO_ENTRIES + 1)
+    ]
+    first = resolver(tables[0])
+    assert first.source == "synthesized"
+    entries = registry.table_for(tables[0]).entries
+    for request in tables[1:]:
+        assert resolver(request).ok
+    assert registry.stats()["tables"] == TABLE_MEMO_ENTRIES
+    assert registry.table_for(tables[0]) is None
+    assert registry.table_for(tables[1]) is not None
+
+    calls = _solver_calls()
+    again = resolver(tables[0])
+    assert again.source == "synthesized" and _solver_calls() == calls
+    assert comparable(again) == comparable(first)
+    assert registry.table_for(tables[0]).entries == entries
+    assert resolver(tables[0]).source == "registry"
+
+
+#: The routed tables of the ``service_mix`` benchmark (k = 2, the default).
+MIX_TABLES = (
+    ("Allgather", "ring:4"), ("Allgather", "ring:6"),
+    ("Allgather", "ring:8"), ("Allreduce", "ring:6"),
+)
+
+
+def test_a_restart_rebuilds_every_table_from_the_cache(tmp_path):
+    """A service restarted over a warm cache answers each table's first
+    routed request with the entries it served before, with no solver call,
+    and writes nothing outside the cache."""
+    cache_dir = tmp_path / "algorithms"
+    requests = [PlanRequest(c, t, size_bytes=1 << 20) for c, t in MIX_TABLES]
+    with PlanningService(_registry(tmp_path), num_workers=1) as before:
+        assert all(before.request(r).source == "synthesized" for r in requests)
+        tables = [before.registry.table_for(r) for r in requests]
+    files = sorted(tmp_path.rglob("*"))
+    assert all(cache_dir in path.parents or path == cache_dir for path in files)
+
+    calls = _solver_calls()
+    with PlanningService(_registry(tmp_path), num_workers=1) as after:
+        for request, table in zip(requests, tables):
+            answer = after.request(request)
+            assert answer.source == "synthesized", request.describe()
+            rebuilt = after.registry.table_for(request)
+            assert rebuilt.entries == table.entries, request.describe()
+            assert rebuilt.plans.keys() == table.plans.keys()
+            assert answer.route["plan"] == table.route(1 << 20).plan_name
+        assert [after.request(r).source for r in requests] == ["registry"] * 4
+    assert _solver_calls() == calls
+    assert sorted(tmp_path.rglob("*")) == files

@@ -1,6 +1,5 @@
 """Resolver ladder (cache -> synthesis -> baseline) and the service facade."""
 
-import json
 import threading
 
 import pytest
@@ -19,10 +18,7 @@ from repro.topology import ring
 
 @pytest.fixture
 def registry(tmp_path):
-    return PlanRegistry(
-        cache=AlgorithmCache(tmp_path / "algorithms"),
-        routes_dir=tmp_path / "routes",
-    )
+    return PlanRegistry(cache=AlgorithmCache(tmp_path / "algorithms"))
 
 
 PINNED = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
@@ -82,14 +78,14 @@ class TestResolverLadder:
         assert response.status == "timeout"
         assert "no baseline" in response.error
 
-    def test_routed_builds_persists_and_reroutes(self, registry):
+    def test_routed_builds_memoizes_and_reroutes(self, registry):
         resolver = SynthesisResolver(registry)
         cold = resolver(ROUTED, None)
         assert cold.ok and cold.source == "synthesized"
         assert cold.route is not None
         warm = resolver(ROUTED, None)
         assert warm.ok and warm.source == "registry"
-        # A different size reuses the same persisted table: no new solve.
+        # A different size reuses the same memoized table: no new solve.
         other = resolver(
             PlanRequest("Allgather", "ring:4", size_bytes=1 << 10, synchrony=1), None
         )
@@ -112,7 +108,7 @@ class TestResolverLadder:
         resolver = SynthesisResolver(registry)
         assert resolver(older, None).source == "synthesized"
         assert resolver(current, None).source == "registry"
-        assert resolver.stats()["solves"] == 1 and len(registry.tables()) == 1
+        assert resolver.stats()["solves"] == 1 and registry.stats()["tables"] == 1
 
     def test_combining_pinned_request_is_a_clean_error(self, registry):
         resolver = SynthesisResolver(registry)
@@ -148,8 +144,7 @@ class TestResolverLadder:
         response = SynthesisResolver(registry)(request, None)
         assert response.ok and response.source == "synthesized"
         assert response.route["signature"] == [2, 3, 5]
-        (path,) = registry.tables()
-        assert sorted(json.loads(path.read_text())["plans"]) == ["allgather_ring6_c2_s3_r5"]
+        assert sorted(registry.table_for(request).plans) == ["allgather_ring6_c2_s3_r5"]
 
     def test_routed_combining_collective_works(self, registry):
         # Routed mode goes through pareto_synthesize, which handles the
@@ -192,7 +187,7 @@ class TestRoutedBuildCoalescing:
 
         assert all(r is not None and r.ok for r in responses)
         assert resolver.stats()["solves"] == 1  # one pareto sweep for all sizes
-        assert len(registry.tables()) == 1
+        assert registry.stats()["tables"] == 1
 
 
 class TestBaselines:

@@ -40,14 +40,6 @@ def test_negative_var_allocation_rejected():
         cnf.new_vars(-1)
 
 
-def test_len_and_iteration():
-    cnf = CNF()
-    for clause in ([1, 2], [-2, 3]):
-        cnf.add_clause(clause)
-    assert len(cnf) == 2
-    assert list(cnf) == [[1, 2], [-2, 3]]
-
-
 def test_add_clause_fast_skips_normalization_scans():
     """The pre-normalized fast path appends verbatim: no tautology drop, no
     dedup, no variable bookkeeping — the caller owns those guarantees."""

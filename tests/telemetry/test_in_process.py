@@ -97,10 +97,7 @@ def test_a_pareto_run_writes_nothing(sandbox, metrics, strategy):
 # Service resolutions
 # ----------------------------------------------------------------------
 def _registry(sandbox):
-    return PlanRegistry(
-        cache=AlgorithmCache(sandbox / "work" / "algorithms"),
-        routes_dir=sandbox / "work" / "routes",
-    )
+    return PlanRegistry(cache=AlgorithmCache(sandbox / "work" / "algorithms"))
 
 
 def test_each_resolution_is_one_latency_sample_labelled_by_rung(sandbox, metrics):
