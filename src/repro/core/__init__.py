@@ -5,8 +5,8 @@ Public surface:
 * :func:`~repro.core.instance.make_instance` / :class:`~repro.core.instance.SynCollInstance`
 * :func:`~repro.core.synthesizer.synthesize` / :func:`~repro.core.synthesizer.synthesize_collective`
   (always the pruned :class:`~repro.core.encoding.ScclEncoding`), and
-  :func:`~repro.core.synthesizer.solve_encoding` for the reference formulas
-  (:class:`~repro.core.encoding.NaiveEncoding`, unpruned ``ScclEncoding``)
+  :func:`~repro.core.synthesizer.solve_encoding` for a formula no probe
+  solves (the unpruned ``ScclEncoding``)
 * :func:`~repro.core.pareto.pareto_synthesize` (Algorithm 1)
 * :func:`~repro.core.combining.invert_algorithm`,
   :func:`~repro.core.combining.allreduce_from_allgather`,
@@ -54,7 +54,6 @@ from .cost import (
 from .encoding import (
     EncodingError,
     EncodingStats,
-    NaiveEncoding,
     PrefixAnalysis,
     ScclEncoding,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "EncodingError",
     "EncodingStats",
     "InstanceError",
-    "NaiveEncoding",
     "PrefixAnalysis",
     "ParetoError",
     "ParetoFrontier",

@@ -1,41 +1,33 @@
 """SMT encoding of the SynColl synthesis problem (Section 3.4).
 
-Two encodings are provided:
+:class:`ScclEncoding` is the paper's scalable encoding.  It splits the send
+set ``T`` into per-(chunk, node) arrival *times* and step-less send
+Booleans, exactly as described in Section 3.4:
 
-* :class:`ScclEncoding` — the paper's scalable encoding.  It splits the
-  send set ``T`` into per-(chunk, node) arrival *times* and step-less send
-  Booleans, exactly as described in Section 3.4:
+- ``time[c, n]`` — an order-encoded integer giving the earliest step at
+  which chunk ``c`` is available on node ``n``.  ``S+1`` means "never
+  within this algorithm"; the domain is only what the instance leaves
+  open — the constant 0 on a precondition node, otherwise from the
+  chunk's graph distance up to ``S`` where an unconditional
+  postcondition owes the chunk and ``S+1`` elsewhere,
+- ``snd[n, c, n']`` — a Boolean saying node ``n`` sends chunk ``c`` to
+  ``n'`` at some step,
+- ``r[s]`` — the number of rounds performed in step ``s``.
 
-  - ``time[c, n]`` — an order-encoded integer giving the earliest step at
-    which chunk ``c`` is available on node ``n``.  ``S+1`` means "never
-    within this algorithm"; the domain is only what the instance leaves
-    open — the constant 0 on a precondition node, otherwise from the
-    chunk's graph distance up to ``S`` where an unconditional
-    postcondition owes the chunk and ``S+1`` elsewhere,
-  - ``snd[n, c, n']`` — a Boolean saying node ``n`` sends chunk ``c`` to
-    ``n'`` at some step,
-  - ``r[s]`` — the number of rounds performed in step ``s``.
+Constraints C1–C6 from the paper are asserted over these variables;
+comparisons the domains already decide never become clauses.  Two
+redundant parts prune the search: an instance a single node's in- or
+out-cut refutes (more chunks must cross than ``capacity × R``) is
+answered with the empty clause and a :class:`~repro.core.bounds.Cut`
+witness — before any distance table is built — and interchangeable
+chunks (same pre- and post-condition nodes) arrive in id order at one
+node that owes them.  The
+role Z3's theory of linear integer arithmetic plays in the paper is
+played here by the order encoding plus cardinality/totalizer encoders
+(:mod:`repro.solver.encoders`), which is an exact finite-domain
+compilation of the same constraints.
 
-  Constraints C1–C6 from the paper are asserted over these variables;
-  comparisons the domains already decide never become clauses.  Two
-  redundant parts prune the search: an instance a single node's in- or
-  out-cut refutes (more chunks must cross than ``capacity × R``) is
-  answered with the empty clause and a :class:`~repro.core.bounds.Cut`
-  witness — before any distance table is built — and interchangeable
-  chunks (same pre- and post-condition nodes) arrive in id order at one
-  node that owes them.  The
-  role Z3's theory of linear integer arithmetic plays in the paper is
-  played here by the order encoding plus cardinality/totalizer encoders
-  (:mod:`repro.solver.encoders`), which is an exact finite-domain
-  compilation of the same constraints.
-
-* :class:`NaiveEncoding` — the "Boolean variable for every tuple
-  ``(c, n, n', s)``" encoding the paper reports as not scaling
-  (Section 5.4.3).  It is retained for the encoding ablation benchmark and,
-  having none of the pruning above, as the oracle the tests compare
-  :class:`ScclEncoding`'s verdicts against.
-
-Both encodings write CNF directly: each owns a
+The encoding writes CNF directly: it owns a
 :class:`~repro.solver.cnf.CNF` (``.cnf``) whose first variable is an
 always-true literal, builds bounded integers and cardinality constraints
 with :class:`~repro.solver.intvar.IntVar` and :mod:`repro.solver.encoders`,
@@ -48,7 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..collectives import get_collective
 from ..solver import CNF, IntVar, encoders, unary_sum_equals
@@ -165,10 +157,9 @@ class EncodingStats:
 
     variables: int = 0
     clauses: int = 0
-    #: Send Booleans (``NaiveEncoding``: one per send and step).
+    #: Send Booleans.
     send_vars: int = 0
-    #: Order-encoded ``time[c, n]`` IntVars, one per (chunk, node)
-    #: (``NaiveEncoding``: its presence Booleans).
+    #: Order-encoded ``time[c, n]`` IntVars, one per (chunk, node).
     time_vars: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -796,165 +787,3 @@ class ScclEncoding:
         # (nothing in C1-C6 forbids them); strip them for clean schedules.
         return algorithm.pruned()
 
-
-class NaiveEncoding:
-    """The direct encoding with one Boolean per tuple ``(c, n, n', s)``.
-
-    Kept for the Section 5.4.3 ablation: it produces many more variables
-    and scales poorly compared to :class:`ScclEncoding`.
-    """
-
-    #: The naive formula refutes nothing by arithmetic (no cut check).
-    cut_witness: Optional[Cut] = None
-
-    def __init__(self, instance: SynCollInstance) -> None:
-        self.instance = instance
-        self.cnf, self.true_lit = _new_formula()
-        self.send_step_vars: Dict[Tuple[int, int, int, int], int] = {}
-        self.present_vars: Dict[Tuple[int, int, int], int] = {}
-        self.round_vars: List[IntVar] = []
-        self.stats = EncodingStats()
-        self._encoded = False
-
-    def encode(self) -> "NaiveEncoding":
-        """Build the formula into :attr:`cnf` (once) and return the encoder."""
-        if self._encoded:
-            return self
-        instance = self.instance
-        cnf = self.cnf
-        S = instance.steps
-        R = instance.rounds
-        G = instance.num_chunks
-        topology = instance.topology
-        links = sorted(topology.links())
-
-        # present[c, n, t]: chunk c is available on node n before step t executes.
-        for chunk in range(G):
-            for node in topology.nodes():
-                for t in range(S + 1):
-                    self.present_vars[(chunk, node, t)] = cnf.new_var()
-        # x[c, src, dst, s]: chunk c is sent over (src, dst) at step s.
-        for chunk in range(G):
-            for (src, dst) in links:
-                for s in range(S):
-                    self.send_step_vars[(chunk, src, dst, s)] = cnf.new_var()
-        min_rounds = 1 if R >= S else 0
-        for s in range(S):
-            self.round_vars.append(IntVar(
-                cnf, min_rounds, R - (S - 1) * min_rounds, self.true_lit,
-                name=f"rounds_{s}",
-            ))
-
-        # Initial state = precondition.
-        for chunk in range(G):
-            for node in topology.nodes():
-                lit = self.present_vars[(chunk, node, 0)]
-                if (chunk, node) in instance.precondition:
-                    cnf.add_clause([lit])
-                else:
-                    cnf.add_clause([-lit])
-
-        # Transition: present at t+1 iff present at t or received at step t.
-        for chunk in range(G):
-            for node in topology.nodes():
-                incoming_links = [
-                    (src, node) for src in topology.in_neighbors(node)
-                ]
-                for t in range(S):
-                    now = self.present_vars[(chunk, node, t)]
-                    nxt = self.present_vars[(chunk, node, t + 1)]
-                    received = [
-                        self.send_step_vars[(chunk, src, dst, t)]
-                        for (src, dst) in incoming_links
-                    ]
-                    # now -> nxt
-                    cnf.add_clause([-now, nxt])
-                    # received -> nxt
-                    for lit in received:
-                        cnf.add_clause([-lit, nxt])
-                    # nxt -> now or received
-                    cnf.add_clause([-nxt, now] + received)
-
-        # A send requires the chunk at the source beforehand.
-        for (chunk, src, dst, s), lit in self.send_step_vars.items():
-            cnf.add_clause([-lit, self.present_vars[(chunk, src, s)]])
-
-        # Bandwidth per step and constraint.
-        for constraint in topology.constraints:
-            b = constraint.bandwidth
-            for s in range(S):
-                terms = [
-                    self.send_step_vars[(chunk, src, dst, s)]
-                    for chunk in range(G)
-                    for (src, dst) in constraint.links
-                ]
-                if not terms:
-                    continue
-                r_s = self.round_vars[s]
-                if r_s.lo == r_s.hi:
-                    encoders.at_most_k(cnf, terms, b * r_s.lo)
-                    continue
-                bound = min(len(terms), b * r_s.hi + 1)
-                outputs = encoders.totalizer(cnf, terms, bound=bound)
-                for j in range(0, r_s.hi + 1):
-                    threshold = b * j + 1
-                    if threshold <= len(outputs):
-                        cnf.add_clause([-outputs[threshold - 1], r_s.ge_lit(j + 1)])
-
-        # Postcondition.
-        for (chunk, node) in instance.postcondition:
-            cnf.add_clause([self.present_vars[(chunk, node, S)]])
-
-        # Total rounds.
-        unary_sum_equals(cnf, self.round_vars, R)
-
-        self.stats.variables = cnf.num_vars
-        self.stats.clauses = cnf.num_clauses
-        self.stats.send_vars = len(self.send_step_vars)
-        self.stats.time_vars = len(self.present_vars)
-        self._encoded = True
-        return self
-
-    def decode(self, model: Dict[int, bool], name: Optional[str] = None) -> Algorithm:
-        if not self._encoded:
-            raise EncodingError("encode() must be called before decode()")
-        instance = self.instance
-        S = instance.steps
-        rounds = [rv.value(model) for rv in self.round_vars]
-        sends_by_step: List[List[Send]] = [[] for _ in range(S)]
-        # Only keep sends that deliver the chunk for the first time, mirroring
-        # the unique-reception property of the SCCL encoding.
-        delivered: Set[Tuple[int, int]] = {
-            (chunk, node) for (chunk, node) in instance.precondition
-        }
-        for s in range(S):
-            arrivals: Dict[Tuple[int, int], Tuple[int, int]] = {}
-            for (chunk, src, dst, step), lit in self.send_step_vars.items():
-                if step != s or not model.get(lit, False):
-                    continue
-                if (chunk, dst) in delivered or (chunk, dst) in arrivals:
-                    continue
-                arrivals[(chunk, dst)] = (src, dst)
-            for (chunk, dst), (src, _) in arrivals.items():
-                sends_by_step[s].append(Send(chunk=chunk, src=src, dst=dst))
-                delivered.add((chunk, dst))
-        steps = [
-            Step(rounds=rounds[s], sends=tuple(sorted(
-                sends_by_step[s], key=lambda x: (x.src, x.dst, x.chunk)
-            )))
-            for s in range(S)
-        ]
-        return Algorithm(
-            name=name
-            or f"{instance.collective.lower()}_{instance.topology.name}_naive"
-            f"_c{instance.chunks_per_node}_s{S}_r{instance.rounds}",
-            collective=instance.collective,
-            topology=instance.topology,
-            chunks_per_node=instance.chunks_per_node,
-            num_chunks=instance.num_chunks,
-            precondition=instance.precondition,
-            postcondition=instance.postcondition,
-            steps=steps,
-            combining=False,
-            metadata={"encoding": "naive", "instance": instance.describe()},
-        )

@@ -200,9 +200,8 @@ def solve_encoding(
     """Encode, solve, decode and verify one formula, uncached and uncounted.
 
     Every probe's formula is the pruned :class:`ScclEncoding`
-    (:func:`_probe`).  The oracle tests and the Section 5.4.3 ablation
-    also hand in :class:`~repro.core.encoding.NaiveEncoding` and
-    ``ScclEncoding(instance, prune=False)``, the formulas no probe solves.
+    (:func:`_probe`).  The differential tests also hand in
+    ``ScclEncoding(instance, prune=False)``, the formula no probe solves.
     """
     from ..engine.backends import CdclHandle, get_backend
 

@@ -242,11 +242,13 @@ class PlanRegistry:
     replaced, rewritten, touched or removed goes through the full
     read-and-verify path again, so edited bytes are never served from
     memory.  Routing tables (at most :data:`TABLE_MEMO_ENTRIES`) live in
-    memory only, keyed by :func:`routing_key`; a lookup is a dict probe,
-    and a miss is answered by the resolver's build, which on a warm cache
-    replays the frontier with no solver call (:meth:`install_table` puts
-    the result in).  ``*_json`` lookups hand out the wire form the service
-    sends; their plain namesakes decode it into an :class:`AlgorithmPlan`.
+    memory only, keyed by :func:`routing_key` and the topology's name, as
+    pinned plans are (a table's plans embed their fabric); a lookup is a
+    dict probe, and a miss is answered by the resolver's build, which on a
+    warm cache replays the frontier with no solver call
+    (:meth:`install_table` puts the result in).  ``*_json`` lookups hand out
+    the wire form the service sends; their plain namesakes decode it into
+    an :class:`AlgorithmPlan`.
 
     ``routes_dir`` is accepted and ignored: routing tables live only in memory.
     """
@@ -258,10 +260,10 @@ class PlanRegistry:
     ) -> None:
         self.cache = cache if cache is not None else default_cache()
         self._lock = threading.Lock()
-        # Both in least-recently-used order: built tables by routing key, and
-        # pinned plans in wire form by (cache key, topology name), signed
-        # with the entry file's (mtime_ns, size, inode).
-        self._tables: Dict[str, RoutingTable] = {}
+        # Both in least-recently-used order: built tables by (routing key,
+        # topology name), and pinned plans in wire form by (cache key,
+        # topology name), signed with the entry file's (mtime_ns, size, inode).
+        self._tables: Dict[Tuple[str, str], RoutingTable] = {}
         self._pinned: Dict[Tuple[str, str], Tuple[Tuple[int, int, int], dict]] = {}
         self.route_hits = 0
         self.route_misses = 0
@@ -375,12 +377,11 @@ class PlanRegistry:
     ) -> Optional[RoutingTable]:
         """The memoized table, or None; ``key`` is the request's
         :meth:`table_key` when already computed."""
-        if key is None:
-            key = self.table_key(request, topology=topology)
+        memo_key = self._table_memo_key(request, topology, key)
         with self._lock:
-            table = self._tables.pop(key, None)
+            table = self._tables.pop(memo_key, None)
             if table is not None:
-                self._tables[key] = table  # back in, as the most recently used
+                self._tables[memo_key] = table  # back in, as the most recently used
                 self.warm_hits += 1
         return table
 
@@ -423,15 +424,28 @@ class PlanRegistry:
         topology: Optional[Topology] = None,
         key: Optional[str] = None,
     ) -> str:
-        """Memoize a built table as the most recently used; returns its key."""
-        if key is None:
-            key = self.table_key(request, topology=topology)
+        """Memoize a built table as the most recently used; returns its
+        routing key."""
+        memo_key = self._table_memo_key(request, topology, key)
         with self._lock:
-            self._tables.pop(key, None)
+            self._tables.pop(memo_key, None)
             if len(self._tables) >= TABLE_MEMO_ENTRIES:
                 del self._tables[next(iter(self._tables))]
-            self._tables[key] = table
-        return key
+            self._tables[memo_key] = table
+        return memo_key[0]
+
+    def _table_memo_key(
+        self, request: PlanRequest, topology: Optional[Topology], key: Optional[str]
+    ) -> Tuple[str, str]:
+        """``(routing key, topology name)``: the routing key is structural,
+        so fabrics of equal structure and costs share it (``ring:3`` and
+        ``fc:3``), but the table's plans embed the fabric they were built
+        for."""
+        if topology is None:
+            topology = request.resolve_topology()
+        if key is None:
+            key = self.table_key(request, topology=topology)
+        return key, topology.name
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:

@@ -264,7 +264,7 @@ class SynthesisResolver:
         )
 
         def routed_answer() -> Optional[PlanResponse]:
-            routed = self.registry.route_json(request, key=table_key)
+            routed = self.registry.route_json(request, topology=topology, key=table_key)
             if routed is None:
                 return None
             plan, entry, table = routed
@@ -308,7 +308,7 @@ class SynthesisResolver:
                     started=started,
                     topology=topology,
                 )
-            self.registry.install_table(request, table, key=table_key)
+            self.registry.install_table(request, table, topology=topology, key=table_key)
         entry = table.route(float(request.size_bytes))
         if entry is None:  # pragma: no cover - tables tile [0, inf)
             self._rung("baseline")

@@ -3,11 +3,11 @@
 ``test_encoding_budget.py`` and the CI formula gate count variables and
 clauses; this file pins the formulas themselves: the sha256 of
 ``(num_vars, clauses)`` — every literal of every clause, in order — for
-plain, refuted and family ``ScclEncoding`` formulas, one
-``NaiveEncoding`` and the cardinality encoders on fixed inputs.  A change
-meant to make emission cheaper must leave every digest here as it is;
-one that is meant to change the formula re-records them
-(``PYTHONPATH=src python tests/core/test_encoding_digest.py``) and says
+plain, refuted and family ``ScclEncoding`` formulas and the cardinality
+encoders on fixed inputs.  A change meant to make emission cheaper must
+leave every digest here as it is; one that is meant to change the formula
+re-records them
+(``PYTHONPATH=src:tests/oracle python tests/core/test_encoding_digest.py``) and says
 why.
 
 Every formula must also reach the solver whole: ``CNF.hand_over()`` is 0
@@ -25,14 +25,14 @@ from hypothesis import given, settings, strategies as st
 from test_encoding_oracle import COLLECTIVES, topologies
 
 from repro.collectives import get_collective
-from repro.core import NaiveEncoding, ScclEncoding, make_instance
+from repro.core import ScclEncoding, make_instance
 from repro.core import encoding as encoding_module
 from repro.core.encoding import EncodingError, PrefixAnalysis
 from repro.solver import CNF, encoders
 from repro.solver.intvar import IntVar, unary_sum_equals
 from repro.topology import amd_z52, dgx1, line, ring, shortest_path_lengths
 
-TOPOLOGIES = {"dgx1": dgx1, "amd_z52": amd_z52, "ring4": lambda: ring(4)}
+TOPOLOGIES = {"dgx1": dgx1, "amd_z52": amd_z52}
 
 
 def digest(cnf):
@@ -56,10 +56,6 @@ def family(row, rounds_budget):
     cnf = encoder.encode().cnf
     assert cnf.hand_over() == 0
     return cnf
-
-
-def naive(row):
-    return NaiveEncoding(instance(*row)).encode().cnf
 
 
 def fresh(count):
@@ -115,7 +111,6 @@ CASES = {
         lambda: family(("Allgather", "dgx1", 3, 3, 3), rounds_budget=4), "1faec18a44bb130e"),
     "family-bc-amd": (
         lambda: family(("Broadcast", "amd_z52", 4, 5, 5), rounds_budget=6), "7e0d09db37a49c36"),
-    "naive-ag-ring4": (lambda: naive(("Allgather", "ring4", 1, 2, 3)), "23624d33880845f1"),
     # The encoders on fixed inputs.
     "totalizer-bound-4": (totalizer_case, "2776c46d6f0d9935"),
     "commander-amo-9": (commander_case, "7eea7cfdfa6f8e64"),

@@ -8,7 +8,6 @@ plus the cheap DGX-1 latency-optimal points) to run in seconds.
 import pytest
 
 from repro.core import (
-    NaiveEncoding,
     ScclEncoding,
     make_instance,
     solve_encoding,
@@ -179,38 +178,6 @@ class TestArithmeticVerdicts:
             encoder = ScclEncoding(instance, **kwargs)
             encoder.encode()
             assert encoder.cut_witness is None and encoder.stats.clauses > 2
-
-    def test_naive_encoding_has_no_arithmetic(self):
-        result = solve_encoding(NaiveEncoding(make_instance("Scatter", dgx1(), 2, 2, 2)))
-        assert result.is_unsat and result.provenance == "solved" and result.witness is None
-
-
-class TestNaiveEncodingAblation:
-    """The Section 5.4.3 ablation encoding must agree with the main encoding."""
-
-    @pytest.mark.parametrize(
-        "collective,topo,chunks,steps,rounds,expected_sat",
-        [
-            ("Allgather", ring(4), 1, 2, 3, True),
-            ("Allgather", ring(4), 1, 1, 1, False),
-            ("Broadcast", star(5), 1, 1, 1, True),
-            ("Gather", ring(4), 1, 2, 3, True),
-            ("Broadcast", line(4), 1, 2, 2, False),
-        ],
-    )
-    def test_agreement_with_sccl_encoding(self, collective, topo, chunks, steps, rounds, expected_sat):
-        instance = make_instance(collective, topo, chunks, steps, rounds, root=0)
-        naive = solve_encoding(NaiveEncoding(instance))  # decoded and verified
-        sccl = synthesize(instance)
-        assert naive.is_sat == sccl.is_sat == expected_sat
-
-    def test_naive_encoding_is_larger(self):
-        instance = make_instance("Allgather", ring(6), 1, 3, 3)
-        naive = NaiveEncoding(instance)
-        naive.encode()
-        sccl = ScclEncoding(instance)
-        sccl.encode()
-        assert naive.stats.variables > sccl.stats.variables
 
 
 class TestNoFormulaOption:

@@ -289,6 +289,29 @@ def test_an_evicted_table_comes_back_without_a_solver_call(tmp_path):
     assert resolver(tables[0]).source == "registry"
 
 
+def test_fabrics_of_one_structure_keep_their_own_tables(tmp_path):
+    """``ring:3`` and ``fc:3`` are one structure, so one routing key, but a
+    routed plan embeds its fabric: ``fc:3`` after ``ring:3`` is built from
+    the cache entries the first sweep left, with no solver call, and each
+    fabric is then answered from its own table under its own name."""
+    resolver = SynthesisResolver(_registry(tmp_path))
+    ring3 = PlanRequest("Allgather", "ring:3", size_bytes=1 << 20)
+    fc3 = PlanRequest("Allgather", "fc:3", size_bytes=1 << 20)
+    assert resolver.registry.table_key(ring3) == resolver.registry.table_key(fc3)
+
+    first = resolver(ring3)
+    assert first.source == "synthesized"
+    assert first.plan["algorithm"]["topology"]["name"] == "ring3"
+    calls = _solver_calls()
+    second = resolver(fc3)
+    assert second.source == "synthesized" and _solver_calls() == calls
+    assert second.plan["algorithm"]["topology"]["name"] == "fc3"
+    for request, name in ((ring3, "ring3"), (fc3, "fc3")):
+        warm = resolver(request)
+        assert warm.source == "registry"
+        assert warm.plan["algorithm"]["topology"]["name"] == name
+
+
 #: The routed tables of the ``service_mix`` benchmark (k = 2, the default).
 MIX_TABLES = (
     ("Allgather", "ring:4"), ("Allgather", "ring:6"),

@@ -13,7 +13,7 @@ copying path.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import NaiveEncoding, ScclEncoding, make_instance
+from repro.core import ScclEncoding, make_instance
 from repro.engine import get_backend
 from repro.solver import CNF, SATSolver, SolveResult, encoders
 from repro.topology import Topology, ring
@@ -50,7 +50,6 @@ ENCODERS = {
     "family": lambda instance: ScclEncoding(
         instance, rounds_budget=instance.rounds + 1, chunk_selector=True
     ),
-    "naive": lambda instance: NaiveEncoding(instance),
 }
 
 
@@ -232,7 +231,7 @@ def test_a_formula_loaded_again_returns_the_same_verdicts():
         assert load(cnf).solve([a]) is SolveResult.UNSAT
     assert same_formula(cnf, written)
 
-    encoder = NaiveEncoding(make_instance("Allgather", ring(4), 1, 2, 3)).encode()
+    encoder = ScclEncoding(make_instance("Allgather", ring(4), 1, 2, 3)).encode()
     first, second = load(encoder.cnf), load(encoder.cnf)
     assert first.solve() is second.solve() is SolveResult.SAT
     encoder.decode(second.model()).verify()
