@@ -11,7 +11,6 @@ from .nccl import (
     nccl_table3,
     rccl_allgather,
     rccl_allreduce,
-    rccl_baseline,
 )
 from .pipelined import pipelined_broadcast, pipelined_reduce
 from .suite import BaselineAlgorithm, baseline_suite
@@ -42,7 +41,6 @@ __all__ = [
     "pipelined_reduce",
     "rccl_allgather",
     "rccl_allreduce",
-    "rccl_baseline",
     "ring_allgather",
     "ring_allreduce",
     "ring_reduce_scatter",

@@ -19,7 +19,7 @@ exactly like SCCL's synthesized algorithms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.algorithm import Algorithm
 from ..topology import Topology, amd_z52, amd_z52_ring_order, dgx1, dgx1_logical_rings
@@ -119,16 +119,4 @@ def nccl_baseline(collective: str, topology: Optional[Topology] = None, multipli
             f"NCCL has no baseline for {collective!r}; it does not implement "
             f"Alltoall, Gather or Scatter (Section 5.4.2)"
         )
-    return builders[key]()
-
-
-def rccl_baseline(collective: str, topology: Optional[Topology] = None) -> Algorithm:
-    """Look up the RCCL baseline algorithm for a collective on the Gigabyte Z52."""
-    builders = {
-        "allgather": lambda: rccl_allgather(topology),
-        "allreduce": lambda: rccl_allreduce(topology),
-    }
-    key = collective.lower()
-    if key not in builders:
-        raise KeyError(f"RCCL baseline for {collective!r} is not modeled")
     return builders[key]()

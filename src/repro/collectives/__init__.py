@@ -4,10 +4,6 @@ from .relations import (
     Placement,
     RelationError,
     all_nodes,
-    chunk_count,
-    chunks_at,
-    is_function_of_chunk,
-    nodes_with,
     root,
     scattered,
     transpose,
@@ -16,9 +12,7 @@ from .spec import (
     COLLECTIVES,
     CollectiveError,
     CollectiveSpec,
-    combining_collectives,
     get_collective,
-    non_combining_collectives,
 )
 
 __all__ = [
@@ -28,13 +22,7 @@ __all__ = [
     "Placement",
     "RelationError",
     "all_nodes",
-    "chunk_count",
-    "chunks_at",
-    "combining_collectives",
     "get_collective",
-    "is_function_of_chunk",
-    "nodes_with",
-    "non_combining_collectives",
     "root",
     "scattered",
     "transpose",

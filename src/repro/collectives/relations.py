@@ -20,7 +20,7 @@ can be used directly as pre/post conditions of
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Tuple
 
 Placement = FrozenSet[Tuple[int, int]]
 
@@ -79,33 +79,3 @@ RELATION_BUILDERS: Dict[str, Callable[..., Placement]] = {
     "Scattered": scattered,
     "Transpose": transpose,
 }
-
-
-def chunks_at(relation: Placement, node: int) -> Set[int]:
-    """The set of chunks a relation places on ``node``."""
-    return {c for (c, n) in relation if n == node}
-
-
-def nodes_with(relation: Placement, chunk: int) -> Set[int]:
-    """The set of nodes a relation places ``chunk`` on."""
-    return {n for (c, n) in relation if c == chunk}
-
-
-def chunk_count(relation: Placement) -> int:
-    """Number of distinct chunks mentioned by the relation."""
-    return len({c for (c, _) in relation})
-
-
-def is_function_of_chunk(relation: Placement) -> bool:
-    """True when every chunk maps to exactly one node (single-root-per-chunk).
-
-    This is the pre-requisite for the combining-collective inversion of
-    Section 3.5 (Reduce, Reducescatter and Gather-style outputs satisfy it;
-    Allreduce does not).
-    """
-    seen: Dict[int, int] = {}
-    for (c, n) in relation:
-        if c in seen and seen[c] != n:
-            return False
-        seen[c] = n
-    return True

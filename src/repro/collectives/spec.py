@@ -30,7 +30,7 @@ multiple of ``P``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import relations
 from .relations import Placement
@@ -85,27 +85,6 @@ class CollectiveSpec:
             # Allgather's chunks; each node contributes P * C chunks.
             return num_nodes * chunks_per_node
         raise CollectiveError(f"unknown collective {self.name!r}")
-
-    def per_node_chunks(self, num_nodes: int, global_chunks: int) -> int:
-        """Inverse of :meth:`global_chunks` (exact division enforced)."""
-        if self.name in ("Broadcast", "Reduce"):
-            return global_chunks
-        divisor = {
-            "Allgather": num_nodes,
-            "Gather": num_nodes,
-            "Scatter": num_nodes,
-            "Reducescatter": num_nodes,
-            "Allreduce": num_nodes,
-            "Alltoall": num_nodes,
-        }.get(self.name)
-        if divisor is None:
-            raise CollectiveError(f"unknown collective {self.name!r}")
-        if global_chunks % divisor:
-            raise CollectiveError(
-                f"{self.name}: global chunk count {global_chunks} is not a "
-                f"multiple of {divisor}"
-            )
-        return global_chunks // divisor
 
     # ------------------------------------------------------------------
     # Placements
@@ -216,11 +195,3 @@ def get_collective(name: str) -> CollectiveSpec:
     raise CollectiveError(
         f"unknown collective {name!r}; known: {sorted(COLLECTIVES)}"
     )
-
-
-def non_combining_collectives() -> List[CollectiveSpec]:
-    return [spec for spec in COLLECTIVES.values() if not spec.combining]
-
-
-def combining_collectives() -> List[CollectiveSpec]:
-    return [spec for spec in COLLECTIVES.values() if spec.combining]

@@ -3,16 +3,13 @@
 Public surface:
 
 * :func:`~repro.core.instance.make_instance` / :class:`~repro.core.instance.SynCollInstance`
-* :func:`~repro.core.synthesizer.synthesize` / :func:`~repro.core.synthesizer.synthesize_collective`
+* :func:`~repro.core.synthesizer.synthesize`
   (always the pruned :class:`~repro.core.encoding.ScclEncoding`), and
   :func:`~repro.core.synthesizer.solve_encoding` for a formula no probe
   solves (the unpruned ``ScclEncoding``)
 * :func:`~repro.core.pareto.pareto_synthesize` (Algorithm 1)
 * :func:`~repro.core.combining.invert_algorithm`,
-  :func:`~repro.core.combining.allreduce_from_allgather`,
-  :func:`~repro.core.combining.synthesize_allreduce`,
-  :func:`~repro.core.combining.synthesize_reduce`,
-  :func:`~repro.core.combining.synthesize_reducescatter`
+  :func:`~repro.core.combining.allreduce_from_allgather`
 * :class:`~repro.core.algorithm.Algorithm` and the cost-model helpers in
   :mod:`repro.core.cost` / :mod:`repro.core.bounds`.
 
@@ -36,20 +33,13 @@ from .combining import (
     CombiningError,
     allreduce_from_allgather,
     invert_algorithm,
-    synthesize_allreduce,
-    synthesize_reduce,
-    synthesize_reducescatter,
 )
 from .cost import (
     CostError,
     CostPoint,
     algorithm_cost,
-    best_algorithm_for_size,
     cost_point,
-    crossover_size,
     is_pareto_optimal,
-    pareto_frontier,
-    speedup,
 )
 from .encoding import (
     EncodingError,
@@ -70,7 +60,6 @@ from .synthesizer import (
     SynthesisResult,
     solve_encoding,
     synthesize,
-    synthesize_collective,
 )
 
 __all__ = [
@@ -97,23 +86,15 @@ __all__ = [
     "algorithm_cost",
     "allreduce_from_allgather",
     "bandwidth_lower_bound",
-    "best_algorithm_for_size",
     "candidate_set",
     "cost_point",
-    "crossover_size",
     "invert_algorithm",
     "is_pareto_optimal",
     "iter_cuts",
     "latency_lower_bound",
     "lower_bounds",
     "make_instance",
-    "pareto_frontier",
     "pareto_synthesize",
     "solve_encoding",
-    "speedup",
     "synthesize",
-    "synthesize_allreduce",
-    "synthesize_collective",
-    "synthesize_reduce",
-    "synthesize_reducescatter",
 ]

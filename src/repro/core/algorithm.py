@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..collectives import Placement
 from ..topology import Topology
@@ -78,9 +78,6 @@ class Step:
     @property
     def num_sends(self) -> int:
         return len(self.sends)
-
-    def sends_on_link(self, src: int, dst: int) -> List[Send]:
-        return [s for s in self.sends if s.src == src and s.dst == dst]
 
 
 # Contribution state: which original inputs are folded into each buffer.
@@ -146,15 +143,6 @@ class Algorithm:
     def bandwidth_cost(self) -> Fraction:
         """The bandwidth cost R / C."""
         return Fraction(self.total_rounds, self.chunks_per_node)
-
-    @property
-    def rounds_per_step(self) -> List[int]:
-        """The sequence Q of the candidate solution."""
-        return [step.rounds for step in self.steps]
-
-    @property
-    def total_sends(self) -> int:
-        return sum(step.num_sends for step in self.steps)
 
     @property
     def synchrony(self) -> int:
@@ -340,14 +328,6 @@ class Algorithm:
             full.setdefault(chunk, set()).add(node)
         return {chunk: frozenset(nodes) for chunk, nodes in full.items()}
 
-    def is_valid(self) -> bool:
-        """Boolean form of :meth:`verify`."""
-        try:
-            self.verify()
-            return True
-        except AlgorithmError:
-            return False
-
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
@@ -387,43 +367,6 @@ class Algorithm:
             for i, step in enumerate(self.steps)
         ]
         return replace(self, steps=new_steps)
-
-    def all_sends(self) -> List[Tuple[int, Send]]:
-        """All sends as (step_index, send) pairs."""
-        return [(i, send) for i, step in enumerate(self.steps) for send in step.sends]
-
-    def sends_per_link(self) -> Dict[Tuple[int, int], int]:
-        counts: Dict[Tuple[int, int], int] = {}
-        for _, send in self.all_sends():
-            counts[(send.src, send.dst)] = counts.get((send.src, send.dst), 0) + 1
-        return counts
-
-    def concatenate(self, other: "Algorithm", name: Optional[str] = None) -> "Algorithm":
-        """Sequential composition: run ``self`` then ``other``.
-
-        Used to build Allreduce = Reducescatter ; Allgather.  The caller is
-        responsible for the chunk namespaces matching; the result keeps this
-        algorithm's precondition and the other's postcondition.
-        """
-        if self.topology.num_nodes != other.topology.num_nodes:
-            raise AlgorithmError("cannot concatenate algorithms over different node counts")
-        if self.num_chunks != other.num_chunks:
-            raise AlgorithmError(
-                f"cannot concatenate algorithms over different chunk counts "
-                f"({self.num_chunks} vs {other.num_chunks})"
-            )
-        return Algorithm(
-            name=name or f"{self.name}+{other.name}",
-            collective=f"{self.collective}+{other.collective}",
-            topology=self.topology,
-            chunks_per_node=self.chunks_per_node,
-            num_chunks=self.num_chunks,
-            precondition=self.precondition,
-            postcondition=other.postcondition,
-            steps=list(self.steps) + list(other.steps),
-            combining=self.combining or other.combining,
-            metadata={**self.metadata, **other.metadata},
-        )
 
     # ------------------------------------------------------------------
     # Reporting

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from ..collectives import CollectiveSpec, Placement, get_collective
 from ..topology import Topology, shortest_path_lengths
@@ -161,11 +161,11 @@ def bandwidth_lower_bound(
     precondition: Placement,
     postcondition: Placement,
     chunks_per_node: int,
-    exact_bipartition_limit: int = 10,
 ) -> Fraction:
     """Lower bound on the bandwidth cost ``R / C``.
 
-    For every considered node set ``W``: at least ``needed(W)`` chunks must
+    For every considered node set ``W`` (on up to 10 nodes, every balanced
+    bipartition besides the single-node cuts): at least ``needed(W)`` chunks must
     enter ``W`` and at most ``cap_in(W)`` chunks can enter per round, so
     ``R >= needed(W) / cap_in(W)`` and hence ``R / C >= needed(W) / (cap_in(W) * C)``.
     The ratio is invariant under scaling the per-node chunk count, so the
@@ -174,7 +174,7 @@ def bandwidth_lower_bound(
     if chunks_per_node <= 0:
         raise BoundsError("chunks_per_node must be positive")
     chunks, capacity = 0, 1  # the tightest ratio so far, compared by cross-multiplication
-    for cut in iter_cuts(topology, precondition, postcondition, exact_bipartition_limit):
+    for cut in iter_cuts(topology, precondition, postcondition, bipartition_limit=10):
         if cut.capacity == 0:
             raise BoundsError(
                 f"nodes {sorted(cut.part)} need {cut.chunks} chunks but have no incoming links"
@@ -185,28 +185,23 @@ def bandwidth_lower_bound(
 
 
 def lower_bounds(
-    collective: str,
-    topology: Topology,
-    root: int = 0,
-    reference_chunks_per_node: Optional[int] = None,
+    collective: str, topology: Topology, root: int = 0
 ) -> Tuple[int, Fraction]:
     """Compute ``(a_l, b_l)`` for a named non-combining collective.
 
-    ``reference_chunks_per_node`` picks the instance used to evaluate the
-    (granularity-invariant) bounds; it defaults to the smallest count that
-    yields a balanced instance for the collective.
+    The (granularity-invariant) bounds are evaluated on the smallest
+    balanced instance: ``C = 1``, or ``C = N`` for Alltoall, whose
+    transpose places every node's chunks evenly only at multiples of ``N``
+    (which is why Pareto-Synthesize probes Alltoall only there).
     """
     spec: CollectiveSpec = get_collective(collective)
     if spec.combining:
         raise BoundsError(
             f"{spec.name} is synthesized via {spec.inverse_of}; compute bounds for that"
         )
-    if reference_chunks_per_node is None:
-        reference_chunks_per_node = (
-            topology.num_nodes if spec.name == "Alltoall" else 1
-        )
-    pre = spec.precondition(topology.num_nodes, reference_chunks_per_node, root)
-    post = spec.postcondition(topology.num_nodes, reference_chunks_per_node, root)
+    chunks_per_node = topology.num_nodes if spec.name == "Alltoall" else 1
+    pre = spec.precondition(topology.num_nodes, chunks_per_node, root)
+    post = spec.postcondition(topology.num_nodes, chunks_per_node, root)
     a_l = latency_lower_bound(topology, pre, post)
-    b_l = bandwidth_lower_bound(topology, pre, post, reference_chunks_per_node)
+    b_l = bandwidth_lower_bound(topology, pre, post, chunks_per_node)
     return a_l, b_l

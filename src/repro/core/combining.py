@@ -16,21 +16,19 @@ set of the source algorithm forms a tree per chunk, so the inverted
 algorithm folds every node's partial into the root exactly once.
 
 On asymmetric topologies the source algorithm must be synthesized on the
-*reversed* topology so that the inverted sends travel over real links; the
-``synthesize_reduce`` / ``synthesize_reducescatter`` / ``synthesize_allreduce``
-helpers below take care of that.  All machines evaluated in the paper are
-link-symmetric, in which case reversal is a no-op.
+*reversed* topology so that the inverted sends travel over real links;
+:func:`~repro.core.pareto.pareto_synthesize` does that for Reduce and
+Reducescatter.  All machines evaluated in the paper are link-symmetric, in
+which case reversal is a no-op.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..collectives import Placement, all_nodes, get_collective
+from ..collectives import all_nodes
 from ..topology import Topology
-from .algorithm import Algorithm, AlgorithmError, Send, Step
-from .instance import make_instance
-from .synthesizer import SynthesisResult, synthesize
+from .algorithm import Algorithm, Send, Step
 
 
 class CombiningError(Exception):
@@ -162,83 +160,3 @@ def allreduce_from_allgather(
             "phase_split": rs.num_steps,
         },
     )
-
-
-# ----------------------------------------------------------------------
-# One-call synthesis helpers for combining collectives
-# ----------------------------------------------------------------------
-def synthesize_reducescatter(
-    topology: Topology,
-    chunks_per_node: int,
-    steps: int,
-    rounds: int,
-    **kwargs,
-) -> SynthesisResult:
-    """Synthesize a Reducescatter by synthesizing Allgather on the reversed
-    topology and inverting the result."""
-    return _synthesize_inverse(
-        topology, "Allgather", "Reducescatter", chunks_per_node, steps, rounds, **kwargs
-    )
-
-
-def synthesize_reduce(
-    topology: Topology,
-    chunks_per_node: int,
-    steps: int,
-    rounds: int,
-    root: int = 0,
-    **kwargs,
-) -> SynthesisResult:
-    """Synthesize a Reduce by inverting a Broadcast from the same root."""
-    return _synthesize_inverse(
-        topology, "Broadcast", "Reduce", chunks_per_node, steps, rounds, root=root, **kwargs
-    )
-
-
-def _synthesize_inverse(
-    topology: Topology,
-    source_collective: str,
-    target_collective: str,
-    chunks_per_node: int,
-    steps: int,
-    rounds: int,
-    root: int = 0,
-    **kwargs,
-) -> SynthesisResult:
-    reversed_topology = topology.reversed()
-    instance = make_instance(
-        source_collective, reversed_topology, chunks_per_node, steps, rounds, root=root
-    )
-    result = synthesize(instance, **kwargs)
-    if result.algorithm is not None:
-        inverted = invert_algorithm(
-            result.algorithm,
-            collective=target_collective,
-            target_topology=topology,
-        )
-        inverted.verify()
-        result.algorithm = inverted
-    return result
-
-
-def synthesize_allreduce(
-    topology: Topology,
-    allgather_chunks_per_node: int,
-    allgather_steps: int,
-    allgather_rounds: int,
-    **kwargs,
-) -> SynthesisResult:
-    """Synthesize an Allreduce via the Reducescatter + Allgather composition.
-
-    The reported ``(C, S, R)`` of the resulting algorithm are
-    ``(P * C_ag, 2 * S_ag, 2 * R_ag)``.
-    """
-    instance = make_instance(
-        "Allgather", topology, allgather_chunks_per_node, allgather_steps, allgather_rounds
-    )
-    result = synthesize(instance, **kwargs)
-    if result.algorithm is not None:
-        allreduce = allreduce_from_allgather(result.algorithm)
-        allreduce.verify()
-        result.algorithm = allreduce
-    return result

@@ -8,8 +8,7 @@ count ``C`` applied to an input of ``L`` bytes costs::
 ``alpha`` captures per-step fixed costs (kernel launch, synchronization)
 and ``beta`` the per-byte time of a unit-bandwidth link.  The pair
 ``(S, R/C)`` therefore fully characterizes an algorithm's cost; Pareto
-optimality, dominance, and latency/bandwidth crossover points are all
-defined on these pairs.
+optimality and dominance are defined on these pairs.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Union
 
 Number = Union[int, float, Fraction]
 
@@ -56,9 +55,6 @@ class CostPoint:
     latency: int
     bandwidth: Fraction
 
-    def evaluate(self, size_bytes: Number, alpha: Number, beta: Number) -> float:
-        return float(self.latency) * float(alpha) + float(self.bandwidth) * float(size_bytes) * float(beta)
-
     def dominates(self, other: "CostPoint") -> bool:
         """True when this point is at least as good in both costs and better in one."""
         return (
@@ -70,20 +66,6 @@ class CostPoint:
 
 def cost_point(steps: int, rounds: int, chunks: int) -> CostPoint:
     return CostPoint(latency=steps, bandwidth=Fraction(rounds, chunks))
-
-
-def pareto_frontier(points: Iterable[CostPoint]) -> List[CostPoint]:
-    """Return the non-dominated subset, sorted by latency then bandwidth.
-
-    Duplicate cost points are collapsed.
-    """
-    unique = sorted(set(points))
-    frontier: List[CostPoint] = []
-    for point in unique:
-        if any(other.dominates(point) for other in unique if other != point):
-            continue
-        frontier.append(point)
-    return frontier
 
 
 def is_pareto_optimal(point: CostPoint, others: Iterable[CostPoint]) -> bool:
@@ -101,39 +83,3 @@ def is_pareto_optimal(point: CostPoint, others: Iterable[CostPoint]) -> bool:
         if other.bandwidth == point.bandwidth and other.latency < point.latency:
             return False
     return True
-
-
-def crossover_size(
-    a: CostPoint, b: CostPoint, alpha: Number, beta: Number
-) -> Optional[float]:
-    """Input size (bytes) at which algorithms ``a`` and ``b`` cost the same.
-
-    Returns ``None`` when one algorithm is never slower than the other
-    (parallel cost lines or dominance).  Below the returned size the
-    lower-latency algorithm wins; above it the lower-bandwidth one does.
-    This is what lets SCCL "automatically switch between multiple
-    implementations based on the input size" (Section 5.5).
-    """
-    latency_diff = (a.latency - b.latency) * float(alpha)
-    bandwidth_diff = float(b.bandwidth - a.bandwidth) * float(beta)
-    if bandwidth_diff == 0:
-        return None
-    size = latency_diff / bandwidth_diff
-    return size if size > 0 else None
-
-
-def best_algorithm_for_size(
-    points: Sequence[CostPoint], size_bytes: Number, alpha: Number, beta: Number
-) -> int:
-    """Index of the cheapest cost point for the given input size."""
-    if not points:
-        raise CostError("no cost points given")
-    costs = [p.evaluate(size_bytes, alpha, beta) for p in points]
-    return min(range(len(points)), key=lambda i: costs[i])
-
-
-def speedup(baseline_cost: float, candidate_cost: float) -> float:
-    """Baseline time over candidate time (``> 1`` means the candidate is faster)."""
-    if candidate_cost <= 0:
-        raise CostError("candidate cost must be positive")
-    return baseline_cost / candidate_cost

@@ -16,9 +16,8 @@ the per-node chunk count ``C`` and the root node for rooted collectives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from ..collectives import CollectiveSpec, Placement, get_collective
 from ..topology import Topology
@@ -85,11 +84,6 @@ class SynCollInstance:
     def bandwidth_cost(self) -> Fraction:
         """The bandwidth cost ``R / C`` of any algorithm solving this instance."""
         return Fraction(self.rounds, self.chunks_per_node)
-
-    @property
-    def latency_cost(self) -> int:
-        """The latency cost ``S`` of any algorithm solving this instance."""
-        return self.steps
 
     def describe(self) -> str:
         return (

@@ -234,7 +234,8 @@ def pareto_synthesize(
         not always terminate on its own.
     max_chunks:
         Upper bound on the per-node chunk count of a candidate, at least 1
-        (defaults to what the bandwidth lower bound leaves useful).
+        (defaults to what the bandwidth lower bound leaves useful).  Alltoall
+        is probed only at multiples of the node count.
     time_limit_per_instance / conflict_limit:
         Resource limits per solver call; exceeded limits yield UNKNOWN
         candidates, which are skipped but recorded (``proved=False``).
@@ -357,12 +358,20 @@ def pareto_synthesize(
         strategy=strategy, bounds=bounds_mode,
     )
 
+    def candidates(steps: int) -> Tuple[Tuple[int, int], ...]:
+        pairs = candidate_set(steps, k, b_l, max_chunks)
+        if spec.name == "Alltoall":
+            # a_l and b_l hold where the transpose is balanced, at multiples
+            # of N; at C = 1 every chunk goes to node 0 (a Gather).
+            pairs = [pair for pair in pairs if pair[1] % topology.num_nodes == 0]
+        return tuple(pairs)
+
     def build_request(steps: int) -> SweepRequest:
         return SweepRequest(
             collective=spec.name,
             topology=topology,
             steps=steps,
-            candidates=tuple(candidate_set(steps, k, b_l, max_chunks)),
+            candidates=candidates(steps),
             root=root,
             time_limit=time_limit_per_instance,
             conflict_limit=conflict_limit,
@@ -412,6 +421,14 @@ def pareto_synthesize(
             f"no step count to probe: max_steps={max_steps} is below the "
             f"{spec.name} latency lower bound {a_l}"
         )
+    elif not candidates(max_steps):
+        # The last step count has the most rounds, so the most candidates.
+        frontier.note = (
+            f"no candidate to probe: {spec.name} is probed at chunk counts that "
+            f"are multiples of {topology.num_nodes}, and max_chunks={max_chunks} "
+            f"or the bandwidth lower bound leaves none up to max_steps={max_steps}"
+        )
+        step_counts = []
     with pareto_ctx as pareto_span:
         # Outcomes are folded in as the loop produces them; the loop stops
         # after the first one that reaches the bandwidth bound.  Stopping on

@@ -203,7 +203,7 @@ def solve_encoding(
     (:func:`_probe`).  The differential tests also hand in
     ``ScclEncoding(instance, prune=False)``, the formula no probe solves.
     """
-    from ..engine.backends import CdclHandle, get_backend
+    from ..engine.backends import CdclHandle
 
     with get_tracer().span("encode"):
         start = time.monotonic()
@@ -213,7 +213,7 @@ def solve_encoding(
     # A cut witness means the encoder refuted the instance by arithmetic
     # (the formula is the empty clause): no solver sees it.
     witness = encoder.cut_witness
-    handle = get_backend().create()
+    handle = CdclHandle()
 
     def solve():
         if witness is not None or not handle.load(encoder.cnf):
@@ -273,21 +273,3 @@ def finish_probe(
             result.verify_time = time.monotonic() - start
         result.algorithm = algorithm
     return result
-
-
-def synthesize_collective(
-    collective: str,
-    topology,
-    chunks_per_node: int,
-    steps: int,
-    rounds: int,
-    root: int = 0,
-    **kwargs,
-) -> SynthesisResult:
-    """Convenience wrapper building the instance from a collective name."""
-    from .instance import make_instance
-
-    instance = make_instance(
-        collective, topology, chunks_per_node, steps, rounds, root=root
-    )
-    return synthesize(instance, **kwargs)

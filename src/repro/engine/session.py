@@ -40,7 +40,7 @@ from ..core.instance import SynCollInstance, make_instance
 from ..solver import SolveResult
 from ..telemetry import get_tracer
 from ..topology import Topology
-from .backends import CdclHandle, get_backend
+from .backends import CdclHandle
 
 
 class SessionError(Exception):
@@ -123,7 +123,7 @@ class SessionFamily:
             encoder.encode()
             elapsed = time.monotonic() - start
         self.encode_calls += 1
-        handle = get_backend().create()
+        handle = CdclHandle()
         loaded = handle.load(encoder.cnf)
         entry = _FamilyEntry(
             encoder=encoder,

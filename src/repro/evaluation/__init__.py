@@ -11,17 +11,12 @@ from .figures import (
     figure6_allgather_amd,
     full_scale,
 )
-from .reporting import format_series, format_table, geometric_mean
+from .reporting import format_series, format_table
 from .tables import (
     PAPER_TABLE4,
     PAPER_TABLE5,
-    SynthesisTableConfig,
     export_frontier_algorithms,
-    render_table,
-    synthesis_table,
     table3_rows,
-    table4_rows,
-    table5_rows,
 )
 
 __all__ = [
@@ -32,7 +27,6 @@ __all__ = [
     "FigureResult",
     "PAPER_TABLE4",
     "PAPER_TABLE5",
-    "SynthesisTableConfig",
     "export_frontier_algorithms",
     "figure4_allgather_dgx1",
     "figure5_allreduce_dgx1",
@@ -40,10 +34,5 @@ __all__ = [
     "format_series",
     "format_table",
     "full_scale",
-    "geometric_mean",
-    "render_table",
-    "synthesis_table",
     "table3_rows",
-    "table4_rows",
-    "table5_rows",
 ]

@@ -88,16 +88,12 @@ def _synthesize_points(
     topology: Topology,
     points: Sequence[Tuple[int, int, int]],
     time_limit: Optional[float],
-    precomputed: Optional[Dict[Tuple[int, int, int], Algorithm]] = None,
     cache=None,
 ) -> Tuple[Dict[Tuple[int, int, int], Algorithm], Dict[str, str]]:
     algorithms: Dict[Tuple[int, int, int], Algorithm] = {}
     skipped: Dict[str, str] = {}
     for (chunks, steps, rounds) in points:
         label = f"({chunks},{steps},{rounds})"
-        if precomputed and (chunks, steps, rounds) in precomputed:
-            algorithms[(chunks, steps, rounds)] = precomputed[(chunks, steps, rounds)]
-            continue
         instance = make_instance(collective, topology, chunks, steps, rounds)
         result = synthesize(instance, time_limit=time_limit, cache=cache)
         if result.algorithm is None:
@@ -128,7 +124,6 @@ def figure4_allgather_dgx1(
     sizes: Optional[Sequence[int]] = None,
     time_limit: Optional[float] = 60.0,
     points: Optional[Sequence[Tuple[int, int, int]]] = None,
-    precomputed: Optional[Dict[Tuple[int, int, int], Algorithm]] = None,
     cache=None,
 ) -> FigureResult:
     """Figure 4: Allgather speedup over NCCL on the DGX-1.
@@ -141,7 +136,7 @@ def figure4_allgather_dgx1(
     points = list(points or FIGURE4_POINTS)
     topology = dgx1()
     algorithms, skipped = _synthesize_points(
-        "Allgather", topology, points, time_limit, precomputed, cache=cache
+        "Allgather", topology, points, time_limit, cache=cache
     )
     labeled: Dict[str, Tuple[Algorithm, str]] = {}
     for signature, algorithm in algorithms.items():
@@ -164,7 +159,6 @@ def figure5_allreduce_dgx1(
     sizes: Optional[Sequence[int]] = None,
     time_limit: Optional[float] = 60.0,
     points: Optional[Sequence[Tuple[int, int, int]]] = None,
-    precomputed: Optional[Dict[Tuple[int, int, int], Algorithm]] = None,
     cache=None,
 ) -> FigureResult:
     """Figure 5: Allreduce speedup over NCCL on the DGX-1.
@@ -177,7 +171,7 @@ def figure5_allreduce_dgx1(
     points = list(points or FIGURE5_POINTS)
     topology = dgx1()
     allgathers, skipped = _synthesize_points(
-        "Allgather", topology, points, time_limit, precomputed, cache=cache
+        "Allgather", topology, points, time_limit, cache=cache
     )
     labeled: Dict[str, Tuple[Algorithm, str]] = {}
     for signature, allgather in allgathers.items():
@@ -197,7 +191,6 @@ def figure6_allgather_amd(
     sizes: Optional[Sequence[int]] = None,
     time_limit: Optional[float] = 60.0,
     points: Optional[Sequence[Tuple[int, int, int]]] = None,
-    precomputed: Optional[Dict[Tuple[int, int, int], Algorithm]] = None,
     cache=None,
 ) -> FigureResult:
     """Figure 6: Allgather speedup over RCCL on the Gigabyte Z52."""
@@ -205,7 +198,7 @@ def figure6_allgather_amd(
     points = list(points or FIGURE6_POINTS)
     topology = amd_z52()
     algorithms, skipped = _synthesize_points(
-        "Allgather", topology, points, time_limit, precomputed, cache=cache
+        "Allgather", topology, points, time_limit, cache=cache
     )
     labeled = {
         _label(signature): (algorithm, "single_kernel_push")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 def format_table(rows: List[Dict[str, object]], title: str = "") -> str:
@@ -47,13 +47,3 @@ def format_series(
             row[name] = value_format.format(values[index]) if index < len(values) else ""
         rows.append(row)
     return format_table(rows)
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    values = [v for v in values if v > 0]
-    if not values:
-        return 0.0
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values))

@@ -1,8 +1,8 @@
 """Runtime substrate: lowering, execution, simulation and code generation."""
 
-from .codegen import CodegenError, generate_cuda_like_source, write_source
+from .codegen import CodegenError, generate_cuda_like_source
 from .executor import ExecutionError, ExecutionResult, Executor, execute
-from .lowering import PROTOCOLS, LoweringError, lower, lower_all_protocols, lower_cached
+from .lowering import PROTOCOLS, LoweringError, lower
 from .program import Instruction, OpCode, Program, ProgramError, RankProgram
 from .simulator import (
     DEFAULT_PROTOCOLS,
@@ -35,8 +35,5 @@ __all__ = [
     "execute",
     "generate_cuda_like_source",
     "lower",
-    "lower_all_protocols",
-    "lower_cached",
     "simulate",
-    "write_source",
 ]

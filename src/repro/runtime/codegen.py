@@ -14,8 +14,6 @@ chunk/connection, threadfence between data and flag writes, push copies).
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .program import OpCode, Program
 
 
@@ -158,12 +156,3 @@ def _emit_host_launcher(program: Program) -> str:
         lines.append("    cudaStreamSynchronize(stream);")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def write_source(program: Program, path: str) -> str:
-    """Generate and write the source to ``path``, atomically; returns the text."""
-    from ..engine.cache import atomic_write
-
-    text = generate_cuda_like_source(program)
-    atomic_write(Path(path), text)
-    return text

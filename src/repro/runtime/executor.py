@@ -42,14 +42,6 @@ class ExecutionResult:
     reduced_transfers: int = 0
     steps_executed: int = 0
 
-    def chunk_present(self, rank: int, chunk: int) -> bool:
-        if not 0 <= rank < len(self.buffers):
-            raise ExecutionError(f"rank {rank} is not in [0, {len(self.buffers)})")
-        row = self.buffers[rank]
-        if not 0 <= chunk < len(row):
-            raise ExecutionError(f"chunk {chunk} is not in [0, {len(row)})")
-        return not math.isnan(row[chunk])
-
 
 class Executor:
     """Execute a :class:`~repro.runtime.program.Program` step by step.

@@ -26,7 +26,7 @@ Protocols
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from ..core.algorithm import Algorithm
 from .program import Instruction, OpCode, Program
@@ -92,43 +92,3 @@ def lower(
 
     program.validate()
     return program
-
-
-def lower_all_protocols(algorithm: Algorithm) -> Dict[str, Program]:
-    """Lower an algorithm under every protocol (used by the lowering ablation).
-
-    One full verification, then one instruction-building walk per protocol.
-    """
-    return {protocol: lower(algorithm, protocol) for protocol in PROTOCOLS}
-
-
-def lower_cached(
-    cache,
-    collective: str,
-    topology,
-    chunks_per_node: int,
-    steps: int,
-    rounds: int,
-    *,
-    root: int = 0,
-    protocol: str = "single_kernel_push",
-    name: Optional[str] = None,
-) -> Program:
-    """Lower an algorithm persisted in an engine :class:`AlgorithmCache`.
-
-    This is the runtime's entry into the same content-addressed store the
-    synthesizer and the evaluation harness use: serving a collective that a
-    previous run already synthesized costs a JSON load, one verification
-    (the cache's, on load — the loaded object is not checked again here) and
-    a lowering — no solver.  Raises :class:`LoweringError` when the candidate
-    has no verified cache entry.
-    """
-    algorithm = cache.load_algorithm(
-        collective, topology, chunks_per_node, steps, rounds, root=root
-    )
-    if algorithm is None:
-        raise LoweringError(
-            f"no cached algorithm for {collective} on {topology.name} "
-            f"(C={chunks_per_node}, S={steps}, R={rounds}); synthesize it first"
-        )
-    return lower(algorithm, protocol=protocol, name=name)

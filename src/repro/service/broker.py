@@ -50,8 +50,7 @@ class BrokerStats:
     span several :class:`~repro.service.workers.PlanningService` start /
     stop cycles — a restart must not silently zero the series a scraper
     is watching.  ``since`` (wall epoch) dates the window the counters
-    cover; :meth:`reset` zeroes them and restamps it, for tests and for
-    operators who want a fresh window.
+    cover: the broker's creation.
     """
 
     submitted: int = 0
@@ -64,18 +63,6 @@ class BrokerStats:
     resolver_crashes: int = 0  # jobs failed by a resolver exception
     since: float = field(default_factory=time.time)
     since_monotonic: float = field(default_factory=time.monotonic)
-
-    def reset(self) -> None:
-        self.submitted = 0
-        self.coalesced = 0
-        self.completed = 0
-        self.failed = 0
-        self.cancelled = 0
-        self.expired = 0
-        self.dropped_jobs = 0
-        self.resolver_crashes = 0
-        self.since = time.time()
-        self.since_monotonic = time.monotonic()
 
     def as_dict(self) -> Dict[str, float]:
         data = {
@@ -350,8 +337,3 @@ class Broker:
             data["pending"] = sum(1 for job in self._queue if not job.dropped)
             data["inflight"] = len(self._inflight)
             return data
-
-    def reset_stats(self) -> None:
-        """Zero the counters and restart their ``since`` window (tests)."""
-        with self._lock:
-            self._stats.reset()

@@ -366,15 +366,6 @@ class SynthesisResolver:
                 "since": self.since,
             }
 
-    def reset(self) -> None:
-        """Zero the counters and restart their ``since`` window (tests)."""
-        with self._lock:
-            self.replans = 0
-            self.solves = 0
-            self.registry_hits = 0
-            self.rungs.clear()
-            self.since = time.time()
-
 
 def _clamp_limit(remaining_s: Optional[float]) -> Optional[float]:
     """Deadline -> engine time limit (never zero/negative: use a floor)."""
@@ -590,15 +581,3 @@ class PlanningService:
                 "solve_seconds": metrics.quantiles("repro_solve_seconds"),
             },
         }
-
-    def reset_stats(self) -> None:
-        """Zero broker + resolver counters; explicit only, never on start.
-
-        Counters deliberately survive :meth:`stop`/:meth:`start` cycles
-        (scrapers must not see a restart as a counter reset); tests call
-        this to get a clean window, and the snapshots' ``since`` fields
-        date whatever window is being reported.
-        """
-        self.broker.reset_stats()
-        if hasattr(self.resolver, "reset"):
-            self.resolver.reset()

@@ -70,23 +70,6 @@ class IntVar:
         """Literal that is true iff ``x <= v``."""
         return -self.ge_lit(v + 1)
 
-    def eq_lits(self, v: int) -> List[int]:
-        """Literals whose conjunction is ``x == v``.
-
-        Returns one or two literals (``x >= v`` and ``x <= v``), already
-        simplified against the domain bounds.
-        """
-        lits = []
-        ge = self.ge_lit(v)
-        le = self.le_lit(v)
-        if ge != self._true:
-            lits.append(ge)
-        if le != self._true:
-            lits.append(le)
-        if not lits:
-            lits.append(self._true)
-        return lits
-
     # ------------------------------------------------------------------
     # Model extraction
     # ------------------------------------------------------------------

@@ -155,14 +155,6 @@ class Metrics:
                 hist = self._histograms[key] = _Histogram(DEFAULT_BUCKETS)
             hist.observe(float(value))
 
-    def reset(self) -> None:
-        """Drop every series and restart the ``since`` epoch (tests)."""
-        with self._lock:
-            self._counters.clear()
-            self._histograms.clear()
-            self._types.clear()
-            self.since = time.time()
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------

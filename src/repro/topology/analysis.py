@@ -10,9 +10,9 @@ than its graph distance from the chunk's source).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
-from .topology import Link, Topology, TopologyError
+from .topology import Topology, TopologyError
 
 
 def shortest_path_lengths(topology: Topology) -> Dict[int, Dict[int, int]]:
@@ -41,11 +41,6 @@ def shortest_path_lengths(topology: Topology) -> Dict[int, Dict[int, int]]:
     return distances
 
 
-def distance(topology: Topology, src: int, dst: int) -> Optional[int]:
-    """Length of the shortest directed path from ``src`` to ``dst`` (None if unreachable)."""
-    return shortest_path_lengths(topology).get(src, {}).get(dst)
-
-
 def is_strongly_connected(topology: Topology) -> bool:
     distances = shortest_path_lengths(topology)
     n = topology.num_nodes
@@ -67,57 +62,9 @@ def diameter(topology: Topology) -> int:
     return worst
 
 
-def node_in_capacity(topology: Topology, node: int) -> int:
-    """Aggregate chunks/round that can arrive at ``node`` (its incoming capacity)."""
-    capacity = topology.link_capacity()
-    return sum(cap for (src, dst), cap in capacity.items() if dst == node)
-
-
-def node_out_capacity(topology: Topology, node: int) -> int:
-    capacity = topology.link_capacity()
-    return sum(cap for (src, dst), cap in capacity.items() if src == node)
-
-
-def min_node_in_capacity(topology: Topology) -> int:
-    return min(node_in_capacity(topology, node) for node in topology.nodes())
-
-
 def cut_capacity(topology: Topology, part: Set[int]) -> int:
     """Capacity (chunks/round) of directed links crossing from outside ``part`` into it."""
     capacity = topology.link_capacity()
     return sum(
         cap for (src, dst), cap in capacity.items() if dst in part and src not in part
     )
-
-
-def link_utilization(topology: Topology, sends_per_link: Dict[Link, int]) -> Dict[Link, float]:
-    """Fraction of per-round capacity consumed on each link for a set of sends.
-
-    Used by tests and by the evaluation harness to sanity-check that
-    synthesized schedules saturate the links they claim to saturate.
-    """
-    capacity = topology.link_capacity()
-    utilization: Dict[Link, float] = {}
-    for link, count in sends_per_link.items():
-        cap = capacity.get(link, 0)
-        if cap == 0:
-            raise TopologyError(f"sends scheduled on non-existent link {link}")
-        utilization[link] = count / cap
-    return utilization
-
-
-def to_networkx(topology: Topology):
-    """Export the directed link graph to a :class:`networkx.DiGraph`.
-
-    Link capacities become the ``capacity`` edge attribute.  The export is
-    used by the examples for visualization/degree statistics and lets users
-    run their own graph algorithms on modeled machines.
-    """
-    import networkx as nx
-
-    graph = nx.DiGraph(name=topology.name)
-    graph.add_nodes_from(topology.nodes())
-    for (src, dst), cap in topology.link_capacity().items():
-        if cap > 0:
-            graph.add_edge(src, dst, capacity=cap)
-    return graph

@@ -10,9 +10,9 @@ otherwise.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional
 
-from .topology import BandwidthConstraint, Link, Topology, TopologyError
+from .topology import Topology, TopologyError
 
 
 def ring(
@@ -105,37 +105,4 @@ def torus_2d(rows: int, cols: int, bandwidth: int = 1, name: Optional[str] = Non
             for peer in (right, down):
                 topo.add_link(node, peer, bandwidth)
                 topo.add_link(peer, node, bandwidth)
-    return topo
-
-
-def shared_bus(num_nodes: int, bandwidth: int = 1, name: Optional[str] = None) -> Topology:
-    """All-to-all connectivity where only ``bandwidth`` messages total fit per round.
-
-    This exercises the most general form of the bandwidth relation (a single
-    constraint covering every link), as described in Section 3.2.1 for
-    shared-bus topologies.
-    """
-    if num_nodes < 2:
-        raise TopologyError("a shared bus needs at least 2 nodes")
-    topo = Topology(name=name or f"bus{num_nodes}", num_nodes=num_nodes)
-    links = [(s, d) for s in range(num_nodes) for d in range(num_nodes) if s != d]
-    # Individual links exist (capacity = bus capacity)...
-    for (s, d) in links:
-        topo.add_link(s, d, bandwidth)
-    # ...but the shared constraint caps the total per round.
-    topo.add_shared_constraint(links, bandwidth, name="bus")
-    return topo
-
-
-def from_edge_list(
-    num_nodes: int,
-    edges: Iterable[Tuple[int, int, int]],
-    name: str = "custom",
-    alpha: float = 5e-6,
-    beta: float = 1.0 / 25e9,
-) -> Topology:
-    """Build a topology from ``(src, dst, bandwidth)`` triples (directed)."""
-    topo = Topology(name=name, num_nodes=num_nodes, alpha=alpha, beta=beta)
-    for (src, dst, bandwidth) in edges:
-        topo.add_link(src, dst, bandwidth)
     return topo

@@ -70,16 +70,12 @@ def _links(topology: "Topology") -> FrozenSet[Link]:
     return frozenset(link for link, cap in topology.link_capacity().items() if cap > 0)
 
 
-def _neighbors(topology: "Topology") -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-    """``(out, in)``: per node, the sorted nodes its links lead to / come from."""
+def _out_neighbors(topology: "Topology") -> Tuple[Tuple[int, ...], ...]:
+    """Per node, the sorted nodes its links lead to."""
     out_sets: List[set] = [set() for _ in topology.nodes()]
-    in_sets: List[set] = [set() for _ in topology.nodes()]
     for (src, dst) in topology.links():
         out_sets[src].add(dst)
-        in_sets[dst].add(src)
-    return tuple(
-        tuple(tuple(sorted(nodes)) for nodes in sets) for sets in (out_sets, in_sets)
-    )
+    return tuple(tuple(sorted(nodes)) for nodes in out_sets)
 
 
 @dataclass
@@ -194,14 +190,7 @@ class Topology:
 
     def out_neighbors(self, node: int) -> List[int]:
         self._check_node(node)
-        return list(self.fact(_neighbors)[0][node])
-
-    def in_neighbors(self, node: int) -> List[int]:
-        self._check_node(node)
-        return list(self.fact(_neighbors)[1][node])
-
-    def degree(self, node: int) -> int:
-        return len(self.out_neighbors(node))
+        return list(self.fact(_out_neighbors)[node])
 
     def has_link(self, src: int, dst: int) -> bool:
         return (src, dst) in self.links()

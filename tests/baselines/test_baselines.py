@@ -15,7 +15,6 @@ from repro.baselines import (
     pipelined_broadcast,
     rccl_allgather,
     rccl_allreduce,
-    rccl_baseline,
     ring_allgather,
     ring_allreduce,
     ring_reduce_scatter,
@@ -80,11 +79,8 @@ class TestBaselineValidity:
     def test_lookup_helpers(self):
         assert nccl_baseline("allgather").signature() == (6, 7, 7)
         assert nccl_baseline("broadcast", multiplier=2).signature() == (12, 8, 8)
-        assert rccl_baseline("allreduce").signature() == (16, 14, 14)
         with pytest.raises(KeyError):
             nccl_baseline("alltoall")
-        with pytest.raises(KeyError):
-            rccl_baseline("broadcast")
 
 
 class TestRingBuilders:

@@ -6,14 +6,19 @@ from hypothesis import given, strategies as st
 from repro.collectives import (
     RelationError,
     all_nodes,
-    chunk_count,
-    chunks_at,
-    is_function_of_chunk,
-    nodes_with,
     root,
     scattered,
     transpose,
 )
+
+
+def chunks_at(relation, node):
+    return {c for (c, n) in relation if n == node}
+
+
+def is_function_of_chunk(relation):
+    """Every chunk is placed on exactly one node."""
+    return len({c for (c, _) in relation}) == len(relation)
 
 
 def test_all_relation():
@@ -54,14 +59,6 @@ def test_negative_chunks_rejected():
         all_nodes(4, 0)
 
 
-def test_helpers():
-    rel = all_nodes(2, 3)
-    assert chunks_at(rel, 1) == {0, 1}
-    assert nodes_with(rel, 0) == {0, 1, 2}
-    assert chunk_count(rel) == 2
-    assert not is_function_of_chunk(rel)
-
-
 @given(chunks=st.integers(1, 40), nodes=st.integers(1, 10))
 def test_scattered_is_balanced_when_divisible(chunks, nodes):
     total = chunks * nodes
@@ -82,3 +79,11 @@ def test_relation_sizes(chunks, nodes):
 def test_scattered_and_transpose_are_functions(chunks, nodes):
     assert is_function_of_chunk(scattered(chunks, nodes))
     assert is_function_of_chunk(transpose(chunks, nodes))
+
+
+@given(chunks=st.integers(1, 6), nodes=st.integers(2, 6))
+def test_root_is_a_function_of_chunk_and_all_nodes_is_not(chunks, nodes):
+    assert is_function_of_chunk(root(chunks, nodes))
+    rel = all_nodes(chunks, nodes)
+    assert not is_function_of_chunk(rel)
+    assert all(chunks_at(rel, n) == set(range(chunks)) for n in range(nodes))

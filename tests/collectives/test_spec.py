@@ -7,11 +7,15 @@ from repro.collectives import (
     COLLECTIVES,
     CollectiveError,
     CollectiveSpec,
-    chunks_at,
-    combining_collectives,
     get_collective,
-    non_combining_collectives,
 )
+
+
+def chunks_at(relation, node):
+    return {c for (c, n) in relation if n == node}
+
+
+NON_COMBINING = [spec for spec in COLLECTIVES.values() if not spec.combining]
 
 
 def test_all_paper_collectives_present():
@@ -31,8 +35,8 @@ def test_unknown_collective():
 
 
 def test_combining_split():
-    combining = {spec.name for spec in combining_collectives()}
-    non_combining = {spec.name for spec in non_combining_collectives()}
+    combining = {name for name, spec in COLLECTIVES.items() if spec.combining}
+    non_combining = {spec.name for spec in NON_COMBINING}
     assert combining == {"Reduce", "Reducescatter", "Allreduce"}
     assert "Allgather" in non_combining
     assert combining.isdisjoint(non_combining)
@@ -52,13 +56,6 @@ def test_global_chunk_counts_match_paper_conventions():
     assert get_collective("Scatter").global_chunks(p, 6) == 48
     assert get_collective("Alltoall").global_chunks(p, 24) == 192
     assert get_collective("Allreduce").global_chunks(p, 6) == 48
-
-
-def test_per_node_roundtrip():
-    spec = get_collective("Allgather")
-    assert spec.per_node_chunks(8, spec.global_chunks(8, 5)) == 5
-    with pytest.raises(CollectiveError):
-        spec.per_node_chunks(8, 11)  # not divisible
 
 
 def test_allgather_pre_post():
@@ -113,7 +110,7 @@ def test_negative_chunks_rejected():
 
 @given(nodes=st.integers(2, 10), chunks=st.integers(1, 6))
 def test_non_combining_pre_post_mention_same_chunks(nodes, chunks):
-    for spec in non_combining_collectives():
+    for spec in NON_COMBINING:
         pre = spec.precondition(nodes, chunks)
         post = spec.postcondition(nodes, chunks)
         assert {c for (c, _) in pre} == {c for (c, _) in post}
@@ -121,10 +118,17 @@ def test_non_combining_pre_post_mention_same_chunks(nodes, chunks):
 
 @given(nodes=st.integers(2, 8), chunks=st.integers(1, 5))
 def test_every_chunk_has_a_source_and_a_destination(nodes, chunks):
-    for spec in non_combining_collectives():
+    for spec in NON_COMBINING:
         g = spec.global_chunks(nodes, chunks)
         pre = spec.precondition(nodes, chunks)
         post = spec.postcondition(nodes, chunks)
         for chunk in range(g):
             assert any(c == chunk for (c, _) in pre)
             assert any(c == chunk for (c, _) in post)
+
+
+@given(nodes=st.integers(1, 10), chunks=st.integers(0, 6))
+def test_global_chunks_is_linear_in_the_per_node_count(nodes, chunks):
+    # G(N, C) = C * G(N, 1): a global count maps back to one per-node count.
+    for spec in COLLECTIVES.values():
+        assert spec.global_chunks(nodes, chunks) == chunks * spec.global_chunks(nodes, 1)

@@ -87,7 +87,7 @@ class TestInstances:
         assert inst.num_chunks == 8
         assert inst.synchrony == 1
         assert inst.bandwidth_cost == Fraction(4, 2)
-        assert inst.latency_cost == 3
+        assert inst.steps == 3
         assert "Allgather" in inst.describe()
 
     def test_combining_collective_rejected(self):

@@ -9,9 +9,6 @@ from repro.core import (
     invert_algorithm,
     make_instance,
     synthesize,
-    synthesize_allreduce,
-    synthesize_reduce,
-    synthesize_reducescatter,
 )
 from repro.topology import Topology, fully_connected, line, ring, star
 
@@ -106,26 +103,33 @@ class TestAllreduceComposition:
             allreduce_from_allgather(result.algorithm)
 
 
-class TestOneCallHelpers:
-    def test_synthesize_reducescatter(self):
-        result = synthesize_reducescatter(ring(4), 1, 2, 3)
-        assert result.is_sat
-        assert result.algorithm.collective == "Reducescatter"
-        result.algorithm.verify()
+class TestSynthesizedCombining:
+    """Combining collectives come from a synthesized non-combining one."""
 
-    def test_synthesize_reduce(self):
-        result = synthesize_reduce(star(5), 1, 1, 1, root=0)
-        assert result.is_sat
-        assert result.algorithm.collective == "Reduce"
+    def test_reducescatter_from_synthesized_allgather(self):
+        allgather = synthesized_allgather(ring(4), 1, 2, 3)
+        reducescatter = invert_algorithm(allgather)
+        reducescatter.verify()
+        assert reducescatter.collective == "Reducescatter"
+        assert reducescatter.signature() == allgather.signature()
 
-    def test_synthesize_allreduce(self):
-        result = synthesize_allreduce(ring(4), 1, 2, 2)
+    def test_reduce_from_single_step_broadcast(self):
+        result = synthesize(make_instance("Broadcast", star(5), 1, 1, 1, root=0))
         assert result.is_sat
-        allreduce = result.algorithm
+        reduce_algo = invert_algorithm(result.algorithm)
+        reduce_algo.verify()
+        assert reduce_algo.collective == "Reduce"
+        assert reduce_algo.signature() == (1, 1, 1)
+
+    @pytest.mark.parametrize("chunks, steps, rounds", [(1, 2, 2), (2, 3, 3)])
+    def test_allreduce_doubles_steps_and_rounds(self, chunks, steps, rounds):
+        allgather = synthesized_allgather(ring(4), chunks, steps, rounds)
+        allreduce = allreduce_from_allgather(allgather)
+        allreduce.verify()
         assert allreduce.collective == "Allreduce"
-        assert allreduce.signature() == (4, 4, 4)
+        assert allreduce.signature() == (4 * chunks, 2 * steps, 2 * rounds)
 
-    def test_unsat_propagates(self):
-        result = synthesize_allreduce(ring(4), 1, 1, 1)
+    def test_unsat_allgather_leaves_nothing_to_compose(self):
+        result = synthesize(make_instance("Allgather", ring(4), 1, 1, 1))
         assert result.is_unsat
         assert result.algorithm is None

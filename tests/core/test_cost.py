@@ -10,12 +10,8 @@ from repro.core import (
     CostError,
     CostPoint,
     algorithm_cost,
-    best_algorithm_for_size,
     cost_point,
-    crossover_size,
     is_pareto_optimal,
-    pareto_frontier,
-    speedup,
 )
 from repro.baselines import ring_allgather, single_ring
 from repro.topology import ring
@@ -60,6 +56,12 @@ def test_cost_point_dominance():
     assert not fast.dominates(fast)
 
 
+def pareto_frontier(points):
+    """The non-dominated cost points, as ``pareto_synthesize`` marks them."""
+    unique = sorted(set(points))
+    return [p for p in unique if is_pareto_optimal(p, [q for q in unique if q != p])]
+
+
 def test_pareto_frontier_filters_dominated():
     points = [
         cost_point(2, 2, 1),        # (2, 2)
@@ -80,39 +82,6 @@ def test_is_pareto_optimal_matches_paper_definition():
         assert is_pareto_optimal(p, [q for q in points if q != p])
     # Same latency, worse bandwidth: not Pareto-optimal.
     assert not is_pareto_optimal(cost_point(2, 3, 1), points)
-
-
-def test_crossover_size():
-    latency_optimal = CostPoint(2, Fraction(2, 1))
-    bandwidth_optimal = CostPoint(7, Fraction(7, 6))
-    alpha, beta = 5e-6, 4e-11
-    size = crossover_size(latency_optimal, bandwidth_optimal, alpha, beta)
-    assert size is not None and size > 0
-    # Below the crossover the latency-optimal algorithm is cheaper, above it
-    # the bandwidth-optimal one is.
-    below, above = size * 0.5, size * 2
-    assert latency_optimal.evaluate(below, alpha, beta) < bandwidth_optimal.evaluate(below, alpha, beta)
-    assert latency_optimal.evaluate(above, alpha, beta) > bandwidth_optimal.evaluate(above, alpha, beta)
-
-
-def test_crossover_none_for_dominance():
-    a = CostPoint(2, Fraction(1))
-    b = CostPoint(3, Fraction(1))
-    assert crossover_size(a, b, 1e-6, 1e-9) is None
-
-
-def test_best_algorithm_for_size():
-    points = [CostPoint(2, Fraction(2)), CostPoint(7, Fraction(7, 6))]
-    assert best_algorithm_for_size(points, 1024, 5e-6, 4e-11) == 0
-    assert best_algorithm_for_size(points, 1 << 30, 5e-6, 4e-11) == 1
-    with pytest.raises(CostError):
-        best_algorithm_for_size([], 1, 1, 1)
-
-
-def test_speedup():
-    assert speedup(2.0, 1.0) == 2.0
-    with pytest.raises(CostError):
-        speedup(1.0, 0.0)
 
 
 @given(
@@ -139,3 +108,30 @@ def test_pareto_frontier_is_non_dominated_and_complete(raw):
     # Every input point is dominated by or equal to some frontier point.
     for p in points:
         assert any(f == p or f.dominates(p) or (f.latency <= p.latency and f.bandwidth <= p.bandwidth) for f in frontier)
+
+
+def test_latency_optimal_point_wins_small_inputs_and_loses_large_ones():
+    # DGX-1 Allgather: (2, 2) is latency-optimal, (7, 7/6) bandwidth-optimal.
+    alpha, beta = 5e-6, 4e-11
+    for size, cheaper in ((1 << 10, "latency"), (1 << 30, "bandwidth")):
+        latency = algorithm_cost(2, 2, 1, size, alpha, beta)
+        bandwidth = algorithm_cost(7, 7, 6, size, alpha, beta)
+        assert (latency < bandwidth) == (cheaper == "latency")
+
+
+@given(
+    a=st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 8)),
+    extra_steps=st.integers(0, 4),
+    extra_rounds=st.integers(0, 4),
+    scale=st.integers(1, 4),
+    size=st.integers(0, 1 << 30),
+    alpha=st.floats(0, 1e-3),
+    beta=st.floats(0, 1e-6),
+)
+def test_a_dominating_point_is_never_costlier(a, extra_steps, extra_rounds, scale, size,
+                                              alpha, beta):
+    steps, rounds, chunks = a
+    # b is no better in either cost: more steps, and R/C plus extra_rounds/(C*scale).
+    b = (steps + extra_steps, rounds * scale + extra_rounds, chunks * scale)
+    assert cost_point(*a).dominates(cost_point(*b)) == (extra_steps + extra_rounds > 0)
+    assert algorithm_cost(*a, size, alpha, beta) <= algorithm_cost(*b, size, alpha, beta)

@@ -91,6 +91,20 @@ class TestOtherCollectives:
         assert frontier.points
         assert frontier.points[0].steps == 1
 
+    def test_alltoall_probes_only_multiples_of_the_node_count(self):
+        # At C = 1 the transpose sends every chunk to node 0: a Gather, which
+        # star(3) finishes in one step, below Alltoall's latency bound of 2.
+        frontier = pareto_synthesize("Alltoall", star(3), k=0, max_steps=3, max_chunks=1)
+        assert frontier.points == []
+        assert "multiples of 3" in frontier.note
+        probed = []
+        frontier = pareto_synthesize(
+            "Alltoall", star(3), k=0, max_steps=3, max_chunks=6, on_result=probed.append
+        )
+        assert probed and {result.instance.chunks_per_node % 3 for result in probed} == {0}
+        assert [(p.chunks_per_node, p.steps, p.rounds) for p in frontier.points] == [(3, 2, 2)]
+        assert frontier.points[0].latency_optimal and frontier.points[0].bandwidth_optimal
+
 
 class TestCombiningDelegation:
     def test_reducescatter_frontier(self):

@@ -9,7 +9,7 @@ and a combined (Reducescatter + Allgather) Allreduce.
 
 import json
 
-from repro.core import Algorithm, make_instance, synthesize, synthesize_allreduce
+from repro.core import Algorithm, allreduce_from_allgather, make_instance, synthesize
 from repro.topology import ring
 
 
@@ -45,20 +45,25 @@ class TestAllgatherRoundtrip:
         assert first == second
 
 
+def allreduce_on_ring4(chunks, steps, rounds):
+    """An Allreduce on ring(4): a Reducescatter, then the Allgather it inverts."""
+    result = synthesize(make_instance("Allgather", ring(4), chunks, steps, rounds))
+    assert result.is_sat
+    return allreduce_from_allgather(result.algorithm)
+
+
 class TestCombinedAllreduceRoundtrip:
     def test_json_roundtrip_verifies(self):
-        result = synthesize_allreduce(ring(4), 1, 2, 3)
-        assert result.is_sat
-        original = result.algorithm
+        original = allreduce_on_ring4(1, 2, 3)
         assert original.combining
         restored = roundtrip(original)
         assert restored.combining
         restored.verify()
 
     def test_roundtrip_preserves_reduce_ops(self):
-        result = synthesize_allreduce(ring(4), 1, 2, 2)
-        restored = roundtrip(result.algorithm)
-        ops = {send.op for _, send in restored.all_sends()}
+        original = allreduce_on_ring4(1, 2, 2)
+        restored = roundtrip(original)
+        ops = {send.op for step in restored.steps for send in step.sends}
         # Both the reducing phase and the copy (allgather) phase survive.
         assert ops == {"reduce", "copy"}
-        assert restored.signature() == result.algorithm.signature()
+        assert restored.signature() == original.signature()

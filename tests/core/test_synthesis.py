@@ -12,7 +12,6 @@ from repro.core import (
     make_instance,
     solve_encoding,
     synthesize,
-    synthesize_collective,
 )
 from repro.solver import SolveResult
 from repro.topology import dgx1, fully_connected, line, ring, star
@@ -60,36 +59,36 @@ class TestRingAllgather:
 
 class TestOtherCollectives:
     def test_broadcast_on_star(self):
-        result = synthesize_collective("Broadcast", star(5), 1, 1, 1, root=0)
+        result = synthesize(make_instance("Broadcast", star(5), 1, 1, 1, root=0))
         algo = assert_sat_and_valid(result)
         assert algo.num_steps == 1
 
     def test_broadcast_from_leaf_of_line(self):
-        result = synthesize_collective("Broadcast", line(4), 1, 3, 3, root=0)
+        result = synthesize(make_instance("Broadcast", line(4), 1, 3, 3, root=0))
         assert_sat_and_valid(result)
 
     def test_broadcast_too_few_steps_unsat(self):
-        result = synthesize_collective("Broadcast", line(4), 1, 2, 2, root=0)
+        result = synthesize(make_instance("Broadcast", line(4), 1, 2, 2, root=0))
         assert result.is_unsat
 
     def test_gather_on_ring(self):
-        result = synthesize_collective("Gather", ring(4), 1, 2, 3, root=0)
+        result = synthesize(make_instance("Gather", ring(4), 1, 2, 3, root=0))
         algo = assert_sat_and_valid(result)
         # Root ends with every chunk.
         final = algo.run()[-1]
         assert all((c, 0) in final for c in range(4))
 
     def test_scatter_on_ring(self):
-        result = synthesize_collective("Scatter", ring(4), 1, 2, 3, root=0)
+        result = synthesize(make_instance("Scatter", ring(4), 1, 2, 3, root=0))
         assert_sat_and_valid(result)
 
     def test_alltoall_on_fully_connected(self):
-        result = synthesize_collective("Alltoall", fully_connected(4), 4, 1, 1)
+        result = synthesize(make_instance("Alltoall", fully_connected(4), 4, 1, 1))
         algo = assert_sat_and_valid(result)
         assert algo.num_steps == 1
 
     def test_alltoall_on_ring(self):
-        result = synthesize_collective("Alltoall", ring(4), 4, 2, 4)
+        result = synthesize(make_instance("Alltoall", ring(4), 4, 2, 4))
         assert_sat_and_valid(result)
 
 

@@ -102,20 +102,19 @@ def _pigeonhole(pigeons: int, holes: int):
 
 
 class TestOneCodePath:
-    """A cold probe and a family frame both get their handle from
-    ``get_backend().create()``, the call the traced benchmark probe makes."""
+    """A cold probe and a family frame both construct a :class:`CdclHandle`
+    directly: one per cold probe, one per step count of a family."""
 
     @pytest.fixture
     def created(self, monkeypatch):
         handles = []
-        original = CdclHandle.create.__func__
+        original = CdclHandle.__init__
 
-        def counting(cls):
-            handle = original(cls)
+        def counting(handle):
+            original(handle)
             handles.append(handle)
-            return handle
 
-        monkeypatch.setattr(CdclHandle, "create", classmethod(counting))
+        monkeypatch.setattr(CdclHandle, "__init__", counting)
         return handles
 
     def test_a_cold_probe_creates_one_handle(self, created):
@@ -167,12 +166,6 @@ class TestNoSolverOption:
 
         with pytest.raises(TypeError, match="backend"):
             SessionFamily("Allgather", ring(4), backend="cdcl")
-
-    def test_synthesis_table_config(self):
-        from repro.evaluation.tables import SynthesisTableConfig
-
-        with pytest.raises(TypeError, match="backend"):
-            SynthesisTableConfig(backend="cdcl")
 
     def test_plan_request(self):
         from repro.service import PlanRequest

@@ -17,7 +17,7 @@ from repro.engine import (
     instance_fingerprint,
     lookup_result,
 )
-from repro.runtime import LoweringError, lower_cached
+from repro.runtime import lower
 from repro.solver import SATSolver
 from repro.topology import Topology, dgx1, ring
 
@@ -261,16 +261,15 @@ class TestWarmRunsPerformZeroSolverCalls:
 
 
 class TestRuntimeLoadsCachedAlgorithms:
-    def test_lower_cached_roundtrip(self, cache):
+    def test_cached_algorithm_lowers(self, cache):
         topo = dgx1()
         instance = make_instance("Allgather", topo, 1, 2, 2)
         synthesize(instance, cache=cache)
-        program = lower_cached(cache, "Allgather", topo, 1, 2, 2)
+        program = lower(cache.load_algorithm("Allgather", topo, 1, 2, 2))
         assert program.num_ranks == topo.num_nodes
 
-    def test_lower_cached_missing_entry_raises(self, cache):
-        with pytest.raises(LoweringError):
-            lower_cached(cache, "Allgather", ring(4), 1, 2, 3)
+    def test_missing_entry_loads_nothing(self, cache):
+        assert cache.load_algorithm("Allgather", ring(4), 1, 2, 3) is None
 
 
 class TestParallelSharesTheCache:

@@ -6,13 +6,10 @@ from repro.core import pareto_synthesize
 from repro.evaluation import (
     PAPER_TABLE4,
     PAPER_TABLE5,
-    SynthesisTableConfig,
+    export_frontier_algorithms,
     figure6_allgather_amd,
     format_series,
     format_table,
-    geometric_mean,
-    render_table,
-    synthesis_table,
     table3_rows,
 )
 from repro.evaluation.figures import FigureResult, _speedup_series
@@ -37,12 +34,16 @@ class TestReporting:
         text = format_series({"s1": [1.0, 2.0]}, [10, 20])
         assert "s1" in text and "10" in text
 
-    def test_geometric_mean(self):
-        assert geometric_mean([2, 8]) == pytest.approx(4.0)
-        assert geometric_mean([]) == 0.0
-
 
 class TestTables:
+    def test_frontier_rows_render_as_a_table(self):
+        frontier = pareto_synthesize("Allgather", ring(4), k=0, max_steps=3)
+        rows = frontier.table_rows()
+        lines = format_table(rows, title="ring4").splitlines()
+        assert lines[0] == "ring4"
+        assert len(lines) == 4 + len(rows)
+        assert all("Allgather" in line for line in lines[4:])
+
     def test_table3_matches_paper(self):
         rows = table3_rows(multiplier=1)
         triples = {(r["collective"], r["C"], r["S"], r["R"]) for r in rows}
@@ -57,29 +58,6 @@ class TestTables:
                 for (c, s, r, _label) in rows:
                     assert r >= s
                     assert c >= 1
-
-    def test_synthesis_table_on_small_topology(self):
-        # Use the generic harness with a ring topology so the test is fast.
-        rows = synthesis_table(
-            ring(4),
-            runs=[("Allgather", 0), ("Allgather", 1)],
-            config=SynthesisTableConfig(time_limit_per_instance=30.0),
-        )
-        assert rows
-        signatures = {(row["C"], row["S"], row["R"]) for row in rows}
-        assert (1, 2, 2) in signatures
-        assert all(row["status"] in ("sat", "unknown") for row in rows)
-        text = render_table(rows, title="ring4")
-        assert "Allgather" in text
-
-    def test_synthesis_table_collective_filter(self):
-        rows = synthesis_table(
-            ring(4),
-            runs=[("Allgather", 0), ("Broadcast", 0)],
-            config=SynthesisTableConfig(collectives=["Broadcast"], broadcast_max_steps=3),
-        )
-        assert rows
-        assert all(row["collective"] == "Broadcast" for row in rows)
 
 
 class TestFigures:
@@ -117,20 +95,13 @@ class TestFigures:
 
 
 class TestExportHook:
-    def test_synthesis_table_export_dir_writes_interchange_files(self, tmp_path):
+    def test_export_dir_writes_interchange_files(self, tmp_path):
         from repro.interchange import read_msccl_xml, read_plan
 
         export_dir = tmp_path / "algorithms"
-        rows = synthesis_table(
-            ring(4),
-            runs=[("Allgather", 1)],
-            config=SynthesisTableConfig(
-                time_limit_per_instance=30.0,
-                export_dir=str(export_dir),
-                export_format="both",
-            ),
-        )
-        assert rows
+        frontier = pareto_synthesize("Allgather", ring(4), 1, time_limit_per_instance=30.0)
+        written = export_frontier_algorithms(frontier, export_dir, formats=("both",))
+        assert len(written) == 2 * len(frontier.algorithms())
         xml_files = sorted(export_dir.glob("*.xml"))
         plan_files = sorted(export_dir.glob("*.json"))
         assert xml_files and plan_files
@@ -141,11 +112,6 @@ class TestExportHook:
             read_plan(path).algorithm.verify()
 
     def test_export_frontier_rejects_unknown_format(self, tmp_path):
-        import pytest as _pytest
-
-        from repro.core import pareto_synthesize
-        from repro.evaluation import export_frontier_algorithms
-
         frontier = pareto_synthesize("Allgather", ring(4), 0, max_steps=2)
-        with _pytest.raises(ValueError, match="format"):
+        with pytest.raises(ValueError, match="format"):
             export_frontier_algorithms(frontier, tmp_path, formats=("yaml",))

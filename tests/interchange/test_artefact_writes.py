@@ -1,7 +1,6 @@
 """Every artefact writer replaces its file whole or not at all.
 
-``write_plan``, ``write_msccl_xml``, ``codegen.write_source`` and
-``repro export -o`` all go through ``engine/cache.py:atomic_write``: a
+``write_plan``, ``write_msccl_xml`` and ``repro export -o`` all go through ``engine/cache.py:atomic_write``: a
 failed rename leaves the previous file byte-identical and no temp file
 beside it.
 """
@@ -14,7 +13,6 @@ from repro.baselines import baseline_suite
 from repro.cli.main import main
 from repro.engine import cache as cache_module
 from repro.interchange import plan_from_algorithm, write_msccl_xml, write_plan
-from repro.runtime import lower, write_source
 from repro.topology import ring
 
 
@@ -35,7 +33,6 @@ def _export(algorithm, path, tmp_path):
 WRITERS = {
     "write_plan": lambda algorithm, path, _: write_plan(plan_from_algorithm(algorithm), path),
     "write_msccl_xml": lambda algorithm, path, _: write_msccl_xml(algorithm, path),
-    "write_source": lambda algorithm, path, _: write_source(lower(algorithm), str(path)),
     "repro export -o": _export,
 }
 

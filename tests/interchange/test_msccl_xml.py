@@ -15,8 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines import baseline_suite
 from repro.cli.topologies import parse_topology
-from repro.core import Algorithm, Send, Step, allreduce_from_allgather, make_instance, synthesize
-from repro.core.combining import synthesize_allreduce, synthesize_reduce
+from repro.core import (
+    Algorithm,
+    Send,
+    Step,
+    allreduce_from_allgather,
+    invert_algorithm,
+    make_instance,
+    synthesize,
+)
 from repro.interchange import (
     InterchangeError,
     from_msccl_xml,
@@ -68,19 +75,19 @@ class TestRoundTrip:
         assert_schedules_equal(imported, result.algorithm)
 
     def test_combining_allreduce(self):
-        result = synthesize_allreduce(ring(4), 1, 2, 3)
-        assert result.is_sat
-        imported = from_msccl_xml(to_msccl_xml(result.algorithm))
-        assert_schedules_equal(imported, result.algorithm)
+        allreduce = allreduce_from_allgather(synthesize_allgather())
+        imported = from_msccl_xml(to_msccl_xml(allreduce))
+        assert_schedules_equal(imported, allreduce)
         assert imported.combining
         # recv-reduce steps survive the round trip as "rrc"
-        assert 'type="rrc"' in to_msccl_xml(result.algorithm)
+        assert 'type="rrc"' in to_msccl_xml(allreduce)
 
     def test_combining_reduce(self):
-        result = synthesize_reduce(line(3), 1, 2, 2, root=1)
+        result = synthesize(make_instance("Broadcast", line(3), 1, 2, 2, root=1))
         assert result.is_sat
-        imported = from_msccl_xml(to_msccl_xml(result.algorithm))
-        assert_schedules_equal(imported, result.algorithm)
+        reduce = invert_algorithm(result.algorithm)
+        imported = from_msccl_xml(to_msccl_xml(reduce))
+        assert_schedules_equal(imported, reduce)
 
     def test_reemission_is_stable(self):
         original = synthesize_allgather()
@@ -318,4 +325,4 @@ class TestTrustBoundary:
             from_msccl_xml(mutate(xml, drop_schedule))
         # The MSCCL shape proper (no <schedule>) still imports: one round per step.
         plain = mutate(xml, lambda a: a.remove(a.find("schedule")))
-        assert from_msccl_xml(plain).rounds_per_step == [1, 1]
+        assert [step.rounds for step in from_msccl_xml(plain).steps] == [1, 1]

@@ -12,8 +12,8 @@ copies), for every non-combining collective from every root, with at most
   another collective or root went through first (the shape of a shared
   analysis that once poisoned Broadcast root 3 after Allgather);
 * the ``pareto_synthesize`` frontier, every point proved, under ``serial``
-  and ``incremental`` (all but Alltoall, whose sweep bounds are taken at a
-  chunk count past the domain).
+  and ``incremental`` (all but Alltoall, which the sweep probes only at
+  multiples of ``C = N``: ``N * N`` global chunks, past the domain).
 """
 
 from fractions import Fraction
@@ -177,9 +177,9 @@ def test_the_synthesizer_agrees_with_the_reference(instance, other, other_root, 
     ).encode()
     assert solve_encoding(ScclEncoding(instance, analysis=analysis)).is_sat is expected
 
-    # The sweep takes Alltoall's bounds at C = N, its first balanced count,
-    # which is past the reference's domain; below it the transpose sends
-    # every chunk to one node, and those bounds do not hold there.
+    # The sweep probes Alltoall only at multiples of C = N, where its
+    # transpose is balanced; on 3-5 nodes that is 9 or more global chunks,
+    # past the reference's G <= 6 domain.
     if instance.collective == "Alltoall":
         return
     for strategy in ("serial", "incremental"):

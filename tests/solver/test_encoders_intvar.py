@@ -122,7 +122,7 @@ class TestIntVar:
         cnf, true = formula()
         iv = IntVar(cnf, 0, 5, true)
         for value in range(6):
-            result, model = engine_solve(cnf, assumptions=iv.eq_lits(value))
+            result, model = engine_solve(cnf, assumptions=[iv.ge_lit(value), iv.le_lit(value)])
             assert result is SolveResult.SAT
             assert iv.value(model) == value
 
@@ -153,8 +153,8 @@ class TestIntVar:
     def test_out_of_domain_fix_is_unsat(self):
         cnf, true = formula()
         iv = IntVar(cnf, 0, 2, true)
-        assert iv.eq_lits(5) == [-true]
-        result, _ = engine_solve(cnf, assumptions=iv.eq_lits(5))
+        assert iv.ge_lit(5) == -true
+        result, _ = engine_solve(cnf, assumptions=[iv.ge_lit(5), iv.le_lit(5)])
         assert result is SolveResult.UNSAT
 
     def test_empty_domain_rejected(self):

@@ -137,21 +137,6 @@ def test_histogram_buckets_are_per_bucket_counts():
     assert 'repro_solve_seconds_bucket{backend="cdcl",le="0.5"} 3' in text
 
 
-# ----------------------------------------------------------------------
-# Reset / windowing (satellite: counters survive restarts, reset is explicit)
-# ----------------------------------------------------------------------
-def test_reset_zeros_series_and_restamps_since():
-    metrics = Metrics()
-    before = metrics.since
-    metrics.inc("repro_solver_calls_total")
-    time.sleep(0.01)
-    metrics.reset()
-    assert metrics.total("repro_solver_calls_total") == 0.0
-    assert metrics.since > before
-    # The name is free for a different type after a reset.
-    metrics.observe("repro_solver_calls_total", 1.0)
-
-
 def test_set_metrics_swaps_registry():
     fresh = Metrics()
     previous = set_metrics(fresh)
@@ -209,3 +194,13 @@ def test_readme_metric_table_names_every_series_written():
         documented.update("repro_" + name for name in re.findall(r"`(\w+)`", first_cell))
 
     assert written == documented
+
+
+def test_since_dates_the_registry_and_recording_never_moves_it():
+    metrics = Metrics()
+    since = metrics.since
+    assert since == pytest.approx(time.time(), abs=60.0)
+    metrics.inc("repro_solver_calls_total")
+    metrics.observe("repro_solve_seconds", 0.01)
+    assert metrics.since == since
+    assert metrics.snapshot()["since"] == since

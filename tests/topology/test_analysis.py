@@ -11,18 +11,13 @@ from repro.topology import (
     Topology,
     cut_capacity,
     diameter,
-    distance,
     fully_connected,
     hypercube,
     is_strongly_connected,
     line,
-    link_utilization,
-    min_node_in_capacity,
-    node_in_capacity,
     ring,
     shortest_path_lengths,
     star,
-    to_networkx,
 )
 
 
@@ -34,15 +29,10 @@ def test_shortest_paths_on_line():
     assert dist[1][2] == 1
 
 
-def test_distance_helper():
-    assert distance(ring(6), 0, 3) == 3
-    assert distance(ring(6), 0, 5) == 1
-
-
 def test_unreachable_distance_is_none():
     topo = Topology(name="t", num_nodes=3)
     topo.add_link(0, 1)
-    assert distance(topo, 1, 0) is None
+    assert 0 not in shortest_path_lengths(topo)[1]
     assert not is_strongly_connected(topo)
 
 
@@ -58,12 +48,6 @@ def test_diameter_requires_strong_connectivity():
     topo.add_link(0, 1)
     with pytest.raises(TopologyError):
         diameter(topo)
-
-
-def test_node_capacities():
-    topo = ring(4, bandwidth=3)
-    assert node_in_capacity(topo, 0) == 6
-    assert min_node_in_capacity(topo) == 6
 
 
 def test_cut_capacity():
@@ -90,21 +74,6 @@ def test_latency_lower_bound_equals_diameter():
         assert latency == diameter(ring(n))
 
 
-def test_link_utilization():
-    topo = ring(4)
-    util = link_utilization(topo, {(0, 1): 1})
-    assert util[(0, 1)] == 1.0
-    with pytest.raises(TopologyError):
-        link_utilization(topo, {(0, 2): 1})
-
-
-def test_networkx_export():
-    graph = to_networkx(ring(5, bandwidth=2))
-    assert graph.number_of_nodes() == 5
-    assert graph.number_of_edges() == 10
-    assert graph[0][1]["capacity"] == 2
-
-
 @given(n=st.integers(2, 9))
 def test_ring_diameter_formula(n):
     assert diameter(ring(n)) == n // 2
@@ -114,11 +83,29 @@ def test_ring_diameter_formula(n):
 def test_fully_connected_bisection(n):
     topo = fully_connected(n)
     # Each node can receive from n-1 peers.
-    assert min_node_in_capacity(topo) == n - 1
+    assert all(cut_capacity(topo, {node}) == n - 1 for node in topo.nodes())
 
 
 @given(dims=st.integers(1, 4))
 def test_hypercube_properties(dims):
     topo = hypercube(dims)
     assert diameter(topo) == dims
-    assert min_node_in_capacity(topo) == dims
+    assert all(cut_capacity(topo, {node}) == dims for node in topo.nodes())
+
+
+def test_ring_distances_go_the_short_way_round():
+    dist = shortest_path_lengths(ring(6))
+    assert dist[0][3] == 3
+    assert dist[0][5] == 1
+
+
+def test_single_node_cut_is_its_in_capacity():
+    # Two links of bandwidth 3 enter every node of a bidirectional ring.
+    topo = ring(4, bandwidth=3)
+    assert all(cut_capacity(topo, {node}) == 6 for node in topo.nodes())
+
+
+def test_link_capacities_of_a_ring():
+    capacity = ring(5, bandwidth=2).link_capacity()
+    assert len(capacity) == 10
+    assert set(capacity.values()) == {2}

@@ -3,15 +3,14 @@
 import pytest
 
 from repro.topology import (
+    Topology,
     TopologyError,
     diameter,
     fully_connected,
-    from_edge_list,
     hypercube,
     is_strongly_connected,
     line,
     ring,
-    shared_bus,
     star,
     torus_2d,
 )
@@ -68,14 +67,14 @@ def test_hypercube():
     assert topo.num_nodes == 8
     assert diameter(topo) == 3
     # Every node has degree = dimensions.
-    assert all(topo.degree(n) == 3 for n in range(8))
+    assert all(len(topo.out_neighbors(n)) == 3 for n in range(8))
 
 
 def test_torus():
     topo = torus_2d(3, 3)
     assert topo.num_nodes == 9
     assert is_strongly_connected(topo)
-    assert all(topo.degree(n) == 4 for n in range(9))
+    assert all(len(topo.out_neighbors(n)) == 4 for n in range(9))
 
 
 def test_torus_too_small():
@@ -83,17 +82,11 @@ def test_torus_too_small():
         torus_2d(1, 5)
 
 
-def test_shared_bus_capacity():
-    topo = shared_bus(4, bandwidth=1)
-    # Individual links exist but the shared constraint caps everything at 1.
-    shared = [c for c in topo.constraints if len(c.links) > 1]
-    assert len(shared) == 1
-    assert shared[0].bandwidth == 1
-    assert len(shared[0].links) == 12
-
-
-def test_from_edge_list():
-    topo = from_edge_list(3, [(0, 1, 2), (1, 2, 1), (2, 0, 1)], name="tri")
+def test_topology_from_links():
+    topo = Topology(name="tri", num_nodes=3)
+    for src, dst, bandwidth in ((0, 1, 2), (1, 2, 1), (2, 0, 1)):
+        topo.add_link(src, dst, bandwidth)
     assert topo.name == "tri"
     assert topo.bandwidth_between(0, 1) == 2
     assert is_strongly_connected(topo)
+    assert not topo.is_symmetric()

@@ -6,15 +6,17 @@ from repro.core.bounds import lower_bounds
 from repro.topology import (
     amd_z52,
     amd_z52_ring_order,
+    cut_capacity,
     diameter,
     dgx1,
     dgx1_logical_rings,
     is_strongly_connected,
-    min_node_in_capacity,
-    node_in_capacity,
-    node_out_capacity,
     shortest_path_lengths,
 )
+
+
+def out_capacity(topology, node):
+    return sum(cap for (src, _), cap in topology.link_capacity().items() if src == node)
 
 
 class TestDGX1:
@@ -32,8 +34,8 @@ class TestDGX1:
         # 2 NVLinks on the double cycle + 1 on the single cycle, per direction.
         topo = dgx1()
         for gpu in range(8):
-            assert node_in_capacity(topo, gpu) == 6
-            assert node_out_capacity(topo, gpu) == 6
+            assert cut_capacity(topo, {gpu}) == 6
+            assert out_capacity(topo, gpu) == 6
 
     def test_double_and_single_cycle_bandwidths(self):
         topo = dgx1()
@@ -67,8 +69,8 @@ class TestAmdZ52:
     def test_is_a_ring(self):
         topo = amd_z52()
         for gpu in range(8):
-            assert node_in_capacity(topo, gpu) == 2
-            assert node_out_capacity(topo, gpu) == 2
+            assert cut_capacity(topo, {gpu}) == 2
+            assert out_capacity(topo, gpu) == 2
 
     def test_diameter_is_four(self):
         assert diameter(amd_z52()) == 4
