@@ -21,7 +21,7 @@ from repro.evaluation import format_table, table3_rows
 
 
 def test_table3_rows_match_paper(benchmark):
-    rows = benchmark(table3_rows, 1)
+    rows = benchmark(table3_rows)
     report("Table 3: NCCL hand-written collectives (C, S, R)", format_table(rows))
     triples = {(r["collective"], r["C"], r["S"], r["R"]) for r in rows}
     assert ("Allgather/Reducescatter", 6, 7, 7) in triples

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import full_scale, report, synthesis_budget
 from repro.core import allreduce_from_allgather, make_instance, pareto_synthesize, synthesize
-from repro.evaluation import PAPER_TABLE5, format_table
+from repro.evaluation import format_table
 from repro.topology import amd_z52
 
 TOPOLOGY = amd_z52()

@@ -34,7 +34,6 @@ from repro.interchange import (
     plan_from_result,
     read_msccl_xml,
     read_plan,
-    to_msccl_xml,
     write_msccl_xml,
     write_plan,
 )

@@ -86,32 +86,34 @@ def rccl_allgather(topology: Optional[Topology] = None) -> Algorithm:
     )
 
 
-def rccl_allreduce(topology: Optional[Topology] = None) -> Algorithm:
+def rccl_allreduce() -> Algorithm:
     """RCCL's ring Allreduce on the Gigabyte Z52: (C, S, R) = (16, 14, 14)."""
-    topo = topology or amd_z52()
+    topo = amd_z52()
     return ring_allreduce(
         topo, single_ring(topo, amd_z52_ring_order()), name="rccl_allreduce_amd"
     )
 
 
-def nccl_table3(multiplier: int = 1) -> List[BaselineEntry]:
-    """The (C, S, R) rows of Table 3 as data, for the Table 3 benchmark."""
-    m = multiplier
+def nccl_table3() -> List[BaselineEntry]:
+    """The (C, S, R) rows of Table 3 as data, for the Table 3 benchmark.
+
+    Broadcast and Reduce are the family (6m, 6+m, 6+m); the table lists m=1.
+    """
     return [
         BaselineEntry("Allgather/Reducescatter", 6, 7, 7),
         BaselineEntry("Allreduce", 48, 14, 14),
-        BaselineEntry("Broadcast/Reduce", 6 * m, 6 + m, 6 + m, note=f"m={m}"),
+        BaselineEntry("Broadcast/Reduce", 6, 7, 7, note="m=1"),
     ]
 
 
-def nccl_baseline(collective: str, topology: Optional[Topology] = None, multiplier: int = 1) -> Algorithm:
+def nccl_baseline(collective: str, topology: Optional[Topology] = None) -> Algorithm:
     """Look up the NCCL baseline algorithm for a collective on the DGX-1."""
     builders = {
         "allgather": lambda: nccl_allgather(topology),
         "reducescatter": lambda: nccl_reducescatter(topology),
         "allreduce": lambda: nccl_allreduce(topology),
-        "broadcast": lambda: nccl_broadcast(multiplier, topology),
-        "reduce": lambda: nccl_reduce(multiplier, topology),
+        "broadcast": lambda: nccl_broadcast(topology=topology),
+        "reduce": lambda: nccl_reduce(topology=topology),
     }
     key = collective.lower()
     if key not in builders:

@@ -25,10 +25,9 @@ def pipelined_broadcast(
     topology: Topology,
     rings: Sequence[Sequence[int]],
     chunks_per_ring: int,
-    root: int = 0,
     name: Optional[str] = None,
 ) -> Algorithm:
-    """Pipelined multi-ring Broadcast with ``m = chunks_per_ring``.
+    """Pipelined multi-ring Broadcast from node 0 with ``m = chunks_per_ring``.
 
     Produces ``C = m * len(rings)`` chunks and ``S = R = (P - 1) + (m - 1)``
     steps — i.e. the ``(6m, 6+m, 6+m)`` family of Table 3 when P = 8 and
@@ -40,6 +39,7 @@ def pipelined_broadcast(
     num_nodes = topology.num_nodes
     num_rings = len(rings)
     num_chunks = chunks_per_ring * num_rings
+    root = 0
     spec = get_collective("Broadcast")
     pre = spec.precondition(num_nodes, num_chunks, root)
     post = spec.postcondition(num_nodes, num_chunks, root)
@@ -85,11 +85,10 @@ def pipelined_reduce(
     topology: Topology,
     rings: Sequence[Sequence[int]],
     chunks_per_ring: int,
-    root: int = 0,
     name: Optional[str] = None,
 ) -> Algorithm:
     """Pipelined Reduce — the inversion of the pipelined Broadcast."""
-    broadcast = pipelined_broadcast(topology, rings, chunks_per_ring, root=root)
+    broadcast = pipelined_broadcast(topology, rings, chunks_per_ring)
     reduce_algorithm = invert_algorithm(
         broadcast,
         collective="Reduce",

@@ -11,7 +11,7 @@ use them to illustrate the latency/bandwidth trade-off).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..collectives import get_collective
 from ..core.algorithm import Algorithm, Send, Step
@@ -52,33 +52,22 @@ def tree_depths(parents: Dict[int, int], root: int) -> Dict[int, int]:
     return depths
 
 
-def tree_broadcast(
-    topology: Topology,
-    chunks: int = 1,
-    root: int = 0,
-    name: Optional[str] = None,
-) -> Algorithm:
-    """Broadcast along a BFS spanning tree.
+def tree_broadcast(topology: Topology, root: int = 0) -> Algorithm:
+    """Broadcast of one chunk along a BFS spanning tree.
 
-    Every chunk travels the same tree; a node forwards a chunk one step
-    after receiving it, so the step count is the tree depth plus the
-    pipeline fill (``chunks - 1``).
+    A node forwards the chunk one step after receiving it, so the step
+    count is the tree depth.
     """
-    if chunks < 1:
-        raise TreeError("need at least one chunk")
     parents = bfs_tree(topology, root)
     depths = tree_depths(parents, root)
     max_depth = max(depths.values())
     spec = get_collective("Broadcast")
-    pre = spec.precondition(topology.num_nodes, chunks, root)
-    post = spec.postcondition(topology.num_nodes, chunks, root)
+    pre = spec.precondition(topology.num_nodes, 1, root)
+    post = spec.postcondition(topology.num_nodes, 1, root)
 
-    num_steps = max_depth + (chunks - 1)
-    sends_by_step: List[List[Send]] = [[] for _ in range(num_steps)]
-    for chunk in range(chunks):
-        for node, parent in parents.items():
-            step = chunk + depths[node] - 1
-            sends_by_step[step].append(Send(chunk=chunk, src=parent, dst=node))
+    sends_by_step: List[List[Send]] = [[] for _ in range(max_depth)]
+    for node, parent in parents.items():
+        sends_by_step[depths[node] - 1].append(Send(chunk=0, src=parent, dst=node))
 
     steps = []
     for sends in sends_by_step:
@@ -89,11 +78,11 @@ def tree_broadcast(
         steps.append(Step(rounds=rounds, sends=tuple(sends)))
 
     algorithm = Algorithm(
-        name=name or f"tree_broadcast_{topology.name}_c{chunks}",
+        name=f"tree_broadcast_{topology.name}_c1",
         collective="Broadcast",
         topology=topology,
-        chunks_per_node=chunks,
-        num_chunks=chunks,
+        chunks_per_node=1,
+        num_chunks=1,
         precondition=pre,
         postcondition=post,
         steps=steps,
@@ -117,18 +106,11 @@ def _rounds_needed(topology: Topology, sends: List[Send]) -> int:
     return rounds
 
 
-def tree_reduce(
-    topology: Topology,
-    chunks: int = 1,
-    root: int = 0,
-    name: Optional[str] = None,
-) -> Algorithm:
+def tree_reduce(topology: Topology, root: int = 0) -> Algorithm:
     """Reduce along a BFS tree — the inversion of :func:`tree_broadcast`."""
-    broadcast = tree_broadcast(topology, chunks=chunks, root=root)
+    broadcast = tree_broadcast(topology, root=root)
     reduce_algorithm = invert_algorithm(
-        broadcast,
-        collective="Reduce",
-        name=name or f"tree_reduce_{topology.name}_c{chunks}",
+        broadcast, collective="Reduce", name=f"tree_reduce_{topology.name}_c1"
     )
     reduce_algorithm.verify()
     return reduce_algorithm

@@ -226,26 +226,26 @@ def _cmd_pareto(args) -> int:
 
     topology = _topology(args)
     cache = _resolve_cache(args)
+    tracer = _make_tracer(args)
     try:
-        frontier = pareto_synthesize(
-            args.collective,
-            topology,
-            args.k,
-            root=args.root,
-            max_steps=args.max_steps,
-            max_chunks=args.max_chunks,
-            time_limit_per_instance=args.time_limit,
-            conflict_limit=args.conflict_limit,
-            strategy=args.strategy,
-            max_workers=args.max_workers,
-            cache=cache,
-            bounds="off" if args.no_bounds else "baseline",
-            trace=args.trace,
-        )
+        with _maybe_tracing(tracer):
+            frontier = pareto_synthesize(
+                args.collective,
+                topology,
+                args.k,
+                root=args.root,
+                max_steps=args.max_steps,
+                max_chunks=args.max_chunks,
+                time_limit_per_instance=args.time_limit,
+                conflict_limit=args.conflict_limit,
+                strategy=args.strategy,
+                max_workers=args.max_workers,
+                cache=cache,
+                bounds="off" if args.no_bounds else "baseline",
+            )
     except Exception as exc:
         raise CliError(str(exc)) from exc
-    if args.trace:
-        print(f"wrote Chrome trace to {args.trace} (load it in ui.perfetto.dev)")
+    _write_trace(tracer, args)
 
     title = (
         f"{frontier.collective} on {frontier.topology_name} "
@@ -602,14 +602,10 @@ def _print_section(title: str, rows) -> None:
 def _cmd_request_stats(args) -> int:
     from ..service import ServiceError, fetch_stats
 
+    if args.local:
+        raise CliError("--stats reads a running service's counters (--url), not --local")
     try:
-        if args.local:
-            from ..service import PlanningService
-
-            with PlanningService(_make_registry(args), num_workers=args.workers) as service:
-                stats = service.stats()
-        else:
-            stats = fetch_stats(args.url)
+        stats = fetch_stats(args.url)
     except ServiceError as exc:
         raise CliError(str(exc)) from exc
 
@@ -761,8 +757,6 @@ def _cmd_fault(args) -> int:
 
     if args.preview:
         # Offline: derive and describe the degraded topology locally.
-        from ..faults import FaultSet
-
         topology = request.resolve_topology()
         fault_set = request.fault_set()
         fault_set.validate(topology)

@@ -56,10 +56,6 @@ class Send:
         if self.op not in ("copy", "reduce"):
             raise AlgorithmError(f"unknown send op {self.op!r}")
 
-    def reversed(self, op: SendOp = "reduce") -> "Send":
-        """The inverted send used by the combining-collective reduction."""
-        return Send(chunk=self.chunk, src=self.dst, dst=self.src, op=op)
-
 
 @dataclass(frozen=True)
 class Step:
@@ -339,8 +335,8 @@ class Algorithm:
 
         The SMT encoding does not forbid "junk" sends that deliver a chunk
         to a node that neither needs it nor forwards it; they satisfy the
-        constraints but waste bandwidth and break the copy-inversion used
-        to derive Scatter from Gather.  This backward sweep keeps exactly
+        constraints but waste bandwidth and break the inversion used to
+        derive the combining collectives.  This backward sweep keeps exactly
         the sends on a dependency path to the postcondition.  Only defined
         for non-combining algorithms (combining schedules need every
         contribution by construction).

@@ -53,14 +53,12 @@ def invert_algorithm(
     collective: Optional[str] = None,
     name: Optional[str] = None,
     target_topology: Optional[Topology] = None,
-    op: str = "reduce",
 ) -> Algorithm:
     """Invert a non-combining algorithm (Section 3.5).
 
-    Every send ``(c, n -> n')`` at step ``s`` becomes ``(c, n' -> n)`` at
-    step ``S - 1 - s``.  With ``op="reduce"`` the result is a combining
-    algorithm (Reduce from Broadcast, Reducescatter from Allgather); with
-    ``op="copy"`` it is the plain reversal (Scatter from Gather).
+    Every send ``(c, n -> n')`` at step ``s`` becomes the reduce
+    ``(c, n' -> n)`` at step ``S - 1 - s``: the result is a combining
+    algorithm (Reduce from Broadcast, Reducescatter from Allgather).
 
     ``target_topology`` is the topology the inverted algorithm runs on.  It
     defaults to the source algorithm's topology, which is correct whenever
@@ -83,12 +81,11 @@ def invert_algorithm(
         )
 
     num_steps = algorithm.num_steps
-    combining = op == "reduce"
     inverted_steps: List[Step] = []
     for index in range(num_steps - 1, -1, -1):
         source_step = algorithm.steps[index]
         sends = tuple(
-            Send(chunk=s.chunk, src=s.dst, dst=s.src, op=op) for s in source_step.sends
+            Send(chunk=s.chunk, src=s.dst, dst=s.src, op="reduce") for s in source_step.sends
         )
         inverted_steps.append(Step(rounds=source_step.rounds, sends=sends))
 
@@ -102,7 +99,6 @@ def invert_algorithm(
         collective = {
             "Allgather": "Reducescatter",
             "Broadcast": "Reduce",
-            "Gather": "Scatter",
         }.get(algorithm.collective, f"inverse_{algorithm.collective}")
 
     inverted = Algorithm(
@@ -114,8 +110,8 @@ def invert_algorithm(
         precondition=frozenset(pre),
         postcondition=post,
         steps=inverted_steps,
-        combining=combining,
-        metadata={"derived_from": algorithm.name, "inversion_op": op},
+        combining=True,
+        metadata={"derived_from": algorithm.name, "inversion_op": "reduce"},
     )
     return inverted
 
@@ -124,7 +120,6 @@ def allreduce_from_allgather(
     allgather: Algorithm,
     *,
     name: Optional[str] = None,
-    reducescatter: Optional[Algorithm] = None,
 ) -> Algorithm:
     """Build an Allreduce as Reducescatter (inverted Allgather) + Allgather.
 
@@ -137,7 +132,7 @@ def allreduce_from_allgather(
         raise CombiningError(
             f"expected an Allgather algorithm, got {allgather.collective}"
         )
-    rs = reducescatter or invert_algorithm(allgather)
+    rs = invert_algorithm(allgather)
     num_nodes = allgather.topology.num_nodes
     full = all_nodes(allgather.num_chunks, num_nodes)
     steps: List[Step] = []

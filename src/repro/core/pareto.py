@@ -17,15 +17,14 @@ Broadcast.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..collectives import get_collective
 from ..solver import SolveResult
-from ..telemetry import Tracer, get_tracer, tracing
+from ..telemetry import get_tracer
 from ..topology import Topology
 from .algorithm import Algorithm
 from .bounds import lower_bounds
@@ -115,7 +114,7 @@ class ParetoFrontier:
     strategy: str = "serial"
     backend: str = "cdcl"
     engine_stats: Dict[str, int] = field(default_factory=dict)
-    #: Bound-seeding mode the run used: "baseline", "custom" or "off".
+    #: Bound-seeding mode the run used: "baseline" or "off".
     bounds: str = "off"
     #: Provenance of the seeded upper bounds (e.g. "baseline:ring").
     bound_sources: List[str] = field(default_factory=list)
@@ -216,8 +215,7 @@ def pareto_synthesize(
     strategy: str = "incremental",
     max_workers: Optional[int] = None,
     cache=None,
-    bounds: Union[str, None, "object"] = "baseline",
-    trace: Union[str, "os.PathLike", Tracer, None] = None,
+    bounds: Optional[str] = "baseline",
 ) -> ParetoFrontier:
     """Run Algorithm 1 for a collective on a topology.
 
@@ -263,20 +261,12 @@ def pareto_synthesize(
         :class:`~repro.engine.bounds.BoundsLedger` from the verified
         baseline suite so dominated candidates are skipped and monotone
         UNSAT cuts propagate across the sweep; ``"off"`` (or ``None``)
-        disables seeding; a :class:`~repro.engine.bounds.BoundsLedger`
-        instance is used as-is (it must match the collective, topology and
-        root).  The Pareto-optimal frontier points are identical with
-        bounds on or off — pruning only removes dominated probes.
-    trace:
-        Span tracing for this run.  A path (str / PathLike) records the
-        whole run with a fresh :class:`~repro.telemetry.Tracer` and writes
-        Chrome trace-event JSON there (open it in Perfetto or
-        ``chrome://tracing``, or digest it with ``repro trace``).  A
-        :class:`~repro.telemetry.Tracer` instance records into that tracer
-        and writes nothing.  ``None`` (default) leaves the ambient tracer
-        in place — the no-op tracer unless the caller installed one.
+        disables seeding.  The Pareto-optimal frontier points are identical
+        with bounds on or off — pruning only removes dominated probes.
+
+    Spans go to the ambient tracer (:func:`~repro.telemetry.tracing`).
     """
-    from ..engine.bounds import BoundsLedger, seed_ledger
+    from ..engine.bounds import seed_ledger
     from ..engine.dispatch import SweepRequest, SweepStats, make_dispatcher
 
     spec = get_collective(collective)
@@ -301,15 +291,6 @@ def pareto_synthesize(
         cache=cache,
         bounds=bounds,
     )
-    if trace is not None:
-        if isinstance(trace, Tracer):
-            with tracing(trace):
-                return pareto_synthesize(collective, topology, k, **options)
-        tracer = Tracer()
-        with tracing(tracer):
-            frontier = pareto_synthesize(collective, topology, k, **options)
-        tracer.write_chrome_trace(trace)
-        return frontier
 
     # --- combining collectives: delegate to the non-combining counterpart ----
     if spec.combining:
@@ -318,19 +299,6 @@ def pareto_synthesize(
     if bounds is None or bounds == "off":
         ledger = None
         bounds_mode = "off"
-    elif isinstance(bounds, BoundsLedger):
-        ledger = bounds
-        if (
-            ledger.collective != spec.name
-            or ledger.topology is not topology
-            or ledger.root != root
-        ):
-            raise ParetoError(
-                "a custom BoundsLedger must match the synthesized collective, "
-                "topology and root (combining collectives delegate to their "
-                "non-combining base and cannot reuse the caller's ledger)"
-            )
-        bounds_mode = "custom"
     elif bounds == "baseline":
         ledger = seed_ledger(spec.name, topology, root=root)
         bounds_mode = "baseline"
@@ -432,13 +400,14 @@ def pareto_synthesize(
     with pareto_ctx as pareto_span:
         # Outcomes are folded in as the loop produces them; the loop stops
         # after the first one that reaches the bandwidth bound.  Stopping on
-        # the final step count still reports the budget as exhausted.
+        # the final step count still reports the budget as exhausted; a
+        # sweep that probed no step count exhausted nothing.
         outcomes = dispatcher.run(
             [build_request(steps) for steps in step_counts],
             cache=cache,
             stop=ingest_sweep,
         )
-        frontier.exhausted_steps = len(outcomes) == len(step_counts)
+        frontier.exhausted_steps = bool(step_counts) and len(outcomes) == len(step_counts)
 
         _mark_pareto_optimal(frontier)
         frontier.total_time = time.monotonic() - start_time

@@ -99,18 +99,6 @@ class ProbePlan:
     #: Cut witnesses by candidate index: the recorded UNSAT that kills it.
     witnesses: Dict[int, Tuple[int, int, int]]
 
-    @property
-    def probes(self) -> int:
-        return sum(1 for a in self.actions if a == PROBE)
-
-    @property
-    def cuts(self) -> int:
-        return sum(1 for a in self.actions if a == CUT)
-
-    @property
-    def pruned(self) -> int:
-        return sum(1 for a in self.actions if a == PRUNE)
-
 
 def steps_splittable(topology: Topology) -> bool:
     """Can every multi-round step be split into single-round steps?

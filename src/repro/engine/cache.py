@@ -309,12 +309,6 @@ class AlgorithmCache:
     # ------------------------------------------------------------------
     # Lookup / store
     # ------------------------------------------------------------------
-    def lookup(self, key: str) -> Optional[CacheEntry]:
-        """The entry stored under ``key`` (None on a miss), counted."""
-        entry = self._read(key)
-        self._count(entry is not None)
-        return entry
-
     def lookup_decoded(
         self, key: str, topology: Topology
     ) -> Optional[Tuple[CacheEntry, Optional[Algorithm]]]:

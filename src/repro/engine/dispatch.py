@@ -477,11 +477,9 @@ class Dispatcher:
         self.name = name
         self._make_executor = make_executor
 
-    def sweep(
-        self, request: SweepRequest, cache: Optional[AlgorithmCache] = None
-    ) -> SweepOutcome:
-        """Run one request on its own."""
-        return self.run([request], cache=cache)[0]
+    def sweep(self, request: SweepRequest) -> SweepOutcome:
+        """Run one request on its own, without a cache."""
+        return self.run([request])[0]
 
     def run(
         self,

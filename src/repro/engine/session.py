@@ -167,7 +167,6 @@ class SessionFamily:
         max_rounds: Optional[int] = None,
         time_limit: Optional[float] = None,
         conflict_limit: Optional[int] = None,
-        name: Optional[str] = None,
         instance: Optional[SynCollInstance] = None,
     ):
         """Probe one ``(S, C, R)`` candidate; returns a SynthesisResult.
@@ -224,9 +223,7 @@ class SessionFamily:
 
             result = finish_probe(
                 instance, solve,
-                lambda: entry.encoder.decode(
-                    entry.handle.model(), name=name, instance=instance
-                ),
+                lambda: entry.encoder.decode(entry.handle.model(), instance=instance),
                 backend=CdclHandle.name, encode_time=encode_time,
                 encoding_stats=entry.encoder.stats.as_dict(),
             )

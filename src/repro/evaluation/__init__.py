@@ -9,7 +9,6 @@ from .figures import (
     figure4_allgather_dgx1,
     figure5_allreduce_dgx1,
     figure6_allgather_amd,
-    full_scale,
 )
 from .reporting import format_series, format_table
 from .tables import (
@@ -33,6 +32,5 @@ __all__ = [
     "figure6_allgather_amd",
     "format_series",
     "format_table",
-    "full_scale",
     "table3_rows",
 ]

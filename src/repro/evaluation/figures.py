@@ -17,7 +17,6 @@ vanishing.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,11 +39,6 @@ FIGURE5_POINTS: List[Tuple[int, int, int]] = [(1, 2, 2), (4, 5, 5), (5, 6, 6), (
 
 #: Allgather points plotted in Figure 6 (Gigabyte Z52).
 FIGURE6_POINTS: List[Tuple[int, int, int]] = [(1, 4, 4), (2, 7, 7)]
-
-
-def full_scale() -> bool:
-    """True when the SCCL_FULL environment variable requests paper-scale runs."""
-    return os.environ.get("SCCL_FULL", "0") not in ("", "0", "false", "no")
 
 
 @dataclass
@@ -88,14 +82,13 @@ def _synthesize_points(
     topology: Topology,
     points: Sequence[Tuple[int, int, int]],
     time_limit: Optional[float],
-    cache=None,
 ) -> Tuple[Dict[Tuple[int, int, int], Algorithm], Dict[str, str]]:
     algorithms: Dict[Tuple[int, int, int], Algorithm] = {}
     skipped: Dict[str, str] = {}
     for (chunks, steps, rounds) in points:
         label = f"({chunks},{steps},{rounds})"
         instance = make_instance(collective, topology, chunks, steps, rounds)
-        result = synthesize(instance, time_limit=time_limit, cache=cache)
+        result = synthesize(instance, time_limit=time_limit)
         if result.algorithm is None:
             skipped[label] = f"synthesis {result.status.value} after {result.total_time:.0f}s"
             continue
@@ -121,10 +114,8 @@ def _speedup_series(
 
 
 def figure4_allgather_dgx1(
-    sizes: Optional[Sequence[int]] = None,
     time_limit: Optional[float] = 60.0,
     points: Optional[Sequence[Tuple[int, int, int]]] = None,
-    cache=None,
 ) -> FigureResult:
     """Figure 4: Allgather speedup over NCCL on the DGX-1.
 
@@ -132,12 +123,10 @@ def figure4_allgather_dgx1(
     lowering plus the bandwidth-optimal algorithm lowered with per-step
     cudaMemcpy, mirroring the "(6,7,7) cudamemcpy" series of the paper.
     """
-    sizes = list(sizes or DEFAULT_SIZES)
+    sizes = list(DEFAULT_SIZES)
     points = list(points or FIGURE4_POINTS)
     topology = dgx1()
-    algorithms, skipped = _synthesize_points(
-        "Allgather", topology, points, time_limit, cache=cache
-    )
+    algorithms, skipped = _synthesize_points("Allgather", topology, points, time_limit)
     labeled: Dict[str, Tuple[Algorithm, str]] = {}
     for signature, algorithm in algorithms.items():
         labeled[_label(signature)] = (algorithm, "single_kernel_push")
@@ -156,10 +145,8 @@ def figure4_allgather_dgx1(
 
 
 def figure5_allreduce_dgx1(
-    sizes: Optional[Sequence[int]] = None,
     time_limit: Optional[float] = 60.0,
     points: Optional[Sequence[Tuple[int, int, int]]] = None,
-    cache=None,
 ) -> FigureResult:
     """Figure 5: Allreduce speedup over NCCL on the DGX-1.
 
@@ -167,12 +154,10 @@ def figure5_allreduce_dgx1(
     Reducescatter + Allgather composition; series are labeled by the
     Allgather phase's (C, S, R) as in the paper.
     """
-    sizes = list(sizes or DEFAULT_SIZES)
+    sizes = list(DEFAULT_SIZES)
     points = list(points or FIGURE5_POINTS)
     topology = dgx1()
-    allgathers, skipped = _synthesize_points(
-        "Allgather", topology, points, time_limit, cache=cache
-    )
+    allgathers, skipped = _synthesize_points("Allgather", topology, points, time_limit)
     labeled: Dict[str, Tuple[Algorithm, str]] = {}
     for signature, allgather in allgathers.items():
         allreduce = allreduce_from_allgather(allgather)
@@ -187,19 +172,11 @@ def figure5_allreduce_dgx1(
     return result
 
 
-def figure6_allgather_amd(
-    sizes: Optional[Sequence[int]] = None,
-    time_limit: Optional[float] = 60.0,
-    points: Optional[Sequence[Tuple[int, int, int]]] = None,
-    cache=None,
-) -> FigureResult:
+def figure6_allgather_amd(time_limit: Optional[float] = 60.0) -> FigureResult:
     """Figure 6: Allgather speedup over RCCL on the Gigabyte Z52."""
-    sizes = list(sizes or DEFAULT_SIZES)
-    points = list(points or FIGURE6_POINTS)
+    sizes = list(DEFAULT_SIZES)
     topology = amd_z52()
-    algorithms, skipped = _synthesize_points(
-        "Allgather", topology, points, time_limit, cache=cache
-    )
+    algorithms, skipped = _synthesize_points("Allgather", topology, FIGURE6_POINTS, time_limit)
     labeled = {
         _label(signature): (algorithm, "single_kernel_push")
         for signature, algorithm in algorithms.items()

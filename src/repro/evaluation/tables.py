@@ -15,10 +15,10 @@ from ..baselines import nccl_table3
 from ..core import ParetoFrontier
 
 
-def table3_rows(multiplier: int = 1) -> List[Dict[str, object]]:
+def table3_rows() -> List[Dict[str, object]]:
     """Table 3: NCCL's hand-written collectives and their (C, S, R)."""
     rows = []
-    for entry in nccl_table3(multiplier):
+    for entry in nccl_table3():
         rows.append(
             {
                 "collective": entry.collective,

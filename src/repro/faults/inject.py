@@ -64,10 +64,6 @@ class FaultInjectionError(FaultError):
             f"program {program_name!r} fails under faults — {first.describe()}{suffix}"
         )
 
-    @property
-    def first(self) -> FaultViolation:
-        return self.violations[0]
-
 
 def _dead_links(
     faults: Union[FaultSet, Set[Link]], topology: Optional[Topology]
@@ -108,20 +104,18 @@ def execute_with_faults(
     algorithm: Algorithm,
     faults: Union[FaultSet, Set[Link]],
     topology: Optional[Topology] = None,
-    *,
-    check: bool = True,
 ) -> ExecutionResult:
     """Run ``program`` on the functional executor under fault injection.
 
     Raises :class:`FaultInjectionError` (naming the earliest failing step,
     sender and peer) when any transfer crosses a dead link; otherwise the
-    plan is executed — and, with ``check=True``, verified against the
-    collective's definition — exactly as without faults.
+    plan is executed and verified against the collective's definition
+    exactly as without faults.
     """
     violations = scan_program(program, faults, topology)
     if violations:
         raise FaultInjectionError(program.name, violations)
-    return execute(program, algorithm, check=check)
+    return execute(program, algorithm)
 
 
 def simulate_with_faults(

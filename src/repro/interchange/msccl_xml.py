@@ -54,12 +54,7 @@ _ATTR_ENTITIES = (
 # ----------------------------------------------------------------------
 # Emission
 # ----------------------------------------------------------------------
-def to_msccl_xml(
-    algorithm: Algorithm,
-    *,
-    protocol: str = "single_kernel_push",
-    name: Optional[str] = None,
-) -> str:
+def to_msccl_xml(algorithm: Algorithm, *, protocol: str = "single_kernel_push") -> str:
     """Serialize an algorithm as an MSCCL-style XML document.
 
     The algorithm is lowered first, and lowering verifies it (in full unless
@@ -78,7 +73,7 @@ def to_msccl_xml(
     num_gpus = topology.num_nodes
 
     lines = [
-        f'<algo name="{_escape_attr(name or algorithm.name)}" coll="{spec.name.lower()}" '
+        f'<algo name="{_escape_attr(algorithm.name)}" coll="{spec.name.lower()}" '
         f'proto="Simple" protocol="{_escape_attr(protocol)}" nchannels="1" '
         f'ngpus="{num_gpus}" nchunksperloop="{algorithm.num_chunks}" '
         f'chunks_per_node="{algorithm.chunks_per_node}" nsteps="{algorithm.num_steps}" '
@@ -155,18 +150,12 @@ def _escape_attr(text: str) -> str:
     return text
 
 
-def write_msccl_xml(
-    algorithm: Algorithm,
-    path,
-    *,
-    protocol: str = "single_kernel_push",
-    name: Optional[str] = None,
-) -> Path:
+def write_msccl_xml(algorithm: Algorithm, path) -> Path:
     """Emit an algorithm to ``path``, atomically; returns the path written."""
     from ..engine.cache import atomic_write
 
     destination = Path(path)
-    atomic_write(destination, to_msccl_xml(algorithm, protocol=protocol, name=name))
+    atomic_write(destination, to_msccl_xml(algorithm))
     return destination
 
 

@@ -26,8 +26,6 @@ Protocols
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.algorithm import Algorithm
 from .program import Instruction, OpCode, Program
 
@@ -42,7 +40,6 @@ class LoweringError(Exception):
 def lower(
     algorithm: Algorithm,
     protocol: str = "single_kernel_push",
-    name: Optional[str] = None,
 ) -> Program:
     """Lower an algorithm to a :class:`~repro.runtime.program.Program`.
 
@@ -56,7 +53,7 @@ def lower(
     algorithm.verify()
 
     program = Program(
-        name=name or f"{algorithm.name}_{protocol}",
+        name=f"{algorithm.name}_{protocol}",
         collective=algorithm.collective,
         num_ranks=algorithm.topology.num_nodes,
         num_chunks=algorithm.num_chunks,

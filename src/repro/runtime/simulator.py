@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.algorithm import Algorithm
 from ..topology import DEFAULT_LINK_LATENCY_S, Topology
@@ -149,15 +149,9 @@ class Simulator:
     (as ``FaultSet.apply`` does), not by editing this one in place.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        protocols: Optional[Dict[str, ProtocolModel]] = None,
-    ) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
         self.protocols = dict(DEFAULT_PROTOCOLS)
-        if protocols:
-            self.protocols.update(protocols)
         self._capacity = topology.link_capacity()
         # bandwidth multiplier -> link -> (alpha, beta): bounded by the
         # topology's links, and holds no reference to any program.
@@ -253,39 +247,20 @@ class Simulator:
         )
 
     # ------------------------------------------------------------------
-    def simulate_algorithm(
-        self,
-        algorithm: Algorithm,
-        size_bytes: float,
-        protocol: str = "single_kernel_push",
-    ) -> SimulationResult:
-        """Lower and simulate in one call."""
+    def simulate_algorithm(self, algorithm: Algorithm, size_bytes: float) -> SimulationResult:
+        """Lower (single-kernel push) and simulate in one call."""
         from .lowering import lower
 
-        program = lower(algorithm, protocol=protocol)
-        return self.simulate(program, size_bytes)
-
-    def sweep(
-        self,
-        algorithm: Algorithm,
-        sizes_bytes: List[float],
-        protocol: str = "single_kernel_push",
-    ) -> List[SimulationResult]:
-        """Simulate one algorithm across a range of input sizes."""
-        from .lowering import lower
-
-        program = lower(algorithm, protocol=protocol)
-        return [self.simulate(program, size) for size in sizes_bytes]
+        return self.simulate(lower(algorithm), size_bytes)
 
 
 def simulate(
     algorithm_or_program,
     topology: Topology,
     size_bytes: float,
-    protocol: str = "single_kernel_push",
 ) -> SimulationResult:
     """Module-level convenience wrapper used by the examples."""
     simulator = Simulator(topology)
     if isinstance(algorithm_or_program, Program):
         return simulator.simulate(algorithm_or_program, size_bytes)
-    return simulator.simulate_algorithm(algorithm_or_program, size_bytes, protocol=protocol)
+    return simulator.simulate_algorithm(algorithm_or_program, size_bytes)

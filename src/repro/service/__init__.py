@@ -52,7 +52,7 @@ from .server import (
 _SERVER_NAMES = {
     "broker": ("Broker", "BrokerError", "BrokerStats", "Job", "Ticket"),
     "faults": ("FaultBoard", "apply_fault_request"),
-    "registry": ("DEFAULT_ROUTE_SIZES", "PlanRegistry", "RegistryError", "RouteEntry",
+    "registry": ("PlanRegistry", "ROUTE_SIZES", "RegistryError", "RouteEntry",
                  "RoutingTable", "build_routing_table", "default_registry", "routing_key"),
     "workers": ("PlanningService", "SynthesisResolver", "WorkerError", "WorkerPool",
                 "baseline_algorithm"),
@@ -81,7 +81,6 @@ __all__ = [
     "DEFAULT_DEADLINE_S",
     "DEFAULT_HOST",
     "DEFAULT_PORT",
-    "DEFAULT_ROUTE_SIZES",
     "FAULT_ACTIONS",
     "FaultBoard",
     "FaultRequest",
@@ -92,6 +91,7 @@ __all__ = [
     "PlanResponse",
     "PlanningHTTPServer",
     "PlanningService",
+    "ROUTE_SIZES",
     "RegistryError",
     "RouteEntry",
     "RoutingTable",

@@ -255,7 +255,7 @@ def _field(data: dict, key: str, kind: type, default=None):
 SOURCES = ("registry", "cache", "synthesized", "baseline")
 
 #: Terminal request outcomes.
-STATUSES = ("ok", "timeout", "cancelled", "error")
+STATUSES = ("ok", "timeout", "error")
 
 
 @dataclass

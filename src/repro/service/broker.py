@@ -10,11 +10,11 @@ instead of enqueueing a second one.  When the job completes, every
 attached ticket receives its own copy of the shared response, annotated
 with the caller-specific wait time and a ``coalesced`` flag.
 
-Deadlines and cancellation are caller-side: :meth:`Ticket.wait` gives up
-after the request's deadline and returns a ``timeout`` response;
-:meth:`Ticket.cancel` detaches the ticket immediately.  In both cases the
-underlying job keeps running if it has other waiters — and if it has
-*none* and has not started yet, it is dropped from the queue entirely.  A
+Deadlines are caller-side: :meth:`Ticket.wait` gives up after the
+request's deadline, detaches the ticket and returns a ``timeout``
+response.  The underlying job keeps running if it has other waiters — and
+if it has *none* and has not started yet, it is dropped from the queue
+entirely.  A
 job that already started is never aborted: its result still lands in the
 algorithm cache and the registry, so the work benefits the next caller
 (opportunistic, in the PopPy sense: extra completed work is never wasted,
@@ -57,7 +57,6 @@ class BrokerStats:
     coalesced: int = 0
     completed: int = 0
     failed: int = 0
-    cancelled: int = 0      # tickets detached by Ticket.cancel()
     expired: int = 0        # tickets that gave up waiting (deadline)
     dropped_jobs: int = 0   # queued jobs abandoned by all their waiters
     resolver_crashes: int = 0  # jobs failed by a resolver exception
@@ -70,7 +69,6 @@ class BrokerStats:
             "coalesced": self.coalesced,
             "completed": self.completed,
             "failed": self.failed,
-            "cancelled": self.cancelled,
             "expired": self.expired,
             "dropped_jobs": self.dropped_jobs,
             "resolver_crashes": self.resolver_crashes,
@@ -131,9 +129,6 @@ class Ticket:
     def key(self) -> str:
         return self._job.key
 
-    def done(self) -> bool:
-        return self._event.is_set()
-
     # ------------------------------------------------------------------
     def wait(self, timeout: Optional[float] = None) -> PlanResponse:
         """Block until the job completes, the timeout or the deadline.
@@ -165,22 +160,6 @@ class Ticket:
             error=f"deadline expired after {timeout:.3f}s",
         )
 
-    def cancel(self) -> bool:
-        """Detach from the job; True if the ticket was still pending."""
-        with self._broker._lock:
-            if self._event.is_set():
-                return False
-            self._detach_locked()
-            self._broker._stats.cancelled += 1
-            self._response = PlanResponse(
-                status="cancelled",
-                request_key=self.key,
-                wait_time_s=time.monotonic() - self.submitted_at,
-                coalesced=self.coalesced,
-            )
-            self._event.set()
-            return True
-
     def _detach_locked(self) -> None:
         job = self._job
         if self in job.tickets:
@@ -195,8 +174,8 @@ class Ticket:
     # ------------------------------------------------------------------
     def _resolve(self, response: PlanResponse) -> None:
         with self._broker._lock:
-            # A cancel/expiry that won the race already settled this
-            # ticket; the job's result must not overwrite that outcome.
+            # An expiry that won the race already settled this ticket; the
+            # job's result must not overwrite that outcome.
             if self._event.is_set():
                 return
             self._response = response.with_wait(
@@ -211,20 +190,16 @@ class Broker:
     def __init__(
         self,
         *,
-        max_pending: Optional[int] = None,
+        key_fn: Callable[[PlanRequest], str],
         max_wait_s: float = DEFAULT_MAX_WAIT_S,
-        key_fn: Optional[Callable[[PlanRequest], str]] = None,
     ) -> None:
-        if max_pending is not None and max_pending < 1:
-            raise BrokerError("max_pending must be positive")
         if max_wait_s <= 0:
             raise BrokerError("max_wait_s must be positive")
-        self.max_pending = max_pending
         self.max_wait_s = max_wait_s
-        # The coalescing identity.  The planning service injects a fault-
+        # The coalescing identity.  The planning service passes a fault-
         # aware key function so requests issued after a fault registration
         # never join an in-flight job that targets the healthy fabric.
-        self._key_fn = key_fn if key_fn is not None else (lambda r: r.request_key())
+        self._key_fn = key_fn
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
         self._queue: Deque[Job] = deque()
@@ -250,10 +225,6 @@ class Broker:
                 self._stats.coalesced += 1
                 get_metrics().inc("repro_broker_requests_total", outcome="coalesced")
                 return ticket
-            if self.max_pending is not None and len(self._queue) >= self.max_pending:
-                raise BrokerError(
-                    f"queue full ({self.max_pending} pending jobs); retry later"
-                )
             job = Job(key, request)
             ticket = Ticket(self, job, request, coalesced=False)
             job.tickets.append(ticket)
@@ -326,10 +297,6 @@ class Broker:
         with self._available:
             self._closed = True
             self._available.notify_all()
-
-    def pending(self) -> int:
-        with self._lock:
-            return sum(1 for job in self._queue if not job.dropped)
 
     def stats(self) -> Dict[str, float]:
         with self._lock:

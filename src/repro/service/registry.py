@@ -48,11 +48,11 @@ from ..interchange.plan import AlgorithmPlan, plan_from_algorithm
 from ..topology import Topology
 from .api import PlanRequest, ServiceError
 
-#: Default probe grid for routing tables: 1 KiB .. 256 MiB in x4 steps.
-DEFAULT_ROUTE_SIZES: Tuple[int, ...] = tuple(1024 * 4 ** i for i in range(10))
+#: Probe grid of routing tables: 1 KiB .. 256 MiB in x4 steps.
+ROUTE_SIZES: Tuple[int, ...] = tuple(1024 * 4 ** i for i in range(10))
 
 #: Protocol whose cost model scores routing candidates.
-DEFAULT_ROUTE_PROTOCOL = "single_kernel_push"
+ROUTE_PROTOCOL = "single_kernel_push"
 
 #: Pinned plans a registry keeps in wire form in memory (least recently
 #: used dropped first); a constant, sized for a service's hot set.
@@ -124,8 +124,6 @@ def build_routing_table(
     *,
     root: int = 0,
     synchrony: int = 0,
-    sizes: Sequence[int] = DEFAULT_ROUTE_SIZES,
-    protocol: str = DEFAULT_ROUTE_PROTOCOL,
 ) -> RoutingTable:
     """Score candidate algorithms with the simulator and derive size ranges.
 
@@ -140,13 +138,11 @@ def build_routing_table(
 
     if not algorithms:
         raise RegistryError("cannot build a routing table from zero algorithms")
-    sizes = sorted(set(int(s) for s in sizes))
-    if not sizes or sizes[0] <= 0:
-        raise RegistryError("probe sizes must be positive")
+    sizes = ROUTE_SIZES
 
     started = time.monotonic()
     simulator = Simulator(topology)
-    programs = [(algorithm, lower(algorithm, protocol=protocol)) for algorithm in algorithms]
+    programs = [(algorithm, lower(algorithm, protocol=ROUTE_PROTOCOL)) for algorithm in algorithms]
 
     names: List[str] = []
     times: Dict[str, List[float]] = {}
@@ -191,7 +187,7 @@ def build_routing_table(
         topology_name=topology.name,
         root=root,
         synchrony=synchrony,
-        protocol=protocol,
+        protocol=ROUTE_PROTOCOL,
         probe_sizes=list(sizes),
         probe_times=times,
         entries=entries,
@@ -272,11 +268,9 @@ class PlanRegistry:
     # ------------------------------------------------------------------
     # Pinned plans (delegated to the algorithm cache)
     # ------------------------------------------------------------------
-    def lookup_pinned(
-        self, request: PlanRequest, *, topology: Optional[Topology] = None
-    ) -> Optional[AlgorithmPlan]:
+    def lookup_pinned(self, request: PlanRequest) -> Optional[AlgorithmPlan]:
         """Cached plan for a pinned request, or None (decoded per call)."""
-        payload = self.lookup_pinned_json(request, topology=topology)
+        payload = self.lookup_pinned_json(request)
         if payload is None:
             return None
         return AlgorithmPlan.from_json(payload, verify=False)
@@ -386,11 +380,11 @@ class PlanRegistry:
         return table
 
     def route(
-        self, request: PlanRequest, *, topology: Optional[Topology] = None
+        self, request: PlanRequest
     ) -> Optional[Tuple[AlgorithmPlan, RouteEntry, RoutingTable]]:
         """Answer a routed request from a memoized table, or None (the plan
         decoded per call)."""
-        routed = self.route_json(request, topology=topology)
+        routed = self.route_json(request)
         if routed is None:
             return None
         payload, entry, table = routed

@@ -161,7 +161,7 @@ class _Handler(BaseHTTPRequestHandler):
         timeout = min(timeout, MAX_WAIT_S)
         try:
             response = self.server.service.request(request, timeout=timeout)
-        except ServiceError as exc:  # e.g. queue full
+        except ServiceError as exc:  # e.g. a closed broker
             self._send(503, {"error": str(exc)})
             return
         status = 200 if response.ok else (504 if response.status == "timeout" else 422)

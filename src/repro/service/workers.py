@@ -475,7 +475,6 @@ class PlanningService:
         *,
         num_workers: int = 2,
         resolver: Optional[Resolver] = None,
-        max_pending: Optional[int] = None,
         fault_board: Optional[FaultBoard] = None,
     ) -> None:
         self.registry = registry if registry is not None else PlanRegistry()
@@ -488,9 +487,7 @@ class PlanningService:
         # Coalescing keys are salted with the active fault fingerprint so a
         # request submitted after a fault registration never joins an
         # in-flight job still planning against the healthy fabric.
-        self.broker = Broker(
-            max_pending=max_pending, key_fn=self.fault_board.salted_key
-        )
+        self.broker = Broker(key_fn=self.fault_board.salted_key)
         self.pool = WorkerPool(self.broker, self.resolver, num_workers=num_workers)
         self._started = False
 

@@ -292,10 +292,6 @@ class SATSolver:
     # ------------------------------------------------------------------
     # Assignment & propagation
     # ------------------------------------------------------------------
-    @property
-    def decision_level(self) -> int:
-        return len(self._trail_lim)
-
     def _assign(self, lit: int, reason: Optional[List[int]]) -> None:
         """Make the unassigned literal ``lit`` true at the current level."""
         self._val[lit] = TRUE

@@ -180,11 +180,8 @@ class Metrics:
                     total += hist.sum
         return total
 
-    def quantiles(
-        self, name: str, quantiles: Tuple[float, ...] = (0.50, 0.95, 0.99),
-        **match,
-    ) -> Dict[str, float]:
-        """Estimated quantiles over all ``name`` series matching ``match``.
+    def quantiles(self, name: str, **match) -> Dict[str, float]:
+        """Estimated p50, p95 and p99 over all ``name`` series matching ``match``.
 
         Matching histograms are bucket-merged first, so the answer covers
         the label-aggregated distribution (e.g. every label value together).
@@ -200,9 +197,7 @@ class Metrics:
                     merged.merge(hist)
         if merged is None or merged.count == 0:
             return {}
-        return {
-            f"p{int(round(q * 100))}": merged.quantile(q) for q in quantiles
-        }
+        return merged.quantiles()
 
     def snapshot(self) -> dict:
         """A JSON-friendly dump of every series (tests and BENCH artifacts)."""

@@ -211,10 +211,6 @@ class Tracer:
         """Finished root spans as plain dicts (for cross-process transport)."""
         return [span.to_dict() for span in self.roots()]
 
-    def clear(self) -> None:
-        with self._lock:
-            self._roots.clear()
-
     def chrome_trace(self) -> dict:
         """The Chrome trace-event JSON form (Perfetto / chrome://tracing)."""
         return spans_to_chrome_trace(self.roots())
@@ -273,9 +269,6 @@ class NullTracer:
 
     def export(self) -> List[dict]:
         return []
-
-    def clear(self) -> None:
-        pass
 
     def chrome_trace(self) -> dict:
         return {"traceEvents": [], "displayTimeUnit": "ms"}

@@ -33,12 +33,12 @@ PCIE4_BANDWIDTH_BYTES_PER_S = 27e9
 Z52_ALPHA_SECONDS = 8e-6
 
 
-def amd_z52(
-    alpha: float = Z52_ALPHA_SECONDS,
-    beta: float = 1.0 / PCIE4_BANDWIDTH_BYTES_PER_S,
-) -> Topology:
+def amd_z52() -> Topology:
     """Build the Gigabyte Z52 (8x MI50) topology as a bidirectional 8-ring."""
-    topo = Topology(name="amd_z52", num_nodes=8, alpha=alpha, beta=beta)
+    topo = Topology(
+        name="amd_z52", num_nodes=8,
+        alpha=Z52_ALPHA_SECONDS, beta=1.0 / PCIE4_BANDWIDTH_BYTES_PER_S,
+    )
     order = Z52_RING_ORDER
     for i, node in enumerate(order):
         nxt = order[(i + 1) % len(order)]

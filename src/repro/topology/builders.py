@@ -10,19 +10,10 @@ otherwise.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .topology import Topology, TopologyError
 
 
-def ring(
-    num_nodes: int,
-    bandwidth: int = 1,
-    bidirectional: bool = True,
-    name: Optional[str] = None,
-    alpha: float = 5e-6,
-    beta: float = 1.0 / 25e9,
-) -> Topology:
+def ring(num_nodes: int, bandwidth: int = 1, bidirectional: bool = True) -> Topology:
     """A ring of ``num_nodes`` nodes.
 
     With ``bidirectional=True`` (the default) each adjacent pair gets links
@@ -30,9 +21,7 @@ def ring(
     """
     if num_nodes < 2:
         raise TopologyError("a ring needs at least 2 nodes")
-    topo = Topology(
-        name=name or f"ring{num_nodes}", num_nodes=num_nodes, alpha=alpha, beta=beta
-    )
+    topo = Topology(name=f"ring{num_nodes}", num_nodes=num_nodes, alpha=5e-6, beta=1.0 / 25e9)
     for node in range(num_nodes):
         nxt = (node + 1) % num_nodes
         topo.add_link(node, nxt, bandwidth)
@@ -41,24 +30,24 @@ def ring(
     return topo
 
 
-def line(num_nodes: int, bandwidth: int = 1, name: Optional[str] = None) -> Topology:
+def line(num_nodes: int, bandwidth: int = 1) -> Topology:
     """A bidirectional path graph."""
     if num_nodes < 2:
         raise TopologyError("a line needs at least 2 nodes")
-    topo = Topology(name=name or f"line{num_nodes}", num_nodes=num_nodes)
+    topo = Topology(name=f"line{num_nodes}", num_nodes=num_nodes)
     for node in range(num_nodes - 1):
         topo.add_link(node, node + 1, bandwidth)
         topo.add_link(node + 1, node, bandwidth)
     return topo
 
 
-def star(num_nodes: int, bandwidth: int = 1, center: int = 0, name: Optional[str] = None) -> Topology:
+def star(num_nodes: int, bandwidth: int = 1, center: int = 0) -> Topology:
     """A star with ``center`` connected bidirectionally to every other node."""
     if num_nodes < 2:
         raise TopologyError("a star needs at least 2 nodes")
     if not 0 <= center < num_nodes:
         raise TopologyError("star center out of range")
-    topo = Topology(name=name or f"star{num_nodes}", num_nodes=num_nodes)
+    topo = Topology(name=f"star{num_nodes}", num_nodes=num_nodes)
     for node in range(num_nodes):
         if node == center:
             continue
@@ -67,11 +56,11 @@ def star(num_nodes: int, bandwidth: int = 1, center: int = 0, name: Optional[str
     return topo
 
 
-def fully_connected(num_nodes: int, bandwidth: int = 1, name: Optional[str] = None) -> Topology:
+def fully_connected(num_nodes: int, bandwidth: int = 1) -> Topology:
     """A complete directed graph (every ordered pair is a link)."""
     if num_nodes < 2:
         raise TopologyError("a fully connected topology needs at least 2 nodes")
-    topo = Topology(name=name or f"fc{num_nodes}", num_nodes=num_nodes)
+    topo = Topology(name=f"fc{num_nodes}", num_nodes=num_nodes)
     for src in range(num_nodes):
         for dst in range(num_nodes):
             if src != dst:
@@ -79,12 +68,12 @@ def fully_connected(num_nodes: int, bandwidth: int = 1, name: Optional[str] = No
     return topo
 
 
-def hypercube(dimensions: int, bandwidth: int = 1, name: Optional[str] = None) -> Topology:
+def hypercube(dimensions: int, bandwidth: int = 1) -> Topology:
     """A binary hypercube with ``2 ** dimensions`` nodes."""
     if dimensions < 1:
         raise TopologyError("hypercube needs at least one dimension")
     num_nodes = 1 << dimensions
-    topo = Topology(name=name or f"hypercube{dimensions}", num_nodes=num_nodes)
+    topo = Topology(name=f"hypercube{dimensions}", num_nodes=num_nodes)
     for node in range(num_nodes):
         for bit in range(dimensions):
             peer = node ^ (1 << bit)
@@ -92,11 +81,11 @@ def hypercube(dimensions: int, bandwidth: int = 1, name: Optional[str] = None) -
     return topo
 
 
-def torus_2d(rows: int, cols: int, bandwidth: int = 1, name: Optional[str] = None) -> Topology:
+def torus_2d(rows: int, cols: int, bandwidth: int = 1) -> Topology:
     """A 2-D torus (wrap-around mesh); node (r, c) has index ``r * cols + c``."""
     if rows < 2 or cols < 2:
         raise TopologyError("torus needs at least 2x2 nodes")
-    topo = Topology(name=name or f"torus{rows}x{cols}", num_nodes=rows * cols)
+    topo = Topology(name=f"torus{rows}x{cols}", num_nodes=rows * cols)
     for r in range(rows):
         for c in range(cols):
             node = r * cols + c

@@ -48,16 +48,16 @@ def _cycle_edges(cycle: Tuple[int, ...]) -> List[Tuple[int, int]]:
     return edges
 
 
-def dgx1(
-    alpha: float = DGX1_ALPHA_SECONDS,
-    beta: float = 1.0 / NVLINK_BANDWIDTH_BYTES_PER_S,
-) -> Topology:
+def dgx1() -> Topology:
     """Build the DGX-1 NVLink topology.
 
-    Parameters mirror the (alpha, beta) cost model: ``alpha`` is the
-    per-step latency and ``beta`` the per-byte time of a single NVLink.
+    Its (alpha, beta) cost model is the per-step latency and the per-byte
+    time of a single NVLink.
     """
-    topo = Topology(name="dgx1", num_nodes=8, alpha=alpha, beta=beta)
+    topo = Topology(
+        name="dgx1", num_nodes=8,
+        alpha=DGX1_ALPHA_SECONDS, beta=1.0 / NVLINK_BANDWIDTH_BYTES_PER_S,
+    )
     for (src, dst) in _cycle_edges(DOUBLE_NVLINK_CYCLE):
         topo.add_link(src, dst, bandwidth=2, name=f"nvlink2_{src}_{dst}")
     for (src, dst) in _cycle_edges(SINGLE_NVLINK_CYCLE):

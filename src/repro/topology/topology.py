@@ -210,15 +210,13 @@ class Topology:
             BandwidthConstraint(frozenset({(src, dst)}), bandwidth, name or f"{src}->{dst}")
         )
 
-    def add_shared_constraint(
-        self, links: Iterable[Link], bandwidth: int, name: str = ""
-    ) -> None:
+    def add_shared_constraint(self, links: Iterable[Link], bandwidth: int) -> None:
         """Add a constraint bounding the total traffic over a set of links."""
         link_set = frozenset(links)
         for (src, dst) in link_set:
             self._check_node(src)
             self._check_node(dst)
-        self.constraints.append(BandwidthConstraint(link_set, bandwidth, name))
+        self.constraints.append(BandwidthConstraint(link_set, bandwidth))
 
     def reversed(self) -> "Topology":
         """Return the topology with every link direction flipped.

@@ -50,11 +50,11 @@ class TestTable3Signatures:
         assert algo.combining
 
     def test_table3_rows(self):
-        rows = nccl_table3(multiplier=2)
+        rows = nccl_table3()
         assert {(r.collective, r.chunks, r.steps, r.rounds) for r in rows} == {
             ("Allgather/Reducescatter", 6, 7, 7),
             ("Allreduce", 48, 14, 14),
-            ("Broadcast/Reduce", 12, 8, 8),
+            ("Broadcast/Reduce", 6, 7, 7),
         }
 
     def test_rccl_signatures(self):
@@ -78,7 +78,7 @@ class TestBaselineValidity:
 
     def test_lookup_helpers(self):
         assert nccl_baseline("allgather").signature() == (6, 7, 7)
-        assert nccl_baseline("broadcast", multiplier=2).signature() == (12, 8, 8)
+        assert nccl_baseline("broadcast").signature() == (6, 7, 7)
         with pytest.raises(KeyError):
             nccl_baseline("alltoall")
 
@@ -121,11 +121,11 @@ class TestTrees:
         assert 0 not in parents
 
     def test_tree_broadcast_on_dgx1_is_two_steps(self):
-        algo = tree_broadcast(dgx1(), chunks=1)
+        algo = tree_broadcast(dgx1())
         algo.verify()
         assert algo.num_steps == 2
 
     def test_tree_reduce_on_amd(self):
-        algo = tree_reduce(amd_z52(), chunks=1)
+        algo = tree_reduce(amd_z52())
         algo.verify()
         assert algo.combining

@@ -84,7 +84,7 @@ class TestBaselineSuite:
 
 class TestBaselineEntryCost:
     def test_table3_entries_expose_lattice_cost(self):
-        for entry in nccl_table3(multiplier=2):
+        for entry in nccl_table3():
             assert entry.cost() == (entry.steps, entry.rounds, entry.chunks)
 
     def test_entry_cost_order(self):

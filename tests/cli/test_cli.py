@@ -6,6 +6,7 @@ same path the CI smoke step runs — so the console entrypoint cannot regress
 silently.
 """
 
+import contextlib
 import json
 import os
 import subprocess
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import TopologySpecError, main, parse_topology
+from repro.engine import AlgorithmCache
+from repro.service import PlanningService, PlanRegistry, ServerThread, make_server
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = str(REPO_ROOT / "src")
@@ -284,6 +287,14 @@ class TestInProcess:
         help_text = " ".join(capsys.readouterr().out.split())
         assert f"strategy: {', '.join(STRATEGIES)} (default incremental)" in help_text
 
+    def test_a_pareto_run_that_probes_nothing_exhausts_no_budget(self, tmp_path, capsys):
+        code = main(["pareto", "Alltoall", "-t", "star:3", "--max-chunks", "1",
+                     "--max-steps", "3", "--cache-dir", str(tmp_path / "cache")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "note: no candidate to probe" in out
+        assert "[step budget exhausted]" not in out
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -428,9 +439,8 @@ class TestWritesOnlyWhereAsked:
             ["request", *QUICKSTART, "--local",
              "--cache-dir", "{w}/cache"],
         ],
-        "request-stats-local": [
-            ["request", "--stats", "--local",
-             "--cache-dir", "{w}/cache"],
+        "request-stats": [
+            ["request", "--stats", "--url", "{url}"],
         ],
         "fault-preview": [
             ["fault", "register", "-t", "ring:4", "--link-down", "0:1", "--preview"],
@@ -455,9 +465,16 @@ class TestWritesOnlyWhereAsked:
         monkeypatch.chdir(tmp_path / "cwd")
 
         work = str(tmp_path / "work")
-        for argv in self.SCENARIOS[scenario]:
-            args = [arg.replace("{w}", work) for arg in argv]
-            assert main(args) == 0, (args, capsys.readouterr().err)
+        with contextlib.ExitStack() as stack:
+            url = ""
+            if any("{url}" in arg for argv in self.SCENARIOS[scenario] for arg in argv):
+                # A served process for the client: its cache is under the work path too.
+                registry = PlanRegistry(cache=AlgorithmCache(tmp_path / "work" / "served"))
+                service = stack.enter_context(PlanningService(registry, num_workers=1))
+                url = stack.enter_context(ServerThread(make_server(service, port=0))).url
+            for argv in self.SCENARIOS[scenario]:
+                args = [arg.replace("{w}", work).replace("{url}", url) for arg in argv]
+                assert main(args) == 0, (args, capsys.readouterr().err)
 
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cwd", "home", "work"]
         assert sorted((tmp_path / "home").rglob("*")) == []

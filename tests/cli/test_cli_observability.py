@@ -4,9 +4,9 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
+from repro.engine import AlgorithmCache
+from repro.service import PlanningService, PlanRegistry, ServerThread, make_server
 
 QUICKSTART = ["Allgather", "-t", "ring:4", "-C", "1", "-S", "2", "-R", "3"]
 
@@ -113,13 +113,11 @@ class TestTraceTopAndDiff:
 
 
 class TestRequestStats:
-    def test_stats_local_pretty_prints_sections(self, tmp_path, capsys):
-        code = main(
-            [
-                "request", "--stats", "--local",
-                "--cache-dir", str(tmp_path / "cache"),
-            ]
-        )
+    def test_stats_pretty_prints_sections(self, tmp_path, capsys):
+        registry = PlanRegistry(cache=AlgorithmCache(tmp_path / "cache"))
+        with PlanningService(registry, num_workers=1) as service:
+            with ServerThread(make_server(service, port=0)) as thread:
+                code = main(["request", "--stats", "--url", thread.url])
         assert code == 0
         out = capsys.readouterr().out
         for section in ("broker:", "resolver:", "engine:"):
@@ -128,6 +126,10 @@ class TestRequestStats:
         assert "ladder rungs" in out
         assert "candidates pruned" in out
         assert "cache hit rate" in out
+
+    def test_stats_are_read_from_a_server_not_local(self, capsys):
+        assert main(["request", "--stats", "--local"]) == 1
+        assert "--url" in capsys.readouterr().err
 
     def test_request_without_collective_or_stats_errors(self, tmp_path, capsys):
         assert main(["request", "--cache-dir", str(tmp_path)]) == 1

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.collectives import (
     COLLECTIVES,
     CollectiveError,
-    CollectiveSpec,
     get_collective,
 )
 

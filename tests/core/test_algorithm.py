@@ -48,11 +48,6 @@ class TestSendAndStep:
         with pytest.raises(AlgorithmError):
             Send(chunk=0, src=0, dst=1, op="teleport")
 
-    def test_reversed_send(self):
-        send = Send(chunk=3, src=1, dst=2)
-        rev = send.reversed()
-        assert (rev.src, rev.dst, rev.op) == (2, 1, "reduce")
-
     def test_negative_rounds_rejected(self):
         with pytest.raises(AlgorithmError):
             Step(rounds=-1)
@@ -166,7 +161,7 @@ class TestSharedConstraints:
     def bus(self):
         """Four nodes on one shared unit-bandwidth bus."""
         topo = fully_connected(4)
-        topo.add_shared_constraint(sorted(topo.links()), 1, name="bus")
+        topo.add_shared_constraint(sorted(topo.links()), 1)
         return topo
 
     def test_two_sends_in_one_round_overload_the_bus(self):

@@ -10,7 +10,7 @@ from repro.core import (
     make_instance,
     synthesize,
 )
-from repro.topology import Topology, fully_connected, line, ring, star
+from repro.topology import Topology, ring, star
 
 
 def synthesized_allgather(topology, chunks, steps, rounds):
@@ -39,14 +39,6 @@ class TestInversion:
         final = reduce_algo.run()[-1]
         for chunk in range(reduce_algo.num_chunks):
             assert final[(chunk, 0)] == frozenset(range(5))
-
-    def test_scatter_from_gather_via_copy_inversion(self):
-        result = synthesize(make_instance("Gather", ring(4), 1, 2, 3, root=0))
-        assert result.is_sat
-        scatter = invert_algorithm(result.algorithm, op="copy")
-        assert scatter.collective == "Scatter"
-        assert not scatter.combining
-        scatter.verify()
 
     def test_inverting_combining_algorithm_rejected(self):
         allgather = ring_allgather(ring(4), single_ring(ring(4)))

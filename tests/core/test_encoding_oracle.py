@@ -37,7 +37,7 @@ def topologies(draw):
     for link in links:
         topology.add_link(*link, bandwidth=draw(st.integers(1, 2)))
     if len(links) >= 2 and draw(st.booleans()):
-        topology.add_shared_constraint(links[:2], 1, name="shared")
+        topology.add_shared_constraint(links[:2], 1)
     return topology
 
 

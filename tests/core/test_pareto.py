@@ -97,6 +97,7 @@ class TestOtherCollectives:
         frontier = pareto_synthesize("Alltoall", star(3), k=0, max_steps=3, max_chunks=1)
         assert frontier.points == []
         assert "multiples of 3" in frontier.note
+        assert not frontier.exhausted_steps
         probed = []
         frontier = pareto_synthesize(
             "Alltoall", star(3), k=0, max_steps=3, max_chunks=6, on_result=probed.append
@@ -139,6 +140,12 @@ class TestCombiningDelegation:
         # report an empty frontier as if the step budget ran out.
         with pytest.raises(ParetoError, match="max_chunks"):
             pareto_synthesize("Allgather", ring(4), k=0, max_chunks=max_chunks)
+
+    def test_max_steps_below_the_latency_bound_exhausts_nothing(self):
+        frontier = pareto_synthesize("Allgather", ring(4), k=0, max_steps=1)
+        assert frontier.points == []
+        assert "no step count to probe" in frontier.note
+        assert not frontier.exhausted_steps
 
     @pytest.mark.parametrize("max_steps", [0, -3])
     def test_max_steps_below_one_rejected(self, max_steps):

@@ -155,7 +155,6 @@ class TestLedgerAlgebra:
         plan = ledger.plan(3, candidates)
         assert plan.actions == (CUT, PROBE, PRUNE, PRUNE, PROBE)
         assert plan.witnesses == {0: (3, 3, 3)}
-        assert (plan.probes, plan.cuts, plan.pruned) == (2, 1, 2)
 
     def test_baseline_prune_is_strict(self):
         # A candidate *matching* the best baseline bandwidth must still be
@@ -356,7 +355,7 @@ class TestDispatchersConsultLedger:
     def test_cut_results_persist_provenance(self, tmp_path):
         cache = AlgorithmCache(tmp_path)
         request = _request(self._cut_ledger(), [(2, 2)])
-        outcome = make_dispatcher("serial").sweep(request, cache=cache)
+        (outcome,) = make_dispatcher("serial").run([request], cache=cache)
         assert outcome.stats.probes_cut == 1
         instance = make_instance("Allgather", ring(4), 2, 2, 2)
         replayed = lookup_result(cache, instance)
@@ -496,11 +495,6 @@ class TestBoundsPreserveFrontier:
         on = _run("Allgather", ring, 4, 1, 3, None, bounds="baseline", **common)
         off = _run("Allgather", ring, 4, 1, 3, None, bounds="off", **common)
         assert pareto_subset(on) == pareto_subset(off)
-
-    def test_custom_ledger_must_match_instance(self):
-        ledger = BoundsLedger("Allgather", ring(4))
-        with pytest.raises(Exception):
-            pareto_synthesize("Allgather", ring(6), bounds=ledger)
 
     def test_unknown_bounds_mode_rejected(self):
         with pytest.raises(Exception):

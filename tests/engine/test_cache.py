@@ -127,7 +127,7 @@ class TestCacheBasics:
         instance = make_instance("Allgather", ring(4), 1, 2, 3)
         synthesize(instance, cache=cache)
         key = instance_fingerprint(instance)
-        entry = cache.lookup(key)
+        entry, _ = cache.lookup_decoded(key, ring(4))
         assert cache._path(key).read_text(encoding="utf-8") == json.dumps(
             entry.to_json(), sort_keys=True
         )
@@ -151,7 +151,7 @@ class TestCacheBasics:
             set_metrics(previous)
         assert metrics.value("repro_cache_stores_total") == 0.0
         assert list(cache._path(entry.key).parent.iterdir()) == []
-        assert cache.lookup(entry.key) is None
+        assert cache.lookup_decoded(entry.key, ring(4)) is None
 
     def test_unknown_not_cached(self, cache):
         instance = make_instance("Allgather", ring(6), 2, 5, 5)
@@ -310,9 +310,9 @@ class TestEviction:
         evicted = cache.evict(max_entries=2)
         assert evicted == keys[:3]  # oldest first
         assert len(cache) == 2
-        assert cache.lookup(keys[3]) is not None
-        assert cache.lookup(keys[4]) is not None
-        assert cache.lookup(keys[0]) is None
+        assert cache.lookup_decoded(keys[3], ring(4)) is not None
+        assert cache.lookup_decoded(keys[4], ring(4)) is not None
+        assert cache.lookup_decoded(keys[0], ring(4)) is None
 
     def test_hit_refreshes_recency(self, cache):
         import os
@@ -320,7 +320,7 @@ class TestEviction:
         keys = self.fill(cache, 3)
         # Touch the oldest entry via a lookup: it must survive eviction.
         before = cache._path(keys[0]).stat().st_mtime
-        assert cache.lookup(keys[0]) is not None
+        assert cache.lookup_decoded(keys[0], ring(4)) is not None
         assert cache._path(keys[0]).stat().st_mtime > before
         evicted = cache.evict(max_entries=1)
         assert keys[0] not in evicted

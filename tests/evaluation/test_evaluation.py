@@ -14,7 +14,6 @@ from repro.evaluation import (
 )
 from repro.evaluation.figures import FigureResult, _speedup_series
 from repro.baselines import nccl_allgather
-from repro.core import make_instance, synthesize
 from repro.topology import dgx1, ring
 
 
@@ -45,7 +44,7 @@ class TestTables:
         assert all("Allgather" in line for line in lines[4:])
 
     def test_table3_matches_paper(self):
-        rows = table3_rows(multiplier=1)
+        rows = table3_rows()
         triples = {(r["collective"], r["C"], r["S"], r["R"]) for r in rows}
         assert ("Allgather/Reducescatter", 6, 7, 7) in triples
         assert ("Allreduce", 48, 14, 14) in triples
@@ -63,11 +62,11 @@ class TestTables:
 class TestFigures:
     def test_figure6_shape(self):
         # AMD Allgather points (1,4,4) and (2,7,7) are cheap to synthesize.
-        result = figure6_allgather_amd(sizes=[1 << 10, 1 << 20, 1 << 28], time_limit=120)
+        result = figure6_allgather_amd(time_limit=120)
         assert result.series, f"all series skipped: {result.skipped}"
         assert "(1,4,4)" in result.series
         for label, values in result.series.items():
-            assert len(values) == 3
+            assert len(values) == len(result.sizes)
             assert all(v > 0 for v in values)
         if "(2,7,7)" in result.series:
             # The RCCL baseline *is* a (2,7,7) ring; the synthesized

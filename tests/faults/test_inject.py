@@ -73,7 +73,7 @@ class TestExecuteWithFaults:
                 execute_with_faults(
                     program, algorithm, FaultSet.of(LinkDown(*link)), ring4
                 )
-            assert (excinfo.value.first.src, excinfo.value.first.dst) == link
+            assert (excinfo.value.violations[0].src, excinfo.value.violations[0].dst) == link
 
     def test_unrelated_fault_executes_cleanly(self, ring4, allgather_plan):
         algorithm, program = allgather_plan
@@ -95,7 +95,7 @@ class TestExecuteWithFaults:
         assert err.violations == sorted(
             err.violations, key=lambda v: (v.step, v.src, v.dst, v.chunk)
         )
-        assert f"{err.first.src} sends" in str(err)
+        assert f"{err.violations[0].src} sends" in str(err)
 
 
 class TestSimulateWithFaults:

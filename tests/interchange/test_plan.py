@@ -11,7 +11,6 @@ from repro.core import make_instance, synthesize
 from repro.interchange import (
     AlgorithmPlan,
     InterchangeError,
-    plan_from_algorithm,
     plan_from_result,
     read_plan,
     topology_fingerprint,

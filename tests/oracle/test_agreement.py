@@ -81,7 +81,7 @@ def fabrics(draw):
             topology.add_link(*link, bandwidth=draw(st.integers(1, 2)))
         shared = draw(st.integers(0, min(3, len(links))))
         if shared >= 2:
-            topology.add_shared_constraint(links[:shared], draw(st.integers(1, 2)), name="port")
+            topology.add_shared_constraint(links[:shared], draw(st.integers(1, 2)))
     links = sorted(topology.links())
     faults = draw(st.lists(
         st.one_of(

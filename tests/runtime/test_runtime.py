@@ -324,10 +324,10 @@ class TestSimulator:
         topo = dgx1()
         algorithm = nccl_allgather(topo)
         simulator = Simulator(topo)
-        push_small = simulator.simulate_algorithm(algorithm, 1 << 10, protocol="single_kernel_push")
-        memcpy_small = simulator.simulate_algorithm(algorithm, 1 << 10, protocol="multi_kernel_memcpy")
-        push_big = simulator.simulate_algorithm(algorithm, 1 << 28, protocol="single_kernel_push")
-        memcpy_big = simulator.simulate_algorithm(algorithm, 1 << 28, protocol="multi_kernel_memcpy")
+        push_small = simulator.simulate(lower(algorithm, "single_kernel_push"), 1 << 10)
+        memcpy_small = simulator.simulate(lower(algorithm, "multi_kernel_memcpy"), 1 << 10)
+        push_big = simulator.simulate(lower(algorithm, "single_kernel_push"), 1 << 28)
+        memcpy_big = simulator.simulate(lower(algorithm, "multi_kernel_memcpy"), 1 << 28)
         assert memcpy_small.total_time_s > push_small.total_time_s
         assert memcpy_big.total_time_s < push_big.total_time_s
 

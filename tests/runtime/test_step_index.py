@@ -88,9 +88,11 @@ def simulation_digest() -> str:
         per_transfer_fixed_s=0.13e-6,
         bandwidth_multiplier=1.37,
     )
-    simulator = Simulator(dgx1, protocols={"single_kernel_push": odd})
-    for result in simulator.sweep(allgather, SIZES):
-        _absorb(digest, result)
+    simulator = Simulator(dgx1)
+    simulator.protocols["single_kernel_push"] = odd
+    program = lower(allgather)
+    for size in SIZES:
+        _absorb(digest, simulator.simulate(program, size))
     return digest.hexdigest()
 
 
@@ -222,7 +224,7 @@ class TestOnePass:
         assert len(walks) == program.num_ranks
         assert built == [program.num_ranks] * 2
 
-    def test_sweep_builds_one_index(self, allgather, monkeypatch):
+    def test_sizes_of_one_program_build_one_index(self, allgather, monkeypatch):
         built = []
         build = program_module.StepIndex.build
 
@@ -231,7 +233,8 @@ class TestOnePass:
             return build(ranks)
 
         monkeypatch.setattr(program_module.StepIndex, "build", staticmethod(counting))
-        results = Simulator(allgather.topology).sweep(allgather, SIZES)
+        simulator, program = Simulator(allgather.topology), lower(allgather)
+        results = [simulator.simulate(program, size) for size in SIZES]
         assert len(results) == len(SIZES)
         assert built == [allgather.topology.num_nodes]
 

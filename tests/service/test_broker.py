@@ -1,4 +1,4 @@
-"""Broker semantics under contention: coalescing, deadlines, cancellation.
+"""Broker semantics under contention: coalescing and deadlines.
 
 The acceptance criterion for the service PR lives here: N concurrent
 identical requests perform exactly one unit of backend work, counted by a
@@ -47,7 +47,7 @@ class CountingResolver:
 
 class TestCoalescing:
     def test_identical_queued_requests_coalesce_to_one_job(self):
-        broker = Broker()
+        broker = Broker(key_fn=PlanRequest.request_key)
         tickets = [broker.submit(REQUEST) for _ in range(8)]
         stats = broker.stats()
         assert stats["submitted"] == 8
@@ -59,7 +59,7 @@ class TestCoalescing:
         """8 concurrent identical PlanRequests -> exactly 1 backend call."""
         gate = threading.Event()
         resolver = CountingResolver(gate=gate)
-        broker = Broker()
+        broker = Broker(key_fn=PlanRequest.request_key)
         pool = WorkerPool(broker, resolver, num_workers=4)
         pool.start()
         try:
@@ -92,7 +92,7 @@ class TestCoalescing:
 
     def test_distinct_requests_do_not_coalesce(self):
         resolver = CountingResolver()
-        broker = Broker()
+        broker = Broker(key_fn=PlanRequest.request_key)
         pool = WorkerPool(broker, resolver, num_workers=2)
         pool.start()
         try:
@@ -106,7 +106,7 @@ class TestCoalescing:
 
     def test_completed_job_does_not_capture_later_requests(self):
         resolver = CountingResolver()
-        broker = Broker()
+        broker = Broker(key_fn=PlanRequest.request_key)
         pool = WorkerPool(broker, resolver, num_workers=1)
         pool.start()
         try:
@@ -121,7 +121,7 @@ class TestCoalescing:
 class TestDeadlines:
     def test_wait_expires_into_timeout_response(self):
         gate = threading.Event()  # never opened: the job hangs
-        broker = Broker()
+        broker = Broker(key_fn=PlanRequest.request_key)
         pool = WorkerPool(broker, CountingResolver(gate=gate), num_workers=1)
         pool.start()
         try:
@@ -136,7 +136,7 @@ class TestDeadlines:
 
     def test_request_deadline_is_the_default_wait(self):
         gate = threading.Event()
-        broker = Broker()
+        broker = Broker(key_fn=PlanRequest.request_key)
         pool = WorkerPool(broker, CountingResolver(gate=gate), num_workers=1)
         pool.start()
         try:
@@ -153,7 +153,7 @@ class TestDeadlines:
 
     def test_late_result_still_lands_for_patient_waiters(self):
         gate = threading.Event()
-        broker = Broker()
+        broker = Broker(key_fn=PlanRequest.request_key)
         pool = WorkerPool(broker, CountingResolver(gate=gate), num_workers=1)
         pool.start()
         try:
@@ -167,22 +167,21 @@ class TestDeadlines:
             pool.stop()
 
 
-class TestCancellation:
-    def test_cancel_before_start_drops_the_job(self):
-        broker = Broker()  # no workers: the job stays queued
+class TestExpiry:
+    def test_expired_wait_before_start_drops_the_job(self):
+        broker = Broker(key_fn=PlanRequest.request_key)  # no workers: the job stays queued
         ticket = broker.submit(REQUEST)
-        assert ticket.cancel()
-        assert ticket.wait(0.1).status == "cancelled"
+        assert ticket.wait(0.05).status == "timeout"
         stats = broker.stats()
-        assert stats["cancelled"] == 1
+        assert stats["expired"] == 1
         assert stats["dropped_jobs"] == 1
         assert broker.next_job(timeout=0) is None  # nothing left to run
 
-    def test_cancel_one_of_many_keeps_the_job(self):
-        broker = Broker()
+    def test_one_expired_waiter_keeps_the_job(self):
+        broker = Broker(key_fn=PlanRequest.request_key)
         first = broker.submit(REQUEST)
         second = broker.submit(REQUEST)
-        assert first.cancel()
+        assert first.wait(0.05).status == "timeout"
         assert broker.stats()["dropped_jobs"] == 0
         pool = WorkerPool(broker, CountingResolver(), num_workers=1)
         pool.start()
@@ -191,20 +190,9 @@ class TestCancellation:
         finally:
             pool.stop()
 
-    def test_cancel_after_completion_returns_false(self):
-        broker = Broker()
-        pool = WorkerPool(broker, CountingResolver(), num_workers=1)
-        pool.start()
-        try:
-            ticket = broker.submit(REQUEST)
-            assert ticket.wait(10.0).ok
-            assert not ticket.cancel()
-        finally:
-            pool.stop()
-
     def test_dropped_job_is_recoalescable(self):
-        broker = Broker()
-        broker.submit(REQUEST).cancel()
+        broker = Broker(key_fn=PlanRequest.request_key)
+        broker.submit(REQUEST).wait(0.05)
         fresh = broker.submit(REQUEST)
         assert not fresh.coalesced  # the dropped job must not capture it
         assert broker.stats()["pending"] == 1
@@ -215,7 +203,7 @@ class TestFailuresAndLimits:
         def explode(request, remaining_s=None):
             raise RuntimeError("backend on fire")
 
-        broker = Broker()
+        broker = Broker(key_fn=PlanRequest.request_key)
         pool = WorkerPool(broker, explode, num_workers=1)
         pool.start()
         try:
@@ -228,15 +216,8 @@ class TestFailuresAndLimits:
         finally:
             pool.stop()
 
-    def test_queue_limit_rejects_excess_jobs(self):
-        broker = Broker(max_pending=1)
-        broker.submit(REQUEST)
-        broker.submit(REQUEST)  # coalesces: not a new job
-        with pytest.raises(BrokerError):
-            broker.submit(OTHER)
-
     def test_closed_broker_rejects_submissions(self):
-        broker = Broker()
+        broker = Broker(key_fn=PlanRequest.request_key)
         broker.close()
         with pytest.raises(BrokerError):
             broker.submit(REQUEST)
@@ -244,7 +225,7 @@ class TestFailuresAndLimits:
     def test_invalid_request_rejected_at_submit(self):
         from repro.service import ServiceError
 
-        broker = Broker()
+        broker = Broker(key_fn=PlanRequest.request_key)
         with pytest.raises(ServiceError):
             broker.submit(PlanRequest("Allgather", "ring:4", chunks=1))
 

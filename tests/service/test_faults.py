@@ -350,7 +350,7 @@ class TestFaultTransitionsKeepWhatTheyCanReuse:
 
 class TestBrokerHardening:
     def test_deadline_less_wait_is_bounded_by_the_server(self):
-        broker = Broker(max_wait_s=0.2)
+        broker = Broker(key_fn=PlanRequest.request_key, max_wait_s=0.2)
         ticket = broker.submit(PINNED)  # nobody will ever resolve this job
         response = ticket.wait()  # no timeout, no request deadline
         assert response.status == "timeout"
@@ -466,7 +466,7 @@ class TestDGX1DegradedModeEndToEnd:
                         lower(old_plan.algorithm), old_plan.algorithm,
                         faults, healthy_topology,
                     )
-                assert (excinfo.value.first.src, excinfo.value.first.dst) == dead
+                assert (excinfo.value.violations[0].src, excinfo.value.violations[0].dst) == dead
                 result = execute_with_faults(
                     lower(new_plan.algorithm), new_plan.algorithm,
                     faults, healthy_topology,

@@ -30,7 +30,6 @@ from repro.service import (
     ServerThread,
     SynthesisResolver,
     api,
-    build_routing_table,
     make_server,
     request_fault,
     request_plan,

@@ -212,7 +212,7 @@ def test_clause_added_after_failed_assumptions_is_sound():
     a, b, c = (solver.new_var() for _ in range(3))
     solver.add_clause([a, b, c])
     assert solver.solve([-a, -b, -c]) is SolveResult.UNSAT
-    assert solver.decision_level == 0
+    assert solver._trail_lim == []
     assert solver.add_clause([a])
     assert solver.solve() is SolveResult.SAT
     assert solver.model_value(a) is True
@@ -224,7 +224,7 @@ def test_unit_added_after_exhausted_budget_is_kept():
     solver = SATSolver()
     solver.add_cnf(random_3sat_cnf(random.Random(3), 175, 745))  # SAT after 726 conflicts
     assert solver.solve(conflict_limit=1) is SolveResult.UNKNOWN
-    assert solver.decision_level == 0
+    assert solver._trail_lim == []
     fresh = solver.new_var()
     assert solver.add_clause([fresh])
     assert solver.solve() is SolveResult.SAT

@@ -62,7 +62,7 @@ def test_incremental_solver_agrees_with_brute_force(script):
         else:
             assumptions = [lit for lit in op[1] if abs(lit) <= solver.num_vars]
             result = solver.solve(assumptions, conflict_limit=op[2])
-            assert solver.decision_level == 0
+            assert solver._trail_lim == []
             expected = models
             for lit in assumptions:
                 expected = satisfying(expected, [lit])

@@ -167,14 +167,16 @@ def test_metrics_under_concurrent_sweeps(metrics):
 # ----------------------------------------------------------------------
 # Chrome trace + coverage on a real sweep
 # ----------------------------------------------------------------------
-def test_pareto_trace_kwarg_writes_perfetto_trace(tmp_path):
+def test_a_traced_pareto_run_writes_a_perfetto_trace(tmp_path):
     path = tmp_path / "trace.json"
+    tracer = Tracer()
     started = time.perf_counter()
-    frontier = pareto_synthesize(
-        "Allgather", ring(4), k=0, max_steps=4, strategy="serial", trace=path
-    )
+    with tracing(tracer):
+        frontier = pareto_synthesize("Allgather", ring(4), k=0, max_steps=4, strategy="serial")
     wall = time.perf_counter() - started
+    tracer.write_chrome_trace(path)
     assert frontier.points
+    assert span_coverage(tracer.roots(), "probe") > 0.0
     trace = json.loads(path.read_text())
     assert trace["traceEvents"]
     names = {e["name"] for e in trace["traceEvents"]}
@@ -184,14 +186,6 @@ def test_pareto_trace_kwarg_writes_perfetto_trace(tmp_path):
         e["dur"] for e in trace["traceEvents"] if e["name"] == "probe"
     ) / 1e6
     assert probe_s <= wall * 1.05
-
-
-def test_pareto_trace_kwarg_accepts_tracer():
-    tracer = Tracer()
-    pareto_synthesize(
-        "Allgather", ring(4), k=0, max_steps=4, strategy="serial", trace=tracer
-    )
-    assert span_coverage(tracer.roots(), "probe") > 0.0
 
 
 # ----------------------------------------------------------------------

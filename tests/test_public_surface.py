@@ -1,13 +1,25 @@
-"""Every public name in :mod:`repro` has a reader that is not its own test.
+"""Every public name in :mod:`repro` has a reader, and every knob a setter,
+that is not its own test.
 
 A module-level public function or class, a public method of a public class
 and every entry of a package's ``__all__`` must be read somewhere else:
 under ``src/`` outside its own definition and outside the package
 ``__init__`` files that re-export it, or by the benchmark (``bench/``), the
 paper's tables and figures (``benchmarks/``) or the examples
-(``examples/``).  A read is an ``ast`` ``Name`` or ``Attribute`` load or an
-import of a module or from one; a definition, a docstring or a comment is not one.
-Names are matched by spelling, not by resolved binding.
+(``examples/``).  Inside its own module a function or class is read by a
+bare ``Name`` load; anywhere else only by an import from :mod:`repro`
+(absolute or relative) or by an attribute read (``x.name``).  A method is
+read only by an attribute read: a local variable or a local function that
+shares its spelling is not a reader.  A definition, a docstring or a comment
+is not a read.
+
+A defaulted parameter of a public function or method (``__init__`` of a
+public class included) must be set by a call in the same places: the call
+names the function (the class for ``__init__``, or ``cls`` inside one of that
+class's methods) and passes the parameter by keyword, by enough positional
+arguments, or through ``*``/``**``.  A parameter nobody sets is a constant.
+A function whose name is read as a value (a dict entry, a callback) is
+skipped: its calls cannot be seen.
 """
 
 import ast
@@ -51,32 +63,30 @@ EXEMPT = {
     "SATSolver.model_value": "tests/solver/test_sat_properties.py",
 }
 
-
-class _Reads(ast.NodeVisitor):
-    """``(name, line)`` of every read in one module."""
-
-    def __init__(self, is_package_init: bool):
-        self.is_package_init = is_package_init
-        self.reads = []
-
-    def visit_Name(self, node):
-        if not isinstance(node.ctx, ast.Store):
-            self.reads.append((node.id, node.lineno))
-
-    def visit_Attribute(self, node):
-        if not isinstance(node.ctx, ast.Store):
-            self.reads.append((node.attr, node.lineno))
-        self.generic_visit(node)
-
-    def visit_Import(self, node):
-        for alias in node.names:
-            self.reads.extend((part, node.lineno) for part in alias.name.split("."))
-
-    def visit_ImportFrom(self, node):
-        self.reads.extend((part, node.lineno) for part in (node.module or "").split("."))
-        # A package __init__ re-exports; that is not a use.
-        if not self.is_package_init:
-            self.reads.extend((alias.name, node.lineno) for alias in node.names)
+# A defaulted parameter nothing outside the tests sets, mapped to the test
+# file that sets it or, for a deployment setting, to the reason it stays.
+# As for EXEMPT, a parameter only its own unit tests set does not belong
+# here: its value becomes the code.
+EXEMPT_PARAMETERS = {
+    # The command line itself; the CLI tests pass theirs.
+    "main(argv=)": "tests/cli/test_cli.py",
+    # The clock of an eviction, so the tests need not sleep.
+    "AlgorithmCache.evict(now=)": "tests/engine/test_cache.py",
+    # How long a wait holds an unclaimed job, shortened to see one expire.
+    "Broker(max_wait_s=)": "tests/service/test_faults.py",
+    # The fabric a FaultSet is resolved against, for the replanning test.
+    "execute_with_faults(topology=)": "tests/service/test_faults.py",
+    # The identity pin hashes the XML of every lowering protocol.
+    "to_msccl_xml(protocol=)": "tests/runtime/test_runtime_digest.py",
+    # Frontiers compared without their wall-clock fields, for the
+    # strategies' agreement.
+    "ParetoFrontier.to_dict(include_timing=)": "tests/engine/test_dispatch.py",
+    "request_plan(timeout=)": "deployment setting: the client's HTTP timeout",
+    "request_fault(timeout=)": "deployment setting: the client's HTTP timeout",
+    "fetch_stats(timeout=)": "deployment setting: the client's HTTP timeout",
+    "fetch_metrics(timeout=)": "deployment setting: the client's HTTP timeout",
+    "check_health(timeout=)": "deployment setting: the client's HTTP timeout",
+}
 
 
 def _public(name: str) -> bool:
@@ -88,62 +98,271 @@ def _span(node) -> range:
     return range(first, node.end_lineno + 1)
 
 
+def _assigned(statement):
+    """The names an assignment statement binds."""
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return set()
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+class _Module(ast.NodeVisitor):
+    """What one module imports from :mod:`repro`, reads and calls.
+
+    ``loads`` holds ``(name, line, is_attribute, is_value)``: a value read is
+    one that is neither called nor a type (an annotation, an ``isinstance``
+    class, an ``except`` clause).  ``calls`` holds ``(name, line,
+    is_attribute, positional, keywords, starred)``; ``cls(...)`` inside a
+    class is recorded under the class's name.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.in_package = PACKAGE in path.parents
+        self.is_package_init = path.name == "__init__.py"
+        self.imports = set()
+        self.modules = set()
+        self.defines = set()
+        self.fields = set()
+        self.loads = []
+        self.calls = []
+        self._not_values = set()
+        self._classes = []
+        self.visit(ast.parse(path.read_text(encoding="utf-8")))
+
+    def _types(self, node):
+        if node is not None:
+            self._not_values.update(id(n) for n in ast.walk(node))
+
+    def visit_Import(self, node):
+        for alias in node.names:
+            if alias.name.split(".")[0] == "repro":
+                self.modules.update(alias.name.split("."))
+
+    def visit_ImportFrom(self, node):
+        from_repro = (node.module or "").split(".")[0] == "repro" or (node.level > 0 and self.in_package)
+        if from_repro:
+            self.modules.update((node.module or "").split("."))
+        # A package __init__ re-exports; that is not a use.
+        if from_repro and not self.is_package_init:
+            self.imports.update(alias.name for alias in node.names)
+
+    def visit_Module(self, node):
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                self.defines.add(item.name)
+            self.defines.update(_assigned(item))
+        self.generic_visit(node)
+
+    def visit_ClassDef(self, node):
+        for item in node.body:
+            self.fields.update(_assigned(item))
+        self._classes.append(node.name)
+        self.generic_visit(node)
+        self._classes.pop()
+
+    def visit_FunctionDef(self, node):
+        arguments = node.args
+        for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs:
+            self._types(arg.annotation)
+        for arg in (arguments.vararg, arguments.kwarg):
+            self._types(arg and arg.annotation)
+        self._types(node.returns)
+        self.generic_visit(node)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_AnnAssign(self, node):
+        self._types(node.annotation)
+        self.generic_visit(node)
+
+    def visit_ExceptHandler(self, node):
+        self._types(node.type)
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in ("isinstance", "issubclass") and len(node.args) == 2:
+            self._types(node.args[1])
+        positional = sum(not isinstance(a, ast.Starred) for a in node.args)
+        keywords = {k.arg for k in node.keywords if k.arg}
+        starred = positional < len(node.args) or len(keywords) < len(node.keywords)
+        if isinstance(func, (ast.Name, ast.Attribute)):
+            self._not_values.add(id(func))
+            name = func.id if isinstance(func, ast.Name) else func.attr
+            if name == "cls" and self._classes:
+                name = self._classes[0]
+            self.calls.append((name, node.lineno, isinstance(func, ast.Attribute), positional, keywords, starred))
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if not isinstance(node.ctx, ast.Store):
+            self.loads.append((node.id, node.lineno, False, id(node) not in self._not_values))
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Store):
+            self.fields.add(node.attr)
+        else:
+            self.loads.append((node.attr, node.lineno, True, id(node) not in self._not_values))
+        self.generic_visit(node)
+
+
+class _Definition:
+    """A public name of :mod:`repro`: a module-level function or class, a
+    method of a public class, or an ``__all__`` entry."""
+
+    def __init__(self, path, qualified, lines, node=None, method=False):
+        self.path = path
+        self.qualified = qualified
+        self.name = qualified.rsplit(".", 1)[-1]
+        self.lines = lines
+        self.node = node
+        self.method = method
+        # The function whose parameters are checked: a class's __init__.
+        self.function = node
+        if isinstance(node, ast.ClassDef):
+            inits = [i for i in node.body if isinstance(i, ast.FunctionDef) and i.name == "__init__"]
+            self.function = inits[0] if inits else None
+
+    def __str__(self):
+        return f"{self.path.relative_to(PACKAGE.parent).with_suffix('')}:{self.qualified}"
+
+    def _names(self, module, is_attribute):
+        """Whether a read or call of this name in ``module`` can mean this."""
+        if is_attribute:
+            return True
+        if self.method:
+            return False  # a bare name is a local, never a method
+        if self.node is None:
+            # An __all__ entry re-exports a name some module defines.
+            return (module.in_package and self.name in module.defines) or self.name in module.imports
+        return module.path == self.path or self.name in module.imports
+
+    def reads(self, module):
+        """Whether each read of this name in ``module`` is a value read.
+
+        An attribute that some class stores as data is not taken for a
+        method read as a value: ``response.route`` is not ``PlanRegistry.route``.
+        """
+        if not self.method and self.name in module.imports:
+            yield False
+        # An __all__ entry may name a module.
+        if self.node is None and self.name in module.modules:
+            yield False
+        for name, line, is_attribute, is_value in module.loads:
+            if name == self.name and self._names(module, is_attribute):
+                if not (module.path == self.path and line in self.lines):
+                    yield is_value and not (self.method and name in FIELDS)
+
+    def calls(self, module):
+        """``(positional, keywords, starred)`` of every call of this name in
+        ``module`` outside the function's own body."""
+        body = _span(self.function) if self.function else range(0)
+        for name, line, is_attribute, positional, keywords, starred in module.calls:
+            if name == self.name and self._names(module, is_attribute):
+                if not (module.path == self.path and line in body):
+                    yield positional, keywords, starred
+
+    def parameters(self):
+        """``(name, positional index or None)`` of each defaulted parameter."""
+        if not isinstance(self.function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return []
+        arguments = self.function.args
+        positional = arguments.posonlyargs + arguments.args
+        decorators = {d.id for d in self.function.decorator_list if isinstance(d, ast.Name)}
+        if (self.method or self.function is not self.node) and "staticmethod" not in decorators:
+            positional = positional[1:]
+        first = len(positional) - len(arguments.defaults)
+        defaulted = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+        defaulted += [
+            (a.arg, None) for a, d in zip(arguments.kwonlyargs, arguments.kw_defaults) if d is not None
+        ]
+        return defaulted
+
+    def sets(self, modules, parameter, index):
+        return any(
+            starred or parameter in keywords or (index is not None and positional > index)
+            for module in modules
+            for positional, keywords, starred in self.calls(module)
+        )
+
+
 def _definitions(path: Path):
-    """``(qualified name, read name, lines)`` of the module's public names."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     defs = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and _public(node.name):
-            defs.append((node.name, node.name, _span(node)))
+            defs.append(_Definition(path, node.name, _span(node), node))
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and _public(item.name):
-                        defs.append((f"{node.name}.{item.name}", item.name, _span(item)))
+                        defs.append(_Definition(path, f"{node.name}.{item.name}", _span(item), item, method=True))
         elif path.name == "__init__.py" and isinstance(node, ast.Assign):
             if any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                 for name in ast.literal_eval(node.value):
-                    defs.append((name, name, range(0)))
+                    defs.append(_Definition(path, name, range(0)))
     return defs
 
 
-def _reads(paths):
-    reads = {}
-    for path in paths:
-        visitor = _Reads(path.name == "__init__.py")
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-        reads[path] = visitor.reads
-    return reads
+def _modules():
+    paths = sorted(PACKAGE.rglob("*.py"))
+    for directory in READER_DIRS:
+        paths += sorted((ROOT / directory).rglob("*.py"))
+    return [_Module(path) for path in paths]
+
+
+MODULES = _modules()
+FIELDS = {field for module in MODULES if module.in_package for field in module.fields}
+DEFINITIONS = [d for path in sorted(PACKAGE.rglob("*.py")) for d in _definitions(path)]
 
 
 def _unread_names():
-    src_reads = _reads(sorted(PACKAGE.rglob("*.py")))
-    readers = {}
-    for path, reads in src_reads.items():
-        for name, line in reads:
-            readers.setdefault(name, []).append((path, line))
-    outside = {
-        name
-        for directory in READER_DIRS
-        for reads in _reads(sorted((ROOT / directory).rglob("*.py"))).values()
-        for name, _ in reads
-    }
-    unread = set()
-    for path in src_reads:
-        for qualified, name, lines in _definitions(path):
-            if qualified in EXEMPT or name in FRAMEWORK_CALLBACKS or name in outside:
-                continue
-            # Read only inside its own definition (recursion) or nowhere.
-            if all(other == path and line in lines for other, line in readers.get(name, ())):
-                unread.add(f"{path.relative_to(PACKAGE.parent).with_suffix('')}:{qualified}")
-    return sorted(unread)
+    return sorted(
+        str(definition)
+        for definition in DEFINITIONS
+        if definition.qualified not in EXEMPT
+        and definition.name not in FRAMEWORK_CALLBACKS
+        and not any(any(True for _ in definition.reads(module)) for module in MODULES)
+    )
+
+
+def _unset_parameters():
+    unset = []
+    for definition in DEFINITIONS:
+        # A name read as a value is called where this test cannot see.
+        if any(is_value for module in MODULES for is_value in definition.reads(module)):
+            continue
+        for parameter, index in definition.parameters():
+            key = f"{definition.qualified}({parameter}=)"
+            if key not in EXEMPT_PARAMETERS and not definition.sets(MODULES, parameter, index):
+                unset.append(f"{definition}({parameter}=)")
+    return sorted(unset)
 
 
 def test_every_public_name_has_a_reader():
     assert _unread_names() == []
 
 
-@pytest.mark.parametrize("qualified", sorted(EXEMPT))
-def test_every_exemption_is_used_by_its_test(qualified):
-    path = ROOT / EXEMPT[qualified]
-    name = qualified.rsplit(".", 1)[-1]
-    assert any(read == name for read, _ in _reads([path])[path]), (qualified, EXEMPT[qualified])
+def test_every_defaulted_parameter_has_a_setter():
+    assert _unset_parameters() == []
+
+
+# The exemptions a test file must use: every name, and every parameter
+# whose entry names a test rather than a reason.
+TOOLS = {**EXEMPT, **{k: v for k, v in EXEMPT_PARAMETERS.items() if v.startswith("tests/")}}
+
+
+@pytest.mark.parametrize("key", sorted(TOOLS))
+def test_every_exemption_is_used_by_its_test(key):
+    module = _Module(ROOT / TOOLS[key])
+    if key.endswith("=)"):
+        qualified, parameter = key.removesuffix("=)").split("(")
+        (definition,) = [d for d in DEFINITIONS if d.qualified == qualified and d.node]
+        (index,) = [i for p, i in definition.parameters() if p == parameter]
+        assert definition.sets([module], parameter, index), (key, TOOLS[key])
+    else:
+        name = key.rsplit(".", 1)[-1]
+        assert name in module.imports or any(read == name for read, *_ in module.loads), (key, TOOLS[key])

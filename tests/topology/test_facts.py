@@ -100,7 +100,7 @@ class TestRecomputedWhenTheRelationChanges:
         topology.add_link(0, 2, 4)
         assert topology.link_capacity()[(0, 1)] == 4
         assert cut_capacity(topology, {1, 2}) == 8
-        topology.add_shared_constraint([(0, 1), (0, 2)], 1, "egress")
+        topology.add_shared_constraint([(0, 1), (0, 2)], 1)
         assert topology.link_capacity()[(0, 1)] == 1
         assert cut_capacity(topology, {1, 2}) == 2
         assert_facts_from_scratch(topology)

@@ -62,7 +62,7 @@ def test_shared_constraint_capacity():
     topo = Topology(name="t", num_nodes=3)
     topo.add_link(0, 1, 3)
     topo.add_link(0, 2, 3)
-    topo.add_shared_constraint([(0, 1), (0, 2)], 1, name="egress0")
+    topo.add_shared_constraint([(0, 1), (0, 2)], 1)
     # The shared constraint tightens the per-link capacity view.
     assert topo.bandwidth_between(0, 1) == 1
     assert topo.bandwidth_between(0, 2) == 1
@@ -102,7 +102,7 @@ def test_describe_mentions_links():
 
 def test_serialization_roundtrip():
     topo = fully_connected(3)
-    topo.add_shared_constraint([(0, 1), (0, 2)], 1, name="egress")
+    topo.add_shared_constraint([(0, 1), (0, 2)], 1)
     data = topo.to_dict()
     restored = Topology.from_dict(data)
     assert restored.num_nodes == topo.num_nodes
