@@ -16,7 +16,6 @@ form — are skipped silently: the suite is best-effort by design.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Tuple
 
 from ..core.algorithm import Algorithm
@@ -37,10 +36,6 @@ class BaselineAlgorithm:
             self.algorithm.total_rounds,
             self.algorithm.chunks_per_node,
         )
-
-    @property
-    def bandwidth_cost(self) -> Fraction:
-        return self.algorithm.bandwidth_cost
 
 
 def _builders(

@@ -265,7 +265,7 @@ class ScclEncoding:
     variables' order-encoding Booleans, and :meth:`rounds_assumptions`
     returns assumption literals pinning the total to any ``R`` in
     ``S .. R_max``.  One encoding (and one solver, via
-    :class:`repro.engine.session.SessionFamily`) then serves every
+    :class:`repro.engine.dispatch.FamilyExecutor`) then serves every
     rounds candidate of a fixed-``S`` sweep.
 
     With ``chunk_selector=True`` the encoding additionally becomes
@@ -282,8 +282,9 @@ class ScclEncoding:
     ``(S, C, R)`` instance.  This relies on the Table 1 relations being
     prefix-stable in ``C``: the chunks of a smaller count keep their
     placements under a larger one.  The formula is built once, at its
-    budgets; a frame outside them needs a new encoding
-    (:class:`repro.engine.session.SessionFamily` rebuilds).
+    budgets; a frame outside them would need a new encoding, which
+    :class:`repro.engine.dispatch.FamilyExecutor` never builds: it sizes
+    the budgets from the probes it will be asked for.
 
     :meth:`encode` of the plain form answers an instance a single-node cut
     refutes before it builds any table.  Otherwise what chunks of one class

@@ -17,7 +17,6 @@ the per-node chunk count ``C`` and the root node for rooted collectives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..collectives import CollectiveSpec, Placement, get_collective
 from ..topology import Topology
@@ -79,11 +78,6 @@ class SynCollInstance:
     def synchrony(self) -> int:
         """The k in "k-synchronous": ``R - S``."""
         return self.rounds - self.steps
-
-    @property
-    def bandwidth_cost(self) -> Fraction:
-        """The bandwidth cost ``R / C`` of any algorithm solving this instance."""
-        return Fraction(self.rounds, self.chunks_per_node)
 
     def describe(self) -> str:
         return (

@@ -57,10 +57,6 @@ class ParetoPoint:
     cache_hit: bool = False  # True when replayed from the algorithm cache
 
     @property
-    def bandwidth_cost(self) -> Fraction:
-        return Fraction(self.rounds, self.chunks_per_node)
-
-    @property
     def signature(self) -> Tuple[int, int, int]:
         return (self.chunks_per_node, self.steps, self.rounds)
 

@@ -1,5 +1,5 @@
 """The synthesis engine: the solver handle, the candidate-sweep loop with
-its executors, shared-prefix sessions and the persistent algorithm cache.
+its executors and the persistent algorithm cache.
 
 This layer sits between the CNF/SAT substrate (:mod:`repro.solver`) and the
 synthesis logic (:mod:`repro.core`): the encoders stay where they are, but
@@ -9,10 +9,9 @@ solver, the engine's only solver, and Algorithm
 every pruning, caching and commit decision and asks one of three executors
 for the result of each ``(S, R, C)`` probe — a cold in-process solve
 (:class:`InlineExecutor`), an assumption frame over one shared-prefix
-encoding per step count (:class:`FamilyExecutor` over
-:class:`SessionFamily`, the default), or a process pool fed a prefetch
-hint (:class:`PoolExecutor`; it wins on limit-bound or multi-second
-probes and loses on sub-second frontiers).  Verified outcomes persist in a
+encoding per step count (:class:`FamilyExecutor`, the default), or a
+process pool fed a prefetch hint (:class:`PoolExecutor`; it wins on
+limit-bound or multi-second probes and loses on sub-second frontiers).  Verified outcomes persist in a
 content-addressed :class:`AlgorithmCache` shared by the examples, the
 benchmarks, the evaluation harness and the runtime.
 """
@@ -55,7 +54,6 @@ from .dispatch import (
     SweepStats,
     make_dispatcher,
 )
-from .session import SessionError, SessionFamily
 
 __all__ = [
     "AlgorithmCache",
@@ -79,8 +77,6 @@ __all__ = [
     "PoolExecutor",
     "Probe",
     "STRATEGIES",
-    "SessionError",
-    "SessionFamily",
     "SweepOutcome",
     "SweepRequest",
     "SweepStats",

@@ -288,24 +288,6 @@ class BoundsLedger:
         """Provenance of every seeded upper bound (stable order)."""
         return sorted({p.source for p in self._baselines})
 
-    def stats(self) -> Dict[str, object]:
-        return {
-            "baseline_points": [
-                [p.steps, p.rounds, p.chunks] for p in self._baselines
-            ],
-            "baseline_sources": self.sources(),
-            "sweep_sats": len(self._sweep_sats),
-            "infeasible": len(self._infeasible),
-        }
-
-    def describe(self) -> str:
-        return (
-            f"BoundsLedger({self.collective} on {self.topology.name}: "
-            f"{len(self._baselines)} baseline bound(s) "
-            f"[{', '.join(self.sources()) or 'none'}], "
-            f"{len(self._sweep_sats)} sweep SAT(s), "
-            f"{len(self._infeasible)} UNSAT witness(es))"
-        )
 
 
 def cut_result(

@@ -15,9 +15,8 @@ among them (``make_dispatcher``):
 * :class:`InlineExecutor` (``serial``) — a cold encode+solve of the exact
   standalone formula, in this process.
 * :class:`FamilyExecutor` (``incremental``, the default) — one
-  :class:`~repro.engine.session.SessionFamily` per run: one shared-prefix
-  encoding per step count answers every ``(R, C)`` candidate under an
-  assumption frame.
+  shared-prefix encoding per step count, sized from the prefetch hint,
+  answers every ``(R, C)`` candidate under an assumption frame.
 * :class:`PoolExecutor` (``parallel`` and ``speculative``) — the exact
   formulas again, solved ahead of the loop in one process pool per run.
   The loop hands it a *prefetch hint* — the probes it is about to ask
@@ -58,18 +57,21 @@ speculative 0.31 s).
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import (
     TYPE_CHECKING, Callable, Dict, Iterator, List, NamedTuple, Optional, Protocol, Sequence, Tuple,
 )
 
+from ..core.encoding import PrefixAnalysis, ScclEncoding
 from ..core.instance import SynCollInstance, make_instance
-from ..core.synthesizer import count_solver_call
+from ..core.synthesizer import SynthesisError, count_solver_call, finish_probe
+from ..solver import SolveResult
 from ..telemetry import get_metrics, get_tracer
 from ..topology import Topology
+from .backends import CdclHandle
 from .bounds import CUT, PROBE, PRUNE, BoundsLedger, ProbePlan, cut_result
 from .cache import AlgorithmCache, instance_fingerprint, lookup_result, store_result
-from .session import SessionFamily
 
 if TYPE_CHECKING:  # the pool's modules load with the pool, in ``prefetch``
     from concurrent.futures import Future, ProcessPoolExecutor
@@ -237,33 +239,72 @@ class InlineExecutor:
         pass
 
 
+@dataclass
+class _FamilyEntry:
+    """One step count's shared-prefix encoding plus its solver handle."""
+
+    encoder: ScclEncoding
+    handle: CdclHandle
+    trivially_unsat: bool = False
+    pending_encode_time: float = 0.0  # attributed to the next probe
+    prev_stats: Dict[str, float] = field(default_factory=dict)
+
+    def solve(self, probe: Probe) -> Tuple[SolveResult, Dict[str, float]]:
+        """The verdict of ``probe``'s frame and the search it cost."""
+        if self.trivially_unsat:
+            return SolveResult.UNSAT, {}
+        request = probe.request
+        status = self.handle.solve(
+            self.encoder.frame_assumptions(probe.chunks, probe.rounds),
+            conflict_limit=request.conflict_limit, time_limit=request.time_limit,
+        )
+        # The handle's counters are cumulative: report this frame's.
+        raw = self.handle.stats()
+        previous, self.prev_stats = self.prev_stats, dict(raw)
+        return status, {
+            key: value if key == "max_decision_level"
+            else value - previous.get(key, 0)
+            for key, value in raw.items()
+        }
+
+
 class FamilyExecutor:
     """Assumption frames over one shared-prefix encoding per step count.
 
-    A whole run pays one encoding per step count — every ``(R, C)``
-    candidate is an assumption frame over it — and the reachability
-    analysis behind variable pruning is computed once.  The frames are
-    *derived* formulas (``exact`` is False).
+    Per step count ``S`` the executor builds one *shared-prefix* encoding
+    (``chunk_selector=True`` with a rounds budget) into one persistent
+    solver handle, so every ``(R, C)`` candidate of a fixed-``S`` sweep is
+    an assumption frame over it — one encode per ``S`` instead of one per
+    candidate — and the solver's learned clauses carry over between probes.
+    The ``S``-independent reachability analysis behind variable pruning is
+    computed once per run and shared by every per-``S`` encoding.
 
-    Each step count's encoding is sized from the prefetch hint: its chunk
-    and rounds budgets are the largest ``C`` and ``R`` among the probes
-    the loop will ask for.  The hint never holds a pruned, cut or cached
-    candidate, so a sweep whose large candidates were all pruned never pays
-    for their variables, and no probe outgrows its encoding.
+    Each encoding is sized from the prefetch hint: its chunk and rounds
+    budgets are the largest ``C`` and ``R`` among the probes the loop will
+    ask for at that step count.  The hint never holds a pruned, cut or
+    cached candidate, so a sweep whose large candidates were all pruned
+    never pays for their variables.  An encoding is built once and never
+    grown: a probe outside its step count's hinted budgets is a bug in the
+    loop, and raises.
+
+    Satisfiability is identical to a cold encode at the probed candidate:
+    widening the per-step round domains is inert once the total is pinned
+    (every other step performs at least one round, so no step can exceed
+    ``R - (S - 1)``), the selector assumptions force the total exactly, and
+    disabled chunk levels can neither send nor owe postconditions.  A frame
+    is still a *larger* formula than the cold one (``exact`` is False), so
+    it can exhaust a conflict or time budget the cold formula would not:
+    the loop's UNKNOWN policy (module docstring) handles that.
     """
 
     exact = False
     lookahead = 0
 
     def __init__(self, request: SweepRequest) -> None:
-        self._family = SessionFamily(
-            request.collective, request.topology, root=request.root
-        )
+        self._analysis = PrefixAnalysis(request.topology)
+        self._entries: Dict[int, _FamilyEntry] = {}
         self._budgets: Dict[int, Tuple[int, int]] = {}  # steps -> (C, R)
-
-    @property
-    def encode_calls(self) -> int:
-        return self._family.encode_calls
+        self.encode_calls = 0
 
     def prefetch(self, probes: Sequence[Probe]) -> None:
         budgets: Dict[int, Tuple[int, int]] = {}
@@ -274,17 +315,77 @@ class FamilyExecutor:
             )
         self._budgets = budgets
 
+    def _entry_for(self, probe: Probe) -> _FamilyEntry:
+        """``probe``'s step count's entry, encoded at the hinted budgets."""
+        request = probe.request
+        steps = request.steps
+        entry = self._entries.get(steps)
+        if entry is None:
+            chunks, rounds = self._budgets.get(steps, (0, 0))
+        else:
+            chunks = entry.encoder.instance.chunks_per_node
+            rounds = entry.encoder.instance.rounds
+        if probe.chunks > chunks or probe.rounds > rounds:
+            raise DispatchError(
+                f"probe S={steps} R={probe.rounds} C={probe.chunks} is outside "
+                f"the hinted budgets of its step count (C<={chunks}, R<={rounds})"
+            )
+        if entry is not None:
+            return entry
+        with get_tracer().span("encode", S=steps, C=chunks, R=rounds, family=True):
+            start = time.monotonic()
+            encoder = ScclEncoding(
+                make_instance(
+                    request.collective, request.topology, chunks, steps, rounds,
+                    root=request.root,
+                ),
+                rounds_budget=rounds,
+                chunk_selector=True,
+                analysis=self._analysis,
+            )
+            encoder.encode()
+            elapsed = time.monotonic() - start
+        self.encode_calls += 1
+        handle = CdclHandle()
+        entry = self._entries[steps] = _FamilyEntry(
+            encoder=encoder,
+            handle=handle,
+            trivially_unsat=not handle.load(encoder.cnf),
+            pending_encode_time=elapsed,
+        )
+        return entry
+
     def result(self, probe: Probe):
         request = probe.request
-        max_chunks, max_rounds = self._budgets.get(request.steps, (None, None))
-        return self._family.solve(
-            request.steps, probe.chunks, probe.rounds,
-            instance=probe.instance,
-            max_chunks=max_chunks,
-            max_rounds=max_rounds,
-            time_limit=request.time_limit,
-            conflict_limit=request.conflict_limit,
-        )
+        instance = probe.instance
+        with get_tracer().span(
+            "probe",
+            collective=request.collective,
+            C=probe.chunks,
+            S=request.steps,
+            R=probe.rounds,
+            backend=CdclHandle.name,
+        ) as probe_span:
+            entry = self._entry_for(probe)
+            encode_time, entry.pending_encode_time = entry.pending_encode_time, 0.0
+            result = finish_probe(
+                instance, lambda: entry.solve(probe),
+                lambda: entry.encoder.decode(entry.handle.model(), instance=instance),
+                backend=CdclHandle.name, encode_time=encode_time,
+                encoding_stats=entry.encoder.stats.as_dict(),
+            )
+            probe_span.set(verdict=result.status.value, cache_hit=False)
+            algorithm = result.algorithm
+            if algorithm is not None and (
+                algorithm.total_rounds != probe.rounds
+                or algorithm.num_chunks != instance.num_chunks
+            ):  # pragma: no cover - selector guard
+                raise SynthesisError(
+                    f"selector leak: asked for {probe.rounds} rounds and "
+                    f"{instance.num_chunks} chunks, decoded "
+                    f"{algorithm.total_rounds} and {algorithm.num_chunks}"
+                )
+            return result
 
     def close(self) -> None:
         pass
@@ -398,7 +499,9 @@ class PoolExecutor:
 # The loop
 # ----------------------------------------------------------------------
 def _check_uniform(requests: Sequence[SweepRequest]) -> None:
-    """One run shares one executor, so its requests differ only in S."""
+    """One run shares one executor, so its requests differ only in S, and
+    each step count is swept once: the family executor sizes a step
+    count's encoding from that sweep's hint alone."""
 
     def context(request: SweepRequest) -> tuple:
         return (
@@ -410,6 +513,8 @@ def _check_uniform(requests: Sequence[SweepRequest]) -> None:
     first = context(requests[0])
     if any(context(request) != first for request in requests[1:]):
         raise DispatchError("the requests of one run must differ only in steps/candidates")
+    if len({request.steps for request in requests}) < len(requests):
+        raise DispatchError("the requests of one run must have distinct step counts")
 
 
 def _plan_probes(request: SweepRequest) -> Optional[ProbePlan]:

@@ -237,14 +237,3 @@ class Program:
             raise ProgramError(
                 f"unmatched send/recv counts for (chunk, src, dst, step): {named}{more}"
             )
-
-    def describe(self) -> str:
-        lines = [
-            f"Program {self.name!r} ({self.collective}), {self.num_ranks} ranks, "
-            f"{self.num_chunks} chunk slots, protocol {self.protocol}"
-        ]
-        for rank in self.ranks:
-            lines.append(f"  rank {rank.rank}: {len(rank)} instructions")
-            for instruction in rank.instructions:
-                lines.append(f"    {instruction}")
-        return "\n".join(lines)

@@ -106,10 +106,6 @@ class SimulationResult:
     # (rows of Simulator._rows, payloads by message count, per-step sync)
     _steps: Tuple[list, List[float], float] = field(default=((), [0.0], 0.0), repr=False)
 
-    @property
-    def num_steps(self) -> int:
-        return len(self._steps[0])
-
     @cached_property
     def step_timings(self) -> List[StepTiming]:
         rows, payloads, sync = self._steps

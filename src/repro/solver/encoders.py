@@ -55,21 +55,25 @@ def at_most_one_pairwise(cnf: CNF, lits: Sequence[int]) -> None:
     cnf.add_clauses_fast(_pairs(lits))
 
 
-def at_most_one_commander(cnf: CNF, lits: Sequence[int], group_size: int = 4) -> None:
+#: Literals per commander group of :func:`at_most_one_commander`.
+_COMMANDER_GROUP = 4
+
+
+def at_most_one_commander(cnf: CNF, lits: Sequence[int]) -> None:
     """Commander-variable AMO encoding.
 
-    Splits the literals into groups of ``group_size``, adds a commander
-    variable per group, and recursively constrains the commanders.  Uses
-    O(n) clauses and O(n / group_size) auxiliary variables.
+    Splits the literals into groups of four, adds a commander variable per
+    group, and recursively constrains the commanders.  Uses O(n) clauses
+    and O(n / 4) auxiliary variables.
     """
     lits = list(lits)
-    if len(lits) <= group_size + 1:
+    if len(lits) <= _COMMANDER_GROUP + 1:
         at_most_one_pairwise(cnf, lits)
         return
     clauses: List[List[int]] = []
     commanders: List[int] = []
-    for start in range(0, len(lits), group_size):
-        group = lits[start : start + group_size]
+    for start in range(0, len(lits), _COMMANDER_GROUP):
+        group = lits[start : start + _COMMANDER_GROUP]
         commander = cnf.new_var()
         commanders.append(commander)
         # commander is true if any literal in the group is true
@@ -77,7 +81,7 @@ def at_most_one_commander(cnf: CNF, lits: Sequence[int], group_size: int = 4) ->
         # at most one within the group
         clauses.extend(_pairs(group))
     cnf.add_clauses_fast(clauses)
-    at_most_one_commander(cnf, commanders, group_size)
+    at_most_one_commander(cnf, commanders)
 
 
 def at_most_one(cnf: CNF, lits: Sequence[int]) -> None:

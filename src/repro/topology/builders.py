@@ -13,11 +13,11 @@ from __future__ import annotations
 from .topology import Topology, TopologyError
 
 
-def ring(num_nodes: int, bandwidth: int = 1, bidirectional: bool = True) -> Topology:
+def ring(num_nodes: int, bandwidth: int = 1) -> Topology:
     """A ring of ``num_nodes`` nodes.
 
-    With ``bidirectional=True`` (the default) each adjacent pair gets links
-    in both directions, as in Figure 2 of the paper.
+    Each adjacent pair gets links in both directions, as in Figure 2 of the
+    paper.
     """
     if num_nodes < 2:
         raise TopologyError("a ring needs at least 2 nodes")
@@ -25,8 +25,7 @@ def ring(num_nodes: int, bandwidth: int = 1, bidirectional: bool = True) -> Topo
     for node in range(num_nodes):
         nxt = (node + 1) % num_nodes
         topo.add_link(node, nxt, bandwidth)
-        if bidirectional:
-            topo.add_link(nxt, node, bandwidth)
+        topo.add_link(nxt, node, bandwidth)
     return topo
 
 
@@ -41,18 +40,14 @@ def line(num_nodes: int, bandwidth: int = 1) -> Topology:
     return topo
 
 
-def star(num_nodes: int, bandwidth: int = 1, center: int = 0) -> Topology:
-    """A star with ``center`` connected bidirectionally to every other node."""
+def star(num_nodes: int, bandwidth: int = 1) -> Topology:
+    """A star with node 0 connected bidirectionally to every other node."""
     if num_nodes < 2:
         raise TopologyError("a star needs at least 2 nodes")
-    if not 0 <= center < num_nodes:
-        raise TopologyError("star center out of range")
     topo = Topology(name=f"star{num_nodes}", num_nodes=num_nodes)
-    for node in range(num_nodes):
-        if node == center:
-            continue
-        topo.add_link(center, node, bandwidth)
-        topo.add_link(node, center, bandwidth)
+    for node in range(1, num_nodes):
+        topo.add_link(0, node, bandwidth)
+        topo.add_link(node, 0, bandwidth)
     return topo
 
 

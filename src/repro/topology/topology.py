@@ -52,9 +52,6 @@ class BandwidthConstraint:
             # Immutable all the way down: Algorithm.verify relies on it.
             object.__setattr__(self, "links", frozenset(self.links))
 
-    def covers(self, link: Link) -> bool:
-        return link in self.links
-
 
 def _link_capacity(topology: "Topology") -> Mapping[Link, int]:
     capacity: Dict[Link, int] = {}

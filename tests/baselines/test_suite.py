@@ -50,7 +50,7 @@ class TestBaselineSuite:
             assert rounds == baseline.algorithm.total_rounds
             assert chunks == baseline.algorithm.chunks_per_node
             assert steps >= 1 and rounds >= steps and chunks >= 1
-            assert baseline.bandwidth_cost == Fraction(rounds, chunks)
+            assert baseline.algorithm.bandwidth_cost == Fraction(rounds, chunks)
 
     def test_dgx1_allgather_includes_nccl_bound(self):
         suite = baseline_suite("Allgather", dgx1())
@@ -58,7 +58,7 @@ class TestBaselineSuite:
         assert "nccl" in by_name
         # Table 3: (C, S, R) = (6, 7, 7) -> lattice cost (7, 7, 6).
         assert by_name["nccl"].cost() == (7, 7, 6)
-        assert by_name["nccl"].bandwidth_cost == Fraction(7, 6)
+        assert by_name["nccl"].algorithm.bandwidth_cost == Fraction(7, 6)
 
     def test_ring4_allgather_ring_bound(self):
         suite = baseline_suite("Allgather", ring(4))

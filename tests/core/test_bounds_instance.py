@@ -86,7 +86,6 @@ class TestInstances:
         inst = make_instance("Allgather", ring(4), 2, 3, 4)
         assert inst.num_chunks == 8
         assert inst.synchrony == 1
-        assert inst.bandwidth_cost == Fraction(4, 2)
         assert inst.steps == 3
         assert "Allgather" in inst.describe()
 

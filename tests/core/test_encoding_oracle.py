@@ -7,16 +7,18 @@ C <= 2, Broadcast C <= 4) and, where the instance has at most 6 global
 chunks, the explicit-state reference's (``tests/oracle/reference.py``, which
 shares no code with ``repro``); every model must verify, every cut witness
 must be the arithmetic it claims and, on the reference's domain, an
-instance the reference finds infeasible; assumption frames of a grown
-``SessionFamily`` must equal cold encodes, and feasibility must be
-monotone in ``R`` and ``S`` — the invariant ``BoundsLedger`` assumes.
+instance the reference finds infeasible; assumption frames of the family
+executor's shared-prefix encoding must equal cold encodes, and feasibility
+must be monotone in ``R`` and ``S`` — the invariant ``BoundsLedger``
+assumes.
 """
 
 from hypothesis import given, settings, strategies as st
 from test_agreement import MAX_GLOBAL_CHUNKS, judge
 
 from repro.core import ScclEncoding, make_instance, solve_encoding, synthesize
-from repro.engine import SessionFamily
+from repro.engine import FamilyExecutor, SweepRequest
+from repro.engine.dispatch import make_probe
 from repro.topology import Topology
 
 COLLECTIVES = ("Allgather", "Broadcast", "Gather", "Scatter", "Alltoall")
@@ -104,14 +106,20 @@ def test_feasibility_is_monotone_in_rounds_and_steps(instance, more_steps, more_
 
 @settings(max_examples=25, deadline=None)
 @given(topologies(), st.integers(1, 3), st.integers(0, 2))
-def test_family_frames_equal_cold_encodes_across_a_rebuild(topology, steps, slack):
-    """Broadcast C 1 -> 4: the symmetry chain of the rebuilt C = 4 formula
-    must hold under frames that disable the upper chunk levels."""
-    family = SessionFamily("Broadcast", topology)
-    max_rounds = steps + slack
-    for chunks in (1, 4, 2, 3):  # rebuilds at C = 4 once, then frames below it
-        for rounds in range(steps, max_rounds + 1):
-            framed = family.solve(steps, chunks, rounds, max_rounds=max_rounds)
-            cold = synthesize(make_instance("Broadcast", topology, chunks, steps, rounds))
-            assert framed.status is cold.status, (chunks, steps, rounds)
-    assert family.rebuilds == 1
+def test_family_frames_equal_cold_encodes(topology, steps, slack):
+    """Broadcast C 1 -> 4 from one hint: the symmetry chain of the C = 4
+    formula, built once, must hold under frames that disable the upper
+    chunk levels."""
+    request = SweepRequest("Broadcast", topology, steps, ())
+    probes = [
+        make_probe(request, rounds, chunks)
+        for chunks in (1, 4, 2, 3)
+        for rounds in range(steps, steps + slack + 1)
+    ]
+    executor = FamilyExecutor(request)
+    executor.prefetch(probes)
+    for probe in probes:
+        framed = executor.result(probe)
+        cold = synthesize(make_instance("Broadcast", topology, probe.chunks, steps, probe.rounds))
+        assert framed.status is cold.status, probe.key
+    assert executor.encode_calls == 1

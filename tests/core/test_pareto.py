@@ -69,7 +69,7 @@ class TestRingAllgatherFrontier:
         small = frontier.best_for_size(64, alpha=5e-6, beta=4e-11)
         large = frontier.best_for_size(1 << 30, alpha=5e-6, beta=4e-11)
         assert small.steps <= large.steps
-        assert large.bandwidth_cost <= small.bandwidth_cost
+        assert large.algorithm.bandwidth_cost <= small.algorithm.bandwidth_cost
 
 
 class TestOtherCollectives:

@@ -188,8 +188,7 @@ class TestNoFormulaOption:
     def entry_points(tmp_path):
         from repro.core.synthesizer import _probe, finish_probe
         from repro.engine import (
-            AlgorithmCache, FamilyExecutor, SessionFamily, SweepRequest,
-            fingerprint, instance_fingerprint, lookup_result, make_dispatcher,
+            AlgorithmCache, FamilyExecutor, SweepRequest, fingerprint, instance_fingerprint, lookup_result, make_dispatcher,
             store_result,
         )
         from repro.engine.dispatch import (
@@ -201,7 +200,7 @@ class TestNoFormulaOption:
 
         cache = AlgorithmCache(tmp_path / "algorithms")
         registry = PlanRegistry(cache=cache)
-        family = SessionFamily("Allgather", ring(4))
+        family = FamilyExecutor(SweepRequest("Allgather", ring(4), 2, ()))
         instance = make_instance("Allgather", ring(4), 1, 2, 3)
         request = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
         return {
@@ -218,8 +217,7 @@ class TestNoFormulaOption:
             "_cached_result": lambda **kw: _cached_result(None, cache, {}, **kw),
             "_cut_for": lambda **kw: _cut_for(None, None, cache, **kw),
             "make_dispatcher": lambda **kw: make_dispatcher("incremental", **kw),
-            "SessionFamily": lambda **kw: SessionFamily("Allgather", ring(4), **kw),
-            "SessionFamily.solve": lambda **kw: family.solve(2, 1, 3, **kw),
+            "FamilyExecutor.result": lambda **kw: family.result(None, **kw),
             "fingerprint": lambda **kw: fingerprint("Allgather", ring(4), 1, 2, 3, **kw),
             "instance_fingerprint": lambda **kw: instance_fingerprint(instance, **kw),
             "lookup_result": lambda **kw: lookup_result(cache, instance, **kw),

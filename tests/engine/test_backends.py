@@ -126,13 +126,19 @@ class TestOneCodePath:
         assert len(created) == 1
 
     def test_a_family_creates_one_handle_per_step_count(self, created):
-        from repro.engine import SessionFamily
+        from repro.engine import FamilyExecutor, SweepRequest
+        from repro.engine.dispatch import make_probe
         from repro.topology import ring
 
-        family = SessionFamily("Allgather", ring(4))
-        for steps, chunks, rounds in ((2, 1, 3), (2, 1, 4), (3, 1, 3), (3, 1, 4)):
-            result = family.solve(steps, chunks, rounds, max_rounds=4)
-            assert result.backend == "cdcl"
+        topology = ring(4)
+        probes = [
+            make_probe(SweepRequest("Allgather", topology, steps, ()), rounds, 1)
+            for steps in (2, 3) for rounds in (3, 4)
+        ]
+        family = FamilyExecutor(probes[0].request)
+        family.prefetch(probes)
+        for probe in probes:
+            assert family.result(probe).backend == "cdcl"
         assert len(created) == 2
 
 
@@ -160,12 +166,12 @@ class TestNoSolverOption:
         with pytest.raises(TypeError, match="backend"):
             SweepRequest("Allgather", ring(4), 2, ((3, 1),), backend="cdcl")
 
-    def test_session_family(self):
-        from repro.engine import SessionFamily
+    def test_family_executor(self):
+        from repro.engine import FamilyExecutor, SweepRequest
         from repro.topology import ring
 
         with pytest.raises(TypeError, match="backend"):
-            SessionFamily("Allgather", ring(4), backend="cdcl")
+            FamilyExecutor(SweepRequest("Allgather", ring(4), 2, ()), backend="cdcl")
 
     def test_plan_request(self):
         from repro.service import PlanRequest

@@ -12,11 +12,12 @@ optimality labels and provenance.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.core import pareto_synthesize
-from repro.engine import DispatchError, SweepRequest, make_dispatcher
+from repro.engine import STRATEGIES, DispatchError, SweepRequest, make_dispatcher
 from repro.topology import fully_connected, line, ring, star
 
 
@@ -178,6 +179,13 @@ class TestSweepManyPipeline:
         b = SweepRequest("Allgather", ring(5), steps=3, candidates=((3, 1),))
         with pytest.raises(DispatchError):
             make_dispatcher("speculative").run([a, b])
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_repeated_step_count_rejected(self, strategy):
+        a = SweepRequest("Allgather", ring(4), steps=2, candidates=((2, 1),))
+        b = replace(a, candidates=((3, 2),))
+        with pytest.raises(DispatchError, match="distinct step counts"):
+            make_dispatcher(strategy, max_workers=1).run([a, b])
 
     def test_empty_batch(self):
         assert make_dispatcher("speculative").run([]) == []

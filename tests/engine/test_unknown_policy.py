@@ -14,10 +14,9 @@ twice at most once per step count.
 
 import pytest
 
-from repro.core import make_instance, pareto_synthesize
+from repro.core import pareto_synthesize
 from repro.core.synthesizer import SynthesisResult
-from repro.engine import STRATEGIES, SweepRequest, make_dispatcher
-from repro.engine.session import SessionFamily
+from repro.engine import STRATEGIES, FamilyExecutor, SweepRequest, make_dispatcher
 from repro.solver.sat import SolveResult
 from repro.topology import line, ring
 
@@ -36,7 +35,7 @@ def signatures(frontier):
     ]
 
 
-def _unknown_family_solve(monkeypatch, encode_time=0.0, solve_time=0.0):
+def _unknown_family_result(monkeypatch, encode_time=0.0, solve_time=0.0):
     """Make every family-frame probe exhaust its budget (UNKNOWN).
 
     Returns the list the ``(steps, rounds, chunks)`` of every frame asked
@@ -44,17 +43,14 @@ def _unknown_family_solve(monkeypatch, encode_time=0.0, solve_time=0.0):
     """
     asked = []
 
-    def fake_solve(self, steps, chunks, rounds, **kwargs):
-        asked.append((steps, rounds, chunks))
-        instance = make_instance(
-            self.collective, self.topology, chunks, steps, rounds, root=self.root
-        )
+    def fake_result(self, probe):
+        asked.append(probe.key)
         return SynthesisResult(
-            instance=instance, status=SolveResult.UNKNOWN,
+            instance=probe.instance, status=SolveResult.UNKNOWN,
             encode_time=encode_time, solve_time=solve_time,
         )
 
-    monkeypatch.setattr(SessionFamily, "solve", fake_solve)
+    monkeypatch.setattr(FamilyExecutor, "result", fake_result)
     return asked
 
 
@@ -83,7 +79,7 @@ class TestExactRetry:
         """A family frame that exhausts its budget must not concede the
         point: the exact standalone formula is retried and its verdict
         (here SAT) is what the sweep reports."""
-        _unknown_family_solve(monkeypatch)
+        _unknown_family_result(monkeypatch)
         outcome = make_dispatcher("incremental").sweep(self.request())
         assert outcome.first_sat is not None
         assert outcome.stats.unknown_retries >= 1
@@ -98,7 +94,7 @@ class TestExactRetry:
         """When the standalone formula exhausts the budget too, the point
         is honestly UNKNOWN — the retry changes verdicts, never invents
         them — and the budget is spent twice once, not once per result."""
-        _unknown_family_solve(monkeypatch)
+        _unknown_family_result(monkeypatch)
         _unknown_exact_solve(monkeypatch)
         outcome = make_dispatcher("incremental").sweep(self.request())
         assert len(outcome.results) == 2
@@ -109,14 +105,14 @@ class TestExactRetry:
     def test_a_retried_probe_reports_both_attempts(self, monkeypatch):
         """The exact formula's result carries the frame's burnt budget:
         the phases of a sweep add up to what it cost."""
-        _unknown_family_solve(monkeypatch, encode_time=1.0, solve_time=2.0)
+        _unknown_family_result(monkeypatch, encode_time=1.0, solve_time=2.0)
         _unknown_exact_solve(monkeypatch, encode_time=0.25, solve_time=0.5)
         retried, direct = make_dispatcher("incremental").sweep(self.request()).results
         assert (retried.encode_time, retried.solve_time) == (1.25, 2.5)
         assert (direct.encode_time, direct.solve_time) == (0.25, 0.5)
 
     def test_a_deciding_retry_keeps_the_frames_time(self, monkeypatch):
-        _unknown_family_solve(monkeypatch, encode_time=1.0, solve_time=2.0)
+        _unknown_family_result(monkeypatch, encode_time=1.0, solve_time=2.0)
         sat = make_dispatcher("incremental").sweep(self.request()).first_sat
         assert sat is not None
         assert sat.encode_time > 1.0 and sat.solve_time > 2.0
@@ -138,7 +134,7 @@ class TestBudgetBoundStepCount:
     def test_one_frame_per_budget_bound_step_count(self, monkeypatch):
         """Every formula exhausts: each step count asks its family once,
         retries that probe exactly and sends the rest to the exact formula."""
-        asked = _unknown_family_solve(monkeypatch)
+        asked = _unknown_family_result(monkeypatch)
         _unknown_exact_solve(monkeypatch)
         outcomes = make_dispatcher("incremental").run(self.requests())
         assert asked == [(3, 3, 1), (4, 4, 1)]
@@ -152,17 +148,17 @@ class TestBudgetBoundStepCount:
         """Frames that decide are kept (never retried); the first one that
         does not makes the rest of that step count exact, and the next step
         count starts on its family again."""
-        real_solve = SessionFamily.solve
+        real_result = FamilyExecutor.result
         asked = []
 
-        def solve(self, steps, chunks, rounds, **kwargs):
-            asked.append((steps, rounds, chunks))
-            result = real_solve(self, steps, chunks, rounds, **kwargs)
-            if (steps, rounds, chunks) == (3, 4, 1):
-                result.status, result.algorithm = SolveResult.UNKNOWN, None
-            return result
+        def result(self, probe):
+            asked.append(probe.key)
+            answer = real_result(self, probe)
+            if probe.key == (3, 4, 1):
+                answer.status, answer.algorithm = SolveResult.UNKNOWN, None
+            return answer
 
-        monkeypatch.setattr(SessionFamily, "solve", solve)
+        monkeypatch.setattr(FamilyExecutor, "result", result)
         _unknown_exact_solve(monkeypatch)
         topology = ring(4)
         requests = [
@@ -250,19 +246,17 @@ class TestStrategyAgreementUnderLimits:
         and no second frame at the budget-bound step count."""
         from repro.topology import dgx1
 
-        real_solve = SessionFamily.solve
+        real_result = FamilyExecutor.result
         asked = []
 
-        def solve(self, steps, chunks, rounds, *, time_limit=None, **kwargs):
-            asked.append((steps, rounds, chunks))
-            result = real_solve(
-                self, steps, chunks, rounds, time_limit=time_limit, **kwargs
-            )
-            if time_limit is not None:
-                result.status, result.algorithm = SolveResult.UNKNOWN, None
-            return result
+        def result(self, probe):
+            asked.append(probe.key)
+            answer = real_result(self, probe)
+            if probe.request.time_limit is not None:
+                answer.status, answer.algorithm = SolveResult.UNKNOWN, None
+            return answer
 
-        monkeypatch.setattr(SessionFamily, "solve", solve)
+        monkeypatch.setattr(FamilyExecutor, "result", result)
         frontiers = {
             strategy: pareto_synthesize(
                 "Allgather", dgx1(), k=2, max_steps=2, max_chunks=4,
@@ -287,7 +281,7 @@ class TestStrategyAgreementUnderLimits:
         serial one."""
         serial = pareto_synthesize("Allgather", ring(4), k=1, max_steps=3,
                                    strategy="serial")
-        _unknown_family_solve(monkeypatch)
+        _unknown_family_result(monkeypatch)
         incremental = pareto_synthesize("Allgather", ring(4), k=1, max_steps=3,
                                         strategy="incremental")
         assert signatures(incremental) == signatures(serial)

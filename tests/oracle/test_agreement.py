@@ -63,11 +63,22 @@ def fabrics(draw):
     kind = draw(st.sampled_from(("ring", "line", "star", "complete", "random")))
     bandwidth = draw(st.integers(1, 2))
     if kind == "ring":
-        topology = ring(n, bandwidth, bidirectional=draw(st.booleans()))
+        topology = ring(n, bandwidth)
+        if draw(st.booleans()):  # one way round
+            topology = Topology(name="ring", num_nodes=n)
+            for node in range(n):
+                topology.add_link(node, (node + 1) % n, bandwidth)
     elif kind == "line":
         topology = line(n, bandwidth)
     elif kind == "star":
-        topology = star(n, bandwidth, center=draw(st.integers(0, n - 1)))
+        topology = star(n, bandwidth)
+        center = draw(st.integers(0, n - 1))
+        if center:  # off centre
+            topology = Topology(name="star", num_nodes=n)
+            for node in range(n):
+                if node != center:
+                    topology.add_link(center, node, bandwidth)
+                    topology.add_link(node, center, bandwidth)
     elif kind == "complete":
         topology = fully_connected(n, bandwidth)
     else:

@@ -146,7 +146,7 @@ class TestStaleness:
         assert program.num_steps == steps + 1
         assert program.sends_at_step(steps) == [(0, _extra_send(steps))]
         after = simulator.simulate(program, 1 << 20)
-        assert after.num_steps == steps + 1
+        assert len(after.step_timings) == steps + 1
         assert after.step_timings[-1].transfers == 1
         assert after.total_time_s > before.total_time_s
 

@@ -66,7 +66,7 @@ def frames(cnf, probes):
 
 
 def rounds_ladder(collective, chunks, steps, budget, probes):
-    """One solver probed under assumptions, the ``SessionFamily`` pattern:
+    """One solver probed under assumptions, the family executor's pattern:
     every ``(rounds, conflict_limit)`` probe is a frame of selector
     assumptions on one clause database, learnt clauses carried along."""
     instance = make_instance(collective, dgx1(), chunks, steps, budget)

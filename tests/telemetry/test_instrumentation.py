@@ -212,11 +212,14 @@ def test_budget_bound_sweep_counts_the_retry_once(metrics):
     assert _solve_count(metrics) == stats["solver_calls"]
 
 
-def test_a_direct_family_solve_writes_no_series(metrics):
-    from repro.engine.session import SessionFamily
+def test_a_direct_family_result_writes_no_series(metrics):
+    from repro.engine import FamilyExecutor, SweepRequest
+    from repro.engine.dispatch import make_probe
 
-    result = SessionFamily("Allgather", ring(4)).solve(2, 1, 3)
-    assert result.is_sat
+    probe = make_probe(SweepRequest("Allgather", ring(4), 2, ()), 3, 1)
+    family = FamilyExecutor(probe.request)
+    family.prefetch([probe])
+    assert family.result(probe).is_sat
     assert metrics.snapshot()["counters"] == {}
     assert metrics.snapshot()["histograms"] == {}
 

@@ -19,7 +19,10 @@ names the function (the class for ``__init__``, or ``cls`` inside one of that
 class's methods) and passes the parameter by keyword, by enough positional
 arguments, or through ``*``/``**``.  A parameter nobody sets is a constant.
 A function whose name is read as a value (a dict entry, a callback) is
-skipped: its calls cannot be seen.
+skipped: its calls cannot be seen.  An entry of a dispatch table is not
+such a value: a dict display of functions bound to a name and called
+through a subscript (``builders[name](size, bandwidth)``) calls each of its
+entries with that call's arguments.
 """
 
 import ast
@@ -43,6 +46,18 @@ EXEMPT = {
     "clause_is_satisfied": "tests/solver/test_sat.py",
     # The first SAT probe of a sweep, for the pool strategies' agreement.
     "SweepOutcome.first_sat": "tests/engine/test_sweep_loop.py",
+    # A frontier as plain data, for the strategies' byte-identical frontiers;
+    # a point is one row of it.
+    "ParetoFrontier.to_dict": "tests/engine/test_dispatch.py",
+    "ParetoPoint.to_dict": "tests/engine/test_dispatch.py",
+    # The state after every step, for the combining and synthesis checks.
+    "Algorithm.run": "tests/core/test_combining.py",
+    # Every series and one series of the registry, for the telemetry checks.
+    "Metrics.snapshot": "tests/telemetry/test_instrumentation.py",
+    "Metrics.value": "tests/engine/test_cache.py",
+    # An instruction added to a lowered program, to build the malformed
+    # programs the validator and the step index must reject.
+    "RankProgram.append": "tests/runtime/test_runtime.py",
     # Per-step sends of a lowered program, for the lowering's step index.
     "Program.sends_at_step": "tests/runtime/test_step_index.py",
     # A served process in a thread, for the HTTP tests.
@@ -116,7 +131,8 @@ class _Module(ast.NodeVisitor):
     one that is neither called nor a type (an annotation, an ``isinstance``
     class, an ``except`` clause).  ``calls`` holds ``(name, line,
     is_attribute, positional, keywords, starred)``; ``cls(...)`` inside a
-    class is recorded under the class's name.
+    class is recorded under the class's name, and a call through a dispatch
+    table (module docstring) under the name of each of its entries.
     """
 
     def __init__(self, path: Path):
@@ -131,7 +147,13 @@ class _Module(ast.NodeVisitor):
         self.calls = []
         self._not_values = set()
         self._classes = []
+        self._tables = {}
         self.visit(ast.parse(path.read_text(encoding="utf-8")))
+        # A load is a value read unless a later call or table showed otherwise.
+        self.loads = [
+            (name, line, is_attribute, id(node) not in self._not_values)
+            for name, line, is_attribute, node in self.loads
+        ]
 
     def _types(self, node):
         if node is not None:
@@ -175,6 +197,16 @@ class _Module(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
+    def visit_Assign(self, node):
+        (target,) = node.targets[:1]
+        if (
+            len(node.targets) == 1 and isinstance(target, ast.Name)
+            and isinstance(node.value, ast.Dict)
+            and all(isinstance(v, (ast.Name, ast.Attribute)) for v in node.value.values)
+        ):
+            self._tables[target.id] = node.value.values
+        self.generic_visit(node)
+
     def visit_AnnAssign(self, node):
         self._types(node.annotation)
         self.generic_visit(node)
@@ -196,17 +228,22 @@ class _Module(ast.NodeVisitor):
             if name == "cls" and self._classes:
                 name = self._classes[0]
             self.calls.append((name, node.lineno, isinstance(func, ast.Attribute), positional, keywords, starred))
+        elif isinstance(func, ast.Subscript) and isinstance(func.value, ast.Name) and func.value.id in self._tables:
+            for entry in self._tables[func.value.id]:
+                self._not_values.add(id(entry))
+                name = entry.id if isinstance(entry, ast.Name) else entry.attr
+                self.calls.append((name, node.lineno, isinstance(entry, ast.Attribute), positional, keywords, starred))
         self.generic_visit(node)
 
     def visit_Name(self, node):
         if not isinstance(node.ctx, ast.Store):
-            self.loads.append((node.id, node.lineno, False, id(node) not in self._not_values))
+            self.loads.append((node.id, node.lineno, False, node))
 
     def visit_Attribute(self, node):
         if isinstance(node.ctx, ast.Store):
             self.fields.add(node.attr)
         else:
-            self.loads.append((node.attr, node.lineno, True, id(node) not in self._not_values))
+            self.loads.append((node.attr, node.lineno, True, node))
         self.generic_visit(node)
 
 
