@@ -24,6 +24,8 @@ lands on whichever request happens to trigger it.
 import gc
 import time
 
+import pytest
+
 from repro.engine import AlgorithmCache
 from repro.faults import FaultSet, LinkDegraded, LinkDown
 from repro.service import (
@@ -35,6 +37,7 @@ from repro.service import (
     SynthesisResolver,
     apply_fault_request,
 )
+from repro.telemetry import Metrics, set_metrics
 
 from conftest import report, write_bench_json
 
@@ -54,7 +57,7 @@ def _timed(fn):
             gc.enable()
 
 
-def _ring_replan(tmp_path) -> dict:
+def _ring_replan(tmp_path, metrics) -> dict:
     registry = PlanRegistry(cache=AlgorithmCache(tmp_path / "ring" / "algorithms"))
     board = FaultBoard()
     resolver = SynthesisResolver(registry, fault_board=board)
@@ -75,10 +78,10 @@ def _ring_replan(tmp_path) -> dict:
 
         cold, cold_s = _timed(lambda: service.request(ROUTED, timeout=120.0))
         assert cold.ok
-        solves = resolver.stats()["solves"]
+        solves = int(metrics.value("repro_resolver_rung_total", rung="synthesized"))
         warm, warm_s = _timed(lambda: service.request(ROUTED, timeout=120.0))
         assert warm.ok and warm.source in ("registry", "cache")
-        assert resolver.stats()["solves"] == solves
+        assert metrics.value("repro_resolver_rung_total", rung="synthesized") == solves
 
     return {
         "instance": "Allgather on ring:4, routed, LinkDown(0, 1)",
@@ -162,8 +165,17 @@ def _baseline_fallback(tmp_path, monkeypatch) -> dict:
     }
 
 
-def test_fault_replanning_latency(tmp_path, monkeypatch):
-    ring_stats = _ring_replan(tmp_path)
+@pytest.fixture
+def metrics():
+    """A registry of the benchmark's own: the process-wide one accumulates."""
+    fresh = Metrics()
+    previous = set_metrics(fresh)
+    yield fresh
+    set_metrics(previous)
+
+
+def test_fault_replanning_latency(tmp_path, monkeypatch, metrics):
+    ring_stats = _ring_replan(tmp_path, metrics)
     dgx1_stats = _dgx1_replan(tmp_path)
     fallback_stats = _baseline_fallback(tmp_path, monkeypatch)
     payload = {

@@ -10,6 +10,9 @@ about, on the quickstart instance (Allgather, 4-node ring):
   requests over a hot registry: requests/sec, coalescing ratio and cache
   hit rate.
 
+Every count is read from the service's ``/v1/stats`` view of the metrics
+registry, the one ledger ``/v1/metrics`` also serves.
+
 The numbers land in ``BENCH_service.json`` under ``.bench_build/`` (or
 ``$SCCL_BENCH_DIR``).
 Everything here must stay fast: this file runs inside the tier-1 suite.
@@ -30,35 +33,11 @@ ROUTED = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
 
 def _make_service(tmp_path, name):
     registry = PlanRegistry(cache=AlgorithmCache(tmp_path / name / "algorithms"))
-    resolver = SynthesisResolver(registry)
-    return PlanningService(registry, num_workers=4, resolver=resolver), resolver
+    return PlanningService(registry, num_workers=4, resolver=SynthesisResolver(registry))
 
 
-def _broker_metrics(metrics) -> dict:
-    """The Prometheus series a scraper would see for this window — recorded
-    so BENCH_service.json and /v1/metrics can be cross-checked on one run."""
-    return {
-        "broker_enqueued": int(
-            metrics.total("repro_broker_requests_total", outcome="enqueued")
-        ),
-        "broker_coalesced": int(
-            metrics.total("repro_broker_requests_total", outcome="coalesced")
-        ),
-        "jobs_completed": int(
-            metrics.total("repro_broker_jobs_total", outcome="completed")
-        ),
-        "resolver_rungs": {
-            "synthesized": int(
-                metrics.total("repro_resolver_rung_total", rung="synthesized")
-            ),
-            "cache": int(metrics.total("repro_resolver_rung_total", rung="cache")),
-            "registry": int(metrics.total("repro_resolver_rung_total", rung="registry")),
-        },
-    }
-
-
-def _cold_burst(tmp_path, metrics) -> dict:
-    service, resolver = _make_service(tmp_path, "cold")
+def _cold_burst(tmp_path) -> dict:
+    service = _make_service(tmp_path, "cold")
     with service:
         barrier = threading.Barrier(8)
         statuses = [None] * 8
@@ -74,25 +53,25 @@ def _cold_burst(tmp_path, metrics) -> dict:
         for thread in threads:
             thread.join(120.0)
         elapsed = time.perf_counter() - started
-        broker = service.broker.stats()
+        stats = service.stats()
 
     assert statuses == ["ok"] * 8
-    assert resolver.stats()["solves"] <= 1
-    row = {
+    broker, rungs = stats["broker"], stats["resolver"]["rungs"]
+    assert rungs.get("synthesized", 0) <= 1
+    # Every caller either shared another's job or was answered by one rung.
+    assert broker["coalesced"] + sum(rungs.values()) == 8
+    return {
         "concurrent_callers": 8,
-        "backend_solves": resolver.stats()["solves"],
+        "backend_solves": rungs.get("synthesized", 0),
         "coalesced": broker["coalesced"],
         "coalescing_ratio": broker["coalescing_ratio"],
         "wall_s": round(elapsed, 4),
-        "metrics": _broker_metrics(metrics),
+        "resolver_rungs": rungs,
     }
-    # The registry and the broker's own counters must agree on coalescing.
-    assert row["metrics"]["broker_coalesced"] == broker["coalesced"]
-    return row
 
 
-def _warm_throughput(tmp_path, metrics) -> dict:
-    service, resolver = _make_service(tmp_path, "warm")
+def _warm_throughput(tmp_path) -> dict:
+    service = _make_service(tmp_path, "warm")
     requests_total = 400
     client_threads = 8
     with service:
@@ -119,44 +98,37 @@ def _warm_throughput(tmp_path, metrics) -> dict:
                 pool.map(lambda r: service.request(r, timeout=120.0), workload)
             )
         elapsed = time.perf_counter() - started
-
-        broker = service.broker.stats()
-        registry_stats = service.registry.stats()
+        stats = service.stats()
 
     ok = sum(1 for r in responses if r.ok)
     assert ok == requests_total
-    resolver_stats = resolver.stats()
-    answered = resolver_stats["solves"] + resolver_stats["registry_hits"]
-    assert int(
-        metrics.total("repro_broker_requests_total", outcome="coalesced")
-    ) == broker["coalesced"]
+    broker, rungs = stats["broker"], stats["resolver"]["rungs"]
+    solves = rungs.get("synthesized", 0)
+    hits = rungs.get("cache", 0) + rungs.get("registry", 0)
     return {
         "requests": requests_total,
         "client_threads": client_threads,
         "wall_s": round(elapsed, 4),
         "requests_per_sec": round(requests_total / elapsed, 1),
         "coalescing_ratio": round(broker["coalescing_ratio"], 4),
-        "backend_solves": resolver_stats["solves"],
-        "registry_hits": resolver_stats["registry_hits"],
-        "cache_hit_rate": round(resolver_stats["registry_hits"] / answered, 4)
-        if answered else 0.0,
-        "route_hits": registry_stats["route_hits"],
-        "metrics": _broker_metrics(metrics),
+        "backend_solves": solves,
+        "registry_hits": hits,
+        "cache_hit_rate": round(hits / (solves + hits), 4) if solves + hits else 0.0,
+        "warm_hits": stats["resolver"]["warm_hits"],
+        "resolver_rungs": rungs,
     }
 
 
 def test_service_throughput(tmp_path):
     from repro.telemetry import Metrics, set_metrics
 
-    # A fresh registry per sub-run so the recorded series describe exactly
+    # A fresh registry per sub-run so the service's counts describe exactly
     # this benchmark's window (the process-global registry accumulates).
-    cold_metrics = Metrics()
-    previous = set_metrics(cold_metrics)
+    previous = set_metrics(Metrics())
     try:
-        cold = _cold_burst(tmp_path, cold_metrics)
-        warm_metrics = Metrics()
-        set_metrics(warm_metrics)
-        warm = _warm_throughput(tmp_path, warm_metrics)
+        cold = _cold_burst(tmp_path)
+        set_metrics(Metrics())
+        warm = _warm_throughput(tmp_path)
     finally:
         set_metrics(previous)
     payload = {

@@ -25,8 +25,9 @@ Subcommands
     Client for ``repro serve``: ask a running service for a plan (pinned
     ``-C/-S/-R`` candidate or ``--size``-routed), or answer locally with
     ``--local`` when no server is up.  ``--stats`` instead pretty-prints
-    the service's ``/v1/stats`` counters (broker coalescing, resolver
-    ladder rungs, bounds-ledger work, cache hit rate).
+    the service's ``/v1/stats``: counts read from its metrics registry
+    (broker coalescing, resolver ladder rungs, bounds-ledger work, cache
+    hit rate) and its queue depth.
 ``repro fault``
     Register, clear or inspect fabric faults on a running service
     (``--link-down``, ``--rank-down``, ``--link-degraded``).  The next
@@ -566,7 +567,7 @@ def _cmd_serve(args) -> int:
         # Bounded: a worker mid-solve is a daemon thread and must not hold
         # the exit back.
         service.stop(timeout=1.0)
-        stats = service.broker.stats()
+        stats = service.stats()["broker"]
         print(
             f"served {stats['completed']} request(s), "
             f"coalesced {stats['coalesced']} of {stats['submitted']}"
@@ -609,42 +610,35 @@ def _cmd_request_stats(args) -> int:
     except ServiceError as exc:
         raise CliError(str(exc)) from exc
 
-    broker = stats.get("broker", {})
+    since = time.strftime("%Y-%m-%d %H:%M:%S UTC", time.gmtime(stats["since"]))
+    print(f"counts since {since}")
+    broker = stats["broker"]
     _print_section("broker", [
-        ("submitted", broker.get("submitted", 0)),
-        ("coalesced", f"{broker.get('coalesced', 0)} "
-                      f"({broker.get('coalescing_ratio', 0.0):.0%})"),
-        ("completed", broker.get("completed", 0)),
-        ("failed", broker.get("failed", 0)),
-        ("expired", broker.get("expired", 0)),
-        ("pending / inflight", f"{broker.get('pending', 0)} / "
-                               f"{broker.get('inflight', 0)}"),
-        ("resolver crashes", broker.get("resolver_crashes", 0)),
-        ("window uptime", f"{broker.get('uptime_s', 0.0):.1f}s"),
+        ("submitted", broker["submitted"]),
+        ("coalesced", f"{broker['coalesced']} ({broker['coalescing_ratio']:.0%})"),
+        ("completed", broker["completed"]),
+        ("failed", broker["failed"]),
+        ("expired", broker["expired"]),
+        ("dropped jobs", broker["dropped_jobs"]),
+        ("resolver crashes", broker["resolver_crashes"]),
+        ("pending / inflight", f"{broker['pending']} / {broker['inflight']}"),
     ])
-    resolver = stats.get("resolver") or {}
-    if resolver:
-        rungs = resolver.get("rungs") or {}
-        rung_text = (
-            ", ".join(f"{name}={rungs[name]}" for name in sorted(rungs)) or "(none)"
-        )
-        _print_section("resolver", [
-            ("solves", resolver.get("solves", 0)),
-            ("registry hits", resolver.get("registry_hits", 0)),
-            ("warm hits", resolver.get("warm_hits", 0)),
-            ("replans", resolver.get("replans", 0)),
-            ("ladder rungs", rung_text),
-        ])
-    engine = stats.get("engine") or {}
-    bounds = engine.get("bounds") or {}
-    cache = engine.get("cache") or {}
+    resolver = stats["resolver"]
+    rungs = resolver["rungs"]
+    _print_section("resolver", [
+        ("ladder rungs",
+         ", ".join(f"{name}={rungs[name]}" for name in sorted(rungs)) or "(none)"),
+        ("warm hits", resolver["warm_hits"]),
+        ("replans", resolver["replans"]),
+    ])
+    bounds, cache = stats["engine"]["bounds"], stats["engine"]["cache"]
     _print_section("engine", [
-        ("candidates probed", bounds.get("probed", 0)),
-        ("candidates pruned", bounds.get("pruned", 0)),
-        ("candidates cut", bounds.get("cut", 0)),
-        ("cache hits", cache.get("hits", 0)),
-        ("cache misses", cache.get("misses", 0)),
-        ("cache hit rate", f"{cache.get('hit_rate', 0.0):.0%}"),
+        ("candidates probed", bounds["probed"]),
+        ("candidates pruned", bounds["pruned"]),
+        ("candidates cut", bounds["cut"]),
+        ("cache hits", cache["hits"]),
+        ("cache misses", cache["misses"]),
+        ("cache hit rate", f"{cache['hit_rate']:.0%}"),
     ])
     faults = stats.get("faults") or {}
     if faults.get("active_topologies"):
@@ -1039,8 +1033,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="collective name (omit with --stats)")
     request.add_argument("-t", "--topology", default=None, help=TOPOLOGY_HELP)
     request.add_argument("--stats", action="store_true",
-                         help="print the service's /v1/stats counters "
-                         "(broker, resolver ladder, bounds, cache) and exit")
+                         help="print the service's /v1/stats view of its metrics "
+                         "registry (broker, resolver ladder, bounds, cache) and "
+                         "its queue, then exit")
     request.add_argument("-C", "--chunks", type=int, default=None,
                          help="pin the candidate: chunks per node")
     request.add_argument("-S", "--steps", type=int, default=None)

@@ -93,6 +93,12 @@ def _canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def content_hash(payload) -> str:
+    """SHA-256 of ``payload``'s canonical JSON: the hash behind request,
+    routing and topology keys (:func:`fingerprint` splices the same form)."""
+    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+
+
 def _topology_blob(topology: Topology) -> str:
     return _canonical(topology_fingerprint_payload(topology))
 
@@ -247,7 +253,7 @@ class CacheEntry:
 
 
 class AlgorithmCache:
-    """Directory-backed algorithm store with per-run hit/miss counters.
+    """Directory-backed algorithm store.
 
     Entries live under ``<root>/<key[:2]>/<key>.json`` and are written
     atomically (temp file + rename), so concurrent writers — several
@@ -265,8 +271,6 @@ class AlgorithmCache:
 
     def __init__(self, root) -> None:
         self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
 
     # ------------------------------------------------------------------
     # Paths
@@ -346,10 +350,6 @@ class AlgorithmCache:
         return entry
 
     def _count(self, hit: bool) -> None:
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
         get_metrics().inc("repro_cache_lookups_total", outcome="hit" if hit else "miss")
 
     def entry_signature(self, key: str) -> Optional[Tuple[int, int, int]]:
@@ -380,9 +380,6 @@ class AlgorithmCache:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.json")) if self.root.exists() else 0
-
-    def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self)}
 
     # ------------------------------------------------------------------
     # Inspection / eviction (the roadmap's size limits, driven by the CLI)

@@ -19,7 +19,6 @@ fingerprint, so a tampered bundle is rejected.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -39,11 +38,9 @@ REFERENCE_SIZE_BYTES = 1 << 20
 
 def topology_fingerprint(topology: Topology) -> str:
     """Structural SHA-256 of a topology (shared with the algorithm cache)."""
-    from ..engine.cache import topology_fingerprint_payload
+    from ..engine.cache import content_hash, topology_fingerprint_payload
 
-    payload = topology_fingerprint_payload(topology)
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return content_hash(topology_fingerprint_payload(topology))
 
 
 @dataclass

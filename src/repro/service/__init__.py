@@ -50,7 +50,7 @@ from .server import (
 
 #: Server-side names, by the submodule that defines them.
 _SERVER_NAMES = {
-    "broker": ("Broker", "BrokerError", "BrokerStats", "Job", "Ticket"),
+    "broker": ("Broker", "BrokerError", "Job", "Ticket"),
     "faults": ("FaultBoard", "apply_fault_request"),
     "registry": ("PlanRegistry", "ROUTE_SIZES", "RegistryError", "RouteEntry",
                  "RoutingTable", "build_routing_table", "default_registry", "routing_key"),
@@ -77,7 +77,6 @@ __all__ = [
     "API_VERSION",
     "Broker",
     "BrokerError",
-    "BrokerStats",
     "DEFAULT_DEADLINE_S",
     "DEFAULT_HOST",
     "DEFAULT_PORT",

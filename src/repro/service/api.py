@@ -25,7 +25,6 @@ HTTP server and the ``repro request`` client speak exactly these.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -41,6 +40,14 @@ API_VERSION = 1
 
 #: Default per-request deadline (seconds) when the caller supplies none.
 DEFAULT_DEADLINE_S = 300.0
+
+#: Largest ``synchrony`` (k) a request may ask for.  A routed build sweeps
+#: every step count with rounds up to S + k, so the candidate lattice grows
+#: with k before any solve or deadline check runs (k = 2000 enumerates
+#: 1 336 001 candidates for its first step count alone).  Every caller in
+#: the repository uses 0-2, and the largest R - S of any base-collective
+#: row of the paper's Tables 4 and 5 is 6 (Alltoall, (C, S, R) = (24, 2, 8)).
+MAX_SYNCHRONY = 8
 
 
 class ServiceError(Exception):
@@ -96,8 +103,8 @@ class PlanRequest:
             raise ServiceError("chunks, steps and rounds must be positive")
         if mode == "routed" and self.size_bytes <= 0:
             raise ServiceError("size_bytes must be positive")
-        if self.synchrony < 0:
-            raise ServiceError("synchrony must be non-negative")
+        if not 0 <= self.synchrony <= MAX_SYNCHRONY:
+            raise ServiceError(f"synchrony must be between 0 and {MAX_SYNCHRONY}")
         if self.deadline_s is not None and not 0 < self.deadline_s < float("inf"):
             raise ServiceError("deadline_s must be a finite positive number")
         self.resolve_topology()
@@ -136,7 +143,12 @@ class PlanRequest:
 
     @cached_property
     def _key(self) -> str:
-        from ..engine.cache import FORMULA, fingerprint, topology_fingerprint_payload
+        from ..engine.cache import (
+            FORMULA,
+            content_hash,
+            fingerprint,
+            topology_fingerprint_payload,
+        )
 
         topology = self.resolve_topology()
         if self.mode == "pinned":
@@ -148,7 +160,7 @@ class PlanRequest:
                 self.rounds,
                 root=self.root,
             )
-        payload = {
+        return content_hash({
             "version": API_VERSION,
             "mode": "routed",
             "collective": self.collective,
@@ -157,9 +169,7 @@ class PlanRequest:
             "size_bytes": self.size_bytes,
             "synchrony": self.synchrony,
             **FORMULA,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        })
 
     # ------------------------------------------------------------------
     # Wire form

@@ -19,6 +19,11 @@ job that already started is never aborted: its result still lands in the
 algorithm cache and the registry, so the work benefits the next caller
 (opportunistic, in the PopPy sense: extra completed work is never wasted,
 merely unclaimed).
+
+The broker keeps its queue, not its history: every count — requests
+enqueued or coalesced, jobs by outcome (``completed``, ``failed``,
+``crashed``, ``dropped``), expired tickets — is a series of the process
+metrics registry, where ``/v1/stats`` reads it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
 
 from ..telemetry import get_metrics
@@ -40,45 +44,6 @@ DEFAULT_MAX_WAIT_S = 3600.0
 
 class BrokerError(ServiceError):
     """Raised for invalid broker operations."""
-
-
-@dataclass
-class BrokerStats:
-    """Monotonic counters; read via :meth:`Broker.stats`.
-
-    Counters accumulate for the life of the *broker object*, which may
-    span several :class:`~repro.service.workers.PlanningService` start /
-    stop cycles — a restart must not silently zero the series a scraper
-    is watching.  ``since`` (wall epoch) dates the window the counters
-    cover: the broker's creation.
-    """
-
-    submitted: int = 0
-    coalesced: int = 0
-    completed: int = 0
-    failed: int = 0
-    expired: int = 0        # tickets that gave up waiting (deadline)
-    dropped_jobs: int = 0   # queued jobs abandoned by all their waiters
-    resolver_crashes: int = 0  # jobs failed by a resolver exception
-    since: float = field(default_factory=time.time)
-    since_monotonic: float = field(default_factory=time.monotonic)
-
-    def as_dict(self) -> Dict[str, float]:
-        data = {
-            "submitted": self.submitted,
-            "coalesced": self.coalesced,
-            "completed": self.completed,
-            "failed": self.failed,
-            "expired": self.expired,
-            "dropped_jobs": self.dropped_jobs,
-            "resolver_crashes": self.resolver_crashes,
-            "since": self.since,
-            "uptime_s": time.monotonic() - self.since_monotonic,
-        }
-        data["coalescing_ratio"] = (
-            self.coalesced / self.submitted if self.submitted else 0.0
-        )
-        return data
 
 
 class Job:
@@ -151,7 +116,7 @@ class Ticket:
             if self._event.is_set():
                 return self._response
             self._detach_locked()
-            self._broker._stats.expired += 1
+        get_metrics().inc("repro_broker_expired_total")
         return PlanResponse(
             status="timeout",
             request_key=self.key,
@@ -169,7 +134,7 @@ class Ticket:
             # so the queue never burns a worker on unclaimed work.
             job.dropped = True
             self._broker._inflight.pop(job.key, None)
-            self._broker._stats.dropped_jobs += 1
+            get_metrics().inc("repro_broker_jobs_total", outcome="dropped")
 
     # ------------------------------------------------------------------
     def _resolve(self, response: PlanResponse) -> None:
@@ -204,7 +169,6 @@ class Broker:
         self._available = threading.Condition(self._lock)
         self._queue: Deque[Job] = deque()
         self._inflight: Dict[str, Job] = {}
-        self._stats = BrokerStats()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -217,12 +181,10 @@ class Broker:
         with self._lock:
             if self._closed:
                 raise BrokerError("broker is closed")
-            self._stats.submitted += 1
             job = self._inflight.get(key)
             if job is not None and not job.dropped:
                 ticket = Ticket(self, job, request, coalesced=True)
                 job.tickets.append(ticket)
-                self._stats.coalesced += 1
                 get_metrics().inc("repro_broker_requests_total", outcome="coalesced")
                 return ticket
             job = Job(key, request)
@@ -258,30 +220,16 @@ class Broker:
 
     def complete(self, job: Job, response: PlanResponse) -> None:
         """Fan a finished job's response out to every remaining waiter."""
-        with self._lock:
-            self._inflight.pop(job.key, None)
-            waiters = list(job.tickets)
-            job.tickets.clear()
-            if response.status == "ok":
-                self._stats.completed += 1
-                get_metrics().inc("repro_broker_jobs_total", outcome="completed")
-            else:
-                self._stats.failed += 1
-                get_metrics().inc("repro_broker_jobs_total", outcome="failed")
-        for ticket in waiters:
-            ticket._resolve(response)
+        self._settle(job, response, "completed" if response.status == "ok" else "failed")
 
     def fail(self, job: Job, exc: BaseException) -> None:
         """Fail a job with a structured error response.
 
         Callers (the worker pool) route resolver exceptions here so every
         waiter gets a typed answer — the reason and the exception class —
-        instead of a hung ticket.  Each call counts as a resolver crash
-        in :class:`BrokerStats`.
+        instead of a hung ticket.  The job counts as ``crashed``.
         """
-        with self._lock:
-            self._stats.resolver_crashes += 1
-        self.complete(
+        self._settle(
             job,
             PlanResponse(
                 status="error",
@@ -289,7 +237,17 @@ class Broker:
                 error=f"resolver failed: {exc}",
                 error_kind=type(exc).__name__,
             ),
+            "crashed",
         )
+
+    def _settle(self, job: Job, response: PlanResponse, outcome: str) -> None:
+        with self._lock:
+            self._inflight.pop(job.key, None)
+            waiters = list(job.tickets)
+            job.tickets.clear()
+            get_metrics().inc("repro_broker_jobs_total", outcome=outcome)
+        for ticket in waiters:
+            ticket._resolve(response)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -298,9 +256,10 @@ class Broker:
             self._closed = True
             self._available.notify_all()
 
-    def stats(self) -> Dict[str, float]:
+    def gauges(self) -> Dict[str, int]:
+        """Live queue state: jobs waiting for a worker and jobs in flight."""
         with self._lock:
-            data = self._stats.as_dict()
-            data["pending"] = sum(1 for job in self._queue if not job.dropped)
-            data["inflight"] = len(self._inflight)
-            return data
+            return {
+                "pending": sum(1 for job in self._queue if not job.dropped),
+                "inflight": len(self._inflight),
+            }

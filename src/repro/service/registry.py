@@ -27,8 +27,6 @@ one trust boundary.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import threading
 import time
@@ -39,12 +37,14 @@ from ..core.algorithm import Algorithm
 from ..engine.cache import (
     FORMULA,
     AlgorithmCache,
+    content_hash,
     default_cache,
     fingerprint,
     topology_cost_payload,
     topology_fingerprint_payload,
 )
 from ..interchange.plan import AlgorithmPlan, plan_from_algorithm
+from ..telemetry import get_metrics
 from ..topology import Topology
 from .api import PlanRequest, ServiceError
 
@@ -213,7 +213,7 @@ def routing_key(
     table instead of serving routes scored under the old cost model.
     :data:`~repro.engine.cache.FORMULA` is a constant of the payload.
     """
-    payload = {
+    return content_hash({
         "version": 1,
         "collective": collective,
         "topology": topology_fingerprint_payload(topology),
@@ -221,9 +221,7 @@ def routing_key(
         "root": root,
         "synchrony": synchrony,
         **FORMULA,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    })
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +242,8 @@ class PlanRegistry:
     warm cache replays the frontier with no solver call
     (:meth:`install_table` puts the result in).  ``*_json`` lookups hand out
     the wire form the service sends; their plain namesakes decode it into
-    an :class:`AlgorithmPlan`.
+    an :class:`AlgorithmPlan`.  A lookup answered from either memo counts
+    as ``repro_registry_memo_hits_total{memo="pinned"|"table"}``.
 
     ``routes_dir`` is accepted and ignored: routing tables live only in memory.
     """
@@ -261,9 +260,6 @@ class PlanRegistry:
         # topology name), signed with the entry file's (mtime_ns, size, inode).
         self._tables: Dict[Tuple[str, str], RoutingTable] = {}
         self._pinned: Dict[Tuple[str, str], Tuple[Tuple[int, int, int], dict]] = {}
-        self.route_hits = 0
-        self.route_misses = 0
-        self.warm_hits = 0   # lookups answered from memory
 
     # ------------------------------------------------------------------
     # Pinned plans (delegated to the algorithm cache)
@@ -317,10 +313,10 @@ class PlanRegistry:
             held = self._pinned.pop(memo_key, None)
             if held is not None and held[0] == signature:
                 self._pinned[memo_key] = held  # back in, as the most recently used
-                self.warm_hits += 1
             else:
                 held = None
         if held is not None:
+            get_metrics().inc("repro_registry_memo_hits_total", memo="pinned")
             self.cache.count_hit()
             return held[1]
 
@@ -376,7 +372,8 @@ class PlanRegistry:
             table = self._tables.pop(memo_key, None)
             if table is not None:
                 self._tables[memo_key] = table  # back in, as the most recently used
-                self.warm_hits += 1
+        if table is not None:
+            get_metrics().inc("repro_registry_memo_hits_total", memo="table")
         return table
 
     def route(
@@ -401,11 +398,6 @@ class PlanRegistry:
         do not mutate)."""
         table = self.table_for(request, topology=topology, key=key)
         entry = None if table is None else table.route(float(request.size_bytes))
-        with self._lock:
-            if entry is None:
-                self.route_misses += 1
-            else:
-                self.route_hits += 1
         if entry is None:
             return None
         return table.plan_json(entry), entry, table
@@ -441,16 +433,10 @@ class PlanRegistry:
             key = self.table_key(request, topology=topology)
         return key, topology.name
 
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, object]:
+    def table_count(self) -> int:
+        """Routing tables held in memory."""
         with self._lock:
-            hits, misses, tables = self.route_hits, self.route_misses, len(self._tables)
-        return {
-            "cache": self.cache.stats(),
-            "route_hits": hits,
-            "route_misses": misses,
-            "tables": tables,
-        }
+            return len(self._tables)
 
 
 def default_registry() -> PlanRegistry:

@@ -10,8 +10,10 @@ One POST endpoint does the planning; two GETs make the service operable:
 ``GET /healthz``
     Liveness: ``{"status": "ok"}`` once the worker pool is running.
 ``GET /v1/stats``
-    Broker / registry / resolver counters (requests, coalescing ratio,
-    cache hit rate) — the numbers the throughput benchmark records.
+    A JSON view of the metrics registry that ``/v1/metrics`` exposes
+    (requests and coalescing, job outcomes, resolver ladder rungs, cache
+    hit rate, all counted since its ``since``) plus live state: queue depth, jobs in flight, memoized
+    tables, cache entries and active faults.
 ``GET /v1/metrics``
     The process-wide :mod:`repro.telemetry` registry in Prometheus text
     exposition format (``repro_solver_calls_total``,

@@ -126,13 +126,6 @@ class SynthesisResolver:
         # answer can schedule traffic over a link declared dead.  Without
         # a board the fabric is always healthy: an empty board says that.
         self.fault_board = fault_board if fault_board is not None else FaultBoard()
-        self.replans = 0          # resolutions that targeted a degraded topology
-        self.solves = 0           # solves performed (not replayed)
-        self.registry_hits = 0    # answers served with zero solver work
-        # Which rung of the ladder answered: cache / registry / synthesized
-        # / baseline / error.  Mirrors repro_resolver_rung_total{rung=...}.
-        self.rungs: Dict[str, int] = {}
-        self.since = time.time()
         self._lock = threading.Lock()
         # The broker coalesces on the full request key, which for routed
         # requests includes the size — but routed requests for *different*
@@ -147,8 +140,7 @@ class SynthesisResolver:
     ) -> PlanResponse:
         fabric = self.fault_board.fabric(request)
         if fabric.degraded:
-            with self._lock:
-                self.replans += 1
+            get_metrics().inc("repro_resolver_replans_total")
         if request.mode == "pinned":
             response = self._resolve_pinned(request, remaining_s, fabric)
         else:
@@ -171,8 +163,6 @@ class SynthesisResolver:
 
     def _rung(self, rung: str) -> None:
         """Record which ladder rung produced the answer."""
-        with self._lock:
-            self.rungs[rung] = self.rungs.get(rung, 0) + 1
         get_metrics().inc("repro_resolver_rung_total", rung=rung)
 
     # ------------------------------------------------------------------
@@ -192,8 +182,6 @@ class SynthesisResolver:
             request, topology=topology, key=None if fabric.degraded else key
         )
         if plan is not None:
-            with self._lock:
-                self.registry_hits += 1
             self._rung("cache")
             return PlanResponse(
                 status="ok",
@@ -219,8 +207,6 @@ class SynthesisResolver:
                 solve_time_s=time.monotonic() - started,
             )
 
-        with self._lock:
-            self.solves += 1
         result = synthesize(
             instance,
             time_limit=_clamp_limit(remaining_s),
@@ -268,8 +254,6 @@ class SynthesisResolver:
             if routed is None:
                 return None
             plan, entry, table = routed
-            with self._lock:
-                self.registry_hits += 1
             self._rung("registry")
             return PlanResponse(
                 status="ok",
@@ -333,8 +317,6 @@ class SynthesisResolver:
     def _build_table(self, request: PlanRequest, remaining_s: Optional[float], topology):
         from ..core import pareto_synthesize
 
-        with self._lock:
-            self.solves += 1
         frontier = pareto_synthesize(
             request.collective,
             topology,
@@ -353,18 +335,6 @@ class SynthesisResolver:
             root=request.root,
             synchrony=request.synchrony,
         )
-
-    def stats(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "solves": self.solves,
-                "registry_hits": self.registry_hits,
-                "replans": self.replans,
-                "rungs": dict(self.rungs),
-                # Lookups the registry answered from memory.
-                "warm_hits": self.registry.warm_hits,
-                "since": self.since,
-            }
 
 
 def _clamp_limit(remaining_s: Optional[float]) -> Optional[float]:
@@ -541,40 +511,61 @@ class PlanningService:
         return apply_fault_request(self.fault_board, request)
 
     def stats(self) -> Dict[str, object]:
-        data: Dict[str, object] = {"broker": self.broker.stats()}
-        data["registry"] = self.registry.stats()
-        if hasattr(self.resolver, "stats"):
-            data["resolver"] = self.resolver.stats()
-        data["workers"] = self.pool.num_workers
-        data["faults"] = self.fault_board.snapshot()
-        data["engine"] = self._engine_stats()
-        return data
+        """The ``/v1/stats`` view.
 
-    def _engine_stats(self) -> Dict[str, object]:
-        """Engine-side counters for ``/v1/stats``: bounds work + cache rate."""
+        Every count is read from the process metrics registry, whose
+        ``since`` dates the window they cover (a service stop and start is
+        not a reset); the rest is live state: queue depth, jobs in flight,
+        memoized tables, cache entries and active faults.
+        """
         metrics = get_metrics()
-        cache_stats = self.registry.cache.stats()
-        lookups = cache_stats.get("hits", 0) + cache_stats.get("misses", 0)
+
+        def counts(name: str, label: str) -> Dict[str, int]:
+            return {k: int(v) for k, v in metrics.breakdown(name, label).items()}
+
+        requests = counts("repro_broker_requests_total", "outcome")
+        jobs = counts("repro_broker_jobs_total", "outcome")
+        lookups = counts("repro_cache_lookups_total", "outcome")
+        bounds = counts("repro_bounds_candidates_total", "action")
+        coalesced = requests.get("coalesced", 0)
+        submitted = requests.get("enqueued", 0) + coalesced
+        hits, misses = lookups.get("hit", 0), lookups.get("miss", 0)
         return {
-            "bounds": {
-                "probed": int(
-                    metrics.total("repro_bounds_candidates_total", action="probed")
-                ),
-                "pruned": int(
-                    metrics.total("repro_bounds_candidates_total", action="pruned")
-                ),
-                "cut": int(
-                    metrics.total("repro_bounds_candidates_total", action="cut")
-                ),
+            "since": metrics.since,
+            "broker": {
+                "submitted": submitted,
+                "coalesced": coalesced,
+                "coalescing_ratio": coalesced / submitted if submitted else 0.0,
+                "completed": jobs.get("completed", 0),
+                "failed": jobs.get("failed", 0),
+                "resolver_crashes": jobs.get("crashed", 0),
+                "dropped_jobs": jobs.get("dropped", 0),
+                "expired": int(metrics.total("repro_broker_expired_total")),
+                **self.broker.gauges(),
             },
-            "cache": dict(
-                cache_stats,
-                hit_rate=(cache_stats.get("hits", 0) / lookups) if lookups else 0.0,
-            ),
-            "latency": {
-                "resolver_seconds": metrics.quantiles(
-                    "repro_resolver_latency_seconds"
-                ),
-                "solve_seconds": metrics.quantiles("repro_solve_seconds"),
+            "resolver": {
+                "rungs": counts("repro_resolver_rung_total", "rung"),
+                # Lookups the registry answered from memory.
+                "warm_hits": int(metrics.total("repro_registry_memo_hits_total")),
+                # Resolutions that targeted a degraded fabric.
+                "replans": int(metrics.total("repro_resolver_replans_total")),
+            },
+            "registry": {"tables": self.registry.table_count()},
+            "workers": self.pool.num_workers,
+            "faults": self.fault_board.snapshot(),
+            "engine": {
+                "bounds": {a: bounds.get(a, 0) for a in ("probed", "pruned", "cut")},
+                "cache": {
+                    "hits": hits,
+                    "misses": misses,
+                    "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+                    "entries": len(self.registry.cache),
+                },
+                "latency": {
+                    "resolver_seconds": metrics.quantiles(
+                        "repro_resolver_latency_seconds"
+                    ),
+                    "solve_seconds": metrics.quantiles("repro_solve_seconds"),
+                },
             },
         }

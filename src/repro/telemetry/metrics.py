@@ -180,6 +180,18 @@ class Metrics:
                     total += hist.sum
         return total
 
+    def breakdown(self, name: str, label: str) -> Dict[str, float]:
+        """The counter ``name`` summed per value of ``label`` (values that
+        were never written are absent)."""
+        totals: Dict[str, float] = {}
+        with self._lock:
+            for (series, labels), value in self._counters.items():
+                if series == name:
+                    key = dict(labels).get(label)
+                    if key is not None:
+                        totals[key] = totals.get(key, 0.0) + value
+        return totals
+
     def quantiles(self, name: str, **match) -> Dict[str, float]:
         """Estimated p50, p95 and p99 over all ``name`` series matching ``match``.
 

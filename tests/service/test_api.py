@@ -39,6 +39,22 @@ class TestRequestValidation:
                 "Allgather", "ring:4", chunks=1, steps=2, rounds=3, deadline_s=0
             ).validate()
 
+    def test_synchrony_is_bounded(self):
+        """A routed build enumerates its candidate lattice before any solve
+        or deadline check: a k from the wire beyond the bound is refused
+        when the request is parsed, and the bound itself is accepted."""
+        routed = {"collective": "Allgather", "topology": "ring:4", "size_bytes": 1}
+        with pytest.raises(ServiceError, match="synchrony"):
+            PlanRequest.from_json(dict(routed, synchrony=2000))
+
+        from repro.service.api import MAX_SYNCHRONY
+
+        with pytest.raises(ServiceError, match="synchrony"):
+            PlanRequest.from_json(dict(routed, synchrony=MAX_SYNCHRONY + 1))
+        assert PlanRequest.from_json(dict(routed, synchrony=MAX_SYNCHRONY)).synchrony == 8
+        with pytest.raises(ServiceError, match="synchrony"):
+            PlanRequest("Allgather", "ring:4", size_bytes=1, synchrony=-1).validate()
+
 
 class TestContentAddressing:
     def test_pinned_key_reuses_engine_fingerprint(self):

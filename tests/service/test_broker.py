@@ -2,8 +2,8 @@
 
 The acceptance criterion for the service PR lives here: N concurrent
 identical requests perform exactly one unit of backend work, counted by a
-shim resolver (and, one level up, by the real resolver's solve counter in
-``test_server.py``'s sibling tests).
+shim resolver (and, one level up, by the real resolver's ladder rungs in
+``test_workers.py``).
 """
 
 import threading
@@ -19,9 +19,20 @@ from repro.service import (
     PlanningService,
     WorkerPool,
 )
+from repro.telemetry import Metrics, set_metrics
 
 REQUEST = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
 OTHER = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=4)
+
+
+@pytest.fixture
+def metrics():
+    """A registry of the test's own: the service keeps no counts but its
+    series, and the process-wide registry holds every other test's too."""
+    fresh = Metrics()
+    previous = set_metrics(fresh)
+    yield fresh
+    set_metrics(previous)
 
 
 class CountingResolver:
@@ -45,17 +56,19 @@ class CountingResolver:
         return PlanResponse(status="ok", request_key=request.request_key(), source="cache")
 
 
+def requests(metrics) -> dict:
+    return metrics.breakdown("repro_broker_requests_total", "outcome")
+
+
 class TestCoalescing:
-    def test_identical_queued_requests_coalesce_to_one_job(self):
+    def test_identical_queued_requests_coalesce_to_one_job(self, metrics):
         broker = Broker(key_fn=PlanRequest.request_key)
         tickets = [broker.submit(REQUEST) for _ in range(8)]
-        stats = broker.stats()
-        assert stats["submitted"] == 8
-        assert stats["coalesced"] == 7
-        assert stats["pending"] == 1  # one job for eight callers
+        assert requests(metrics) == {"enqueued": 1, "coalesced": 7}
+        assert broker.gauges()["pending"] == 1  # one job for eight callers
         assert tickets[0].key == tickets[7].key
 
-    def test_eight_threads_one_synthesis(self):
+    def test_eight_threads_one_synthesis(self, metrics):
         """8 concurrent identical PlanRequests -> exactly 1 backend call."""
         gate = threading.Event()
         resolver = CountingResolver(gate=gate)
@@ -76,7 +89,7 @@ class TestCoalescing:
                 thread.start()
             # Open the gate only after every caller has submitted, so the
             # in-flight window provably spans all eight submissions.
-            while broker.stats()["submitted"] < 8:
+            while metrics.total("repro_broker_requests_total") < 8:
                 time.sleep(0.005)
             gate.set()
             for thread in threads:
@@ -88,9 +101,9 @@ class TestCoalescing:
         assert all(r is not None and r.ok for r in responses)
         assert sum(1 for r in responses if r.coalesced) == 7
         assert sum(1 for r in responses if not r.coalesced) == 1
-        assert broker.stats()["coalescing_ratio"] == pytest.approx(7 / 8)
+        assert requests(metrics) == {"enqueued": 1, "coalesced": 7}
 
-    def test_distinct_requests_do_not_coalesce(self):
+    def test_distinct_requests_do_not_coalesce(self, metrics):
         resolver = CountingResolver()
         broker = Broker(key_fn=PlanRequest.request_key)
         pool = WorkerPool(broker, resolver, num_workers=2)
@@ -102,7 +115,7 @@ class TestCoalescing:
         finally:
             pool.stop()
         assert resolver.calls == 2
-        assert broker.stats()["coalesced"] == 0
+        assert requests(metrics) == {"enqueued": 2}
 
     def test_completed_job_does_not_capture_later_requests(self):
         resolver = CountingResolver()
@@ -119,7 +132,7 @@ class TestCoalescing:
 
 
 class TestDeadlines:
-    def test_wait_expires_into_timeout_response(self):
+    def test_wait_expires_into_timeout_response(self, metrics):
         gate = threading.Event()  # never opened: the job hangs
         broker = Broker(key_fn=PlanRequest.request_key)
         pool = WorkerPool(broker, CountingResolver(gate=gate), num_workers=1)
@@ -129,7 +142,7 @@ class TestDeadlines:
             response = ticket.wait(0.2)
             assert response.status == "timeout"
             assert "deadline" in response.error
-            assert broker.stats()["expired"] == 1
+            assert metrics.total("repro_broker_expired_total") == 1
         finally:
             gate.set()
             pool.stop()
@@ -168,21 +181,20 @@ class TestDeadlines:
 
 
 class TestExpiry:
-    def test_expired_wait_before_start_drops_the_job(self):
+    def test_expired_wait_before_start_drops_the_job(self, metrics):
         broker = Broker(key_fn=PlanRequest.request_key)  # no workers: the job stays queued
         ticket = broker.submit(REQUEST)
         assert ticket.wait(0.05).status == "timeout"
-        stats = broker.stats()
-        assert stats["expired"] == 1
-        assert stats["dropped_jobs"] == 1
+        assert metrics.total("repro_broker_expired_total") == 1
+        assert metrics.breakdown("repro_broker_jobs_total", "outcome") == {"dropped": 1}
         assert broker.next_job(timeout=0) is None  # nothing left to run
 
-    def test_one_expired_waiter_keeps_the_job(self):
+    def test_one_expired_waiter_keeps_the_job(self, metrics):
         broker = Broker(key_fn=PlanRequest.request_key)
         first = broker.submit(REQUEST)
         second = broker.submit(REQUEST)
         assert first.wait(0.05).status == "timeout"
-        assert broker.stats()["dropped_jobs"] == 0
+        assert metrics.breakdown("repro_broker_jobs_total", "outcome") == {}
         pool = WorkerPool(broker, CountingResolver(), num_workers=1)
         pool.start()
         try:
@@ -195,11 +207,11 @@ class TestExpiry:
         broker.submit(REQUEST).wait(0.05)
         fresh = broker.submit(REQUEST)
         assert not fresh.coalesced  # the dropped job must not capture it
-        assert broker.stats()["pending"] == 1
+        assert broker.gauges() == {"pending": 1, "inflight": 1}
 
 
 class TestFailuresAndLimits:
-    def test_resolver_exception_becomes_error_response(self):
+    def test_resolver_exception_becomes_error_response(self, metrics):
         def explode(request, remaining_s=None):
             raise RuntimeError("backend on fire")
 
@@ -215,6 +227,8 @@ class TestFailuresAndLimits:
             assert ok.status == "error"
         finally:
             pool.stop()
+        # A crash is its own job outcome, not a failed answer.
+        assert metrics.breakdown("repro_broker_jobs_total", "outcome") == {"crashed": 2}
 
     def test_closed_broker_rejects_submissions(self):
         broker = Broker(key_fn=PlanRequest.request_key)

@@ -42,13 +42,23 @@ from repro.service import (
     request_plan,
     routing_key,
 )
-from repro.telemetry import get_metrics
+from repro.telemetry import Metrics, get_metrics, set_metrics
 from repro.topology import dgx1, ring
 from test_warm_path import comparable
 
 
 def _registry(root) -> PlanRegistry:
     return PlanRegistry(cache=AlgorithmCache(root / "algorithms"))
+
+
+@pytest.fixture
+def metrics():
+    """A registry of the test's own: the service keeps no counts but its
+    series, and the process-wide registry holds every other test's too."""
+    fresh = Metrics()
+    previous = set_metrics(fresh)
+    yield fresh
+    set_metrics(previous)
 
 
 @pytest.fixture
@@ -222,7 +232,7 @@ class TestApplyFaultRequest:
         assert response.ok
         assert response.degraded["links_removed"] == 1
         assert board.get(ring(4))
-        assert registry.stats()["tables"] == 1
+        assert registry.table_count() == 1
 
     def test_status_reads_without_invalidating(self, registry):
         resolver = SynthesisResolver(registry)
@@ -231,7 +241,7 @@ class TestApplyFaultRequest:
         board.register(ring(4), FaultSet.of(LinkDown(0, 1)))
         response = apply_fault_request(board, FaultRequest("ring:4", "status"))
         assert response.ok and len(response.faults) == 1
-        assert registry.stats()["tables"] == 1
+        assert registry.table_count() == 1
 
     def test_clear_keeps_the_degraded_artifacts(self, registry):
         """Tables built *while degraded* stay in memory after the repair:
@@ -240,14 +250,14 @@ class TestApplyFaultRequest:
         board.register(ring(4), FaultSet.of(LinkDown(0, 1)))
         resolver = SynthesisResolver(registry, fault_board=board)
         assert resolver(ROUTED, None).ok  # builds a table for the DEGRADED ring
-        assert registry.stats()["tables"] == 1
+        assert registry.table_count() == 1
         response = apply_fault_request(board, FaultRequest("ring:4", "clear"))
         assert response.ok and not response.faults
-        assert registry.stats()["tables"] == 1
+        assert registry.table_count() == 1
         healthy = resolver(ROUTED, None)
         assert healthy.source == "synthesized"
         assert (0, 1) in used_links(healthy.plan_object().algorithm)
-        assert registry.stats()["tables"] == 2
+        assert registry.table_count() == 2
 
     def test_invalid_fault_is_an_error_response(self, registry):
         board = FaultBoard()
@@ -259,7 +269,7 @@ class TestApplyFaultRequest:
 
 
 class TestResolverReplanning:
-    def test_routed_replan_avoids_the_dead_link(self, registry):
+    def test_routed_replan_avoids_the_dead_link(self, registry, metrics):
         board = FaultBoard()
         resolver = SynthesisResolver(registry, fault_board=board)
         healthy = resolver(ROUTED, None)
@@ -269,7 +279,7 @@ class TestResolverReplanning:
         assert replanned.ok
         plan = replanned.plan_object()
         assert (0, 1) not in used_links(plan.algorithm)
-        assert resolver.stats()["replans"] >= 1
+        assert metrics.total("repro_resolver_replans_total") == 1
 
     def test_pinned_replan_verifies_against_degraded_topology(self, registry):
         board = FaultBoard()
@@ -295,10 +305,10 @@ class TestFaultTransitionsKeepWhatTheyCanReuse:
             assert service.fault(self.REGISTER).ok
             assert service.request(ROUTED).source == "synthesized"  # degraded
             assert service.fault(self.CLEAR).ok
-            solves = service.resolver.stats()["solves"]
+            calls = get_metrics().total("repro_solver_calls_total")
             answers = [service.request(PINNED), service.request(ROUTED)]
             assert [a.source for a in answers] == ["cache", "registry"]
-            assert service.resolver.stats()["solves"] == solves
+            assert get_metrics().total("repro_solver_calls_total") == calls
 
     def test_a_cost_only_fault_re_ranks_the_table_without_a_solve(
         self, registry, tmp_path
@@ -341,23 +351,23 @@ class TestFaultTransitionsKeepWhatTheyCanReuse:
             assert [a.source for a in cold] == ["synthesized"] * 2
             assert service.fault(self.CLEAR).ok
             assert service.fault(self.REGISTER).ok
-            solves = service.resolver.stats()["solves"]
+            calls = get_metrics().total("repro_solver_calls_total")
             warm = [service.request(PINNED_SLACK), service.request(ROUTED)]
             assert [a.source for a in warm] == ["cache", "registry"]
             assert [a.plan["algorithm"] for a in warm] == [a.plan["algorithm"] for a in cold]
-            assert service.resolver.stats()["solves"] == solves
+            assert get_metrics().total("repro_solver_calls_total") == calls
 
 
 class TestBrokerHardening:
-    def test_deadline_less_wait_is_bounded_by_the_server(self):
+    def test_deadline_less_wait_is_bounded_by_the_server(self, metrics):
         broker = Broker(key_fn=PlanRequest.request_key, max_wait_s=0.2)
         ticket = broker.submit(PINNED)  # nobody will ever resolve this job
         response = ticket.wait()  # no timeout, no request deadline
         assert response.status == "timeout"
-        assert broker.stats()["expired"] == 1
+        assert metrics.total("repro_broker_expired_total") == 1
         broker.close()
 
-    def test_resolver_crash_is_counted_and_surfaced(self, registry):
+    def test_resolver_crash_is_counted_and_surfaced(self, registry, metrics):
         calls = {"n": 0}
         inner = SynthesisResolver(registry)
 

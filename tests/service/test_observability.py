@@ -1,8 +1,8 @@
-"""Service-layer observability: the /v1/metrics endpoint, the engine
-section of /v1/stats, counter survival across restarts, and reset().
+"""Service-layer observability: the /v1/metrics endpoint, /v1/stats as a
+view of the same registry, and counter survival across restarts.
 """
 
-import time
+import threading
 import urllib.request
 
 import pytest
@@ -11,19 +11,22 @@ from repro.engine import AlgorithmCache
 from repro.service import (
     PlanRegistry,
     PlanRequest,
+    PlanResponse,
     PlanningService,
     ServerThread,
     fetch_metrics,
     fetch_stats,
     make_server,
 )
-from repro.telemetry import Metrics, set_metrics
+from repro.telemetry import Metrics, get_metrics, set_metrics
 
 PINNED = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
 
 
 @pytest.fixture
 def metrics():
+    """A registry of the test's own: the service keeps no counts but its
+    series, and the process-wide registry holds every other test's too."""
     fresh = Metrics()
     previous = set_metrics(fresh)
     yield fresh
@@ -63,30 +66,36 @@ class TestMetricsEndpoint:
         # The typed client helper returns the same payload.
         assert fetch_metrics(server_url) == body
 
-    def test_metrics_match_stats_on_one_run(self, service, server_url, metrics):
-        assert service.request(PINNED, timeout=120.0).ok
-        # Identical re-request: answered from the registry, no new solve.
-        assert service.request(PINNED, timeout=120.0).ok
+    def test_one_coalesced_request_moves_the_series_and_the_view_by_one(
+        self, tmp_path, metrics
+    ):
+        """One ledger: ``/v1/stats`` reads the series ``/v1/metrics`` serves."""
+        gate = threading.Event()
 
-        stats = fetch_stats(server_url)
-        broker = stats["broker"]
-        assert metrics.total(
-            "repro_broker_requests_total", outcome="enqueued"
-        ) + metrics.total(
-            "repro_broker_requests_total", outcome="coalesced"
-        ) == broker["submitted"]
-        assert (
-            metrics.total("repro_broker_jobs_total", outcome="completed")
-            == broker["completed"]
-        )
-        resolver = stats["resolver"]
-        assert metrics.total("repro_resolver_rung_total") == sum(
-            resolver["rungs"].values()
-        )
+        def gated(request, remaining_s=None):
+            assert gate.wait(10.0)
+            return PlanResponse(status="ok", request_key=request.request_key(), source="cache")
+
+        def coalesced(url):
+            return (
+                metrics.value("repro_broker_requests_total", outcome="coalesced"),
+                fetch_stats(url)["broker"]["coalesced"],
+            )
+
+        registry = PlanRegistry(cache=AlgorithmCache(tmp_path / "algorithms"))
+        with PlanningService(registry, num_workers=1, resolver=gated) as service:
+            with ServerThread(make_server(service, port=0)) as thread:
+                first = service.submit(PINNED)
+                before = coalesced(thread.url)
+                second = service.submit(PINNED)  # joins the job the gate holds
+                after = coalesced(thread.url)
+                gate.set()
+                assert first.wait(10.0).ok and second.wait(10.0).coalesced
+        assert after == (before[0] + 1, before[1] + 1)
 
 
-class TestStatsEngineSection:
-    def test_engine_counters_and_windows(self, service, server_url):
+class TestStatsIsAViewOfTheRegistry:
+    def test_engine_counters_and_window(self, service, server_url):
         assert service.request(PINNED, timeout=120.0).ok
         stats = fetch_stats(server_url)
 
@@ -96,12 +105,32 @@ class TestStatsEngineSection:
         assert 0.0 <= cache["hit_rate"] <= 1.0
         # A pinned first-time synthesis stores through the cache.
         assert cache["misses"] >= 1
+        assert cache["entries"] == 1
 
-        # Satellite 2: every counter snapshot dates its own window.
-        assert stats["broker"]["since"] == pytest.approx(time.time(), abs=300.0)
-        assert stats["broker"]["uptime_s"] >= 0.0
-        assert stats["resolver"]["since"] == pytest.approx(time.time(), abs=300.0)
-        assert stats["resolver"]["rungs"].get("synthesized") == 1
+        # One window for every count: the registry's.
+        assert stats["since"] == get_metrics().since
+        assert stats["resolver"]["rungs"] == {"synthesized": 1}
+
+    def test_a_fresh_registry_reads_zero(self, service, server_url):
+        """Nothing is counted beside the registry: swap it and every count
+        of a running service reads 0, while the live state stays."""
+        assert service.request(PINNED, timeout=120.0).ok
+        assert service.request(PINNED, timeout=120.0).ok
+        fresh = Metrics()
+        set_metrics(fresh)  # the fixture puts the previous one back
+        stats = fetch_stats(server_url)
+
+        broker = stats["broker"]
+        for count in ("submitted", "coalesced", "completed", "failed", "expired",
+                      "dropped_jobs", "resolver_crashes"):
+            assert broker[count] == 0, count
+        assert stats["since"] == fresh.since
+        assert stats["resolver"] == {"rungs": {}, "warm_hits": 0, "replans": 0}
+        assert set(stats["engine"]["bounds"].values()) == {0}
+        cache = stats["engine"]["cache"]
+        assert (cache["hits"], cache["misses"]) == (0, 0)
+        # State, not counts: the entry is still on disk.
+        assert cache["entries"] == 1
 
 
 class TestCountersAcrossRestarts:
@@ -111,15 +140,15 @@ class TestCountersAcrossRestarts:
         service.start()
         try:
             assert service.request(PINNED, timeout=120.0).ok
-            before = service.broker.stats()
+            before = service.stats()
             service.stop()
             service.start()
-            after = service.broker.stats()
+            after = service.stats()
             # A restart is not a counter reset: scrapers would read a
             # rate discontinuity as lost work.
-            assert after["submitted"] == before["submitted"] == 1
-            assert after["completed"] == before["completed"] == 1
+            assert after["broker"]["submitted"] == before["broker"]["submitted"] == 1
+            assert after["broker"]["completed"] == before["broker"]["completed"] == 1
             assert after["since"] == before["since"]
-            assert service.resolver.stats()["solves"] == 1
+            assert after["resolver"]["rungs"] == {"synthesized": 1}
         finally:
             service.stop()

@@ -12,7 +12,18 @@ from repro.service import (
     build_routing_table,
     routing_key,
 )
+from repro.telemetry import Metrics, set_metrics
 from repro.topology import ring
+
+
+@pytest.fixture
+def metrics():
+    """A registry of the test's own: the service keeps no counts but its
+    series, and the process-wide registry holds every other test's too."""
+    fresh = Metrics()
+    previous = set_metrics(fresh)
+    yield fresh
+    set_metrics(previous)
 
 
 @pytest.fixture
@@ -74,7 +85,7 @@ class TestBuildRoutingTable:
 
 
 class TestTableMemo:
-    def test_route_miss_then_hit(self, registry, frontier):
+    def test_route_miss_then_hit(self, registry, frontier, metrics):
         request = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
         assert registry.route(request) is None
         table = build_routing_table(
@@ -86,7 +97,7 @@ class TestTableMemo:
         plan, entry, loaded = routed
         assert entry.covers(1 << 20)
         plan.algorithm.verify()
-        assert registry.stats()["route_hits"] == 1
+        assert metrics.breakdown("repro_registry_memo_hits_total", "memo") == {"table": 1}
 
     def test_install_is_a_memo_insert_that_writes_nothing(
         self, registry, frontier, tmp_path
@@ -98,7 +109,7 @@ class TestTableMemo:
         key = registry.install_table(request, table)
         assert key == registry.table_key(request)
         assert registry.table_for(request) is table  # the object itself
-        assert registry.stats()["tables"] == 1
+        assert registry.table_count() == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_a_fresh_registry_has_no_tables(self, registry, frontier):
@@ -108,8 +119,7 @@ class TestTableMemo:
             build_routing_table("Allgather", ring(4), frontier.algorithms(), synchrony=1),
         )
         fresh = PlanRegistry(cache=registry.cache)
-        assert fresh.route(request) is None
-        assert fresh.stats()["route_misses"] == 1
+        assert fresh.route(request) is None and fresh.table_count() == 0
 
     def test_the_memo_drops_the_least_recently_used_table(self, registry, frontier):
         from repro.service.registry import TABLE_MEMO_ENTRIES
@@ -126,7 +136,7 @@ class TestTableMemo:
             registry.install_table(request, table)
         assert registry.route(requests[0]) is not None  # now the most recent
         registry.install_table(requests[-1], table)
-        assert registry.stats()["tables"] == TABLE_MEMO_ENTRIES
+        assert registry.table_count() == TABLE_MEMO_ENTRIES
         assert registry.route(requests[1]) is None
         assert all(registry.route(r) is not None for r in [requests[0], *requests[2:]])
 

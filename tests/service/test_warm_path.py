@@ -56,6 +56,10 @@ def _solver_calls() -> float:
     return get_metrics().total("repro_solver_calls_total")
 
 
+def _memo_hits() -> float:
+    return get_metrics().value("repro_registry_memo_hits_total", memo="pinned")
+
+
 def comparable(response) -> tuple:
     """``(status, source, route, plan)`` without what only dates the answer.
 
@@ -122,9 +126,9 @@ def _corrupt_total() -> float:
 def test_memoized_service_agrees_with_a_fresh_resolver(pair):
     assert [a.source for a in pair.agree("cold")] == ["synthesized"] * 3
     assert [a.source for a in pair.agree("first read")] == ["cache", "cache", "registry"]
-    before = pair.service.resolver.stats()["warm_hits"]
+    before = pair.service.stats()["resolver"]["warm_hits"]
     assert [a.source for a in pair.agree("repeat")] == ["cache", "cache", "registry"]
-    assert pair.service.resolver.stats()["warm_hits"] == before + 3
+    assert pair.service.stats()["resolver"]["warm_hits"] == before + 3
 
     # Another valid entry moved over the file: the new one is served.
     path = pair.entry_path(PINNED)
@@ -247,9 +251,9 @@ def test_memos_are_bounded(tmp_path):
             assert len(registry._pinned) <= PINNED_MEMO_ENTRIES
         assert len(registry._pinned) == PINNED_MEMO_ENTRIES
         # The most recent ones stayed: a repeat is answered from memory.
-        warm = registry.warm_hits
+        warm = _memo_hits()
         assert registry.lookup_pinned_json(request) is not None
-        assert registry.warm_hits == warm + 1
+        assert _memo_hits() == warm + 1
 
         board = service.fault_board
         for bandwidth in range(1, 10 * FABRIC_MEMO_ENTRIES + 1):
@@ -276,7 +280,7 @@ def test_an_evicted_table_comes_back_without_a_solver_call(tmp_path):
     entries = registry.table_for(tables[0]).entries
     for request in tables[1:]:
         assert resolver(request).ok
-    assert registry.stats()["tables"] == TABLE_MEMO_ENTRIES
+    assert registry.table_count() == TABLE_MEMO_ENTRIES
     assert registry.table_for(tables[0]) is None
     assert registry.table_for(tables[1]) is not None
 

@@ -13,7 +13,18 @@ from repro.service import (
     baseline_algorithm,
 )
 from repro.solver import SolveResult
+from repro.telemetry import Metrics, set_metrics
 from repro.topology import ring
+
+
+@pytest.fixture
+def metrics():
+    """A registry of the test's own: the service keeps no counts but its
+    series, and the process-wide registry holds every other test's too."""
+    fresh = Metrics()
+    previous = set_metrics(fresh)
+    yield fresh
+    set_metrics(previous)
 
 
 @pytest.fixture
@@ -21,20 +32,24 @@ def registry(tmp_path):
     return PlanRegistry(cache=AlgorithmCache(tmp_path / "algorithms"))
 
 
+def rungs(metrics) -> dict:
+    """Which ladder rung answered, per rung, over the test's registry."""
+    return metrics.breakdown("repro_resolver_rung_total", "rung")
+
+
 PINNED = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
 ROUTED = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
 
 
 class TestResolverLadder:
-    def test_pinned_miss_synthesizes_then_hits_cache(self, registry):
+    def test_pinned_miss_synthesizes_then_hits_cache(self, registry, metrics):
         resolver = SynthesisResolver(registry)
         cold = resolver(PINNED, None)
         assert cold.ok and cold.source == "synthesized"
         cold.plan_object().algorithm.verify()
         warm = resolver(PINNED, None)
         assert warm.ok and warm.source == "cache"
-        assert resolver.stats()["solves"] == 1
-        assert resolver.stats()["registry_hits"] == 1
+        assert rungs(metrics) == {"synthesized": 1, "cache": 1}
 
     def test_unsat_request_is_an_error(self, registry):
         resolver = SynthesisResolver(registry)
@@ -78,7 +93,7 @@ class TestResolverLadder:
         assert response.status == "timeout"
         assert "no baseline" in response.error
 
-    def test_routed_builds_memoizes_and_reroutes(self, registry):
+    def test_routed_builds_memoizes_and_reroutes(self, registry, metrics):
         resolver = SynthesisResolver(registry)
         cold = resolver(ROUTED, None)
         assert cold.ok and cold.source == "synthesized"
@@ -90,9 +105,9 @@ class TestResolverLadder:
             PlanRequest("Allgather", "ring:4", size_bytes=1 << 10, synchrony=1), None
         )
         assert other.ok and other.source == "registry"
-        assert resolver.stats()["solves"] == 1
+        assert rungs(metrics) == {"synthesized": 1, "registry": 2}
 
-    def test_older_clients_routed_request_shares_the_table(self, registry):
+    def test_older_clients_routed_request_shares_the_table(self, registry, metrics):
         """A routed request as earlier clients send it (``encoding`` and
         ``prune`` at their one accepted value) and as clients send it now
         address one table, built once."""
@@ -108,7 +123,8 @@ class TestResolverLadder:
         resolver = SynthesisResolver(registry)
         assert resolver(older, None).source == "synthesized"
         assert resolver(current, None).source == "registry"
-        assert resolver.stats()["solves"] == 1 and registry.stats()["tables"] == 1
+        assert rungs(metrics) == {"synthesized": 1, "registry": 1}
+        assert registry.table_count() == 1
 
     def test_combining_pinned_request_is_a_clean_error(self, registry):
         resolver = SynthesisResolver(registry)
@@ -118,7 +134,7 @@ class TestResolverLadder:
         assert response.status == "error"
         assert "combining" in response.error
 
-    def test_pinned_root_of_a_rootless_collective_is_an_error(self, registry):
+    def test_pinned_root_of_a_rootless_collective_is_an_error(self, registry, metrics):
         """Allgather has no root: root 7 is refused, not solved and cached
         under a second key for the root-0 schedule."""
         resolver = SynthesisResolver(registry)
@@ -127,7 +143,8 @@ class TestResolverLadder:
         )
         assert response.status == "error"
         assert "Allgather has no root" in response.error
-        assert len(registry.cache) == 0 and resolver.stats()["solves"] == 0
+        assert len(registry.cache) == 0 and rungs(metrics) == {"error": 1}
+        assert metrics.total("repro_solver_calls_total") == 0
 
     def test_cold_routed_build_forks_nothing(self, registry, monkeypatch):
         """A cold routed build sweeps in the worker thread: at the routed
@@ -159,7 +176,7 @@ class TestResolverLadder:
 
 
 class TestRoutedBuildCoalescing:
-    def test_mixed_size_burst_builds_one_table(self, registry):
+    def test_mixed_size_burst_builds_one_table(self, registry, metrics):
         """Routed requests for different sizes share one routing table:
         a cold concurrent burst must run one frontier build, not N."""
         resolver = SynthesisResolver(registry)
@@ -186,8 +203,9 @@ class TestRoutedBuildCoalescing:
                 thread.join(120.0)
 
         assert all(r is not None and r.ok for r in responses)
-        assert resolver.stats()["solves"] == 1  # one pareto sweep for all sizes
-        assert registry.stats()["tables"] == 1
+        # One pareto sweep for all sizes; every other size waited for it.
+        assert rungs(metrics) == {"synthesized": 1, "registry": len(sizes) - 1}
+        assert registry.table_count() == 1
 
 
 class TestBaselines:
@@ -226,7 +244,7 @@ class TestBaselines:
 
 
 class TestEndToEndCoalescing:
-    def test_eight_concurrent_identical_requests_one_solve(self, registry):
+    def test_eight_concurrent_identical_requests_one_solve(self, registry, metrics):
         """The acceptance criterion through the REAL resolver: 8 threads,
         one backend solve, seven coalesced waiters."""
         resolver = SynthesisResolver(registry)
@@ -252,8 +270,6 @@ class TestEndToEndCoalescing:
         # Every caller that shared another's in-flight work is marked; the
         # solver ran at most once (cache hits can substitute under unlucky
         # scheduling, but never a second solve).
-        assert resolver.stats()["solves"] <= 1
-        coalesced = stats["broker"]["coalesced"]
-        solves = resolver.stats()["solves"]
-        hits = resolver.stats()["registry_hits"]
-        assert coalesced + solves + hits == 8
+        ladder = stats["resolver"]["rungs"]
+        assert ladder.get("synthesized", 0) <= 1
+        assert stats["broker"]["coalesced"] + sum(ladder.values()) == 8

@@ -127,7 +127,7 @@ def test_service_stats_report_the_service_and_not_the_host(sandbox, metrics):
         assert service.request(PINNED, timeout=120.0).ok
         stats = service.stats()
     assert set(stats) == {
-        "broker", "registry", "resolver", "workers", "faults", "engine",
+        "since", "broker", "registry", "resolver", "workers", "faults", "engine",
     }
     assert stats["resolver"]["rungs"] == {"synthesized": 1}
     assert_untouched(sandbox)
