@@ -41,7 +41,7 @@ from repro.telemetry import Metrics, set_metrics
 
 from conftest import report, write_bench_json
 
-ROUTED = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
+ROUTED = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1, deadline_s=120.0)
 DGX1_PINNED = PlanRequest("Allgather", "dgx1", chunks=1, steps=2, rounds=2)
 
 
@@ -65,7 +65,7 @@ def _ring_replan(tmp_path, metrics) -> dict:
         registry, num_workers=2, resolver=resolver, fault_board=board
     ) as service:
         healthy, healthy_s = _timed(
-            lambda: service.request(ROUTED, timeout=120.0)
+            lambda: service.request(ROUTED)
         )
         assert healthy.ok
 
@@ -76,10 +76,10 @@ def _ring_replan(tmp_path, metrics) -> dict:
         )
         assert fault.ok
 
-        cold, cold_s = _timed(lambda: service.request(ROUTED, timeout=120.0))
+        cold, cold_s = _timed(lambda: service.request(ROUTED))
         assert cold.ok
         solves = int(metrics.value("repro_resolver_rung_total", rung="synthesized"))
-        warm, warm_s = _timed(lambda: service.request(ROUTED, timeout=120.0))
+        warm, warm_s = _timed(lambda: service.request(ROUTED))
         assert warm.ok and warm.source in ("registry", "cache")
         assert metrics.value("repro_resolver_rung_total", rung="synthesized") == solves
 

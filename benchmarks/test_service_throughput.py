@@ -27,8 +27,8 @@ from repro.service import PlanRegistry, PlanRequest, PlanningService, SynthesisR
 
 from conftest import report, write_bench_json
 
-PINNED = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
-ROUTED = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
+PINNED = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3, deadline_s=120.0)
+ROUTED = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1, deadline_s=120.0)
 
 
 def _make_service(tmp_path, name):
@@ -44,7 +44,7 @@ def _cold_burst(tmp_path) -> dict:
 
         def caller(index):
             barrier.wait()
-            statuses[index] = service.request(PINNED, timeout=120.0).status
+            statuses[index] = service.request(PINNED).status
 
         started = time.perf_counter()
         threads = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
@@ -76,8 +76,8 @@ def _warm_throughput(tmp_path) -> dict:
     client_threads = 8
     with service:
         # Warm both paths once so the measured phase serves from registry.
-        assert service.request(PINNED, timeout=120.0).ok
-        assert service.request(ROUTED, timeout=120.0).ok
+        assert service.request(PINNED).ok
+        assert service.request(ROUTED).ok
 
         workload = []
         for index in range(requests_total):
@@ -94,9 +94,7 @@ def _warm_throughput(tmp_path) -> dict:
 
         started = time.perf_counter()
         with ThreadPoolExecutor(max_workers=client_threads) as pool:
-            responses = list(
-                pool.map(lambda r: service.request(r, timeout=120.0), workload)
-            )
+            responses = list(pool.map(service.request, workload))
         elapsed = time.perf_counter() - started
         stats = service.stats()
 

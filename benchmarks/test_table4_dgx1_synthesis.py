@@ -97,7 +97,7 @@ def test_table4_pareto_enumeration_allgather_k0(benchmark):
             TOPOLOGY,
             k=0,
             max_steps=max_steps,
-            time_limit_per_instance=synthesis_budget(),
+            time_limit=synthesis_budget(),
         )
 
     frontier = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -82,7 +82,7 @@ def test_table5_pareto_enumeration_allgather_k0(benchmark):
     def run():
         return pareto_synthesize(
             "Allgather", TOPOLOGY, k=0, max_steps=7,
-            time_limit_per_instance=synthesis_budget(),
+            time_limit=synthesis_budget(),
         )
 
     frontier = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -42,7 +42,7 @@ def main() -> None:
                         help="largest step count to enumerate (7 reproduces Table 4)")
     parser.add_argument("--k", type=int, default=0, help="synchrony budget k")
     parser.add_argument("--time-limit", type=float, default=120.0,
-                        help="per-instance solver budget in seconds")
+                        help="wall-clock budget in seconds for the whole sweep")
     parser.add_argument("--strategy", default="incremental",
                         choices=STRATEGIES,
                         help="candidate-sweep strategy")
@@ -61,7 +61,7 @@ def main() -> None:
         topology,
         k=args.k,
         max_steps=args.max_steps,
-        time_limit_per_instance=args.time_limit,
+        time_limit=args.time_limit,
         strategy=args.strategy,
         max_workers=args.jobs,
         cache=None if args.no_cache else default_cache(),

@@ -46,6 +46,7 @@ def main() -> None:
     print()
     request = PlanRequest(
         collective="Allgather", topology="ring:4", chunks=1, steps=2, rounds=3,
+        deadline_s=300.0,
     )
 
     # 2. Ask the planning service.  PlanningService is the same broker +
@@ -57,7 +58,7 @@ def main() -> None:
         registry = default_registry()
     print(f"Requesting {request.describe()} from the planning service ...")
     with PlanningService(registry, num_workers=2) as service:
-        response = service.request(request, timeout=300.0)
+        response = service.request(request)
     print(f"  -> {response.summary()}")
     if response.source == "cache":
         print("     (cached: the registry answered without any solver call)")

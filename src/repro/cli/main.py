@@ -110,7 +110,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("engine")
     group.add_argument(
         "--time-limit", type=_limit(float), default=None, metavar="S",
-        help="per-solve wall-clock limit in seconds (exceeded -> unknown)",
+        help="wall-clock limit in seconds for the whole command "
+        "(exceeded -> unknown, or a pareto frontier cut where it ran out)",
     )
     group.add_argument(
         "--conflict-limit", type=_limit(int), default=None, metavar="N",
@@ -237,7 +238,7 @@ def _cmd_pareto(args) -> int:
                 root=args.root,
                 max_steps=args.max_steps,
                 max_chunks=args.max_chunks,
-                time_limit_per_instance=args.time_limit,
+                time_limit=args.time_limit,
                 conflict_limit=args.conflict_limit,
                 strategy=args.strategy,
                 max_workers=args.max_workers,

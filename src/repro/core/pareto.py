@@ -6,9 +6,9 @@ candidate set ``A = {(R, C) | S <= R <= S + k  and  R / C >= b_l}``, checks
 candidates in ascending order of bandwidth cost ``R / C`` and reports the
 first satisfiable one; that algorithm is Pareto-optimal for the current
 ``S``.  The enumeration stops as soon as an algorithm matching the
-bandwidth lower bound ``b_l`` has been reported (or a step budget runs
-out — the paper notes the procedure need not terminate for every
-collective, Broadcast on the DGX-1 being the canonical example).
+bandwidth lower bound ``b_l`` has been reported (or a step budget or the
+time limit runs out — the paper notes the procedure need not terminate
+for every collective, Broadcast on the DGX-1 being the canonical example).
 
 Combining collectives are handled by delegation (Section 3.5):
 Reducescatter and Allreduce reuse the Allgather enumeration, Reduce reuses
@@ -30,7 +30,7 @@ from .algorithm import Algorithm
 from .bounds import lower_bounds
 from .combining import allreduce_from_allgather, invert_algorithm
 from .cost import cost_point, is_pareto_optimal
-from .synthesizer import SynthesisResult
+from .synthesizer import SynthesisResult, deadline_after, seconds_left
 
 
 class ParetoError(Exception):
@@ -114,8 +114,11 @@ class ParetoFrontier:
     bounds: str = "off"
     #: Provenance of the seeded upper bounds (e.g. "baseline:ring").
     bound_sources: List[str] = field(default_factory=list)
-    #: Why the sweep probed nothing ("" when it probed something).
+    #: Why the sweep probed nothing, or where the time limit cut it ("" if neither).
     note: str = ""
+    #: True when the time limit ended the sweep: the points are those found
+    #: before it, and the frontier may lack the rest.
+    deadline_cut: bool = False
 
     def algorithms(self) -> List[Algorithm]:
         return [p.algorithm for p in self.points if p.algorithm is not None]
@@ -205,7 +208,7 @@ def pareto_synthesize(
     root: int = 0,
     max_steps: Optional[int] = None,
     max_chunks: Optional[int] = None,
-    time_limit_per_instance: Optional[float] = None,
+    time_limit: Optional[float] = None,
     conflict_limit: Optional[int] = None,
     on_result: Optional[Callable[[SynthesisResult], None]] = None,
     strategy: str = "incremental",
@@ -230,9 +233,12 @@ def pareto_synthesize(
         Upper bound on the per-node chunk count of a candidate, at least 1
         (defaults to what the bandwidth lower bound leaves useful).  Alltoall
         is probed only at multiples of the node count.
-    time_limit_per_instance / conflict_limit:
-        Resource limits per solver call; exceeded limits yield UNKNOWN
-        candidates, which are skipped but recorded (``proved=False``).
+    time_limit:
+        Wall-clock seconds for the whole call, one deadline from entry; past
+        it no probe starts and the frontier is marked ``deadline_cut``.
+    conflict_limit:
+        Conflict budget per solver call; an exhausted budget yields an
+        UNKNOWN candidate, skipped but recorded (``proved=False``).
     strategy:
         Which executor answers the sweep loop's probes (the loop itself —
         :class:`~repro.engine.dispatch.Dispatcher` — is the same for all):
@@ -265,6 +271,7 @@ def pareto_synthesize(
     from ..engine.bounds import seed_ledger
     from ..engine.dispatch import SweepRequest, SweepStats, make_dispatcher
 
+    deadline = deadline_after(time_limit)
     spec = get_collective(collective)
     if k < 0:
         raise ParetoError("k must be non-negative")
@@ -279,7 +286,7 @@ def pareto_synthesize(
         root=root,
         max_steps=max_steps,
         max_chunks=max_chunks,
-        time_limit_per_instance=time_limit_per_instance,
+        time_limit=seconds_left(deadline),
         conflict_limit=conflict_limit,
         on_result=on_result,
         strategy=strategy,
@@ -337,7 +344,7 @@ def pareto_synthesize(
             steps=steps,
             candidates=candidates(steps),
             root=root,
-            time_limit=time_limit_per_instance,
+            deadline=deadline,
             conflict_limit=conflict_limit,
             bounds=ledger,
         )
@@ -403,7 +410,10 @@ def pareto_synthesize(
             cache=cache,
             stop=ingest_sweep,
         )
-        frontier.exhausted_steps = bool(step_counts) and len(outcomes) == len(step_counts)
+        cut = frontier.deadline_cut = bool(outcomes) and outcomes[-1].deadline_cut
+        frontier.exhausted_steps = not cut and 0 < len(outcomes) == len(step_counts)
+        if cut:
+            frontier.note = f"the time limit ran out at S={step_counts[len(outcomes) - 1]}"
 
         _mark_pareto_optimal(frontier)
         frontier.total_time = time.monotonic() - start_time
@@ -449,6 +459,7 @@ def _pareto_synthesize_combining(
         bounds=base.bounds,
         bound_sources=list(base.bound_sources),
         note=base.note,
+        deadline_cut=base.deadline_cut,
     )
     for base_point in base.points:
         algorithm = base_point.algorithm

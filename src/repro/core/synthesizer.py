@@ -120,8 +120,9 @@ def synthesize(
     instance:
         The ``(G, S, R, P, B, pre, post)`` tuple to solve.
     time_limit / conflict_limit:
-        Resource limits passed to the SAT solver; on exhaustion the result
-        status is ``UNKNOWN``.
+        Seconds for the whole call (an encode is not interrupted: the solver
+        gets what is left) and the solver's conflict budget; on exhaustion
+        the result status is ``UNKNOWN``.
     cache:
         An :class:`~repro.engine.cache.AlgorithmCache`.  A hit returns a
         replayed result (``cache_hit=True``) without encoding or solving;
@@ -131,12 +132,27 @@ def synthesize(
     loop, which calls the uncounted :func:`_probe`, counts its own.
     """
     result = _probe(
-        instance, time_limit=time_limit, conflict_limit=conflict_limit,
+        instance, deadline=deadline_after(time_limit), conflict_limit=conflict_limit,
         name=name, cache=cache,
     )
     if not result.cache_hit:
         count_solver_call(result)
     return result
+
+
+def deadline_after(seconds: Optional[float]) -> Optional[float]:
+    """The ``time.monotonic()`` deadline ``seconds`` from now (None for none);
+    a negative or NaN time limit raises :class:`ValueError`."""
+    if seconds is None:
+        return None
+    if not seconds >= 0:
+        raise ValueError(f"time_limit must be >= 0, got {seconds!r}")
+    return time.monotonic() + seconds
+
+
+def seconds_left(deadline: Optional[float]) -> Optional[float]:
+    """Seconds until ``deadline``, never negative (None for no deadline)."""
+    return None if deadline is None else max(0.0, deadline - time.monotonic())
 
 
 def count_solver_call(result: SynthesisResult) -> None:
@@ -149,12 +165,12 @@ def count_solver_call(result: SynthesisResult) -> None:
 def _probe(
     instance: SynCollInstance,
     *,
-    time_limit: Optional[float] = None,
+    deadline: Optional[float] = None,
     conflict_limit: Optional[int] = None,
     name: Optional[str] = None,
     cache=None,
 ) -> SynthesisResult:
-    """:func:`synthesize` without the metrics: one cold encode and solve."""
+    """:func:`synthesize` without the metrics, bounded by ``deadline``."""
     from ..engine.backends import CdclHandle
     from ..engine.cache import instance_fingerprint, lookup_result, store_result
 
@@ -181,7 +197,7 @@ def _probe(
                 return cached
 
         result = solve_encoding(
-            ScclEncoding(instance), time_limit=time_limit,
+            ScclEncoding(instance), time_limit=seconds_left(deadline),
             conflict_limit=conflict_limit, name=name,
         )
         probe_span.set(verdict=result.status.value, cache_hit=False)
@@ -202,9 +218,11 @@ def solve_encoding(
     Every probe's formula is the pruned :class:`ScclEncoding`
     (:func:`_probe`).  The differential tests also hand in
     ``ScclEncoding(instance, prune=False)``, the formula no probe solves.
+    ``time_limit`` bounds the whole call, as :func:`synthesize`'s does.
     """
     from ..engine.backends import CdclHandle
 
+    deadline = deadline_after(time_limit)
     with get_tracer().span("encode"):
         start = time.monotonic()
         encoder.encode()
@@ -218,7 +236,7 @@ def solve_encoding(
     def solve():
         if witness is not None or not handle.load(encoder.cnf):
             return SolveResult.UNSAT, {}
-        status = handle.solve(conflict_limit=conflict_limit, time_limit=time_limit)
+        status = handle.solve(conflict_limit=conflict_limit, time_limit=seconds_left(deadline))
         return status, handle.stats()
 
     return finish_probe(

@@ -5,9 +5,9 @@ candidates in cost order, keep the first satisfiable one, stop once the
 bandwidth bound is met.  :class:`Dispatcher` is that loop, written once.
 It owns every decision — the bounds ledger's plan when a step count
 becomes current, dominance prunes, monotone cuts, cache replays, the
-first-SAT truncation, the UNKNOWN policy (below), cache writes, ledger
-feedback and telemetry — and asks an *executor* for one thing only: the
-result of ``(S, R, C)``.
+first-SAT truncation, the UNKNOWN policy and the deadline (below), cache
+writes, ledger feedback and telemetry — and asks an *executor* for one
+thing only: the result of ``(S, R, C)``.
 
 Three executors answer that question, and the four strategy names select
 among them (``make_dispatcher``):
@@ -31,7 +31,7 @@ loop consumes results in order, the three exact-formula strategies report
 byte-identical frontiers and the family strategy the same verdicts.
 
 The UNKNOWN policy.  A family frame is a larger formula than the exact
-one, so it can exhaust a per-probe budget the exact formula would not.
+one, so it can exhaust a conflict budget the exact formula would not.
 SAT and UNSAT answers of a frame are sound and never retried.  The first
 frame of a step count that comes back UNKNOWN is answered again on the
 exact formula — whose verdict is reported, with the frame's encode and
@@ -43,10 +43,17 @@ budget is thus spent twice at most once per step count, never once per
 probe; the family stays an accelerator where its frames decide and stops
 being a decelerator where they do not.
 
+The deadline.  Wall clock is bounded once per run, by one absolute
+``time.monotonic()`` ``deadline`` (system-wide, so pool workers read the
+same clock); per probe only ``conflict_limit`` bounds work.  Executors
+solve with the time left; past the deadline the loop starts no probe
+(cache replays still answer), retries no UNKNOWN, marks the outcome
+``deadline_cut`` and ends the run.
+
 When the pool pays off: it overlaps probes, so it wins when probes are
-long or burn a wall-clock limit (``benchmarks/`` sweep ablation, DGX-1
-Allgather under ``time_limit=1.2`` on a 2-core host: parallel 1.8 s,
-speculative 1.9 s, serial 3.1 s, incremental 4.4 s — one frame and one
+long (``benchmarks/`` sweep ablation, DGX-1 Allgather under
+``conflict_limit=1000`` on a 2-core host: speculative 1.8-2.2 s, parallel
+1.7-2.9 s, serial 3.0-3.9 s, incremental 4.2-6.3 s — one frame and one
 retry per budget-bound step count over serial).  It loses on sub-second
 frontiers, where spawning workers and pickling results costs more than the
 solves (``bench/`` ``frontier_cold``, two DGX-1 rows, one of them
@@ -65,7 +72,7 @@ from typing import (
 
 from ..core.encoding import PrefixAnalysis, ScclEncoding
 from ..core.instance import SynCollInstance, make_instance
-from ..core.synthesizer import SynthesisError, count_solver_call, finish_probe
+from ..core.synthesizer import SynthesisError, count_solver_call, finish_probe, seconds_left
 from ..solver import SolveResult
 from ..telemetry import get_metrics, get_tracer
 from ..topology import Topology
@@ -97,7 +104,8 @@ class SweepRequest:
     steps: int
     candidates: Tuple[Tuple[int, int], ...]  # (rounds, chunks) in cost order
     root: int = 0
-    time_limit: Optional[float] = None
+    #: The run's ``time.monotonic()`` deadline (None for no limit).
+    deadline: Optional[float] = None
     conflict_limit: Optional[int] = None
     stop_at_first_sat: bool = True
     #: Bound-seeded pruning: a shared :class:`~repro.engine.bounds.BoundsLedger`
@@ -137,6 +145,8 @@ class SweepOutcome:
 
     results: List = field(default_factory=list)  # List[SynthesisResult]
     stats: SweepStats = field(default_factory=SweepStats)
+    #: True when the deadline ended the run inside this sweep.
+    deadline_cut: bool = False
 
     @property
     def first_sat(self):
@@ -214,7 +224,7 @@ def _solve_exact(probe: Probe):
     request = probe.request
     return _probe(
         probe.instance,
-        time_limit=request.time_limit,
+        deadline=request.deadline,
         conflict_limit=request.conflict_limit,
     )
 
@@ -256,7 +266,7 @@ class _FamilyEntry:
         request = probe.request
         status = self.handle.solve(
             self.encoder.frame_assumptions(probe.chunks, probe.rounds),
-            conflict_limit=request.conflict_limit, time_limit=request.time_limit,
+            conflict_limit=request.conflict_limit, time_limit=seconds_left(request.deadline),
         )
         # The handle's counters are cumulative: report this frame's.
         raw = self.handle.stats()
@@ -293,7 +303,7 @@ class FamilyExecutor:
     ``R - (S - 1)``), the selector assumptions force the total exactly, and
     disabled chunk levels can neither send nor owe postconditions.  A frame
     is still a *larger* formula than the cold one (``exact`` is False), so
-    it can exhaust a conflict or time budget the cold formula would not:
+    it can exhaust a conflict budget the cold formula would not:
     the loop's UNKNOWN policy (module docstring) handles that.
     """
 
@@ -392,8 +402,8 @@ class FamilyExecutor:
 
 
 #: Per-worker run context installed by the pool initializer, so the request
-#: (topology object, limits) is pickled once per worker instead of once per
-#: probe.
+#: (topology object, limits, deadline) is pickled once per worker instead of
+#: once per probe.
 _WORKER_SHARED: Optional[Tuple[SweepRequest, bool]] = None
 
 
@@ -506,7 +516,7 @@ def _check_uniform(requests: Sequence[SweepRequest]) -> None:
     def context(request: SweepRequest) -> tuple:
         return (
             request.collective, id(request.topology), request.root,
-            request.time_limit, request.conflict_limit,
+            request.deadline, request.conflict_limit,
             request.stop_at_first_sat, id(request.bounds),
         )
 
@@ -596,8 +606,8 @@ class Dispatcher:
 
         Returns the outcomes of the sweeps that ran — all of them, or the
         prefix ending with the one ``stop`` accepted (Algorithm 1's
-        bandwidth-optimality test).  ``stop`` is called once per outcome,
-        in order, before the next sweep starts.
+        bandwidth-optimality test) or the one the deadline cut.  ``stop``
+        is called once per outcome, in order, before the next sweep starts.
         """
         requests = list(requests)
         if not requests:
@@ -644,11 +654,12 @@ class Dispatcher:
                 # and pruning is monotone, so a hint never misses a probe).
                 window = requests[position:position + 1 + executor.lookahead]
                 plans = [_plan_probes(ahead) for ahead in window]
-                executor.prefetch([
-                    probe
-                    for ahead, ahead_plan in zip(window, plans)
-                    for probe in misses(ahead, ahead_plan)
-                ])
+                if seconds_left(request.deadline) != 0:  # past it, no probe starts
+                    executor.prefetch([
+                        probe
+                        for ahead, ahead_plan in zip(window, plans)
+                        for probe in misses(ahead, ahead_plan)
+                    ])
                 plan = plans[0]
                 outcome = SweepOutcome()
                 stats = outcome.stats
@@ -671,8 +682,11 @@ class Dispatcher:
                                 _cut_for(probe, plan.witnesses.get(index), cache)
                             )
                             continue
-                        stats.candidates_probed += 1
                         result = lookup(probe)
+                        if result is None and seconds_left(request.deadline) == 0:
+                            outcome.deadline_cut = True  # no probe starts
+                            break
+                        stats.candidates_probed += 1
                         if result is not None:
                             stats.cache_hits += 1
                             # No executor ran, so the replayed candidate's
@@ -698,13 +712,13 @@ class Dispatcher:
                                 result = executor.result(probe)
                                 stats.encode_calls += executor.encode_calls - before
                                 count_solver_call(result)
-                                if result.is_unknown and not executor.exact:
+                                budget_bound = result.is_unknown and not executor.exact
+                                if budget_bound and seconds_left(request.deadline) != 0:
                                     # The UNKNOWN policy (module docstring): a
                                     # derived formula exhausted the budget.  Ask
                                     # the exact one, report its answer with the
                                     # frame's time added, and send the rest of
                                     # this step count straight there.
-                                    budget_bound = True
                                     frame = result
                                     result = _solve_exact(probe)
                                     stats.unknown_retries += 1
@@ -718,14 +732,16 @@ class Dispatcher:
                                 result.trace = None
                             if cache is not None:
                                 store_result(cache, result, key=fingerprints[probe.key])
+                            if result.is_unknown:  # past the deadline, the deadline's
+                                outcome.deadline_cut = seconds_left(request.deadline) == 0
                         if request.bounds is not None:
                             request.bounds.observe(result)
                         outcome.results.append(result)
-                        if result.is_sat and request.stop_at_first_sat:
+                        if outcome.deadline_cut or (result.is_sat and request.stop_at_first_sat):
                             break
                 _commit_sweep_telemetry(outcome.stats)
                 outcomes.append(outcome)
-                if stop is not None and stop(outcome):
+                if (stop is not None and stop(outcome)) or outcome.deadline_cut:
                     break
         finally:
             executor.close()

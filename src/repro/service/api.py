@@ -41,6 +41,9 @@ API_VERSION = 1
 #: Default per-request deadline (seconds) when the caller supplies none.
 DEFAULT_DEADLINE_S = 300.0
 
+#: Largest ``deadline_s`` a request may ask for: a day.
+MAX_DEADLINE_S = 24 * 3600.0
+
 #: Largest ``synchrony`` (k) a request may ask for.  A routed build sweeps
 #: every step count with rounds up to S + k, so the candidate lattice grows
 #: with k before any solve or deadline check runs (k = 2000 enumerates
@@ -105,8 +108,8 @@ class PlanRequest:
             raise ServiceError("size_bytes must be positive")
         if not 0 <= self.synchrony <= MAX_SYNCHRONY:
             raise ServiceError(f"synchrony must be between 0 and {MAX_SYNCHRONY}")
-        if self.deadline_s is not None and not 0 < self.deadline_s < float("inf"):
-            raise ServiceError("deadline_s must be a finite positive number")
+        if self.deadline_s is not None and not 0 < self.deadline_s <= MAX_DEADLINE_S:
+            raise ServiceError(f"deadline_s must be positive and at most {MAX_DEADLINE_S:g} s")
         self.resolve_topology()
         return self
 

@@ -10,15 +10,14 @@ instead of enqueueing a second one.  When the job completes, every
 attached ticket receives its own copy of the shared response, annotated
 with the caller-specific wait time and a ``coalesced`` flag.
 
-Deadlines are caller-side: :meth:`Ticket.wait` gives up after the
-request's deadline, detaches the ticket and returns a ``timeout``
-response.  The underlying job keeps running if it has other waiters — and
-if it has *none* and has not started yet, it is dropped from the queue
-entirely.  A
-job that already started is never aborted: its result still lands in the
-algorithm cache and the registry, so the work benefits the next caller
-(opportunistic, in the PopPy sense: extra completed work is never wasted,
-merely unclaimed).
+Each ticket gets one deadline at ``submit`` (``deadline_s``, or
+:data:`~repro.service.api.DEFAULT_DEADLINE_S`), and a job its most patient
+ticket's, which bounds the resolver.  :meth:`Ticket.wait` gives up at the
+ticket's deadline, detaches the ticket and returns a ``timeout`` response.
+The job keeps running if it has other waiters — and if it has *none* and
+has not started yet, it is dropped from the queue entirely.  A started job
+is never aborted: what it decided lands in the algorithm cache, so the
+work benefits the next caller (opportunistic, in the PopPy sense).
 
 The broker keeps its queue, not its history: every count — requests
 enqueued or coalesced, jobs by outcome (``completed``, ``failed``,
@@ -34,12 +33,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
 from ..telemetry import get_metrics
-from .api import PlanRequest, PlanResponse, ServiceError
-
-#: Server-side ceiling on deadline-less waits.  A ticket whose request has
-#: no deadline must still not block its caller thread forever: a wedged
-#: resolver would otherwise pin HTTP threads indefinitely.
-DEFAULT_MAX_WAIT_S = 3600.0
+from .api import DEFAULT_DEADLINE_S, PlanRequest, PlanResponse, ServiceError
 
 
 class BrokerError(ServiceError):
@@ -49,7 +43,7 @@ class BrokerError(ServiceError):
 class Job:
     """One unit of planning work shared by every coalesced ticket."""
 
-    __slots__ = ("key", "request", "tickets", "started", "dropped", "created_at")
+    __slots__ = ("key", "request", "tickets", "started", "dropped", "deadline")
 
     def __init__(self, key: str, request: PlanRequest) -> None:
         self.key = key
@@ -57,25 +51,13 @@ class Job:
         self.tickets: List["Ticket"] = []
         self.started = False
         self.dropped = False
-        self.created_at = time.monotonic()
+        #: The most patient ticket's deadline (``time.monotonic()``).
+        self.deadline = 0.0
 
-    def remaining_s(self) -> Optional[float]:
-        """The most patient waiter's remaining deadline (None = no limit).
-
-        Workers pass this to the engine as the solve time limit: the job
-        keeps solving as long as *some* waiter is still willing to wait,
-        but a job whose every waiter is about to give up does not solve
-        forever.
-        """
-        waiters = list(self.tickets)  # snapshot: callers may detach concurrently
-        deadlines = [
-            t.submitted_at + t.request.deadline_s
-            for t in waiters
-            if t.request.deadline_s is not None
-        ]
-        if not deadlines or len(deadlines) != len(waiters):
-            return None  # at least one waiter is unbounded
-        return max(0.0, max(deadlines) - time.monotonic())
+    def remaining_s(self) -> float:
+        """Seconds until the job's deadline, never negative: the time the
+        resolver has to answer."""
+        return max(0.0, self.deadline - time.monotonic())
 
 
 class Ticket:
@@ -87,6 +69,7 @@ class Ticket:
         self.request = request
         self.coalesced = coalesced
         self.submitted_at = time.monotonic()
+        self.deadline = self.submitted_at + (request.deadline_s or DEFAULT_DEADLINE_S)
         self._event = threading.Event()
         self._response: Optional[PlanResponse] = None
 
@@ -95,21 +78,14 @@ class Ticket:
         return self._job.key
 
     # ------------------------------------------------------------------
-    def wait(self, timeout: Optional[float] = None) -> PlanResponse:
-        """Block until the job completes, the timeout or the deadline.
+    def wait(self) -> PlanResponse:
+        """Block until the job completes or the ticket's deadline passes.
 
-        ``timeout`` defaults to the request's ``deadline_s``; a request
-        with no deadline is still bounded by the broker's ``max_wait_s``
-        so a wedged resolver cannot pin caller threads forever.  An
-        expired wait detaches the ticket and returns a ``timeout``
+        An expired wait detaches the ticket and returns a ``timeout``
         response — the job itself keeps running for any other waiters and
         for the cache.
         """
-        if timeout is None:
-            timeout = self.request.deadline_s
-        if timeout is None:
-            timeout = self._broker.max_wait_s
-        if self._event.wait(timeout):
+        if self._event.wait(max(0.0, self.deadline - time.monotonic())):
             return self._response
         with self._broker._lock:
             # The result may have landed between the wait and the lock.
@@ -122,7 +98,7 @@ class Ticket:
             request_key=self.key,
             wait_time_s=time.monotonic() - self.submitted_at,
             coalesced=self.coalesced,
-            error=f"deadline expired after {timeout:.3f}s",
+            error=f"deadline expired after {self.deadline - self.submitted_at:.3f}s",
         )
 
     def _detach_locked(self) -> None:
@@ -152,15 +128,7 @@ class Ticket:
 class Broker:
     """Coalescing FIFO of planning jobs (see module docstring)."""
 
-    def __init__(
-        self,
-        *,
-        key_fn: Callable[[PlanRequest], str],
-        max_wait_s: float = DEFAULT_MAX_WAIT_S,
-    ) -> None:
-        if max_wait_s <= 0:
-            raise BrokerError("max_wait_s must be positive")
-        self.max_wait_s = max_wait_s
+    def __init__(self, *, key_fn: Callable[[PlanRequest], str]) -> None:
         # The coalescing identity.  The planning service passes a fault-
         # aware key function so requests issued after a fault registration
         # never join an in-flight job that targets the healthy fabric.
@@ -182,27 +150,26 @@ class Broker:
             if self._closed:
                 raise BrokerError("broker is closed")
             job = self._inflight.get(key)
-            if job is not None and not job.dropped:
-                ticket = Ticket(self, job, request, coalesced=True)
-                job.tickets.append(ticket)
-                get_metrics().inc("repro_broker_requests_total", outcome="coalesced")
-                return ticket
-            job = Job(key, request)
-            ticket = Ticket(self, job, request, coalesced=False)
+            coalesced = job is not None and not job.dropped
+            if not coalesced:
+                job = self._inflight[key] = Job(key, request)
+                self._queue.append(job)
+                self._available.notify()
+            ticket = Ticket(self, job, request, coalesced=coalesced)
             job.tickets.append(ticket)
-            self._inflight[key] = job
-            self._queue.append(job)
-            get_metrics().inc("repro_broker_requests_total", outcome="enqueued")
-            self._available.notify()
+            job.deadline = max(job.deadline, ticket.deadline)
+            get_metrics().inc(
+                "repro_broker_requests_total",
+                outcome="coalesced" if coalesced else "enqueued",
+            )
             return ticket
 
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
-    def next_job(self, timeout: Optional[float] = None) -> Optional[Job]:
-        """Claim the next live job (skipping dropped ones); None on timeout
-        or when the broker is closed and drained."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+    def next_job(self) -> Optional[Job]:
+        """Claim the next live job (skipping dropped ones), waiting for one;
+        None once the broker is closed and drained."""
         with self._available:
             while True:
                 while self._queue:
@@ -213,10 +180,7 @@ class Broker:
                     return job
                 if self._closed:
                     return None
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return None
-                self._available.wait(remaining)
+                self._available.wait()
 
     def complete(self, job: Job, response: PlanResponse) -> None:
         """Fan a finished job's response out to every remaining waiter."""

@@ -4,7 +4,8 @@ One POST endpoint does the planning; two GETs make the service operable:
 
 ``POST /v1/plan``
     Body: :class:`~repro.service.api.PlanRequest` JSON.  Blocks until the
-    broker answers (or the request's deadline expires) and returns a
+    broker answers (or the ticket's deadline, the request's ``deadline_s``
+    or :data:`~repro.service.api.DEFAULT_DEADLINE_S`, expires) and returns a
     :class:`~repro.service.api.PlanResponse` JSON.  Identical concurrent
     bodies coalesce into one synthesis.
 ``GET /healthz``
@@ -56,9 +57,6 @@ if TYPE_CHECKING:
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8315
-
-#: Server-side ceiling on how long one HTTP request may block.
-MAX_WAIT_S = 24 * 3600.0
 
 #: Seconds a kept-alive connection may sit between requests (and a declared
 #: body may take to arrive) before the handler hangs up and frees its thread.
@@ -159,10 +157,8 @@ class _Handler(BaseHTTPRequestHandler):
         except (ValueError, ServiceError) as exc:
             self._send(400, {"error": str(exc)})
             return
-        timeout = request.deadline_s if request.deadline_s is not None else DEFAULT_DEADLINE_S
-        timeout = min(timeout, MAX_WAIT_S)
         try:
-            response = self.server.service.request(request, timeout=timeout)
+            response = self.server.service.request(request)
         except ServiceError as exc:  # e.g. a closed broker
             self._send(503, {"error": str(exc)})
             return
@@ -371,8 +367,7 @@ def request_plan(
     we want to receive, not race).
     """
     if timeout is None:
-        deadline = request.deadline_s if request.deadline_s is not None else DEFAULT_DEADLINE_S
-        timeout = deadline + 10.0
+        timeout = (request.deadline_s or DEFAULT_DEADLINE_S) + 10.0
     return PlanResponse.from_json(
         _post(url, "/v1/plan", request.to_json(), timeout=timeout, what="request")
     )

@@ -17,13 +17,17 @@ them through :class:`SynthesisResolver`, whose fallback ladder is fixed:
    cache, so rebuilding a table that left memory replays its frontier
    with no solver call (probes that ended UNKNOWN are never cached and
    are solved again).
-   The most patient waiter's remaining deadline is forwarded to the
-   engine as the solve time limit.
-3. **baseline** — when the solver comes back UNKNOWN (deadline / resource
-   limits) the resolver degrades gracefully to a hand-written baseline
-   (ring Allgather/Allreduce/Reducescatter, BFS-tree Broadcast/Reduce, or
-   the NCCL/RCCL schedule where no ring fits), clearly labelled ``source="baseline"``.  Serving a correct-but-
-   suboptimal schedule beats serving an error.
+3. **baseline** — when the solver comes back UNKNOWN, or the sweep found
+   no algorithm before the deadline, the resolver degrades gracefully to a
+   hand-written baseline (ring Allgather/Allreduce/Reducescatter, BFS-tree
+   Broadcast/Reduce, or the NCCL/RCCL schedule where no ring fits), clearly
+   labelled ``source="baseline"``.  Serving a correct-but-suboptimal
+   schedule beats serving an error.
+
+The job's deadline, less :data:`ANSWER_RESERVE_S`, bounds every wait and
+solve on this path once.  A table from a sweep it cut answers its request
+but is not memoized: its decided probes are cached, so the next build
+resumes the lattice where this one stopped.
 
 :class:`PlanningService` bundles broker + pool + registry into the
 one-object facade the HTTP server, the CLI, the quickstart example and the
@@ -37,9 +41,9 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional
 
+from ..core.synthesizer import seconds_left
 from ..telemetry import get_metrics
 from .api import (
-    DEFAULT_DEADLINE_S,
     FaultRequest,
     FaultResponse,
     PlanRequest,
@@ -50,11 +54,14 @@ from .broker import Broker, Job, Ticket
 from .faults import Fabric, FaultBoard, apply_fault_request
 from .registry import PlanRegistry, build_routing_table
 
-#: Resolver signature: (request, remaining_s) -> PlanResponse.
+#: Resolver signature: (request, seconds left or None for no limit) -> PlanResponse.
 Resolver = Callable[[PlanRequest, Optional[float]], PlanResponse]
 
-#: How long an idle worker waits on the broker before rechecking for stop.
-_POLL_S = 0.1
+#: Seconds before the job's deadline at which the engine stops and the
+#: resolver answers.  An encode is not interrupted (a DGX-1 family encode:
+#: up to 0.1 s at S = 4); a table from 1-2 points takes ≈ 1 ms, a baseline
+#: 2-8 ms.  Cold routed DGX-1 answers came 12-39 ms past the engine's deadline.
+ANSWER_RESERVE_S = 0.25
 
 
 class WorkerError(ServiceError):
@@ -138,13 +145,18 @@ class SynthesisResolver:
     def __call__(
         self, request: PlanRequest, remaining_s: Optional[float] = None
     ) -> PlanResponse:
+        # The engine's deadline: the job's, less the answer reserve.
+        deadline = (
+            None if remaining_s is None
+            else time.monotonic() + remaining_s - ANSWER_RESERVE_S
+        )
         fabric = self.fault_board.fabric(request)
         if fabric.degraded:
             get_metrics().inc("repro_resolver_replans_total")
         if request.mode == "pinned":
-            response = self._resolve_pinned(request, remaining_s, fabric)
+            response = self._resolve_pinned(request, deadline, fabric)
         else:
-            response = self._resolve_routed(request, remaining_s, fabric)
+            response = self._resolve_routed(request, deadline, fabric)
         self._record(response)
         return response
 
@@ -167,7 +179,7 @@ class SynthesisResolver:
 
     # ------------------------------------------------------------------
     def _resolve_pinned(
-        self, request: PlanRequest, remaining_s: Optional[float], fabric: Fabric
+        self, request: PlanRequest, deadline: Optional[float], fabric: Fabric
     ) -> PlanResponse:
         from ..core import make_instance, synthesize
         from ..interchange.plan import plan_from_result
@@ -208,9 +220,7 @@ class SynthesisResolver:
             )
 
         result = synthesize(
-            instance,
-            time_limit=_clamp_limit(remaining_s),
-            cache=self.registry.cache,
+            instance, time_limit=seconds_left(deadline), cache=self.registry.cache
         )
         if result.is_sat:
             self._rung("cache" if result.cache_hit else "synthesized")
@@ -238,7 +248,7 @@ class SynthesisResolver:
 
     # ------------------------------------------------------------------
     def _resolve_routed(
-        self, request: PlanRequest, remaining_s: Optional[float], fabric: Fabric
+        self, request: PlanRequest, deadline: Optional[float], fabric: Fabric
     ) -> PlanResponse:
         key = request.request_key()
         started = time.monotonic()
@@ -271,13 +281,32 @@ class SynthesisResolver:
         # Miss: synthesize (or replay) the frontier, score it with the
         # simulator, memoize the table, then route.  Builds of the same
         # table (routed requests differing only in size) serialize on a
-        # per-table lock; whoever waited re-checks the registry first.
-        with self._build_lock(table_key):
+        # per-table lock, waited for until the deadline; whoever waited
+        # re-checks the registry first.
+        from ..core import pareto_synthesize
+
+        lock = self._build_lock(table_key)
+        if not lock.acquire(timeout=-1 if deadline is None else seconds_left(deadline)):
+            self._rung("baseline")
+            return _baseline_response(
+                request, key, reason="another build of the table outlasted the deadline",
+                started=started, topology=topology,
+            )
+        try:
             response = routed_answer()
             if response is not None:
                 return response
             try:
-                table = self._build_table(request, remaining_s, topology)
+                frontier = pareto_synthesize(
+                    request.collective, topology, k=request.synchrony,
+                    root=request.root, time_limit=seconds_left(deadline),
+                    cache=self.registry.cache,
+                )
+                algorithms = frontier.algorithms()
+                table = build_routing_table(
+                    request.collective, topology, algorithms,
+                    root=request.root, synchrony=request.synchrony,
+                ) if algorithms else None
             except Exception as exc:
                 self._rung("error")
                 return PlanResponse(
@@ -288,11 +317,15 @@ class SynthesisResolver:
                 self._rung("baseline")
                 return _baseline_response(
                     request, key,
-                    reason="frontier synthesis exceeded the deadline",
+                    reason="frontier synthesis found no algorithm before the deadline",
                     started=started,
                     topology=topology,
                 )
-            self.registry.install_table(request, table, topology=topology, key=table_key)
+            # A cut sweep's table answers this request only (module docstring).
+            if not frontier.deadline_cut:
+                self.registry.install_table(request, table, topology=topology, key=table_key)
+        finally:
+            lock.release()
         entry = table.route(float(request.size_bytes))
         if entry is None:  # pragma: no cover - tables tile [0, inf)
             self._rung("baseline")
@@ -313,35 +346,6 @@ class SynthesisResolver:
     def _build_lock(self, table_key: str) -> threading.Lock:
         with self._lock:
             return self._table_locks.setdefault(table_key, threading.Lock())
-
-    def _build_table(self, request: PlanRequest, remaining_s: Optional[float], topology):
-        from ..core import pareto_synthesize
-
-        frontier = pareto_synthesize(
-            request.collective,
-            topology,
-            k=request.synchrony,
-            root=request.root,
-            time_limit_per_instance=_clamp_limit(remaining_s),
-            cache=self.registry.cache,
-        )
-        algorithms = frontier.algorithms()
-        if not algorithms:
-            return None
-        return build_routing_table(
-            request.collective,
-            topology,
-            algorithms,
-            root=request.root,
-            synchrony=request.synchrony,
-        )
-
-
-def _clamp_limit(remaining_s: Optional[float]) -> Optional[float]:
-    """Deadline -> engine time limit (never zero/negative: use a floor)."""
-    if remaining_s is None:
-        return None
-    return max(0.05, remaining_s)
 
 
 def _route_payload(entry, table) -> Dict[str, object]:
@@ -382,13 +386,15 @@ class WorkerPool:
         self.resolver = resolver
         self.num_workers = num_workers
         self._threads: List[threading.Thread] = []
-        self._stop = threading.Event()
+        self._stopped = False
 
     # ------------------------------------------------------------------
     def start(self) -> None:
+        """Start the workers; a stopped pool (its broker closed) does not."""
+        if self._stopped:
+            raise WorkerError("pool was stopped; build a new service")
         if self._threads:
             raise WorkerError("pool already started")
-        self._stop.clear()
         for index in range(self.num_workers):
             thread = threading.Thread(
                 target=self._run, name=f"planner-{index}", daemon=True
@@ -396,27 +402,20 @@ class WorkerPool:
             thread.start()
             self._threads.append(thread)
 
-    def stop(self, *, timeout: Optional[float] = 5.0) -> None:
+    def stop(self, *, timeout: float = 5.0) -> None:
         """Close the broker and wait up to ``timeout`` seconds in all for the
         workers; one still mid-solve after that is a daemon and is left."""
-        self._stop.set()
+        self._stopped = True
         self.broker.close()
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = time.monotonic() + timeout
         for thread in self._threads:
-            thread.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
+            thread.join(max(0.0, deadline - time.monotonic()))
         self._threads.clear()
 
     def _run(self) -> None:
-        while not self._stop.is_set():
-            job = self.broker.next_job(timeout=_POLL_S)
-            if job is None:
-                continue
-            self._serve(job)
-        # Drain: answer anything still queued so no ticket hangs forever.
-        while True:
-            job = self.broker.next_job(timeout=0)
-            if job is None:
-                break
+        # Until the broker is closed and drained: a job queued before the
+        # close is still answered, so no ticket hangs.
+        while (job := self.broker.next_job()) is not None:
             self._serve(job)
 
     def _serve(self, job: Job) -> None:
@@ -463,13 +462,14 @@ class PlanningService:
 
     # ------------------------------------------------------------------
     def start(self) -> "PlanningService":
+        """Start the pool; after :meth:`stop` this raises :class:`WorkerError`."""
         if not self._started:
             self.pool.start()
             self._started = True
         return self
 
-    def stop(self, *, timeout: Optional[float] = 5.0) -> None:
-        """Stop the pool, waiting at most ``timeout`` seconds for its workers."""
+    def stop(self, *, timeout: float = 5.0) -> None:
+        """Stop the pool for good, waiting at most ``timeout`` s for its workers."""
         if self._started:
             self.pool.stop(timeout=timeout)
             self._started = False
@@ -486,19 +486,10 @@ class PlanningService:
             raise WorkerError("service is not started (use `with PlanningService(...)`) ")
         return self.broker.submit(request)
 
-    def request(
-        self, request: PlanRequest, *, timeout: Optional[float] = None
-    ) -> PlanResponse:
-        """Submit and wait — the one-call path most users want.
-
-        ``timeout`` defaults to the request's deadline, falling back to
-        :data:`~repro.service.api.DEFAULT_DEADLINE_S` so a forgotten
-        deadline can never hang a caller forever.
-        """
-        ticket = self.submit(request)
-        if timeout is None:
-            timeout = request.deadline_s if request.deadline_s is not None else DEFAULT_DEADLINE_S
-        return ticket.wait(timeout)
+    def request(self, request: PlanRequest) -> PlanResponse:
+        """Submit and wait until the answer or the request's deadline
+        (:data:`~repro.service.api.DEFAULT_DEADLINE_S` when it names none)."""
+        return self.submit(request).wait()
 
     def fault(self, request: FaultRequest) -> FaultResponse:
         """Register, clear or inspect faults; deletes nothing.

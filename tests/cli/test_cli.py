@@ -295,6 +295,16 @@ class TestInProcess:
         assert "note: no candidate to probe" in out
         assert "[step budget exhausted]" not in out
 
+    def test_a_pareto_run_the_time_limit_cut_says_so(self, tmp_path, capsys):
+        """``--time-limit`` bounds the whole command: at 0 s no probe starts,
+        and the note names the step count where the time ran out."""
+        code = main(["pareto", "Allgather", "-t", "ring:4", "--time-limit", "0",
+                     "--cache-dir", str(tmp_path / "cache")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "note: the time limit ran out at S=2" in out
+        assert "'solver_calls': 0" in out and "[step budget exhausted]" not in out
+
     @pytest.mark.parametrize(
         "argv",
         [

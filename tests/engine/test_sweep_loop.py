@@ -5,7 +5,8 @@ whichever executor answers.
 executor, so the loop's side of the interface is pinned without a solver:
 pruned, cut and cached candidates never reach the executor, results are
 awaited strictly in candidate order and never past the first SAT of a step
-count or after ``stop``, and every awaited probe was in the latest hint.
+count or after ``stop``, and every awaited probe was in the latest hint;
+past the deadline it is asked nothing at all.
 
 ``test_strategies_report_what_the_inline_executor_reports`` is the
 property the refactor rests on: the four strategy names x {cold, warm
@@ -14,6 +15,7 @@ inline executor's frontier and the inline executor's probe accounting.
 """
 
 import json
+import time
 
 import pytest
 
@@ -74,7 +76,7 @@ class TestExecutorContract:
         (3, 4, 2): SAT,
     }
 
-    def _run(self, tmp_path):
+    def _run(self, tmp_path, deadline=None):
         topology = ring(4)
         ledger = BoundsLedger("Allgather", topology)
         ledger.add_infeasible(2, 2, 2)  # cuts (S=2, R=2, C>=2)
@@ -83,7 +85,7 @@ class TestExecutorContract:
         def request(steps, candidates):
             return SweepRequest(
                 collective="Allgather", topology=topology, steps=steps,
-                candidates=tuple(candidates), bounds=ledger,
+                candidates=tuple(candidates), bounds=ledger, deadline=deadline,
             )
 
         requests = [
@@ -100,7 +102,8 @@ class TestExecutorContract:
         executor = RecordingExecutor(self.VERDICTS)
         outcomes = Dispatcher("fake", lambda request: executor).run(
             requests, cache=cache,
-            stop=lambda outcome: outcome.first_sat.instance.steps >= 3,
+            stop=lambda outcome: outcome.first_sat is not None  # a cut one has none
+            and outcome.first_sat.instance.steps >= 3,
         )
         return executor, outcomes
 
@@ -143,6 +146,16 @@ class TestExecutorContract:
         }
         assert second.stats.probes_pruned == 1  # the one before the SAT
         assert second.stats.candidates_probed == 2
+
+    def test_past_the_deadline_the_executor_is_asked_nothing(self, tmp_path):
+        executor, outcomes = self._run(tmp_path, deadline=time.monotonic())
+        assert executor.hints == [] and executor.awaited == []
+        # The loop still answers the cut candidates; the first miss ends the run.
+        (outcome,) = outcomes
+        assert outcome.deadline_cut
+        assert [r.provenance for r in outcome.results] == ["cut", "cut"]
+        assert outcome.stats.solver_calls == outcome.stats.candidates_probed == 0
+        assert executor.closed == 1
 
 
 # ----------------------------------------------------------------------
@@ -199,3 +212,22 @@ def test_strategies_report_what_the_inline_executor_reports(
         assert frontier.engine_stats["cache_hits"] > 0
         if conflict_limit is None:  # UNKNOWN is never cached: those run again
             assert frontier.engine_stats["solver_calls"] == 0
+
+
+# ----------------------------------------------------------------------
+# One deadline per run
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_zero_time_limit_starts_no_probe_but_replays_the_cache(strategy, tmp_path):
+    kwargs = dict(INSTANCE, topology=ring(6), strategy=strategy, max_workers=2)
+    cut = pareto_synthesize(**kwargs, time_limit=0)
+    assert cut.engine_stats["solver_calls"] == 0
+    assert cut.deadline_cut and cut.points == [] and not cut.exhausted_steps
+    assert "time limit" in cut.note
+
+    cache = AlgorithmCache(tmp_path)
+    full = pareto_synthesize(**kwargs, cache=cache)
+    replayed = pareto_synthesize(**kwargs, cache=cache, time_limit=0)
+    assert replayed.engine_stats["solver_calls"] == 0
+    assert not replayed.deadline_cut and replayed.note == ""
+    assert _frontier_bytes(replayed) == _frontier_bytes(full)

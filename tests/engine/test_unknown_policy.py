@@ -9,8 +9,11 @@ standalone formula with the same budget before conceding the lattice
 point, restoring cross-strategy frontier agreement under injected
 resource limits — and from then on the step count is *budget-bound*: its
 remaining probes go straight to the exact formula, so a budget is spent
-twice at most once per step count.
+twice at most once per step count.  A deadline is not a budget: a frame it
+cut short is not retried.
 """
+
+import time
 
 import pytest
 
@@ -239,41 +242,27 @@ class TestStrategyAgreementUnderLimits:
             == serial.engine_stats["solver_calls"] + 1
         )
 
-    def test_time_limit_exhaustion_on_a_frame(self, monkeypatch):
-        """The same under a per-probe ``time_limit`` the first frame
-        exhausts: DGX-1 Allgather refutes (3,2,4) and finds (2,2,3), both on
-        the exact formula, within the limit — serial's frontier, one retry,
-        and no second frame at the budget-bound step count."""
-        from repro.topology import dgx1
-
-        real_result = FamilyExecutor.result
+    def test_a_frame_the_deadline_cut_is_not_retried(self, monkeypatch):
+        """The policy is for conflict budgets: a frame that came back
+        UNKNOWN because the time limit ran out ends the sweep there, with
+        no exact retry, and the frontier says it was cut."""
         asked = []
 
-        def result(self, probe):
+        def past_the_deadline(self, probe):
             asked.append(probe.key)
-            answer = real_result(self, probe)
-            if probe.request.time_limit is not None:
-                answer.status, answer.algorithm = SolveResult.UNKNOWN, None
-            return answer
+            time.sleep(max(0.0, probe.request.deadline - time.monotonic()) + 0.01)
+            return SynthesisResult(instance=probe.instance, status=SolveResult.UNKNOWN)
 
-        monkeypatch.setattr(FamilyExecutor, "result", result)
-        frontiers = {
-            strategy: pareto_synthesize(
-                "Allgather", dgx1(), k=2, max_steps=2, max_chunks=4,
-                time_limit_per_instance=60.0, strategy=strategy,
-            )
-            for strategy in ("serial", "incremental")
-        }
-        serial, incremental = frontiers["serial"], frontiers["incremental"]
-        assert signatures(incremental) == signatures(serial)
-        assert [(*p.signature, p.proved) for p in incremental.points] == [(2, 2, 3, True)]
-        assert asked == [(2, 4, 3)]
-        assert incremental.engine_stats["candidates_probed"] == 2
-        assert incremental.engine_stats["unknown_retries"] == 1
-        assert (
-            incremental.engine_stats["solver_calls"]
-            == serial.engine_stats["solver_calls"] + 1
+        monkeypatch.setattr(FamilyExecutor, "result", past_the_deadline)
+        frontier = pareto_synthesize(
+            "Allgather", ring(4), k=1, max_steps=3, time_limit=1.0,
+            strategy="incremental", bounds="off",
         )
+        assert len(asked) == 1
+        assert frontier.engine_stats["unknown_retries"] == 0
+        assert frontier.engine_stats["solver_calls"] == 1
+        assert frontier.deadline_cut and frontier.points == []
+        assert not frontier.exhausted_steps
 
     def test_incremental_with_dead_family_matches_serial(self, monkeypatch):
         """Extreme injection: every family frame exhausts its budget.  The

@@ -98,7 +98,7 @@ class TestExportHook:
         from repro.interchange import read_msccl_xml, read_plan
 
         export_dir = tmp_path / "algorithms"
-        frontier = pareto_synthesize("Allgather", ring(4), 1, time_limit_per_instance=30.0)
+        frontier = pareto_synthesize("Allgather", ring(4), 1, time_limit=30.0)
         written = export_frontier_algorithms(frontier, export_dir, formats=("both",))
         assert len(written) == 2 * len(frontier.algorithms())
         xml_files = sorted(export_dir.glob("*.xml"))

@@ -38,6 +38,10 @@ class TestRequestValidation:
             PlanRequest(
                 "Allgather", "ring:4", chunks=1, steps=2, rounds=3, deadline_s=0
             ).validate()
+        # A day is the longest deadline a request may name.
+        PlanRequest(
+            "Allgather", "ring:4", chunks=1, steps=2, rounds=3, deadline_s=24 * 3600.0
+        ).validate()
 
     def test_synchrony_is_bounded(self):
         """A routed build enumerates its candidate lattice before any solve
@@ -163,6 +167,8 @@ class TestWireForms:
           "size_bytes": 1024}, "'prune' is gone"),
         ({"deadline_s": float("nan")}, "deadline_s"),
         ({"deadline_s": float("inf")}, "deadline_s"),
+        # A deadline is a request's bound, and no request waits over a day.
+        ({"deadline_s": 24 * 3600.0 + 1}, "deadline_s"),
         ({"deadline_s": True}, "deadline_s"),
         ({"deadline_s": "60"}, "deadline_s"),
         # The schema is closed: every key outside it is named, none ignored.

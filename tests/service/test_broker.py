@@ -8,6 +8,7 @@ shim resolver (and, one level up, by the real resolver's ladder rungs in
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -17,12 +18,13 @@ from repro.service import (
     PlanRequest,
     PlanResponse,
     PlanningService,
+    WorkerError,
     WorkerPool,
 )
 from repro.telemetry import Metrics, set_metrics
 
-REQUEST = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
-OTHER = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=4)
+REQUEST = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3, deadline_s=10.0)
+OTHER = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=4, deadline_s=10.0)
 
 
 @pytest.fixture
@@ -82,7 +84,7 @@ class TestCoalescing:
             def caller(index):
                 barrier.wait()
                 ticket = broker.submit(REQUEST)
-                responses[index] = ticket.wait(10.0)
+                responses[index] = ticket.wait()
 
             threads = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
             for thread in threads:
@@ -111,7 +113,7 @@ class TestCoalescing:
         try:
             first = broker.submit(REQUEST)
             second = broker.submit(OTHER)
-            assert first.wait(10.0).ok and second.wait(10.0).ok
+            assert first.wait().ok and second.wait().ok
         finally:
             pool.stop()
         assert resolver.calls == 2
@@ -123,8 +125,8 @@ class TestCoalescing:
         pool = WorkerPool(broker, resolver, num_workers=1)
         pool.start()
         try:
-            assert broker.submit(REQUEST).wait(10.0).ok
-            assert broker.submit(REQUEST).wait(10.0).ok
+            assert broker.submit(REQUEST).wait().ok
+            assert broker.submit(REQUEST).wait().ok
         finally:
             pool.stop()
         # No in-flight overlap: two submissions, two resolutions.
@@ -138,8 +140,8 @@ class TestDeadlines:
         pool = WorkerPool(broker, CountingResolver(gate=gate), num_workers=1)
         pool.start()
         try:
-            ticket = broker.submit(REQUEST)
-            response = ticket.wait(0.2)
+            ticket = broker.submit(replace(REQUEST, deadline_s=0.2))
+            response = ticket.wait()
             assert response.status == "timeout"
             assert "deadline" in response.error
             assert metrics.total("repro_broker_expired_total") == 1
@@ -170,41 +172,54 @@ class TestDeadlines:
         pool = WorkerPool(broker, CountingResolver(gate=gate), num_workers=1)
         pool.start()
         try:
-            impatient = broker.submit(REQUEST)
+            impatient = broker.submit(replace(REQUEST, deadline_s=0.1))
             patient = broker.submit(REQUEST)
-            assert impatient.wait(0.1).status == "timeout"
+            assert impatient.wait().status == "timeout"
             gate.set()
-            response = patient.wait(10.0)
+            response = patient.wait()
             assert response.ok and response.coalesced
         finally:
             pool.stop()
 
 
+    def test_a_job_has_its_most_patient_tickets_deadline(self):
+        """Coalesced tickets keep their own deadlines; the job they share
+        runs until the latest of them."""
+        broker = Broker(key_fn=PlanRequest.request_key)
+        impatient = broker.submit(replace(REQUEST, deadline_s=0.5))
+        patient = broker.submit(replace(REQUEST, deadline_s=5.0))
+        broker.submit(replace(REQUEST, deadline_s=1.0))
+        job = broker.next_job()
+        assert job.deadline == patient.deadline > impatient.deadline
+        assert 4.0 < job.remaining_s() <= 5.0
+
+
 class TestExpiry:
     def test_expired_wait_before_start_drops_the_job(self, metrics):
         broker = Broker(key_fn=PlanRequest.request_key)  # no workers: the job stays queued
-        ticket = broker.submit(REQUEST)
-        assert ticket.wait(0.05).status == "timeout"
+        ticket = broker.submit(replace(REQUEST, deadline_s=0.05))
+        assert ticket.wait().status == "timeout"
         assert metrics.total("repro_broker_expired_total") == 1
         assert metrics.breakdown("repro_broker_jobs_total", "outcome") == {"dropped": 1}
-        assert broker.next_job(timeout=0) is None  # nothing left to run
+        broker.close()
+        assert broker.next_job() is None  # nothing left to run
 
     def test_one_expired_waiter_keeps_the_job(self, metrics):
         broker = Broker(key_fn=PlanRequest.request_key)
-        first = broker.submit(REQUEST)
+        first = broker.submit(replace(REQUEST, deadline_s=0.05))
         second = broker.submit(REQUEST)
-        assert first.wait(0.05).status == "timeout"
+        assert first.wait().status == "timeout"
         assert metrics.breakdown("repro_broker_jobs_total", "outcome") == {}
         pool = WorkerPool(broker, CountingResolver(), num_workers=1)
         pool.start()
         try:
-            assert second.wait(10.0).ok
+            assert second.wait().ok
         finally:
             pool.stop()
 
     def test_dropped_job_is_recoalescable(self):
         broker = Broker(key_fn=PlanRequest.request_key)
-        broker.submit(REQUEST).wait(0.05)
+        broker.submit(replace(REQUEST, deadline_s=0.05)).wait()
         fresh = broker.submit(REQUEST)
         assert not fresh.coalesced  # the dropped job must not capture it
         assert broker.gauges() == {"pending": 1, "inflight": 1}
@@ -219,11 +234,11 @@ class TestFailuresAndLimits:
         pool = WorkerPool(broker, explode, num_workers=1)
         pool.start()
         try:
-            response = broker.submit(REQUEST).wait(10.0)
+            response = broker.submit(REQUEST).wait()
             assert response.status == "error"
             assert "backend on fire" in response.error
             # The pool survives a resolver crash and serves the next job.
-            ok = broker.submit(OTHER).wait(10.0)
+            ok = broker.submit(OTHER).wait()
             assert ok.status == "error"
         finally:
             pool.stop()
@@ -253,4 +268,16 @@ class TestServiceFacade:
         tickets = [service.submit(r) for r in (REQUEST, OTHER)]
         service.stop()
         for ticket in tickets:
-            assert ticket.wait(5.0).ok
+            assert ticket.wait().ok
+
+    def test_a_stopped_service_does_not_start_again(self):
+        """``stop()`` is final: it closed the broker for good, so a second
+        ``start()`` is refused rather than spinning workers on it, and
+        nothing more is submitted."""
+        service = PlanningService(resolver=CountingResolver(), num_workers=1)
+        service.start()
+        service.stop()
+        with pytest.raises(WorkerError):
+            service.start()
+        with pytest.raises(WorkerError):
+            service.submit(REQUEST)

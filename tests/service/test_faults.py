@@ -26,6 +26,7 @@ from repro.faults import (
 )
 from repro.runtime import execute, lower
 from repro.service import (
+    DEFAULT_DEADLINE_S,
     Broker,
     FaultBoard,
     FaultRequest,
@@ -66,10 +67,10 @@ def registry(tmp_path):
     return _registry(tmp_path)
 
 
-PINNED = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
+PINNED = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3, deadline_s=60.0)
 #: Satisfiable on ring:4 with and without the 0 -> 1 link.
 PINNED_SLACK = PlanRequest("Allgather", "ring:4", chunks=1, steps=3, rounds=4)
-ROUTED = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
+ROUTED = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1, deadline_s=120.0)
 
 LINK_DOWN_01 = LinkDown(0, 1).to_json()
 
@@ -359,12 +360,15 @@ class TestFaultTransitionsKeepWhatTheyCanReuse:
 
 
 class TestBrokerHardening:
-    def test_deadline_less_wait_is_bounded_by_the_server(self, metrics):
-        broker = Broker(key_fn=PlanRequest.request_key, max_wait_s=0.2)
-        ticket = broker.submit(PINNED)  # nobody will ever resolve this job
-        response = ticket.wait()  # no timeout, no request deadline
-        assert response.status == "timeout"
-        assert metrics.total("repro_broker_expired_total") == 1
+    def test_deadline_less_wait_is_bounded_by_the_server(self):
+        """A request with no deadline gets the server's default one, and so
+        does the job behind it: nothing waits or solves unbounded."""
+        broker = Broker(key_fn=PlanRequest.request_key)
+        ticket = broker.submit(PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3))
+        assert ticket.deadline == ticket.submitted_at + DEFAULT_DEADLINE_S
+        job = broker.next_job()
+        assert job.deadline == ticket.deadline
+        assert 0 < job.remaining_s() <= DEFAULT_DEADLINE_S
         broker.close()
 
     def test_resolver_crash_is_counted_and_surfaced(self, registry, metrics):
@@ -378,12 +382,12 @@ class TestBrokerHardening:
             return inner(request, remaining_s)
 
         with PlanningService(registry, num_workers=1, resolver=flaky) as service:
-            crashed = service.request(PINNED, timeout=60.0)
+            crashed = service.request(PINNED)
             assert crashed.status == "error"
             assert "resolver failed" in crashed.error
             assert crashed.error_kind == "RuntimeError"
             # The pool survives the crash and keeps serving.
-            recovered = service.request(PINNED, timeout=60.0)
+            recovered = service.request(PINNED)
             assert recovered.ok
             assert service.stats()["broker"]["resolver_crashes"] == 1
 
@@ -405,7 +409,7 @@ class TestConcurrentFaultAndPlan:
 
             def plan(index):
                 barrier.wait()
-                responses[index] = service.request(ROUTED, timeout=120.0)
+                responses[index] = service.request(ROUTED)
 
             def fault():
                 barrier.wait()
@@ -428,7 +432,7 @@ class TestConcurrentFaultAndPlan:
                     assert (0, 1) not in used_links(plan_obj.algorithm)
 
             # After the dust settles the degraded epoch is authoritative.
-            final = service.request(ROUTED, timeout=120.0)
+            final = service.request(ROUTED)
             assert final.ok
             assert (0, 1) not in used_links(final.plan_object().algorithm)
 

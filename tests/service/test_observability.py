@@ -20,7 +20,7 @@ from repro.service import (
 )
 from repro.telemetry import Metrics, get_metrics, set_metrics
 
-PINNED = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
+PINNED = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3, deadline_s=120.0)
 
 
 @pytest.fixture
@@ -48,7 +48,7 @@ def server_url(service):
 
 class TestMetricsEndpoint:
     def test_prometheus_exposition_after_a_request(self, service, server_url, metrics):
-        assert service.request(PINNED, timeout=120.0).ok
+        assert service.request(PINNED).ok
 
         endpoint = server_url + "/v1/metrics"
         with urllib.request.urlopen(endpoint, timeout=5) as reply:
@@ -90,13 +90,13 @@ class TestMetricsEndpoint:
                 second = service.submit(PINNED)  # joins the job the gate holds
                 after = coalesced(thread.url)
                 gate.set()
-                assert first.wait(10.0).ok and second.wait(10.0).coalesced
+                assert first.wait().ok and second.wait().coalesced
         assert after == (before[0] + 1, before[1] + 1)
 
 
 class TestStatsIsAViewOfTheRegistry:
     def test_engine_counters_and_window(self, service, server_url):
-        assert service.request(PINNED, timeout=120.0).ok
+        assert service.request(PINNED).ok
         stats = fetch_stats(server_url)
 
         engine = stats["engine"]
@@ -114,8 +114,8 @@ class TestStatsIsAViewOfTheRegistry:
     def test_a_fresh_registry_reads_zero(self, service, server_url):
         """Nothing is counted beside the registry: swap it and every count
         of a running service reads 0, while the live state stays."""
-        assert service.request(PINNED, timeout=120.0).ok
-        assert service.request(PINNED, timeout=120.0).ok
+        assert service.request(PINNED).ok
+        assert service.request(PINNED).ok
         fresh = Metrics()
         set_metrics(fresh)  # the fixture puts the previous one back
         stats = fetch_stats(server_url)
@@ -135,20 +135,19 @@ class TestStatsIsAViewOfTheRegistry:
 
 class TestCountersAcrossRestarts:
     def test_counters_survive_stop_start(self, tmp_path, metrics):
+        """A stopped service does not start again; its successor over the
+        same registry reads the same counts, which live in the process
+        metrics registry."""
         registry = PlanRegistry(cache=AlgorithmCache(tmp_path / "algorithms"))
-        service = PlanningService(registry, num_workers=2)
-        service.start()
-        try:
-            assert service.request(PINNED, timeout=120.0).ok
-            before = service.stats()
-            service.stop()
-            service.start()
-            after = service.stats()
+        with PlanningService(registry, num_workers=2) as first:
+            assert first.request(PINNED).ok
+            before = first.stats()
+        with PlanningService(registry, num_workers=2) as second:
+            after = second.stats()
             # A restart is not a counter reset: scrapers would read a
             # rate discontinuity as lost work.
             assert after["broker"]["submitted"] == before["broker"]["submitted"] == 1
             assert after["broker"]["completed"] == before["broker"]["completed"] == 1
             assert after["since"] == before["since"]
             assert after["resolver"]["rungs"] == {"synthesized": 1}
-        finally:
-            service.stop()
+            assert second.request(PINNED).source == "cache"

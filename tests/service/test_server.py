@@ -95,6 +95,17 @@ class TestHTTP:
         assert info.value.code == 400
         assert "deadline_s" in json.loads(info.value.read())["error"]
 
+    def test_a_deadline_over_a_day_is_a_400_naming_the_field(self, server_url):
+        body = json.dumps({**QUICKSTART.to_json(), "deadline_s": 24 * 3600.0 + 1}).encode()
+        http_request = urllib.request.Request(
+            server_url + "/v1/plan", data=body,
+            headers={"Content-Type": "application/json"}, method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(http_request, timeout=5)
+        assert info.value.code == 400
+        assert "deadline_s" in json.loads(info.value.read())["error"]
+
     def test_unknown_fields_are_a_400_naming_each(self, server_url):
         body = json.dumps({**QUICKSTART.to_json(), "backend": "z3", "prun": False}).encode()
         http_request = urllib.request.Request(

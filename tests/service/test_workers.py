@@ -1,10 +1,13 @@
-"""Resolver ladder (cache -> synthesis -> baseline) and the service facade."""
+"""Resolver ladder (cache -> synthesis -> baseline), the one deadline that
+bounds it, and the service facade."""
 
 import threading
+import time
+from dataclasses import replace
 
 import pytest
 
-from repro.engine import AlgorithmCache
+from repro.engine import AlgorithmCache, FamilyExecutor
 from repro.service import (
     PlanRegistry,
     PlanRequest,
@@ -37,7 +40,7 @@ def rungs(metrics) -> dict:
     return metrics.breakdown("repro_resolver_rung_total", "rung")
 
 
-PINNED = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
+PINNED = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3, deadline_s=60.0)
 ROUTED = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
 
 
@@ -175,6 +178,60 @@ class TestResolverLadder:
         assert plan.algorithm.collective == "Allreduce"
 
 
+class TestOneDeadline:
+    def test_a_cold_routed_dgx1_request_answers_before_its_deadline(self, registry):
+        """The deadline bounds the whole sweep, not each probe: a cold routed
+        DGX-1 build under 1.5 s answers ``ok`` in time, and the one worker
+        is free for the pinned request behind it."""
+        with PlanningService(registry, num_workers=1) as service:
+            started = time.monotonic()
+            routed = service.request(
+                PlanRequest("Allgather", "dgx1", size_bytes=1 << 22, deadline_s=1.5)
+            )
+            routed_s = time.monotonic() - started
+            pinned = service.request(replace(PINNED, deadline_s=1.0))
+        assert routed.ok and routed_s < 1.5, (routed.status, routed_s)
+        routed.plan_object()  # re-verifies on DGX-1
+        assert pinned.ok and pinned.source == "synthesized"
+
+    def test_a_cut_table_answers_once_and_the_next_build_resumes(
+        self, registry, monkeypatch
+    ):
+        """A table from a sweep the deadline cut answers its request but is
+        not memoized; the next build replays every probe the cut one
+        decided from the cache and solves only the rest."""
+        real_result = FamilyExecutor.result
+        asked, found = [], []
+
+        def result(self, probe):
+            if found and probe.request.deadline is not None:
+                # Found a point: hold this probe until the deadline passes.
+                time.sleep(max(0.0, probe.request.deadline - time.monotonic()) + 0.01)
+            answer = real_result(self, probe)
+            asked.append((probe.key, answer.status))
+            if answer.is_sat:
+                found.append(probe.key)
+            return answer
+
+        monkeypatch.setattr(FamilyExecutor, "result", result)
+        resolver = SynthesisResolver(registry)
+        request = PlanRequest("Allgather", "ring:6", size_bytes=1 << 20, synchrony=1)
+        cut = resolver(request, 1.0)
+        assert cut.ok and cut.source == "synthesized"
+        assert cut.route["signature"] == [1, 3, 3]
+        assert registry.table_count() == 0
+        decided = {key for key, status in asked if status is not SolveResult.UNKNOWN}
+        assert decided == {(3, 3, 1)}
+
+        asked.clear()
+        full = resolver(request, None)
+        assert full.ok and full.source == "synthesized"
+        assert full.route["signature"] == [2, 4, 5]
+        assert not decided & {key for key, _ in asked}
+        assert registry.table_count() == 1
+        assert resolver(request, None).source == "registry"
+
+
 class TestRoutedBuildCoalescing:
     def test_mixed_size_burst_builds_one_table(self, registry, metrics):
         """Routed requests for different sizes share one routing table:
@@ -189,9 +246,9 @@ class TestRoutedBuildCoalescing:
                 barrier.wait()
                 responses[index] = service.request(
                     PlanRequest(
-                        "Allgather", "ring:4", size_bytes=sizes[index], synchrony=1
-                    ),
-                    timeout=120.0,
+                        "Allgather", "ring:4", size_bytes=sizes[index], synchrony=1,
+                        deadline_s=120.0,
+                    )
                 )
 
             threads = [
@@ -254,7 +311,7 @@ class TestEndToEndCoalescing:
 
             def caller(index):
                 barrier.wait()
-                responses[index] = service.request(PINNED, timeout=60.0)
+                responses[index] = service.request(PINNED)
 
             threads = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
             for thread in threads:

@@ -18,7 +18,7 @@ from repro.service import PlanRegistry, PlanRequest, PlanningService, SynthesisR
 from repro.telemetry import Metrics, set_metrics
 from repro.topology import ring
 
-PINNED = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
+PINNED = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3, deadline_s=120.0)
 
 
 @pytest.fixture
@@ -124,7 +124,7 @@ def test_a_failed_resolution_is_labelled_by_its_status(sandbox, metrics):
 
 def test_service_stats_report_the_service_and_not_the_host(sandbox, metrics):
     with PlanningService(_registry(sandbox), num_workers=1) as service:
-        assert service.request(PINNED, timeout=120.0).ok
+        assert service.request(PINNED).ok
         stats = service.stats()
     assert set(stats) == {
         "since", "broker", "registry", "resolver", "workers", "faults", "engine",

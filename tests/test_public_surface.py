@@ -87,8 +87,6 @@ EXEMPT_PARAMETERS = {
     "main(argv=)": "tests/cli/test_cli.py",
     # The clock of an eviction, so the tests need not sleep.
     "AlgorithmCache.evict(now=)": "tests/engine/test_cache.py",
-    # How long a wait holds an unclaimed job, shortened to see one expire.
-    "Broker(max_wait_s=)": "tests/service/test_faults.py",
     # The fabric a FaultSet is resolved against, for the replanning test.
     "execute_with_faults(topology=)": "tests/service/test_faults.py",
     # The identity pin hashes the XML of every lowering protocol.
