@@ -3,12 +3,15 @@
 The broker sits between N concurrent callers and a small pool of planning
 workers.  Its one invariant is the serving economics of the ROADMAP's
 north star: *identical in-flight requests trigger exactly one unit of
-work*.  ``submit`` hashes the request (content-addressed, see
-:meth:`~repro.service.api.PlanRequest.request_key`); if a job with the same
-key is already queued or running, the caller's ticket joins that job
-instead of enqueueing a second one.  When the job completes, every
-attached ticket receives its own copy of the shared response, annotated
-with the caller-specific wait time and a ``coalesced`` flag.
+work*.  ``submit`` keys the request with the broker's key function — the
+planning service's is ``(request key, fabric name)``
+(:meth:`~repro.service.faults.FaultBoard.job_key`), the key of every
+registry memo; if a job with the same key is already queued or running,
+the caller's ticket joins that job instead of enqueueing a second one.
+When the job completes, every attached ticket receives its own copy of
+the shared response, annotated with the caller-specific wait time and a
+``coalesced`` flag.  Every answer names the request's own
+:meth:`~repro.service.api.PlanRequest.request_key`.
 
 Each ticket gets one deadline at ``submit`` (``deadline_s``, or
 :data:`~repro.service.api.DEFAULT_DEADLINE_S`), and a job its most patient
@@ -30,7 +33,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, Hashable, List, Optional
 
 from ..telemetry import get_metrics
 from .api import DEFAULT_DEADLINE_S, PlanRequest, PlanResponse, ServiceError
@@ -45,7 +48,7 @@ class Job:
 
     __slots__ = ("key", "request", "tickets", "started", "dropped", "deadline")
 
-    def __init__(self, key: str, request: PlanRequest) -> None:
+    def __init__(self, key: Hashable, request: PlanRequest) -> None:
         self.key = key
         self.request = request
         self.tickets: List["Ticket"] = []
@@ -74,7 +77,7 @@ class Ticket:
         self._response: Optional[PlanResponse] = None
 
     @property
-    def key(self) -> str:
+    def key(self) -> Hashable:
         return self._job.key
 
     # ------------------------------------------------------------------
@@ -95,7 +98,7 @@ class Ticket:
         get_metrics().inc("repro_broker_expired_total")
         return PlanResponse(
             status="timeout",
-            request_key=self.key,
+            request_key=self.request.request_key(),
             wait_time_s=time.monotonic() - self.submitted_at,
             coalesced=self.coalesced,
             error=f"deadline expired after {self.deadline - self.submitted_at:.3f}s",
@@ -128,15 +131,13 @@ class Ticket:
 class Broker:
     """Coalescing FIFO of planning jobs (see module docstring)."""
 
-    def __init__(self, *, key_fn: Callable[[PlanRequest], str]) -> None:
-        # The coalescing identity.  The planning service passes a fault-
-        # aware key function so requests issued after a fault registration
-        # never join an in-flight job that targets the healthy fabric.
+    def __init__(self, *, key_fn: Callable[[PlanRequest], Hashable]) -> None:
+        # The coalescing identity (module docstring).
         self._key_fn = key_fn
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
         self._queue: Deque[Job] = deque()
-        self._inflight: Dict[str, Job] = {}
+        self._inflight: Dict[Hashable, Job] = {}
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -197,7 +198,7 @@ class Broker:
             job,
             PlanResponse(
                 status="error",
-                request_key=job.key,
+                request_key=job.request.request_key(),
                 error=f"resolver failed: {exc}",
                 error_kind=type(exc).__name__,
             ),

@@ -12,10 +12,12 @@ Two integration points matter:
   lookup or synthesis, so cache keys, routing keys and verification all
   see the degraded topology — a plan can never silently route over a
   link the operator declared dead.
-* :meth:`FaultBoard.salted_key` is the broker's key function.  Request
-  keys are salted with the active fault fingerprint so a request issued
-  *after* a fault registration never coalesces with an in-flight
-  synthesis that still targets the healthy fabric.
+* :meth:`FaultBoard.job_key` is the broker's key function: the request
+  key and the name of the fabric it resolves to, the identity every
+  registry memo uses.  A degraded fabric is named after its fault set
+  (``ring4!deg-<fingerprint>``), so a request issued *after* a fault
+  registration never coalesces with an in-flight synthesis that still
+  targets the healthy fabric, and ``ring:3`` never with ``fc:3``.
 
 Both read a :class:`Fabric`: what one topology spec resolves to while the
 board's fault state stays as it is, computed once and dropped by every
@@ -38,10 +40,9 @@ explicit spec) share one fault set.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..faults import FaultError, FaultSet
 from ..interchange.plan import topology_fingerprint
@@ -64,7 +65,6 @@ class Fabric:
 
     topology: Topology        # what plans must target: degraded under faults
     degraded: bool
-    salt: str                 # the active fault fingerprint; "" when healthy
     #: Content hashes derived from ``topology`` (the resolver's routing
     #: keys), by the request fields they also depend on.
     keys: Dict[tuple, str] = field(default_factory=dict)
@@ -138,25 +138,21 @@ class FaultBoard:
                 base = request.resolve_topology()
                 fault_set = self._faults.get(topology_fingerprint(base))
                 if fault_set:
-                    fabric = Fabric(fault_set.apply(base), True, fault_set.fingerprint())
+                    fabric = Fabric(fault_set.apply(base), True)
                 else:
-                    fabric = Fabric(base, False, "")
+                    fabric = Fabric(base, False)
                 if len(self._fabrics) >= FABRIC_MEMO_ENTRIES:
                     self._fabrics.clear()
                 self._fabrics[request.topology] = fabric
             return fabric
 
-    def salted_key(self, request: PlanRequest) -> str:
-        """Broker key function: the request key, salted by active faults.
+    def job_key(self, request: PlanRequest) -> Tuple[str, str]:
+        """Broker key function: ``(request key, fabric name)``.
 
-        Healthy topologies get the unsalted key, so coalescing/caching
-        behaviour is byte-identical to a service without a fault board.
+        The name is the fault state's part of the key: a degraded fabric is
+        named after its fault set, and the healthy one after its spec.
         """
-        key = request.request_key()
-        salt = self.fabric(request).salt
-        if not salt:
-            return key
-        return hashlib.sha256(f"{key}:{salt}".encode("utf-8")).hexdigest()
+        return request.request_key(), self.fabric(request).topology.name
 
     def snapshot(self) -> Dict[str, object]:
         """Stats payload: active fault sets by topology."""

@@ -23,6 +23,11 @@ algorithms as :class:`~repro.interchange.plan.AlgorithmPlan` bundles, so a
 routed answer is served without touching the cache; the plans came from
 verified algorithms in this process, and the cache's own read path is the
 one trust boundary.
+
+Both memos, and the table builds in flight, are keyed by ``(content key,
+topology name)``, as the broker's jobs are: the content key is
+structural, and the name tells apart fabrics of one structure (``ring:3``
+and ``fc:3``) and a fabric from its degradations.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.algorithm import Algorithm
 from ..engine.cache import (
@@ -65,6 +70,16 @@ TABLE_MEMO_ENTRIES = 32
 
 class RegistryError(ServiceError):
     """Raised for malformed routing tables or registry misuse."""
+
+
+class _Build:
+    """One table build in flight: set ``done`` once ``table`` is final."""
+
+    __slots__ = ("done", "table")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.table: Optional[RoutingTable] = None
 
 
 # ----------------------------------------------------------------------
@@ -238,12 +253,13 @@ class PlanRegistry:
     memory.  Routing tables (at most :data:`TABLE_MEMO_ENTRIES`) live in
     memory only, keyed by :func:`routing_key` and the topology's name, as
     pinned plans are (a table's plans embed their fabric); a lookup is a
-    dict probe, and a miss is answered by the resolver's build, which on a
-    warm cache replays the frontier with no solver call
-    (:meth:`install_table` puts the result in).  ``*_json`` lookups hand out
-    the wire form the service sends; their plain namesakes decode it into
-    an :class:`AlgorithmPlan`.  A lookup answered from either memo counts
-    as ``repro_registry_memo_hits_total{memo="pinned"|"table"}``.
+    dict probe, and :meth:`table` owns the rest of a table's life: one
+    build per key at a time, whose result every concurrent caller of that
+    key takes.  On a warm cache a build replays the frontier with no solver
+    call.  :meth:`lookup_pinned_json` hands out the wire form the service
+    sends; :meth:`lookup_pinned` and :meth:`route` decode it into an
+    :class:`AlgorithmPlan`.  A lookup answered from either memo counts as
+    ``repro_registry_memo_hits_total{memo="pinned"|"table"}``.
 
     ``routes_dir`` is accepted and ignored: routing tables live only in memory.
     """
@@ -260,6 +276,8 @@ class PlanRegistry:
         # topology name), signed with the entry file's (mtime_ns, size, inode).
         self._tables: Dict[Tuple[str, str], RoutingTable] = {}
         self._pinned: Dict[Tuple[str, str], Tuple[Tuple[int, int, int], dict]] = {}
+        # Table builds in flight, under the memo key they will fill.
+        self._building: Dict[Tuple[str, str], _Build] = {}
 
     # ------------------------------------------------------------------
     # Pinned plans (delegated to the algorithm cache)
@@ -319,15 +337,13 @@ class PlanRegistry:
             get_metrics().inc("repro_registry_memo_hits_total", memo="pinned")
             self.cache.count_hit()
             return held[1]
+        if signature is None:
+            # No entry file, so nothing to read: a cold request's one cache
+            # lookup is the solve's, which also stores what it finds.
+            return None
 
-        algorithm = self.cache.load_algorithm(
-            request.collective,
-            topology,
-            request.chunks,
-            request.steps,
-            request.rounds,
-            root=request.root,
-        )
+        found = self.cache.lookup_decoded(key, topology)
+        algorithm = None if found is None else found[1]
         if algorithm is None:
             return None
         payload = plan_from_algorithm(
@@ -358,80 +374,76 @@ class PlanRegistry:
             synchrony=request.synchrony,
         )
 
-    def table_for(
-        self,
-        request: PlanRequest,
-        *,
-        topology: Optional[Topology] = None,
-        key: Optional[str] = None,
-    ) -> Optional[RoutingTable]:
-        """The memoized table, or None; ``key`` is the request's
-        :meth:`table_key` when already computed."""
-        memo_key = self._table_memo_key(request, topology, key)
-        with self._lock:
-            table = self._tables.pop(memo_key, None)
-            if table is not None:
-                self._tables[memo_key] = table  # back in, as the most recently used
-        if table is not None:
-            get_metrics().inc("repro_registry_memo_hits_total", memo="table")
-        return table
-
     def route(
         self, request: PlanRequest
     ) -> Optional[Tuple[AlgorithmPlan, RouteEntry, RoutingTable]]:
         """Answer a routed request from a memoized table, or None (the plan
         decoded per call)."""
-        routed = self.route_json(request)
-        if routed is None:
+        topology = request.resolve_topology()
+        memo_key = (self.table_key(request, topology=topology), topology.name)
+        with self._lock:
+            table = self._memo_get(memo_key)
+        if table is None:
             return None
-        payload, entry, table = routed
-        return AlgorithmPlan.from_json(payload, verify=False), entry, table
-
-    def route_json(
-        self,
-        request: PlanRequest,
-        *,
-        topology: Optional[Topology] = None,
-        key: Optional[str] = None,
-    ) -> Optional[Tuple[dict, RouteEntry, RoutingTable]]:
-        """:meth:`route` with the plan in the table's own wire form (shared:
-        do not mutate)."""
-        table = self.table_for(request, topology=topology, key=key)
-        entry = None if table is None else table.route(float(request.size_bytes))
+        get_metrics().inc("repro_registry_memo_hits_total", memo="table")
+        entry = table.route(float(request.size_bytes))
         if entry is None:
             return None
-        return table.plan_json(entry), entry, table
+        return AlgorithmPlan.from_json(table.plan_json(entry), verify=False), entry, table
 
-    def install_table(
+    def table(
         self,
-        request: PlanRequest,
-        table: RoutingTable,
+        key: str,
+        topology: Topology,
+        build: Callable[[], Tuple[Optional[RoutingTable], bool]],
         *,
-        topology: Optional[Topology] = None,
-        key: Optional[str] = None,
-    ) -> str:
-        """Memoize a built table as the most recently used; returns its
-        routing key."""
-        memo_key = self._table_memo_key(request, topology, key)
-        with self._lock:
-            self._tables.pop(memo_key, None)
-            if len(self._tables) >= TABLE_MEMO_ENTRIES:
-                del self._tables[next(iter(self._tables))]
-            self._tables[memo_key] = table
-        return memo_key[0]
+        wait_s: Optional[float],
+    ) -> Tuple[Optional[RoutingTable], bool]:
+        """The table under ``(key, topology.name)``, and whether this call
+        built it.
 
-    def _table_memo_key(
-        self, request: PlanRequest, topology: Optional[Topology], key: Optional[str]
-    ) -> Tuple[str, str]:
-        """``(routing key, topology name)``: the routing key is structural,
-        so fabrics of equal structure and costs share it (``ring:3`` and
-        ``fc:3``), but the table's plans embed the fabric they were built
-        for."""
-        if topology is None:
-            topology = request.resolve_topology()
-        if key is None:
-            key = self.table_key(request, topology=topology)
-        return key, topology.name
+        A memoized table answers at once.  When a build of the same table
+        is in flight, this call waits for it (at most ``wait_s`` seconds;
+        None waits for good) and takes what it made, a table from a cut
+        sweep included, or None if it made none or raised.  Otherwise this
+        call runs ``build() -> (table or None, keep)``, hands the result to
+        every waiter and memoizes it, as the most recently used, when
+        ``keep`` is true.  The in-flight entry leaves with the build,
+        whether the build returned or raised.
+        """
+        memo_key = (key, topology.name)
+        with self._lock:
+            table = self._memo_get(memo_key)
+            pending = None if table is not None else self._building.get(memo_key)
+            built_here = table is None and pending is None
+            if built_here:
+                pending = self._building[memo_key] = _Build()
+        if table is not None:
+            get_metrics().inc("repro_registry_memo_hits_total", memo="table")
+            return table, False
+        if not built_here:
+            pending.done.wait(wait_s)
+            return pending.table, False
+        keep = False
+        try:
+            table, keep = build()
+        finally:
+            with self._lock:
+                del self._building[memo_key]
+                if table is not None and keep:
+                    if len(self._tables) >= TABLE_MEMO_ENTRIES:
+                        del self._tables[next(iter(self._tables))]
+                    self._tables[memo_key] = table
+                pending.table = table
+            pending.done.set()
+        return table, True
+
+    def _memo_get(self, memo_key: Tuple[str, str]) -> Optional[RoutingTable]:
+        """Under the lock: the memoized table, back in as the most recently used."""
+        table = self._tables.pop(memo_key, None)
+        if table is not None:
+            self._tables[memo_key] = table
+        return table
 
     def table_count(self) -> int:
         """Routing tables held in memory."""

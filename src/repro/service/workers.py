@@ -24,10 +24,15 @@ them through :class:`SynthesisResolver`, whose fallback ladder is fixed:
    labelled ``source="baseline"``.  Serving a correct-but-suboptimal
    schedule beats serving an error.
 
-The job's deadline, less :data:`ANSWER_RESERVE_S`, bounds every wait and
-solve on this path once.  A table from a sweep it cut answers its request
-but is not memoized: its decided probes are cached, so the next build
-resumes the lattice where this one stopped.
+The job's deadline, less :data:`ANSWER_RESERVE_S`, bounds every solve on
+this path once.  Routed requests that differ only in size share one
+table, and :meth:`~repro.service.registry.PlanRegistry.table` runs one
+build of it at a time: the request that ran it answers ``synthesized``,
+and every request that waited for it (until its own deadline less half
+the reserve) answers ``registry`` from the same table.  A table from a
+sweep the deadline cut answers those requests but is not memoized: its
+decided probes are cached, so the next build resumes the lattice where
+this one stopped.
 
 :class:`PlanningService` bundles broker + pool + registry into the
 one-object facade the HTTP server, the CLI, the quickstart example and the
@@ -133,13 +138,6 @@ class SynthesisResolver:
         # answer can schedule traffic over a link declared dead.  Without
         # a board the fabric is always healthy: an empty board says that.
         self.fault_board = fault_board if fault_board is not None else FaultBoard()
-        self._lock = threading.Lock()
-        # The broker coalesces on the full request key, which for routed
-        # requests includes the size — but routed requests for *different*
-        # sizes share one routing table, the expensive artifact.  These
-        # per-table locks serialize concurrent builds of the same table so
-        # a cold mixed-size burst runs one frontier sweep, not N.
-        self._table_locks: Dict[str, threading.Lock] = {}
 
     # ------------------------------------------------------------------
     def __call__(
@@ -259,93 +257,57 @@ class SynthesisResolver:
             lambda: self.registry.table_key(request, topology=topology),
         )
 
-        def routed_answer() -> Optional[PlanResponse]:
-            routed = self.registry.route_json(request, topology=topology, key=table_key)
-            if routed is None:
-                return None
-            plan, entry, table = routed
-            self._rung("registry")
-            return PlanResponse(
-                status="ok",
-                request_key=key,
-                plan=plan,
-                source="registry",
-                solve_time_s=time.monotonic() - started,
-                route=_route_payload(entry, table),
+        def build():
+            # Synthesize (or replay) the frontier and score it with the
+            # simulator.  A cut sweep's table answers the requests that
+            # asked for it but is not kept (module docstring).
+            from ..core import pareto_synthesize
+
+            frontier = pareto_synthesize(
+                request.collective, topology, k=request.synchrony,
+                root=request.root, time_limit=seconds_left(deadline),
+                cache=self.registry.cache,
             )
+            algorithms = frontier.algorithms()
+            if not algorithms:
+                return None, False
+            return build_routing_table(
+                request.collective, topology, algorithms,
+                root=request.root, synchrony=request.synchrony,
+            ), not frontier.deadline_cut
 
-        response = routed_answer()
-        if response is not None:
-            return response
-
-        # Miss: synthesize (or replay) the frontier, score it with the
-        # simulator, memoize the table, then route.  Builds of the same
-        # table (routed requests differing only in size) serialize on a
-        # per-table lock, waited for until the deadline; whoever waited
-        # re-checks the registry first.
-        from ..core import pareto_synthesize
-
-        lock = self._build_lock(table_key)
-        if not lock.acquire(timeout=-1 if deadline is None else seconds_left(deadline)):
+        # Routed requests that differ only in size share this table: one
+        # of them builds it, and the others wait for that build until
+        # their own deadline less half the answer reserve.
+        try:
+            table, built_here = self.registry.table(
+                table_key, topology, build,
+                wait_s=None if deadline is None
+                else seconds_left(deadline + ANSWER_RESERVE_S / 2),
+            )
+        except Exception as exc:
+            self._rung("error")
+            return PlanResponse(
+                status="error", request_key=key, error=str(exc),
+                solve_time_s=time.monotonic() - started,
+            )
+        entry = None if table is None else table.route(float(request.size_bytes))
+        if entry is None:
             self._rung("baseline")
             return _baseline_response(
-                request, key, reason="another build of the table outlasted the deadline",
+                request, key, reason="no routing table before the deadline",
                 started=started, topology=topology,
             )
-        try:
-            response = routed_answer()
-            if response is not None:
-                return response
-            try:
-                frontier = pareto_synthesize(
-                    request.collective, topology, k=request.synchrony,
-                    root=request.root, time_limit=seconds_left(deadline),
-                    cache=self.registry.cache,
-                )
-                algorithms = frontier.algorithms()
-                table = build_routing_table(
-                    request.collective, topology, algorithms,
-                    root=request.root, synchrony=request.synchrony,
-                ) if algorithms else None
-            except Exception as exc:
-                self._rung("error")
-                return PlanResponse(
-                    status="error", request_key=key, error=str(exc),
-                    solve_time_s=time.monotonic() - started,
-                )
-            if table is None:
-                self._rung("baseline")
-                return _baseline_response(
-                    request, key,
-                    reason="frontier synthesis found no algorithm before the deadline",
-                    started=started,
-                    topology=topology,
-                )
-            # A cut sweep's table answers this request only (module docstring).
-            if not frontier.deadline_cut:
-                self.registry.install_table(request, table, topology=topology, key=table_key)
-        finally:
-            lock.release()
-        entry = table.route(float(request.size_bytes))
-        if entry is None:  # pragma: no cover - tables tile [0, inf)
-            self._rung("baseline")
-            return _baseline_response(
-                request, key, reason="no routing entry", started=started,
-                topology=topology,
-            )
-        self._rung("synthesized")
+        source = "synthesized" if built_here else "registry"
+        self._rung(source)
         return PlanResponse(
             status="ok",
             request_key=key,
             plan=table.plan_json(entry),
-            source="synthesized",
+            source=source,
             solve_time_s=time.monotonic() - started,
             route=_route_payload(entry, table),
         )
-
-    def _build_lock(self, table_key: str) -> threading.Lock:
-        with self._lock:
-            return self._table_locks.setdefault(table_key, threading.Lock())
 
 
 def _route_payload(entry, table) -> Dict[str, object]:
@@ -453,10 +415,10 @@ class PlanningService:
             if resolver is not None
             else SynthesisResolver(self.registry, fault_board=self.fault_board)
         )
-        # Coalescing keys are salted with the active fault fingerprint so a
-        # request submitted after a fault registration never joins an
-        # in-flight job still planning against the healthy fabric.
-        self.broker = Broker(key_fn=self.fault_board.salted_key)
+        # A job is keyed by (request key, fabric name), as the registry's
+        # memos are: a request never joins a job planning for another
+        # fabric of its structure, or for the fabric before a fault.
+        self.broker = Broker(key_fn=self.fault_board.job_key)
         self.pool = WorkerPool(self.broker, self.resolver, num_workers=num_workers)
         self._started = False
 

@@ -1,10 +1,10 @@
 """Degraded-mode planning: fault board, content addressing, replanning.
 
 Covers the fault-tolerance ladder end to end — FaultRequest validation,
-the board's salted coalescing keys, fault transitions that delete nothing
-(every key hashes the fabric, so no healthy artifact reaches a degraded
-request and ``clear`` serves the healthy plans warm; a cost-only fault
-re-scores the table without a solve), resolver replanning
+the board's job keys (request key and fabric name), fault transitions that
+delete nothing (every key hashes the fabric, so no healthy artifact reaches
+a degraded request and ``clear`` serves the healthy plans warm; a cost-only
+fault re-scores the table without a solve), resolver replanning
 against the degraded fabric, the hardened broker (bounded waits, resolver
 crash accounting), and the DGX-1 acceptance scenario over real HTTP.
 """
@@ -45,7 +45,7 @@ from repro.service import (
 )
 from repro.telemetry import Metrics, get_metrics, set_metrics
 from repro.topology import dgx1, ring
-from test_warm_path import comparable
+from test_warm_path import comparable, held_table
 
 
 def _registry(root) -> PlanRegistry:
@@ -121,10 +121,10 @@ class TestFaultBoard:
         topology = ring(4)
         assert not board.get(topology)
         fabric = board.fabric(PINNED)
-        assert not fabric.degraded and fabric.salt == ""
+        assert not fabric.degraded
         assert fabric.topology.to_dict() == topology.to_dict()
-        # Healthy fabric: the broker key is byte-identical to the unsalted one.
-        assert board.salted_key(PINNED) == PINNED.request_key()
+        # Healthy fabric: the job key is the request key and the spec's name.
+        assert board.job_key(PINNED) == (PINNED.request_key(), "ring4")
 
     def test_register_merges_and_clear_drops(self):
         board = FaultBoard()
@@ -145,17 +145,20 @@ class TestFaultBoard:
             board.register(topology, FaultSet.of(LinkDown(0, 2)))  # no chord in a ring
         assert len(board.get(topology)) == 1
 
-    def test_salted_key_changes_with_fault_state(self):
+    def test_job_key_changes_with_fault_state(self):
+        """The fabric name carries the fault state; the request key, which
+        every answer carries, does not change."""
         board = FaultBoard()
         topology = ring(4)
-        healthy_key = board.salted_key(PINNED)
+        healthy_key = board.job_key(PINNED)
         board.register(topology, FaultSet.of(LinkDown(0, 1)))
-        faulted_key = board.salted_key(PINNED)
+        faulted_key = board.job_key(PINNED)
         assert faulted_key != healthy_key
+        assert faulted_key == (PINNED.request_key(), board.fabric(PINNED).topology.name)
         board.register(topology, FaultSet.of(LinkDown(1, 2)))
-        assert board.salted_key(PINNED) != faulted_key  # new fault, new epoch
+        assert board.job_key(PINNED) != faulted_key  # new fault, new epoch
         board.clear(topology)
-        assert board.salted_key(PINNED) == healthy_key
+        assert board.job_key(PINNED) == healthy_key
 
     def test_degraded_view_drops_the_dead_link(self):
         board = FaultBoard()
@@ -322,7 +325,7 @@ class TestFaultTransitionsKeepWhatTheyCanReuse:
         with PlanningService(registry, num_workers=1) as service:
             healthy = service.request(ROUTED)
             assert healthy.source == "synthesized"
-            healthy_table = registry.table_for(ROUTED)
+            healthy_table = held_table(registry, ROUTED)
             files = sorted(tmp_path.rglob("*"))
             calls = get_metrics().total("repro_solver_calls_total")
 
@@ -331,7 +334,7 @@ class TestFaultTransitionsKeepWhatTheyCanReuse:
             assert degraded.source == "synthesized"
             fabric = service.fault_board.fabric(ROUTED).topology
             assert degraded.plan["algorithm"]["topology"] == fabric.to_dict()
-            table = registry.table_for(ROUTED, topology=fabric)
+            table = held_table(registry, ROUTED, fabric)
             assert table is not healthy_table
             # The same plans, scored under the slower link.
             assert table.plans.keys() == healthy_table.plans.keys()

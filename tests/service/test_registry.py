@@ -84,6 +84,18 @@ class TestBuildRoutingTable:
             build_routing_table("Allgather", ring(4), [])
 
 
+def install(registry, request, table):
+    """Memoize ``table`` for ``request`` through a build that keeps it."""
+    assert registry.table(
+        registry.table_key(request), request.resolve_topology(),
+        lambda: (table, True), wait_s=None,
+    ) == (table, True)
+
+
+def unreachable():
+    raise AssertionError("built a table the registry holds")
+
+
 class TestTableMemo:
     def test_route_miss_then_hit(self, registry, frontier, metrics):
         request = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
@@ -91,7 +103,7 @@ class TestTableMemo:
         table = build_routing_table(
             "Allgather", ring(4), frontier.algorithms(), synchrony=1
         )
-        registry.install_table(request, table)
+        install(registry, request, table)
         routed = registry.route(request)
         assert routed is not None
         plan, entry, loaded = routed
@@ -99,23 +111,25 @@ class TestTableMemo:
         plan.algorithm.verify()
         assert metrics.breakdown("repro_registry_memo_hits_total", "memo") == {"table": 1}
 
-    def test_install_is_a_memo_insert_that_writes_nothing(
+    def test_a_kept_build_is_a_memo_insert_that_writes_nothing(
         self, registry, frontier, tmp_path
     ):
         request = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
         table = build_routing_table(
             "Allgather", ring(4), frontier.algorithms(), synchrony=1
         )
-        key = registry.install_table(request, table)
-        assert key == registry.table_key(request)
-        assert registry.table_for(request) is table  # the object itself
+        install(registry, request, table)
+        held, built_here = registry.table(
+            registry.table_key(request), ring(4), unreachable, wait_s=None
+        )
+        assert held is table and not built_here  # the object itself
         assert registry.table_count() == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_a_fresh_registry_has_no_tables(self, registry, frontier):
         request = PlanRequest("Allgather", "ring:4", size_bytes=1 << 20, synchrony=1)
-        registry.install_table(
-            request,
+        install(
+            registry, request,
             build_routing_table("Allgather", ring(4), frontier.algorithms(), synchrony=1),
         )
         fresh = PlanRegistry(cache=registry.cache)
@@ -133,9 +147,9 @@ class TestTableMemo:
         ]
         # Distinct keys: a routing key hashes the root whatever the collective.
         for request in requests[:-1]:
-            registry.install_table(request, table)
+            install(registry, request, table)
         assert registry.route(requests[0]) is not None  # now the most recent
-        registry.install_table(requests[-1], table)
+        install(registry, requests[-1], table)
         assert registry.table_count() == TABLE_MEMO_ENTRIES
         assert registry.route(requests[1]) is None
         assert all(registry.route(r) is not None for r in [requests[0], *requests[2:]])

@@ -36,7 +36,7 @@ from repro.service import (
 )
 from repro.service.faults import FABRIC_MEMO_ENTRIES
 from repro.service.registry import PINNED_MEMO_ENTRIES, TABLE_MEMO_ENTRIES
-from repro.telemetry import get_metrics
+from repro.telemetry import Metrics, get_metrics, set_metrics
 from repro.topology import ring
 
 PINNED = PlanRequest("Allgather", "ring:4", chunks=1, steps=2, rounds=3)
@@ -58,6 +58,18 @@ def _solver_calls() -> float:
 
 def _memo_hits() -> float:
     return get_metrics().value("repro_registry_memo_hits_total", memo="pinned")
+
+
+def held_table(registry, request, topology=None):
+    """The table the registry holds for ``request`` on ``topology`` (the
+    request's own fabric by default), or None; builds nothing."""
+    if topology is None:
+        topology = request.resolve_topology()
+    table, _ = registry.table(
+        registry.table_key(request, topology=topology), topology,
+        lambda: (None, False), wait_s=0,
+    )
+    return table
 
 
 def comparable(response) -> tuple:
@@ -236,6 +248,23 @@ def test_a_warm_repeat_costs_one_stat(tmp_path, monkeypatch, request_, stats):
         }
 
 
+def test_a_cold_pinned_request_reads_the_cache_once(tmp_path):
+    """A pinned request with no entry file is looked up once, by the solve,
+    which stores what it found; the next request reads that entry."""
+    fresh = Metrics()
+    previous = set_metrics(fresh)
+    try:
+        with PlanningService(_registry(tmp_path), num_workers=1) as service:
+            assert service.request(PINNED).source == "synthesized"
+            cache = service.stats()["engine"]["cache"]
+            assert (cache["hits"], cache["misses"], cache["entries"]) == (0, 1, 1)
+            assert service.request(PINNED).source == "cache"
+            cache = service.stats()["engine"]["cache"]
+            assert (cache["hits"], cache["misses"]) == (1, 1)
+    finally:
+        set_metrics(previous)
+
+
 def test_memos_are_bounded(tmp_path):
     registry = _registry(tmp_path)
     with PlanningService(registry, num_workers=1) as service:
@@ -277,18 +306,18 @@ def test_an_evicted_table_comes_back_without_a_solver_call(tmp_path):
     ]
     first = resolver(tables[0])
     assert first.source == "synthesized"
-    entries = registry.table_for(tables[0]).entries
+    entries = held_table(registry, tables[0]).entries
     for request in tables[1:]:
         assert resolver(request).ok
     assert registry.table_count() == TABLE_MEMO_ENTRIES
-    assert registry.table_for(tables[0]) is None
-    assert registry.table_for(tables[1]) is not None
+    assert held_table(registry, tables[0]) is None
+    assert held_table(registry, tables[1]) is not None
 
     calls = _solver_calls()
     again = resolver(tables[0])
     assert again.source == "synthesized" and _solver_calls() == calls
     assert comparable(again) == comparable(first)
-    assert registry.table_for(tables[0]).entries == entries
+    assert held_table(registry, tables[0]).entries == entries
     assert resolver(tables[0]).source == "registry"
 
 
@@ -330,7 +359,7 @@ def test_a_restart_rebuilds_every_table_from_the_cache(tmp_path):
     requests = [PlanRequest(c, t, size_bytes=1 << 20) for c, t in MIX_TABLES]
     with PlanningService(_registry(tmp_path), num_workers=1) as before:
         assert all(before.request(r).source == "synthesized" for r in requests)
-        tables = [before.registry.table_for(r) for r in requests]
+        tables = [held_table(before.registry, r) for r in requests]
     files = sorted(tmp_path.rglob("*"))
     assert all(cache_dir in path.parents or path == cache_dir for path in files)
 
@@ -339,7 +368,7 @@ def test_a_restart_rebuilds_every_table_from_the_cache(tmp_path):
         for request, table in zip(requests, tables):
             answer = after.request(request)
             assert answer.source == "synthesized", request.describe()
-            rebuilt = after.registry.table_for(request)
+            rebuilt = held_table(after.registry, request)
             assert rebuilt.entries == table.entries, request.describe()
             assert rebuilt.plans.keys() == table.plans.keys()
             assert answer.route["plan"] == table.route(1 << 20).plan_name

@@ -164,7 +164,8 @@ class TestResolverLadder:
         response = SynthesisResolver(registry)(request, None)
         assert response.ok and response.source == "synthesized"
         assert response.route["signature"] == [2, 3, 5]
-        assert sorted(registry.table_for(request).plans) == ["allgather_ring6_c2_s3_r5"]
+        _, _, table = registry.route(request)
+        assert sorted(table.plans) == ["allgather_ring6_c2_s3_r5"]
 
     def test_routed_combining_collective_works(self, registry):
         # Routed mode goes through pareto_synthesize, which handles the
