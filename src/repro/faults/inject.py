@@ -84,14 +84,14 @@ def scan_program(
 
     ``faults`` is either a :class:`FaultSet` (resolved against
     ``topology``) or an explicit set of dead links.  The SENDs are read off
-    the program's step index (shared with the executor and the simulator),
-    so a scan walks no instructions of its own; a SEND at a negative step,
-    which :meth:`Program.validate` rejects, is not in it.
+    the program's per-step view (:attr:`Program.steps`, derived once and
+    shared with the executor and the simulator), so a scan walks no
+    instructions of its own.
     """
     dead = _dead_links(faults, topology)
     violations = [
         FaultViolation(step=step, src=rank, dst=instr.peer, chunk=instr.chunk)
-        for step, sends in enumerate(program.step_index().sends)
+        for step, (sends, _) in enumerate(program.steps)
         for rank, instr in sends
         if (rank, instr.peer) in dead
     ]

@@ -103,30 +103,33 @@ def to_msccl_xml(algorithm: Algorithm, *, protocol: str = "single_kernel_push") 
     )
 
     precondition = algorithm.precondition
-    for gpu in range(num_gpus):
-        peers = program.rank(gpu).transfers_by_peer()
+    send_op, reduce_op, barrier_op = OpCode.SEND, OpCode.RECV_REDUCE, OpCode.BARRIER
+    for gpu, instructions in enumerate(program.ranks):
+        # One threadblock per communicating peer, as the MSCCL runtime binds a
+        # threadblock to a (send-peer, recv-peer) connection pair.  Per peer:
+        # (step, order-within-step: sends first, chunk, type, who held the chunk)
+        peers: Dict[int, List[tuple]] = {}
+        for op, chunk, peer, step in instructions:
+            if op is send_op:
+                peers.setdefault(peer, []).append((step, 0, chunk, _SEND_TYPE, gpu))
+            elif op is not barrier_op:
+                peers.setdefault(peer, []).append(
+                    (step, 1, chunk, "rrc" if op is reduce_op else "r", peer)
+                )
         tb_lines: List[str] = []
         for tb_id, peer in enumerate(sorted(peers)):
-            sends = peers[peer]["send"]
-            recvs = peers[peer]["recv"]
+            ops = sorted(peers[peer])
+            kinds = {entry[1] for entry in ops}
             tb_lines.append(
-                f'    <tb id="{tb_id}" send="{peer if sends else -1}" '
-                f'recv="{peer if recvs else -1}" chan="0">'
+                f'    <tb id="{tb_id}" send="{peer if 0 in kinds else -1}" '
+                f'recv="{peer if 1 in kinds else -1}" chan="0">'
             )
-            # (step, order-within-step: sends first, chunk, type, who held the chunk)
-            ops = [(instr.step, 0, instr.chunk, _SEND_TYPE, gpu) for instr in sends]
-            ops.extend(
-                (instr.step, 1, instr.chunk,
-                 "rrc" if instr.op is OpCode.RECV_REDUCE else "r", peer)
-                for instr in recvs
-            )
-            ops.sort()
             tb_lines.extend(
-                f'      <step s="{step_index}" type="{op_type}" '
+                f'      <step s="{step}" type="{op_type}" '
                 f'srcbuf="{"i" if (chunk, holder) in precondition else "o"}" '
                 f'srcoff="{chunk}" dstbuf="o" dstoff="{chunk}" cnt="1" depid="-1" '
                 f'deps="-1" hasdep="0" />'
-                for step_index, _, chunk, op_type, holder in ops
+                for step, _, chunk, op_type, holder in ops
             )
             tb_lines.append("    </tb>")
         lines += _element("  ", "gpu", f' id="{gpu}"', tb_lines)
@@ -237,17 +240,17 @@ def from_msccl_xml(text: str, *, topology: Optional[Topology] = None) -> Algorit
     for key, send_count in sends.items():
         recv_op = recvs.pop(key, None)
         if recv_op is None or send_count != 1:
-            step_index, chunk, src, dst = key
+            step, chunk, src, dst = key
             raise InterchangeError(
-                f"step {step_index}: send of chunk {chunk} on {src}->{dst} has "
+                f"step {step}: send of chunk {chunk} on {src}->{dst} has "
                 f"{'no' if recv_op is None else 'duplicate'} matching receive"
             )
-        step_index, chunk, src, dst = key
-        step_sends[step_index].append(Send(chunk=chunk, src=src, dst=dst, op=recv_op))
+        step, chunk, src, dst = key
+        step_sends[step].append(Send(chunk=chunk, src=src, dst=dst, op=recv_op))
     if recvs:
-        (step_index, chunk, src, dst) = next(iter(recvs))
+        (step, chunk, src, dst) = next(iter(recvs))
         raise InterchangeError(
-            f"step {step_index}: receive of chunk {chunk} on {src}->{dst} has no "
+            f"step {step}: receive of chunk {chunk} on {src}->{dst} has no "
             f"matching send"
         )
 
@@ -376,10 +379,10 @@ def _collect_operations(
             for step_el in tb_el.findall("step"):
                 attrib = step_el.attrib
                 try:
-                    step_index = int(attrib["s"])
+                    step = int(attrib["s"])
                     chunk = int(attrib["srcoff"])
                 except (KeyError, ValueError):  # _int_attr raises the error text
-                    step_index = _int_attr(step_el, "s")
+                    step = _int_attr(step_el, "s")
                     chunk = _int_attr(step_el, "srcoff")
                 op_type = attrib.get("type", "")
                 # One chunk, same slot on both sides, is all a Send can say;
@@ -387,20 +390,20 @@ def _collect_operations(
                 # (The text is compared first: the usual spelling needs no parse.)
                 if attrib.get("cnt", "1") != "1" and _int_attr(step_el, "cnt") != 1:
                     raise InterchangeError(
-                        f"gpu {gpu}: step {step_index} has cnt="
+                        f"gpu {gpu}: step {step} has cnt="
                         f"{attrib.get('cnt')!r}; only single-chunk steps are supported"
                     )
                 dstoff = attrib.get("dstoff")
                 if (dstoff is not None and dstoff != attrib["srcoff"]
                         and _int_attr(step_el, "dstoff") != chunk):
                     raise InterchangeError(
-                        f"gpu {gpu}: step {step_index} has dstoff={dstoff!r} but "
+                        f"gpu {gpu}: step {step} has dstoff={dstoff!r} but "
                         f"srcoff={chunk}; a transfer between different offsets is "
                         f"not supported"
                     )
-                if not 0 <= step_index < num_steps:
+                if not 0 <= step < num_steps:
                     raise InterchangeError(
-                        f"gpu {gpu}: step index {step_index} out of range"
+                        f"gpu {gpu}: step index {step} out of range"
                     )
                 if not 0 <= chunk < num_chunks:
                     raise InterchangeError(
@@ -411,18 +414,18 @@ def _collect_operations(
                         raise InterchangeError(
                             f"gpu {gpu}: send step in a threadblock with no send peer"
                         )
-                    key = (step_index, chunk, gpu, send_peer)
+                    key = (step, chunk, gpu, send_peer)
                     sends[key] = sends.get(key, 0) + 1
                 elif op_type in _RECV_TYPES:
                     if not 0 <= recv_peer < num_gpus:
                         raise InterchangeError(
                             f"gpu {gpu}: recv step in a threadblock with no recv peer"
                         )
-                    key = (step_index, chunk, recv_peer, gpu)
+                    key = (step, chunk, recv_peer, gpu)
                     if key in recvs:
                         raise InterchangeError(
                             f"gpu {gpu}: duplicate receive of chunk {chunk} at step "
-                            f"{step_index}"
+                            f"{step}"
                         )
                     recvs[key] = _RECV_TYPES[op_type]
                 else:

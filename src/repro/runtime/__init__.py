@@ -3,7 +3,7 @@
 from .codegen import CodegenError, generate_cuda_like_source
 from .executor import ExecutionError, ExecutionResult, Executor, execute
 from .lowering import PROTOCOLS, LoweringError, lower
-from .program import Instruction, OpCode, Program, ProgramError, RankProgram
+from .program import Instruction, OpCode, Program
 from .simulator import (
     DEFAULT_PROTOCOLS,
     ProtocolModel,
@@ -11,7 +11,6 @@ from .simulator import (
     SimulationResult,
     Simulator,
     StepTiming,
-    simulate,
 )
 
 __all__ = [
@@ -25,9 +24,7 @@ __all__ = [
     "OpCode",
     "PROTOCOLS",
     "Program",
-    "ProgramError",
     "ProtocolModel",
-    "RankProgram",
     "SimulationError",
     "SimulationResult",
     "Simulator",
@@ -35,5 +32,4 @@ __all__ = [
     "execute",
     "generate_cuda_like_source",
     "lower",
-    "simulate",
 ]

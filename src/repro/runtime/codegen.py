@@ -116,9 +116,9 @@ def generate_cuda_like_source(program: Program) -> str:
     append = parts.append
     num_chunks = program.num_chunks
     send = _MEMCPY_SEND if program.protocol == "multi_kernel_memcpy" else _PUSH_SEND
-    for rank_program in program.ranks:
-        append(f"    case {rank_program.rank}: {{\n")
-        for (op, chunk, peer, step) in rank_program.instructions:
+    for rank, instructions in enumerate(program.ranks):
+        append(f"    case {rank}: {{\n")
+        for (op, chunk, peer, step) in instructions:
             if op is OpCode.SEND:
                 append(send % (peer, chunk, chunk, step, peer, step * num_chunks + chunk))
             elif op is OpCode.RECV:

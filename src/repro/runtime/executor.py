@@ -6,6 +6,8 @@ buffers, RECV_REDUCE folds them with ``+``.  After execution the buffers
 are checked against the collective's mathematical definition, which gives
 an end-to-end test of synthesis + lowering that does not depend on the
 algorithm verifier (the two are implemented independently on purpose).
+It reads the program's per-step view (``Program.steps``), which the
+simulator and the fault scan share.
 
 Buffers are lists of Python floats, one row per rank and one slot per
 chunk (NaN where a chunk is absent); the result returns those rows as they
@@ -75,9 +77,9 @@ class Executor:
     # ------------------------------------------------------------------
     def run(self) -> ExecutionResult:
         buffers = self.initial_buffers()
-        index = self.program.step_index()
+        steps = self.program.steps
         transfers = reduced = 0
-        for step, sends in enumerate(index.sends):
+        for step, (sends, reduce_keys) in enumerate(steps):
             # Synchronous step semantics: all sends read the buffer state at
             # the start of the step (matching V_s -> V_{s+1} in the paper).
             # Every read below happens before the step's first write, so the
@@ -93,7 +95,6 @@ class Executor:
                 arrivals.append((peer, chunk, value))
             # Match arrivals against the receive instructions to honour the
             # reduce/copy distinction recorded at lowering time.
-            reduce_keys = index.reduce_keys[step]
             for (dst, chunk, value) in arrivals:
                 row = buffers[dst]
                 if (dst, chunk) in reduce_keys:
@@ -103,7 +104,7 @@ class Executor:
                 else:
                     row[chunk] = value
             transfers += len(arrivals)
-        return ExecutionResult(buffers, transfers, reduced, steps_executed=len(index.sends))
+        return ExecutionResult(buffers, transfers, reduced, steps_executed=len(steps))
 
     # ------------------------------------------------------------------
     # Result checking

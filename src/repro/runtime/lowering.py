@@ -46,46 +46,41 @@ def lower(
     The algorithm is verified first (:meth:`Algorithm.verify` checks a
     content in full once, so lowering one unchanged algorithm under several
     protocols pays for one check); lowering an invalid schedule is always a
-    bug upstream.
+    bug upstream.  So every instruction is in range by construction: a
+    verified send names a chunk in range and two ranks of the topology.
     """
     if protocol not in PROTOCOLS:
         raise LoweringError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     algorithm.verify()
 
-    program = Program(
-        name=f"{algorithm.name}_{protocol}",
-        collective=algorithm.collective,
-        num_ranks=algorithm.topology.num_nodes,
-        num_chunks=algorithm.num_chunks,
-        chunks_per_node=algorithm.chunks_per_node,
-        protocol=protocol,
-        metadata={
-            "algorithm": algorithm.name,
-            "signature": algorithm.signature(),
-            "topology": algorithm.topology.name,
-        },
-    )
-
     barrier_per_step = protocol.startswith("multi_kernel")
     # Verified sends name existing ranks: append straight to each rank's list.
-    appends = [rank_program.instructions.append for rank_program in program.ranks]
+    ranks = [[] for _ in range(algorithm.topology.num_nodes)]
+    appends = [instructions.append for instructions in ranks]
     send_op, recv_op, reduce_op = OpCode.SEND, OpCode.RECV, OpCode.RECV_REDUCE
-    for step_index, step in enumerate(algorithm.steps):
+    for index, step in enumerate(algorithm.steps):
         # Emit sends first, then receives: under the push model the sender
         # writes remote memory and the receiver only waits on its flag, so
         # per-rank ordering within a step does not matter; a deterministic
-        # order keeps programs reproducible.
+        # order keeps programs reproducible.  A send and its receive are
+        # emitted together, at the same step, so every SEND is matched.
         for send in step.sends:
             chunk, src, dst = send.chunk, send.src, send.dst
-            appends[src](Instruction(send_op, chunk, dst, step_index))
+            appends[src](Instruction(send_op, chunk, dst, index))
             appends[dst](Instruction(
-                reduce_op if send.op == "reduce" else recv_op, chunk, src, step_index
+                reduce_op if send.op == "reduce" else recv_op, chunk, src, index
             ))
         if barrier_per_step:
             # Instructions are immutable: one barrier serves every rank.
-            barrier = Instruction(OpCode.BARRIER, -1, -1, step_index)
+            barrier = Instruction(OpCode.BARRIER, -1, -1, index)
             for append in appends:
                 append(barrier)
 
-    program.validate()
-    return program
+    return Program(
+        name=f"{algorithm.name}_{protocol}",
+        collective=algorithm.collective,
+        num_chunks=algorithm.num_chunks,
+        chunks_per_node=algorithm.chunks_per_node,
+        ranks=tuple(map(tuple, ranks)),
+        protocol=protocol,
+    )

@@ -180,18 +180,17 @@ class Simulator:
     def _rows(self, program: Program, protocol: ProtocolModel) -> Tuple[list, int]:
         """Per step ``(transfers, [(link, m, alpha + m * fixed, beta)], (m, ...))``, peak m.
 
-        Size-independent, so priced once per (cost table, fixed cost) and kept
-        on the program's step index: the rows die with the program and are
-        rebuilt with the index.  The memo keeps the cost table alive, so the
-        table's ``id`` in its key is never reused while the entry lives.
+        Size-independent, so priced once per (cost table, fixed cost) from
+        the program's per-step view and kept in :attr:`Program.priced`: the
+        rows die with the program.  The memo keeps the cost table alive, so
+        the table's ``id`` in its key is never reused while the entry lives.
         """
-        index = program.step_index()
         costs = self._link_costs.setdefault(protocol.bandwidth_multiplier, {})
         fixed = protocol.per_transfer_fixed_s
-        memo = index.priced.get((id(costs), fixed))
+        memo = program.priced.get((id(costs), fixed))
         if memo is None:
             rows = []
-            for sends in index.sends:
+            for sends, _ in program.steps:
                 per_link: Dict[Tuple[int, int], int] = {}
                 for rank, instr in sends:
                     link = (rank, instr.peer)
@@ -205,7 +204,7 @@ class Simulator:
                     links.append((link, messages, cost[0] + messages * fixed, cost[1]))
                 rows.append((len(sends), links, tuple(per_link.values())))
             peak = max((m for row in rows for m in row[2]), default=0)
-            memo = index.priced[id(costs), fixed] = (costs, rows, peak)
+            memo = program.priced[id(costs), fixed] = (costs, rows, peak)
         return memo[1], memo[2]
 
     def simulate(self, program: Program, size_bytes: float) -> SimulationResult:
@@ -249,14 +248,3 @@ class Simulator:
 
         return self.simulate(lower(algorithm), size_bytes)
 
-
-def simulate(
-    algorithm_or_program,
-    topology: Topology,
-    size_bytes: float,
-) -> SimulationResult:
-    """Module-level convenience wrapper used by the examples."""
-    simulator = Simulator(topology)
-    if isinstance(algorithm_or_program, Program):
-        return simulator.simulate(algorithm_or_program, size_bytes)
-    return simulator.simulate_algorithm(algorithm_or_program, size_bytes)

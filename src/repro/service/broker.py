@@ -76,10 +76,6 @@ class Ticket:
         self._event = threading.Event()
         self._response: Optional[PlanResponse] = None
 
-    @property
-    def key(self) -> Hashable:
-        return self._job.key
-
     # ------------------------------------------------------------------
     def wait(self) -> PlanResponse:
         """Block until the job completes or the ticket's deadline passes.

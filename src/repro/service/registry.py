@@ -36,7 +36,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.algorithm import Algorithm
 from ..engine.cache import (
@@ -62,6 +62,10 @@ ROUTE_PROTOCOL = "single_kernel_push"
 #: Pinned plans a registry keeps in wire form in memory (least recently
 #: used dropped first); a constant, sized for a service's hot set.
 PINNED_MEMO_ENTRIES = 128
+
+#: What :meth:`PlanRegistry.lookup_pinned_json` answers for a candidate the
+#: cache holds as unsatisfiable (memoized like a plan).
+UNSAT = "unsat"
 
 #: Routing tables a registry keeps in memory (least recently used dropped
 #: first; a dropped table is rebuilt from the cache on its next request).
@@ -245,8 +249,9 @@ def routing_key(
 class PlanRegistry:
     """Pinned plans and routing tables, both memoized in bounded LRU order.
 
-    Pinned plans are held in wire form (at most :data:`PINNED_MEMO_ENTRIES`),
-    each signed with its cache entry's ``(mtime_ns, size, inode)`` and
+    Pinned plans are held in wire form and UNSAT verdicts as :data:`UNSAT`
+    (at most :data:`PINNED_MEMO_ENTRIES` of both), each signed with its
+    cache entry's ``(mtime_ns, size, inode)`` and
     re-validated by one ``stat`` per lookup: an entry file that was
     replaced, rewritten, touched or removed goes through the full
     read-and-verify path again, so edited bytes are never served from
@@ -285,7 +290,7 @@ class PlanRegistry:
     def lookup_pinned(self, request: PlanRequest) -> Optional[AlgorithmPlan]:
         """Cached plan for a pinned request, or None (decoded per call)."""
         payload = self.lookup_pinned_json(request)
-        if payload is None:
+        if payload is None or payload is UNSAT:
             return None
         return AlgorithmPlan.from_json(payload, verify=False)
 
@@ -295,8 +300,9 @@ class PlanRegistry:
         *,
         topology: Optional[Topology] = None,
         key: Optional[str] = None,
-    ) -> Optional[dict]:
-        """Wire-form cached plan for a pinned request, or None.
+    ) -> Union[dict, str, None]:
+        """Wire-form cached plan for a pinned request, :data:`UNSAT` for a
+        candidate the cache holds as unsatisfiable, or None.
 
         ``topology`` overrides the request's spec-derived topology — the
         resolver passes the *degraded* topology when faults are active, so
@@ -305,9 +311,9 @@ class PlanRegistry:
         (on a healthy fabric it is the request key).
 
         The answer is shared with later callers (do not mutate it) for as
-        long as the entry file keeps its signature.  Only a plan that went
-        through the full read, decode and ``verify()`` is ever held, and
-        only under the memo key ``(cache key, topology.name)`` it was
+        long as the entry file keeps its signature.  Only what went through
+        the full read (a plan also through decode and ``verify()``) is ever
+        held, and only under the memo key ``(cache key, topology.name)`` it was
         verified for.  The cache key is structural, so fabrics of equal
         structure share it (``ring:3`` and ``fc:3``, a fabric and its
         cost-only degradation), but the plan embeds the whole topology; the
@@ -343,10 +349,10 @@ class PlanRegistry:
             return None
 
         found = self.cache.lookup_decoded(key, topology)
-        algorithm = None if found is None else found[1]
-        if algorithm is None:
+        if found is None:
             return None
-        payload = plan_from_algorithm(
+        algorithm = found[1]
+        payload = UNSAT if algorithm is None else plan_from_algorithm(
             algorithm, provenance={"backend": "cache", "cache_hit": True}
         ).to_json()
         # Signed after the read: the hit itself refreshed the file's mtime.

@@ -5,7 +5,8 @@ them through :class:`SynthesisResolver`, whose fallback ladder is fixed:
 
 1. **registry / cache** — pinned requests consult the content-addressed
    :class:`~repro.engine.cache.AlgorithmCache`, routed requests the
-   registry's memoized routing table; a hit is answered without any
+   registry's memoized routing table; a hit (for a pinned request, a plan
+   or an UNSAT verdict, which answers as an error) is answered without any
    solver work.
 2. **synthesis** — pinned requests run one engine solve
    (:func:`repro.core.synthesizer.synthesize`); routed requests run a
@@ -57,7 +58,7 @@ from .api import (
 )
 from .broker import Broker, Job, Ticket
 from .faults import Fabric, FaultBoard, apply_fault_request
-from .registry import PlanRegistry, build_routing_table
+from .registry import UNSAT, PlanRegistry, build_routing_table
 
 #: Resolver signature: (request, seconds left or None for no limit) -> PlanResponse.
 Resolver = Callable[[PlanRequest, Optional[float]], PlanResponse]
@@ -191,6 +192,8 @@ class SynthesisResolver:
         plan = self.registry.lookup_pinned_json(
             request, topology=topology, key=None if fabric.degraded else key
         )
+        if plan is UNSAT:
+            return self._unsatisfiable(request, key, started)
         if plan is not None:
             self._rung("cache")
             return PlanResponse(
@@ -230,18 +233,21 @@ class SynthesisResolver:
                 solve_time_s=time.monotonic() - started,
             )
         if result.is_unsat:
-            self._rung("error")
-            return PlanResponse(
-                status="error",
-                request_key=key,
-                error=f"{request.describe()} is unsatisfiable",
-                solve_time_s=time.monotonic() - started,
-            )
+            return self._unsatisfiable(request, key, started)
         # UNKNOWN: the solver hit the deadline; degrade to a baseline.
         self._rung("baseline")
         return _baseline_response(
             request, key, reason="solver deadline exceeded", started=started,
             topology=topology,
+        )
+
+    def _unsatisfiable(self, request: PlanRequest, key: str, started: float) -> PlanResponse:
+        self._rung("error")
+        return PlanResponse(
+            status="error",
+            request_key=key,
+            error=f"{request.describe()} is unsatisfiable",
+            solve_time_s=time.monotonic() - started,
         )
 
     # ------------------------------------------------------------------

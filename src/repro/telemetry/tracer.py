@@ -342,17 +342,23 @@ def span_coverage(
         total_s = max(e for _, e in everything) - min(s for s, _ in everything)
     if not total_s or total_s <= 0 or not matching:
         return 0.0
-    matching.sort()
+    return min(1.0, _union_length(matching) / total_s)
+
+
+def _union_length(intervals: List[Tuple[float, float]]) -> float:
+    """Length of the union of a non-empty list of ``(start, end)`` intervals:
+    overlaps (concurrent pool workers) are merged before summing."""
+    intervals = sorted(intervals)
     covered = 0.0
-    cur_start, cur_end = matching[0]
-    for start, end in matching[1:]:
+    cur_start, cur_end = intervals[0]
+    for start, end in intervals[1:]:
         if start <= cur_end:
             cur_end = max(cur_end, end)
         else:
             covered += cur_end - cur_start
             cur_start, cur_end = start, end
     covered += cur_end - cur_start
-    return min(1.0, covered / total_s)
+    return covered
 
 
 def _jsonable(value):
@@ -427,26 +433,18 @@ def summarize_chrome_trace(trace: dict, top: int = 0) -> str:
             f"{name:<14} {len(durs):>6} {total:>9.3f} "
             f"{1e3 * total / len(durs):>9.2f} {1e3 * max(durs):>9.2f}"
         )
-    probe_events = sorted(
+    probe_events = [
         (float(e.get("ts", 0.0)) / 1e6,
          (float(e.get("ts", 0.0)) + float(e.get("dur", 0.0))) / 1e6)
         for e in events
         if e.get("ph") == "X" and e.get("name") == "probe"
         and float(e.get("dur", 0.0)) > 0
-    )
+    ]
     if probe_events and wall > 0:
-        covered = 0.0
-        cur_start, cur_end = probe_events[0]
-        for start, end in probe_events[1:]:
-            if start <= cur_end:
-                cur_end = max(cur_end, end)
-            else:
-                covered += cur_end - cur_start
-                cur_start, cur_end = start, end
-        covered += cur_end - cur_start
+        covered = min(1.0, _union_length(probe_events) / wall)
         lines.append("")
         lines.append(
-            f"probe coverage: {100.0 * min(1.0, covered / wall):.1f}% of wall extent"
+            f"probe coverage: {100.0 * covered:.1f}% of wall extent"
         )
     if top > 0:
         slowest = sorted(

@@ -1,5 +1,6 @@
 """Tests for lowering, execution, simulation and code generation."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -12,18 +13,14 @@ from repro.baselines import nccl_allgather, nccl_allreduce, ring_allgather, sing
 from repro.core import make_instance, synthesize
 from repro.runtime import (
     ExecutionError,
-    Instruction,
     LoweringError,
     OpCode,
     PROTOCOLS,
-    Program,
-    ProgramError,
     SimulationError,
     Simulator,
     execute,
     generate_cuda_like_source,
     lower,
-    simulate,
 )
 from repro.topology import dgx1, ring
 
@@ -53,17 +50,18 @@ def ring4_topology():
 class TestLowering:
     def test_lower_produces_matched_program(self, ring4_allgather):
         program = lower(ring4_allgather)
-        program.validate()
         assert program.num_ranks == 4
         assert program.num_steps == ring4_allgather.num_steps
-        # Every send has a matching receive.
-        index = program.step_index()
-        assert len(index.sent) == len(index.received) == sum(step.num_sends for step in ring4_allgather.steps)
+        # One SEND and one RECV per send of the algorithm.
+        sends = sum(step.num_sends for step in ring4_allgather.steps)
+        ops = [i.op for r in program.ranks for i in r]
+        assert (ops.count(OpCode.SEND), ops.count(OpCode.RECV)) == (sends, sends)
+        assert program.total_instructions() == len(ops) == 2 * sends
 
     def test_multi_kernel_inserts_barriers(self, ring4_allgather):
         program = lower(ring4_allgather, protocol="multi_kernel_push")
         barriers = [
-            i for r in program.ranks for i in r.instructions if i.op is OpCode.BARRIER
+            i for r in program.ranks for i in r if i.op is OpCode.BARRIER
         ]
         assert len(barriers) == ring4_allgather.num_steps * program.num_ranks
 
@@ -74,7 +72,6 @@ class TestLowering:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_every_protocol_lowers_and_executes(self, ring4_allgather, protocol):
         program = lower(ring4_allgather, protocol=protocol)
-        program.validate()
         assert program.protocol == protocol
         result = execute(program, ring4_allgather)
         assert result.transfers == sum(step.num_sends for step in ring4_allgather.steps)
@@ -86,83 +83,9 @@ class TestLowering:
 
         program = lower(invert_algorithm(allgather))
         reduce_recvs = [
-            i for r in program.ranks for i in r.instructions if i.op is OpCode.RECV_REDUCE
+            i for r in program.ranks for i in r if i.op is OpCode.RECV_REDUCE
         ]
         assert reduce_recvs
-
-    def test_program_validation_catches_unmatched_pairs(self):
-        program = Program(name="bad", collective="X", num_ranks=2, num_chunks=1, chunks_per_node=1)
-        program.rank(0).append(Instruction(op=OpCode.SEND, chunk=0, peer=1, step=0))
-        with pytest.raises(ProgramError):
-            program.validate()
-
-
-def _two_ranks(sends, recvs, num_chunks=1):
-    """A 2-rank program: ``sends`` on rank 0, ``recvs`` on rank 1."""
-    program = Program(
-        name="p", collective="X", num_ranks=2, num_chunks=num_chunks, chunks_per_node=1
-    )
-    for instr in sends:
-        program.rank(0).append(instr)
-    for instr in recvs:
-        program.rank(1).append(instr)
-    return program
-
-
-class TestValidation:
-    def test_a_count_mismatch_names_the_key_and_both_counts(self):
-        send = Instruction(OpCode.SEND, chunk=0, peer=1, step=0)
-        program = _two_ranks([send, send], [Instruction(OpCode.RECV, chunk=0, peer=0, step=0)])
-        with pytest.raises(ProgramError, match=r"\(0, 0, 1, 0\) sent 2, received 1"):
-            program.validate()
-
-    def test_a_missing_send_names_the_receive(self):
-        program = _two_ranks([], [Instruction(OpCode.RECV_REDUCE, chunk=0, peer=0, step=3)])
-        with pytest.raises(ProgramError, match=r"\(0, 0, 1, 3\) sent 0, received 1"):
-            program.validate()
-
-    def test_counts_not_sets_are_compared(self):
-        sends = [Instruction(OpCode.SEND, 0, 1, 0), Instruction(OpCode.SEND, 0, 1, 1)]
-        recv = Instruction(OpCode.RECV, 0, 0, 0)
-        with pytest.raises(ProgramError, match=r"\(0, 0, 1, 0\) sent 1, received 2; "
-                                               r"\(0, 0, 1, 1\) sent 1, received 0$"):
-            _two_ranks(sends, [recv, recv]).validate()
-        # A duplicate on both sides is balanced.
-        _two_ranks([sends[0], sends[0]], [recv, recv]).validate()
-
-    def test_many_mismatches_are_counted(self):
-        sends = [Instruction(OpCode.SEND, chunk=0, peer=1, step=s) for s in range(7)]
-        with pytest.raises(ProgramError, match=r"\(0, 0, 1, 4\) sent 1, received 0 \(\+2 more\)$"):
-            _two_ranks(sends, []).validate()
-
-    @pytest.mark.parametrize("chunk, peer, step", [
-        (1, 1, 0),    # chunk past the last slot
-        (-1, 1, 0),   # a negative chunk would alias the last slot
-        (0, 1, -1),   # a negative step
-    ])
-    def test_a_matched_pair_out_of_range_is_rejected(self, chunk, peer, step):
-        program = _two_ranks(
-            [Instruction(OpCode.SEND, chunk, peer, step)],
-            [Instruction(OpCode.RECV, chunk, 0, step)],
-        )
-        with pytest.raises(ProgramError, match=(
-            rf"^rank 0: send\(chunk={chunk}, peer={peer}, step={step}\) is out of range "
-            rf"\(chunk in \[0, 1\), peer in \[0, 2\), step >= 0\)$"
-        )):
-            program.validate()
-
-    def test_a_peer_out_of_range_names_its_rank(self):
-        program = _two_ranks([Instruction(OpCode.SEND, 0, 2, 0)], [])
-        with pytest.raises(ProgramError, match=r"^rank 0: send\(chunk=0, peer=2, step=0\)"):
-            program.validate()
-        program = _two_ranks([], [Instruction(OpCode.RECV_REDUCE, 0, -1, 0)])
-        with pytest.raises(ProgramError, match=r"^rank 1: recv_reduce\(chunk=0, peer=-1, step=0\)"):
-            program.validate()
-
-    def test_barriers_and_lowered_programs_pass(self, ring4_allgather):
-        _two_ranks([Instruction(OpCode.BARRIER, step=0)], [Instruction(OpCode.BARRIER)]).validate()
-        for protocol in ("single_kernel_push", "multi_kernel_push"):
-            lower(ring4_allgather, protocol).validate()
 
 
 class TestExecution:
@@ -289,7 +212,7 @@ class TestExecution:
         program = lower(ring4_allgather)
         # Drop every instruction of rank 0: its sends never happen, so some
         # postcondition chunk is missing at the end.
-        program.ranks[0].instructions = []
+        program = dataclasses.replace(program, ranks=((),) + program.ranks[1:])
         with pytest.raises(ExecutionError):
             execute(program, ring4_allgather)
 
@@ -345,15 +268,17 @@ class TestSimulator:
         assert all(timing.bytes_on_busiest_link == 0 for timing in result.step_timings)
 
     def test_unknown_protocol_rejected(self, ring4_allgather, ring4_topology):
-        program = lower(ring4_allgather)
-        program.protocol = "quantum"
+        program = dataclasses.replace(lower(ring4_allgather), protocol="quantum")
         with pytest.raises(Exception):
             Simulator(ring4_topology).simulate(program, 1024)
 
-    def test_module_level_simulate_wrapper(self, ring4_allgather, ring4_topology):
-        direct = simulate(ring4_allgather, ring4_topology, 1 << 16)
-        via_program = simulate(lower(ring4_allgather), ring4_topology, 1 << 16)
-        assert direct.total_time_s == pytest.approx(via_program.total_time_s)
+    def test_simulate_algorithm_lowers_with_the_default_protocol(
+        self, ring4_allgather, ring4_topology
+    ):
+        simulator = Simulator(ring4_topology)
+        direct = simulator.simulate_algorithm(ring4_allgather, 1 << 16)
+        assert direct == simulator.simulate(lower(ring4_allgather), 1 << 16)
+        assert direct.protocol == "single_kernel_push"
 
 
 class TestCodegen:

@@ -1,32 +1,35 @@
-"""The step index on ``Program`` and the size-independent simulator costs.
+"""The per-step view of a lowered ``Program`` and the simulator's costs.
 
-The two digests below were recorded on the commit *before* the index
-existed (every step query rescanned every instruction); the simulator and
-the executor must reproduce them to the last bit.
+The two digests below were recorded on the commit *before* programs had a
+per-step view (every step query rescanned every instruction); the simulator
+and the executor must reproduce them to the last bit.  ``TestLoweredProgram``
+holds every lowered program of that suite to what lowering guarantees by
+construction: matched sends and receives, operands in range, the view's
+order, and a value that cannot be assigned to.
 """
 
+import dataclasses
 import gc
 import hashlib
 import weakref
 from array import array
+from collections import Counter
 from itertools import chain
 
 import pytest
 
 from repro.baselines import baseline_suite
 from repro.cli.topologies import parse_topology
-from repro.core import allreduce_from_allgather
+from repro.core import allreduce_from_allgather, make_instance, synthesize
 from repro.faults import FaultSet, LinkDegraded, scan_program, simulate_with_faults
 from repro.runtime import (
     PROTOCOLS,
-    Instruction,
     OpCode,
     ProtocolModel,
     Simulator,
     execute,
     lower,
 )
-from repro.runtime import program as program_module
 from repro.topology import ring
 
 TOPOLOGIES = ("dgx1", "amd_z52", "ring:8")
@@ -130,133 +133,111 @@ def allgather():
     return baseline_suite("Allgather", ring(4))[0].algorithm
 
 
-def _extra_send(step: int) -> Instruction:
-    # ring(4) has the link 0 -> 1; chunk 0 starts at rank 0.
-    return Instruction(op=OpCode.SEND, chunk=0, peer=1, step=step)
+#: The fabrics of the pinned suite, and ring:4 for a synthesized Allgather.
+FABRICS = TOPOLOGIES + ("ring:4",)
 
 
-class TestStaleness:
-    def test_append_is_seen(self, allgather):
-        program = lower(allgather)
-        steps = program.num_steps
-        simulator = Simulator(allgather.topology)
-        before = simulator.simulate(program, 1 << 20)
+@pytest.fixture(scope="module", params=FABRICS)
+def lowered(request):
+    """Every program lowered from one fabric's algorithms, under every protocol."""
+    if request.param == "ring:4":
+        synthesized = synthesize(make_instance("Allgather", ring(4), 1, 2, 3))
+        assert synthesized.is_sat
+        algorithms = [synthesized.algorithm]
+    else:
+        topology = parse_topology(request.param)
+        algorithms = [
+            baseline.algorithm
+            for collective in COLLECTIVES
+            for baseline in baseline_suite(collective, topology)
+        ]
+    return [(algorithm, lower(algorithm, protocol))
+            for algorithm in algorithms for protocol in PROTOCOLS]
 
-        program.rank(0).append(_extra_send(steps))
-        assert program.num_steps == steps + 1
-        assert program.sends_at_step(steps) == [(0, _extra_send(steps))]
-        after = simulator.simulate(program, 1 << 20)
-        assert len(after.step_timings) == steps + 1
-        assert after.step_timings[-1].transfers == 1
-        assert after.total_time_s > before.total_time_s
 
-    def test_direct_list_edit_is_seen(self, allgather):
-        program = lower(allgather)
-        simulator = Simulator(allgather.topology)
-        last = program.num_steps - 1
-        sends = len(program.sends_at_step(last))
-        before = execute(program, allgather, check=True)
-        timed = simulator.simulate(program, 1 << 20)
+class TestLoweredProgram:
+    """What a lowered program is by construction, on every program lowered."""
 
-        # Same length, different content: the index may not key on sizes.
-        instructions = program.rank(0).instructions
-        position = next(
-            i for i, instr in enumerate(instructions)
-            if instr.op is OpCode.SEND and instr.step == last
-        )
-        removed = instructions[position]
-        instructions[position] = Instruction(OpCode.BARRIER, step=last)
-        assert len(program.sends_at_step(last)) == sends - 1
-        assert simulator.simulate(program, 1 << 20).step_timings[last].transfers == sends - 1
-        assert execute(program, allgather, check=False).transfers == before.transfers - 1
+    def test_every_send_has_one_receive_at_its_step(self, lowered):
+        for _, program in lowered:
+            sent, received = Counter(), Counter()
+            for rank, instructions in enumerate(program.ranks):
+                for op, chunk, peer, step in instructions:
+                    if op is OpCode.SEND:
+                        sent[chunk, rank, peer, step] += 1
+                    elif op is not OpCode.BARRIER:
+                        received[chunk, peer, rank, step] += 1
+            assert sent and sent == received, program.name
 
-        instructions[position] = removed
-        assert len(program.sends_at_step(last)) == sends
-        assert simulator.simulate(program, 1 << 20) == timed
-        assert execute(program, allgather, check=True).transfers == before.transfers
+    def test_every_operand_is_in_range(self, lowered):
+        for algorithm, program in lowered:
+            assert program.num_ranks == algorithm.topology.num_nodes
+            assert program.num_steps == algorithm.num_steps
+            for instructions in program.ranks:
+                for op, chunk, peer, step in instructions:
+                    assert step >= 0, program.name
+                    if op is not OpCode.BARRIER:
+                        assert 0 <= chunk < program.num_chunks, program.name
+                        assert 0 <= peer < program.num_ranks, program.name
 
-    def test_replaced_rank_program_is_seen(self, allgather):
-        program = lower(allgather)
-        assert program.num_steps > 0
-        for rank_program in program.ranks:
-            rank_program.instructions = []
-        assert program.num_steps == 0
-        assert program.sends_at_step(0) == []
+    def test_the_step_view_keeps_rank_then_program_order(self, lowered):
+        for _, program in lowered:
+            for step, (sends, reduce_keys) in enumerate(program.steps):
+                ordered = [
+                    (rank, instr)
+                    for rank, instructions in enumerate(program.ranks)
+                    for instr in instructions if instr.step == step
+                ]
+                assert sends == tuple(
+                    (rank, instr) for rank, instr in ordered if instr.op is OpCode.SEND
+                ), program.name
+                assert reduce_keys == {
+                    (rank, instr.chunk) for rank, instr in ordered
+                    if instr.op is OpCode.RECV_REDUCE
+                }, program.name
+
+    def test_assigning_to_a_lowered_program_raises(self, lowered):
+        for _, program in lowered:
+            for name in [f.name for f in dataclasses.fields(program)] + ["steps"]:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(program, name, getattr(program, name))
+            assert isinstance(program.ranks, tuple)
+            assert all(isinstance(instructions, tuple) for instructions in program.ranks)
+
+
+class _CountedRanks(tuple):
+    """A program's rank tuples that count the walks over them."""
+
+    walks = 0
+
+    def __iter__(self):
+        type(self).walks += 1
+        return super().__iter__()
 
 
 class TestOnePass:
+    def test_a_replaced_copy_derives_its_own_view(self, allgather):
+        program = lower(allgather)
+        assert program.num_steps == allgather.num_steps
+        copy = dataclasses.replace(program, ranks=((),) + program.ranks[1:])
+        assert "steps" not in vars(copy)
+        assert sum(len(sends) for sends, _ in copy.steps) < sum(
+            len(sends) for sends, _ in program.steps
+        )
+        assert all(rank != 0 for sends, _ in copy.steps for rank, _ in sends)
+
     def test_queries_share_one_walk(self, allgather, monkeypatch):
-        walks = []
-        built = []
-        build = program_module.StepIndex.build
-
-        class CountingList(list):
-            def __iter__(self):
-                walks.append(1)
-                return super().__iter__()
-
-        def counting(ranks):
-            built.append(len(ranks))
-            return build(ranks)
-
-        def query_everything(program):
-            simulator = Simulator(allgather.topology)
+        program = lower(allgather)
+        assert "steps" not in vars(program)  # lowering derives nothing
+        monkeypatch.setattr(_CountedRanks, "walks", 0)
+        program = dataclasses.replace(program, ranks=_CountedRanks(program.ranks))
+        for simulator in (Simulator(allgather.topology), Simulator(allgather.topology)):
             for size in SIZES:
                 simulator.simulate(program, size)
-            execute(program, allgather, check=True)
-            for step in range(program.num_steps):
-                program.sends_at_step(step)
-            program.validate()
-            scan_program(program, {(0, 1)})
-
-        monkeypatch.setattr(program_module.StepIndex, "build", staticmethod(counting))
-        # Lowering validates, and validating reads the index: it is built there.
-        program = lower(allgather)
-        assert built == [program.num_ranks]
-        for rank_program in program.ranks:
-            rank_program.instructions = CountingList(rank_program.instructions)
-        query_everything(program)
-        assert walks == [] and built == [program.num_ranks]
-
-        # After an edit, one rebuild walks each rank's list once for all of them.
-        program.rank(0).append(Instruction(OpCode.BARRIER, step=0))
-        query_everything(program)
-        assert len(walks) == program.num_ranks
-        assert built == [program.num_ranks] * 2
-
-    def test_sizes_of_one_program_build_one_index(self, allgather, monkeypatch):
-        built = []
-        build = program_module.StepIndex.build
-
-        def counting(ranks):
-            built.append(len(ranks))
-            return build(ranks)
-
-        monkeypatch.setattr(program_module.StepIndex, "build", staticmethod(counting))
-        simulator, program = Simulator(allgather.topology), lower(allgather)
-        results = [simulator.simulate(program, size) for size in SIZES]
-        assert len(results) == len(SIZES)
-        assert built == [allgather.topology.num_nodes]
-
-    def test_sends_at_step_returns_a_fresh_list(self, allgather):
-        program = lower(allgather)
-        first = program.sends_at_step(0)
-        expected = list(first)
-        first.clear()
-        assert program.sends_at_step(0) == expected
-        assert program.sends_at_step(-1) == []
-        assert program.sends_at_step(program.num_steps) == []
-
-    def test_sends_keep_rank_then_program_order(self, allgather):
-        program = lower(allgather)
-        for step in range(program.num_steps):
-            scanned = [
-                (rank_program.rank, instr)
-                for rank_program in program.ranks
-                for instr in rank_program.instructions
-                if instr.op is OpCode.SEND and instr.step == step
-            ]
-            assert program.sends_at_step(step) == scanned
+        execute(program, allgather, check=True)
+        scan_program(program, {(0, 1)})
+        assert program.num_steps == allgather.num_steps
+        assert _CountedRanks.walks == 1
 
 
 class TestNoLeak:

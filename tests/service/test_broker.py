@@ -68,7 +68,8 @@ class TestCoalescing:
         tickets = [broker.submit(REQUEST) for _ in range(8)]
         assert requests(metrics) == {"enqueued": 1, "coalesced": 7}
         assert broker.gauges()["pending"] == 1  # one job for eight callers
-        assert tickets[0].key == tickets[7].key
+        assert [ticket.coalesced for ticket in tickets] == [False] + [True] * 7
+        assert all(ticket._job is tickets[0]._job for ticket in tickets)
 
     def test_eight_threads_one_synthesis(self, metrics):
         """8 concurrent identical PlanRequests -> exactly 1 backend call."""

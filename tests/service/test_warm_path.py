@@ -265,6 +265,46 @@ def test_a_cold_pinned_request_reads_the_cache_once(tmp_path):
         set_metrics(previous)
 
 
+def test_a_pinned_unsat_verdict_is_memoized(tmp_path, monkeypatch):
+    """An UNSAT entry is held like a plan: read once, then one ``stat`` per
+    repeat, with no instance built and no solve."""
+    import repro.core
+
+    unsat = PlanRequest("Allgather", "ring:4", chunks=1, steps=1, rounds=1)
+    fresh = Metrics()
+    previous = set_metrics(fresh)
+    try:
+        with PlanningService(_registry(tmp_path), num_workers=1) as service:
+
+            def answer():
+                response = service.request(unsat)
+                assert response.status == "error"
+                assert response.error == f"{unsat.describe()} is unsatisfiable"
+
+            def hits():
+                return service.stats()["engine"]["cache"]["hits"]
+
+            answer()  # solved, and the verdict stored
+            assert hits() == 0
+            answer()  # read from the file, and held
+            assert hits() == 1
+
+            def no_solve(*args, **kwargs):
+                raise AssertionError("a memoized UNSAT verdict was solved again")
+
+            monkeypatch.setattr(repro.core, "make_instance", no_solve)
+            monkeypatch.setattr(repro.core, "synthesize", no_solve)
+            counts = _Counts(monkeypatch)
+            answer()
+            assert counts.calls == {
+                "stat": 1, "open": 0, "parse_topology": 0, "full_verify": 0,
+            }
+            assert hits() == 2 and _memo_hits() == 1
+            assert service.registry.lookup_pinned(unsat) is None
+    finally:
+        set_metrics(previous)
+
+
 def test_memos_are_bounded(tmp_path):
     registry = _registry(tmp_path)
     with PlanningService(registry, num_workers=1) as service:

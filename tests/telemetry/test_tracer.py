@@ -194,6 +194,19 @@ def test_span_coverage_merges_overlaps():
     assert span_coverage([], "probe") == 0.0
 
 
+def test_trace_summary_merges_overlapping_probes_like_span_coverage():
+    spans = [
+        Span("probe", start_s=0.0, duration_s=2.0),
+        Span("probe", start_s=1.0, duration_s=2.0),
+        Span("probe", start_s=5.0, duration_s=1.0),
+        Span("probe", start_s=7.0, duration_s=0.0),  # empty: not counted
+        Span("other", start_s=0.0, duration_s=10.0),
+    ]
+    summary = summarize_chrome_trace(spans_to_chrome_trace(spans))
+    assert f"probe coverage: {100.0 * span_coverage(spans, 'probe'):.1f}%" in summary
+    assert "probe coverage: 40.0% of wall extent" in summary
+
+
 def test_iter_spans_walks_whole_forest():
     tracer = Tracer()
     with tracer.span("a"):

@@ -55,11 +55,6 @@ EXEMPT = {
     # Every series and one series of the registry, for the telemetry checks.
     "Metrics.snapshot": "tests/telemetry/test_instrumentation.py",
     "Metrics.value": "tests/engine/test_cache.py",
-    # An instruction added to a lowered program, to build the malformed
-    # programs the validator and the step index must reject.
-    "RankProgram.append": "tests/runtime/test_runtime.py",
-    # Per-step sends of a lowered program, for the lowering's step index.
-    "Program.sends_at_step": "tests/runtime/test_step_index.py",
     # A served process in a thread, for the HTTP tests.
     "ServerThread": "tests/service/test_server.py",
     # The clients of the served /v1/health and /v1/metrics endpoints.
